@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "align/batch_scan.hpp"
 #include "align/query_cache.hpp"
 #include "align/sharded_search.hpp"
 #include "parallel/partition.hpp"
@@ -14,29 +15,6 @@
 namespace swve::align {
 
 namespace {
-
-/// Keep the k best hits of a range scanned in index order.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-  void offer(const Hit& h) {
-    if (h.score <= 0) return;
-    hits_.push_back(h);
-    std::push_heap(hits_.begin(), hits_.end());  // max-heap on operator<,
-    if (hits_.size() > k_) {                     // i.e. worst hit at front
-      std::pop_heap(hits_.begin(), hits_.end());
-      hits_.pop_back();
-    }
-  }
-  std::vector<Hit> sorted() && {
-    std::sort(hits_.begin(), hits_.end());
-    return std::move(hits_);
-  }
-
- private:
-  size_t k_;
-  std::vector<Hit> hits_;
-};
 
 int batch_lanes() {
   return simd::resolve_isa(simd::Isa::Auto) == simd::Isa::Avx512 &&
@@ -80,87 +58,33 @@ SearchResult search_batch(const seq::SequenceDatabase& db,
   std::shared_ptr<const core::PreparedQuery> prep;
   if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
 
-  // Phase 1: score every sequence through the batch kernel, batches fanned
-  // out across threads (disjoint writes by original sequence index).
+  // Phase 1: score every sequence through the batch kernel. The pool's
+  // workers pull cost-balanced chunks from one cursor and write scores by
+  // original sequence index, so the vector is the same whoever scans what.
   std::vector<int> scores(db.size(), 0);
   core::BatchSearchStats agg{};
   std::mutex agg_mu;
-  std::atomic<bool> truncated{false};
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int k_ilp = core::resolved_ilp(isa);
-  auto score_batches = [&](size_t b_begin, size_t b_end) {
-    obs::Span span(ctx.trace, "chunk.search_batch");
-    // Per-K kernel variant: the PMU attribution cell (and the exported
-    // swve_pmu_* family) separates interleave depths, so IPC/backend-stall
-    // deltas across K stay visible in a live service.
-    span.set_kernel(perf::batch_kernel_variant(k_ilp));
-    span.set_ilp(static_cast<uint8_t>(k_ilp));
-    span.set_index(b_begin);
-    span.set_isa(isa);
-    span.set_width_bits(8);
-    span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
+  const unsigned workers = ctx.pool ? ctx.pool->size() : 1u;
+  detail::BatchScan scan(db, bdb, cfg, query, prep.get(), ctx, 0,
+                         bdb.batch_count(), workers);
+  auto score_batches = [&](size_t slot) {
     auto lease = QueryStateCache::lease(ctx.query_cache);
-    core::Workspace& ws = lease.ws();
-    core::BatchSearchStats local{};
-    core::AlignConfig wide = cfg;
-    wide.width = core::Width::W16;
-    for (size_t b = b_begin; b < b_end;) {
-      if (ctx.should_stop()) {  // per-group cancellation/deadline check
-        truncated.store(true, std::memory_order_relaxed);
-        span.set_trunc(trunc_cause(ctx));
-        break;
-      }
-      // Feed up to k_ilp batches fused; the interleaved kernel keeps one
-      // dependency chain per batch in flight (bit-identical to K = 1).
-      const int group = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(k_ilp), b_end - b));
-      core::Batch32Db::Batch batch[core::kMaxBatchInterleave];
-      core::BatchCols cols[core::kMaxBatchInterleave];
-      core::Batch8Result r8[core::kMaxBatchInterleave];
-      for (int g = 0; g < group; ++g) {
-        batch[g] = bdb.batch(b + static_cast<size_t>(g));
-        cols[g] = core::BatchCols{batch[g].columns, batch[g].max_len};
-      }
-      core::batch32_align_u8_group(query, cols, group, bdb.lanes(), cfg, ws,
-                                   isa, k_ilp, r8);
-      for (int g = 0; g < group; ++g) {
-        local.cells8 += static_cast<uint64_t>(batch[g].max_len) *
-                        query.length * static_cast<uint64_t>(bdb.lanes());
-        local.useful_cells8 += batch[g].real_residues * query.length;
-        for (uint32_t k = 0; k < batch[g].count; ++k) {
-          const uint32_t seq_idx = batch[g].seq_index[k];
-          if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-            core::Alignment a =
-                core::diag_align(query, db[seq_idx], wide, ws, prep.get());
-            if (a.saturated) {
-              core::AlignConfig w32 = wide;
-              w32.width = core::Width::W32;
-              a = core::diag_align(query, db[seq_idx], w32, ws, prep.get());
-            }
-            scores[seq_idx] = a.score;
-            ++local.rescored;
-            local.rescored_cells += a.stats.cells;
-          } else {
-            scores[seq_idx] = r8[g].max_score[k];
-          }
-        }
-      }
-      b += static_cast<size_t>(group);
-    }
-    span.add_cells(local.cells8 + local.rescored_cells);
-    span.set_useful_cells(local.useful_cells8 + local.rescored_cells);
-    span.end();
+    const detail::BatchScan::Tally t =
+        scan.run("chunk.search_batch", slot, lease.ws(),
+                 [&scores](uint32_t seq_idx, int score) {
+                   scores[seq_idx] = score;
+                 });
     std::lock_guard<std::mutex> lk(agg_mu);
-    agg += local;
+    agg += t.stats;
   };
   if (ctx.pool) {
     ctx.pool->parallel_for(
-        bdb.batch_count(),
-        [&](size_t b, size_t e, unsigned) { score_batches(b, e); });
+        std::min<size_t>(workers, scan.chunk_count()),
+        [&](size_t slot, size_t, unsigned) { score_batches(slot); });
   } else {
-    score_batches(0, bdb.batch_count());
+    score_batches(0);
   }
-  out.truncated = truncated.load(std::memory_order_relaxed);
+  out.truncated = scan.truncated();
   out.batch_stats = agg;
   if (out.truncated) {  // partial answer; skip the exact re-alignment pass
     out.seconds = sw.seconds();
@@ -169,21 +93,11 @@ SearchResult search_batch(const seq::SequenceDatabase& db,
 
   // Phase 2: top-k over the score vector (index order => deterministic),
   // then exact re-alignment of just the winners for end positions.
-  TopK top(top_k);
+  detail::TopK top(top_k);
   for (size_t s = 0; s < scores.size(); ++s)
     top.offer(Hit{static_cast<uint32_t>(s), scores[s], -1, -1});
   out.hits = std::move(top).sorted();
-  auto lease = QueryStateCache::lease(ctx.query_cache);
-  core::Workspace& ws = lease.ws();
-  for (Hit& h : out.hits) {
-    core::Alignment a =
-        core::diag_align(query, db[h.seq_index], cfg, ws, prep.get());
-    h.end_query = a.end_query;
-    h.end_ref = a.end_ref;
-    out.stats += a.stats;
-  }
-  out.stats.cells += agg.cells8 + agg.rescored_cells;
-  out.stats.vector_cells += agg.cells8;
+  detail::realign_winners(db, cfg, query, prep.get(), ctx, out);
   out.seconds = sw.seconds();
   return out;
 }
@@ -214,7 +128,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
     span.set_index(p);
     auto lease = QueryStateCache::lease(ctx.query_cache);
     core::Workspace& ws = lease.ws();
-    TopK top(top_k);
+    detail::TopK top(top_k);
     core::KernelStats stats;
     for (size_t s = begin; s < end; ++s) {
       if (ctx.should_stop()) {  // per-sequence cancellation/deadline check
@@ -242,7 +156,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
   }
 
   // Deterministic merge in partition order, then global top-k.
-  TopK merged(top_k);
+  detail::TopK merged(top_k);
   for (unsigned p = 0; p < parts; ++p) {
     out.stats += part_stats[p];
     for (const Hit& h : part_hits[p]) merged.offer(h);

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 
+#include "align/batch_scan.hpp"
 #include "align/query_cache.hpp"
-#include "core/dispatch.hpp"
 #include "core/mapped_db.hpp"
 #include "obs/pmu.hpp"
 #include "perf/metrics.hpp"
@@ -14,36 +15,6 @@
 namespace swve::align {
 
 namespace {
-
-/// Keep the k best hits of a range scanned in index order (same bounded
-/// heap as db_search.cpp's; the merge relies on offer() being selection,
-/// not ordering — any insertion order yields the same k survivors).
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-  void offer(const Hit& h) {
-    if (h.score <= 0) return;
-    hits_.push_back(h);
-    std::push_heap(hits_.begin(), hits_.end());
-    if (hits_.size() > k_) {
-      std::pop_heap(hits_.begin(), hits_.end());
-      hits_.pop_back();
-    }
-  }
-  std::vector<Hit> sorted() && {
-    std::sort(hits_.begin(), hits_.end());
-    return std::move(hits_);
-  }
-
- private:
-  size_t k_;
-  std::vector<Hit> hits_;
-};
-
-obs::TruncCause trunc_cause(const ExecContext& ctx) {
-  return ctx.cancelled() ? obs::TruncCause::Cancelled
-                         : obs::TruncCause::Deadline;
-}
 
 std::atomic<int> g_shard_hint{0};
 
@@ -86,34 +57,7 @@ ShardedSearch::~ShardedSearch() = default;
 
 std::vector<std::pair<size_t, size_t>> ShardedSearch::plan_shards(
     const core::Batch32Db& packed, size_t shards) {
-  const size_t n = packed.batch_count();
-  std::vector<std::pair<size_t, size_t>> ranges;
-  if (shards == 0 || n == 0) return ranges;
-  shards = std::min(shards, n);
-  // Balance by padded cells per query residue: each batch costs
-  // max_len * lanes kernel cells whatever it holds, so cutting at equal
-  // fractions of that prefix equalizes DP work, not batch counts.
-  const auto records = packed.batch_records();
-  uint64_t total = 0;
-  for (const auto& r : records)
-    total += static_cast<uint64_t>(r.max_len) * packed.lanes();
-  size_t begin = 0;
-  uint64_t prefix = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const uint64_t target = total * (s + 1) / shards;
-    size_t end = begin;
-    // Leave at least one batch per remaining shard; always take one.
-    const size_t max_end = n - (shards - 1 - s);
-    while (end < max_end && (end == begin || prefix < target)) {
-      prefix +=
-          static_cast<uint64_t>(records[end].max_len) * packed.lanes();
-      ++end;
-    }
-    ranges.emplace_back(begin, end);
-    begin = end;
-  }
-  ranges.back().second = n;  // absorb rounding into the last (ragged) shard
-  return ranges;
+  return detail::plan_by_cells(packed, 0, packed.batch_count(), shards);
 }
 
 core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
@@ -142,7 +86,10 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
   if (shards == 0) {
     const int hint = shard_count_hint();
     shards = hint > 0 ? static_cast<size_t>(hint) : s->topo_.node_count();
-    shards = std::min(shards, batches);  // auto degrades, never errors
+    // Auto degrades, never errors: at most one shard per batch, and no more
+    // than the metrics exporters can report (MetricsSnapshot::kMaxShards).
+    shards = std::min({shards, batches,
+                       static_cast<size_t>(perf::MetricsSnapshot::kMaxShards)});
   }
   const auto ranges = plan_shards(packed, shards);
 
@@ -240,21 +187,20 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
 
   const seq::SequenceDatabase& db = *db_;
   const core::Batch32Db& bdb = *packed_;
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int k_ilp = core::resolved_ilp(isa);
   const size_t nshards = shards_.size();
 
   // Phase 1: every shard scans its batch range concurrently, each worker
-  // folding lane scores into a bounded per-worker heap; heaps are merged
-  // per shard, then globally — selection under Hit's strict total order is
-  // partition-shape independent, so this equals the unsharded answer.
+  // pulling cost-balanced chunks of its shard and folding lane scores into
+  // a bounded per-worker heap; heaps are merged per shard, then globally —
+  // selection under Hit's strict total order is partition-shape
+  // independent, so this equals the unsharded answer.
   struct ShardRun {
-    std::vector<std::vector<Hit>> worker_hits;  // [worker] sorted top-k
+    std::optional<detail::BatchScan> scan;
+    std::vector<std::vector<Hit>> worker_hits;  // [slot] sorted top-k
     core::BatchSearchStats stats;
     std::mutex mu;
   };
   std::vector<ShardRun> runs(nshards);
-  std::atomic<bool> truncated{false};
 
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -263,77 +209,22 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     ShardRun& run = runs[si];
-    run.worker_hits.resize(shard.pool->size());
-    const size_t nbatches = shard.end_batch - shard.first_batch;
+    const unsigned workers = shard.pool->size();
+    run.scan.emplace(db, bdb, cfg, query, prep.get(), ctx, shard.first_batch,
+                     shard.end_batch, workers);
+    const size_t slots = std::min<size_t>(workers, run.scan->chunk_count());
+    run.worker_hits.resize(slots);
     shard.searches.fetch_add(1, std::memory_order_relaxed);
 
-    auto scan = [this, &db, &bdb, &cfg, &ctx, &run, &shard, &truncated, prep,
-                 query, top_k, isa, k_ilp, si](size_t rel_begin,
-                                               size_t rel_end, unsigned w) {
+    auto scan = [&run, &shard, top_k, si](size_t slot, size_t, unsigned) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
-      obs::Span span(ctx.trace, "chunk.shard_search");
-      span.set_kernel(perf::batch_kernel_variant(k_ilp));
-      span.set_ilp(static_cast<uint8_t>(k_ilp));
-      span.set_index(si);
-      span.set_isa(isa);
-      span.set_width_bits(8);
-      span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
       auto lease = shard.cache->lease_workspace();
-      core::Workspace& ws = lease.ws();
-      core::BatchSearchStats local{};
-      TopK top(top_k);
-      core::AlignConfig wide = cfg;
-      wide.width = core::Width::W16;
-      const size_t b_begin = shard.first_batch + rel_begin;
-      const size_t b_end = shard.first_batch + rel_end;
-      uint64_t scanned = 0;
-      for (size_t b = b_begin; b < b_end;) {
-        if (ctx.should_stop()) {  // per-group cancellation/deadline check
-          truncated.store(true, std::memory_order_relaxed);
-          span.set_trunc(trunc_cause(ctx));
-          break;
-        }
-        const int group = static_cast<int>(
-            std::min<size_t>(static_cast<size_t>(k_ilp), b_end - b));
-        core::Batch32Db::Batch batch[core::kMaxBatchInterleave];
-        core::BatchCols cols[core::kMaxBatchInterleave];
-        core::Batch8Result r8[core::kMaxBatchInterleave];
-        for (int g = 0; g < group; ++g) {
-          batch[g] = bdb.batch(b + static_cast<size_t>(g));
-          cols[g] = core::BatchCols{batch[g].columns, batch[g].max_len};
-        }
-        core::batch32_align_u8_group(query, cols, group, bdb.lanes(), cfg, ws,
-                                     isa, k_ilp, r8);
-        for (int g = 0; g < group; ++g) {
-          local.cells8 += static_cast<uint64_t>(batch[g].max_len) *
-                          query.length * static_cast<uint64_t>(bdb.lanes());
-          local.useful_cells8 += batch[g].real_residues * query.length;
-          for (uint32_t k = 0; k < batch[g].count; ++k) {
-            const uint32_t seq_idx = batch[g].seq_index[k];
-            int score;
-            if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-              core::Alignment a =
-                  core::diag_align(query, db[seq_idx], wide, ws, prep.get());
-              if (a.saturated) {
-                core::AlignConfig w32 = wide;
-                w32.width = core::Width::W32;
-                a = core::diag_align(query, db[seq_idx], w32, ws, prep.get());
-              }
-              score = a.score;
-              ++local.rescored;
-              local.rescored_cells += a.stats.cells;
-            } else {
-              score = r8[g].max_score[k];
-            }
+      detail::TopK top(top_k);
+      const detail::BatchScan::Tally t = run.scan->run(
+          "chunk.shard_search", si, lease.ws(),
+          [&top](uint32_t seq_idx, int score) {
             top.offer(Hit{seq_idx, score, -1, -1});
-          }
-        }
-        scanned += static_cast<uint64_t>(group);
-        b += static_cast<size_t>(group);
-      }
-      span.add_cells(local.cells8 + local.rescored_cells);
-      span.set_useful_cells(local.useful_cells8 + local.rescored_cells);
-      span.end();
+          });
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
       const obs::PmuDelta d = obs::PmuSession::delta(pmu0, pmu1);
       shard.busy_ns.fetch_add(d.wall_ns, std::memory_order_relaxed);
@@ -341,19 +232,19 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
         shard.llc_misses.fetch_add(d.llc_misses, std::memory_order_relaxed);
         shard.cycles.fetch_add(d.cycles, std::memory_order_relaxed);
       }
-      shard.batches.fetch_add(scanned, std::memory_order_relaxed);
-      shard.cells.fetch_add(local.cells8 + local.rescored_cells,
+      shard.batches.fetch_add(t.batches, std::memory_order_relaxed);
+      shard.cells.fetch_add(t.stats.cells8 + t.stats.rescored_cells,
                             std::memory_order_relaxed);
-      shard.useful_cells.fetch_add(local.useful_cells8,
+      shard.useful_cells.fetch_add(t.stats.useful_cells8,
                                    std::memory_order_relaxed);
-      shard.rescored.fetch_add(local.rescored, std::memory_order_relaxed);
+      shard.rescored.fetch_add(t.stats.rescored, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lk(run.mu);
-        run.worker_hits[w] = std::move(top).sorted();
-        run.stats += local;
+        run.worker_hits[slot] = std::move(top).sorted();
+        run.stats += t.stats;
       }
     };
-    shard.pool->parallel_for_async(nbatches, std::move(scan),
+    shard.pool->parallel_for_async(slots, std::move(scan),
                                    [&done_mu, &done_cv, &shards_left] {
                                      std::lock_guard<std::mutex> lk(done_mu);
                                      if (--shards_left == 0)
@@ -366,33 +257,23 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   }
 
   core::BatchSearchStats agg{};
-  TopK merged(top_k);
+  detail::TopK merged(top_k);
   for (size_t si = 0; si < nshards; ++si) {
     agg += runs[si].stats;
+    out.truncated = out.truncated || runs[si].scan->truncated();
     for (const auto& worker : runs[si].worker_hits)
       for (const Hit& h : worker) merged.offer(h);
   }
-  out.truncated = truncated.load(std::memory_order_relaxed);
   out.batch_stats = agg;
   if (out.truncated) {  // partial answer; skip the exact re-alignment pass
     out.seconds = sw.seconds();
     return out;
   }
 
-  // Phase 2: exact re-alignment of just the winners for end positions —
-  // same pass as engine::search_batch, over the identical winner set.
+  // Phase 2: the same re-alignment as engine::search_batch, over the
+  // identical winner set.
   out.hits = std::move(merged).sorted();
-  auto lease = QueryStateCache::lease(ctx.query_cache);
-  core::Workspace& ws = lease.ws();
-  for (Hit& h : out.hits) {
-    core::Alignment a =
-        core::diag_align(query, db[h.seq_index], cfg, ws, prep.get());
-    h.end_query = a.end_query;
-    h.end_ref = a.end_ref;
-    out.stats += a.stats;
-  }
-  out.stats.cells += agg.cells8 + agg.rescored_cells;
-  out.stats.vector_cells += agg.cells8;
+  detail::realign_winners(db, cfg, query, prep.get(), ctx, out);
   out.seconds = sw.seconds();
   return out;
 }

@@ -11,7 +11,9 @@
 // QueryStateCache partition), places each shard's column bytes on its node
 // (mbind under `bind`, page-interleave under `interleave`, first-touch
 // otherwise), and scans all shards concurrently into bounded per-shard
-// top-k heaps.
+// top-k heaps. Inside a shard, the pool's workers pull cost-balanced chunks
+// of the shard's range from one cursor (align/batch_scan.hpp), the same
+// scan loop and scheduler the flat path runs over the whole database.
 //
 // Determinism: per-sequence scores are exact (the 8-bit kernel plus the
 // 16/32-bit rescore ladder is deterministic, and batches are never split),
@@ -127,7 +129,9 @@ class ShardedSearch {
   /// Split [0, batch_count) into `shards` contiguous ranges balanced by
   /// padded cells (sum of max_len * lanes), the quantity the kernel
   /// actually walks per query residue — so length-sorted packings don't
-  /// starve the short-sequence shards. Exposed for tests.
+  /// starve the short-sequence shards. The same planner (plan_by_cells in
+  /// align/batch_scan.hpp) then cuts each shard into per-request work
+  /// chunks for the shard's pool. Exposed for tests.
   static std::vector<std::pair<size_t, size_t>> plan_shards(
       const core::Batch32Db& packed, size_t shards);
 

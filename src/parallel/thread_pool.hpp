@@ -1,8 +1,11 @@
-// Fixed-size thread pool with deterministic static partitioning.
+// Fixed-size thread pool with deterministic results.
 //
-// The paper's scenario drivers split work statically (contiguous index
-// ranges) and merge results in index order, so results are bit-identical
-// for any thread count — part of the library's determinism guarantee.
+// Scheduling may be static (parallel_for's contiguous blocks) or dynamic
+// (parallel_chunks, or a caller's own cursor over one job per worker, as
+// the batch scan in align/batch_scan.hpp does). Either way callers write
+// results by index, not by worker, and merge them in index order, so
+// results are bit-identical for any thread count — part of the library's
+// determinism guarantee.
 #pragma once
 
 #include <atomic>

@@ -161,15 +161,17 @@ LatencyHistogram::Snapshot LatencyHistogram::Snapshot::merge(
 
 MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   MetricsSnapshot s;
+  // Scenario counters first, completed_ after (see on_completed), so
+  // pairwise + search + batch <= completed holds in every snapshot.
+  s.pairwise = by_scenario_[0].load(std::memory_order_acquire);
+  s.search = by_scenario_[1].load(std::memory_order_acquire);
+  s.batch = by_scenario_[2].load(std::memory_order_acquire);
   s.submitted = submitted_.load(kRelaxed);
   s.completed = completed_.load(kRelaxed);
   s.rejected_queue_full = rejected_queue_full_.load(kRelaxed);
   s.deadline_expired = deadline_expired_.load(kRelaxed);
   s.invalid_request = invalid_request_.load(kRelaxed);
   s.aborted = aborted_.load(kRelaxed);
-  s.pairwise = by_scenario_[0].load(kRelaxed);
-  s.search = by_scenario_[1].load(kRelaxed);
-  s.batch = by_scenario_[2].load(kRelaxed);
   s.cells = cells_.load(kRelaxed);
   s.kernel_seconds = static_cast<double>(kernel_ns_.load(kRelaxed)) * 1e-9;
   s.batch_cells8 = batch_cells8_.load(kRelaxed);

@@ -483,8 +483,11 @@ class MetricsRegistry {
 
   void on_completed(Scenario s, double kernel_seconds,
                     uint64_t cells) noexcept {
+    // Release pairs with snapshot()'s acquire loads, which read the
+    // scenario counters before completed_, so a snapshot never shows more
+    // per-scenario completions than total completions.
     completed_.fetch_add(1, kRelaxed);
-    by_scenario_[static_cast<int>(s)].fetch_add(1, kRelaxed);
+    by_scenario_[static_cast<int>(s)].fetch_add(1, std::memory_order_release);
     cells_.fetch_add(cells, kRelaxed);
     const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
     kernel_ns_.fetch_add(ns, kRelaxed);

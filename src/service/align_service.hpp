@@ -92,8 +92,10 @@ struct CacheOptions {
 struct SearchOptions {
   /// Database shards for batch-mode search. 1 (default) = unsharded flat
   /// pool; 0 = auto (one shard per NUMA node — unsharded on single-node
-  /// hosts); N >= 2 forces N shards. Requesting more shards than the packed
-  /// database has batches fails construction with a typed config error.
+  /// hosts; at most perf::MetricsSnapshot::kMaxShards); N >= 2 forces N
+  /// shards, N > kMaxShards is rejected by try_validate. Requesting more
+  /// shards than the packed database has batches fails construction with a
+  /// typed config error.
   /// Results are bit-identical for every value.
   int shards = 1;
   /// Thread pinning + memory placement across shards (no effect when
@@ -259,10 +261,12 @@ struct ServiceOptions {
       return core::ConfigError{Code::Unsupported,
                                "ServiceOptions: search.shards must be >= 0 "
                                "(0 = auto, 1 = unsharded)"};
-    if (search.shards > 4096)
-      return core::ConfigError{Code::Unsupported,
-                               "ServiceOptions: search.shards unreasonably "
-                               "large (max 4096)"};
+    if (search.shards > perf::MetricsSnapshot::kMaxShards)
+      return core::ConfigError{
+          Code::Unsupported,
+          "ServiceOptions: search.shards exceeds the " +
+              std::to_string(perf::MetricsSnapshot::kMaxShards) +
+              " shards the metrics exporters report"};
     if (serve.max_frame_bytes < 64)
       return core::ConfigError{
           Code::Unsupported,

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <random>
 
+#include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
+#include "align/sharded_search.hpp"
+#include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 
@@ -17,6 +22,88 @@ seq::SequenceDatabase make_db(uint64_t residues, uint64_t seed = 15) {
   cfg.min_length = 20;
   cfg.max_length = 400;
   return seq::SequenceDatabase::synthetic(cfg);
+}
+
+/// Swiss-Prot-shaped but short (median ~27 aa, 4..200): many batches for
+/// few residues.
+std::vector<seq::Sequence> make_mixed_db(uint64_t residues, uint64_t seed = 16) {
+  seq::SyntheticConfig cfg;
+  cfg.seed = seed;
+  cfg.target_residues = residues;
+  cfg.log_mean = 3.3;
+  cfg.min_length = 4;
+  cfg.max_length = 200;
+  return seq::generate_database(cfg);
+}
+
+/// Padded cells of batches [b, e): what plan_by_cells balances.
+uint64_t padded_cells(const core::Batch32Db& packed, size_t b, size_t e) {
+  uint64_t cells = 0;
+  for (; b < e; ++b)
+    cells += static_cast<uint64_t>(packed.batch(b).max_len) *
+             static_cast<uint64_t>(packed.lanes());
+  return cells;
+}
+
+TEST(ScanPlanner, CutsAreContiguousBalancedAndGroupAligned) {
+  seq::SequenceDatabase db(make_mixed_db(400'000));
+  for (core::PackingPolicy policy :
+       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
+    core::Batch32Db packed(db, 32, policy);
+    const size_t n = packed.batch_count();
+    ASSERT_GE(n, 200u);
+    // Whole database and an unaligned sub-range (a shard's view).
+    for (auto [begin, end] : {std::pair<size_t, size_t>{0, n},
+                              std::pair<size_t, size_t>{7, n - 3}}) {
+      for (size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
+        uint64_t max_group = 0;
+        for (size_t g = begin; g < end; g += k)
+          max_group = std::max(max_group,
+                               padded_cells(packed, g, std::min(end, g + k)));
+        const uint64_t total = padded_cells(packed, begin, end);
+        for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, size_t{48}}) {
+          const std::string label = std::string(core::packing_policy_name(policy)) +
+                                    " [" + std::to_string(begin) + "," +
+                                    std::to_string(end) + ") k" +
+                                    std::to_string(k) + " parts" +
+                                    std::to_string(parts);
+          auto ranges = detail::plan_by_cells(packed, begin, end, parts, k);
+          ASSERT_EQ(ranges.size(), parts) << label;
+          size_t expect_begin = begin;
+          for (const auto& [b, e] : ranges) {
+            EXPECT_EQ(b, expect_begin) << label;  // contiguous, in order
+            EXPECT_GT(e, b) << label;             // non-empty
+            EXPECT_EQ((b - begin) % k, 0u) << label;  // fused groups whole
+            const double target = static_cast<double>(total) /
+                                  static_cast<double>(parts);
+            EXPECT_LE(std::abs(static_cast<double>(padded_cells(packed, b, e)) -
+                               target),
+                      static_cast<double>(max_group))
+                << label << " range [" << b << "," << e << ")";
+            expect_begin = e;
+          }
+          EXPECT_EQ(expect_begin, end) << label;  // every batch covered
+        }
+      }
+    }
+
+    // Fewer groups than parts: one range per group, still aligned.
+    auto few = detail::plan_by_cells(packed, 10, 15, 8, 2);
+    ASSERT_EQ(few.size(), 3u);
+    EXPECT_EQ(few[0], (std::pair<size_t, size_t>{10, 12}));
+    EXPECT_EQ(few[1], (std::pair<size_t, size_t>{12, 14}));
+    EXPECT_EQ(few[2], (std::pair<size_t, size_t>{14, 15}));
+    // One batch.
+    auto one = detail::plan_by_cells(packed, 5, 6, 4, 4);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0], (std::pair<size_t, size_t>{5, 6}));
+    // Empty range, or no parts.
+    EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4, 1).empty());
+    EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0, 1).empty());
+    // Shards are the same planner at K = 1.
+    EXPECT_EQ(ShardedSearch::plan_shards(packed, 5),
+              detail::plan_by_cells(packed, 0, n, 5, 1));
+  }
 }
 
 TEST(DatabaseSearch, TopKMatchesBruteForce) {
@@ -132,19 +219,58 @@ TEST(DatabaseSearch, BatchModeMatchesDiagonalMode) {
 }
 
 TEST(DatabaseSearch, BatchModeDeterministicAcrossThreads) {
-  auto db = make_db(40'000);
-  DatabaseSearch batch(db, AlignConfig{}, SearchMode::Batch);
-  auto q = seq::generate_sequence(410, 150);
-  SearchResult serial = batch.search(q, 10);
-  for (unsigned threads : {2u, 4u}) {
-    parallel::ThreadPool pool(threads);
-    SearchResult par = batch.search(q, 10, &pool);
-    ASSERT_EQ(par.hits.size(), serial.hits.size());
-    for (size_t k = 0; k < serial.hits.size(); ++k) {
-      EXPECT_EQ(par.hits[k].seq_index, serial.hits[k].seq_index);
-      EXPECT_EQ(par.hits[k].score, serial.hits[k].score);
+  // Short, widely mixed lengths: hundreds of batches, several per scan
+  // chunk even at 7 workers, so the chunk cursor hands batches to workers
+  // in a different order every run. Planted copies of the query saturate
+  // the 8-bit kernel, so the rescore ladder runs inside the chunks too.
+  auto q = seq::generate_sequence(410, 64);
+  std::vector<seq::Sequence> seqs = make_mixed_db(1'200'000);
+  for (size_t i = 0; i < 6; ++i)
+    seqs.insert(seqs.begin() + static_cast<std::ptrdiff_t>(i * seqs.size() / 6),
+                seq::mutate(q, 411 + i, 0.02 * static_cast<double>(i)));
+  seq::SequenceDatabase db(std::move(seqs));
+  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
+
+  SearchResult want;  // hits of the first policy; every run must match it
+  for (core::PackingPolicy policy :
+       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
+        core::PackingPolicy::LengthBinned}) {
+    DatabaseSearch batch(db, AlignConfig{}, SearchMode::Batch, policy);
+    ASSERT_GE(batch.packed_db()->batch_count(),
+              3 * 7 * detail::kChunksPerWorker)
+        << "workload too small to put several batches in every chunk";
+    core::set_ilp_override(isa, core::IlpPolicy::fixed(1));
+    SearchResult serial = batch.search(q, 10);
+    ASSERT_FALSE(serial.truncated);
+    EXPECT_GE(serial.batch_stats.rescored, 1u);
+    if (want.hits.empty()) want = serial;
+    for (int k : {1, 2, 4}) {
+      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
+      for (unsigned threads : {1u, 2u, 3u, 5u, 7u}) {
+        parallel::ThreadPool pool(threads);
+        SearchResult par = batch.search(q, 10, &pool);
+        const std::string label = std::string(core::packing_policy_name(policy)) +
+                                  " k" + std::to_string(k) + " t" +
+                                  std::to_string(threads);
+        ASSERT_EQ(par.hits.size(), want.hits.size()) << label;
+        for (size_t i = 0; i < want.hits.size(); ++i) {
+          EXPECT_EQ(par.hits[i].seq_index, want.hits[i].seq_index) << label;
+          EXPECT_EQ(par.hits[i].score, want.hits[i].score) << label;
+          EXPECT_EQ(par.hits[i].end_query, want.hits[i].end_query) << label;
+          EXPECT_EQ(par.hits[i].end_ref, want.hits[i].end_ref) << label;
+        }
+        EXPECT_EQ(par.batch_stats.cells8, serial.batch_stats.cells8) << label;
+        EXPECT_EQ(par.batch_stats.useful_cells8,
+                  serial.batch_stats.useful_cells8) << label;
+        EXPECT_EQ(par.batch_stats.rescored, serial.batch_stats.rescored)
+            << label;
+        EXPECT_EQ(par.batch_stats.rescored_cells,
+                  serial.batch_stats.rescored_cells) << label;
+        EXPECT_EQ(par.stats.cells, serial.stats.cells) << label;
+      }
     }
   }
+  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
 TEST(DatabaseSearch, BatchModeHandlesSaturatingHomolog) {

@@ -2,7 +2,9 @@
 // gap model x score scheme x traceback) against the golden scalar model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
@@ -16,7 +18,13 @@ namespace {
 struct Param {
   simd::Isa isa;
   Width width;
+  // gtest prints a parameter that has no PrintTo overload as a byte dump,
+  // and that dump becomes part of each discovered test name. Spelling the
+  // padding out as zeroed bytes keeps stale stack bytes (which vary with
+  // ASLR) out of the names.
+  uint8_t zero_pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 std::vector<Param> kernel_params() {
   std::vector<Param> p;

@@ -83,6 +83,56 @@ TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
   core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
+TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
+  // Per-shard pools of 3 and 5 workers over shards whose batch counts they
+  // do not divide: the chunk cursor leaves workers with unequal shares, and
+  // hits, scores and batch accounting must still equal the flat path's.
+  seq::SyntheticConfig cfg;
+  cfg.seed = 23;
+  cfg.target_residues = 300'000;
+  cfg.log_mean = 3.3;  // short and mixed: many batches per shard
+  cfg.min_length = 4;
+  cfg.max_length = 200;
+  seq::SequenceDatabase db(seq::generate_database(cfg));
+  auto q = seq::generate_sequence(97, 90);
+
+  for (core::PackingPolicy policy :
+       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
+    DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
+    parallel::ThreadPool pool(4);
+    SearchResult want = flat.search(q, 12, &pool);
+    for (int s : {2, 3}) {
+      for (unsigned per_shard : {3u, 5u}) {
+        const std::string label = std::string(core::packing_policy_name(policy)) +
+                                  " s" + std::to_string(s) + " w" +
+                                  std::to_string(per_shard);
+        DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                               policy);
+        ShardOptions sopt;
+        sopt.shards = s;
+        sopt.total_threads = per_shard * static_cast<unsigned>(s);
+        ASSERT_TRUE(sharded.enable_sharding(sopt).ok()) << label;
+        const ShardedSearch* sh = sharded.sharded();
+        bool uneven = false;
+        for (size_t i = 0; i < sh->shard_count(); ++i) {
+          const auto [b, e] = sh->shard_range(i);
+          EXPECT_EQ(sh->shard_stats(i).threads, per_shard) << label;
+          uneven = uneven || (e - b) % per_shard != 0;
+        }
+        EXPECT_TRUE(uneven) << label;
+        SearchResult got = sharded.search(q, 12);
+        expect_same_hits(got, want, label);
+        EXPECT_EQ(got.batch_stats.cells8, want.batch_stats.cells8) << label;
+        EXPECT_EQ(got.batch_stats.useful_cells8, want.batch_stats.useful_cells8)
+            << label;
+        EXPECT_EQ(got.batch_stats.rescored, want.batch_stats.rescored) << label;
+        EXPECT_EQ(got.batch_stats.rescored_cells,
+                  want.batch_stats.rescored_cells) << label;
+      }
+    }
+  }
+}
+
 TEST(ShardedSearch, PlanShardsIsContiguousCompleteAndNonEmpty) {
   auto db = make_db(50'000, 33);
   core::Batch32Db packed(db, 32);
@@ -183,6 +233,36 @@ TEST(ShardedSearch, ShardsExceedingBatchesIsTypedError) {
   ASSERT_TRUE(auto_r.ok());
   EXPECT_LE((*auto_r)->shard_count(), packed.batch_count());
   EXPECT_GE((*auto_r)->shard_count(), 1u);
+}
+
+TEST(ShardedSearch, AutoShardCountClampsToExportedLimit) {
+  // The exporters report at most kMaxShards shards; auto must never build
+  // more, even when the hint and the batch count both allow it.
+  auto db = make_db(200'000, 29);
+  core::Batch32Db packed(db, 32);
+  const size_t limit = perf::MetricsSnapshot::kMaxShards;
+  ASSERT_GT(packed.batch_count(), limit);
+  set_shard_count_hint(64);
+  ShardOptions sopt;
+  sopt.shards = 0;
+  sopt.total_threads = 1;
+  auto r = ShardedSearch::create(db, packed, sopt);
+  set_shard_count_hint(0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ((*r)->shard_count(), limit);
+}
+
+TEST(ShardedSearch, ServiceRejectsShardsBeyondExportedLimit) {
+  // A service with more shards than MetricsSnapshot can hold would drop
+  // the extra shards from every exporter; reject it up front instead.
+  service::ServiceOptions opt;
+  opt.search.shards = perf::MetricsSnapshot::kMaxShards;
+  EXPECT_TRUE(opt.try_validate().ok());
+  opt.search.shards = perf::MetricsSnapshot::kMaxShards + 1;
+  auto st = opt.try_validate();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Code::Unsupported);
+  EXPECT_NE(st.error().message.find("search.shards"), std::string::npos);
 }
 
 TEST(ShardedSearch, NumaEnvKnobForcesPolicyOff) {
