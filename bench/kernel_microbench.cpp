@@ -3,8 +3,6 @@
 // the batch32 and baseline kernels.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 
 #include "baseline/diag_basic.hpp"
 #include "baseline/scan.hpp"
@@ -132,30 +130,6 @@ void BM_Batch32(benchmark::State& state) {
   report_cells(state, q.length() * db.total_residues());
 }
 
-// Raw interleaved kernel at a fixed depth: no rescore ladder, no top-k, so
-// the per-K delta is purely the fused column loop (the sweep behind the
-// interleave-depth choice; pair with kernel_profile --ilp for PMU columns).
-void BM_Batch32Ilp(benchmark::State& state, int k) {
-  const seq::SequenceDatabase& db = bench_db();
-  static core::Batch32Db bdb(db, 32);
-  static const std::vector<core::BatchCols> cols = [] {
-    std::vector<core::BatchCols> c(bdb.batch_count());
-    for (size_t b = 0; b < bdb.batch_count(); ++b)
-      c[b] = core::BatchCols{bdb.batch(b).columns, bdb.batch(b).max_len};
-    return c;
-  }();
-  std::vector<core::Batch8Result> out(bdb.batch_count());
-  const seq::Sequence& q = bench_query(static_cast<int>(state.range(0)));
-  core::AlignConfig cfg;
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  for (auto _ : state) {
-    core::batch32_align_u8_group(q, cols.data(), static_cast<int>(cols.size()),
-                                 32, cfg, tls_ws(), isa, k, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  report_cells(state, q.length() * bdb.padded_residues());
-}
-
 }  // namespace
 
 #define SWVE_REG(name, ...)                                     \
@@ -183,22 +157,6 @@ int main(int argc, char** argv) {
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);
   SWVE_REG("batch32", BM_Batch32);
-  SWVE_REG("batch32/ilp1", BM_Batch32Ilp, 1);
-  SWVE_REG("batch32/ilp2", BM_Batch32Ilp, 2);
-  SWVE_REG("batch32/ilp4", BM_Batch32Ilp, 4);
-  // `--ilp=K` pins the interleave depth every ISA resolves to (affects the
-  // batch_scores-driven "batch32" benchmark); consumed before
-  // google-benchmark sees the argument list.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ilp=", 6) == 0) {
-      const int k = std::atoi(argv[i] + 6);
-      for (Isa isa : {Isa::Scalar, Isa::Sse41, Isa::Avx2, Isa::Avx512})
-        core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,40 +1,33 @@
 #include "align/batch_scan.hpp"
 
+#include <stdexcept>
+
 #include "align/query_cache.hpp"
+#include "core/dispatch.hpp"
 
 namespace swve::align::detail {
 
 std::vector<std::pair<size_t, size_t>> plan_by_cells(
-    const core::Batch32Db& packed, size_t begin, size_t end, size_t parts,
-    size_t multiple) {
+    const core::Batch32Db& packed, size_t begin, size_t end, size_t parts) {
   std::vector<std::pair<size_t, size_t>> ranges;
   if (parts == 0 || end <= begin) return ranges;
-  multiple = std::max<size_t>(multiple, 1);
-  // Cut between groups of `multiple` batches counted from `begin`; the last
-  // group may be short.
-  const size_t groups = (end - begin + multiple - 1) / multiple;
-  parts = std::min(parts, groups);
+  parts = std::min(parts, end - begin);
   const auto records = packed.batch_records();
   const uint64_t lanes = static_cast<uint64_t>(packed.lanes());
   uint64_t total = 0;
   for (size_t b = begin; b < end; ++b) total += records[b].max_len * lanes;
-  size_t group = 0;
+  size_t b = begin;
   uint64_t prefix = 0;
   for (size_t p = 0; p < parts; ++p) {
     // Cut where the running cost first reaches this part's share of the
-    // total: every part ends within one group's cost past its target.
+    // total: every part ends within one batch's cost past its target.
     const uint64_t target = total * (p + 1) / parts;
-    const size_t first = group;
-    // Leave at least one group per remaining part; always take one.
-    const size_t max_group = groups - (parts - 1 - p);
-    while (group < max_group && (group == first || prefix < target)) {
-      const size_t b_end = std::min(end, begin + (group + 1) * multiple);
-      for (size_t b = begin + group * multiple; b < b_end; ++b)
-        prefix += records[b].max_len * lanes;
-      ++group;
-    }
-    ranges.emplace_back(begin + first * multiple,
-                        std::min(end, begin + group * multiple));
+    const size_t first = b;
+    // Leave at least one batch per remaining part; always take one.
+    const size_t max_end = end - (parts - 1 - p);
+    while (b < max_end && (b == first || prefix < target))
+      prefix += records[b++].max_len * lanes;
+    ranges.emplace_back(first, b);
   }
   ranges.back().second = end;  // the last range absorbs rounding
   return ranges;
@@ -64,16 +57,15 @@ BatchScan::BatchScan(const seq::SequenceDatabase& db,
     : db_(db),
       bdb_(bdb),
       cfg_(cfg),
-      wide_(cfg),
       query_(query),
       prep_(prep),
       ctx_(ctx),
-      isa_(simd::resolve_isa(cfg.isa)),
-      k_ilp_(core::resolved_ilp(isa_)) {
-  wide_.width = core::Width::W16;
+      isa_(simd::resolve_isa(cfg.isa)) {
+  if (!core::batch_lanes_fit(bdb.lanes(), isa_))
+    throw std::invalid_argument(
+        "batch search: database packed for a different ISA");
   chunks_ = plan_by_cells(bdb, begin, end,
-                          std::max(1u, workers) * kChunksPerWorker,
-                          static_cast<size_t>(k_ilp_));
+                          std::max(1u, workers) * kChunksPerWorker);
   // Longest first, so the chunk that starts last is a short one and no
   // worker is left finishing a long tail while the others idle. Ties keep
   // database order.

@@ -1,11 +1,11 @@
 // The batch32 scan shared by engine::search_batch and ShardedSearch.
 //
-// Both paths score a contiguous range of packed batches the same way: feed
-// up to K batches fused through the interleaved 8-bit kernel, climb the
-// 8 -> 16 -> 32-bit rescore ladder for saturated lanes, and count the work.
-// They differ only in where a scored sequence goes (the flat path writes a
-// score vector by sequence index, shards fold into per-worker top-k heaps),
-// so the loop lives here once and takes a per-hit sink.
+// Both paths score a contiguous range of packed batches the same way, one
+// batch at a time through core::score_batch (the 8-bit kernel plus the
+// 8 -> 16 -> 32-bit rescore ladder for saturated lanes). They differ only in
+// where a scored sequence goes (the flat path writes a score vector by
+// sequence index, shards fold into per-worker top-k heaps), so the loop
+// lives here once and takes a per-hit sink.
 //
 // Scheduling is by cost, not by batch count. A length-sorted database puts
 // its longest batches last, so equal batch counts per worker leave the
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "align/db_search.hpp"
-#include "core/dispatch.hpp"
 #include "core/prepared_query.hpp"
 #include "obs/trace.hpp"
 #include "perf/metrics.hpp"
@@ -60,13 +59,10 @@ class TopK {
 /// Split batches [begin, end) of `packed` into at most `parts` contiguous,
 /// non-empty ranges of roughly equal padded cells (max_len * lanes per
 /// batch: the work the kernel does per query residue whatever a batch
-/// holds). Cuts fall on begin + multiples of `multiple`, so fused groups
-/// of that many batches stay whole; the last range absorbs the rounding.
-/// Returns fewer ranges when [begin, end) has fewer than `parts` groups,
-/// none when it is empty or parts == 0.
+/// holds). Returns fewer ranges when [begin, end) has fewer than `parts`
+/// batches, none when it is empty or parts == 0.
 std::vector<std::pair<size_t, size_t>> plan_by_cells(
-    const core::Batch32Db& packed, size_t begin, size_t end, size_t parts,
-    size_t multiple = 1);
+    const core::Batch32Db& packed, size_t begin, size_t end, size_t parts);
 
 /// Phase 2 of a batch search: exact re-alignment of the winners in
 /// out.hits for their end positions, then the scan's cells (out.batch_stats)
@@ -77,11 +73,13 @@ void realign_winners(const seq::SequenceDatabase& db,
                      SearchResult& out);
 
 /// Chunks planned per worker. Enough that the last chunk to start is short
-/// next to one worker's share, few enough that the cursor and each chunk's
-/// ragged last group cost nothing measurable.
+/// next to one worker's share, few enough that the cursor costs nothing
+/// measurable.
 inline constexpr size_t kChunksPerWorker = 16;
 
-/// One request's scan of batches [begin, end) by `workers` jobs.
+/// One request's scan of batches [begin, end) by `workers` jobs. Throws
+/// std::invalid_argument when `bdb` was packed for lanes that cfg.isa
+/// cannot drive (core::batch_lanes_fit).
 class BatchScan {
  public:
   BatchScan(const seq::SequenceDatabase& db, const core::Batch32Db& bdb,
@@ -119,7 +117,7 @@ class BatchScan {
     chunk = chunks_[c];
     return true;
   }
-  /// Scan one chunk in fused groups; false when ctx stopped the scan.
+  /// Scan one chunk batch by batch; false when ctx stopped the scan.
   template <class Sink>
   bool scan_chunk(std::pair<size_t, size_t> chunk, core::Workspace& ws,
                   obs::Span& span, Tally& t, Sink& sink);
@@ -127,12 +125,10 @@ class BatchScan {
   const seq::SequenceDatabase& db_;
   const core::Batch32Db& bdb_;
   const core::AlignConfig& cfg_;
-  core::AlignConfig wide_;  // cfg_ at W16: first rescore rung
   seq::SeqView query_;
   const core::PreparedQuery* prep_;
   const ExecContext& ctx_;
   simd::Isa isa_;
-  int k_ilp_;
   std::vector<std::pair<size_t, size_t>> chunks_;  // longest first
   std::atomic<size_t> cursor_{0};
   std::atomic<bool> truncated_{false};
@@ -145,11 +141,7 @@ BatchScan::Tally BatchScan::run(const char* span_name, uint64_t span_index,
   std::pair<size_t, size_t> chunk;
   if (!next_chunk(chunk)) return t;
   obs::Span span(ctx_.trace, span_name);
-  // Per-K kernel variant: the PMU attribution cell (and the exported
-  // swve_pmu_* family) separates interleave depths, so IPC/backend-stall
-  // deltas across K stay visible in a live service.
-  span.set_kernel(perf::batch_kernel_variant(k_ilp_));
-  span.set_ilp(static_cast<uint8_t>(k_ilp_));
+  span.set_kernel(perf::KernelVariant::Batch32);
   span.set_index(span_index);
   span.set_isa(isa_);
   span.set_width_bits(8);
@@ -166,51 +158,20 @@ template <class Sink>
 bool BatchScan::scan_chunk(std::pair<size_t, size_t> chunk,
                            core::Workspace& ws, obs::Span& span, Tally& t,
                            Sink& sink) {
-  const uint64_t lanes = static_cast<uint64_t>(bdb_.lanes());
-  for (size_t b = chunk.first; b < chunk.second;) {
-    if (ctx_.should_stop()) {  // per-group cancellation/deadline check
+  int scores[64];
+  for (size_t b = chunk.first; b < chunk.second; ++b) {
+    if (ctx_.should_stop()) {  // per-batch cancellation/deadline check
       truncated_.store(true, std::memory_order_relaxed);
       span.set_trunc(ctx_.cancelled() ? obs::TruncCause::Cancelled
                                       : obs::TruncCause::Deadline);
       return false;
     }
-    // Feed up to K batches fused; the interleaved kernel keeps one
-    // dependency chain per batch in flight (bit-identical to K = 1).
-    const int group = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(k_ilp_), chunk.second - b));
-    core::Batch32Db::Batch batch[core::kMaxBatchInterleave];
-    core::BatchCols cols[core::kMaxBatchInterleave];
-    core::Batch8Result r8[core::kMaxBatchInterleave];
-    for (int g = 0; g < group; ++g) {
-      batch[g] = bdb_.batch(b + static_cast<size_t>(g));
-      cols[g] = core::BatchCols{batch[g].columns, batch[g].max_len};
-    }
-    core::batch32_align_u8_group(query_, cols, group, bdb_.lanes(), cfg_, ws,
-                                 isa_, k_ilp_, r8);
-    for (int g = 0; g < group; ++g) {
-      t.stats.cells8 +=
-          static_cast<uint64_t>(batch[g].max_len) * query_.length * lanes;
-      t.stats.useful_cells8 += batch[g].real_residues * query_.length;
-      for (uint32_t k = 0; k < batch[g].count; ++k) {
-        const uint32_t seq_idx = batch[g].seq_index[k];
-        if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-          core::Alignment a =
-              core::diag_align(query_, db_[seq_idx], wide_, ws, prep_);
-          if (a.saturated) {
-            core::AlignConfig w32 = wide_;
-            w32.width = core::Width::W32;
-            a = core::diag_align(query_, db_[seq_idx], w32, ws, prep_);
-          }
-          ++t.stats.rescored;
-          t.stats.rescored_cells += a.stats.cells;
-          sink(seq_idx, a.score);
-        } else {
-          sink(seq_idx, r8[g].max_score[k]);
-        }
-      }
-    }
-    t.batches += static_cast<uint64_t>(group);
-    b += static_cast<size_t>(group);
+    const core::Batch32Db::Batch batch = bdb_.batch(b);
+    core::score_batch(query_, batch, bdb_.lanes(), db_, cfg_, isa_, ws, prep_,
+                      scores, t.stats);
+    for (uint32_t k = 0; k < batch.count; ++k)
+      sink(batch.seq_index[k], scores[k]);
+    ++t.batches;
   }
   return true;
 }

@@ -1,6 +1,7 @@
 #include "align/batch_server.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "align/query_cache.hpp"
 #include "core/dispatch.hpp"
@@ -12,31 +13,21 @@ namespace swve::align {
 
 namespace engine {
 
-int batch_server_lanes() {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-  if (simd::resolve_isa(simd::Isa::Auto) == simd::Isa::Avx512 &&
-      simd::cpu_features().avx512vbmi)
-    return 64;
-#endif
-  return 32;
-}
-
 std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
                                         const core::Batch32Db& bdb,
                                         const core::AlignConfig& cfg,
                                         const std::vector<seq::Sequence>& queries,
                                         size_t top_k, const ExecContext& ctx) {
+  if (!core::batch_lanes_fit(bdb.lanes(), simd::resolve_isa(cfg.isa)))
+    throw std::invalid_argument(
+        "batch_run: database packed for a different ISA");
   std::vector<BatchQueryResult> out(queries.size());
 
   auto run_query = [&](size_t qi) {
     perf::Stopwatch sw;
     obs::Span span(ctx.trace, "chunk.batch_query");
     const simd::Isa isa = simd::resolve_isa(cfg.isa);
-    // batch_scores groups batches at the resolved interleave depth; key the
-    // span (and its PMU attribution cell) to that per-K kernel variant.
-    const int k_ilp = core::resolved_ilp(isa);
-    span.set_kernel(perf::batch_kernel_variant(k_ilp));
-    span.set_ilp(static_cast<uint8_t>(k_ilp));
+    span.set_kernel(perf::KernelVariant::Batch32);
     span.set_index(qi);
     span.set_isa(isa);
     span.set_width_bits(8);
@@ -85,7 +76,9 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
 }  // namespace engine
 
 BatchServer::BatchServer(const seq::SequenceDatabase& db, AlignConfig cfg)
-    : db_(&db), cfg_(cfg), bdb_(db, engine::batch_server_lanes()) {
+    : db_(&db),
+      cfg_(cfg),
+      bdb_(db, core::batch_lanes_for(simd::resolve_isa(cfg.isa))) {
   cfg_.validate();
   cfg_.traceback = false;
 }

@@ -28,22 +28,20 @@ namespace engine {
 /// database; one top-k result per query, in query order (deterministic for
 /// any pool size). Cancellation/deadline is honored at per-query
 /// granularity: remaining queries come back with `result.truncated` set.
+/// Throws std::invalid_argument when cfg.isa cannot drive bdb's lanes
+/// (core::batch_lanes_fit).
 std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
                                         const core::Batch32Db& bdb,
                                         const core::AlignConfig& cfg,
                                         const std::vector<seq::Sequence>& queries,
                                         size_t top_k, const ExecContext& ctx);
 
-/// Widest batch-kernel lane count this CPU supports (64 with
-/// AVX-512-VBMI, else 32).
-int batch_server_lanes();
-
 }  // namespace engine
 
 class BatchServer {
  public:
-  /// Packs the database for the widest batch kernel this CPU supports
-  /// (64 lanes with AVX-512-VBMI, else 32).
+  /// Packs the database for cfg's resolved ISA (core::batch_lanes_for: 64
+  /// lanes with AVX-512-VBMI, else 32).
   BatchServer(const seq::SequenceDatabase& db, AlignConfig cfg);
 
   /// Score every query against the database; returns one top-k result per

@@ -16,13 +16,6 @@ namespace swve::align {
 
 namespace {
 
-int batch_lanes() {
-  return simd::resolve_isa(simd::Isa::Auto) == simd::Isa::Avx512 &&
-                 simd::cpu_features().avx512vbmi
-             ? 64
-             : 32;
-}
-
 uint16_t width_bits(core::Width w) {
   switch (w) {
     case core::Width::W8: return 8;
@@ -177,7 +170,8 @@ DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
   if (mode_ == SearchMode::Batch) {
     if (cfg_.band >= 0)
       throw std::invalid_argument("DatabaseSearch: Batch mode cannot band");
-    bdb_ = std::make_unique<core::Batch32Db>(db, batch_lanes(), packing);
+    bdb_ = std::make_unique<core::Batch32Db>(
+        db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)), packing);
     packed_ = bdb_.get();
   }
 }

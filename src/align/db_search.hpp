@@ -83,7 +83,8 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
 
 /// Stateless scenario-1 engine, batch32-kernel path. `bdb` is the database
 /// packed for the batch kernel (see core::Batch32Db); cancellation/deadline
-/// is honored at per-batch granularity.
+/// is honored at per-batch granularity. Throws std::invalid_argument when
+/// cfg.isa cannot drive bdb's lanes (core::batch_lanes_fit).
 SearchResult search_batch(const seq::SequenceDatabase& db,
                           const core::Batch32Db& bdb,
                           const core::AlignConfig& cfg, seq::SeqView query,
@@ -96,8 +97,9 @@ SearchResult search_batch(const seq::SequenceDatabase& db,
 /// door over the same engines.
 class DatabaseSearch {
  public:
-  /// `packing` selects how Batch mode packs the database (ignored in
-  /// Diagonal mode); every policy returns identical hits and scores — see
+  /// Batch mode packs the database for cfg's resolved ISA
+  /// (core::batch_lanes_for). `packing` selects how (ignored in Diagonal
+  /// mode); every policy returns identical hits and scores — see
   /// core::PackingPolicy.
   DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
                  SearchMode mode = SearchMode::Diagonal,

@@ -22,7 +22,7 @@
 // is a unique set whatever the partition shape, so merging the per-shard
 // heaps at the end — SWAPHI's shard/merge shape, with NUMA nodes playing
 // the coprocessor cards — returns results bit-identical to the unsharded
-// path for every shard count, packing policy, and ILP depth. The
+// path for every shard count and packing policy. The
 // shard/topk_identical bench sentinel and tests/test_sharded_search.cpp
 // hold that line.
 #pragma once
@@ -93,7 +93,7 @@ struct ShardStats {
 
 /// Runtime hyperparameter used when ShardOptions.shards == 0 (auto): lets
 /// the GA tuner (tune::apply_runtime_settings, "shards=N") co-tune shard
-/// count with batch-ILP and prefetch distance. 0 restores topology auto.
+/// count with the compiler flags. 0 restores topology auto.
 void set_shard_count_hint(int shards) noexcept;
 int shard_count_hint() noexcept;
 
@@ -113,9 +113,10 @@ class ShardedSearch {
   /// Scenario-1 batch search across all shards concurrently. `cfg` must be
   /// validated with traceback off (same contract as engine::search_batch);
   /// ctx.pool is ignored (shards own their pools), ctx cancel/deadline is
-  /// honored at batch-group granularity inside every shard, ctx.query_cache
+  /// honored at batch granularity inside every shard, ctx.query_cache
   /// supplies the shared prepared query. Bit-identical to
-  /// engine::search_batch for every shard count. Thread-safe.
+  /// engine::search_batch for every shard count, and throws like it when
+  /// cfg.isa cannot drive the packed lanes. Thread-safe.
   SearchResult search(const core::AlignConfig& cfg, seq::SeqView query,
                       size_t top_k, const ExecContext& ctx) const;
 

@@ -1,7 +1,6 @@
 #include "core/batch32.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
 
@@ -184,40 +183,10 @@ double Batch32Db::padding_overhead() const noexcept {
                    1.0;
 }
 
-namespace {
-// Columns ahead of the walk front to prefetch; shared by every batch kernel.
-std::atomic<uint32_t> g_batch_prefetch_cols{kDefaultBatchPrefetchCols};
-}  // namespace
-
-uint32_t batch_prefetch_distance() noexcept {
-  return g_batch_prefetch_cols.load(std::memory_order_relaxed);
-}
-
-void set_batch_prefetch_distance(uint32_t cols) noexcept {
-  g_batch_prefetch_cols.store(std::min<uint32_t>(cols, 64),
-                              std::memory_order_relaxed);
-}
-
 Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                int lanes, const AlignConfig& cfg, Workspace& ws) {
   if (lanes == 64) return batch32_kernel<EmuBatchEngine<64>>(q, columns, cols, cfg, ws);
   return batch32_kernel<EmuBatchEngine<32>>(q, columns, cols, cfg, ws);
-}
-
-void batch32_u8_scalar_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           int lanes, const AlignConfig& cfg, Workspace& ws,
-                           Batch8Result* out) {
-  if (lanes == 64) {
-    if (k == 4)
-      batch32_kernel_ilp<EmuBatchEngine<64>, 4>(q, batches, cfg, ws, out);
-    else
-      batch32_kernel_ilp<EmuBatchEngine<64>, 2>(q, batches, cfg, ws, out);
-  } else {
-    if (k == 4)
-      batch32_kernel_ilp<EmuBatchEngine<32>, 4>(q, batches, cfg, ws, out);
-    else
-      batch32_kernel_ilp<EmuBatchEngine<32>, 2>(q, batches, cfg, ws, out);
-  }
 }
 
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
@@ -237,65 +206,54 @@ Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int
 
 void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
                             int lanes, const AlignConfig& cfg, Workspace& ws,
-                            simd::Isa isa, int k_interleave, Batch8Result* out) {
-  cfg.validate();
-  k_interleave = std::clamp(k_interleave, 1, kMaxBatchInterleave);
-#if defined(SWVE_HAVE_AVX512_BUILD)
-  const bool use_avx512 =
-      lanes == 64 && isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi;
-#else
-  const bool use_avx512 = false;
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-  const bool use_avx2 = lanes == 32 &&
-                        (isa == simd::Isa::Avx2 || isa == simd::Isa::Avx512) &&
-                        simd::cpu_features().avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-  (void)use_avx512;
-  (void)use_avx2;
-
-  int done = 0;
-  while (done < count) {
-    // Largest supported sub-group (4, 2, or 1) that fits what's left.
-    int k = std::min(k_interleave, count - done);
-    k = k >= 4 ? 4 : (k >= 2 ? 2 : 1);
-    const BatchCols* grp = batches + done;
-    Batch8Result* o = out + done;
-    if (k == 1) {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-      if (use_avx512)
-        o[0] = batch32_u8_avx512(q, grp[0].columns, grp[0].ncols, cfg, ws);
-      else
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-      if (use_avx2)
-        o[0] = batch32_u8_avx2(q, grp[0].columns, grp[0].ncols, cfg, ws);
-      else
-#endif
-        o[0] = batch32_u8_scalar(q, grp[0].columns, grp[0].ncols, lanes, cfg, ws);
-    } else {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-      if (use_avx512)
-        batch32_u8_avx512_ilp(q, grp, k, cfg, ws, o);
-      else
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-      if (use_avx2)
-        batch32_u8_avx2_ilp(q, grp, k, cfg, ws, o);
-      else
-#endif
-        batch32_u8_scalar_ilp(q, grp, k, lanes, cfg, ws, o);
-    }
-    done += k;
+                            simd::Isa isa, int /*k_interleave*/, Batch8Result* out) {
+  for (int i = 0; i < count; ++i) {
+    Batch32Db::Batch batch{};
+    batch.columns = batches[i].columns;
+    batch.max_len = batches[i].ncols;
+    out[i] = batch32_align_u8(q, batch, lanes, cfg, ws, isa);
   }
 }
 
-/// Lanes per batch for a resolved ISA (must match the Batch32Db packing).
-static int batch_lanes_for(simd::Isa isa) {
+int batch_lanes_for(simd::Isa isa) noexcept {
+#if defined(SWVE_HAVE_AVX512_BUILD)
   if (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) return 64;
+#endif
+  (void)isa;
   return 32;
+}
+
+bool batch_lanes_fit(int lanes, simd::Isa isa) noexcept {
+  return lanes == 32 || lanes == batch_lanes_for(isa);
+}
+
+void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
+                 const seq::SequenceDatabase& db, const AlignConfig& cfg,
+                 simd::Isa isa, Workspace& ws, const PreparedQuery* prep,
+                 int* scores, BatchSearchStats& stats) {
+  const Batch8Result r8 = batch32_align_u8(q, batch, lanes, cfg, ws, isa);
+  stats.cells8 += static_cast<uint64_t>(batch.max_len) * q.length *
+                  static_cast<uint64_t>(lanes);
+  stats.useful_cells8 += batch.real_residues * q.length;
+  for (uint32_t k = 0; k < batch.count; ++k) {
+    if (!(r8.saturated_mask & (uint64_t{1} << k))) {
+      scores[k] = r8.max_score[k];
+      continue;
+    }
+    // Exact re-score with the diagonal kernel at 16 bits, then 32.
+    const seq::Sequence& s = db[batch.seq_index[k]];
+    AlignConfig wide = cfg;
+    wide.width = Width::W16;
+    wide.isa = isa;
+    Alignment a = diag_align(q, s, wide, ws, prep);
+    if (a.saturated) {
+      wide.width = Width::W32;
+      a = diag_align(q, s, wide, ws, prep);
+    }
+    scores[k] = a.score;
+    ++stats.rescored;
+    stats.rescored_cells += a.stats.cells;
+  }
 }
 
 std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
@@ -310,56 +268,17 @@ std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
     throw std::invalid_argument("batch_scores: banding is not supported by the "
                                 "inter-sequence kernel");
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int lanes = bdb.lanes();
-  if (lanes != batch_lanes_for(isa) && lanes != 32)
+  if (!batch_lanes_fit(bdb.lanes(), isa))
     throw std::invalid_argument("batch_scores: database packed for a different ISA");
 
   std::vector<int> scores(db.size(), 0);
   BatchSearchStats local{};
-
-  // Wider re-score config: same scoring, diagonal kernel, adaptive from 16.
-  AlignConfig wide = cfg;
-  wide.width = Width::W16;
-  wide.isa = isa;
-
-  // Feed batches to the kernel in groups of the resolved interleave depth:
-  // the fused kernel keeps `group` independent dependency chains in flight.
-  const int k_ilp = resolved_ilp(isa);
-  for (size_t b = 0; b < bdb.batch_count();) {
-    const int group = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(k_ilp), bdb.batch_count() - b));
-    Batch32Db::Batch batch[kMaxBatchInterleave];
-    BatchCols cols[kMaxBatchInterleave];
-    Batch8Result r8[kMaxBatchInterleave];
-    for (int g = 0; g < group; ++g) {
-      batch[g] = bdb.batch(b + static_cast<size_t>(g));
-      cols[g] = BatchCols{batch[g].columns, batch[g].max_len};
-    }
-    batch32_align_u8_group(q, cols, group, lanes, cfg, ws, isa, k_ilp, r8);
-    for (int g = 0; g < group; ++g) {
-      local.cells8 += static_cast<uint64_t>(batch[g].max_len) * q.length *
-                      static_cast<uint64_t>(lanes);
-      local.useful_cells8 += batch[g].real_residues * q.length;
-      for (uint32_t k = 0; k < batch[g].count; ++k) {
-        const uint32_t seq_idx = batch[g].seq_index[k];
-        if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-          // Exact re-score at 16 bits, escalating to 32 if needed.
-          const seq::Sequence& s = db[seq_idx];
-          Alignment a = diag_align(q, s, wide, ws, prep);
-          if (a.saturated) {
-            AlignConfig wide32 = wide;
-            wide32.width = Width::W32;
-            a = diag_align(q, s, wide32, ws, prep);
-          }
-          scores[seq_idx] = a.score;
-          local.rescored++;
-          local.rescored_cells += a.stats.cells;
-        } else {
-          scores[seq_idx] = r8[g].max_score[k];
-        }
-      }
-    }
-    b += static_cast<size_t>(group);
+  int lane_scores[64];
+  for (size_t b = 0; b < bdb.batch_count(); ++b) {
+    const Batch32Db::Batch batch = bdb.batch(b);
+    score_batch(q, batch, bdb.lanes(), db, cfg, isa, ws, prep, lane_scores, local);
+    for (uint32_t k = 0; k < batch.count; ++k)
+      scores[batch.seq_index[k]] = lane_scores[k];
   }
   if (stats) *stats = local;
   return scores;

@@ -167,22 +167,6 @@ struct Batch8Result {
   uint64_t saturated_mask;  ///< lanes whose max hit the saturation bound
 };
 
-/// One batch's transposed column stream, as fed to the interleaved kernel
-/// family (a Batch32Db::Batch minus the index metadata).
-struct BatchCols {
-  const uint8_t* columns = nullptr;  ///< ncols blocks of `lanes` bytes
-  uint32_t ncols = 0;                ///< the batch's max_len
-};
-
-/// Software-prefetch distance of the batch kernels, in columns: while
-/// walking column j the kernel prefetches column j+distance of every
-/// in-flight batch. 0 disables prefetch. Thread-safe; tunable at runtime
-/// (the GA tuner co-tunes it with interleave depth and compiler flags).
-inline constexpr uint32_t kDefaultBatchPrefetchCols = 4;
-uint32_t batch_prefetch_distance() noexcept;
-/// Clamped to [0, 64]. Results are bit-identical for every distance.
-void set_batch_prefetch_distance(uint32_t cols) noexcept;
-
 /// Run the 8-bit batch kernel for one query against one batch.
 /// `isa` must be resolved; falls back internally if the ISA lacks the
 /// required byte-shuffle support. Affine/Linear and Matrix/Fixed honored;
@@ -190,15 +174,16 @@ void set_batch_prefetch_distance(uint32_t cols) noexcept;
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                               const AlignConfig& cfg, Workspace& ws, simd::Isa isa);
 
-/// Run the 8-bit kernel over `count` independent batches, interleaving up
-/// to `k_interleave` of them (1, 2, or 4) per fused kernel pass — the
-/// software-pipelined path that keeps several dependency chains in flight.
-/// Ragged groups (count not divisible by k_interleave) decompose into the
-/// largest supported sub-groups. out[i] receives batch i's result,
-/// bit-identical to `count` batch32_align_u8 calls for every K and ISA.
-void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
-                            int lanes, const AlignConfig& cfg, Workspace& ws,
-                            simd::Isa isa, int k_interleave, Batch8Result* out);
+/// Lanes per batch the kernel drives natively at a resolved `isa`: 64 under
+/// AVX-512 VBMI, else 32.
+int batch_lanes_for(simd::Isa isa) noexcept;
+
+/// True when a database packed `lanes` wide can be scanned at resolved
+/// `isa`: the lanes are 32 or batch_lanes_for(isa). Every batch search entry
+/// point rejects other pairings (64 lanes on a non-VBMI ISA), which would
+/// run the emulated 64-lane kernel. 32 lanes always fit; below AVX2 they
+/// run on the emulated engine.
+bool batch_lanes_fit(int lanes, simd::Isa isa) noexcept;
 
 /// Score one query against the whole packed database: runs the 8-bit batch
 /// kernel and transparently re-scores saturated lanes with the diagonal
@@ -233,24 +218,41 @@ std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
                               Workspace& ws, BatchSearchStats* stats = nullptr,
                               const PreparedQuery* prep = nullptr);
 
-// Per-ISA kernel entry points (internal; exposed for tests/benches). The
-// *_ilp variants run exactly `k` batches fused (k in {2, 4}).
+/// Exact scores of one packed batch, in lane order: scores[k] belongs to
+/// batch.seq_index[k]. Runs the 8-bit kernel, re-scores saturated lanes at
+/// 16 and then 32 bits, and adds the work to `stats`. `isa` must be
+/// resolved. This is the per-batch body of batch_scores and of the align
+/// layer's BatchScan; `prep` is as for batch_scores.
+void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
+                 const seq::SequenceDatabase& db, const AlignConfig& cfg,
+                 simd::Isa isa, Workspace& ws, const PreparedQuery* prep,
+                 int* scores, BatchSearchStats& stats);
+
+// Per-ISA kernel entry points (internal; exposed for tests/benches).
 Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                int lanes, const AlignConfig& cfg, Workspace& ws);
-void batch32_u8_scalar_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           int lanes, const AlignConfig& cfg, Workspace& ws,
-                           Batch8Result* out);
 #if defined(SWVE_HAVE_AVX2_BUILD)
 Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                              const AlignConfig& cfg, Workspace& ws);  // 32 lanes
-void batch32_u8_avx2_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                         const AlignConfig& cfg, Workspace& ws, Batch8Result* out);
 #endif
 #if defined(SWVE_HAVE_AVX512_BUILD)
 Batch8Result batch32_u8_avx512(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                const AlignConfig& cfg, Workspace& ws);  // 64 lanes
-void batch32_u8_avx512_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           const AlignConfig& cfg, Workspace& ws, Batch8Result* out);
 #endif
+
+// These four names exist only so perfbench/src/search.cpp, their one
+// caller outside the tests, still compiles: it was written against the
+// removed multi-batch interleave. The batch kernel has one loop, so the
+// depth is always 1 and the group call scores its batches one at a time.
+inline constexpr int kMaxBatchInterleave = 1;
+inline constexpr auto resolved_ilp = [](simd::Isa) noexcept { return 1; };
+struct BatchCols {
+  const uint8_t* columns = nullptr;  ///< ncols blocks of `lanes` bytes
+  uint32_t ncols = 0;                ///< the batch's max_len
+};
+/// out[i] = batch32_align_u8 over batches[i]; `k_interleave` is ignored.
+void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
+                            int lanes, const AlignConfig& cfg, Workspace& ws,
+                            simd::Isa isa, int k_interleave, Batch8Result* out);
 
 }  // namespace swve::core

@@ -51,12 +51,4 @@ Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t co
   return batch32_kernel<BatchAvx2>(q, columns, cols, cfg, ws);
 }
 
-void batch32_u8_avx2_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                         const AlignConfig& cfg, Workspace& ws, Batch8Result* out) {
-  if (k == 4)
-    batch32_kernel_ilp<BatchAvx2, 4>(q, batches, cfg, ws, out);
-  else
-    batch32_kernel_ilp<BatchAvx2, 2>(q, batches, cfg, ws, out);
-}
-
 }  // namespace swve::core

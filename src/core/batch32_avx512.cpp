@@ -42,13 +42,4 @@ Batch8Result batch32_u8_avx512(seq::SeqView q, const uint8_t* columns, uint32_t 
   return batch32_kernel<BatchAvx512>(q, columns, cols, cfg, ws);
 }
 
-void batch32_u8_avx512_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           const AlignConfig& cfg, Workspace& ws,
-                           Batch8Result* out) {
-  if (k == 4)
-    batch32_kernel_ilp<BatchAvx512, 4>(q, batches, cfg, ws, out);
-  else
-    batch32_kernel_ilp<BatchAvx512, 2>(q, batches, cfg, ws, out);
-}
-
 }  // namespace swve::core

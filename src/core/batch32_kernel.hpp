@@ -1,21 +1,10 @@
-// Template body of the inter-sequence batch kernel family (see batch32.hpp).
+// Template body of the inter-sequence batch kernel (see batch32.hpp).
 // Instantiated per batch engine: emulated (any CPU), AVX2 (32 lanes,
 // double-pshufb row lookup), AVX-512-VBMI (64 lanes, vpermb row lookup).
 //
-// Two shapes share one column-update body:
-//   batch32_kernel<BE>        — one batch, the classic Fig 5 loop.
-//   batch32_kernel_ilp<BE, K> — K independent batches fused into a single
-//     column loop. Each row iteration round-robins the H/E/F recurrences of
-//     all K batches, so the core always has K independent dependency chains
-//     in flight instead of stalling on the single chain's adds/max latency
-//     (the batch kernel is backend-bound at K=1 — see docs/performance.md).
-//     Column blocks of every in-flight batch are software-prefetched
-//     `batch_prefetch_distance()` columns ahead.
-//
-// Interleaving never changes results: lanes of different batches share no
-// state, and each batch's own recurrence is evaluated in exactly the K=1
-// order, so batch32_kernel_ilp is bit-identical to K calls of
-// batch32_kernel (asserted across ISAs by tests/test_batch_ilp.cpp).
+// One column loop, as in Fig 5: column j of the batch is one vector of
+// `lanes` residues, and every query row updates that column's H/E/F vectors.
+// The column block kBatchPrefetchCols ahead is software-prefetched.
 //
 // Batch engine concept:
 //   vec, lanes
@@ -36,110 +25,9 @@
 
 namespace swve::core {
 
-/// Per-call constants of the batch kernel, hoisted out of the column loops
-/// so the single-batch walker and the fused K-batch loop share one setup.
-template <class BE>
-struct BatchKernelSetup {
-  using vec = typename BE::vec;
-  vec vzero, vbias, vopen, vext, vmatch, vmis;
-  const uint8_t* rows = nullptr;  // biased matrix rows (Matrix scheme)
-  bool affine = false;
-  bool use_matrix = false;
-  int m = 0;
-  int sat_limit = 0;
-
-  BatchKernelSetup(seq::SeqView q, const AlignConfig& cfg) {
-    m = static_cast<int>(q.length);
-    affine = cfg.gap_model == GapModel::Affine;
-    use_matrix = cfg.scheme == ScoreScheme::Matrix;
-    const int bias = cfg.bias();
-    sat_limit = 255 - bias - cfg.max_subst_score();
-    auto clamp_u8 = [](int v) { return v < 0 ? 0 : (v > 255 ? 255 : v); };
-    vzero = BE::zero();
-    vbias = BE::set1(bias);
-    vopen = BE::set1(clamp_u8(affine ? cfg.gap_open : cfg.gap_extend));
-    vext = BE::set1(clamp_u8(cfg.gap_extend));
-    vmatch = BE::set1(clamp_u8(cfg.match + bias));
-    vmis = BE::set1(clamp_u8(cfg.mismatch + bias));
-    rows = use_matrix ? cfg.matrix->rows_biased_u8() : nullptr;
-  }
-};
-
-namespace detail {
-
-/// One (row, batch) recurrence step: exactly the K=1 loop body, so any
-/// interleaving of calls across batches stays bit-identical per batch.
-/// `s` is the substitution score vector for (q[i], column symbol).
-template <class BE>
-inline void batch32_row_step(const BatchKernelSetup<BE>& kc,
-                             typename BE::vec s, uint8_t* hrow, uint8_t* frow,
-                             typename BE::vec& e, typename BE::vec& hdiag,
-                             typename BE::vec& vmax) {
-  using vec = typename BE::vec;
-  const vec hp = BE::load(hrow);  // H(i, j-1)
-  vec f;
-  if (kc.affine)
-    f = BE::max(BE::subs(hp, kc.vopen), BE::subs(BE::load(frow), kc.vext));
-  else
-    f = BE::subs(hp, kc.vext);
-  const vec hs = BE::subs(BE::adds(hdiag, s), kc.vbias);
-  const vec h = BE::max(hs, BE::max(e, f));
-  e = kc.affine ? BE::max(BE::subs(h, kc.vopen), BE::subs(e, kc.vext))
-                : BE::subs(h, kc.vext);
-  hdiag = hp;
-  BE::store(hrow, h);
-  if (kc.affine) BE::store(frow, f);
-  vmax = BE::max(vmax, h);
-}
-
-/// Substitution scores for row i against a column's symbol vector.
-template <class BE>
-inline typename BE::vec batch32_row_scores(const BatchKernelSetup<BE>& kc,
-                                           seq::SeqView q, int i,
-                                           typename BE::vec sym) {
-  if (kc.use_matrix)
-    return BE::lookup32(kc.rows + static_cast<size_t>(q[static_cast<size_t>(i)]) *
-                                      seq::kMatrixStride,
-                        sym);
-  return BE::select_eq(BE::set1(q[static_cast<size_t>(i)]), sym, kc.vmatch,
-                       kc.vmis);
-}
-
-/// Walk columns [j_begin, j_end) of a single batch, continuing from the
-/// H/F state already in hcol/fcol (E and the diagonal reset per column, so
-/// column state is exactly those arrays plus the running maximum).
-template <class BE>
-inline void batch32_walk_cols(const BatchKernelSetup<BE>& kc, seq::SeqView q,
-                              const uint8_t* columns, uint32_t j_begin,
-                              uint32_t j_end, uint8_t* hcol, uint8_t* fcol,
-                              typename BE::vec& vmax, uint32_t prefetch_dist) {
-  using vec = typename BE::vec;
-  constexpr int B = BE::lanes;
-  for (uint32_t j = j_begin; j < j_end; ++j) {
-    if (prefetch_dist != 0 && j + prefetch_dist < j_end)
-      BE::prefetch(columns + static_cast<size_t>(j + prefetch_dist) * B);
-    const vec sym = BE::load(columns + static_cast<size_t>(j) * B);
-    vec e = kc.vzero;      // E(i, j), vertical gaps, carried down the column
-    vec hdiag = kc.vzero;  // H(i-1, j-1)
-    for (int i = 0; i < kc.m; ++i)
-      batch32_row_step<BE>(kc, batch32_row_scores<BE>(kc, q, i, sym),
-                           hcol + static_cast<size_t>(i) * B,
-                           fcol + static_cast<size_t>(i) * B, e, hdiag, vmax);
-  }
-}
-
-/// Per-lane saturation check against the unbiased 8-bit headroom bound.
-template <class BE>
-inline void batch32_store_result(const BatchKernelSetup<BE>& kc,
-                                 typename BE::vec vmax, Batch8Result& out) {
-  BE::store(out.max_score, vmax);
-  out.saturated_mask = 0;
-  for (int k = 0; k < BE::lanes; ++k)
-    if (out.max_score[k] >= kc.sat_limit)
-      out.saturated_mask |= uint64_t{1} << k;
-}
-
-}  // namespace detail
+/// Software-prefetch distance of the batch kernel, in columns: while
+/// walking column j it prefetches column j + kBatchPrefetchCols.
+inline constexpr uint32_t kBatchPrefetchCols = 4;
 
 template <class BE>
 Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t ncols,
@@ -153,103 +41,64 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
   out.saturated_mask = 0;
   if (m == 0 || ncols == 0) return out;
 
-  const BatchKernelSetup<BE> kc(q, cfg);
+  const bool affine = cfg.gap_model == GapModel::Affine;
+  const bool use_matrix = cfg.scheme == ScoreScheme::Matrix;
+  const int bias = cfg.bias();
+  const int sat_limit = 255 - bias - cfg.max_subst_score();
+  auto clamp_u8 = [](int v) { return v < 0 ? 0 : (v > 255 ? 255 : v); };
+  const vec vzero = BE::zero();
+  const vec vbias = BE::set1(bias);
+  const vec vopen = BE::set1(clamp_u8(affine ? cfg.gap_open : cfg.gap_extend));
+  const vec vext = BE::set1(clamp_u8(cfg.gap_extend));
+  const vec vmatch = BE::set1(clamp_u8(cfg.match + bias));
+  const vec vmis = BE::set1(clamp_u8(cfg.mismatch + bias));
+  const uint8_t* rows = use_matrix ? cfg.matrix->rows_biased_u8() : nullptr;
+
   auto* hcol = static_cast<uint8_t*>(
-      ws.batch_h[0].ensure_zeroed(static_cast<size_t>(m) * B));
-  uint8_t* fcol = nullptr;
-  if (kc.affine)
+      ws.batch_h.ensure_zeroed(static_cast<size_t>(m) * B));
+  uint8_t* fcol = hcol;  // F is neither read nor written unless affine
+  if (affine)
     fcol = static_cast<uint8_t*>(
-        ws.batch_f[0].ensure_zeroed(static_cast<size_t>(m) * B));
+        ws.batch_f.ensure_zeroed(static_cast<size_t>(m) * B));
 
-  vec vmax = kc.vzero;
-  detail::batch32_walk_cols<BE>(kc, q, columns, 0, ncols, hcol, fcol, vmax,
-                                batch_prefetch_distance());
-  detail::batch32_store_result<BE>(kc, vmax, out);
+  vec vmax = vzero;
+  for (uint32_t j = 0; j < ncols; ++j) {
+    if (j + kBatchPrefetchCols < ncols)
+      BE::prefetch(columns + static_cast<size_t>(j + kBatchPrefetchCols) * B);
+    const vec sym = BE::load(columns + static_cast<size_t>(j) * B);
+    vec e = vzero;      // E(i, j), vertical gaps, carried down the column
+    vec hdiag = vzero;  // H(i-1, j-1)
+    for (int i = 0; i < m; ++i) {
+      const uint8_t qi = q[static_cast<size_t>(i)];
+      const vec s =
+          use_matrix
+              ? BE::lookup32(rows + static_cast<size_t>(qi) * seq::kMatrixStride,
+                             sym)
+              : BE::select_eq(BE::set1(qi), sym, vmatch, vmis);
+      uint8_t* hrow = hcol + static_cast<size_t>(i) * B;
+      uint8_t* frow = fcol + static_cast<size_t>(i) * B;
+      const vec hp = BE::load(hrow);  // H(i, j-1)
+      vec f;
+      if (affine)
+        f = BE::max(BE::subs(hp, vopen), BE::subs(BE::load(frow), vext));
+      else
+        f = BE::subs(hp, vext);
+      const vec hs = BE::subs(BE::adds(hdiag, s), vbias);
+      const vec h = BE::max(hs, BE::max(e, f));
+      e = affine ? BE::max(BE::subs(h, vopen), BE::subs(e, vext))
+                 : BE::subs(h, vext);
+      hdiag = hp;
+      BE::store(hrow, h);
+      if (affine) BE::store(frow, f);
+      vmax = BE::max(vmax, h);
+    }
+  }
+
+  // Per-lane saturation check against the unbiased 8-bit headroom bound.
+  BE::store(out.max_score, vmax);
+  for (int k = 0; k < B; ++k)
+    if (out.max_score[k] >= sat_limit) out.saturated_mask |= uint64_t{1} << k;
   return out;
-}
-
-/// K independent batches through one fused column loop. Results land in
-/// out[0..K): bit-identical to K separate batch32_kernel calls.
-///
-/// Columns [0, min ncols) run fused — every row iteration issues the
-/// recurrence of all K batches, K independent dependency chains — and each
-/// batch's ragged tail past the common minimum finishes with the
-/// single-batch walker on its own H/F bank (E/diagonal reset per column, so
-/// the hand-off is seamless).
-template <class BE, int K>
-void batch32_kernel_ilp(seq::SeqView q, const BatchCols* batches,
-                        const AlignConfig& cfg, Workspace& ws,
-                        Batch8Result* out) {
-  static_assert(K >= 1 && K <= kMaxBatchInterleave, "unsupported interleave");
-  using vec = typename BE::vec;
-  constexpr int B = BE::lanes;
-  const int m = static_cast<int>(q.length);
-
-  for (int b = 0; b < K; ++b) {
-    std::memset(out[b].max_score, 0, sizeof(out[b].max_score));
-    out[b].saturated_mask = 0;
-  }
-  if (m == 0) return;
-
-  const BatchKernelSetup<BE> kc(q, cfg);
-  const uint32_t prefetch_dist = batch_prefetch_distance();
-
-  uint8_t* hcol[K];
-  uint8_t* fcol[K];
-  vec vmax[K];
-  uint32_t fused_cols = batches[0].ncols;
-  for (int b = 0; b < K; ++b) {
-    hcol[b] = static_cast<uint8_t*>(
-        ws.batch_h[b].ensure_zeroed(static_cast<size_t>(m) * B));
-    fcol[b] = nullptr;
-    if (kc.affine)
-      fcol[b] = static_cast<uint8_t*>(
-          ws.batch_f[b].ensure_zeroed(static_cast<size_t>(m) * B));
-    vmax[b] = kc.vzero;
-    if (batches[b].ncols < fused_cols) fused_cols = batches[b].ncols;
-  }
-
-  for (uint32_t j = 0; j < fused_cols; ++j) {
-    vec sym[K];
-    vec e[K];
-    vec hdiag[K];
-    for (int b = 0; b < K; ++b) {
-      if (prefetch_dist != 0 && j + prefetch_dist < batches[b].ncols)
-        BE::prefetch(batches[b].columns +
-                     static_cast<size_t>(j + prefetch_dist) * B);
-      sym[b] = BE::load(batches[b].columns + static_cast<size_t>(j) * B);
-      e[b] = kc.vzero;
-      hdiag[b] = kc.vzero;
-    }
-    for (int i = 0; i < kc.m; ++i) {
-      const size_t row = static_cast<size_t>(i) * B;
-      if (kc.use_matrix) {
-        // One row pointer serves all K lookups: the query residue is shared.
-        const uint8_t* rowp =
-            kc.rows +
-            static_cast<size_t>(q[static_cast<size_t>(i)]) * seq::kMatrixStride;
-        for (int b = 0; b < K; ++b)
-          detail::batch32_row_step<BE>(kc, BE::lookup32(rowp, sym[b]),
-                                       hcol[b] + row, fcol[b] + row, e[b],
-                                       hdiag[b], vmax[b]);
-      } else {
-        const vec qv = BE::set1(q[static_cast<size_t>(i)]);
-        for (int b = 0; b < K; ++b)
-          detail::batch32_row_step<BE>(
-              kc, BE::select_eq(qv, sym[b], kc.vmatch, kc.vmis), hcol[b] + row,
-              fcol[b] + row, e[b], hdiag[b], vmax[b]);
-      }
-    }
-  }
-
-  // Ragged tails: finish each batch past the common column count alone.
-  for (int b = 0; b < K; ++b) {
-    if (batches[b].ncols > fused_cols)
-      detail::batch32_walk_cols<BE>(kc, q, batches[b].columns, fused_cols,
-                                    batches[b].ncols, hcol[b], fcol[b], vmax[b],
-                                    prefetch_dist);
-    detail::batch32_store_result<BE>(kc, vmax[b], out[b]);
-  }
 }
 
 /// Portable batch engine.

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch32.hpp"
-
 namespace swve::core {
 
 namespace {
@@ -62,58 +60,6 @@ ScoreDelivery calibrate_delivery(simd::Isa isa) {
   return best;
 }
 
-// One-time per-ISA calibration of the batch-kernel interleave depth: run
-// the same four synthetic batches at K = 1/2/4 and keep the fastest. The
-// win depends on how many idle ports the single-chain recurrence leaves,
-// which varies by microarchitecture and ISA width — measure, don't guess.
-int calibrate_ilp(simd::Isa isa) {
-  const int lanes =
-      (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) ? 64 : 32;
-  constexpr int kQLen = 256;
-  constexpr uint32_t kCols = 256;
-  constexpr int kGroup = 4;
-  uint64_t x = 0xD1B54A32D192ED03ull;
-  auto rnd = [&] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  std::vector<uint8_t> q(kQLen);
-  for (auto& c : q) c = static_cast<uint8_t>(rnd() % 20);
-  std::vector<uint8_t> cols(static_cast<size_t>(kGroup) * kCols *
-                            static_cast<size_t>(lanes));
-  for (auto& c : cols) c = static_cast<uint8_t>(rnd() % 20);
-  BatchCols batches[kGroup];
-  for (int i = 0; i < kGroup; ++i)
-    batches[i] = BatchCols{
-        cols.data() + static_cast<size_t>(i) * kCols * static_cast<size_t>(lanes),
-        kCols};
-
-  Workspace ws;
-  AlignConfig cfg;
-  cfg.isa = isa;
-  const seq::SeqView qv{q.data(), q.size()};
-  Batch8Result out[kGroup];
-  auto time_k = [&](int k) {
-    batch32_align_u8_group(qv, batches, kGroup, lanes, cfg, ws, isa, k, out);
-    auto t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < 3; ++rep)
-      batch32_align_u8_group(qv, batches, kGroup, lanes, cfg, ws, isa, k, out);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  int best = 1;
-  double best_t = time_k(1);
-  for (int k : {2, 4}) {
-    if (double t = time_k(k); t < best_t) {
-      best = k;
-      best_t = t;
-    }
-  }
-  return best;
-}
-
 int delivery_slot(simd::Isa isa) {
   return isa == simd::Isa::Avx512  ? 3
          : isa == simd::Isa::Avx2  ? 2
@@ -126,16 +72,6 @@ int delivery_slot(simd::Isa isa) {
 std::atomic<ScoreDelivery> g_delivery_override[4] = {
     ScoreDelivery::Auto, ScoreDelivery::Auto, ScoreDelivery::Auto,
     ScoreDelivery::Auto};
-
-// Per-ISA interleave pins: 0 == Auto (calibrate), else the pinned depth.
-std::atomic<int> g_ilp_override[4] = {0, 0, 0, 0};
-
-// Supported interleave depths are powers of two up to kMaxBatchInterleave.
-int normalize_ilp_depth(int k) {
-  if (k >= 4) return 4;
-  if (k >= 2) return 2;
-  return 1;
-}
 
 }  // namespace
 
@@ -152,24 +88,6 @@ ScoreDelivery resolved_delivery(simd::Isa isa) {
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery) {
   g_delivery_override[delivery_slot(isa)].store(delivery,
                                                 std::memory_order_release);
-}
-
-int resolved_ilp(simd::Isa isa) {
-  const int idx = delivery_slot(isa);
-  if (int pinned = g_ilp_override[idx].load(std::memory_order_acquire);
-      pinned != 0)
-    return pinned;
-  static std::once_flag once[4];
-  static int cache[4];
-  std::call_once(once[idx], [&] { cache[idx] = calibrate_ilp(isa); });
-  return cache[idx];
-}
-
-void set_ilp_override(simd::Isa isa, IlpPolicy policy) {
-  const int value = policy.mode == IlpPolicy::Mode::Auto
-                        ? 0
-                        : normalize_ilp_depth(policy.k);
-  g_ilp_override[delivery_slot(isa)].store(value, std::memory_order_release);
 }
 
 DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {

@@ -39,33 +39,6 @@ ScoreDelivery resolved_delivery(simd::Isa isa);
 /// re-enables calibration. Thread-safe; takes effect for subsequent calls.
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery);
 
-/// Interleave-depth policy of the batch kernel family: how many independent
-/// batches the fused column loop keeps in flight (software pipelining). The
-/// batch recurrence is one serial dependency chain per column, so a single
-/// batch leaves vector ports idle; interleaving K batches gives the core K
-/// chains to overlap. Results are bit-identical for every depth.
-struct IlpPolicy {
-  enum class Mode : uint8_t { Auto, Fixed };
-  Mode mode = Mode::Auto;
-  int k = 1;  ///< concrete depth when Fixed: 1, 2, or 4
-
-  static constexpr IlpPolicy auto_policy() { return IlpPolicy{Mode::Auto, 1}; }
-  static constexpr IlpPolicy fixed(int depth) {
-    return IlpPolicy{Mode::Fixed, depth};
-  }
-};
-
-/// The concrete interleave depth (1, 2, or 4) the batch path uses for a
-/// resolved `isa`: the per-ISA override if one is pinned, else the cached
-/// one-time calibration result (times K = 1/2/4 on a synthetic batch group
-/// and keeps the fastest, mirroring resolved_delivery).
-int resolved_ilp(simd::Isa isa);
-
-/// Pin the interleave depth for `isa`. Fixed depths are normalized to the
-/// supported set {1, 2, 4} (3 rounds down to 2). Passing an Auto policy
-/// clears the pin and re-enables calibration. Thread-safe.
-void set_ilp_override(simd::Isa isa, IlpPolicy policy);
-
 /// Full alignment through the diagonal kernel family: resolves the ISA,
 /// runs the adaptive width ladder, and (if requested) walks the traceback.
 /// This is the paper's aligner; align::Aligner wraps it for public use.

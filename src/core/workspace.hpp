@@ -19,11 +19,6 @@ namespace swve::core {
 /// Sized for the widest engine (64 lanes of AVX-512 u8).
 inline constexpr int kPad = 64;
 
-/// Deepest batch-kernel interleave: how many independent batches the fused
-/// batch32 column loop can keep in flight (and how many H/F column banks a
-/// Workspace carries). Must cover every K accepted by core::IlpPolicy.
-inline constexpr int kMaxBatchInterleave = 4;
-
 /// 64-byte-aligned, grow-only byte buffer.
 class AlignedBuf {
  public:
@@ -102,10 +97,9 @@ struct Workspace {
   AlignedBuf tb_offsets;    // (m+n) uint64
 
   // Batch32 kernel (Fig 5): per-query-row H and F vectors, one vector of
-  // `lanes` bytes per row. One bank per in-flight batch of the interleaved
-  // kernel; the K=1 kernel uses bank 0.
-  AlignedBuf batch_h[kMaxBatchInterleave];  // m * lanes bytes each
-  AlignedBuf batch_f[kMaxBatchInterleave];  // m * lanes bytes each
+  // `lanes` bytes per row.
+  AlignedBuf batch_h;  // m * lanes bytes
+  AlignedBuf batch_f;  // m * lanes bytes
 
   // Baseline kernels (striped / scan / diag-basic): column state and
   // per-diagonal score scratch.

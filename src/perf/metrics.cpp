@@ -87,8 +87,6 @@ const char* kernel_variant_name(KernelVariant v) noexcept {
   switch (v) {
     case KernelVariant::Diagonal: return "diagonal";
     case KernelVariant::Batch32: return "batch32";
-    case KernelVariant::Batch32x2: return "batch32x2";
-    case KernelVariant::Batch32x4: return "batch32x4";
   }
   return "?";
 }

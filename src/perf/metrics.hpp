@@ -111,22 +111,12 @@ constexpr double delta_ratio(uint64_t num_now, uint64_t num_prev,
 }
 
 /// Kernel family that actually served a request (the dispatch target,
-/// together with the resolved ISA). The batch kernel attributes separately
-/// per interleave depth so per-K IPC / stall deltas stay legible.
+/// together with the resolved ISA).
 enum class KernelVariant : int {
   Diagonal = 0,
-  Batch32 = 1,    ///< batch kernel, one batch in flight (K = 1)
-  Batch32x2 = 2,  ///< fused batch kernel, K = 2
-  Batch32x4 = 3,  ///< fused batch kernel, K = 4
+  Batch32 = 1,  ///< inter-sequence batch kernel
 };
 const char* kernel_variant_name(KernelVariant v) noexcept;
-
-/// Batch-kernel variant for a concrete interleave depth.
-constexpr KernelVariant batch_kernel_variant(int k) noexcept {
-  return k >= 4   ? KernelVariant::Batch32x4
-         : k >= 2 ? KernelVariant::Batch32x2
-                  : KernelVariant::Batch32;
-}
 
 /// Aggregated hardware-counter deltas for one ISA×kernel×width attribution
 /// cell (filled by obs::PmuSession via span-scoped start/stop reads). All
@@ -179,7 +169,7 @@ constexpr const char* qos_tier_label(int tier) noexcept {
 /// Point-in-time copy of a MetricsRegistry.
 struct MetricsSnapshot {
   static constexpr int kIsas = 5;            ///< simd::Isa enum size
-  static constexpr int kKernelVariants = 4;  ///< KernelVariant enum size
+  static constexpr int kKernelVariants = 2;  ///< KernelVariant enum size
   static constexpr int kWidths = 4;          ///< DP width: unknown/8/16/32
   static constexpr int kWindowSeconds = 60;  ///< sliding-window span
 

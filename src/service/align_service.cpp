@@ -128,7 +128,8 @@ AlignService::AlignService(const seq::SequenceDatabase& db,
   // the caller hasn't submitted yet — which it can't: it has no handle).
   perf::Stopwatch sw;
   bdb_ = std::make_unique<core::Batch32Db>(
-      db, align::engine::batch_server_lanes(), opt_.cache.batch_packing);
+      db, core::batch_lanes_for(simd::resolve_isa(opt_.config.isa)),
+      opt_.cache.batch_packing);
   packed_ = bdb_.get();
   db_source_ = core::DbSource::Built;
   db_load_seconds_ = sw.seconds();
@@ -396,6 +397,19 @@ core::ErrorOr<core::AlignConfig> AlignService::effective_config(
   return cfg;
 }
 
+std::optional<core::ConfigError> AlignService::batch_lanes_error(
+    const RequestOptions& options) const {
+  if (packed_ == nullptr) return std::nullopt;
+  const simd::Isa isa = simd::resolve_isa(
+      (options.config ? *options.config : opt_.config).isa);
+  if (core::batch_lanes_fit(packed_->lanes(), isa)) return std::nullopt;
+  return core::ConfigError{
+      Code::Unsupported,
+      "AlignService: database packed " + std::to_string(packed_->lanes()) +
+          " lanes wide; isa " + simd::isa_name(isa) + " drives " +
+          std::to_string(core::batch_lanes_for(isa))};
+}
+
 RequestTrace AlignService::make_trace(Scenario scenario,
                                       const core::AlignConfig& cfg,
                                       double queue_wait_s, double kernel_s,
@@ -523,6 +537,13 @@ std::future<AlignResponse> AlignService::submit(AlignRequest request) {
 }
 
 void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
+  if (request.mode == align::SearchMode::Batch) {
+    if (auto err = batch_lanes_error(request.options)) {
+      metrics_.on_invalid_request();
+      done(std::move(*err));
+      return;
+    }
+  }
   auto cb = std::make_shared<SearchCompletion>(std::move(done));
   auto rq = std::make_shared<SearchRequest>(std::move(request));
   metrics_.on_query_length(rq->query.length());
@@ -658,6 +679,11 @@ std::future<SearchResponse> AlignService::submit_search(SearchRequest request) {
 }
 
 void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
+  if (auto err = batch_lanes_error(request.options)) {
+    metrics_.on_invalid_request();
+    done(std::move(*err));
+    return;
+  }
   auto cb = std::make_shared<BatchCompletion>(std::move(done));
   auto rq = std::make_shared<BatchRequest>(std::move(request));
   for (const auto& q : rq->queries) metrics_.on_query_length(q.length());

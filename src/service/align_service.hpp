@@ -29,6 +29,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -339,7 +340,8 @@ class AlignService {
   explicit AlignService(ServiceOptions options = {});
 
   /// Full service over a shared database. The database is packed for the
-  /// batch32 kernel once, up front; it must outlive the service.
+  /// batch32 kernel once, up front, for options.config's resolved ISA
+  /// (core::batch_lanes_for); it must outlive the service.
   AlignService(const seq::SequenceDatabase& db, ServiceOptions options = {});
 
   /// Full service over an opened swve db artifact: the sequence database
@@ -356,8 +358,10 @@ class AlignService {
 
   // Non-throwing submission: exactly one `done` invocation per call, with
   // the response or a core::ConfigError (map to the wire with to_status()).
-  // Immediate rejections (queue full under Overflow::Reject, shutdown) run
-  // `done` inline on the submitting thread. This is the primary API — the
+  // Immediate rejections (queue full under Overflow::Reject, shutdown, and
+  // Code::Unsupported for a Batch-mode search or batch request whose ISA
+  // cannot drive the packed lanes — core::batch_lanes_fit) run `done`
+  // inline on the submitting thread. This is the primary API — the
   // network front door hangs its completion pump on it.
   void submit_async(AlignRequest request, AlignCompletion done);
   void submit_async(SearchRequest request, SearchCompletion done);
@@ -480,6 +484,12 @@ class AlignService {
   /// Resolve per-request options against service defaults; returns the
   /// effective validated config or a ConfigError.
   core::ErrorOr<core::AlignConfig> effective_config(
+      const RequestOptions& options) const;
+
+  /// Code::Unsupported when the request's ISA cannot drive the packed
+  /// batch lanes (core::batch_lanes_fit); nullopt when it can or when there
+  /// is no packed database.
+  std::optional<core::ConfigError> batch_lanes_error(
       const RequestOptions& options) const;
 
   /// Enqueue under the capacity policy (into the task's QoS tier). On

@@ -18,7 +18,6 @@
 #include "align/exec_context.hpp"
 #include "align/sharded_search.hpp"
 #include "core/batch32.hpp"
-#include "core/dispatch.hpp"
 #include "perf/timer.hpp"
 #include "seq/synthetic.hpp"
 #include "simd/cpu.hpp"
@@ -147,13 +146,12 @@ using KernelFn = int (*)(const uint8_t*, int, const uint8_t*, int, const int32_t
                          int, int);
 
 /// GCUPS of one in-process batch-kernel pass under the currently applied
-/// runtime settings (interleave depth, prefetch distance) — the term of the
-/// fitness the runtime hyperparameters move. Fixed synthetic workload.
+/// runtime setting (shard count) — the term of the fitness the runtime
+/// hyperparameter moves. Fixed synthetic workload.
 double time_batch_pass() {
   struct Fixture {
     seq::SequenceDatabase db;
     core::Batch32Db bdb;
-    std::vector<core::BatchCols> cols;
     seq::Sequence q;
     Fixture()
         : db([] {
@@ -165,17 +163,12 @@ double time_batch_pass() {
             return seq::SequenceDatabase::synthetic(cfg);
           }()),
           bdb(db, 32),
-          q(seq::generate_sequence(34, 128)) {
-      cols.resize(bdb.batch_count());
-      for (size_t b = 0; b < bdb.batch_count(); ++b)
-        cols[b] = core::BatchCols{bdb.batch(b).columns, bdb.batch(b).max_len};
-    }
+          q(seq::generate_sequence(34, 128)) {}
   };
   static Fixture fx;
   static thread_local core::Workspace ws;
   core::AlignConfig cfg;
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int k = core::resolved_ilp(isa);
   const uint64_t cells = fx.bdb.padded_residues() * fx.q.length();
 
   // A "shards=N" genome routes the pass through ShardedSearch (numa off —
@@ -214,11 +207,9 @@ double time_batch_pass() {
     }
   }
 
-  std::vector<core::Batch8Result> out(fx.cols.size());
   auto pass = [&] {
-    core::batch32_align_u8_group(fx.q, fx.cols.data(),
-                                 static_cast<int>(fx.cols.size()), 32, cfg, ws,
-                                 isa, k, out.data());
+    for (size_t b = 0; b < fx.bdb.batch_count(); ++b)
+      core::batch32_align_u8(fx.q, fx.bdb.batch(b), 32, cfg, ws, isa);
   };
   pass();  // warm-up
   double best = 0;
@@ -256,7 +247,7 @@ GccEvaluator::GccEvaluator(const FlagSpace& space, Options opt)
 
 double GccEvaluator::evaluate(const Individual& ind) {
   if (!available_) throw std::runtime_error("GccEvaluator: unavailable here");
-  // Runtime hyperparameters (batch interleave depth, prefetch distance) are
+  // Runtime hyperparameters (the batch search's shard count) are
   // applied to the live process and scored with a real batch-kernel pass;
   // the fitness is compiled-kernel GCUPS + batch-kernel GCUPS, so one
   // genome co-tunes compiler flags and runtime knobs. Measured whenever the

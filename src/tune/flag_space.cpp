@@ -4,9 +4,6 @@
 #include <stdexcept>
 
 #include "align/sharded_search.hpp"
-#include "core/batch32.hpp"
-#include "core/dispatch.hpp"
-#include "simd/cpu.hpp"
 
 namespace swve::tune {
 
@@ -57,16 +54,9 @@ FlagSpace FlagSpace::gcc_default() {
 
 FlagSpace FlagSpace::gcc_with_runtime() {
   FlagSpace space = gcc_default();
-  // Choice 0 stays "leave as is" so the baseline individual keeps the
-  // process defaults (Auto interleave, default prefetch distance).
-  space.flags_.push_back(
-      {"batch-ilp", {"", "ilp=1", "ilp=2", "ilp=4"}, /*runtime=*/true});
-  space.flags_.push_back({"batch-prefetch",
-                          {"", "prefetch=0", "prefetch=2", "prefetch=4",
-                           "prefetch=8"},
-                          /*runtime=*/true});
-  // Database shard count for sharded batch search ("" = auto: topology
-  // node count). Results are bit-identical across choices — the GA only
+  // Database shard count for sharded batch search. Choice 0 ("" = auto:
+  // topology node count) keeps the process default for the baseline
+  // individual. Results are bit-identical across choices — the GA only
   // sees the throughput difference.
   space.flags_.push_back(
       {"search-shards", {"", "shards=1", "shards=2", "shards=4"},
@@ -141,23 +131,11 @@ std::string FlagSpace::to_string(const Individual& ind) const {
 }
 
 void apply_runtime_settings(const std::vector<std::string>& settings) {
-  const simd::Isa isas[] = {simd::Isa::Scalar, simd::Isa::Sse41,
-                            simd::Isa::Avx2, simd::Isa::Avx512};
-  // Reset to defaults first so an individual that leaves a knob at choice 0
-  // doesn't inherit the previous individual's setting.
-  for (simd::Isa isa : isas)
-    core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
-  core::set_batch_prefetch_distance(core::kDefaultBatchPrefetchCols);
+  // Reset to the default first so an individual that leaves the knob at
+  // choice 0 doesn't inherit the previous individual's setting.
   align::set_shard_count_hint(0);
   for (const std::string& s : settings) {
-    if (s.rfind("ilp=", 0) == 0) {
-      const int k = std::atoi(s.c_str() + 4);
-      for (simd::Isa isa : isas)
-        core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-    } else if (s.rfind("prefetch=", 0) == 0) {
-      core::set_batch_prefetch_distance(
-          static_cast<uint32_t>(std::atoi(s.c_str() + 9)));
-    } else if (s.rfind("shards=", 0) == 0) {
+    if (s.rfind("shards=", 0) == 0) {
       align::set_shard_count_hint(std::atoi(s.c_str() + 7));
     } else {
       throw std::invalid_argument("apply_runtime_settings: unknown key " + s);

@@ -31,11 +31,10 @@ class FlagSpace {
   /// (unrolling, vectorization cost model, scheduling, inlining limits...).
   static FlagSpace gcc_default();
 
-  /// gcc_default() plus runtime hyperparameters of the batch kernel —
-  /// interleave depth ("ilp=K") and software-prefetch distance
-  /// ("prefetch=D") — so fig10 co-tunes them with the compiler flags. The
-  /// runtime flags contribute nothing to to_arguments(); evaluators apply
-  /// them with apply_runtime_settings() before timing.
+  /// gcc_default() plus the batch search's runtime hyperparameter — the
+  /// shard count ("shards=N") — so fig10 co-tunes it with the compiler
+  /// flags. Runtime flags contribute nothing to to_arguments(); evaluators
+  /// apply them with apply_runtime_settings() before timing.
   static FlagSpace gcc_with_runtime();
 
   explicit FlagSpace(std::vector<Flag> flags) : flags_(std::move(flags)) {}
@@ -64,10 +63,9 @@ class FlagSpace {
   std::vector<Flag> flags_;
 };
 
-/// Apply runtime settings to this process: "ilp=K" pins the batch-kernel
-/// interleave depth (every ISA), "prefetch=D" sets the software-prefetch
-/// distance in columns. Unknown keys throw. An empty list resets both to
-/// their defaults (Auto interleave, default prefetch distance).
+/// Apply runtime settings to this process: "shards=N" sets the shard-count
+/// hint of sharded batch search (align::set_shard_count_hint). Unknown keys
+/// throw. An empty list resets it to topology auto.
 void apply_runtime_settings(const std::vector<std::string>& settings);
 
 }  // namespace swve::tune

@@ -300,5 +300,36 @@ TEST(BatchKernel, ScalarEngineMatchesSimdEngines) {
   }
 }
 
+TEST(BatchKernel, GroupCallMatchesPerBatchCalls) {
+  // batch32_align_u8_group is the benchmark-facing multi-batch entry point;
+  // for every count, ragged or not, it must equal one batch32_align_u8 call
+  // per batch.
+  auto db = small_db(22, 50'000, 20, 200);
+  auto q = seq::generate_sequence(102, 70);
+  Workspace ws;
+  AlignConfig cfg;
+  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
+  Batch32Db bdb(db, 32);
+  std::vector<BatchCols> cols(bdb.batch_count());
+  for (size_t b = 0; b < bdb.batch_count(); ++b)
+    cols[b] = BatchCols{bdb.batch(b).columns, bdb.batch(b).max_len};
+  ASSERT_GE(cols.size(), 7u);
+  for (int count : {1, 2, 3, 5, 7}) {
+    std::vector<Batch8Result> got(static_cast<size_t>(count));
+    batch32_align_u8_group(q, cols.data(), count, 32, cfg, ws, isa,
+                           /*k_interleave=*/1, got.data());
+    for (int b = 0; b < count; ++b) {
+      const Batch8Result ref = batch32_align_u8(
+          q, bdb.batch(static_cast<size_t>(b)), 32, cfg, ws, isa);
+      const Batch8Result& g = got[static_cast<size_t>(b)];
+      for (int k = 0; k < 32; ++k)
+        EXPECT_EQ(g.max_score[k], ref.max_score[k])
+            << "count " << count << " batch " << b << " lane " << k;
+      EXPECT_EQ(g.saturated_mask, ref.saturated_mask)
+          << "count " << count << " batch " << b;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace swve::core

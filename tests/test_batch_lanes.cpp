@@ -1,0 +1,201 @@
+// The batch lane rule: a database packed `lanes` wide can be scanned at a
+// resolved ISA only when the lanes are 32 or that ISA's native width
+// (core::batch_lanes_fit). Anything else would silently run the emulated
+// 64-lane kernel, so the engines throw and AlignService answers a typed
+// Unsupported before queueing. The service tests use a 64-lane .swdb and a
+// request pinned to isa = avx2, which mismatch on every host: avx2 drives
+// 32 lanes, and a host without AVX2 resolves it to scalar, also 32.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <future>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "align/batch_server.hpp"
+#include "align/db_search.hpp"
+#include "align/sharded_search.hpp"
+#include "core/batch32.hpp"
+#include "core/db_format.hpp"
+#include "core/mapped_db.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
+#include "seq/synthetic.hpp"
+#include "service/align_service.hpp"
+#include "simd/cpu.hpp"
+
+namespace swve {
+namespace {
+
+using Code = core::ConfigError::Code;
+
+seq::SequenceDatabase make_db() {
+  seq::SyntheticConfig cfg;
+  cfg.seed = 61;
+  cfg.target_residues = 30'000;
+  cfg.min_length = 20;
+  cfg.max_length = 300;
+  return seq::SequenceDatabase::synthetic(cfg);
+}
+
+core::AlignConfig avx2_config() {
+  core::AlignConfig cfg;
+  cfg.isa = simd::Isa::Avx2;
+  return cfg;
+}
+
+/// A 64-lane .swdb of make_db(), opened; the file is removed on destruction.
+struct Wide64Artifact {
+  Wide64Artifact() {
+    path = "/tmp/swve_lanes_test_" + std::to_string(::getpid()) + ".swdb";
+    const seq::SequenceDatabase db = make_db();
+    const core::Batch32Db packed(db, 64);
+    auto written = core::write_swdb(db, packed, path);
+    EXPECT_TRUE(written.ok()) << (written.ok() ? "" : written.error().message);
+    auto opened = core::MappedDb::open(path);
+    EXPECT_TRUE(opened.ok()) << (opened.ok() ? "" : opened.error().message);
+    if (opened.ok()) mapped = std::move(opened).value();
+  }
+  ~Wide64Artifact() { std::remove(path.c_str()); }
+
+  std::string path;
+  std::unique_ptr<core::MappedDb> mapped;
+};
+
+template <class Response, class Request>
+core::ErrorOr<Response> submit_wait(service::AlignService& svc, Request rq) {
+  std::promise<core::ErrorOr<Response>> done;
+  auto fut = done.get_future();
+  svc.submit_async(std::move(rq), [&done](core::ErrorOr<Response> r) {
+    done.set_value(std::move(r));
+  });
+  return fut.get();
+}
+
+service::BatchRequest mismatched_batch_request() {
+  service::BatchRequest rq;
+  rq.queries = {seq::generate_sequence(62, 80), seq::generate_sequence(63, 120)};
+  rq.options.config = avx2_config();
+  rq.options.top_k = 5;
+  return rq;
+}
+
+service::SearchRequest search_request(align::SearchMode mode) {
+  service::SearchRequest rq;
+  rq.query = seq::generate_sequence(64, 100);
+  rq.mode = mode;
+  rq.options.config = avx2_config();
+  rq.options.top_k = 5;
+  return rq;
+}
+
+TEST(BatchLanes, FitRuleAcceptsNarrowOrNativeLanesOnly) {
+  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse41, simd::Isa::Avx2,
+                        simd::Isa::Avx512}) {
+    EXPECT_TRUE(core::batch_lanes_fit(32, isa)) << simd::isa_name(isa);
+    EXPECT_EQ(core::batch_lanes_fit(64, isa), core::batch_lanes_for(isa) == 64)
+        << simd::isa_name(isa);
+  }
+  EXPECT_EQ(core::batch_lanes_for(simd::Isa::Scalar), 32);
+  EXPECT_EQ(core::batch_lanes_for(simd::Isa::Avx2), 32);
+  EXPECT_FALSE(core::batch_lanes_fit(64, simd::resolve_isa(simd::Isa::Avx2)));
+}
+
+TEST(BatchLanes, OwningFacadesPackForTheirConfigIsa) {
+  const seq::SequenceDatabase db = make_db();
+  const core::AlignConfig avx2 = avx2_config();
+  const int want = core::batch_lanes_for(simd::resolve_isa(avx2.isa));
+  align::DatabaseSearch search(db, avx2, align::SearchMode::Batch);
+  EXPECT_EQ(search.packed_db()->lanes(), want);
+  align::BatchServer server(db, avx2);
+  EXPECT_EQ(server.lanes(), want);
+
+  const core::AlignConfig auto_cfg;
+  align::DatabaseSearch auto_search(db, auto_cfg, align::SearchMode::Batch);
+  EXPECT_EQ(auto_search.packed_db()->lanes(),
+            core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)));
+}
+
+TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
+  const seq::SequenceDatabase db = make_db();
+  const core::Batch32Db wide(db, 64);
+  const core::AlignConfig cfg = avx2_config();
+  const seq::Sequence q = seq::generate_sequence(65, 90);
+  align::ExecContext ctx;
+
+  core::Workspace ws;
+  EXPECT_THROW(core::batch_scores(q, wide, db, cfg, ws), std::invalid_argument);
+  EXPECT_THROW(align::engine::search_batch(db, wide, cfg, q, 5, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(align::engine::batch_run(db, wide, cfg, {q}, 5, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(align::DatabaseSearch(db, wide, cfg).search(q, 5),
+               std::invalid_argument);
+
+  align::ShardOptions so;
+  so.shards = 2;
+  so.total_threads = 2;
+  auto sharded = align::ShardedSearch::create(db, wide, so);
+  ASSERT_TRUE(sharded.ok()) << sharded.error().message;
+  EXPECT_THROW((*sharded)->search(cfg, q, 5, ctx), std::invalid_argument);
+}
+
+TEST(AlignServiceBatchLanes, BatchRequestWithMismatchedIsaIsUnsupported) {
+  Wide64Artifact art;
+  ASSERT_NE(art.mapped, nullptr);
+  service::AlignService svc(*art.mapped);
+  ASSERT_EQ(svc.batch_lanes(), 64);
+
+  auto r = submit_wait<service::BatchResponse>(svc, mismatched_batch_request());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Code::Unsupported) << r.error().message;
+
+  // The service keeps serving: a diagonal-mode search reads no packed lanes.
+  auto after = submit_wait<service::SearchResponse>(
+      svc, search_request(align::SearchMode::Diagonal));
+  ASSERT_TRUE(after.ok()) << after.error().message;
+  EXPECT_FALSE(after->result.hits.empty());
+}
+
+TEST(AlignServiceBatchLanes, BatchSearchWithMismatchedIsaIsUnsupported) {
+  Wide64Artifact art;
+  ASSERT_NE(art.mapped, nullptr);
+  service::AlignService svc(*art.mapped);
+
+  auto r = submit_wait<service::SearchResponse>(
+      svc, search_request(align::SearchMode::Batch));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Code::Unsupported) << r.error().message;
+
+  auto after = submit_wait<service::SearchResponse>(
+      svc, search_request(align::SearchMode::Diagonal));
+  ASSERT_TRUE(after.ok()) << after.error().message;
+}
+
+TEST(AlignServiceBatchLanes, WireRejectionKeepsServerServing) {
+  Wide64Artifact art;
+  ASSERT_NE(art.mapped, nullptr);
+  service::ServiceOptions opt;
+  opt.serve.port = 0;  // ephemeral
+  service::AlignService svc(*art.mapped, opt);
+  auto server = net::Server::start(svc);
+  ASSERT_TRUE(server.ok()) << server.error().message;
+  auto client = net::Client::connect("127.0.0.1", (*server)->port(), 20.0);
+  ASSERT_TRUE(client.ok());
+
+  const auto rejected = (*client)->batch(mismatched_batch_request());
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status, service::ServiceStatus::Unsupported)
+      << rejected.error;
+
+  const auto pong = (*client)->ping();
+  EXPECT_TRUE(pong.ok()) << pong.error;
+  const auto served = (*client)->search(search_request(align::SearchMode::Diagonal));
+  ASSERT_TRUE(served.ok()) << served.error;
+  EXPECT_FALSE(served.response->result.hits.empty());
+}
+
+}  // namespace
+}  // namespace swve

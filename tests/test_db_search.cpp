@@ -8,7 +8,6 @@
 #include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
-#include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 
@@ -55,54 +54,49 @@ TEST(ScanPlanner, CutsAreContiguousBalancedAndGroupAligned) {
     // Whole database and an unaligned sub-range (a shard's view).
     for (auto [begin, end] : {std::pair<size_t, size_t>{0, n},
                               std::pair<size_t, size_t>{7, n - 3}}) {
-      for (size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
-        uint64_t max_group = 0;
-        for (size_t g = begin; g < end; g += k)
-          max_group = std::max(max_group,
-                               padded_cells(packed, g, std::min(end, g + k)));
-        const uint64_t total = padded_cells(packed, begin, end);
-        for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, size_t{48}}) {
-          const std::string label = std::string(core::packing_policy_name(policy)) +
-                                    " [" + std::to_string(begin) + "," +
-                                    std::to_string(end) + ") k" +
-                                    std::to_string(k) + " parts" +
-                                    std::to_string(parts);
-          auto ranges = detail::plan_by_cells(packed, begin, end, parts, k);
-          ASSERT_EQ(ranges.size(), parts) << label;
-          size_t expect_begin = begin;
-          for (const auto& [b, e] : ranges) {
-            EXPECT_EQ(b, expect_begin) << label;  // contiguous, in order
-            EXPECT_GT(e, b) << label;             // non-empty
-            EXPECT_EQ((b - begin) % k, 0u) << label;  // fused groups whole
-            const double target = static_cast<double>(total) /
-                                  static_cast<double>(parts);
-            EXPECT_LE(std::abs(static_cast<double>(padded_cells(packed, b, e)) -
-                               target),
-                      static_cast<double>(max_group))
-                << label << " range [" << b << "," << e << ")";
-            expect_begin = e;
-          }
-          EXPECT_EQ(expect_begin, end) << label;  // every batch covered
+      uint64_t max_batch = 0;
+      for (size_t b = begin; b < end; ++b)
+        max_batch = std::max(max_batch, padded_cells(packed, b, b + 1));
+      const uint64_t total = padded_cells(packed, begin, end);
+      for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, size_t{48}}) {
+        const std::string label = std::string(core::packing_policy_name(policy)) +
+                                  " [" + std::to_string(begin) + "," +
+                                  std::to_string(end) + ") parts" +
+                                  std::to_string(parts);
+        auto ranges = detail::plan_by_cells(packed, begin, end, parts);
+        ASSERT_EQ(ranges.size(), parts) << label;
+        size_t expect_begin = begin;
+        for (const auto& [b, e] : ranges) {
+          EXPECT_EQ(b, expect_begin) << label;  // contiguous, in order
+          EXPECT_GT(e, b) << label;             // non-empty
+          const double target = static_cast<double>(total) /
+                                static_cast<double>(parts);
+          EXPECT_LE(std::abs(static_cast<double>(padded_cells(packed, b, e)) -
+                             target),
+                    static_cast<double>(max_batch))
+              << label << " range [" << b << "," << e << ")";
+          expect_begin = e;
         }
+        EXPECT_EQ(expect_begin, end) << label;  // every batch covered
       }
     }
 
-    // Fewer groups than parts: one range per group, still aligned.
-    auto few = detail::plan_by_cells(packed, 10, 15, 8, 2);
+    // Fewer batches than parts: one range per batch.
+    auto few = detail::plan_by_cells(packed, 10, 13, 8);
     ASSERT_EQ(few.size(), 3u);
-    EXPECT_EQ(few[0], (std::pair<size_t, size_t>{10, 12}));
-    EXPECT_EQ(few[1], (std::pair<size_t, size_t>{12, 14}));
-    EXPECT_EQ(few[2], (std::pair<size_t, size_t>{14, 15}));
-    // One batch.
-    auto one = detail::plan_by_cells(packed, 5, 6, 4, 4);
+    EXPECT_EQ(few[0], (std::pair<size_t, size_t>{10, 11}));
+    EXPECT_EQ(few[1], (std::pair<size_t, size_t>{11, 12}));
+    EXPECT_EQ(few[2], (std::pair<size_t, size_t>{12, 13}));
+    // A single batch is one range whatever the part count.
+    auto one = detail::plan_by_cells(packed, 5, 6, 4);
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one[0], (std::pair<size_t, size_t>{5, 6}));
     // Empty range, or no parts.
-    EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4, 1).empty());
-    EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0, 1).empty());
-    // Shards are the same planner at K = 1.
+    EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4).empty());
+    EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0).empty());
+    // Shards are the same planner.
     EXPECT_EQ(ShardedSearch::plan_shards(packed, 5),
-              detail::plan_by_cells(packed, 0, n, 5, 1));
+              detail::plan_by_cells(packed, 0, n, 5));
   }
 }
 
@@ -229,7 +223,6 @@ TEST(DatabaseSearch, BatchModeDeterministicAcrossThreads) {
     seqs.insert(seqs.begin() + static_cast<std::ptrdiff_t>(i * seqs.size() / 6),
                 seq::mutate(q, 411 + i, 0.02 * static_cast<double>(i)));
   seq::SequenceDatabase db(std::move(seqs));
-  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
 
   SearchResult want;  // hits of the first policy; every run must match it
   for (core::PackingPolicy policy :
@@ -239,38 +232,32 @@ TEST(DatabaseSearch, BatchModeDeterministicAcrossThreads) {
     ASSERT_GE(batch.packed_db()->batch_count(),
               3 * 7 * detail::kChunksPerWorker)
         << "workload too small to put several batches in every chunk";
-    core::set_ilp_override(isa, core::IlpPolicy::fixed(1));
     SearchResult serial = batch.search(q, 10);
     ASSERT_FALSE(serial.truncated);
     EXPECT_GE(serial.batch_stats.rescored, 1u);
     if (want.hits.empty()) want = serial;
-    for (int k : {1, 2, 4}) {
-      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-      for (unsigned threads : {1u, 2u, 3u, 5u, 7u}) {
-        parallel::ThreadPool pool(threads);
-        SearchResult par = batch.search(q, 10, &pool);
-        const std::string label = std::string(core::packing_policy_name(policy)) +
-                                  " k" + std::to_string(k) + " t" +
-                                  std::to_string(threads);
-        ASSERT_EQ(par.hits.size(), want.hits.size()) << label;
-        for (size_t i = 0; i < want.hits.size(); ++i) {
-          EXPECT_EQ(par.hits[i].seq_index, want.hits[i].seq_index) << label;
-          EXPECT_EQ(par.hits[i].score, want.hits[i].score) << label;
-          EXPECT_EQ(par.hits[i].end_query, want.hits[i].end_query) << label;
-          EXPECT_EQ(par.hits[i].end_ref, want.hits[i].end_ref) << label;
-        }
-        EXPECT_EQ(par.batch_stats.cells8, serial.batch_stats.cells8) << label;
-        EXPECT_EQ(par.batch_stats.useful_cells8,
-                  serial.batch_stats.useful_cells8) << label;
-        EXPECT_EQ(par.batch_stats.rescored, serial.batch_stats.rescored)
-            << label;
-        EXPECT_EQ(par.batch_stats.rescored_cells,
-                  serial.batch_stats.rescored_cells) << label;
-        EXPECT_EQ(par.stats.cells, serial.stats.cells) << label;
+    for (unsigned threads : {1u, 2u, 3u, 5u, 7u}) {
+      parallel::ThreadPool pool(threads);
+      SearchResult par = batch.search(q, 10, &pool);
+      const std::string label = std::string(core::packing_policy_name(policy)) +
+                                " t" + std::to_string(threads);
+      ASSERT_EQ(par.hits.size(), want.hits.size()) << label;
+      for (size_t i = 0; i < want.hits.size(); ++i) {
+        EXPECT_EQ(par.hits[i].seq_index, want.hits[i].seq_index) << label;
+        EXPECT_EQ(par.hits[i].score, want.hits[i].score) << label;
+        EXPECT_EQ(par.hits[i].end_query, want.hits[i].end_query) << label;
+        EXPECT_EQ(par.hits[i].end_ref, want.hits[i].end_ref) << label;
       }
+      EXPECT_EQ(par.batch_stats.cells8, serial.batch_stats.cells8) << label;
+      EXPECT_EQ(par.batch_stats.useful_cells8,
+                serial.batch_stats.useful_cells8) << label;
+      EXPECT_EQ(par.batch_stats.rescored, serial.batch_stats.rescored)
+          << label;
+      EXPECT_EQ(par.batch_stats.rescored_cells,
+                serial.batch_stats.rescored_cells) << label;
+      EXPECT_EQ(par.stats.cells, serial.stats.cells) << label;
     }
   }
-  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
 TEST(DatabaseSearch, BatchModeHandlesSaturatingHomolog) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/db_format.hpp"
-#include "core/dispatch.hpp"
 #include "core/mapped_db.hpp"
 #include "core/workspace.hpp"
 #include "net/protocol.hpp"
@@ -205,25 +204,19 @@ TEST_P(MappedDbPolicyTest, MappedViewIsBitIdenticalToOwned) {
 }
 
 TEST_P(MappedDbPolicyTest, SearchScoresMatchAcrossIlpDepths) {
+  // Batch scores through the mapped view equal those of the owned packing.
   const PackingPolicy policy = GetParam();
   auto db = small_db(42, 15'000);
   Batch32Db owned(db, 32, policy);
-  const std::string path = write_artifact(db, owned, "ilp");
+  const std::string path = write_artifact(db, owned, "scores");
   auto mapped = MappedDb::open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.error().message;
 
-  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
   AlignConfig cfg;
   auto q = seq::generate_sequence(43, 120);
   Workspace ws_a, ws_b;
-  for (int k : {1, 2, 4}) {
-    set_ilp_override(isa, IlpPolicy::fixed(k));
-    auto from_owned = batch_scores(q, owned, db, cfg, ws_a);
-    auto from_view =
-        batch_scores(q, (*mapped)->batch_db(), (*mapped)->db(), cfg, ws_b);
-    EXPECT_EQ(from_owned, from_view) << "ilp k=" << k;
-  }
-  set_ilp_override(isa, IlpPolicy::auto_policy());
+  EXPECT_EQ(batch_scores(q, owned, db, cfg, ws_a),
+            batch_scores(q, (*mapped)->batch_db(), (*mapped)->db(), cfg, ws_b));
   std::remove(path.c_str());
 }
 

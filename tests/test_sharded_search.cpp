@@ -3,7 +3,7 @@
 // The load-bearing property is bit-identity: splitting the packed database
 // into S shards, scanning them on independent pinned pools, and merging the
 // bounded per-shard heaps must return exactly the flat engine's answer —
-// for every packing policy, interleave depth, and shard count, including
+// for every packing policy and shard count, including
 // ragged splits and duplicate-score tie-breaks. Also covers the shard
 // planner's invariants, the typed config error for impossible shard
 // counts, the SWVE_NUMA=off escape hatch, cancellation/deadline mid-shard,
@@ -18,7 +18,6 @@
 
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
-#include "core/dispatch.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -50,37 +49,31 @@ void expect_same_hits(const SearchResult& got, const SearchResult& want,
 TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
   auto db = make_db(160'000);
   auto q = seq::generate_sequence(90, 150);
-  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
 
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    for (int k : {1, 2, 4}) {
-      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-      DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
-      SearchResult want = flat.search(q, 12);
-      const size_t batches = flat.packed_db()->batch_count();
-      ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
+    DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
+    SearchResult want = flat.search(q, 12);
+    const size_t batches = flat.packed_db()->batch_count();
+    ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
 
-      for (int s : {1, 2, 3, 7}) {
-        DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
-                               policy);
-        ShardOptions sopt;
-        sopt.shards = s;
-        sopt.total_threads = 4;
-        auto ok = sharded.enable_sharding(sopt);
-        ASSERT_TRUE(ok.ok()) << ok.error().message;
-        ASSERT_NE(sharded.sharded(), nullptr);
-        EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
-        SearchResult got = sharded.search(q, 12);
-        expect_same_hits(got, want,
-                         std::string(core::packing_policy_name(policy)) +
-                             " k" + std::to_string(k) + " s" +
-                             std::to_string(s));
-      }
+    for (int s : {1, 2, 3, 7}) {
+      DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                             policy);
+      ShardOptions sopt;
+      sopt.shards = s;
+      sopt.total_threads = 4;
+      auto ok = sharded.enable_sharding(sopt);
+      ASSERT_TRUE(ok.ok()) << ok.error().message;
+      ASSERT_NE(sharded.sharded(), nullptr);
+      EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
+      SearchResult got = sharded.search(q, 12);
+      expect_same_hits(got, want,
+                       std::string(core::packing_policy_name(policy)) + " s" +
+                           std::to_string(s));
     }
   }
-  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
 TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {

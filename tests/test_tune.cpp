@@ -3,9 +3,6 @@
 #include <random>
 
 #include "align/sharded_search.hpp"
-#include "core/batch32.hpp"
-#include "core/dispatch.hpp"
-#include "simd/cpu.hpp"
 #include "tune/evaluator.hpp"
 #include "tune/flag_space.hpp"
 #include "tune/ga.hpp"
@@ -58,45 +55,31 @@ TEST(FlagSpace, ArgumentsComeFromChosenValues) {
 TEST(FlagSpace, RuntimeSpaceExtendsDefaultWithoutTouchingCompilerArgs) {
   FlagSpace base = FlagSpace::gcc_default();
   FlagSpace space = FlagSpace::gcc_with_runtime();
-  EXPECT_EQ(space.size(), base.size() + 3);
+  EXPECT_EQ(space.size(), base.size() + 1);
   EXPECT_TRUE(space.has_runtime());
   EXPECT_FALSE(base.has_runtime());
 
-  // The runtime flags sit at the end; picking them must not change the
+  // The runtime flag sits at the end; picking it must not change the
   // compiler command line, only runtime_settings().
   Individual ind = space.baseline_individual();
   EXPECT_TRUE(space.runtime_settings(ind).empty());
-  ind[space.size() - 3] = 3;  // ilp=4
-  ind[space.size() - 2] = 1;  // prefetch=0
   ind[space.size() - 1] = 2;  // shards=2
   EXPECT_TRUE(space.to_arguments(ind).empty());
   auto settings = space.runtime_settings(ind);
-  ASSERT_EQ(settings.size(), 3u);
-  EXPECT_EQ(settings[0], "ilp=4");
-  EXPECT_EQ(settings[1], "prefetch=0");
-  EXPECT_EQ(settings[2], "shards=2");
-  EXPECT_EQ(space.to_string(ind),
-            "[runtime]ilp=4 [runtime]prefetch=0 [runtime]shards=2");
+  ASSERT_EQ(settings.size(), 1u);
+  EXPECT_EQ(settings[0], "shards=2");
+  EXPECT_EQ(space.to_string(ind), "[runtime]shards=2");
 }
 
 TEST(FlagSpace, ApplyRuntimeSettingsTakesEffectAndResets) {
-  const uint32_t saved = core::batch_prefetch_distance();
-  apply_runtime_settings({"ilp=4", "prefetch=8", "shards=2"});
-  EXPECT_EQ(core::batch_prefetch_distance(), 8u);
-  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
-  EXPECT_EQ(core::resolved_ilp(isa), 4);
+  apply_runtime_settings({"shards=2"});
   EXPECT_EQ(align::shard_count_hint(), 2);
 
-  // Empty list restores the defaults (Auto depth, default distance,
-  // topology-auto shard count).
+  // Empty list restores the default (topology-auto shard count).
   apply_runtime_settings({});
-  EXPECT_EQ(core::batch_prefetch_distance(), core::kDefaultBatchPrefetchCols);
   EXPECT_EQ(align::shard_count_hint(), 0);
-  const int k = core::resolved_ilp(isa);
-  EXPECT_TRUE(k == 1 || k == 2 || k == 4);
 
   EXPECT_THROW(apply_runtime_settings({"turbo=9"}), std::invalid_argument);
-  core::set_batch_prefetch_distance(saved);
 }
 
 TEST(SimulatedEvaluator, DeterministicPerSeedAndIndividual) {

@@ -2,15 +2,9 @@
 // cost) vs database streaming; widths; schemes; ISAs. When perf_event is
 // usable, each config also reports hardware-counter attribution for the
 // 2048x2048 run (IPC, backend-stall fraction, effective GHz); otherwise
-// those columns print "-".
-//
-// Also sweeps the batch kernel's interleave depth: `--ilp=1,2,4` picks the
-// depths, `--json` emits machine-readable rows (GCUPS, IPC, backend-stall %
-// per ISA x K) instead of the tables — the bench-smoke CI artifact.
+// those columns print "-". A last table times the batch kernel per
+// available batch ISA with the same counter columns.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/batch32.hpp"
@@ -44,18 +38,16 @@ static RunResult run(const seq::Sequence& q, const seq::Sequence& t,
   return r;
 }
 
-struct IlpRow {
+struct BatchRow {
   const char* isa_name;
   int lanes;
-  int k;
   double gcups = 0;
   obs::PmuDelta pmu{};
 };
 
-/// Time the batch kernel over a synthetic packed database at each requested
-/// interleave depth, per available batch ISA (same batches, same query —
-/// only the number of in-flight dependency chains varies).
-static std::vector<IlpRow> sweep_interleave(const std::vector<int>& depths) {
+/// Time the batch kernel over a synthetic packed database, per available
+/// batch ISA (same batches, same query).
+static std::vector<BatchRow> batch_rows() {
   seq::SyntheticConfig scfg;
   scfg.seed = 11;
   scfg.target_residues = 400'000;
@@ -78,109 +70,53 @@ static std::vector<IlpRow> sweep_interleave(const std::vector<int>& depths) {
   if (simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi)
     cases.push_back({"avx512", simd::Isa::Avx512, 64});
 
-  std::vector<IlpRow> rows;
+  std::vector<BatchRow> rows;
   for (const IsaCase& c : cases) {
     core::Batch32Db bdb(db, c.lanes);
-    std::vector<core::BatchCols> cols(bdb.batch_count());
-    for (size_t b = 0; b < bdb.batch_count(); ++b) {
-      const core::Batch32Db::Batch batch = bdb.batch(b);
-      cols[b] = core::BatchCols{batch.columns, batch.max_len};
-    }
-    std::vector<core::Batch8Result> out(bdb.batch_count());
     const uint64_t cells_per_pass = bdb.padded_residues() * q.length();
-    // Keep the sweep quick for the scalar reference, thorough for SIMD.
+    // Keep the scalar reference quick, the SIMD rows thorough.
     const int reps = c.isa == simd::Isa::Scalar ? 1 : 6;
-    for (int k : depths) {
-      auto pass = [&] {
-        core::batch32_align_u8_group(q, cols.data(),
-                                     static_cast<int>(cols.size()), c.lanes,
-                                     cfg, ws, c.isa, k, out.data());
-      };
-      pass();  // warm-up
-      obs::PmuReading start = pmu.read();
-      perf::Stopwatch sw;
-      for (int r = 0; r < reps; ++r) pass();
-      const double seconds = sw.seconds();
-      IlpRow row;
-      row.isa_name = c.name;
-      row.lanes = c.lanes;
-      row.k = k;
-      row.pmu = obs::PmuSession::delta(start, pmu.read());
-      row.gcups = perf::gcups(cells_per_pass * static_cast<uint64_t>(reps),
-                              seconds);
-      rows.push_back(row);
-    }
+    auto pass = [&] {
+      for (size_t b = 0; b < bdb.batch_count(); ++b)
+        core::batch32_align_u8(q, bdb.batch(b), c.lanes, cfg, ws, c.isa);
+    };
+    pass();  // warm-up
+    obs::PmuReading start = pmu.read();
+    perf::Stopwatch sw;
+    for (int r = 0; r < reps; ++r) pass();
+    const double seconds = sw.seconds();
+    BatchRow row;
+    row.isa_name = c.name;
+    row.lanes = c.lanes;
+    row.pmu = obs::PmuSession::delta(start, pmu.read());
+    row.gcups =
+        perf::gcups(cells_per_pass * static_cast<uint64_t>(reps), seconds);
+    rows.push_back(row);
   }
   return rows;
 }
 
-static void print_ilp_json(const std::vector<IlpRow>& rows) {
-  std::printf("{\"prefetch_cols\":%u,\"rows\":[\n",
-              core::batch_prefetch_distance());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const IlpRow& r = rows[i];
-    std::printf("{\"kernel\":\"batch32\",\"isa\":\"%s\",\"lanes\":%d,"
-                "\"ilp\":%d,\"gcups\":%.3f,\"pmu\":%s,\"ipc\":%.3f,"
-                "\"backend_stall_pct\":%.2f,\"eff_ghz\":%.3f}%s\n",
-                r.isa_name, r.lanes, r.k, r.gcups,
-                r.pmu.hw ? "true" : "false", r.pmu.ipc(),
-                100.0 * r.pmu.backend_stall_fraction(),
-                r.pmu.effective_ghz(), i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("]}\n");
-}
-
-static void print_ilp_table(const std::vector<IlpRow>& rows) {
-  std::printf("\nbatch32 interleave sweep (prefetch %u cols)\n",
-              core::batch_prefetch_distance());
-  std::printf("%-8s %6s %4s %10s %6s %8s %7s\n", "isa", "lanes", "K", "GCUPS",
-              "ipc", "be-stall", "GHz");
-  for (const IlpRow& r : rows) {
+static void print_batch_table(const std::vector<BatchRow>& rows) {
+  std::printf("\nbatch32 kernel\n");
+  std::printf("%-8s %6s %10s %6s %8s %7s\n", "isa", "lanes", "GCUPS", "ipc",
+              "be-stall", "GHz");
+  for (const BatchRow& r : rows) {
     if (r.pmu.hw && r.pmu.cycles > 0) {
-      std::printf("%-8s %6d %4d %10.2f %6.2f %7.1f%% %7.2f\n", r.isa_name,
-                  r.lanes, r.k, r.gcups, r.pmu.ipc(),
+      std::printf("%-8s %6d %10.2f %6.2f %7.1f%% %7.2f\n", r.isa_name,
+                  r.lanes, r.gcups, r.pmu.ipc(),
                   100.0 * r.pmu.backend_stall_fraction(),
                   r.pmu.effective_ghz());
     } else {
-      std::printf("%-8s %6d %4d %10.2f %6s %8s %7s\n", r.isa_name, r.lanes,
-                  r.k, r.gcups, "-", "-", "-");
+      std::printf("%-8s %6d %10.2f %6s %8s %7s\n", r.isa_name, r.lanes,
+                  r.gcups, "-", "-", "-");
     }
   }
 }
 
-int main(int argc, char** argv) {
-  std::vector<int> depths = {1, 2, 4};
-  bool json = false;
-  bool ilp_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      ilp_only = true;
-    } else if (std::strncmp(argv[i], "--ilp=", 6) == 0) {
-      ilp_only = true;
-      depths.clear();
-      for (const char* p = argv[i] + 6; *p != '\0';) {
-        depths.push_back(std::atoi(p));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else if (std::strncmp(argv[i], "--prefetch=", 11) == 0) {
-      core::set_batch_prefetch_distance(
-          static_cast<uint32_t>(std::atoi(argv[i] + 11)));
-    } else {
-      std::fprintf(stderr,
-                   "usage: kernel_profile [--ilp=1,2,4] [--prefetch=N] "
-                   "[--json]\n");
-      return 2;
-    }
-  }
-  if (ilp_only) {
-    const std::vector<IlpRow> rows = sweep_interleave(depths);
-    if (json)
-      print_ilp_json(rows);
-    else
-      print_ilp_table(rows);
-    return 0;
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: kernel_profile\n");
+    return 2;
   }
 
   core::Workspace ws;
@@ -229,6 +165,6 @@ int main(int argc, char** argv) {
                   small.gcups, "-", "-", "-");
     }
   }
-  print_ilp_table(sweep_interleave(depths));
+  print_batch_table(batch_rows());
   return 0;
 }
