@@ -5,8 +5,9 @@
 // so one vector load yields "the same position of 32 different sequences"
 // and every lane runs its own private DP matrix (vectorization method (b) of
 // Fig 1 — no intra-matrix dependencies at all). Substitution scores come
-// from an in-register 32-entry lookup of the query residue's matrix row:
-// the row is exactly one 256-bit load (rows are padded to 32 bytes), and
+// from a per-column score profile: for each query letter, an in-register
+// 32-entry lookup of that letter's matrix row by the column's residues.
+// The row is exactly one 256-bit load (rows are padded to 32 bytes), and
 // the lookup is vpermb under AVX-512-VBMI or a double-pshufb+blend under
 // AVX2 ("extract scores with AVX shuffling instructions").
 //

@@ -20,9 +20,10 @@ struct BatchAvx2 {
   static void store(uint8_t* p, vec a) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
   }
-  static vec adds(vec a, vec b) { return _mm256_adds_epu8(a, b); }
+  static vec add(vec a, vec b) { return _mm256_add_epi8(a, b); }
   static vec subs(vec a, vec b) { return _mm256_subs_epu8(a, b); }
   static vec max(vec a, vec b) { return _mm256_max_epu8(a, b); }
+  static vec max_alt(vec a, vec b) { return max(a, b); }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm256_blendv_epi8(f, t, _mm256_cmpeq_epi8(a, b));
   }

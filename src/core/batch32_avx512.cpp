@@ -1,6 +1,11 @@
 // AVX-512-VBMI batch engine: 64 sequence lanes, matrix-row lookup via one
 // vpermb (compiled with -mavx512bw -mavx512vbmi). Caller guarantees the CPU
 // has VBMI (see batch32_align_u8).
+//
+// Port map of the zmm byte ops (measured): vpmaxub, vpsubusb and vpaddusb
+// share one port; vpermb and vpcmpub->k run on the other; vpaddb and
+// vpblendmb run on either. The row loop is bound by the shared port, so
+// `add` wraps (vpaddb) and max_alt is a compare + blend.
 #include <immintrin.h>
 
 #include "core/batch32_kernel.hpp"
@@ -17,9 +22,12 @@ struct BatchAvx512 {
   static vec set1(int x) { return _mm512_set1_epi8(static_cast<char>(x)); }
   static vec load(const uint8_t* p) { return _mm512_loadu_si512(p); }
   static void store(uint8_t* p, vec a) { _mm512_storeu_si512(p, a); }
-  static vec adds(vec a, vec b) { return _mm512_adds_epu8(a, b); }
+  static vec add(vec a, vec b) { return _mm512_add_epi8(a, b); }
   static vec subs(vec a, vec b) { return _mm512_subs_epu8(a, b); }
   static vec max(vec a, vec b) { return _mm512_max_epu8(a, b); }
+  static vec max_alt(vec a, vec b) {
+    return _mm512_mask_blend_epi8(_mm512_cmpgt_epu8_mask(a, b), b, a);
+  }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm512_mask_blend_epi8(_mm512_cmpeq_epu8_mask(a, b), f, t);
   }

@@ -12,21 +12,24 @@
 namespace swve::perf {
 
 uint64_t spin_chain(uint64_t iters, uint64_t* sink) {
-  // 8 dependent adds per loop iteration; each add is 1 cycle on every
-  // x86-64 core of the last two decades, so adds/second ~= core frequency.
-  // The asm barrier keeps the compiler from collapsing the chain into a
-  // closed form.
-  uint64_t a = *sink | 1;
+  // 8 dependent register-register adds per loop iteration and nothing else
+  // on the chain (the loop counter runs beside it); each add is 1 cycle on
+  // every x86-64 core of the last two decades, so adds/second ~= core
+  // frequency. The asm barriers keep the addend opaque and the adds apart.
+  // `a` is never captured or addressed, so sanitizer builds keep it in a
+  // register too.
+  uint64_t a = *sink;
+  uint64_t b = 1;
+  asm volatile("" : "+r"(b));
   for (uint64_t k = 0; k < iters; ++k) {
-    a += 1;
-    a += (a >> 63);  // keep the chain serial; value stays small-ish
-    a += 1;
-    a += (a >> 63);
-    a += 1;
-    a += (a >> 63);
-    a += 1;
-    a += (a >> 63);
-    asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
+    a += b; asm volatile("" : "+r"(a));
   }
   *sink = a;
   return iters * 8;

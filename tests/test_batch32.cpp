@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/batch32.hpp"
@@ -327,6 +328,174 @@ TEST(BatchKernel, GroupCallMatchesPerBatchCalls) {
             << "count " << count << " batch " << b << " lane " << k;
       EXPECT_EQ(g.saturated_mask, ref.saturated_mask)
           << "count " << count << " batch " << b;
+    }
+  }
+}
+
+// Plain saturating-u8 model of one batch, lane by lane: the Fig 5
+// recurrence on biased scores with every add and subtract clamped to
+// [0, 255], written out here rather than taken from the kernel's engines.
+// Returns each lane's running maximum of H.
+std::vector<int> model_lane_max(seq::SeqView q, const uint8_t* columns, uint32_t ncols,
+                                int lanes, const AlignConfig& cfg) {
+  auto u8 = [](int v) { return std::clamp(v, 0, 255); };
+  const bool affine = cfg.gap_model == GapModel::Affine;
+  const int bias = cfg.bias();
+  const int open = u8(affine ? cfg.gap_open : cfg.gap_extend);
+  const int ext = u8(cfg.gap_extend);
+  std::vector<int> best(static_cast<size_t>(lanes), 0);
+  for (int k = 0; k < lanes; ++k) {
+    // Column j-1 of H and F, one entry per query row.
+    std::vector<int> hcol(q.length, 0), fcol(q.length, 0);
+    for (uint32_t j = 0; j < ncols; ++j) {
+      const uint8_t r = columns[static_cast<size_t>(j) * lanes + k];
+      int hdiag = 0, e = 0;
+      for (size_t i = 0; i < q.length; ++i) {
+        const int s = cfg.scheme == ScoreScheme::Matrix
+                          ? cfg.matrix->score(q[i], r)
+                          : (q[i] == r ? cfg.match : cfg.mismatch);
+        const int hs = u8(u8(hdiag + u8(s + bias)) - bias);
+        const int f = affine ? std::max(u8(hcol[i] - open), u8(fcol[i] - ext))
+                             : u8(hcol[i] - ext);
+        const int h = std::max({hs, e, f});
+        e = affine ? std::max(u8(h - open), u8(e - ext)) : u8(h - ext);
+        hdiag = hcol[i];
+        hcol[i] = h;
+        fcol[i] = f;
+        best[static_cast<size_t>(k)] = std::max(best[static_cast<size_t>(k)], h);
+      }
+    }
+  }
+  return best;
+}
+
+struct ReferenceCase {
+  const char* name;
+  AlignConfig cfg;
+  seq::Sequence query;
+  seq::SequenceDatabase db;
+};
+
+// Near-copies of the query (mutation rate 0..25%) among random sequences:
+// the close ones saturate the 8-bit lanes, the rest stay exact.
+seq::SequenceDatabase near_copies_db(const seq::Sequence& q, uint64_t seed,
+                                     seq::AlphabetKind kind) {
+  std::vector<seq::Sequence> seqs;
+  for (int i = 0; i < 70; ++i) {
+    const uint64_t s = seed + static_cast<uint64_t>(i);
+    if (i % 3 == 0)
+      seqs.push_back(seq::mutate(q, s, 0.05 * (i % 6)));
+    else
+      seqs.push_back(
+          seq::generate_sequence(s, 40 + static_cast<uint32_t>(i) * 7, kind));
+  }
+  return seq::SequenceDatabase(std::move(seqs));
+}
+
+std::vector<ReferenceCase> reference_cases() {
+  std::vector<ReferenceCase> cases;
+  {
+    auto q = seq::generate_sequence(200, 320);
+    AlignConfig cfg;  // BLOSUM62, affine 11/1
+    cases.push_back({"blosum62-near-identical", cfg, q,
+                     near_copies_db(q, 201, seq::AlphabetKind::Protein)});
+  }
+  {
+    // Harsh mismatch and gap costs keep the random lanes below the bound.
+    auto q = seq::generate_sequence(210, 150);
+    AlignConfig cfg;
+    cfg.scheme = ScoreScheme::Fixed;
+    cfg.match = 30;
+    cfg.mismatch = -30;
+    cfg.gap_open = 60;
+    cfg.gap_extend = 30;
+    cases.push_back({"fixed-match30", cfg, q,
+                     near_copies_db(q, 211, seq::AlphabetKind::Protein)});
+  }
+  {
+    auto q = seq::generate_sequence(220, 260, seq::AlphabetKind::Dna);
+    AlignConfig cfg;
+    cfg.matrix = &matrix::ScoreMatrix::dna_iupac();
+    cases.push_back(
+        {"dna-iupac", cfg, q, near_copies_db(q, 221, seq::AlphabetKind::Dna)});
+  }
+  {
+    // The top protein codes (X, *) in the query reach the last rows of the
+    // score profile.
+    const seq::Alphabet& protein = seq::Alphabet::protein();
+    const seq::Sequence base = seq::generate_sequence(230, 300);
+    std::vector<uint8_t> codes(base.codes().begin(), base.codes().end());
+    for (size_t i = 0; i < codes.size(); i += 5)
+      codes[i] = protein.encode(i % 2 ? 'X' : '*');
+    seq::Sequence q("top-codes", std::move(codes), protein);
+    AlignConfig cfg;
+    cases.push_back({"top-codes", cfg, q,
+                     near_copies_db(q, 231, seq::AlphabetKind::Protein)});
+  }
+  {
+    auto q = seq::generate_sequence(240, 280);
+    AlignConfig cfg;
+    cfg.gap_model = GapModel::Linear;
+    cfg.gap_extend = 2;
+    cases.push_back({"blosum62-linear", cfg, q,
+                     near_copies_db(q, 241, seq::AlphabetKind::Protein)});
+  }
+  {
+    auto q = seq::generate_sequence(250, 120);
+    AlignConfig cfg;
+    cfg.scheme = ScoreScheme::Fixed;
+    cfg.match = 30;
+    cfg.mismatch = -30;
+    cfg.gap_model = GapModel::Linear;
+    cfg.gap_extend = 40;
+    cases.push_back({"fixed-match30-linear", cfg, q,
+                     near_copies_db(q, 251, seq::AlphabetKind::Protein)});
+  }
+  return cases;
+}
+
+TEST(BatchKernel, MatchesIndependentSaturatingModelOnEveryEngine) {
+  Workspace ws;
+  for (const ReferenceCase& c : reference_cases()) {
+    const int sat_limit = 255 - c.cfg.bias() - c.cfg.max_subst_score();
+    for (int lanes : {32, 64}) {
+      std::vector<simd::Isa> engines = {simd::Isa::Scalar};
+      if (lanes == 32 && simd::isa_available(simd::Isa::Avx2))
+        engines.push_back(simd::Isa::Avx2);
+      if (lanes == 64 && batch_lanes_for(simd::Isa::Avx512) == 64)
+        engines.push_back(simd::Isa::Avx512);
+      Batch32Db bdb(c.db, lanes);
+      int flagged = 0, exact = 0;
+      for (size_t b = 0; b < bdb.batch_count(); ++b) {
+        const auto batch = bdb.batch(b);
+        const std::vector<int> want =
+            model_lane_max(c.query, batch.columns, batch.max_len, lanes, c.cfg);
+        for (simd::Isa isa : engines) {
+          const Batch8Result got =
+              batch32_align_u8(c.query, batch, lanes, c.cfg, ws, isa);
+          for (int k = 0; k < lanes; ++k) {
+            const bool want_sat = want[static_cast<size_t>(k)] >= sat_limit;
+            const bool got_sat = (got.saturated_mask >> k) & 1;
+            ASSERT_EQ(got_sat, want_sat) << c.name << " " << simd::isa_name(isa)
+                                         << " lanes " << lanes << " batch " << b
+                                         << " lane " << k;
+            if (!want_sat) {
+              ASSERT_EQ(got.max_score[k], want[static_cast<size_t>(k)])
+                  << c.name << " " << simd::isa_name(isa) << " lanes " << lanes
+                  << " batch " << b << " lane " << k;
+            }
+          }
+        }
+        for (uint32_t k = 0; k < batch.count; ++k) {
+          if (want[k] >= sat_limit)
+            ++flagged;
+          else
+            ++exact;
+        }
+      }
+      // Every case covers both outcomes: saturated and exact lanes.
+      EXPECT_GT(flagged, 0) << c.name << " lanes " << lanes;
+      EXPECT_GT(exact, 0) << c.name << " lanes " << lanes;
     }
   }
 }

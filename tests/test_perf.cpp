@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -80,6 +81,36 @@ TEST(FreqMonitor, MeasuresPlausibleFrequency) {
   EXPECT_GT(s.ghz, 0.2);
   EXPECT_LT(s.ghz, 10.0);
 }
+
+#if defined(__x86_64__)
+// The spin kernel must count one cycle per add. An inline chain of
+// dependent register-register adds timed here is the yardstick. Both sides
+// take the best of ten short interleaved runs, so a preempted run on a busy
+// host (a parallel ctest) cannot decide the comparison.
+TEST(FreqMonitor, AgreesWithAnInlineAddChain) {
+  auto inline_chain_ghz = [] {
+    constexpr uint64_t kIters = uint64_t{1} << 20;
+    uint64_t a = 0;
+    const uint64_t b = 1;
+    Stopwatch sw;
+    for (uint64_t k = 0; k < kIters; ++k)
+      asm volatile(
+          "add %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\t"
+          "add %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\tadd %1, %0"
+          : "+r"(a)
+          : "r"(b));
+    return static_cast<double>(8 * kIters) / sw.seconds() / 1e9;
+  };
+  double inline_ghz = 0, measured_ghz = 0;
+  for (int run = 0; run < 10; ++run) {
+    inline_ghz = std::max(inline_ghz, inline_chain_ghz());
+    measured_ghz = std::max(measured_ghz, measure_frequency(3).ghz);
+  }
+  EXPECT_NEAR(measured_ghz / inline_ghz, 1.0, 0.10)
+      << "measure_frequency " << measured_ghz << " GHz, inline chain "
+      << inline_ghz << " GHz";
+}
+#endif
 
 TEST(FreqMonitor, ScalingReportShape) {
   FreqScalingReport rep = frequency_scaling(2, 20);
