@@ -56,7 +56,7 @@ struct Options {
   size_t top_k = 10;
   bool dna = false;
   int repeat = 1;
-  bool batch = false;  ///< search: batch engine (the server's sharded path)
+  bool batch = false;  ///< search: batch engine (the server's ShardedSearch)
   bool json = false;
   bool trace = false;
   double watch_s = 0;  ///< metrics: poll interval; 0 = single dump
@@ -73,8 +73,7 @@ struct Options {
       "usage: swve_client <ping|align|search|batch|metrics|bench> [options]\n"
       "  --host ADDR | --port N | --timeout S | --tier NAME\n"
       "  --deadline-ms N | --no-cache | --top K | --dna | --repeat N\n"
-      "  --batch (search: batch engine — the sharded path when the server\n"
-      "           runs --shards)\n"
+      "  --batch (search: batch engine, split across the server's --shards)\n"
       "  --trace (server timing breakdown)\n"
       "  --json | --watch S (metrics) | --requests N --length N "
       "--distinct N (bench)\n",

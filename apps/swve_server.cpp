@@ -43,7 +43,8 @@
 //   --shards N|auto          split batch search into N database shards
 //                            with per-shard pinned pools and a
 //                            bit-identical top-k merge ("auto" = one
-//                            shard per NUMA node; default 1 = unsharded)
+//                            shard per NUMA node; default 1 = one shard
+//                            on the --threads pool)
 //   --numa MODE              off | interleave | bind placement of packed
 //                            shard columns (needs --shards; SWVE_NUMA=off
 //                            overrides)
@@ -304,9 +305,11 @@ int main(int argc, char** argv) {
                opt.serve.singleflight ? "on" : "off");
   if (const align::ShardedSearch* sh = svc.sharded()) {
     std::fprintf(stderr,
-                 "swve_server: sharded search: %zu shards, numa %s, %zu "
+                 "swve_server: batch search: %zu shard(s)%s, numa %s, %zu "
                  "node(s)%s\n",
-                 sh->shard_count(), parallel::numa_policy_name(sh->numa_policy()),
+                 sh->shard_count(),
+                 sh->shard_count() == 1 ? " on the service pool" : "",
+                 parallel::numa_policy_name(sh->numa_policy()),
                  sh->topology().nodes.size(),
                  sh->topology().synthetic ? " (synthetic topology)" : "");
     obs::log_info("server.shards",

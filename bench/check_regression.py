@@ -56,7 +56,8 @@ def main():
     # in-process submissions, and a search through an mmap'd swve db
     # artifact must return the owned packing's exact hits.
     for sentinel, what in (("packing/topk_identical", "policies"),
-                           ("shard/topk_identical", "sharded vs flat search"),
+                           ("shard/topk_identical",
+                            "batch search at S=1,2 vs diagonal engine"),
                            ("serve/topk_identical", "wire vs in-process"),
                            ("db/topk_identical", "mapped artifact vs owned")):
         if cur.get(sentinel, 1) != 1:

@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
                      "Fig 11c: NUMA locality — sharded batch search");
   {
     // The paper's scaling argument stops at one socket; this section
-    // extends it across sockets. A flat fan-out streams remote columns on
-    // a multi-node host; sharding splits the database per node and pins
-    // each shard's pool and pages there, so the hottest loads stay local.
+    // extends it across sockets. One shard streams remote columns on a
+    // multi-node host; S shards split the database per node and pin each
+    // shard's pool and pages there, so the hottest loads stay local.
     // The LLC-miss column is the per-shard PMU delta over the measured
     // searches — locality shows up as fewer misses per gigacell, not just
     // as GCUPS (which frequency noise can hide). On a single-node runner
@@ -104,56 +104,50 @@ int main(int argc, char** argv) {
 
     perf::Table st({"shards", "GCUPS", "vs S=1", "LLC miss/Gcell", "busy skew"});
     double base_g = 0;
+    const size_t batches =
+        core::Batch32Db(w.db, core::batch_lanes_for(simd::resolve_isa(bcfg.isa)))
+            .batch_count();
+    parallel::ThreadPool pool;  // S=1 runs on it; more shards on their own
     for (const size_t S : {static_cast<size_t>(1), s2}) {
-      align::DatabaseSearch search(w.db, bcfg, align::SearchMode::Batch);
       align::ShardOptions sopt;
-      sopt.shards = static_cast<int>(
-          std::min(S, search.packed_db()->batch_count()));
+      sopt.shards = static_cast<int>(std::min(S, batches));
       sopt.numa = topo.multi_node() ? parallel::NumaPolicy::Bind
                                     : parallel::NumaPolicy::Off;
-      if (auto ok = search.enable_sharding(sopt); !ok) {
-        std::cout << "enable_sharding(" << S << "): " << ok.error().message
-                  << "\n";
-        continue;
-      }
+      align::DatabaseSearch search(w.db, bcfg, align::SearchMode::Batch,
+                                   core::PackingPolicy::LengthSorted, sopt);
       const align::ShardedSearch* sh = search.sharded();
-      const size_t got = sh != nullptr ? sh->shard_count() : 1;
+      const size_t got = sh->shard_count();
 
-      for (const auto& q : w.queries) search.search(q, 10);  // warm-up + place
+      for (const auto& q : w.queries) search.search(q, 10, &pool);  // warm-up
       uint64_t llc0 = 0, cells0 = 0;
       std::vector<double> busy0(got, 0.0);
-      if (sh != nullptr)
-        for (size_t i = 0; i < got; ++i) {
-          const align::ShardStats s = sh->shard_stats(i);
-          llc0 += s.llc_misses;
-          cells0 += s.cells;
-          busy0[i] = s.busy_seconds;
-        }
-      double g = 0;
+      for (size_t i = 0; i < got; ++i) {
+        const align::ShardStats s = sh->shard_stats(i);
+        llc0 += s.llc_misses;
+        cells0 += s.cells;
+        busy0[i] = s.busy_seconds;
+      }
       uint64_t cells = 0;
       perf::Stopwatch sw;
       for (int r = 0; r < reps; ++r)
         for (const auto& q : w.queries) {
-          align::SearchResult res = search.search(q, 10);
+          align::SearchResult res = search.search(q, 10, &pool);
           cells += res.stats.cells;
         }
-      g = perf::gcups(cells, sw.seconds());
+      const double g = perf::gcups(cells, sw.seconds());
       if (base_g == 0) base_g = g;
 
       uint64_t llc1 = 0, cells1 = 0;
-      double skew = 0;
-      if (sh != nullptr) {
-        double busy_min = 1e300, busy_max = 0;
-        for (size_t i = 0; i < got; ++i) {
-          const align::ShardStats s = sh->shard_stats(i);
-          llc1 += s.llc_misses;
-          cells1 += s.cells;
-          const double b = s.busy_seconds - busy0[i];
-          busy_min = std::min(busy_min, b);
-          busy_max = std::max(busy_max, b);
-        }
-        skew = busy_min > 0 ? busy_max / busy_min : 0;
+      double busy_min = 1e300, busy_max = 0;
+      for (size_t i = 0; i < got; ++i) {
+        const align::ShardStats s = sh->shard_stats(i);
+        llc1 += s.llc_misses;
+        cells1 += s.cells;
+        const double b = s.busy_seconds - busy0[i];
+        busy_min = std::min(busy_min, b);
+        busy_max = std::max(busy_max, b);
       }
+      const double skew = busy_min > 0 ? busy_max / busy_min : 0;
       const uint64_t dcells = cells1 - cells0;
       const double miss_per_gcell =
           dcells > 0 ? static_cast<double>(llc1 - llc0) / (static_cast<double>(dcells) / 1e9)

@@ -1,11 +1,9 @@
-// The batch32 scan shared by engine::search_batch and ShardedSearch.
+// The batch32 scan loop of ShardedSearch.
 //
-// Both paths score a contiguous range of packed batches the same way, one
-// batch at a time through core::score_batch (the 8-bit kernel plus the
-// 8 -> 16 -> 32-bit rescore ladder for saturated lanes). They differ only in
-// where a scored sequence goes (the flat path writes a score vector by
-// sequence index, shards fold into per-worker top-k heaps), so the loop
-// lives here once and takes a per-hit sink.
+// A shard's workers score a contiguous range of packed batches one batch at
+// a time through core::score_batch (the 8-bit kernel plus the 8 -> 16 ->
+// 32-bit rescore ladder for saturated lanes) and hand every scored sequence
+// to a per-hit sink (ShardedSearch folds them into per-worker top-k heaps).
 //
 // Scheduling is by cost, not by batch count. A length-sorted database puts
 // its longest batches last, so equal batch counts per worker leave the
@@ -14,8 +12,8 @@
 // equal padded cells (plan_by_cells, the same planner that cuts shards),
 // and every worker pulls chunks, longest first, from one atomic cursor.
 // Which worker scans which chunk varies from run to run; the result does
-// not, because scores are exact per sequence and land by sequence index (or
-// in heaps whose merge is selection under Hit's strict total order).
+// not, because scores are exact per sequence and land in heaps whose merge
+// is selection under Hit's strict total order.
 #pragma once
 
 #include <algorithm>
@@ -104,11 +102,10 @@ class BatchScan {
 
   /// One worker's share: pull chunks until none are left or ctx stops,
   /// calling sink(seq_index, score) once for every sequence scored. Opens
-  /// one span named `span_name` over the whole share (none when the cursor
-  /// was already dry), annotated with the kernel plan and `span_index`.
+  /// one `chunk.search_batch` span over the whole share (none when the
+  /// cursor was already dry), annotated with the kernel plan and `shard`.
   template <class Sink>
-  Tally run(const char* span_name, uint64_t span_index, core::Workspace& ws,
-            Sink&& sink);
+  Tally run(uint64_t shard, core::Workspace& ws, Sink&& sink);
 
  private:
   bool next_chunk(std::pair<size_t, size_t>& chunk) noexcept {
@@ -135,14 +132,14 @@ class BatchScan {
 };
 
 template <class Sink>
-BatchScan::Tally BatchScan::run(const char* span_name, uint64_t span_index,
-                                core::Workspace& ws, Sink&& sink) {
+BatchScan::Tally BatchScan::run(uint64_t shard, core::Workspace& ws,
+                                Sink&& sink) {
   Tally t;
   std::pair<size_t, size_t> chunk;
   if (!next_chunk(chunk)) return t;
-  obs::Span span(ctx_.trace, span_name);
+  obs::Span span(ctx_.trace, "chunk.search_batch");
   span.set_kernel(perf::KernelVariant::Batch32);
-  span.set_index(span_index);
+  span.set_index(shard);
   span.set_isa(isa_);
   span.set_width_bits(8);
   span.set_lanes(static_cast<uint32_t>(bdb_.lanes()));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 
 #include "align/batch_scan.hpp"
@@ -31,69 +30,17 @@ obs::TruncCause trunc_cause(const ExecContext& ctx) {
                          : obs::TruncCause::Deadline;
 }
 
+std::unique_ptr<ShardedSearch> make_sharded(const seq::SequenceDatabase& db,
+                                            const core::Batch32Db& packed,
+                                            const ShardOptions& opt) {
+  auto sharded = ShardedSearch::create(db, packed, opt);
+  if (!sharded.ok()) throw std::invalid_argument(sharded.error().message);
+  return std::move(sharded).value();
+}
+
 }  // namespace
 
 namespace engine {
-
-SearchResult search_batch(const seq::SequenceDatabase& db,
-                          const core::Batch32Db& bdb,
-                          const core::AlignConfig& cfg, seq::SeqView query,
-                          size_t top_k, const ExecContext& ctx) {
-  perf::Stopwatch sw;
-  SearchResult out;
-  out.query_length = query.length;
-  out.db_residues = db.total_residues();
-  if (db.empty() || query.empty()) return out;
-
-  // Cached query state, when the caller provides a cache: the prepared
-  // feed arrays are shared read-only across worker threads, and workspaces
-  // come from the pool instead of cold allocation.
-  std::shared_ptr<const core::PreparedQuery> prep;
-  if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
-
-  // Phase 1: score every sequence through the batch kernel. The pool's
-  // workers pull cost-balanced chunks from one cursor and write scores by
-  // original sequence index, so the vector is the same whoever scans what.
-  std::vector<int> scores(db.size(), 0);
-  core::BatchSearchStats agg{};
-  std::mutex agg_mu;
-  const unsigned workers = ctx.pool ? ctx.pool->size() : 1u;
-  detail::BatchScan scan(db, bdb, cfg, query, prep.get(), ctx, 0,
-                         bdb.batch_count(), workers);
-  auto score_batches = [&](size_t slot) {
-    auto lease = QueryStateCache::lease(ctx.query_cache);
-    const detail::BatchScan::Tally t =
-        scan.run("chunk.search_batch", slot, lease.ws(),
-                 [&scores](uint32_t seq_idx, int score) {
-                   scores[seq_idx] = score;
-                 });
-    std::lock_guard<std::mutex> lk(agg_mu);
-    agg += t.stats;
-  };
-  if (ctx.pool) {
-    ctx.pool->parallel_for(
-        std::min<size_t>(workers, scan.chunk_count()),
-        [&](size_t slot, size_t, unsigned) { score_batches(slot); });
-  } else {
-    score_batches(0);
-  }
-  out.truncated = scan.truncated();
-  out.batch_stats = agg;
-  if (out.truncated) {  // partial answer; skip the exact re-alignment pass
-    out.seconds = sw.seconds();
-    return out;
-  }
-
-  // Phase 2: top-k over the score vector (index order => deterministic),
-  // then exact re-alignment of just the winners for end positions.
-  detail::TopK top(top_k);
-  for (size_t s = 0; s < scores.size(); ++s)
-    top.offer(Hit{static_cast<uint32_t>(s), scores[s], -1, -1});
-  out.hits = std::move(top).sorted();
-  detail::realign_winners(db, cfg, query, prep.get(), ctx, out);
-  out.seconds = sw.seconds();
-  return out;
-}
 
 SearchResult search_diagonal(const seq::SequenceDatabase& db,
                              const core::AlignConfig& cfg, seq::SeqView query,
@@ -163,7 +110,8 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
 }  // namespace engine
 
 DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
-                               SearchMode mode, core::PackingPolicy packing)
+                               SearchMode mode, core::PackingPolicy packing,
+                               const ShardOptions& sharding)
     : db_(&db), cfg_(cfg), mode_(mode) {
   cfg_.validate();
   cfg_.traceback = false;  // scoring pass; re-align hits for traceback
@@ -173,11 +121,13 @@ DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
     bdb_ = std::make_unique<core::Batch32Db>(
         db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)), packing);
     packed_ = bdb_.get();
+    sharded_ = make_sharded(db, *packed_, sharding);
   }
 }
 
 DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db,
-                               const core::Batch32Db& packed, AlignConfig cfg)
+                               const core::Batch32Db& packed, AlignConfig cfg,
+                               const ShardOptions& sharding)
     : db_(&db), cfg_(cfg), mode_(SearchMode::Batch), packed_(&packed) {
   cfg_.validate();
   cfg_.traceback = false;
@@ -186,21 +136,12 @@ DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db,
   if (packed.sequence_count() != db.size())
     throw std::invalid_argument(
         "DatabaseSearch: packed database does not match the sequence database");
+  sharded_ = make_sharded(db, packed, sharding);
 }
 
 DatabaseSearch::~DatabaseSearch() = default;
 DatabaseSearch::DatabaseSearch(DatabaseSearch&&) noexcept = default;
 DatabaseSearch& DatabaseSearch::operator=(DatabaseSearch&&) noexcept = default;
-
-core::ErrorOr<void> DatabaseSearch::enable_sharding(const ShardOptions& opt) {
-  if (mode_ != SearchMode::Batch)
-    return core::ConfigError{core::ConfigError::Code::Unsupported,
-                             "DatabaseSearch: sharding requires Batch mode"};
-  auto sharded = ShardedSearch::create(*db_, *packed_, opt);
-  if (!sharded.ok()) return sharded.error();
-  sharded_ = std::move(sharded).value();
-  return {};
-}
 
 SearchResult DatabaseSearch::search(seq::SeqView query, size_t top_k,
                                     parallel::ThreadPool* pool) const {
@@ -211,10 +152,8 @@ SearchResult DatabaseSearch::search(seq::SeqView query, size_t top_k,
 
 SearchResult DatabaseSearch::search(seq::SeqView query, size_t top_k,
                                     const ExecContext& ctx) const {
-  if (sharded_) return sharded_->search(cfg_, query, top_k, ctx);
-  return mode_ == SearchMode::Batch
-             ? engine::search_batch(*db_, *packed_, cfg_, query, top_k, ctx)
-             : engine::search_diagonal(*db_, cfg_, query, top_k, ctx);
+  return sharded_ ? sharded_->search(cfg_, query, top_k, ctx)
+                  : engine::search_diagonal(*db_, cfg_, query, top_k, ctx);
 }
 
 }  // namespace swve::align

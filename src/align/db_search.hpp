@@ -1,11 +1,12 @@
-// Scenario 1: one query streamed against a sequence database, partitioned
-// across threads by residue count, with deterministic top-k merging.
+// Scenario 1: one query streamed against a sequence database, with
+// deterministic top-k merging.
 //
-// The actual search loops live in the stateless `engine` namespace: they
-// take the database, config, and an ExecContext (pool / cancellation /
-// deadline) explicitly, so both the synchronous DatabaseSearch facade and
-// the async service::AlignService drive the exact same code and get
-// bit-identical results.
+// The diagonal search loop lives in the stateless `engine` namespace and the
+// batch search in align::ShardedSearch (align/sharded_search.hpp); both take
+// the database, config, and an ExecContext (pool / cancellation / deadline)
+// explicitly, so the synchronous DatabaseSearch facade and the async
+// service::AlignService drive the exact same code and get bit-identical
+// results.
 #pragma once
 
 #include <cstdint>
@@ -15,14 +16,39 @@
 #include "align/aligner.hpp"
 #include "align/exec_context.hpp"
 #include "core/batch32.hpp"
-#include "core/error.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel/topology.hpp"
 #include "seq/database.hpp"
+
+namespace swve::core {
+class MappedDb;
+}
 
 namespace swve::align {
 
 class ShardedSearch;    // align/sharded_search.hpp
-struct ShardOptions;
+
+/// How a Batch-mode search splits the packed database (align::ShardedSearch;
+/// ServiceOptions.search mirrors these). numa, total_threads and mapped
+/// apply only to two or more shards: one shard owns no pool or placement.
+struct ShardOptions {
+  /// 1 (default): one shard, run on the caller's pool. 0 = auto: one shard
+  /// per NUMA node (after the runtime hint below), so a single-node host
+  /// runs one shard; N >= 2 forces exactly N shards, each on its own pool.
+  /// Explicitly requesting more shards than the database has batches is a
+  /// typed config error (auto clamps instead).
+  int shards = 1;
+  /// Thread/memory placement. Off still shards (useful for the merge-path
+  /// tests and for cache-partitioning on one socket) but pins nothing.
+  parallel::NumaPolicy numa = parallel::NumaPolicy::Off;
+  /// Worker threads across all shards; 0 = one per online CPU. Each shard
+  /// gets at least one.
+  unsigned total_threads = 0;
+  /// When the packed db is a mapped artifact, madvise each shard's column
+  /// byte range at construction (MappedDb::advise_batch_columns) so shards
+  /// prefault only their own stream.
+  const core::MappedDb* mapped = nullptr;
+};
 
 struct Hit {
   uint32_t seq_index = 0;  ///< index into the database
@@ -81,29 +107,23 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
                              const core::AlignConfig& cfg, seq::SeqView query,
                              size_t top_k, const ExecContext& ctx);
 
-/// Stateless scenario-1 engine, batch32-kernel path. `bdb` is the database
-/// packed for the batch kernel (see core::Batch32Db); cancellation/deadline
-/// is honored at per-batch granularity. Throws std::invalid_argument when
-/// cfg.isa cannot drive bdb's lanes (core::batch_lanes_fit).
-SearchResult search_batch(const seq::SequenceDatabase& db,
-                          const core::Batch32Db& bdb,
-                          const core::AlignConfig& cfg, seq::SeqView query,
-                          size_t top_k, const ExecContext& ctx);
-
 }  // namespace engine
 
-/// Synchronous facade over the engines (owns the packed database in Batch
-/// mode). service::AlignService is the asynchronous, instrumented front
-/// door over the same engines.
+/// Synchronous facade over the engines (owns the packed database and the
+/// ShardedSearch in Batch mode). service::AlignService is the asynchronous,
+/// instrumented front door over the same engines.
 class DatabaseSearch {
  public:
   /// Batch mode packs the database for cfg's resolved ISA
   /// (core::batch_lanes_for). `packing` selects how (ignored in Diagonal
   /// mode); every policy returns identical hits and scores — see
-  /// core::PackingPolicy.
+  /// core::PackingPolicy. `sharding` splits the Batch-mode scan, with the
+  /// same hits for every shard count; std::invalid_argument when
+  /// ShardedSearch::create refuses it.
   DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
                  SearchMode mode = SearchMode::Diagonal,
-                 core::PackingPolicy packing = core::PackingPolicy::LengthSorted);
+                 core::PackingPolicy packing = core::PackingPolicy::LengthSorted,
+                 const ShardOptions& sharding = {});
 
   /// Batch-mode facade over an externally-owned packed database (the
   /// mmap'd-artifact path: a core::MappedDb's batch_db()). Nothing is
@@ -111,14 +131,16 @@ class DatabaseSearch {
   /// database and outlive the facade. Results are bit-identical to the
   /// owning constructor with the same lanes/policy.
   DatabaseSearch(const seq::SequenceDatabase& db,
-                 const core::Batch32Db& packed, AlignConfig cfg);
+                 const core::Batch32Db& packed, AlignConfig cfg,
+                 const ShardOptions& sharding = {});
 
   ~DatabaseSearch();  // out of line: ShardedSearch is incomplete here
   DatabaseSearch(DatabaseSearch&&) noexcept;
   DatabaseSearch& operator=(DatabaseSearch&&) noexcept;
 
-  /// Search with `pool` (or single-threaded when null). Results are
-  /// identical for every thread count and for both search modes.
+  /// Search with `pool` (or single-threaded when null; Batch mode with two
+  /// or more shards uses their own pools). Results are identical for every
+  /// thread count and for both search modes.
   SearchResult search(seq::SeqView query, size_t top_k,
                       parallel::ThreadPool* pool = nullptr) const;
 
@@ -132,13 +154,8 @@ class DatabaseSearch {
   /// depending on the constructor used.
   const core::Batch32Db* packed_db() const noexcept { return packed_; }
 
-  /// Shard Batch mode across NUMA nodes (align::ShardedSearch): subsequent
-  /// search() calls fan out over per-node pinned pools and merge bounded
-  /// per-shard top-k heaps — bit-identical results, local memory traffic.
-  /// Fails (ConfigError) in Diagonal mode or when opt.shards exceeds the
-  /// packed batch count; the facade stays unsharded on failure.
-  core::ErrorOr<void> enable_sharding(const ShardOptions& opt);
-  /// Non-null after a successful enable_sharding (per-shard stats access).
+  /// The Batch-mode engine (null in Diagonal mode): shard layout and
+  /// per-shard stats.
   const ShardedSearch* sharded() const noexcept { return sharded_.get(); }
 
  private:
@@ -147,7 +164,7 @@ class DatabaseSearch {
   SearchMode mode_;
   std::unique_ptr<core::Batch32Db> bdb_;          // owning Batch mode only
   const core::Batch32Db* packed_ = nullptr;       // Batch mode (either ctor)
-  std::unique_ptr<ShardedSearch> sharded_;        // Batch mode, opt-in
+  std::unique_ptr<ShardedSearch> sharded_;        // Batch mode
 };
 
 }  // namespace swve::align

@@ -1,8 +1,8 @@
 // Execution context threaded through the scenario engines.
 //
-// The engines (engine::search_diagonal / search_batch / batch_run) are
-// stateless: everything they need — the thread pool to fan out over, a
-// cooperative cancellation flag, a deadline — arrives in an ExecContext.
+// The engines (engine::search_diagonal / batch_run, ShardedSearch) take
+// everything a request needs — the thread pool to fan out over, a
+// cooperative cancellation flag, a deadline — in an ExecContext.
 // Cancellation/deadline is checked at sequence-chunk granularity: an engine
 // polls should_stop() between sequences (diagonal path) or between batches
 // (batch path) and returns early with the result marked truncated.
@@ -22,6 +22,7 @@ struct ExecContext {
   using Clock = std::chrono::steady_clock;
 
   /// Pool for intra-request parallelism; null runs single-threaded.
+  /// (Two or more ShardedSearch shards use their own pools instead.)
   parallel::ThreadPool* pool = nullptr;
 
   /// Optional query-state cache (prepared query feeds + pooled workspaces,

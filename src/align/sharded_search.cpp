@@ -27,17 +27,18 @@ int shard_count_hint() noexcept {
   return g_shard_hint.load(std::memory_order_relaxed);
 }
 
-/// One shard: a contiguous batch range, its pinned pool + workspace arena,
-/// and lifetime counters (relaxed atomics, read by shard_stats()).
+/// One shard: a contiguous batch range, its pinned pool + workspace arena
+/// (both null for a single shard, which borrows the caller's), and lifetime
+/// counters (relaxed atomics, read by shard_stats()).
 struct ShardedSearch::Shard {
   size_t first_batch = 0;
   size_t end_batch = 0;
   uint64_t sequences = 0;
-  uint64_t padded_residues = 0;
   int node = -1;
   bool bound = false;
   std::unique_ptr<parallel::ThreadPool> pool;
   std::unique_ptr<QueryStateCache> cache;
+  std::atomic<unsigned> borrowed_threads{0};  // pool size of the last search
 
   std::atomic<uint64_t> searches{0};
   std::atomic<uint64_t> batches{0};
@@ -55,11 +56,6 @@ ShardedSearch::ShardedSearch(const seq::SequenceDatabase& db,
 
 ShardedSearch::~ShardedSearch() = default;
 
-std::vector<std::pair<size_t, size_t>> ShardedSearch::plan_shards(
-    const core::Batch32Db& packed, size_t shards) {
-  return detail::plan_by_cells(packed, 0, packed.batch_count(), shards);
-}
-
 core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
     const seq::SequenceDatabase& db, const core::Batch32Db& packed,
     const ShardOptions& opt) {
@@ -68,10 +64,7 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
     return core::ConfigError{Code::Unsupported,
                              "ShardedSearch: shards must be >= 0"};
   const size_t batches = packed.batch_count();
-  if (batches == 0)
-    return core::ConfigError{Code::NoDatabase,
-                             "ShardedSearch: packed database has no batches"};
-  if (opt.shards > 0 && static_cast<size_t>(opt.shards) > batches)
+  if (opt.shards > 1 && static_cast<size_t>(opt.shards) > batches)
     return core::ConfigError{
         Code::Unsupported,
         "ShardedSearch: shards (" + std::to_string(opt.shards) +
@@ -91,7 +84,14 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
     shards = std::min({shards, batches,
                        static_cast<size_t>(perf::MetricsSnapshot::kMaxShards)});
   }
-  const auto ranges = plan_shards(packed, shards);
+  // Shards are contiguous batch ranges of equal padded cells (max_len *
+  // lanes, what the kernel walks per query residue), so length-sorted
+  // packings don't starve the short-sequence shards. One shard (also auto's
+  // answer for an empty database) owns no pool, arena or placement: it runs
+  // on the caller's.
+  const auto ranges =
+      shards <= 1 ? std::vector<std::pair<size_t, size_t>>{{0, batches}}
+                  : detail::plan_by_cells(packed, 0, batches, shards);
 
   unsigned total_threads = opt.total_threads != 0
                                ? opt.total_threads
@@ -103,11 +103,11 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
     auto shard = std::make_unique<Shard>();
     shard->first_batch = ranges[i].first;
     shard->end_batch = ranges[i].second;
-    for (size_t b = shard->first_batch; b < shard->end_batch; ++b) {
-      const auto batch = packed.batch(b);
-      shard->sequences += batch.count;
-      shard->padded_residues +=
-          static_cast<uint64_t>(batch.max_len) * packed.lanes();
+    for (size_t b = shard->first_batch; b < shard->end_batch; ++b)
+      shard->sequences += packed.batch(b).count;
+    if (ranges.size() == 1) {
+      s->shards_.push_back(std::move(shard));
+      break;
     }
     std::vector<int> cpus;  // empty = unpinned
     if (s->numa_ != parallel::NumaPolicy::Off && !s->topo_.synthetic) {
@@ -133,7 +133,8 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
                                        core::MappedDbOptions::Madvise::WillNeed);
     s->shards_.push_back(std::move(shard));
   }
-  if (s->numa_ == parallel::NumaPolicy::Interleave && s->topo_.multi_node()) {
+  if (ranges.size() > 1 && s->numa_ == parallel::NumaPolicy::Interleave &&
+      s->topo_.multi_node()) {
     const auto all = packed.column_bytes();
     parallel::interleave_memory(
         all.data(), all.size(),
@@ -144,11 +145,6 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
 
 size_t ShardedSearch::shard_count() const noexcept { return shards_.size(); }
 
-std::pair<size_t, size_t> ShardedSearch::shard_range(size_t s) const noexcept {
-  if (s >= shards_.size()) return {0, 0};
-  return {shards_[s]->first_batch, shards_[s]->end_batch};
-}
-
 ShardStats ShardedSearch::shard_stats(size_t s) const noexcept {
   ShardStats out;
   if (s >= shards_.size()) return out;
@@ -156,9 +152,9 @@ ShardStats ShardedSearch::shard_stats(size_t s) const noexcept {
   out.first_batch = sh.first_batch;
   out.end_batch = sh.end_batch;
   out.sequences = sh.sequences;
-  out.padded_residues = sh.padded_residues;
   out.node = sh.node;
-  out.threads = sh.pool->size();
+  out.threads = sh.pool ? sh.pool->size()
+                        : sh.borrowed_threads.load(std::memory_order_relaxed);
   out.bound = sh.bound;
   out.searches = sh.searches.load(std::memory_order_relaxed);
   out.batches = sh.batches.load(std::memory_order_relaxed);
@@ -169,7 +165,7 @@ ShardStats ShardedSearch::shard_stats(size_t s) const noexcept {
       static_cast<double>(sh.busy_ns.load(std::memory_order_relaxed)) * 1e-9;
   out.llc_misses = sh.llc_misses.load(std::memory_order_relaxed);
   out.cycles = sh.cycles.load(std::memory_order_relaxed);
-  out.queue_depth = sh.pool->pending();
+  out.queue_depth = sh.pool ? sh.pool->pending() : 0;
   return out;
 }
 
@@ -191,38 +187,50 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
 
   // Phase 1: every shard scans its batch range concurrently, each worker
   // pulling cost-balanced chunks of its shard and folding lane scores into
-  // a bounded per-worker heap; heaps are merged per shard, then globally —
-  // selection under Hit's strict total order is partition-shape
-  // independent, so this equals the unsharded answer.
+  // a bounded per-worker heap; the heaps are merged at the end — selection
+  // under Hit's strict total order is partition-shape independent, so the
+  // answer is the same for every shard count and pool size.
   struct ShardRun {
+    parallel::ThreadPool* pool = nullptr;  // null: inline on this thread
     std::optional<detail::BatchScan> scan;
     std::vector<std::vector<Hit>> worker_hits;  // [slot] sorted top-k
     core::BatchSearchStats stats;
     std::mutex mu;
   };
   std::vector<ShardRun> runs(nshards);
+  // Every scan is built before any worker starts, so a lane mismatch throws
+  // with nothing running.
+  for (size_t si = 0; si < nshards; ++si) {
+    Shard& shard = *shards_[si];
+    ShardRun& run = runs[si];
+    run.pool = shard.pool ? shard.pool.get() : ctx.pool;
+    const unsigned workers = run.pool ? run.pool->size() : 1u;
+    if (!shard.pool)
+      shard.borrowed_threads.store(workers, std::memory_order_relaxed);
+    run.scan.emplace(db, bdb, cfg, query, prep.get(), ctx, shard.first_batch,
+                     shard.end_batch, workers);
+    run.worker_hits.resize(std::min<size_t>(workers, run.scan->chunk_count()));
+  }
 
   std::mutex done_mu;
   std::condition_variable done_cv;
   size_t shards_left = nshards;
+  auto shard_done = [&done_mu, &done_cv, &shards_left] {
+    std::lock_guard<std::mutex> lk(done_mu);
+    if (--shards_left == 0) done_cv.notify_all();
+  };
 
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     ShardRun& run = runs[si];
-    const unsigned workers = shard.pool->size();
-    run.scan.emplace(db, bdb, cfg, query, prep.get(), ctx, shard.first_batch,
-                     shard.end_batch, workers);
-    const size_t slots = std::min<size_t>(workers, run.scan->chunk_count());
-    run.worker_hits.resize(slots);
-    shard.searches.fetch_add(1, std::memory_order_relaxed);
-
-    auto scan = [&run, &shard, top_k, si](size_t slot, size_t, unsigned) {
+    auto scan = [&run, &shard, &ctx, top_k, si](size_t slot, size_t,
+                                                 unsigned) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
-      auto lease = shard.cache->lease_workspace();
+      auto lease = shard.cache ? shard.cache->lease_workspace()
+                               : QueryStateCache::lease(ctx.query_cache);
       detail::TopK top(top_k);
-      const detail::BatchScan::Tally t = run.scan->run(
-          "chunk.shard_search", si, lease.ws(),
-          [&top](uint32_t seq_idx, int score) {
+      const detail::BatchScan::Tally t =
+          run.scan->run(si, lease.ws(), [&top](uint32_t seq_idx, int score) {
             top.offer(Hit{seq_idx, score, -1, -1});
           });
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
@@ -244,12 +252,14 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
         run.stats += t.stats;
       }
     };
-    shard.pool->parallel_for_async(slots, std::move(scan),
-                                   [&done_mu, &done_cv, &shards_left] {
-                                     std::lock_guard<std::mutex> lk(done_mu);
-                                     if (--shards_left == 0)
-                                       done_cv.notify_all();
-                                   });
+    shard.searches.fetch_add(1, std::memory_order_relaxed);
+    const size_t slots = run.worker_hits.size();
+    if (run.pool) {
+      run.pool->parallel_for_async(slots, std::move(scan), shard_done);
+    } else {
+      if (slots > 0) scan(0, 1, 0);
+      shard_done();
+    }
   }
   {
     std::unique_lock<std::mutex> lk(done_mu);
@@ -270,8 +280,7 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
     return out;
   }
 
-  // Phase 2: the same re-alignment as engine::search_batch, over the
-  // identical winner set.
+  // Phase 2: exact re-alignment of just the winners for end positions.
   out.hits = std::move(merged).sorted();
   detail::realign_winners(db, cfg, query, prep.get(), ctx, out);
   out.seconds = sw.seconds();

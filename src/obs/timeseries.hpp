@@ -78,8 +78,8 @@ struct TimeSeriesPoint {
   std::vector<PmuCellPoint> pmu;  ///< only cells with cycle deltas
   double avx512_frequency_ratio = 0;  ///< lifetime gauge at sample time
 
-  // Sharded search: per-shard window throughput and pressure (empty when
-  // batch search runs unsharded). Live shard imbalance is visible as one
+  // Batch search: per-shard window throughput and pressure (empty without
+  // a database). Live shard imbalance is visible as one
   // shard's gcups or queue_depth diverging from its peers'.
   struct ShardPoint {
     uint8_t shard = 0;

@@ -309,9 +309,9 @@ struct MetricsSnapshot {
   /// Requests the watchdog flagged as exceeding the latency SLO.
   uint64_t slow_requests = 0;
 
-  // Sharded-search attribution (filled by the owner from
-  // align::ShardedSearch::shard_stats; shard_count == 0 when batch search
-  // runs on the unsharded flat pool).
+  // Batch-search attribution (filled by the owner from
+  // align::ShardedSearch::shard_stats; shard_count == 0 without a
+  // database).
   static constexpr int kMaxShards = 16;
   struct ShardSample {
     uint64_t searches = 0;

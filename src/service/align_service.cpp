@@ -141,7 +141,6 @@ AlignService::AlignService(const seq::SequenceDatabase& db,
 }
 
 void AlignService::init_sharding() {
-  if (opt_.search.shards == 1 || packed_ == nullptr) return;
   align::ShardOptions so;
   so.shards = opt_.search.shards;
   so.numa = opt_.search.numa;
@@ -150,10 +149,6 @@ void AlignService::init_sharding() {
   auto sh = align::ShardedSearch::create(*db_, *packed_, so);
   if (!sh.ok()) throw std::invalid_argument(sh.error().message);
   sharded_ = std::move(sh).value();
-  // Auto on a single-node host resolves to one shard: keep the flat pool
-  // (identical results, one less indirection) and report unsharded.
-  if (opt_.search.shards == 0 && sharded_->shard_count() <= 1)
-    sharded_.reset();
 }
 
 AlignService::AlignService(const core::MappedDb& mapped, ServiceOptions options)
@@ -619,14 +614,8 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
       std::lock_guard<std::mutex> pool_lk(pool_mu_);
       td = maybe_topdown(
           [&] {
-            // Batch searches route through the sharded engine when one was
-            // built (search.shards != 1) — per-NUMA-node pools, bounded
-            // per-shard heaps, bit-identical merged top-k.
             if (rq->mode == align::SearchMode::Batch)
-              res = sharded_ != nullptr
-                        ? sharded_->search(cfg, rq->query, top_k, ctx)
-                        : align::engine::search_batch(*db_, *packed_, cfg,
-                                                      rq->query, top_k, ctx);
+              res = sharded_->search(cfg, rq->query, top_k, ctx);
             else
               res = align::engine::search_diagonal(*db_, cfg, rq->query,
                                                    top_k, ctx);

@@ -13,12 +13,13 @@
 //   submit_search(Search)  -> std::future<SearchResponse>   (scenario 1)
 //   submit_batch(Batch)    -> std::future<BatchResponse>    (scenario 2)
 //
-// Requests route to the same stateless engines the synchronous facades use
-// (engine::search_diagonal / search_batch / batch_run / core::diag_align),
-// so results are bit-identical to direct DatabaseSearch / BatchServer /
-// Aligner calls at the same pool size. Failures — invalid config, queue
-// full, deadline expiry, shutdown — fail the future with a ServiceError
-// instead of throwing on a worker thread.
+// Requests route to the same engines the synchronous facades use
+// (engine::search_diagonal / align::ShardedSearch / engine::batch_run /
+// core::diag_align), so results are bit-identical to direct DatabaseSearch /
+// BatchServer / Aligner calls; one shard of a Batch search fans out over the
+// service's pool. Failures — invalid config, queue full, deadline expiry,
+// shutdown — fail the future with a ServiceError instead of throwing on a
+// worker thread.
 #pragma once
 
 #include <array>
@@ -88,13 +89,14 @@ struct CacheOptions {
   bool query_cache_bypass = false;
 };
 
-/// Scenario-1 sharded execution (align::ShardedSearch): how the packed
+/// Scenario-1 batch execution (align::ShardedSearch): how the packed
 /// database is split across NUMA nodes and how shard memory is placed.
 struct SearchOptions {
-  /// Database shards for batch-mode search. 1 (default) = unsharded flat
-  /// pool; 0 = auto (one shard per NUMA node — unsharded on single-node
-  /// hosts; at most perf::MetricsSnapshot::kMaxShards); N >= 2 forces N
-  /// shards, N > kMaxShards is rejected by try_validate. Requesting more
+  /// Database shards for batch-mode search. 1 (default) = one shard on the
+  /// service's pool; 0 = auto (one shard per NUMA node — one shard on
+  /// single-node hosts; at most perf::MetricsSnapshot::kMaxShards); N >= 2
+  /// forces N shards, each on its own slice of pool_threads, and
+  /// N > kMaxShards is rejected by try_validate. Requesting two or more
   /// shards than the packed database has batches fails construction with a
   /// typed config error.
   /// Results are bit-identical for every value.
@@ -261,7 +263,7 @@ struct ServiceOptions {
     if (search.shards < 0)
       return core::ConfigError{Code::Unsupported,
                                "ServiceOptions: search.shards must be >= 0 "
-                               "(0 = auto, 1 = unsharded)"};
+                               "(0 = auto, 1 = one shard)"};
     if (search.shards > perf::MetricsSnapshot::kMaxShards)
       return core::ConfigError{
           Code::Unsupported,
@@ -438,9 +440,8 @@ class AlignService {
   const align::QueryStateCache* query_cache() const noexcept {
     return query_cache_.get();
   }
-  /// The sharded search engine, or null when search.shards resolved to 1
-  /// (the unsharded flat-pool path). Per-shard stats for /statusz and the
-  /// exporters come from here.
+  /// The batch search engine, or null without a database. Per-shard stats
+  /// for /statusz and the exporters come from here.
   const align::ShardedSearch* sharded() const noexcept {
     return sharded_.get();
   }
@@ -467,9 +468,8 @@ class AlignService {
   struct InitTag {};
   AlignService(InitTag, ServiceOptions options);
   void start_telemetry();
-  /// Build the sharded engine when search.shards != 1 (db ctors, after
-  /// packed_ is set). Throws std::invalid_argument on a typed config error
-  /// (shards > batches), matching constructor-time validation behavior.
+  /// Build the batch search engine (db ctors, after packed_ is set); throws
+  /// std::invalid_argument on a typed config error (shards > batches).
   void init_sharding();
 
   struct Task {
@@ -539,7 +539,7 @@ class AlignService {
   uint64_t db_epoch_ = 0;
   double db_load_seconds_ = 0;
   std::unique_ptr<align::QueryStateCache> query_cache_;
-  std::unique_ptr<align::ShardedSearch> sharded_;  // search.shards != 1
+  std::unique_ptr<align::ShardedSearch> sharded_;  // with a database
 
   parallel::ThreadPool pool_;
   std::mutex pool_mu_;  ///< one fan-out request on the pool at a time

@@ -127,12 +127,20 @@ TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
 
   core::Workspace ws;
   EXPECT_THROW(core::batch_scores(q, wide, db, cfg, ws), std::invalid_argument);
-  EXPECT_THROW(align::engine::search_batch(db, wide, cfg, q, 5, ctx),
-               std::invalid_argument);
   EXPECT_THROW(align::engine::batch_run(db, wide, cfg, {q}, 5, ctx),
                std::invalid_argument);
   EXPECT_THROW(align::DatabaseSearch(db, wide, cfg).search(q, 5),
                std::invalid_argument);
+
+  // One shard, on a caller pool (no job reaches it) and inline.
+  auto one = align::ShardedSearch::create(db, wide, align::ShardOptions{});
+  ASSERT_TRUE(one.ok()) << one.error().message;
+  parallel::ThreadPool pool(4);
+  align::ExecContext pooled;
+  pooled.pool = &pool;
+  EXPECT_THROW((*one)->search(cfg, q, 5, pooled), std::invalid_argument);
+  EXPECT_EQ(pool.stats().jobs, 0u);
+  EXPECT_THROW((*one)->search(cfg, q, 5, ctx), std::invalid_argument);
 
   align::ShardOptions so;
   so.shards = 2;

@@ -7,7 +7,6 @@
 
 #include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
-#include "align/sharded_search.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 
@@ -44,7 +43,7 @@ uint64_t padded_cells(const core::Batch32Db& packed, size_t b, size_t e) {
   return cells;
 }
 
-TEST(ScanPlanner, CutsAreContiguousBalancedAndGroupAligned) {
+TEST(ScanPlanner, CutsAreContiguousAndBalanced) {
   seq::SequenceDatabase db(make_mixed_db(400'000));
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
@@ -94,9 +93,6 @@ TEST(ScanPlanner, CutsAreContiguousBalancedAndGroupAligned) {
     // Empty range, or no parts.
     EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4).empty());
     EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0).empty());
-    // Shards are the same planner.
-    EXPECT_EQ(ShardedSearch::plan_shards(packed, 5),
-              detail::plan_by_cells(packed, 0, n, 5));
   }
 }
 

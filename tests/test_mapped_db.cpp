@@ -203,7 +203,7 @@ TEST_P(MappedDbPolicyTest, MappedViewIsBitIdenticalToOwned) {
   std::remove(path.c_str());
 }
 
-TEST_P(MappedDbPolicyTest, SearchScoresMatchAcrossIlpDepths) {
+TEST_P(MappedDbPolicyTest, SearchScoresMatchOwnedAndMapped) {
   // Batch scores through the mapped view equal those of the owned packing.
   const PackingPolicy policy = GetParam();
   auto db = small_db(42, 15'000);

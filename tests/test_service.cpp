@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "align/batch_server.hpp"
@@ -367,25 +368,48 @@ TEST(AlignService, TraceSinkCapturesRequestSpans) {
 }
 
 TEST(AlignService, TraceMarksDeadlineTruncation) {
-  auto db = make_db(400'000);
-  obs::TraceSink sink;
-  ServiceOptions opt;
-  opt.pool_threads = 1;
-  opt.trace_sink = &sink;
-  AlignService svc(db, opt);
-
-  SearchRequest rq;
-  rq.query = seq::generate_sequence(90, 200);
-  // Generous enough to reliably enter execution, far too short to scan 400k
-  // residues on one thread: truncation happens mid-engine.
-  rq.options.deadline = milliseconds(5);
-  auto fut = svc.submit_search(std::move(rq));
-  EXPECT_EQ(failure_code(fut), Code::DeadlineExceeded);
-
-  bool saw_deadline_trunc = false;
-  for (const auto& e : sink.snapshot_events())
-    if (e.trunc == obs::TruncCause::Deadline) saw_deadline_trunc = true;
-  EXPECT_TRUE(saw_deadline_trunc);
+  // A 4000-aa query over 2M residues on one thread scans far longer than
+  // any deadline tried, so a request dequeued in time is cut mid-scan. A
+  // loaded host can only hold it in the queue past its deadline; the test
+  // then doubles the deadline instead of racing the clock. It passes on a
+  // chunk span that opened before `before + deadline` (the service's
+  // deadline is later still) and carries TruncCause::Deadline.
+  auto db = make_db(2'000'000);
+  const seq::Sequence q = seq::generate_sequence(90, 4000);
+  for (align::SearchMode mode :
+       {align::SearchMode::Diagonal, align::SearchMode::Batch}) {
+    obs::TraceSink sink;
+    ServiceOptions opt;
+    opt.pool_threads = 1;
+    opt.trace_sink = &sink;
+    AlignService svc(db, opt);
+    bool marked = false;
+    uint64_t id = 100;
+    for (milliseconds deadline{10}; !marked && deadline.count() <= 160;
+         deadline *= 2) {
+      SearchRequest rq;
+      rq.query = q;
+      rq.mode = mode;
+      rq.options.deadline = deadline;
+      rq.options.trace_id = ++id;
+      const uint64_t expiry_ns = sink.now_ns() + 1'000'000 * deadline.count();
+      std::string message;
+      try {
+        svc.submit_search(std::move(rq)).get();
+      } catch (const ServiceError& e) {
+        ASSERT_EQ(e.code(), Code::DeadlineExceeded);
+        message = e.what();
+      }
+      ASSERT_FALSE(message.empty()) << "the scan beat the deadline";
+      if (message.find("in queue") != std::string::npos) continue;
+      for (const auto& e : sink.snapshot_events())
+        marked = marked || (e.trace_id == id && e.ts_ns < expiry_ns &&
+                            e.trunc == obs::TruncCause::Deadline &&
+                            std::string(e.name).rfind("chunk.", 0) == 0);
+    }
+    EXPECT_TRUE(marked) << (mode == align::SearchMode::Batch ? "batch"
+                                                             : "diagonal");
+  }
 }
 
 TEST(AlignService, DumpMetricsFormats) {

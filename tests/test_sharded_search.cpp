@@ -1,23 +1,25 @@
-// ShardedSearch: the sharded scenario-1 batch path (ISSUE 10 tentpole).
+// ShardedSearch: the one scenario-1 batch engine.
 //
-// The load-bearing property is bit-identity: splitting the packed database
-// into S shards, scanning them on independent pinned pools, and merging the
-// bounded per-shard heaps must return exactly the flat engine's answer —
-// for every packing policy and shard count, including
+// The load-bearing property is identity: one shard on the caller's pool (or
+// inline), or S shards on their own pinned pools, must return the scalar
+// golden model's top-k for every packing policy and shard count, including
 // ragged splits and duplicate-score tie-breaks. Also covers the shard
-// planner's invariants, the typed config error for impossible shard
-// counts, the SWVE_NUMA=off escape hatch, cancellation/deadline mid-shard,
-// concurrent searches on one instance (the TSan lane runs this file), and
-// the service-level wiring (ServiceOptions.search.shards).
+// planner, typed errors for impossible shard counts, empty databases and
+// queries, SWVE_NUMA=off, cancellation/deadline mid-shard, concurrent
+// searches on one instance (the TSan lane runs this file), and the service
+// wiring (ServiceOptions.search.shards).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
+#include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
+#include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -46,32 +48,48 @@ void expect_same_hits(const SearchResult& got, const SearchResult& want,
   }
 }
 
-TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
+ShardOptions shards_of(int s, unsigned total_threads) {
+  ShardOptions sopt;
+  sopt.shards = s;
+  sopt.total_threads = total_threads;
+  return sopt;
+}
+
+TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
   auto db = make_db(160'000);
   auto q = seq::generate_sequence(90, 150);
+  const core::AlignConfig cfg;
 
+  // Golden top-12 from the scalar model over every sequence: best score
+  // first, then lowest index, with the model's end positions.
+  SearchResult want;
+  for (size_t i = 0; i < db.size(); ++i) {
+    const core::Alignment a = core::ref_align(q, db[i], cfg);
+    if (a.score > 0)
+      want.hits.push_back(
+          Hit{static_cast<uint32_t>(i), a.score, a.end_query, a.end_ref});
+  }
+  std::sort(want.hits.begin(), want.hits.end());
+  ASSERT_GE(want.hits.size(), 12u);
+  want.hits.resize(12);
+
+  parallel::ThreadPool pool(4);
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
-    SearchResult want = flat.search(q, 12);
-    const size_t batches = flat.packed_db()->batch_count();
-    ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
-
     for (int s : {1, 2, 3, 7}) {
-      DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
-                             policy);
-      ShardOptions sopt;
-      sopt.shards = s;
-      sopt.total_threads = 4;
-      auto ok = sharded.enable_sharding(sopt);
-      ASSERT_TRUE(ok.ok()) << ok.error().message;
-      ASSERT_NE(sharded.sharded(), nullptr);
-      EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
-      SearchResult got = sharded.search(q, 12);
-      expect_same_hits(got, want,
-                       std::string(core::packing_policy_name(policy)) + " s" +
-                           std::to_string(s));
+      DatabaseSearch search(db, cfg, SearchMode::Batch, policy,
+                            shards_of(s, 4));
+      ASSERT_GE(search.packed_db()->batch_count(), 7u)
+          << "workload too small to exercise S=7";
+      ASSERT_NE(search.sharded(), nullptr);
+      EXPECT_EQ(search.sharded()->shard_count(), static_cast<size_t>(s));
+      const std::string label = std::string(core::packing_policy_name(policy)) +
+                                " s" + std::to_string(s);
+      // One shard runs on the caller's pool, or inline without one; more
+      // shards use their own pools either way.
+      expect_same_hits(search.search(q, 12, &pool), want, label + " pool");
+      expect_same_hits(search.search(q, 12), want, label + " inline");
     }
   }
 }
@@ -79,7 +97,8 @@ TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
 TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
   // Per-shard pools of 3 and 5 workers over shards whose batch counts they
   // do not divide: the chunk cursor leaves workers with unequal shares, and
-  // hits, scores and batch accounting must still equal the flat path's.
+  // hits, scores and batch accounting must still equal one shard's on a
+  // 4-thread caller pool.
   seq::SyntheticConfig cfg;
   cfg.seed = 23;
   cfg.target_residues = 300'000;
@@ -91,26 +110,23 @@ TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
 
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
-    DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
+    DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch, policy);
     parallel::ThreadPool pool(4);
-    SearchResult want = flat.search(q, 12, &pool);
+    SearchResult want = one.search(q, 12, &pool);
     for (int s : {2, 3}) {
       for (unsigned per_shard : {3u, 5u}) {
         const std::string label = std::string(core::packing_policy_name(policy)) +
                                   " s" + std::to_string(s) + " w" +
                                   std::to_string(per_shard);
-        DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
-                               policy);
-        ShardOptions sopt;
-        sopt.shards = s;
-        sopt.total_threads = per_shard * static_cast<unsigned>(s);
-        ASSERT_TRUE(sharded.enable_sharding(sopt).ok()) << label;
+        DatabaseSearch sharded(
+            db, core::AlignConfig{}, SearchMode::Batch, policy,
+            shards_of(s, per_shard * static_cast<unsigned>(s)));
         const ShardedSearch* sh = sharded.sharded();
         bool uneven = false;
         for (size_t i = 0; i < sh->shard_count(); ++i) {
-          const auto [b, e] = sh->shard_range(i);
-          EXPECT_EQ(sh->shard_stats(i).threads, per_shard) << label;
-          uneven = uneven || (e - b) % per_shard != 0;
+          const ShardStats st = sh->shard_stats(i);
+          EXPECT_EQ(st.threads, per_shard) << label;
+          uneven = uneven || (st.end_batch - st.first_batch) % per_shard != 0;
         }
         EXPECT_TRUE(uneven) << label;
         SearchResult got = sharded.search(q, 12);
@@ -133,7 +149,7 @@ TEST(ShardedSearch, PlanShardsIsContiguousCompleteAndNonEmpty) {
   ASSERT_GE(n, 5u);
 
   for (size_t s : {size_t{1}, size_t{2}, size_t{3}, n - 1, n}) {
-    auto ranges = ShardedSearch::plan_shards(packed, s);
+    auto ranges = detail::plan_by_cells(packed, 0, n, s);
     ASSERT_EQ(ranges.size(), s) << s;
     size_t expect_begin = 0;
     for (const auto& [b, e] : ranges) {
@@ -145,25 +161,23 @@ TEST(ShardedSearch, PlanShardsIsContiguousCompleteAndNonEmpty) {
   }
 
   // More shards than batches clamps instead of planning empty shards.
-  auto clamped = ShardedSearch::plan_shards(packed, n + 10);
+  auto clamped = detail::plan_by_cells(packed, 0, n, n + 10);
   EXPECT_EQ(clamped.size(), n);
 }
 
 TEST(ShardedSearch, RaggedLastShardStillIdentical) {
   auto db = make_db(60'000, 7);
-  DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch);
-  const size_t n = flat.packed_db()->batch_count();
+  DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch);
+  const size_t n = one.packed_db()->batch_count();
   ASSERT_GE(n, 3u);
   auto q = seq::generate_sequence(91, 120);
-  SearchResult want = flat.search(q, 10);
+  SearchResult want = one.search(q, 10);
 
   // n-1 shards forces a deliberately lopsided plan: n-2 singleton shards
   // plus whatever the planner leaves for the tail.
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch);
-  ShardOptions sopt;
-  sopt.shards = static_cast<int>(n - 1);
-  sopt.total_threads = 2;
-  ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
+  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                         core::PackingPolicy::LengthSorted,
+                         shards_of(static_cast<int>(n - 1), 2));
   expect_same_hits(sharded.search(q, 10), want, "ragged");
 }
 
@@ -178,10 +192,10 @@ TEST(ShardedSearch, DuplicateScoresKeepTieBreakOrder) {
   for (int i = 0; i < 40; ++i) seqs.push_back(dup);
   seq::SequenceDatabase db(std::move(seqs));
 
-  DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch);
+  DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch);
   // The query *is* the duplicated sequence, so every clone scores the same
   // self-alignment score and floods the top-k with ties.
-  SearchResult want = flat.search(dup, 25);
+  SearchResult want = one.search(dup, 25);
   bool saw_tie = false;
   for (size_t i = 1; i < want.hits.size(); ++i) {
     if (want.hits[i].score == want.hits[i - 1].score) {
@@ -192,11 +206,8 @@ TEST(ShardedSearch, DuplicateScoresKeepTieBreakOrder) {
   EXPECT_TRUE(saw_tie);
 
   for (int s : {2, 3}) {
-    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch);
-    ShardOptions sopt;
-    sopt.shards = s;
-    sopt.total_threads = 3;
-    ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
+    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
     expect_same_hits(sharded.search(dup, 25), want,
                      "ties s" + std::to_string(s));
   }
@@ -226,6 +237,32 @@ TEST(ShardedSearch, ShardsExceedingBatchesIsTypedError) {
   ASSERT_TRUE(auto_r.ok());
   EXPECT_LE((*auto_r)->shard_count(), packed.batch_count());
   EXPECT_GE((*auto_r)->shard_count(), 1u);
+}
+
+TEST(ShardedSearch, OneShardServesEmptyDatabasesAndQueries) {
+  // A packed database with no batches is a valid single shard (also auto's
+  // answer for it); two shards could never both own a batch.
+  seq::SequenceDatabase empty_db{std::vector<seq::Sequence>{}};
+  core::Batch32Db empty_packed(empty_db, 32);
+  for (int s : {0, 1}) {
+    auto one = ShardedSearch::create(empty_db, empty_packed, shards_of(s, 2));
+    ASSERT_TRUE(one.ok()) << one.error().message;
+    EXPECT_EQ((*one)->shard_count(), 1u);
+  }
+  EXPECT_EQ(
+      ShardedSearch::create(empty_db, empty_packed, shards_of(2, 2)).error().code,
+      Code::Unsupported);
+
+  parallel::ThreadPool pool(2);
+  const DatabaseSearch empty(empty_db, core::AlignConfig{}, SearchMode::Batch);
+  auto q = seq::generate_sequence(98, 80);
+  EXPECT_TRUE(empty.search(q, 10, &pool).hits.empty());
+  EXPECT_TRUE(empty.search(q, 10).hits.empty());
+  auto db = make_db(20'000, 5);
+  const SearchResult r = DatabaseSearch(db, core::AlignConfig{}, SearchMode::Batch)
+                             .search(seq::SeqView{}, 10, &pool);
+  EXPECT_TRUE(r.hits.empty());
+  EXPECT_FALSE(r.truncated);
 }
 
 TEST(ShardedSearch, AutoShardCountClampsToExportedLimit) {
@@ -281,72 +318,67 @@ TEST(ShardedSearch, NumaEnvKnobForcesPolicyOff) {
 
 TEST(ShardedSearch, CancellationAndDeadlineTruncateCleanly) {
   auto db = make_db(60'000, 11);
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch);
-  ShardOptions sopt;
-  sopt.shards = 3;
-  sopt.total_threads = 3;
-  ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
   auto q = seq::generate_sequence(92, 200);
-
-  {
-    std::atomic<bool> cancel{true};  // cancelled before the first group
-    ExecContext ctx;
-    ctx.cancel = &cancel;
-    SearchResult r = sharded.search(q, 10, ctx);
-    EXPECT_TRUE(r.truncated);
-    EXPECT_TRUE(r.hits.empty());  // partial answers are withheld, not mixed
+  parallel::ThreadPool pool(3);
+  for (int s : {1, 3}) {
+    SCOPED_TRACE("s" + std::to_string(s));
+    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
+    std::atomic<bool> cancel{true};  // cancelled before the first batch
+    ExecContext cancelled;
+    cancelled.pool = &pool;
+    cancelled.cancel = &cancel;
+    ExecContext expired;
+    expired.pool = &pool;
+    expired.deadline = ExecContext::Clock::now() - std::chrono::milliseconds(1);
+    for (const ExecContext* ctx : {&cancelled, &expired}) {
+      SearchResult r = sharded.search(q, 10, *ctx);
+      EXPECT_TRUE(r.truncated);
+      EXPECT_TRUE(r.hits.empty());  // partial answers are withheld, not mixed
+    }
+    // The instance stays healthy after a truncated pass.
+    SearchResult ok = sharded.search(q, 10, &pool);
+    EXPECT_FALSE(ok.truncated);
+    EXPECT_FALSE(ok.hits.empty());
   }
-  {
-    ExecContext ctx;
-    ctx.deadline = ExecContext::Clock::now() - std::chrono::milliseconds(1);
-    SearchResult r = sharded.search(q, 10, ctx);
-    EXPECT_TRUE(r.truncated);
-    EXPECT_TRUE(r.hits.empty());
-  }
-  // The instance stays healthy after a truncated pass.
-  SearchResult ok = sharded.search(q, 10);
-  EXPECT_FALSE(ok.truncated);
-  EXPECT_FALSE(ok.hits.empty());
 }
 
 TEST(ShardedSearch, ConcurrentSearchesOnOneInstance) {
   auto db = make_db(40'000, 13);
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch);
-  ShardOptions sopt;
-  sopt.shards = 3;
-  sopt.total_threads = 3;
-  ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
-
   auto q = seq::generate_sequence(94, 130);
-  SearchResult want = sharded.search(q, 10);
+  // One shard fans every search out on one shared caller pool; three
+  // shards on their own pools.
+  parallel::ThreadPool pool(3);
+  for (int s : {1, 3}) {
+    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
+    SearchResult want = sharded.search(q, 10, &pool);
 
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&] {
-      for (int i = 0; i < 5; ++i) {
-        SearchResult got = sharded.search(q, 10);
-        if (got.hits.size() != want.hits.size()) {
-          ++mismatches;
-          continue;
-        }
-        for (size_t k = 0; k < want.hits.size(); ++k)
-          if (got.hits[k].seq_index != want.hits[k].seq_index ||
-              got.hits[k].score != want.hits[k].score)
+    std::vector<std::thread> threads;
+    std::atomic<int> mismatches{0};
+    for (int t = 0; t < 4; ++t)
+      threads.emplace_back([&] {
+        for (int i = 0; i < 5; ++i) {
+          SearchResult got = sharded.search(q, 10, &pool);
+          if (got.hits.size() != want.hits.size()) {
             ++mismatches;
-      }
-    });
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
+            continue;
+          }
+          for (size_t k = 0; k < want.hits.size(); ++k)
+            if (got.hits[k].seq_index != want.hits[k].seq_index ||
+                got.hits[k].score != want.hits[k].score)
+              ++mismatches;
+        }
+      });
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << "s" << s;
+  }
 }
 
 TEST(ShardedSearch, StatsAttributeWorkToEveryShard) {
   auto db = make_db(50'000, 17);
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch);
-  ShardOptions sopt;
-  sopt.shards = 3;
-  sopt.total_threads = 3;
-  ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
+  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                         core::PackingPolicy::LengthSorted, shards_of(3, 3));
   auto q = seq::generate_sequence(95, 140);
   sharded.search(q, 10);
 
@@ -370,14 +402,25 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   auto db = make_db(60'000, 19);
   auto q = seq::generate_sequence(96, 150);
 
+  // The default search.shards = 1: one shard on the service's pool,
+  // reported like any other shard.
   service::ServiceOptions plain;
   plain.pool_threads = 2;
-  service::AlignService flat_svc(db, plain);
+  service::AlignService one_svc(db, plain);
   service::SearchRequest rq;
   rq.query = q;
   rq.mode = SearchMode::Batch;
   rq.options.top_k = 10;
-  service::SearchResponse want = flat_svc.submit_search(std::move(rq)).get();
+  service::SearchResponse want = one_svc.submit_search(std::move(rq)).get();
+  const perf::MetricsSnapshot one_m = one_svc.metrics();
+  ASSERT_EQ(one_m.shard_count, 1u);
+  EXPECT_EQ(one_m.shards[0].searches, 1u);
+  EXPECT_GT(one_m.shards[0].cells, 0u);
+  EXPECT_EQ(one_m.shards[0].sequences, db.size());
+  EXPECT_EQ(one_m.shards[0].threads, 2u);  // the service's pool
+  EXPECT_EQ(one_m.shards[0].node, -1);
+  EXPECT_EQ(one_m.shards[0].bound, 0u);
+  EXPECT_GT(one_m.pool_busy_seconds, 0.0);
 
   service::ServiceOptions opt;
   opt.pool_threads = 2;
