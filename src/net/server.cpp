@@ -622,10 +622,13 @@ void Server::submit_request(Connection& c, const FrameHeader& h, Request rq,
     trace_sink_->record_span("server.frame", trace.trace_id, t_rx_ns,
                              trace_sink_->now_ns());
 
-  // The completion runs on an executor thread (or inline for immediate
-  // rejections): serialize there, deliver on the loop thread. The callback
-  // captures the completion sink, never `this` — it may fire after the
-  // drain deadline has passed and the Server is destroyed.
+  // The completion runs on an executor thread, or inline on this loop
+  // thread for immediate rejections and for small pairwise requests the
+  // service runs itself (AlignService::kInlineMaxCells bounds that stall).
+  // Either way it serializes where it runs and delivers through the sink
+  // on the next loop pass. The callback captures the completion sink,
+  // never `this` — it may fire after the drain deadline has passed and the
+  // Server is destroyed.
   service_.submit_async(
       std::move(rq),
       [sink = sink_,

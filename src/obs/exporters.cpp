@@ -177,8 +177,14 @@ std::string to_prometheus(const MetricsSnapshot& s, const BuildInfo& b,
           prom_escape_label(b.isas).c_str());
 
   prom_header(out, "swve_requests_submitted_total",
-              "Requests accepted into the submission queue", "counter");
+              "Requests accepted into the submission queue or run inline",
+              "counter");
   appendf(out, "swve_requests_submitted_total %" PRIu64 "\n", s.submitted);
+
+  prom_header(out, "swve_requests_inline_total",
+              "Submitted requests run on the submitting thread (caller-runs)",
+              "counter");
+  appendf(out, "swve_requests_inline_total %" PRIu64 "\n", s.inline_runs);
 
   prom_header(out, "swve_requests_completed_total",
               "Requests whose future was fulfilled with a result, by scenario",
@@ -683,11 +689,12 @@ std::string to_json(const MetricsSnapshot& s, const SloStatus* slo) {
           json_escape(b.version).c_str(), json_escape(b.compiler).c_str(),
           json_escape(b.isas).c_str());
   appendf(out,
-          "\"requests\":{\"submitted\":%" PRIu64 ",\"completed\":%" PRIu64
-          ",\"rejected_queue_full\":%" PRIu64 ",\"deadline_expired\":%" PRIu64
-          ",\"invalid_request\":%" PRIu64 ",\"aborted\":%" PRIu64 "},",
-          s.submitted, s.completed, s.rejected_queue_full, s.deadline_expired,
-          s.invalid_request, s.aborted);
+          "\"requests\":{\"submitted\":%" PRIu64 ",\"inline_runs\":%" PRIu64
+          ",\"completed\":%" PRIu64 ",\"rejected_queue_full\":%" PRIu64
+          ",\"deadline_expired\":%" PRIu64 ",\"invalid_request\":%" PRIu64
+          ",\"aborted\":%" PRIu64 "},",
+          s.submitted, s.inline_runs, s.completed, s.rejected_queue_full,
+          s.deadline_expired, s.invalid_request, s.aborted);
   appendf(out,
           "\"scenarios\":{\"pairwise\":%" PRIu64 ",\"search\":%" PRIu64
           ",\"batch\":%" PRIu64 "},",

@@ -1,5 +1,7 @@
-// In-flight request table: one atomic slot per executor thread, recording
-// which request that executor is running right now and since when.
+// In-flight request table: one atomic slot per running request, recording
+// which request is running right now and since when. Executors own fixed
+// slots; a request run on its submitting thread claims a free slot with a
+// CAS on `id`, so two runners never share an entry.
 //
 // Two consumers, both of which forbid locks:
 //   * the watchdog thread (obs/watchdog.hpp) scans it every period looking
@@ -12,13 +14,15 @@
 // reader can observe a torn entry only across a request boundary (id from
 // the new request with start_ns from the old); the id-recheck in
 // snapshot() drops entries that were released mid-read, which is the worst
-// staleness a diagnostic table needs to care about.
+// staleness a diagnostic table needs to care about. A claimed slot holds
+// kClaiming until its fields are written, and snapshot() skips it.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "obs/pmu.hpp"
 
@@ -40,7 +44,7 @@ class InFlightTable {
  public:
   /// A snapshot row (plain values, safe to format from a signal handler).
   struct Entry {
-    uint32_t slot = 0;         ///< executor index
+    uint32_t slot = 0;         ///< table index (executors' fixed slots first)
     uint64_t id = 0;           ///< request trace id
     uint32_t scenario = 0;     ///< Scenario code
     uint64_t start_ns = 0;     ///< steady_now_ns() at execution start
@@ -54,25 +58,52 @@ class InFlightTable {
 
   unsigned slots() const noexcept { return slots_; }
 
-  /// RAII occupancy of one executor slot for one request.
+  /// RAII occupancy of one slot for one request; empty when a claim() found
+  /// no free slot.
   class Guard {
    public:
     Guard() = default;
+    /// Occupy fixed slot `slot` (< slots()), which the caller owns
+    /// exclusively: an executor's own slot, never one claim() can hand out.
     Guard(InFlightTable& table, unsigned slot, uint64_t id, Scenario scenario,
           uint64_t deadline_ns) noexcept
-        : table_(&table), slot_(slot % table.slots_) {
+        : table_(&table), slot_(slot) {
       table_->begin(slot_, id, scenario, deadline_ns);
     }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
+    Guard(Guard&& o) noexcept
+        : table_(std::exchange(o.table_, nullptr)), slot_(o.slot_) {}
+    Guard& operator=(Guard&&) = delete;
     ~Guard() {
       if (table_ != nullptr) table_->end(slot_);
     }
 
+    explicit operator bool() const noexcept { return table_ != nullptr; }
+    unsigned slot() const noexcept { return slot_; }
+
    private:
+    friend class InFlightTable;
     InFlightTable* table_ = nullptr;
     unsigned slot_ = 0;
   };
+
+  /// Claim a free slot in [first, slots()) for one request: the first whose
+  /// `id` CASes from 0. Returns an empty Guard when every one is occupied.
+  Guard claim(unsigned first, uint64_t id, Scenario scenario,
+              uint64_t deadline_ns) noexcept {
+    for (unsigned i = first; i < slots_; ++i) {
+      uint64_t free = 0;
+      if (!table_[i].id.compare_exchange_strong(free, kClaiming,
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed))
+        continue;
+      Guard g;
+      g.table_ = this;
+      g.slot_ = i;
+      begin(i, id, scenario, deadline_ns);
+      return g;
+    }
+    return {};
+  }
 
   /// Copy occupied slots into `out` (signal-safe, no allocation). Returns
   /// rows written.
@@ -81,7 +112,7 @@ class InFlightTable {
     for (unsigned i = 0; i < slots_ && n < max; ++i) {
       const Slot& s = table_[i];
       const uint64_t id = s.id.load(std::memory_order_acquire);
-      if (id == 0) continue;
+      if (id == 0 || id == kClaiming) continue;
       Entry e;
       e.slot = i;
       e.id = id;
@@ -103,7 +134,11 @@ class InFlightTable {
   }
 
  private:
-  struct Slot {
+  /// `id` of a slot claimed but not yet filled in; begin() never stores it.
+  static constexpr uint64_t kClaiming = ~uint64_t{0};
+
+  // One cache line each: concurrent runners write their own slots.
+  struct alignas(64) Slot {
     std::atomic<uint64_t> id{0};
     std::atomic<uint32_t> scenario{0};
     std::atomic<uint64_t> start_ns{0};
@@ -117,7 +152,7 @@ class InFlightTable {
                      std::memory_order_relaxed);
     s.start_ns.store(steady_now_ns(), std::memory_order_relaxed);
     s.deadline_ns.store(deadline_ns, std::memory_order_relaxed);
-    s.id.store(id != 0 ? id : 1, std::memory_order_release);
+    s.id.store(id != 0 && id != kClaiming ? id : 1, std::memory_order_release);
   }
   void end(unsigned slot) noexcept {
     table_[slot].id.store(0, std::memory_order_release);

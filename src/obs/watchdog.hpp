@@ -33,7 +33,7 @@ namespace swve::obs {
 struct SlowRequestRecord {
   uint64_t trace_id = 0;
   uint32_t scenario = 0;       ///< Scenario code (scenario_label())
-  uint32_t slot = 0;           ///< executor stuck on the request
+  uint32_t slot = 0;           ///< in-flight table slot of the request
   double running_s = 0;        ///< execution time at detection
   double slo_s = 0;            ///< the breached threshold
   bool past_deadline = false;  ///< also past its own request deadline

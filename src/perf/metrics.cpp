@@ -165,6 +165,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   s.search = by_scenario_[1].load(std::memory_order_acquire);
   s.batch = by_scenario_[2].load(std::memory_order_acquire);
   s.submitted = submitted_.load(kRelaxed);
+  s.inline_runs = inline_runs_.load(kRelaxed);
   s.completed = completed_.load(kRelaxed);
   s.rejected_queue_full = rejected_queue_full_.load(kRelaxed);
   s.deadline_expired = deadline_expired_.load(kRelaxed);
@@ -233,7 +234,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
 std::string MetricsSnapshot::to_string() const {
   std::string out;
   out += "== swve service metrics ==\n";
-  out += "requests: submitted " + std::to_string(submitted) + ", completed " +
+  out += "requests: submitted " + std::to_string(submitted) + " (inline " +
+         std::to_string(inline_runs) + "), completed " +
          std::to_string(completed) + ", rejected(queue-full) " +
          std::to_string(rejected_queue_full) + ", deadline-expired " +
          std::to_string(deadline_expired) + ", invalid " +

@@ -207,7 +207,8 @@ struct MetricsSnapshot {
   }
 
   // Request lifecycle counters.
-  uint64_t submitted = 0;           ///< accepted into the queue
+  uint64_t submitted = 0;           ///< accepted into the queue or run inline
+  uint64_t inline_runs = 0;         ///< of those, run on the submitting thread
   uint64_t completed = 0;           ///< future fulfilled with a result
   uint64_t rejected_queue_full = 0; ///< backpressure rejections at submit
   uint64_t deadline_expired = 0;    ///< expired in queue or mid-run
@@ -460,6 +461,7 @@ class MetricsRegistry {
   MetricsRegistry() : start_(Clock::now()) {}
 
   void on_submitted() noexcept { submitted_.fetch_add(1, kRelaxed); }
+  void on_inline_run() noexcept { inline_runs_.fetch_add(1, kRelaxed); }
   void on_rejected_queue_full() noexcept {
     rejected_queue_full_.fetch_add(1, kRelaxed);
   }
@@ -628,6 +630,7 @@ class MetricsRegistry {
   }
 
   std::atomic<uint64_t> submitted_{0};
+  std::atomic<uint64_t> inline_runs_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> rejected_queue_full_{0};
   std::atomic<uint64_t> deadline_expired_{0};

@@ -1,5 +1,6 @@
 #include "service/align_service.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/dispatch.hpp"
@@ -77,7 +78,8 @@ AlignService::AlignService(InitTag, ServiceOptions options)
   if (!opt_.cache.query_cache_bypass && opt_.cache.query_cache_capacity > 0)
     query_cache_ = std::make_unique<align::QueryStateCache>(
         opt_.cache.query_cache_capacity);
-  inflight_ = std::make_unique<obs::InFlightTable>(opt_.queue.executors);
+  inflight_ = std::make_unique<obs::InFlightTable>(
+      opt_.queue.executors + std::max(1u, std::thread::hardware_concurrency()));
   if (opt_.obs.slow_request_slo_s > 0) {
     obs::WatchdogOptions wo;
     wo.slo_s = opt_.obs.slow_request_slo_s;
@@ -313,23 +315,47 @@ void AlignService::resume() {
 }
 
 void AlignService::executor_loop(unsigned index) {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    Task t;
+    work_cv_.wait(lk,
+                  [&] { return stop_ || (!paused_ && queued_locked() > 0); });
+    if (stop_) return;
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(
-          lk, [&] { return stop_ || (!paused_ && queued_locked() > 0); });
-      if (stop_) return;
-      t = pop_locked();
-    }
-    space_cv_.notify_one();
-    // Occupy this executor's in-flight slot for the run — the watchdog's
-    // and flight recorder's view of "what is executing right now".
-    obs::InFlightTable::Guard guard(*inflight_, index, t.id, t.scenario,
-                                    t.deadline_ns);
-    if (opt_.before_execute_hook) opt_.before_execute_hook();
-    t.run(/*aborted=*/false);
+      Task t = pop_locked();
+      ++busy_;
+      lk.unlock();
+      space_cv_.notify_one();
+      execute(t, index);
+    }  // the task and its captures die outside the lock
+    lk.lock();
+    --busy_;
   }
+}
+
+bool AlignService::execute(Task& t, std::optional<unsigned> executor) {
+  // Occupy an in-flight slot for the run: the watchdog's and flight
+  // recorder's view of "what is executing right now".
+  obs::InFlightTable::Guard slot =
+      executor ? obs::InFlightTable::Guard(*inflight_, *executor, t.id,
+                                           t.scenario, t.deadline_ns)
+               : inflight_->claim(opt_.queue.executors, t.id, t.scenario,
+                                  t.deadline_ns);
+  if (!slot) return false;
+  if (!executor) {
+    metrics_.on_submitted();
+    metrics_.on_inline_run();
+  }
+  if (opt_.before_execute_hook) opt_.before_execute_hook();
+  t.run(/*aborted=*/false);
+  return true;
+}
+
+bool AlignService::try_run_inline(Task& t) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (stop_ || paused_ || busy_ > 0 || queued_locked() > 0) return false;
+  }
+  return execute(t, std::nullopt);
 }
 
 obs::TraceContext AlignService::trace_context(uint64_t trace_id) noexcept {
@@ -434,10 +460,12 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
   const uint64_t trace_id =
       rq->options.trace_id != 0 ? rq->options.trace_id : next_request_id();
   const uint64_t t_sub_ns = sink ? sink->now_ns() : 0;
+  const uint64_t est_cells =
+      static_cast<uint64_t>(rq->query.length()) * rq->reference.length();
 
   Task task;
-  task.run = [this, cb, rq, submitted, deadline, sink, trace_id,
-              t_sub_ns](bool aborted) {
+  task.run = [this, cb, rq, submitted, deadline, sink, trace_id, t_sub_ns,
+              est_cells](bool aborted) {
     if (aborted) {
       (*cb)(core::ConfigError{Code::ShuttingDown,
                               "AlignService: shut down before run"});
@@ -470,21 +498,19 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
     if (rq->options.traceback) cfg.traceback = *rq->options.traceback;
 
     obs::Span dispatch(tctx, "dispatch.pairwise");
-    const uint64_t est_cells = static_cast<uint64_t>(rq->query.length()) *
-                               rq->reference.length();
     perf::Stopwatch sw;
     core::Alignment a;
     std::optional<perf::TopDownResult> td;
     try {
       td = maybe_topdown(
           [&] {
-            thread_local core::Workspace ws;  // one per executor thread
-            std::shared_ptr<const core::PreparedQuery> prep;
-            if (query_cache_) prep = query_cache_->prepared(rq->query, cfg);
+            // One per executor or inline caller thread. The kernel builds
+            // its query feed here: a pair is too small for the query-state
+            // cache's lookup to pay (results are bit-identical either way).
+            thread_local core::Workspace ws;
             obs::Span chunk(tctx, "chunk.pairwise");
             chunk.set_kernel(perf::KernelVariant::Diagonal);
-            a = core::diag_align(rq->query, rq->reference, cfg, ws,
-                                 prep.get());
+            a = core::diag_align(rq->query, rq->reference, cfg, ws);
             chunk.set_isa(a.isa_used);
             chunk.set_width_bits(dp_width_bits(a.width_used));
             chunk.add_cells(a.stats.cells);
@@ -519,6 +545,7 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
   task.scenario = obs::Scenario::Pairwise;
   task.deadline_ns = deadline_to_ns(deadline);
   task.tier = rq->options.tier;
+  if (est_cells <= kInlineMaxCells && try_run_inline(task)) return;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
 }
 

@@ -4,7 +4,9 @@
 // One service owns:
 //   - a parallel::ThreadPool for intra-request fan-out (search/batch),
 //   - a bounded submission queue with backpressure (reject or block),
-//   - executor threads that drain the queue FIFO,
+//   - executor threads that drain the queue FIFO (a small pairwise request
+//     submitted while nothing is queued or executing runs on the submitting
+//     thread instead: caller-runs),
 //   - a perf::MetricsRegistry (request counters, queue-wait and kernel-time
 //     histograms, aggregate GCUPS).
 //
@@ -58,7 +60,9 @@ namespace swve::service {
 /// Submission-queue behavior (executors, capacity, backpressure).
 struct QueueOptions {
   /// Executor threads draining the submission queue. 1 gives strict FIFO
-  /// completion; more lets small pairwise requests overlap.
+  /// completion; more lets queued requests overlap. Small pairwise requests
+  /// submitted while nothing is queued or executing need no executor: they
+  /// run on their submitting threads, so they overlap at any value.
   unsigned executors = 1;
   /// Bounded submission queue capacity (pending, not yet executing),
   /// summed across QoS tiers.
@@ -81,8 +85,9 @@ struct CacheOptions {
   /// padding the 8-bit kernel burns on mixed-length batches.
   core::PackingPolicy batch_packing = core::PackingPolicy::LengthSorted;
   /// Distinct (query, config, ISA) entries the query-state cache holds;
-  /// back-to-back requests for a cached query skip rebuilding its kernel
-  /// feed arrays, and engine workspaces come from a reusable pool.
+  /// back-to-back search or batch requests for a cached query skip
+  /// rebuilding its kernel feed arrays, and engine workspaces come from a
+  /// reusable pool. Pairwise requests do not use the cache.
   size_t query_cache_capacity = 32;
   /// Disable the query-state cache entirely (every request builds its own
   /// state, the pre-cache behavior). For A/B measurement and debugging.
@@ -206,9 +211,10 @@ struct ServiceOptions {
   ObsOptions obs;
   ServeOptions serve;
 
-  /// Test hook: runs on the executor thread right before each request
-  /// executes (its in-flight slot already occupied). Lets tests stall an
-  /// engine deterministically to exercise the watchdog.
+  /// Test hook: runs on the thread executing each request (an executor, or
+  /// the submitter for an inline run) right before it executes, its
+  /// in-flight slot already occupied. Lets tests stall an engine
+  /// deterministically to exercise the watchdog.
   std::function<void()> before_execute_hook;
 
   using Overflow = QueueOptions::Overflow;  // pre-group spelling
@@ -363,8 +369,14 @@ class AlignService {
   // Immediate rejections (queue full under Overflow::Reject, shutdown, and
   // Code::Unsupported for a Batch-mode search or batch request whose ISA
   // cannot drive the packed lanes — core::batch_lanes_fit) run `done`
-  // inline on the submitting thread. This is the primary API — the
-  // network front door hangs its completion pump on it.
+  // inline on the submitting thread. Small pairwise requests may run `done`
+  // on the submitting thread before submit_async returns: a pair of at most
+  // kInlineMaxCells cells runs there, through the same execution path,
+  // when the service is neither stopping nor paused, no request is queued
+  // in any tier, no executor is running one, and an in-flight slot is free.
+  // It therefore never overtakes an earlier request. A caller must not hold
+  // a lock across submit_async that `done` also takes. This is the primary
+  // API — the network front door hangs its completion pump on it.
   void submit_async(AlignRequest request, AlignCompletion done);
   void submit_async(SearchRequest request, SearchCompletion done);
   void submit_async(BatchRequest request, BatchCompletion done);
@@ -375,6 +387,12 @@ class AlignService {
   std::future<AlignResponse> submit(AlignRequest request);
   std::future<SearchResponse> submit_search(SearchRequest request);
   std::future<BatchResponse> submit_batch(BatchRequest request);
+
+  /// Largest pairwise request (|query| × |reference| cells, about 75 µs of
+  /// kernel time) that may run on its submitting thread. It bounds how long
+  /// a caller, net::Server's loop thread among them, is held, and the
+  /// workspace an inline caller thread keeps.
+  static constexpr uint64_t kInlineMaxCells = uint64_t{1} << 16;
 
   /// Point-in-time metrics (request counts, latency histograms, GCUPS,
   /// per-target counters, pool utilization).
@@ -449,7 +467,8 @@ class AlignService {
   /// The service's metrics registry — wiring point for the flight recorder
   /// and anything else that wants raw counters rather than snapshots.
   perf::MetricsRegistry* registry() noexcept { return &metrics_; }
-  /// Per-executor in-flight request table (always present).
+  /// In-flight request table (always present): one fixed slot per executor
+  /// plus hardware_concurrency() slots that inline runs claim.
   const obs::InFlightTable* inflight() const noexcept {
     return inflight_.get();
   }
@@ -506,6 +525,18 @@ class AlignService {
 
   void executor_loop(unsigned index);
 
+  /// Run `t` on this thread: in executor `executor`'s fixed in-flight slot,
+  /// or with no executor (an inline run) in a claimed one, counting the run
+  /// as submitted and inline. Returns false without running when no slot
+  /// is free. Executor and inline runs share this path, so the hook,
+  /// deadline check, spans, exec_sequence and metrics are the same.
+  bool execute(Task& t, std::optional<unsigned> executor);
+
+  /// Caller-runs admission: execute `t` inline when the service is neither
+  /// stopping nor paused, nothing is queued in any tier and no executor is
+  /// busy. Returns false, `t` untouched, when it must be enqueued instead.
+  bool try_run_inline(Task& t);
+
   /// The TraceContext requests thread through the engines: sink + trace id,
   /// plus the PMU session and registry when attribution is on.
   obs::TraceContext trace_context(uint64_t trace_id) noexcept;
@@ -550,6 +581,7 @@ class AlignService {
   std::array<std::deque<Task>, kQosTiers> queues_;  ///< one FIFO per tier
   bool stop_ = false;
   bool paused_ = false;
+  unsigned busy_ = 0;  ///< executors running a request
 
   std::vector<std::thread> executors_;
   perf::MetricsRegistry metrics_;
@@ -564,7 +596,7 @@ class AlignService {
   std::atomic<uint64_t> topdown_seq_{0};   ///< one-in-N request sampling
   std::atomic<double> model_ghz_{0};       ///< cached frequency estimate
 
-  std::unique_ptr<obs::InFlightTable> inflight_;  ///< slot per executor
+  std::unique_ptr<obs::InFlightTable> inflight_;  ///< slot per runner
   std::unique_ptr<obs::Watchdog> watchdog_;       ///< SLO scanner (optional)
   std::atomic<uint64_t> request_ids_{0};  ///< id source when not tracing
 };

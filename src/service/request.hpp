@@ -164,7 +164,10 @@ struct BatchResponse {
 /// invocation per submission, with either the response or a ConfigError
 /// (convert with to_status() for the wire). Immediate rejections — queue
 /// full under Overflow::Reject, shutdown — run the callback inline on the
-/// submitting thread; everything else runs it on an executor thread.
+/// submitting thread, and so may small pairwise requests, which can run
+/// `done` on the submitting thread before submit_async returns (see
+/// AlignService::submit_async); everything else runs it on an executor
+/// thread.
 template <typename Response>
 using Completion = std::function<void(core::ErrorOr<Response>)>;
 using AlignCompletion = Completion<AlignResponse>;

@@ -456,6 +456,23 @@ TEST(Exporters, PmuAttributionCellsInBothFormats) {
             std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(Exporters, InlineRunsRenderBesideSubmitted) {
+  perf::MetricsRegistry reg;
+  reg.on_submitted();
+  reg.on_submitted();
+  reg.on_inline_run();
+  const perf::MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.inline_runs, 1u);
+  EXPECT_NE(s.to_string().find("submitted 2 (inline 1)"), std::string::npos);
+  const std::string prom = to_prometheus(s);
+  EXPECT_NE(prom.find("# TYPE swve_requests_inline_total counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("swve_requests_inline_total 1\n"), std::string::npos);
+  const std::string json = to_json(s);
+  EXPECT_EQ(json_u64(json, "submitted"), 2u);
+  EXPECT_EQ(json_u64(json, "inline_runs"), 1u);
+}
+
 TEST(Exporters, FormatSelection) {
   EXPECT_EQ(metrics_format_from_string("text"), MetricsFormat::Text);
   EXPECT_EQ(metrics_format_from_string("prom"), MetricsFormat::Prometheus);

@@ -272,6 +272,58 @@ TEST(InFlightTable, ConcurrentGuardsAndSnapshotsAreRaceFree) {
   EXPECT_EQ(table.active(), 0u);
 }
 
+TEST(InFlightTable, ClaimFailsWhenTableIsFull) {
+  InFlightTable table(3);
+  // Slot 0 is an executor's fixed slot: claims start past it.
+  InFlightTable::Guard fixed(table, 0, 5, Scenario::Search, 0);
+  InFlightTable::Guard a = table.claim(1, 6, Scenario::Pairwise, 0);
+  InFlightTable::Guard b = table.claim(1, 7, Scenario::Pairwise, 0);
+  ASSERT_TRUE(a);
+  ASSERT_TRUE(b);
+  EXPECT_NE(a.slot(), b.slot());
+  EXPECT_GE(std::min(a.slot(), b.slot()), 1u);
+  EXPECT_FALSE(table.claim(1, 8, Scenario::Pairwise, 0));
+  EXPECT_EQ(table.active(), 3u);
+  {
+    InFlightTable::Guard moved(std::move(a));  // ownership moves, no release
+    EXPECT_EQ(table.active(), 3u);
+  }
+  EXPECT_EQ(table.active(), 2u);
+  InFlightTable::Guard c = table.claim(1, 9, Scenario::Pairwise, 0);
+  ASSERT_TRUE(c);
+  InFlightTable::Entry rows[3];
+  ASSERT_EQ(table.snapshot(rows, 3), 3u);
+  EXPECT_EQ(rows[c.slot()].id, 9u);
+}
+
+TEST(InFlightTable, ConcurrentClaimsNeverShareASlot) {
+  // More claimers than slots: a claim either fails or owns its slot alone
+  // until it releases it.
+  constexpr unsigned kSlots = 4, kThreads = 8;
+  InFlightTable table(kSlots);
+  std::atomic<int> owner[kSlots];
+  for (auto& o : owner) o.store(-1);
+  std::atomic<uint64_t> claimed{0}, shared{0};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (uint64_t i = 1; i <= 20'000; ++i) {
+        InFlightTable::Guard g = table.claim(0, i, Scenario::Pairwise, 0);
+        if (!g) continue;
+        claimed.fetch_add(1);
+        if (owner[g.slot()].exchange(static_cast<int>(t)) != -1)
+          shared.fetch_add(1);
+        if (owner[g.slot()].exchange(-1) != static_cast<int>(t))
+          shared.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(shared.load(), 0u);
+  EXPECT_GT(claimed.load(), 0u);
+  EXPECT_EQ(table.active(), 0u);
+}
+
 // ------------------------------------------------------------------ watchdog
 
 TEST(Watchdog, DetectsSlowOccupancyOnceAndRedetectsNewRequest) {

@@ -3,18 +3,23 @@
 // Covers: future completion order, deadline expiry (queued and mid-run),
 // queue-full backpressure, bit-identical results vs the direct drivers for
 // several thread counts and both search modes, per-request config
-// validation failing the future, the delivery override hook, and the
-// metrics snapshot.
+// validation failing the future, the delivery override hook, the
+// metrics snapshot, and the caller-runs admission rule for small pairwise
+// requests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/batch_server.hpp"
 #include "align/db_search.hpp"
 #include "core/dispatch.hpp"
+#include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -509,6 +514,196 @@ TEST(AlignService, BlockingOverflowEventuallyAccepts) {
   for (auto& f : futs) EXPECT_NO_THROW(f.get());
   EXPECT_EQ(svc.metrics().rejected_queue_full, 0u);
   EXPECT_EQ(svc.metrics().completed, 6u);
+}
+
+
+// ------------------------------------------------------------- caller-runs
+
+TEST(AlignService, SmallPairwiseRunsInlineOnIdleService) {
+  AlignService svc;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  bool done = false;
+  svc.submit_async(pairwise_request(400),
+                   [&](core::ErrorOr<AlignResponse> out) {
+                     ASSERT_TRUE(out.ok());
+                     ran_on = std::this_thread::get_id();
+                     done = true;
+                   });
+  // Completed before submit_async returned, on this thread.
+  EXPECT_TRUE(done);
+  EXPECT_EQ(ran_on, caller);
+  perf::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.inline_runs, 1u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.pairwise, 1u);
+}
+
+TEST(AlignService, InlineNeverOvertakesTheBusyExecutor) {
+  // Hold the single executor on a large request A inside the hook, then
+  // submit a small B from this thread: B must queue behind A.
+  std::latch entered(1), release(1);
+  std::atomic<int> hooks{0};
+  ServiceOptions opt;
+  opt.executors = 1;
+  opt.before_execute_hook = [&] {
+    if (hooks.fetch_add(1) == 0) {
+      entered.count_down();
+      release.wait();
+    }
+  };
+  AlignService svc(opt);
+
+  auto a = svc.submit(pairwise_request(410, 300, 300));
+  static_assert(300 * 300 > AlignService::kInlineMaxCells);
+  entered.wait();
+  auto b = svc.submit(pairwise_request(411));
+  EXPECT_EQ(svc.queue_depth(), 1u);
+  EXPECT_EQ(b.wait_for(milliseconds(0)), std::future_status::timeout);
+  release.count_down();
+
+  const AlignResponse ra = a.get();
+  const AlignResponse rb = b.get();
+  EXPECT_EQ(rb.trace.exec_sequence, ra.trace.exec_sequence + 1);
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+}
+
+TEST(AlignService, PausedServiceQueuesSmallPairwiseInTierOrder) {
+  ServiceOptions opt;
+  opt.executors = 1;
+  opt.start_paused = true;
+  AlignService svc(opt);
+
+  AlignRequest low = pairwise_request(420);
+  low.options.tier = QosTier::Bulk;
+  auto fl = svc.submit(std::move(low));
+  EXPECT_EQ(svc.queue_depth(), 1u);
+  // Paused and something queued: an urgent request queues too, and still
+  // runs first once the executor drains.
+  AlignRequest urgent = pairwise_request(421);
+  urgent.options.tier = QosTier::Interactive;
+  auto fu = svc.submit(std::move(urgent));
+  EXPECT_EQ(svc.queue_depth(), 2u);
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+
+  svc.resume();
+  const AlignResponse rl = fl.get();
+  const AlignResponse ru = fu.get();
+  EXPECT_LT(ru.trace.exec_sequence, rl.trace.exec_sequence);
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+}
+
+TEST(AlignService, PairwiseAboveInlineCellsAlwaysQueues) {
+  AlignService svc;
+  const std::thread::id caller = std::this_thread::get_id();
+  // One cell over the limit, on an otherwise idle service.
+  static_assert(257 * 256 == AlignService::kInlineMaxCells + 256);
+  for (int i = 0; i < 3; ++i) {
+    std::promise<std::thread::id> ran_on;
+    auto fut = ran_on.get_future();
+    svc.submit_async(pairwise_request(430 + i, 257, 256),
+                     [&](core::ErrorOr<AlignResponse> out) {
+                       EXPECT_TRUE(out.ok());
+                       ran_on.set_value(std::this_thread::get_id());
+                     });
+    EXPECT_NE(fut.get(), caller);
+  }
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+  EXPECT_EQ(svc.metrics().completed, 3u);
+}
+
+TEST(AlignService, InlineRunsFailWithTypedErrors) {
+  AlignService svc;
+  const auto code_of = [&](AlignRequest rq) {
+    Code code = Code::Ok;
+    bool done = false;
+    svc.submit_async(std::move(rq), [&](core::ErrorOr<AlignResponse> out) {
+      code = out.ok() ? Code::Ok : out.error().code;
+      done = true;
+    });
+    EXPECT_TRUE(done);  // ran inline
+    return code;
+  };
+
+  AlignRequest expired = pairwise_request(440);
+  expired.options.deadline = milliseconds(0);
+  EXPECT_EQ(code_of(std::move(expired)), Code::DeadlineExceeded);
+
+  AlignRequest bad = pairwise_request(441);
+  core::AlignConfig cfg;
+  cfg.gap_open = 1;
+  cfg.gap_extend = 5;
+  bad.options.config = cfg;
+  const Code bad_code = code_of(std::move(bad));
+  EXPECT_EQ(to_status(bad_code), ServiceStatus::InvalidConfig);
+
+  perf::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.inline_runs, 2u);
+  EXPECT_EQ(m.deadline_expired, 1u);
+  EXPECT_EQ(m.invalid_request, 1u);
+  EXPECT_EQ(m.completed, 0u);
+}
+
+TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
+  // 8 submitters of small pairs race inline runs, queued runs and Batch
+  // searches holding the executors: every completion fires exactly once
+  // and matches the golden scalar model.
+  constexpr int kThreads = 8, kPerThread = 500, kPairs = kThreads * kPerThread;
+  auto db = make_db(60'000);
+  std::vector<AlignRequest> pairs;
+  std::vector<core::Alignment> want;
+  for (int i = 0; i < kPairs; ++i) {
+    pairs.push_back(pairwise_request(1000 + 2 * i, 20 + i % 90, 30 + i % 70));
+    want.push_back(
+        core::ref_align(pairs.back().query, pairs.back().reference, {}));
+  }
+
+  ServiceOptions opt;
+  opt.pool_threads = 2;
+  opt.executors = 2;
+  opt.overflow = ServiceOptions::Overflow::Block;  // queued, never rejected
+  AlignService svc(db, opt);
+
+  std::vector<std::atomic<int>> fired(kPairs);
+  std::vector<core::Alignment> got(kPairs);
+  std::latch all_done(kPairs);
+  std::atomic<bool> stop{false};
+  std::thread searcher([&] {
+    for (uint64_t s = 0; !stop.load(); ++s) {
+      SearchRequest rq;
+      rq.query = seq::generate_sequence(500 + s, 120);
+      rq.mode = align::SearchMode::Batch;
+      EXPECT_NO_THROW(svc.submit_search(std::move(rq)).get());
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = t; i < kPairs; i += kThreads)
+        svc.submit_async(pairs[i], [&, i](core::ErrorOr<AlignResponse> out) {
+          EXPECT_TRUE(out.ok()) << i << ": " << out.error().message;
+          if (out.ok()) got[i] = std::move(out->alignment);
+          fired[i].fetch_add(1);
+          all_done.count_down();
+        });
+    });
+  }
+  for (auto& t : submitters) t.join();
+  all_done.wait();
+  stop.store(true);
+  searcher.join();
+
+  for (int i = 0; i < kPairs; ++i) {
+    ASSERT_EQ(fired[i].load(), 1) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+    EXPECT_EQ(got[i].end_query, want[i].end_query) << i;
+    EXPECT_EQ(got[i].end_ref, want[i].end_ref) << i;
+  }
+  perf::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.pairwise, static_cast<uint64_t>(kPairs));
+  EXPECT_LE(m.inline_runs, static_cast<uint64_t>(kPairs));
+  EXPECT_EQ(m.submitted, m.completed);
 }
 
 }  // namespace
