@@ -6,8 +6,10 @@
 //   swve info                                    CPU/ISA/build report
 //
 // All three alignment commands go through service::AlignService — the same
-// async, instrumented front door a server embedding would use — so
-// `--metrics` and `--deadline-ms` work uniformly.
+// async, instrumented front door a server embedding would use — and wait on
+// service::submit_future, so `--metrics` and `--deadline-ms` work
+// uniformly. A failed request prints "swve: request failed (<code>): <message>"
+// and exits 1.
 //
 // Common options:
 //   --matrix NAME        blosum45/50/62/80/90, pam120/250, dna_iupac
@@ -25,8 +27,9 @@
 //                        (implies --metrics)
 //   --trace-out FILE     write a Chrome trace-event JSON (Perfetto /
 //                        chrome://tracing) of the request's spans to FILE
-//   --sample-period-ms N run the live profiling sampler every N ms and dump
-//                        its frequency/GCUPS time series to stderr
+//   --sample-period-ms N tick the telemetry history every N ms and dump it
+//                        (frequency probe, QPS, GCUPS, ...) to stderr on exit
+//                        as one JSON line prefixed "telemetry: "
 //   --topdown-every N    attach a top-down pipeline analysis to 1-in-N
 //                        requests and report it on stderr
 //   --flight-out FILE    install the flight recorder: on SIGSEGV/SIGABRT or
@@ -60,7 +63,7 @@ struct CliOptions {
   bool metrics = false;
   obs::MetricsFormat metrics_format = obs::MetricsFormat::Text;
   std::string trace_out;
-  int sample_period_ms = 0;  // 0 = sampler off
+  int sample_period_ms = 0;  // 0 = service default cadence, no dump
   uint32_t topdown_every = 0;  // 0 = no top-down sampling
   int deadline_ms = 0;  // 0 = none
   std::string flight_out;    // flight-recorder dump path ("" = not installed)
@@ -157,12 +160,20 @@ service::ServiceOptions service_options(const CliOptions& o,
   so.pool_threads = o.threads;
   so.config = o.cfg;
   so.default_top_k = o.top_k;
-  so.trace_sink = sink;
-  so.sampler_period_s = o.sample_period_ms > 0 ? o.sample_period_ms * 1e-3 : 0;
-  so.topdown_every_n = o.topdown_every;
-  so.pmu_attribution = !o.no_pmu;
-  so.slow_request_slo_s = o.slo_ms > 0 ? o.slo_ms * 1e-3 : 0;
+  so.obs.trace_sink = sink;
+  if (o.sample_period_ms > 0)
+    so.serve.telemetry_cadence_s = o.sample_period_ms * 1e-3;
+  so.obs.topdown_every_n = o.topdown_every;
+  so.obs.pmu_attribution = !o.no_pmu;
+  so.obs.slow_request_slo_s = o.slo_ms > 0 ? o.slo_ms * 1e-3 : 0;
   return so;
+}
+
+/// Report a failed request; the command's exit status.
+int request_failed(const core::ConfigError& e) {
+  std::fprintf(stderr, "swve: request failed (%s): %s\n",
+               core::ConfigError::code_name(e.code), e.message.c_str());
+  return 1;
 }
 
 /// Sink for the service to record into when --trace-out or --flight-out was
@@ -209,15 +220,18 @@ void report_topdown(const service::RequestTrace& tr) {
 }
 
 /// End-of-command observability dump: metrics in the chosen format, the
-/// sampler time series, and the Chrome trace file.
+/// telemetry history, and the Chrome trace file.
 void dump_observability(const CliOptions& o, const service::AlignService& svc,
                         const obs::TraceSink* sink) {
   if (o.metrics)
     std::fputs(svc.dump_metrics(o.metrics_format).c_str(), stderr);
-  // The service keeps a telemetry sampler alive by default now; the dump
-  // stays tied to the explicit --sample-period-ms opt-in.
-  if (o.sample_period_ms > 0 && svc.sampler())
-    std::fprintf(stderr, "sampler: %s", svc.sampler()->json().c_str());
+  // The service keeps telemetry on by default; the dump stays tied to the
+  // explicit --sample-period-ms opt-in.
+  if (o.sample_period_ms > 0 && svc.timeseries()) {
+    std::string json = svc.timeseries()->json();
+    std::erase(json, '\n');
+    std::fprintf(stderr, "telemetry: %s\n", json.c_str());
+  }
   if (sink && !o.trace_out.empty()) {
     const std::string json = sink->chrome_trace_json();
     std::FILE* f = std::fopen(o.trace_out.c_str(), "w");
@@ -264,7 +278,9 @@ int cmd_align(const CliOptions& o) {
   rq.query = qs[0];
   rq.reference = ts[0];
   apply_deadline(rq.options, o);
-  service::AlignResponse resp = svc.submit(std::move(rq)).get();
+  auto out = service::submit_future(svc, std::move(rq)).get();
+  if (!out) return request_failed(out.error());
+  const service::AlignResponse& resp = *out;
   const core::Alignment& a = resp.alignment;
 
   align::AlignmentStats st = align::alignment_stats(qs[0], ts[0], a);
@@ -296,7 +312,9 @@ int cmd_search(const CliOptions& o) {
   service::SearchRequest rq;
   rq.query = qs[0];
   apply_deadline(rq.options, o);
-  service::SearchResponse resp = svc.submit_search(std::move(rq)).get();
+  auto out = service::submit_future(svc, std::move(rq)).get();
+  if (!out) return request_failed(out.error());
+  const service::SearchResponse& resp = *out;
   const align::SearchResult& res = resp.result;
 
   std::fprintf(stderr, "searched %zu sequences (%llu residues) in %.3f s, %.2f GCUPS\n",
@@ -326,7 +344,9 @@ int cmd_batch(const CliOptions& o) {
   rq.queries = qs;
   apply_deadline(rq.options, o);
   perf::Stopwatch sw;
-  service::BatchResponse resp = svc.submit_batch(std::move(rq)).get();
+  auto out = service::submit_future(svc, std::move(rq)).get();
+  if (!out) return request_failed(out.error());
+  const service::BatchResponse& resp = *out;
 
   uint64_t cells = 0;
   for (const auto& q : qs) cells += q.length() * db.total_residues();
@@ -355,10 +375,6 @@ int main(int argc, char** argv) {
     if (cmd == "search") return cmd_search(o);
     if (cmd == "batch") return cmd_batch(o);
     usage(("unknown command " + cmd).c_str());
-  } catch (const service::ServiceError& e) {
-    std::fprintf(stderr, "swve: request failed (%s): %s\n",
-                 core::ConfigError::code_name(e.code()), e.what());
-    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "swve: %s\n", e.what());
     return 1;

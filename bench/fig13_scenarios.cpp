@@ -413,12 +413,13 @@ int main(int argc, char** argv) {
       rq.query = q;
       rq.options.top_k = 10;
       const auto wire = client->search(rq, net::kFlagNoCache);
-      const auto local = svc.submit_search(rq).get();
-      if (!wire.ok() ||
-          wire.response->result.hits.size() != local.result.hits.size()) {
+      const auto local_or = service::submit_future(svc, rq).get();
+      if (!wire.ok() || !local_or ||
+          wire.response->result.hits.size() != local_or->result.hits.size()) {
         identical = false;
         continue;
       }
+      const service::SearchResponse& local = *local_or;
       for (size_t i = 0; i < local.result.hits.size(); ++i)
         if (wire.response->result.hits[i].seq_index !=
                 local.result.hits[i].seq_index ||

@@ -3,11 +3,11 @@
 // database with the inter-sequence batch32 kernel, then re-aligns the top
 // hit of each query exactly (with traceback) for the response.
 //
-// This demo drives service::AlignService — the async request/future front
-// door — exactly as a network server embedding the library would: the batch
-// goes through submit_batch(), each exact re-alignment through submit()
-// with a per-request traceback override, and the run ends with the
-// service's own metrics snapshot.
+// This demo drives service::AlignService — the async front door — exactly as
+// a network server embedding the library would: the batch and each exact
+// re-alignment (with a per-request traceback override) go through
+// service::submit_future, whose futures yield a response or a typed error,
+// and the run ends with the service's own metrics snapshot.
 //
 //   ./example_batch_server_demo [--clients N] [--db-residues N]
 #include <cstdio>
@@ -52,8 +52,13 @@ int main(int argc, char** argv) {
   service::BatchRequest batch;
   batch.queries = queries;
   batch.options.top_k = 3;
-  service::BatchResponse resp = server.submit_batch(std::move(batch)).get();
+  auto served = service::submit_future(server, std::move(batch)).get();
   double secs = sw.seconds();
+  if (!served) {
+    std::fprintf(stderr, "batch failed: %s\n", served.error().message.c_str());
+    return 1;
+  }
+  const service::BatchResponse& resp = *served;
 
   uint64_t cells = 0;
   for (const auto& q : queries) cells += q.length() * db.total_residues();
@@ -62,14 +67,15 @@ int main(int argc, char** argv) {
 
   // Exact re-alignment of each winner, again through the service (pairwise
   // path, traceback override), futures collected before rendering.
-  std::vector<std::future<service::AlignResponse>> realigns(queries.size());
+  std::vector<std::future<core::ErrorOr<service::AlignResponse>>> realigns(
+      queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     if (resp.results[qi].result.hits.empty()) continue;
     service::AlignRequest rq;
     rq.query = queries[qi];
     rq.reference = db[resp.results[qi].result.hits[0].seq_index];
     rq.options.traceback = true;
-    realigns[qi] = server.submit(std::move(rq));
+    realigns[qi] = service::submit_future(server, std::move(rq));
   }
 
   perf::Table t({"query", "len", "best target", "score", "cigar (exact realign)",
@@ -82,7 +88,13 @@ int main(int argc, char** argv) {
       continue;
     }
     const align::Hit& top = r.result.hits[0];
-    core::Alignment exact = realigns[qi].get().alignment;
+    auto realigned = realigns[qi].get();
+    if (!realigned) {
+      std::fprintf(stderr, "realign failed: %s\n",
+                   realigned.error().message.c_str());
+      return 1;
+    }
+    const core::Alignment& exact = realigned->alignment;
     std::string cig = exact.cigar.to_string();
     if (cig.size() > 26) cig = cig.substr(0, 23) + "...";
     t.row({queries[qi].id(), std::to_string(queries[qi].length()),

@@ -43,24 +43,4 @@ class Aligner {
   core::Workspace ws_;
 };
 
-/// One-shot convenience wrapper.
-///
-/// DEPRECATED (soft): this function used to allocate a fresh Workspace on
-/// every call, which made it a trap in hot loops. It now reuses one
-/// `thread_local` workspace per thread, so repeated calls allocate nothing
-/// once warm — but the workspace is never freed until thread exit, and the
-/// call still re-resolves ISA/delivery per invocation.
-///
-/// Migration:
-///   - hot loops / long-lived callers:  hold an `align::Aligner` (explicit
-///     workspace lifetime, config validated once);
-///   - async / many-caller services:    use `service::AlignService::submit`
-///     (queued, instrumented, future-based);
-///   - one-off scripts:                 this function is fine as-is.
-inline Alignment align(seq::SeqView query, seq::SeqView reference,
-                       const AlignConfig& cfg = {}) {
-  thread_local core::Workspace ws;
-  return core::diag_align(query, reference, cfg, ws);
-}
-
 }  // namespace swve::align

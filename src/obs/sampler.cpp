@@ -1,8 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "perf/freq_monitor.hpp"
@@ -10,12 +7,11 @@
 namespace swve::obs {
 
 Sampler::Sampler(SamplerOptions options, Source source)
-    : opt_(options),
+    : opt_(std::move(options)),
       source_(std::move(source)),
       start_(std::chrono::steady_clock::now()) {
   if (opt_.period_s <= 0) opt_.period_s = 1.0;
   if (opt_.freq_probe_ms <= 0) opt_.freq_probe_ms = 1.0;
-  if (opt_.capacity == 0) opt_.capacity = 1;
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -36,26 +32,20 @@ void Sampler::stop() {
   if (t.joinable()) t.join();
 }
 
-Sample Sampler::take_sample() {
-  Sample s;
-  s.t_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+void Sampler::tick() {
+  SamplerTick t;
+  t.t_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start_)
               .count();
-  s.ghz = perf::measure_frequency(opt_.freq_probe_ms).ghz;
+  t.probe_ghz = perf::measure_frequency(opt_.freq_probe_ms).ghz;
   // Kernel-reported clock, averaged over whichever CPUs expose cpufreq;
   // stays 0 (and costs a handful of failed opens) where the sysfs tree is
   // absent or partial — never aborts the sampler loop.
   const perf::CpufreqSummary cf = perf::cpufreq_summary(
       static_cast<int>(std::thread::hardware_concurrency()));
-  s.cpufreq_ghz = cf.mean_khz * 1e-6;
+  t.cpufreq_ghz = cf.mean_khz * 1e-6;
   const perf::MetricsSnapshot m = source_();
-  s.completed = m.completed;
-  s.cells = m.cells;
-  s.kernel_seconds = m.kernel_seconds;
-  s.window_gcups = m.window_gcups();
-  s.pool_utilization = m.pool_utilization();
-  if (opt_.on_sample) opt_.on_sample(s.t_s, m);
-  return s;
+  if (opt_.on_sample) opt_.on_sample(t, m);
 }
 
 void Sampler::loop() {
@@ -63,44 +53,10 @@ void Sampler::loop() {
   std::unique_lock<std::mutex> lk(mu_);
   while (!stop_) {
     lk.unlock();
-    Sample s = take_sample();  // probe + snapshot outside the lock
+    tick();  // probe + snapshot + callback outside the lock
     lk.lock();
-    if (stop_) break;
-    ring_.push_back(s);
-    if (ring_.size() > opt_.capacity)
-      ring_.erase(ring_.begin(),
-                  ring_.begin() + static_cast<ptrdiff_t>(ring_.size() -
-                                                         opt_.capacity));
     cv_.wait_for(lk, period, [this] { return stop_; });
   }
-}
-
-std::vector<Sample> Sampler::samples() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ring_;
-}
-
-std::string Sampler::json() const {
-  const std::vector<Sample> snap = samples();
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof buf, "{\"period_s\":%.6g,\"samples\":[",
-                opt_.period_s);
-  out += buf;
-  for (size_t i = 0; i < snap.size(); ++i) {
-    const Sample& s = snap[i];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n{\"t_s\":%.3f,\"ghz\":%.3f,\"cpufreq_ghz\":%.3f,"
-                  "\"completed\":%" PRIu64 ",\"cells\":%" PRIu64
-                  ",\"kernel_seconds\":%.6g,\"window_gcups\":%.6g,"
-                  "\"pool_utilization\":%.6g}",
-                  i ? "," : "", s.t_s, s.ghz, s.cpufreq_ghz, s.completed,
-                  s.cells, s.kernel_seconds, s.window_gcups,
-                  s.pool_utilization);
-    out += buf;
-  }
-  out += "\n]}\n";
-  return out;
 }
 
 }  // namespace swve::obs

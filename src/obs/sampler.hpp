@@ -1,60 +1,52 @@
-// Live profiling sampler: a background thread that periodically snapshots
-// the effective core frequency (perf::freq_monitor's dependent-add probe)
-// and the service metrics into a bounded time-series ring.
+// Live profiling sampler: a background thread that ticks at a fixed period,
+// probing the effective core frequency (perf::freq_monitor's dependent-add
+// probe) and snapshotting the service metrics, and hands both to on_sample.
 //
-// This makes the paper's Fig 11 data — effective frequency vs. load — and
-// the throughput gauges collectable from a *running* service instead of
-// only from the offline bench binaries. The probe runs the spin kernel for
-// freq_probe_ms per sample on the sampler thread, so the steady-state
-// overhead is period-independent CPU time of roughly
+// The sampler keeps no history of its own: the service's on_sample folds
+// every tick into the obs::TimeSeriesStore (the one telemetry history, the
+// /varz feed) and re-evaluates the SLO engine. That makes the paper's Fig 11
+// data — effective frequency vs. load — collectable from a *running*
+// service instead of only from the offline bench binaries. The probe runs
+// the spin kernel for freq_probe_ms per tick on the sampler thread, so the
+// steady-state overhead is period-independent CPU time of roughly
 // freq_probe_ms / period_s (e.g. 5 ms probe at 1 s period = 0.5% of one
 // core); size the period accordingly.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "perf/metrics.hpp"
 
 namespace swve::obs {
 
-struct SamplerOptions {
-  double period_s = 1.0;      ///< time between samples
-  double freq_probe_ms = 5.0; ///< spin-kernel duration per frequency probe
-  size_t capacity = 600;      ///< ring length (oldest samples evicted)
-
-  /// Called from the sampler thread once per tick with the fresh
-  /// MetricsSnapshot the sample was projected from (so downstream
-  /// consumers — the TimeSeriesStore, the SLO engine — ride the existing
-  /// thread and snapshot instead of adding their own). Must stay valid
-  /// until stop()/destruction; exceptions must not escape.
-  std::function<void(double t_s, const perf::MetricsSnapshot&)> on_sample;
+/// One tick: when it fired and what the frequency probe read.
+struct SamplerTick {
+  double t_s = 0;          ///< seconds since the sampler started
+  double probe_ghz = 0;    ///< effective frequency of the sampler core
+  double cpufreq_ghz = 0;  ///< mean kernel-reported clock across CPUs
+                           ///< (0 where cpufreq sysfs is absent)
 };
 
-/// One point of the time series (compact projection of a MetricsSnapshot
-/// plus the frequency probe).
-struct Sample {
-  double t_s = 0;               ///< seconds since the sampler started
-  double ghz = 0;               ///< effective frequency of the sampler core
-  double cpufreq_ghz = 0;       ///< mean kernel-reported clock across CPUs
-                                ///< (0 where cpufreq sysfs is absent)
-  uint64_t completed = 0;
-  uint64_t cells = 0;
-  double kernel_seconds = 0;
-  double window_gcups = 0;
-  double pool_utilization = 0;
+struct SamplerOptions {
+  double period_s = 1.0;      ///< time between ticks
+  double freq_probe_ms = 5.0; ///< spin-kernel duration per frequency probe
+
+  /// Called from the sampler thread once per tick with the tick's probe
+  /// and the fresh MetricsSnapshot. Must stay valid until
+  /// stop()/destruction; exceptions must not escape.
+  std::function<void(const SamplerTick&, const perf::MetricsSnapshot&)>
+      on_sample;
 };
 
 class Sampler {
  public:
   using Source = std::function<perf::MetricsSnapshot()>;
 
-  /// Starts sampling immediately; `source` is called from the sampler
+  /// Starts ticking immediately; `source` is called from the sampler
   /// thread and must stay valid until stop()/destruction.
   Sampler(SamplerOptions options, Source source);
   ~Sampler();
@@ -63,27 +55,18 @@ class Sampler {
 
   /// Stop the background thread (idempotent and safe to call from multiple
   /// threads concurrently, including concurrently with the destructor's
-  /// implicit stop; the ring remains readable).
+  /// implicit stop). No on_sample call runs after it returns.
   void stop();
-
-  /// Copy of the ring, oldest first.
-  std::vector<Sample> samples() const;
-
-  /// Time-series JSON: {"period_s":...,"samples":[{...},...]}.
-  std::string json() const;
-
-  const SamplerOptions& options() const noexcept { return opt_; }
 
  private:
   void loop();
-  Sample take_sample();
+  void tick();
 
   SamplerOptions opt_;
   Source source_;
   std::chrono::steady_clock::time_point start_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Sample> ring_;  ///< chronological; trimmed to capacity
   bool stop_ = false;
   std::thread thread_;
 };

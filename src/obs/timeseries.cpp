@@ -63,7 +63,8 @@ TimeSeriesStore::TimeSeriesStore(TimeSeriesOptions options) : opt_(options) {
 }
 
 void TimeSeriesStore::push(const perf::MetricsSnapshot& snap, double t_s,
-                           uint64_t queue_depth) {
+                           uint64_t queue_depth, double probe_ghz,
+                           double cpufreq_ghz) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!have_prev_ || t_s <= prev_t_s_) {
     // First push, or a non-advancing clock: (re)seed the baseline.
@@ -78,6 +79,8 @@ void TimeSeriesStore::push(const perf::MetricsSnapshot& snap, double t_s,
   p.t_s = t_s;
   p.dt_s = dt;
   p.queue_depth = queue_depth;
+  p.probe_ghz = probe_ghz;
+  p.cpufreq_ghz = cpufreq_ghz;
 
   p.completed_delta = perf::counter_delta(snap.completed, prev_.completed);
   p.submitted_delta = perf::counter_delta(snap.submitted, prev_.submitted);
@@ -258,7 +261,10 @@ std::string TimeSeriesStore::json(std::string_view series,
       out += "]";
     }
     if (selected(series, "freq"))
-      appendf(out, ",\"avx512_freq_ratio\":%.4g", p.avx512_frequency_ratio);
+      appendf(out,
+              ",\"avx512_freq_ratio\":%.4g,\"probe_ghz\":%.4g,"
+              "\"cpufreq_ghz\":%.4g",
+              p.avx512_frequency_ratio, p.probe_ghz, p.cpufreq_ghz);
     if (selected(series, "shards") && !p.shards.empty()) {
       out += ",\"shards\":[";
       for (size_t c = 0; c < p.shards.size(); ++c) {

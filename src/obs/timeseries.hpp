@@ -1,5 +1,6 @@
-// Telemetry history (ISSUE 9 tentpole): a fixed-cadence, bounded ring of
-// delta-encoded samples derived from consecutive MetricsSnapshot diffs.
+// Telemetry history: a fixed-cadence, bounded ring of delta-encoded samples
+// derived from consecutive MetricsSnapshot diffs — the service's one
+// history of its own telemetry.
 //
 // Everything else in the observability stack answers "what is true right
 // now"; this store answers "what changed over the last N seconds" — the
@@ -11,11 +12,12 @@
 // recomputed from subtracted histogram buckets, result-cache hit rate,
 // queue depth, log-drop counts, active PMU attribution cells (IPC,
 // backend-stall fraction, effective GHz over the interval), the AVX-512
-// frequency ratio, and the query-length regime histogram.
+// frequency ratio, the sampler's frequency probe, and the query-length
+// regime histogram.
 //
-// The store does not own a thread: push() is called from the existing
-// obs::Sampler tick (SamplerOptions::on_sample), so enabling history costs
-// one snapshot diff per cadence and ~1 KiB per retained point.
+// The store does not own a thread: push() is called from the obs::Sampler
+// tick (SamplerOptions::on_sample), so enabling history costs one frequency
+// probe plus one snapshot diff per cadence and ~1 KiB per retained point.
 #pragma once
 
 #include <array>
@@ -77,6 +79,12 @@ struct TimeSeriesPoint {
   };
   std::vector<PmuCellPoint> pmu;  ///< only cells with cycle deltas
   double avx512_frequency_ratio = 0;  ///< lifetime gauge at sample time
+  /// The sampler's frequency probe at sample time: the spin kernel's
+  /// effective GHz on the sampler core, and the mean kernel-reported clock
+  /// across CPUs (0 where cpufreq sysfs is absent). Unlike the PMU cells
+  /// these need no perf_event access.
+  double probe_ghz = 0;
+  double cpufreq_ghz = 0;
 
   // Batch search: per-shard window throughput and pressure (empty without
   // a database). Live shard imbalance is visible as one
@@ -104,10 +112,12 @@ class TimeSeriesStore {
   /// Fold a fresh snapshot taken at `t_s` (seconds, any monotonic origin —
   /// consecutive pushes must share it) into the ring. The first push seeds
   /// the delta baseline and records no point; a push with a non-positive
-  /// dt re-seeds instead of recording a degenerate window. Thread-safe,
-  /// but intended for a single pusher (the sampler thread).
+  /// dt re-seeds instead of recording a degenerate window. The gauges
+  /// (queue depth, frequency probe) are stored as read. Thread-safe, but
+  /// intended for a single pusher (the sampler thread).
   void push(const perf::MetricsSnapshot& snap, double t_s,
-            uint64_t queue_depth = 0);
+            uint64_t queue_depth = 0, double probe_ghz = 0,
+            double cpufreq_ghz = 0);
 
   /// Points within the trailing `window_s` seconds of the newest point,
   /// oldest first (0 = everything retained).

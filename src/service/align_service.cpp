@@ -28,18 +28,6 @@ uint64_t deadline_to_ns(Clock::time_point deadline) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(since).count());
 }
 
-/// Future shim plumbing: turn a Completion failure back into the legacy
-/// ServiceError-throwing future.
-template <typename R>
-void fulfil_promise(const std::shared_ptr<std::promise<R>>& prom,
-                    core::ErrorOr<R> out) {
-  if (out.ok())
-    prom->set_value(std::move(out).value());
-  else
-    prom->set_exception(
-        std::make_exception_ptr(ServiceError(out.error())));
-}
-
 /// Delivery path the kernel will actually use under `cfg` at `isa`.
 core::ScoreDelivery effective_delivery(const core::AlignConfig& cfg,
                                        simd::Isa isa) {
@@ -75,7 +63,7 @@ AlignService::AlignService(InitTag, ServiceOptions options)
   if (opt_.queue.capacity == 0) opt_.queue.capacity = 1;
   if (auto st = opt_.try_validate(); !st)
     throw std::invalid_argument(st.error().message);
-  if (!opt_.cache.query_cache_bypass && opt_.cache.query_cache_capacity > 0)
+  if (opt_.cache.query_cache_capacity > 0)
     query_cache_ = std::make_unique<align::QueryStateCache>(
         opt_.cache.query_cache_capacity);
   inflight_ = std::make_unique<obs::InFlightTable>(
@@ -94,31 +82,27 @@ AlignService::AlignService(InitTag, ServiceOptions options)
 }
 
 void AlignService::start_telemetry() {
-  // Telemetry history: the store and SLO engine ride the sampler tick.
-  // An explicit obs.sampler_period_s wins as the cadence; otherwise the
-  // serve.telemetry_cadence_s default turns the sampler on.
-  const double cadence = opt_.obs.sampler_period_s > 0
-                             ? opt_.obs.sampler_period_s
-                             : opt_.serve.telemetry_cadence_s;
-  if (opt_.serve.telemetry_cadence_s > 0) {
-    obs::TimeSeriesOptions to;
-    to.cadence_s = cadence;
-    to.capacity = std::max<size_t>(
-        1, static_cast<size_t>(opt_.serve.telemetry_retention_s / cadence));
-    timeseries_ = std::make_unique<obs::TimeSeriesStore>(to);
-    if (opt_.obs.slo.enabled())
-      slo_ = std::make_unique<obs::SloEngine>(opt_.obs.slo, timeseries_.get());
-  }
-  if (cadence > 0) {
-    obs::SamplerOptions so;
-    so.period_s = cadence;
-    so.freq_probe_ms = opt_.obs.sampler_freq_probe_ms;
-    so.on_sample = [this](double t_s, const perf::MetricsSnapshot& snap) {
-      if (timeseries_) timeseries_->push(snap, t_s, queue_depth());
-      if (slo_) slo_->evaluate(t_s);
-    };
-    sampler_ = std::make_unique<obs::Sampler>(so, [this] { return metrics(); });
-  }
+  // Telemetry history: the sampler tick probes the core frequency, then
+  // feeds the store and the SLO engine. The probe spins for the sampler's
+  // default 5 ms per tick.
+  const double cadence = opt_.serve.telemetry_cadence_s;
+  if (cadence <= 0) return;
+  obs::TimeSeriesOptions to;
+  to.cadence_s = cadence;
+  to.capacity = std::max<size_t>(
+      1, static_cast<size_t>(opt_.serve.telemetry_retention_s / cadence));
+  timeseries_ = std::make_unique<obs::TimeSeriesStore>(to);
+  if (opt_.obs.slo.enabled())
+    slo_ = std::make_unique<obs::SloEngine>(opt_.obs.slo, timeseries_.get());
+  obs::SamplerOptions so;
+  so.period_s = cadence;
+  so.on_sample = [this](const obs::SamplerTick& tick,
+                        const perf::MetricsSnapshot& snap) {
+    timeseries_->push(snap, tick.t_s, queue_depth(), tick.probe_ghz,
+                      tick.cpufreq_ghz);
+    if (slo_) slo_->evaluate(tick.t_s);
+  };
+  sampler_ = std::make_unique<obs::Sampler>(so, [this] { return metrics(); });
 }
 
 AlignService::AlignService(const seq::SequenceDatabase& db,
@@ -245,10 +229,6 @@ perf::MetricsSnapshot AlignService::metrics() const {
 
 std::string AlignService::dump_metrics(obs::MetricsFormat format) const {
   return obs::render_metrics(metrics(), format);
-}
-
-std::vector<obs::Sample> AlignService::samples() const {
-  return sampler_ ? sampler_->samples() : std::vector<obs::Sample>{};
 }
 
 double AlignService::model_ghz() {
@@ -549,15 +529,6 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
 }
 
-std::future<AlignResponse> AlignService::submit(AlignRequest request) {
-  auto prom = std::make_shared<std::promise<AlignResponse>>();
-  std::future<AlignResponse> fut = prom->get_future();
-  submit_async(std::move(request), [prom](core::ErrorOr<AlignResponse> out) {
-    fulfil_promise(prom, std::move(out));
-  });
-  return fut;
-}
-
 void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
   if (request.mode == align::SearchMode::Batch) {
     if (auto err = batch_lanes_error(request.options)) {
@@ -683,15 +654,6 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
   task.deadline_ns = deadline_to_ns(deadline);
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
-}
-
-std::future<SearchResponse> AlignService::submit_search(SearchRequest request) {
-  auto prom = std::make_shared<std::promise<SearchResponse>>();
-  std::future<SearchResponse> fut = prom->get_future();
-  submit_async(std::move(request), [prom](core::ErrorOr<SearchResponse> out) {
-    fulfil_promise(prom, std::move(out));
-  });
-  return fut;
 }
 
 void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
@@ -827,15 +789,6 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
   task.deadline_ns = deadline_to_ns(deadline);
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
-}
-
-std::future<BatchResponse> AlignService::submit_batch(BatchRequest request) {
-  auto prom = std::make_shared<std::promise<BatchResponse>>();
-  std::future<BatchResponse> fut = prom->get_future();
-  submit_async(std::move(request), [prom](core::ErrorOr<BatchResponse> out) {
-    fulfil_promise(prom, std::move(out));
-  });
-  return fut;
 }
 
 }  // namespace swve::service

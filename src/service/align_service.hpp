@@ -10,18 +10,21 @@
 //   - a perf::MetricsRegistry (request counters, queue-wait and kernel-time
 //     histograms, aggregate GCUPS).
 //
-// Every scenario goes through one request/future API:
-//   submit(AlignRequest)   -> std::future<AlignResponse>    (pairwise)
-//   submit_search(Search)  -> std::future<SearchResponse>   (scenario 1)
-//   submit_batch(Batch)    -> std::future<BatchResponse>    (scenario 2)
+// Every scenario goes through one non-throwing call, submit_async, with a
+// completion that receives core::ErrorOr<Response>:
+//   submit_async(AlignRequest,  AlignCompletion)   (scenario 3, pairwise)
+//   submit_async(SearchRequest, SearchCompletion)  (scenario 1)
+//   submit_async(BatchRequest,  BatchCompletion)   (scenario 2)
+// Blocking callers wrap it with submit_future() below, whose future yields
+// the same ErrorOr.
 //
 // Requests route to the same engines the synchronous facades use
 // (engine::search_diagonal / align::ShardedSearch / engine::batch_run /
 // core::diag_align), so results are bit-identical to direct DatabaseSearch /
 // BatchServer / Aligner calls; one shard of a Batch search fans out over the
 // service's pool. Failures — invalid config, queue full, deadline expiry,
-// shutdown — fail the future with a ServiceError instead of throwing on a
-// worker thread.
+// shutdown — arrive as a typed core::ConfigError in the ErrorOr (to_status()
+// maps it to the wire); nothing is thrown on a worker thread.
 #pragma once
 
 #include <array>
@@ -67,7 +70,7 @@ struct QueueOptions {
   /// Bounded submission queue capacity (pending, not yet executing),
   /// summed across QoS tiers.
   size_t capacity = 256;
-  /// What submit() does when the queue is full.
+  /// What submit_async does when the queue is full.
   enum class Overflow {
     Reject,  ///< fail the request immediately with QueueFull
     Block,   ///< block the submitter until space frees (backpressure)
@@ -87,11 +90,9 @@ struct CacheOptions {
   /// Distinct (query, config, ISA) entries the query-state cache holds;
   /// back-to-back search or batch requests for a cached query skip
   /// rebuilding its kernel feed arrays, and engine workspaces come from a
-  /// reusable pool. Pairwise requests do not use the cache.
+  /// reusable pool. Pairwise requests do not use the cache. Capacity 0
+  /// disables the cache (every request builds its own state).
   size_t query_cache_capacity = 32;
-  /// Disable the query-state cache entirely (every request builds its own
-  /// state, the pre-cache behavior). For A/B measurement and debugging.
-  bool query_cache_bypass = false;
 };
 
 /// Scenario-1 batch execution (align::ShardedSearch): how the packed
@@ -114,18 +115,13 @@ struct SearchOptions {
   parallel::NumaPolicy numa = parallel::NumaPolicy::Off;
 };
 
-/// Observability attachments (tracing, sampler, PMU, watchdog, top-down).
+/// Observability attachments (tracing, PMU, watchdog, top-down, SLO).
 struct ObsOptions {
   /// Optional trace sink: when set, every request records queue-wait,
   /// dispatch, and kernel-chunk spans into it (Chrome trace JSON via
   /// obs::TraceSink::chrome_trace_json). Not owned; must outlive the
   /// service. Null = tracing compiled down to null checks.
   obs::TraceSink* trace_sink = nullptr;
-  /// Period of the background live-profiling sampler (effective frequency +
-  /// metrics time series); 0 disables it.
-  double sampler_period_s = 0;
-  /// Spin-probe duration per frequency sample (see obs::SamplerOptions).
-  double sampler_freq_probe_ms = 5.0;
   /// Attach a perf::topdown_analyze breakdown to one in N completed
   /// requests (RequestTrace::topdown); 0 disables sampling.
   uint32_t topdown_every_n = 0;
@@ -149,9 +145,10 @@ struct ObsOptions {
   obs::SloOptions slo;
 };
 
-/// Network front-door knobs, consumed by net::Server (the in-process
-/// service ignores this group). Grouped here so one validated ServiceOptions
-/// configures the whole serving stack.
+/// Serving knobs. net::Server consumes the network ones (port through
+/// tracez_capacity); the service itself reads telemetry_cadence_s and
+/// telemetry_retention_s, which size the telemetry history. Grouped here so
+/// one validated ServiceOptions configures the whole serving stack.
 struct ServeOptions {
   /// TCP port to listen on; 0 picks an ephemeral port (tests/benches read
   /// it back via net::Server::port()).
@@ -178,10 +175,9 @@ struct ServeOptions {
   /// get this long to finish and flush before connections are dropped.
   double drain_timeout_s = 10.0;
   /// Telemetry history cadence: every this many seconds the sampler tick
-  /// folds a MetricsSnapshot diff into the obs::TimeSeriesStore (the /varz
-  /// feed) and re-evaluates the SLO engine. Rides the existing sampler
-  /// thread; when obs.sampler_period_s is also set, that period wins and
-  /// this acts as an enable switch. 0 disables history, /varz, and SLO
+  /// probes the core frequency and folds a MetricsSnapshot diff into the
+  /// obs::TimeSeriesStore (the /varz feed), then re-evaluates the SLO
+  /// engine. 0 disables the sampler thread, history, /varz, and SLO
   /// alerting.
   double telemetry_cadence_s = 1.0;
   /// Seconds of history retained; the ring holds retention / cadence
@@ -202,9 +198,6 @@ struct ServiceOptions {
   /// Service-default hits per query for search/batch.
   size_t default_top_k = 10;
 
-  // The option groups. New code addresses these directly
-  // (opt.queue.capacity = ...); the flat references below keep the
-  // pre-group spellings compiling unchanged.
   QueueOptions queue;
   CacheOptions cache;
   SearchOptions search;
@@ -216,43 +209,6 @@ struct ServiceOptions {
   /// in-flight slot already occupied. Lets tests stall an engine
   /// deterministically to exercise the watchdog.
   std::function<void()> before_execute_hook;
-
-  using Overflow = QueueOptions::Overflow;  // pre-group spelling
-
-  // Deprecated flat aliases (pre-group field names). Each is a reference
-  // into its group, so reads and writes through either spelling see the
-  // same storage. Prefer the grouped names in new code.
-  unsigned& executors = queue.executors;
-  size_t& queue_capacity = queue.capacity;
-  Overflow& overflow = queue.overflow;
-  bool& start_paused = queue.start_paused;
-  core::PackingPolicy& batch_packing = cache.batch_packing;
-  size_t& query_cache_capacity = cache.query_cache_capacity;
-  bool& query_cache_bypass = cache.query_cache_bypass;
-  // (swve::obs:: spelled out — the `obs` group member shadows the namespace
-  // inside this class scope.)
-  swve::obs::TraceSink*& trace_sink = obs.trace_sink;
-  double& sampler_period_s = obs.sampler_period_s;
-  double& sampler_freq_probe_ms = obs.sampler_freq_probe_ms;
-  uint32_t& topdown_every_n = obs.topdown_every_n;
-  bool& pmu_attribution = obs.pmu_attribution;
-  double& slow_request_slo_s = obs.slow_request_slo_s;
-  double& watchdog_period_s = obs.watchdog_period_s;
-
-  // The alias references must always bind to this object's own groups, so
-  // copies/moves copy the groups and let the references re-default (a
-  // compiler-generated copy would bind them into the source object).
-  ServiceOptions() = default;
-  ServiceOptions(const ServiceOptions& o) { assign(o); }
-  ServiceOptions(ServiceOptions&& o) noexcept { assign(o); }
-  ServiceOptions& operator=(const ServiceOptions& o) {
-    if (this != &o) assign(o);
-    return *this;
-  }
-  ServiceOptions& operator=(ServiceOptions&& o) noexcept {
-    if (this != &o) assign(o);
-    return *this;
-  }
 
   /// One validation seam for the whole stack: the alignment config plus
   /// structural sanity of every group (so a server refuses to start on a
@@ -326,19 +282,6 @@ struct ServiceOptions {
           "ServiceOptions: SLO hysteresis eval counts must be >= 1"};
     return {};
   }
-
- private:
-  void assign(const ServiceOptions& o) {
-    pool_threads = o.pool_threads;
-    config = o.config;
-    default_top_k = o.default_top_k;
-    queue = o.queue;
-    cache = o.cache;
-    search = o.search;
-    obs = o.obs;
-    serve = o.serve;
-    before_execute_hook = o.before_execute_hook;
-  }
 };
 
 class AlignService {
@@ -381,13 +324,6 @@ class AlignService {
   void submit_async(SearchRequest request, SearchCompletion done);
   void submit_async(BatchRequest request, BatchCompletion done);
 
-  // Deprecated future-based shims over submit_async: failures surface as a
-  // ServiceError thrown from future::get() instead of an ErrorOr. Kept for
-  // existing embedders; no new functionality lands here.
-  std::future<AlignResponse> submit(AlignRequest request);
-  std::future<SearchResponse> submit_search(SearchRequest request);
-  std::future<BatchResponse> submit_batch(BatchRequest request);
-
   /// Largest pairwise request (|query| × |reference| cells, about 75 µs of
   /// kernel time) that may run on its submitting thread. It bounds how long
   /// a caller, net::Server's loop thread among them, is held, and the
@@ -402,14 +338,8 @@ class AlignService {
   /// Prometheus 0.0.4, or JSON).
   std::string dump_metrics(obs::MetricsFormat format) const;
 
-  /// Time series collected by the background sampler, oldest first (empty
-  /// when sampler_period_s == 0).
-  std::vector<obs::Sample> samples() const;
-  /// The live sampler, or null when disabled.
-  const obs::Sampler* sampler() const noexcept { return sampler_.get(); }
-
-  /// Delta-encoded telemetry history (the /varz feed), or null when
-  /// serve.telemetry_cadence_s == 0.
+  /// Delta-encoded telemetry history (the /varz feed, including the
+  /// sampler's frequency probe), or null when serve.telemetry_cadence_s == 0.
   const obs::TimeSeriesStore* timeseries() const noexcept {
     return timeseries_.get();
   }
@@ -454,7 +384,7 @@ class AlignService {
   }
   /// The backing artifact, when started from one.
   const core::MappedDb* mapped_db() const noexcept { return mapped_; }
-  /// The query-state cache (null when bypassed).
+  /// The query-state cache (null when query_cache_capacity == 0).
   const align::QueryStateCache* query_cache() const noexcept {
     return query_cache_.get();
   }
@@ -592,7 +522,7 @@ class AlignService {
   // (the only writer) down first; the destructor also resets it explicitly.
   std::unique_ptr<obs::TimeSeriesStore> timeseries_;
   std::unique_ptr<obs::SloEngine> slo_;
-  std::unique_ptr<obs::Sampler> sampler_;  ///< live profiler (optional)
+  std::unique_ptr<obs::Sampler> sampler_;  ///< history tick (optional)
   std::atomic<uint64_t> topdown_seq_{0};   ///< one-in-N request sampling
   std::atomic<double> model_ghz_{0};       ///< cached frequency estimate
 
@@ -600,5 +530,26 @@ class AlignService {
   std::unique_ptr<obs::Watchdog> watchdog_;       ///< SLO scanner (optional)
   std::atomic<uint64_t> request_ids_{0};  ///< id source when not tracing
 };
+
+namespace detail {
+template <typename Request> struct ResponseOf;
+template <> struct ResponseOf<AlignRequest> { using type = AlignResponse; };
+template <> struct ResponseOf<SearchRequest> { using type = SearchResponse; };
+template <> struct ResponseOf<BatchRequest> { using type = BatchResponse; };
+}  // namespace detail
+
+/// Blocking convenience over submit_async for callers that wait on each
+/// request: the future yields the response or the typed error, and get()
+/// never throws a service failure.
+template <typename Request,
+          typename Result =
+              core::ErrorOr<typename detail::ResponseOf<Request>::type>>
+std::future<Result> submit_future(AlignService& service, Request request) {
+  auto prom = std::make_shared<std::promise<Result>>();
+  std::future<Result> fut = prom->get_future();
+  service.submit_async(std::move(request),
+                       [prom](Result out) { prom->set_value(std::move(out)); });
+  return fut;
+}
 
 }  // namespace swve::service

@@ -5,13 +5,14 @@
 // config, top-k, traceback, and a relative deadline. Responses carry the
 // scenario result plus a RequestTrace — the per-request observability
 // record (queue wait, kernel time, widths retried, delivery mode chosen,
-// saturation retries) fed from the existing KernelStats plumbing.
+// saturation retries) fed from the existing KernelStats plumbing. A failed
+// request yields a core::ConfigError in the completion's ErrorOr instead of
+// a response.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "align/batch_server.hpp"
@@ -24,26 +25,6 @@
 #include "service/status.hpp"
 
 namespace swve::service {
-
-/// Error carried by a failed future on the legacy submit() path. The code
-/// is a core::ConfigError::Code so validation failures, backpressure, and
-/// deadline expiry are all distinguishable programmatically. New code
-/// should prefer the submit_async() overloads, which deliver the same
-/// information as a core::ErrorOr without exceptions (see status()).
-class ServiceError : public std::runtime_error {
- public:
-  using Code = core::ConfigError::Code;
-  ServiceError(Code code, const std::string& message)
-      : std::runtime_error(message), code_(code) {}
-  explicit ServiceError(const core::ConfigError& err)
-      : ServiceError(err.code, err.message) {}
-  Code code() const noexcept { return code_; }
-  /// The service-boundary status this failure crosses the wire as.
-  ServiceStatus status() const noexcept { return to_status(code_); }
-
- private:
-  Code code_;
-};
 
 /// Priority tier of a request. Executors always drain Interactive before
 /// Standard before Bulk (FIFO within a tier), so latency-sensitive traffic
@@ -137,7 +118,7 @@ struct RequestTrace {
   /// the service has no TraceSink installed).
   uint64_t trace_id = 0;
   /// Top-down pipeline-slot breakdown; filled for one-in-N sampled requests
-  /// when ServiceOptions::topdown_every_n is enabled.
+  /// when ServiceOptions::obs.topdown_every_n is enabled.
   std::optional<perf::TopDownResult> topdown;
 
   double gcups() const noexcept {
@@ -160,7 +141,7 @@ struct BatchResponse {
   RequestTrace trace;
 };
 
-/// Completion callbacks of the non-throwing submit_async() API: exactly one
+/// Completion callbacks of the submit_async() API: exactly one
 /// invocation per submission, with either the response or a ConfigError
 /// (convert with to_status() for the wire). Immediate rejections — queue
 /// full under Overflow::Reject, shutdown — run the callback inline on the

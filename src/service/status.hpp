@@ -1,13 +1,11 @@
 // ServiceStatus — the one status vocabulary of the service boundary.
 //
-// Before the network front door, failures crossed the AlignService seam
-// three different ways: core::ConfigError codes inside ErrorOr, a
-// ServiceError exception on the future path, and ad-hoc bools in the
-// engines. A wire protocol needs exactly one, numerically stable story:
-// every outcome a client can observe is a ServiceStatus, its uint8_t value
-// IS the protocol v1 status byte, and the legacy vocabularies map onto it
-// losslessly (to_status below). Codes are append-only:
-// renumbering is a wire-protocol break.
+// In process, a failed request carries a core::ConfigError inside the
+// completion's core::ErrorOr. A wire protocol needs one numerically stable
+// story: every outcome a client can observe is a ServiceStatus, its uint8_t
+// value IS the protocol v1 status byte, and the ConfigError codes map onto
+// it losslessly (to_status below). Codes are append-only: renumbering is a
+// wire-protocol break.
 #pragma once
 
 #include <cstdint>

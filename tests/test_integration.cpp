@@ -49,14 +49,14 @@ TEST(Integration, ScenarioThreeReusableAlignerAllocatesOnceWarm) {
   Aligner aligner;
   std::mt19937_64 rng(73);
   // Warm up at the maximum size, then confirm many small alignments work
-  // and agree with one-shot calls.
+  // and agree with the scalar golden model.
   auto big_q = seq::generate_sequence(rng(), 256);
   auto big_r = seq::generate_sequence(rng(), 256);
   aligner.align(big_q, big_r);
   for (int it = 0; it < 200; ++it) {
     auto q = seq::generate_sequence(rng(), 1 + rng() % 128);
     auto r = seq::generate_sequence(rng(), 1 + rng() % 128);
-    EXPECT_EQ(aligner.align(q, r).score, align::align(q, r).score);
+    EXPECT_EQ(aligner.align(q, r).score, core::ref_align(q, r, {}).score);
   }
 }
 

@@ -75,8 +75,8 @@ TEST(NetServer, SearchOverWireMatchesInProcess) {
   const auto wire = lb.client()->search(rq);
   ASSERT_TRUE(wire.ok()) << wire.error;
 
-  auto fut = lb.svc->submit_search(rq);
-  const auto local = fut.get();
+  auto fut = service::submit_future(*lb.svc, rq);
+  const auto local = fut.get().value();
 
   // The tentpole sentinel: hits decoded off the wire are bit-identical to
   // the in-process response.
@@ -101,8 +101,8 @@ TEST(NetServer, AlignWithTracebackMatchesInProcess) {
 
   const auto wire = lb.client()->align(rq);
   ASSERT_TRUE(wire.ok()) << wire.error;
-  auto fut = lb.svc->submit(rq);
-  const auto local = fut.get();
+  auto fut = service::submit_future(*lb.svc, rq);
+  const auto local = fut.get().value();
 
   EXPECT_EQ(wire.response->alignment.score, local.alignment.score);
   EXPECT_EQ(wire.response->alignment.end_query, local.alignment.end_query);

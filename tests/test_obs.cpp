@@ -1,6 +1,6 @@
 // Observability subsystem (ISSUE 2 tentpole): lock-free TraceSink,
 // Chrome-trace export, metric exporters (Prometheus/JSON), sliding-window
-// GCUPS, per-target counters, and the live sampler.
+// GCUPS, per-target counters, and the sampler tick.
 //
 // The concurrency tests here are the ThreadSanitizer targets of the tsan CI
 // job: writers record into per-thread rings while a reader exports.
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -546,11 +547,20 @@ TEST(MetricsRegistry, ConcurrentRecordingIsRaceFree) {
 // ------------------------------------------------------------------ sampler
 
 TEST(Sampler, CollectsBoundedChronologicalSeries) {
+  // The sampler is a tick source: on_sample fires on the sampler thread
+  // with a fresh snapshot, a strictly increasing time and a live probe.
   std::atomic<uint64_t> calls{0};
+  std::mutex mu;
+  std::vector<SamplerTick> ticks;
+  std::vector<uint64_t> completed;
   SamplerOptions so;
   so.period_s = 0.005;
   so.freq_probe_ms = 0.5;
-  so.capacity = 3;
+  so.on_sample = [&](const SamplerTick& t, const perf::MetricsSnapshot& m) {
+    std::lock_guard<std::mutex> lk(mu);
+    ticks.push_back(t);
+    completed.push_back(m.completed);
+  };
   Sampler sampler(so, [&] {
     perf::MetricsSnapshot s;
     s.completed = calls.fetch_add(1) + 1;
@@ -558,19 +568,17 @@ TEST(Sampler, CollectsBoundedChronologicalSeries) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   sampler.stop();
-  std::vector<Sample> snap = sampler.samples();
-  ASSERT_GE(snap.size(), 2u);
-  ASSERT_LE(snap.size(), 3u);  // capacity trims the oldest
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_GT(snap[i].t_s, snap[i - 1].t_s);
-    EXPECT_GT(snap[i].completed, snap[i - 1].completed);
-  }
-  EXPECT_GT(snap.back().ghz, 0.1);
   sampler.stop();  // idempotent
-  std::string json = sampler.json();
-  EXPECT_NE(json.find("\"period_s\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_GE(ticks.size(), 2u);
+  EXPECT_EQ(ticks.size(), calls.load());  // one snapshot per tick
+  for (size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GT(ticks[i].t_s, ticks[i - 1].t_s);
+    EXPECT_GT(completed[i], completed[i - 1]);
+  }
+  EXPECT_GT(ticks.back().probe_ghz, 0.1);
+  EXPECT_GE(ticks.back().cpufreq_ghz, 0.0);
 }
 
 }  // namespace

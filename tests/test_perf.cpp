@@ -317,13 +317,13 @@ TEST(TracingOverhead, TracedPairwiseIsBitIdentical) {
 
   auto run = [&](obs::TraceSink* sink) {
     service::ServiceOptions opt;
-    opt.trace_sink = sink;
+    opt.obs.trace_sink = sink;
     service::AlignService svc(opt);
     service::AlignRequest rq;
     rq.query = q;
     rq.reference = r;
     rq.options.traceback = true;
-    return svc.submit(std::move(rq)).get();
+    return service::submit_future(svc, std::move(rq)).get().value();
   };
 
   obs::TraceSink sink;

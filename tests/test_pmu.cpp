@@ -181,11 +181,11 @@ TEST(AlignServicePmu, DegradedAttributionIsBitIdentical) {
   auto run = [&](bool attribution) {
     service::ServiceOptions opt;
     opt.pool_threads = 2;
-    opt.pmu_attribution = attribution;
+    opt.obs.pmu_attribution = attribution;
     service::AlignService svc(db, opt);
     service::SearchRequest rq;
     rq.query = query;
-    return svc.submit_search(std::move(rq)).get();
+    return service::submit_future(svc, std::move(rq)).get().value();
   };
   service::SearchResponse with = run(true);
   service::SearchResponse without = run(false);
@@ -205,14 +205,14 @@ TEST(AlignServicePmu, UnavailableGaugeReflectsDegradation) {
   service::AlignService svc(db, opt);
   service::SearchRequest rq;
   rq.query = seq::generate_sequence(8, 100);
-  svc.submit_search(std::move(rq)).get();
+  ASSERT_TRUE(service::submit_future(svc, std::move(rq)).get().ok());
 
   perf::MetricsSnapshot s = svc.metrics();
   EXPECT_EQ(s.pmu_unavailable, 1u);
   EXPECT_GT(s.pmu_total().samples, 0u);  // wall-only aggregation still on
 
   service::ServiceOptions off = opt;
-  off.pmu_attribution = false;
+  off.obs.pmu_attribution = false;
   service::AlignService svc_off(db, off);
   EXPECT_EQ(svc_off.metrics().pmu_unavailable, 0u);
 }
@@ -366,9 +366,9 @@ TEST(Watchdog, ServiceDetectsStalledEngine) {
   TraceSink sink;
   service::ServiceOptions opt;
   opt.pool_threads = 1;
-  opt.trace_sink = &sink;
-  opt.slow_request_slo_s = 0.01;
-  opt.watchdog_period_s = 0.002;
+  opt.obs.trace_sink = &sink;
+  opt.obs.slow_request_slo_s = 0.01;
+  opt.obs.watchdog_period_s = 0.002;
   opt.before_execute_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
   };
@@ -377,7 +377,7 @@ TEST(Watchdog, ServiceDetectsStalledEngine) {
   service::AlignRequest rq;
   rq.query = seq::generate_sequence(1, 60);
   rq.reference = seq::generate_sequence(2, 90);
-  svc.submit(std::move(rq)).get();
+  ASSERT_TRUE(service::submit_future(svc, std::move(rq)).get().ok());
 
   ASSERT_NE(svc.watchdog(), nullptr);
   EXPECT_EQ(svc.slow_requests(), 1u);

@@ -1,11 +1,12 @@
-// AlignService: the async request/future front door (ISSUE 1 tentpole).
+// AlignService: the async front door, driven through submit_async and the
+// blocking submit_future wrapper.
 //
 // Covers: future completion order, deadline expiry (queued and mid-run),
 // queue-full backpressure, bit-identical results vs the direct drivers for
 // several thread counts and both search modes, per-request config
-// validation failing the future, the delivery override hook, the
-// metrics snapshot, and the caller-runs admission rule for small pairwise
-// requests.
+// validation failing the future with a typed error, the delivery override
+// hook, the metrics snapshot, the telemetry history, and the caller-runs
+// admission rule for small pairwise requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,14 +46,19 @@ AlignRequest pairwise_request(uint64_t seed, int qlen = 80, int rlen = 120) {
   return rq;
 }
 
-template <typename Future>
-Code failure_code(Future& fut) {
-  try {
-    fut.get();
-  } catch (const ServiceError& e) {
-    return e.code();
-  }
-  return Code::Ok;
+/// The request's response; a failed request fails the test.
+template <typename Response>
+Response get_ok(std::future<core::ErrorOr<Response>> fut) {
+  core::ErrorOr<Response> out = fut.get();
+  EXPECT_TRUE(out.ok()) << out.error().message;
+  return std::move(out).value();
+}
+
+/// The request's typed error code (Code::Ok when it succeeded).
+template <typename Response>
+Code failure_code(std::future<core::ErrorOr<Response>>& fut) {
+  const core::ErrorOr<Response> out = fut.get();
+  return out.ok() ? Code::Ok : out.error().code;
 }
 
 TEST(AlignService, PairwiseMatchesAligner) {
@@ -64,7 +70,7 @@ TEST(AlignService, PairwiseMatchesAligner) {
   rq.options.traceback = true;
   seq::Sequence q = rq.query, r = rq.reference;
 
-  AlignResponse resp = svc.submit(std::move(rq)).get();
+  AlignResponse resp = get_ok(submit_future(svc, std::move(rq)));
 
   align::AlignConfig cfg;
   cfg.traceback = true;
@@ -82,18 +88,18 @@ TEST(AlignService, PairwiseMatchesAligner) {
 TEST(AlignService, FifoCompletionOrderWithOneExecutor) {
   ServiceOptions opt;
   opt.pool_threads = 1;
-  opt.executors = 1;  // strict FIFO
-  opt.start_paused = true;
+  opt.queue.executors = 1;  // strict FIFO
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
-  std::vector<std::future<AlignResponse>> futs;
+  std::vector<std::future<core::ErrorOr<AlignResponse>>> futs;
   for (int i = 0; i < 8; ++i)
-    futs.push_back(svc.submit(pairwise_request(100 + i)));
+    futs.push_back(submit_future(svc, pairwise_request(100 + i)));
   svc.resume();
 
   uint64_t prev = 0;
   for (size_t i = 0; i < futs.size(); ++i) {
-    AlignResponse r = futs[i].get();
+    AlignResponse r = get_ok(std::move(futs[i]));
     if (i > 0) EXPECT_EQ(r.trace.exec_sequence, prev + 1) << i;
     prev = r.trace.exec_sequence;
   }
@@ -101,19 +107,20 @@ TEST(AlignService, FifoCompletionOrderWithOneExecutor) {
 
 TEST(AlignService, QueueFullRejectionWhilePaused) {
   ServiceOptions opt;
-  opt.queue_capacity = 3;
-  opt.start_paused = true;
+  opt.queue.capacity = 3;
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
-  std::vector<std::future<AlignResponse>> ok;
-  for (int i = 0; i < 3; ++i) ok.push_back(svc.submit(pairwise_request(10 + i)));
+  std::vector<std::future<core::ErrorOr<AlignResponse>>> ok;
+  for (int i = 0; i < 3; ++i)
+    ok.push_back(submit_future(svc, pairwise_request(10 + i)));
   EXPECT_EQ(svc.queue_depth(), 3u);
 
-  auto rejected = svc.submit(pairwise_request(50));
+  auto rejected = submit_future(svc, pairwise_request(50));
   EXPECT_EQ(failure_code(rejected), Code::QueueFull);
 
   svc.resume();
-  for (auto& f : ok) EXPECT_NO_THROW(f.get());
+  for (auto& f : ok) EXPECT_TRUE(f.get().ok());
 
   perf::MetricsSnapshot m = svc.metrics();
   EXPECT_EQ(m.rejected_queue_full, 1u);
@@ -123,12 +130,12 @@ TEST(AlignService, QueueFullRejectionWhilePaused) {
 
 TEST(AlignService, DeadlineExpiresInQueue) {
   ServiceOptions opt;
-  opt.start_paused = true;
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
   AlignRequest rq = pairwise_request(7);
   rq.options.deadline = milliseconds(1);
-  auto fut = svc.submit(std::move(rq));
+  auto fut = submit_future(svc, std::move(rq));
   std::this_thread::sleep_for(milliseconds(20));
   svc.resume();
 
@@ -147,7 +154,7 @@ TEST(AlignService, DeadlineExpiresMidSearch) {
   // Long enough to enter execution, far too short to scan 400k residues:
   // the engine notices between sequences and reports truncation.
   rq.options.deadline = milliseconds(1);
-  auto fut = svc.submit_search(std::move(rq));
+  auto fut = submit_future(svc, std::move(rq));
   EXPECT_EQ(failure_code(fut), Code::DeadlineExceeded);
   EXPECT_EQ(svc.metrics().deadline_expired, 1u);
   EXPECT_EQ(svc.metrics().completed, 0u);
@@ -171,7 +178,7 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
       rq.query = q;
       rq.mode = mode;
       rq.options.top_k = 10;
-      SearchResponse got = svc.submit_search(std::move(rq)).get();
+      SearchResponse got = get_ok(submit_future(svc, std::move(rq)));
 
       ASSERT_EQ(got.result.hits.size(), want.hits.size())
           << threads << " threads, mode " << static_cast<int>(mode);
@@ -202,7 +209,7 @@ TEST(AlignService, BatchMatchesBatchServerForEveryThreadCount) {
     BatchRequest rq;
     rq.queries = queries;
     rq.options.top_k = 5;
-    BatchResponse got = svc.submit_batch(std::move(rq)).get();
+    BatchResponse got = get_ok(submit_future(svc, std::move(rq)));
 
     ASSERT_EQ(got.results.size(), want.size());
     for (size_t qi = 0; qi < want.size(); ++qi) {
@@ -227,8 +234,8 @@ TEST(AlignService, BadConfigFailsFutureNotThrow) {
   bad.gap_open = 1;
   bad.gap_extend = 5;  // affine open < extend
   rq.options.config = bad;
-  std::future<AlignResponse> fut;
-  EXPECT_NO_THROW(fut = svc.submit(std::move(rq)));
+  std::future<core::ErrorOr<AlignResponse>> fut;
+  EXPECT_NO_THROW(fut = submit_future(svc, std::move(rq)));
   EXPECT_EQ(failure_code(fut), Code::OpenLessThanExtend);
   EXPECT_EQ(svc.metrics().invalid_request, 1u);
 }
@@ -237,17 +244,17 @@ TEST(AlignService, SearchWithoutDatabaseFails) {
   AlignService svc;
   SearchRequest rq;
   rq.query = seq::generate_sequence(4, 50);
-  auto fut = svc.submit_search(std::move(rq));
+  auto fut = submit_future(svc, std::move(rq));
   EXPECT_EQ(failure_code(fut), Code::NoDatabase);
 }
 
 TEST(AlignService, ShutdownFailsQueuedRequests) {
-  std::future<AlignResponse> fut;
+  std::future<core::ErrorOr<AlignResponse>> fut;
   {
     ServiceOptions opt;
-    opt.start_paused = true;
+    opt.queue.start_paused = true;
     AlignService svc(opt);
-    fut = svc.submit(pairwise_request(8));
+    fut = submit_future(svc, pairwise_request(8));
   }  // destructor: queued request aborted
   EXPECT_EQ(failure_code(fut), Code::ShuttingDown);
 }
@@ -258,10 +265,10 @@ TEST(AlignService, MetricsSnapshotAndDump) {
   opt.pool_threads = 2;
   AlignService svc(db, opt);
 
-  for (int i = 0; i < 4; ++i) svc.submit(pairwise_request(200 + i)).get();
+  for (int i = 0; i < 4; ++i) get_ok(submit_future(svc, pairwise_request(200 + i)));
   SearchRequest srq;
   srq.query = seq::generate_sequence(90, 100);
-  svc.submit_search(std::move(srq)).get();
+  get_ok(submit_future(svc, std::move(srq)));
 
   perf::MetricsSnapshot m = svc.metrics();
   EXPECT_EQ(m.submitted, 5u);
@@ -285,7 +292,7 @@ TEST(AlignService, DeliveryOverridePinsTracePath) {
   AlignService svc;
   AlignRequest rq = pairwise_request(91);
   seq::Sequence q = rq.query, r = rq.reference;
-  AlignResponse resp = svc.submit(std::move(rq)).get();
+  AlignResponse resp = get_ok(submit_future(svc, std::move(rq)));
   EXPECT_EQ(resp.trace.delivery, core::ScoreDelivery::Fill);
 
   // Pinning must not change results: Fill and Gather are different roads to
@@ -323,16 +330,16 @@ TEST(AlignService, TraceSinkCapturesRequestSpans) {
   obs::TraceSink sink;
   ServiceOptions opt;
   opt.pool_threads = 2;
-  opt.trace_sink = &sink;
+  opt.obs.trace_sink = &sink;
   AlignService svc(db, opt);
 
-  AlignResponse presp = svc.submit(pairwise_request(300)).get();
+  AlignResponse presp = get_ok(submit_future(svc, pairwise_request(300)));
   SearchRequest srq;
   srq.query = seq::generate_sequence(90, 120);
-  SearchResponse sresp = svc.submit_search(std::move(srq)).get();
+  SearchResponse sresp = get_ok(submit_future(svc, std::move(srq)));
   srq.query = seq::generate_sequence(91, 120);
   srq.mode = align::SearchMode::Batch;
-  SearchResponse bresp = svc.submit_search(std::move(srq)).get();
+  SearchResponse bresp = get_ok(submit_future(svc, std::move(srq)));
 
   EXPECT_NE(presp.trace.trace_id, sresp.trace.trace_id);
   EXPECT_GT(presp.trace.trace_id, 0u);
@@ -386,7 +393,7 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
     obs::TraceSink sink;
     ServiceOptions opt;
     opt.pool_threads = 1;
-    opt.trace_sink = &sink;
+    opt.obs.trace_sink = &sink;
     AlignService svc(db, opt);
     bool marked = false;
     uint64_t id = 100;
@@ -398,14 +405,10 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
       rq.options.deadline = deadline;
       rq.options.trace_id = ++id;
       const uint64_t expiry_ns = sink.now_ns() + 1'000'000 * deadline.count();
-      std::string message;
-      try {
-        svc.submit_search(std::move(rq)).get();
-      } catch (const ServiceError& e) {
-        ASSERT_EQ(e.code(), Code::DeadlineExceeded);
-        message = e.what();
-      }
-      ASSERT_FALSE(message.empty()) << "the scan beat the deadline";
+      const auto out = submit_future(svc, std::move(rq)).get();
+      ASSERT_FALSE(out.ok()) << "the scan beat the deadline";
+      ASSERT_EQ(out.error().code, Code::DeadlineExceeded);
+      const std::string& message = out.error().message;
       if (message.find("in queue") != std::string::npos) continue;
       for (const auto& e : sink.snapshot_events())
         marked = marked || (e.trace_id == id && e.ts_ns < expiry_ns &&
@@ -422,10 +425,10 @@ TEST(AlignService, DumpMetricsFormats) {
   ServiceOptions opt;
   opt.pool_threads = 2;
   AlignService svc(db, opt);
-  svc.submit(pairwise_request(310)).get();
+  get_ok(submit_future(svc, pairwise_request(310)));
   SearchRequest srq;
   srq.query = seq::generate_sequence(92, 100);
-  svc.submit_search(std::move(srq)).get();
+  get_ok(submit_future(svc, std::move(srq)));
 
   std::string text = svc.dump_metrics(obs::MetricsFormat::Text);
   EXPECT_NE(text.find("swve service metrics"), std::string::npos);
@@ -463,30 +466,31 @@ TEST(AlignService, DumpMetricsFormats) {
 }
 
 TEST(AlignService, SamplerCollectsTimeSeries) {
+  // The sampler tick carries its frequency probe into the one telemetry
+  // history, under the "freq" series.
   ServiceOptions opt;
-  opt.sampler_period_s = 0.02;
-  opt.sampler_freq_probe_ms = 1.0;
+  opt.serve.telemetry_cadence_s = 0.02;
   AlignService svc(opt);
-  svc.submit(pairwise_request(320)).get();
+  get_ok(submit_future(svc, pairwise_request(320)));
   std::this_thread::sleep_for(milliseconds(120));
 
-  ASSERT_NE(svc.sampler(), nullptr);
-  std::vector<obs::Sample> samples = svc.samples();
-  ASSERT_GE(samples.size(), 2u);
-  for (size_t i = 1; i < samples.size(); ++i)
-    EXPECT_GE(samples[i].t_s, samples[i - 1].t_s);  // chronological
-  EXPECT_GT(samples.back().ghz, 0.1);
-  EXPECT_GE(samples.back().completed, 1u);
-  std::string json = svc.sampler()->json();
-  EXPECT_NE(json.find("\"samples\""), std::string::npos);
-  EXPECT_NE(json.find("\"ghz\""), std::string::npos);
+  ASSERT_NE(svc.timeseries(), nullptr);
+  const std::vector<obs::TimeSeriesPoint> points = svc.timeseries()->points();
+  ASSERT_GE(points.size(), 1u);
+  bool probed = false;
+  for (const obs::TimeSeriesPoint& p : points)
+    probed = probed || p.probe_ghz > 0.1;
+  EXPECT_TRUE(probed);
+  const std::string json = svc.timeseries()->json("freq");
+  EXPECT_NE(json.find("\"probe_ghz\""), std::string::npos) << json;
 }
 
 TEST(AlignService, TopdownSamplingAttachesBreakdown) {
   ServiceOptions opt;
-  opt.topdown_every_n = 1;  // every request
+  opt.obs.topdown_every_n = 1;  // every request
   AlignService svc(opt);
-  AlignResponse resp = svc.submit(pairwise_request(330, 200, 300)).get();
+  AlignResponse resp =
+      get_ok(submit_future(svc, pairwise_request(330, 200, 300)));
   ASSERT_TRUE(resp.trace.topdown.has_value());
   const perf::TopDownResult& td = *resp.trace.topdown;
   EXPECT_FALSE(td.source.empty());
@@ -497,21 +501,22 @@ TEST(AlignService, TopdownSamplingAttachesBreakdown) {
 
   // Disabled sampling attaches nothing.
   AlignService plain;
-  EXPECT_FALSE(
-      plain.submit(pairwise_request(331)).get().trace.topdown.has_value());
+  EXPECT_FALSE(get_ok(submit_future(plain, pairwise_request(331)))
+                   .trace.topdown.has_value());
 }
 
 TEST(AlignService, BlockingOverflowEventuallyAccepts) {
   ServiceOptions opt;
-  opt.queue_capacity = 1;
-  opt.overflow = ServiceOptions::Overflow::Block;
+  opt.queue.capacity = 1;
+  opt.queue.overflow = QueueOptions::Overflow::Block;
   AlignService svc(opt);
 
   // With Block, every submit succeeds (the submitter stalls instead of
   // being rejected); all futures must complete.
-  std::vector<std::future<AlignResponse>> futs;
-  for (int i = 0; i < 6; ++i) futs.push_back(svc.submit(pairwise_request(i)));
-  for (auto& f : futs) EXPECT_NO_THROW(f.get());
+  std::vector<std::future<core::ErrorOr<AlignResponse>>> futs;
+  for (int i = 0; i < 6; ++i)
+    futs.push_back(submit_future(svc, pairwise_request(i)));
+  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(svc.metrics().rejected_queue_full, 0u);
   EXPECT_EQ(svc.metrics().completed, 6u);
 }
@@ -546,7 +551,7 @@ TEST(AlignService, InlineNeverOvertakesTheBusyExecutor) {
   std::latch entered(1), release(1);
   std::atomic<int> hooks{0};
   ServiceOptions opt;
-  opt.executors = 1;
+  opt.queue.executors = 1;
   opt.before_execute_hook = [&] {
     if (hooks.fetch_add(1) == 0) {
       entered.count_down();
@@ -555,41 +560,41 @@ TEST(AlignService, InlineNeverOvertakesTheBusyExecutor) {
   };
   AlignService svc(opt);
 
-  auto a = svc.submit(pairwise_request(410, 300, 300));
+  auto a = submit_future(svc, pairwise_request(410, 300, 300));
   static_assert(300 * 300 > AlignService::kInlineMaxCells);
   entered.wait();
-  auto b = svc.submit(pairwise_request(411));
+  auto b = submit_future(svc, pairwise_request(411));
   EXPECT_EQ(svc.queue_depth(), 1u);
   EXPECT_EQ(b.wait_for(milliseconds(0)), std::future_status::timeout);
   release.count_down();
 
-  const AlignResponse ra = a.get();
-  const AlignResponse rb = b.get();
+  const AlignResponse ra = get_ok(std::move(a));
+  const AlignResponse rb = get_ok(std::move(b));
   EXPECT_EQ(rb.trace.exec_sequence, ra.trace.exec_sequence + 1);
   EXPECT_EQ(svc.metrics().inline_runs, 0u);
 }
 
 TEST(AlignService, PausedServiceQueuesSmallPairwiseInTierOrder) {
   ServiceOptions opt;
-  opt.executors = 1;
-  opt.start_paused = true;
+  opt.queue.executors = 1;
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
   AlignRequest low = pairwise_request(420);
   low.options.tier = QosTier::Bulk;
-  auto fl = svc.submit(std::move(low));
+  auto fl = submit_future(svc, std::move(low));
   EXPECT_EQ(svc.queue_depth(), 1u);
   // Paused and something queued: an urgent request queues too, and still
   // runs first once the executor drains.
   AlignRequest urgent = pairwise_request(421);
   urgent.options.tier = QosTier::Interactive;
-  auto fu = svc.submit(std::move(urgent));
+  auto fu = submit_future(svc, std::move(urgent));
   EXPECT_EQ(svc.queue_depth(), 2u);
   EXPECT_EQ(svc.metrics().inline_runs, 0u);
 
   svc.resume();
-  const AlignResponse rl = fl.get();
-  const AlignResponse ru = fu.get();
+  const AlignResponse rl = get_ok(std::move(fl));
+  const AlignResponse ru = get_ok(std::move(fu));
   EXPECT_LT(ru.trace.exec_sequence, rl.trace.exec_sequence);
   EXPECT_EQ(svc.metrics().inline_runs, 0u);
 }
@@ -661,8 +666,8 @@ TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
 
   ServiceOptions opt;
   opt.pool_threads = 2;
-  opt.executors = 2;
-  opt.overflow = ServiceOptions::Overflow::Block;  // queued, never rejected
+  opt.queue.executors = 2;
+  opt.queue.overflow = QueueOptions::Overflow::Block;  // queued, never rejected
   AlignService svc(db, opt);
 
   std::vector<std::atomic<int>> fired(kPairs);
@@ -674,7 +679,7 @@ TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
       SearchRequest rq;
       rq.query = seq::generate_sequence(500 + s, 120);
       rq.mode = align::SearchMode::Batch;
-      EXPECT_NO_THROW(svc.submit_search(std::move(rq)).get());
+      EXPECT_TRUE(submit_future(svc, std::move(rq)).get().ok());
     }
   });
   std::vector<std::thread> submitters;

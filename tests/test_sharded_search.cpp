@@ -411,7 +411,7 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   rq.query = q;
   rq.mode = SearchMode::Batch;
   rq.options.top_k = 10;
-  service::SearchResponse want = one_svc.submit_search(std::move(rq)).get();
+  service::SearchResponse want = service::submit_future(one_svc, std::move(rq)).get().value();
   const perf::MetricsSnapshot one_m = one_svc.metrics();
   ASSERT_EQ(one_m.shard_count, 1u);
   EXPECT_EQ(one_m.shards[0].searches, 1u);
@@ -434,7 +434,7 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   srq.query = q;
   srq.mode = SearchMode::Batch;
   srq.options.top_k = 10;
-  service::SearchResponse got = svc.submit_search(std::move(srq)).get();
+  service::SearchResponse got = service::submit_future(svc, std::move(srq)).get().value();
   expect_same_hits(got.result, want.result, "service");
 
   const perf::MetricsSnapshot m = svc.metrics();
