@@ -3,6 +3,9 @@
 // the batch32 and baseline kernels.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "baseline/diag_basic.hpp"
 #include "baseline/scan.hpp"
@@ -59,6 +62,39 @@ void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
+}
+
+// Smith-Waterman as a subroutine: 2048 pairs of 30-130 aa, a quarter of
+// them 92%-identity copies (so the width ladder reruns), Adaptive width,
+// traceback on, best ISA. Reports microseconds per pair.
+void BM_DiagShortPairs(benchmark::State& state) {
+  static const std::vector<std::pair<seq::Sequence, seq::Sequence>> pairs = [] {
+    std::vector<std::pair<seq::Sequence, seq::Sequence>> out;
+    std::mt19937_64 rng(31);
+    for (int i = 0; i < 2048; ++i) {
+      auto q = seq::generate_sequence(rng(), 30 + static_cast<uint32_t>(rng() % 101));
+      auto r = i % 4 == 0 ? seq::mutate(q, rng(), 0.08)
+                          : seq::generate_sequence(
+                                rng(), 30 + static_cast<uint32_t>(rng() % 101));
+      out.emplace_back(std::move(q), std::move(r));
+    }
+    return out;
+  }();
+  core::AlignConfig cfg;
+  cfg.traceback = true;
+  uint64_t cells = 0;
+  for (const auto& [q, r] : pairs) cells += q.length() * r.length();
+  for (auto _ : state)
+    for (const auto& [q, r] : pairs) {
+      core::Alignment a = core::diag_align(q, r, cfg, tls_ws());
+      benchmark::DoNotOptimize(a.score);
+    }
+  report_cells(state, cells);
+  // Inverted rate: seconds per (pairs x 1e-6), i.e. microseconds per pair.
+  state.counters["us_per_pair"] = benchmark::Counter(
+      static_cast<double>(pairs.size()) * static_cast<double>(state.iterations()) *
+          1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 void BM_Striped(benchmark::State& state) {
@@ -153,6 +189,8 @@ int main(int argc, char** argv) {
            ScoreScheme::Matrix);
   SWVE_REG("diag/avx512/w8", BM_DiagKernel, Isa::Avx512, Width::W8,
            ScoreScheme::Matrix);
+  benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb", BM_DiagShortPairs)
+      ->Unit(benchmark::kMillisecond);
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);

@@ -10,9 +10,9 @@
 //     (diagonal-based memory linearization, Fig 2);
 //   * the reference is reversed once so the diagonal's substitution-matrix
 //     indices 32*q[i] + r[d-i] are two forward contiguous loads and one
-//     vector add (Fig 4); scores arrive either through vpgatherdd (Gather)
-//     or a scalar-staged linear buffer (Fill) — chosen at runtime, because
-//     gather throughput varies wildly across microarchitectures;
+//     vector add (Fig 4); scores arrive through vpgatherdd (Gather), a
+//     scalar-staged linear buffer (Fill) or an in-register vpermi2b lookup
+//     (Shuffle), picked per ISA by a fixed rule (core::delivery_for);
 //   * full vectors cover the diagonal body; the ragged tail is ONE
 //     zero-masked vector (the paper's Fig 3 zero-padding), with invalid
 //     lanes blended to 0 — exactly the boundary value the next diagonals
@@ -23,7 +23,9 @@
 //     the same (min i, then min j) tie-break as the golden scalar model;
 //   * 8/16-bit engines run in the unsigned biased domain with saturating
 //     arithmetic; if the observed maximum exceeds cap - bias - max_score the
-//     result is flagged saturated and the dispatcher re-runs wider.
+//     result is flagged saturated and the dispatcher re-runs wider. When a
+//     wider rung follows, the kernel stops at the first anti-diagonal that
+//     saturates instead of finishing a matrix whose result is discarded.
 #pragma once
 
 #include <bit>
@@ -52,6 +54,12 @@ struct DiagRequest {
   /// when set the kernel reads qmul32/qenc from here instead of rebuilding
   /// them into the workspace. Results are bit-identical either way.
   const PreparedQuery* prep = nullptr;
+  /// The caller re-runs a saturated result at a wider width (the adaptive
+  /// ladder's 8- and 16-bit rungs): return `saturated` at the first
+  /// anti-diagonal whose maximum reaches the saturation limit. Off, a
+  /// narrow kernel computes the whole matrix and reports its lower-bound
+  /// score.
+  bool stop_on_saturation = false;
 };
 
 struct DiagOutput {
@@ -119,24 +127,40 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   const int64_t ext_c = ext64 > kCap ? kCap : ext64;
 
   // ---- workspace ------------------------------------------------------
+  // The sweep reads, from the previous two diagonals, only cells it wrote
+  // this call or the boundary sentinels it stores after each diagonal; the
+  // first two diagonals instead read slots -1 and 0 of the initial buffers,
+  // so the full DP zeroes just those. A band leaves diagonals empty (no
+  // sentinels written), so banded runs start from all-zero buffers.
   const size_t stride = (static_cast<size_t>(m) + 2 * kPad) * sizeof(elem);
+  auto dp_buffer = [&](AlignedBuf& b) {
+    elem* p;
+    if (cfg.band >= 0) {
+      p = static_cast<elem*>(b.ensure_zeroed(stride)) + kPad;
+    } else {
+      p = static_cast<elem*>(b.ensure(stride)) + kPad;
+      p[-1] = p[0] = 0;
+    }
+    return p;
+  };
   elem* H[3];
-  for (int t = 0; t < 3; ++t)
-    H[t] = static_cast<elem*>(ws.h[t].ensure_zeroed(stride)) + kPad;
+  for (int t = 0; t < 3; ++t) H[t] = dp_buffer(ws.h[t]);
   elem *Ebuf[2] = {nullptr, nullptr}, *Fbuf[2] = {nullptr, nullptr};
   if constexpr (GM == GapModel::Affine) {
     for (int t = 0; t < 2; ++t) {
-      Ebuf[t] = static_cast<elem*>(ws.e[t].ensure_zeroed(stride)) + kPad;
-      Fbuf[t] = static_cast<elem*>(ws.f[t].ensure_zeroed(stride)) + kPad;
+      Ebuf[t] = dp_buffer(ws.e[t]);
+      Fbuf[t] = dp_buffer(ws.f[t]);
     }
   }
   // rowmax/bestd carry kPad slack so the masked tail vector may touch
-  // (masked-out) lanes past m.
+  // lanes past m; tail lanes hold h == 0, so they never improve and leave
+  // that slack as they found it. Only rows [0, m) are ever read back, and
+  // bestd[i] only once rowmax[i] > 0, i.e. after row i improved and wrote it.
   elem* rowmax = static_cast<elem*>(
-      ws.rowmax.ensure_zeroed((static_cast<size_t>(m) + kPad) * sizeof(elem)));
+      ws.rowmax.ensure((static_cast<size_t>(m) + kPad) * sizeof(elem)));
+  std::memset(rowmax, 0, static_cast<size_t>(m) * sizeof(elem));
   auto* bestd = static_cast<int32_t*>(
       ws.best_diag.ensure((static_cast<size_t>(m) + kPad) * 4));
-  for (int i = 0; i < m; ++i) bestd[i] = -1;
 
   const int32_t* mat32 = nullptr;
   const int32_t* qmul = nullptr;
@@ -171,20 +195,22 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       sbuf = static_cast<elem*>(ws.diag_scores.ensure_zeroed(stride)) + kPad;
   }
   if constexpr (SM == KMode::Fixed || SM == KMode::Shuffle) {
+    // Encoded residues widened to the element type (compare feed for
+    // Fixed, lookup indices for Shuffle). Pads zeroed: code 0 is a valid
+    // index.
     if (prep != nullptr) {
       qencE = prep->template qenc<elem>();
     } else {
-      // Encoded residues widened to the element type (compare feed for
-      // Fixed, lookup indices for Shuffle). Pads zeroed: code 0 is a valid
-      // index.
       elem* qe = static_cast<elem*>(
-          ws.qenc.ensure_zeroed((static_cast<size_t>(m) + kPad) * sizeof(elem)));
+          ws.qenc.ensure((static_cast<size_t>(m) + kPad) * sizeof(elem)));
       for (int i = 0; i < m; ++i) qe[i] = q[i];
+      std::memset(qe + m, 0, kPad * sizeof(elem));
       qencE = qe;
     }
     dbrevE = static_cast<elem*>(
-        ws.dbrev_enc.ensure_zeroed((static_cast<size_t>(n) + kPad) * sizeof(elem)));
+        ws.dbrev_enc.ensure((static_cast<size_t>(n) + kPad) * sizeof(elem)));
     for (int t = 0; t < n; ++t) dbrevE[t] = r[n - 1 - t];
+    std::memset(dbrevE + n, 0, kPad * sizeof(elem));
   }
   // Shuffle delivery: stage the biased byte table into registers once.
   [[maybe_unused]] auto stab = [&] {
@@ -201,15 +227,10 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     if (cells > cfg.max_traceback_cells)
       throw std::length_error("diag_align: traceback matrix exceeds cell cap");
     // +kPad slack: the masked tail stores a full vector of direction bytes.
+    // The per-diagonal offsets are filled in by the sweep.
     tbdirs = static_cast<uint8_t*>(ws.tb_dirs.ensure(cells + kPad));
     tboff = static_cast<uint64_t*>(
         ws.tb_offsets.ensure(static_cast<size_t>(m + n) * 8));
-    uint64_t off = 0;
-    for (int d = 0; d < m + n - 1; ++d) {
-      tboff[d] = off;
-      const auto [lo, hi] = detail::diag_range(d, m, n, cfg.band);
-      if (hi >= lo) off += static_cast<uint64_t>(hi - lo + 1);
-    }
   }
 
   // ---- constants ------------------------------------------------------
@@ -235,6 +256,12 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   [[maybe_unused]] const vec v3 = E::set1(kTbF);
   [[maybe_unused]] const vec v4 = E::set1(kTbEExt);
   [[maybe_unused]] const vec v8 = E::set1(kTbFExt);
+  // Saturation early exit: the running maximum of every vector cell, tested
+  // once per anti-diagonal against sat_limit - 1.
+  const bool stop_on_sat =
+      !E::is_signed && rq.stop_on_saturation && sat_limit > 0;
+  const vec vsat_below = E::set1(stop_on_sat ? sat_limit - 1 : 0);
+  vec vhmax = vzero;
 
   elem* Hc = H[0];
   elem* Hp = H[1];
@@ -249,8 +276,8 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   // One DP step for V lanes at base row i; `valid` < V marks the ragged
   // tail (Fig 3): lanes >= valid are computed but blended to zero before
   // every store, which is exactly the "never reached" boundary value.
-  auto vector_step = [&](int i, int lo, int d, const int32_t* dbr,
-                         const elem* dbrE, uint8_t* tbrow, int valid) {
+  auto vector_step = [&](int i, int d, const int32_t* dbr, const elem* dbrE,
+                         uint8_t* tbrow, int valid) {
     vec sb;
     if constexpr (SM == KMode::Gather)
       sb = E::gather_scores(qmul + i, dbr + i, mat32, bias);
@@ -261,7 +288,6 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     else
       sb = E::blend(E::cmpeq(E::loadu(qencE + i), E::loadu(dbrE + i)), vmis_b,
                     vmatch_b);
-    (void)lo;
     const vec hd = E::loadu(Hp2 + i - 1);
     const vec hs = E::add_score(hd, sb, vbias);
     vec e, f;
@@ -290,32 +316,29 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       E::storeu(Ec + i, e);
       E::storeu(Fc + i, f);
     }
+    if constexpr (!E::is_signed) vhmax = E::max(vhmax, h);
 
     if constexpr (TB) {
-      // Priority on ties: stop > diag > E > F — apply lowest first.
-      vec dir = E::blend(E::cmpeq(h, f), vzero, v3);
-      dir = E::blend(E::cmpeq(h, e), dir, v2);
+      // Priority on ties: stop > diag > E > F — apply lowest first. Since
+      // h = max(hs, e, f), a cell that is not 0, hs or e is F.
+      vec dir = E::blend(E::cmpeq(h, e), v3, v2);
       dir = E::blend(E::cmpeq(h, hs), dir, v1);
       dir = E::blend(E::cmpeq(h, vzero), dir, vzero);
       if constexpr (GM == GapModel::Affine) {
         // Gap runs prefer "open" on ties: extend bit only if != open term.
-        dir = E::or_(dir, E::blend(E::cmpeq(e, e_open), v4, vzero));
-        dir = E::or_(dir, E::blend(E::cmpeq(f, f_open), v8, vzero));
+        dir = E::set_bits_ne(dir, e, e_open, v4);
+        dir = E::set_bits_ne(dir, f, f_open, v8);
       }
       E::store_dir_u8(tbrow + i, dir);  // tail over-run lands in slack
     }
 
     // Deferred maximum (§III-D): per-row running max; the improving lanes
-    // also record the diagonal index, fully vectorized (improvements are
-    // frequent when gaps are cheap, so no scalar bit-loop here). Masked
-    // tail lanes hold h == 0 and never improve (rowmax is zero-initialized
-    // through its padding).
+    // also record the diagonal index. Branch-free: whether a vector
+    // improves is data-dependent, and the stores are cheaper than the
+    // mispredictions. Masked tail lanes hold h == 0 and never improve.
     const vec rm = E::loadu(rowmax + i);
-    const auto imp = E::cmpgt(h, rm);
-    if (E::any(imp)) {
-      E::storeu(rowmax + i, E::max(rm, h));
-      E::store_bestd(bestd + i, imp, d);
-    }
+    E::store_bestd(bestd + i, E::cmpgt(h, rm), d);
+    E::storeu(rowmax + i, E::max(rm, h));
   };
 
   // The identical recurrence, one cell, scalar (tiny diagonals).
@@ -375,9 +398,18 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     }
   };
 
+  auto stats = [&](int diagonals) {
+    out.stats.cells = vec_cells + scalar_cells;
+    out.stats.vector_cells = vec_cells;
+    out.stats.scalar_cells = scalar_cells;
+    out.stats.diagonals = static_cast<uint64_t>(diagonals);
+  };
+
   // ---- main anti-diagonal sweep ---------------------------------------
+  [[maybe_unused]] uint64_t tb_next = 0;  // traceback offset of diagonal d
   for (int d = 0; d < m + n - 1; ++d) {
     const auto [lo, hi] = detail::diag_range(d, m, n, cfg.band);
+    if constexpr (TB) tboff[d] = tb_next;
     if (hi < lo) {  // empty banded diagonal: just rotate the buffers
       elem* te = Hp2;
       Hp2 = Hp;
@@ -395,7 +427,10 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     [[maybe_unused]] const elem* dbrE =
         dbrevE != nullptr ? dbrevE + (n - 1 - d) : nullptr;
     [[maybe_unused]] uint8_t* tbrow = nullptr;
-    if constexpr (TB) tbrow = tbdirs + tboff[d] - lo;
+    if constexpr (TB) {
+      tbrow = tbdirs + tb_next - lo;
+      tb_next += static_cast<uint64_t>(len);
+    }
 
     if (len <= detail::kScalarDiagonal) {
       for (int i = lo; i <= hi; ++i) scalar_cell(i, d, tbrow);
@@ -408,12 +443,20 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       }
       int i = lo;
       for (; i + V <= hi + 1; i += V) {
-        vector_step(i, lo, d, dbr, dbrE, tbrow, V);
+        vector_step(i, d, dbr, dbrE, tbrow, V);
         vec_cells += V;
       }
       if (i <= hi) {  // ragged tail: one zero-masked vector (Fig 3)
-        vector_step(i, lo, d, dbr, dbrE, tbrow, hi - i + 1);
+        vector_step(i, d, dbr, dbrE, tbrow, hi - i + 1);
         scalar_cells += static_cast<uint64_t>(hi - i + 1);
+      }
+      // A wider rung follows: this one's result is discarded once any cell
+      // reaches the limit, so stop here.
+      if (stop_on_sat && E::any(E::cmpgt(vhmax, vsat_below))) {
+        out.score = static_cast<int>(sat_limit);
+        out.saturated = true;
+        stats(d + 1);
+        return out;
       }
     }
 
@@ -455,16 +498,14 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     out.end_ref = bestd[bi] - bi;
   }
   out.saturated = !E::is_signed && best >= sat_limit;
-  out.stats.cells = vec_cells + scalar_cells;
-  out.stats.vector_cells = vec_cells;
-  out.stats.scalar_cells = scalar_cells;
-  out.stats.diagonals = static_cast<uint64_t>(m + n - 1);
+  stats(m + n - 1);
   return out;
 }
 
 /// Runtime (gap model, score mode, traceback) -> template instantiation
-/// switch; used by each ISA translation unit. cfg.delivery must already be
-/// resolved (never Auto here; see core::diag_align).
+/// switch; used by each ISA translation unit. cfg.delivery must be the path
+/// core::delivery_for resolved for this ISA (never Auto, and Shuffle only
+/// where it runs; see core::diag_align).
 template <class E>
 DiagOutput diag_run(const DiagRequest& rq) {
   const AlignConfig& c = *rq.cfg;
@@ -477,10 +518,7 @@ DiagOutput diag_run(const DiagRequest& rq) {
         mode = KMode::Fill;
         break;
       case ScoreDelivery::Shuffle:
-        // Requires engine support AND runtime VBMI; degrade to Fill.
-        mode = E::has_shuffle_scores && simd::cpu_features().avx512vbmi
-                   ? KMode::Shuffle
-                   : KMode::Fill;
+        mode = KMode::Shuffle;
         break;
       default:
         mode = KMode::Gather;
@@ -502,8 +540,8 @@ DiagOutput diag_run(const DiagRequest& rq) {
           return tb ? diag_align_impl<E, GMv, KMode::Shuffle, true>(rq)
                     : diag_align_impl<E, GMv, KMode::Shuffle, false>(rq);
         else
-          return tb ? diag_align_impl<E, GMv, KMode::Fill, true>(rq)
-                    : diag_align_impl<E, GMv, KMode::Fill, false>(rq);
+          throw std::invalid_argument(
+              "diag_run: Shuffle delivery on an engine without it");
       default:
         return tb ? diag_align_impl<E, GMv, KMode::Fixed, true>(rq)
                   : diag_align_impl<E, GMv, KMode::Fixed, false>(rq);

@@ -17,6 +17,9 @@ namespace swve::seq {
 /// Row stride (and padded column count) of every score matrix. 32 codes fit
 /// one AVX2 byte register and make `32*q + r` a shift+add.
 inline constexpr int kMatrixStride = 32;
+/// Matrix rows the diagonal kernel's in-register (vpermi2b) score lookup
+/// stages: six segments of four rows. Every built-in alphabet fits.
+inline constexpr int kShuffleCodes = 24;
 
 enum class AlphabetKind : uint8_t { Protein, Dna };
 

@@ -108,7 +108,9 @@ struct RequestTrace {
   uint64_t cells = 0;       ///< DP cells computed (from KernelStats)
 
   simd::Isa isa = simd::Isa::Scalar;          ///< resolved ISA
-  core::ScoreDelivery delivery = core::ScoreDelivery::Auto;  ///< path chosen
+  /// Score-delivery path that ran (core::delivery_for; pairwise: at the
+  /// final rung of the width ladder).
+  core::ScoreDelivery delivery = core::ScoreDelivery::Auto;
   core::Width width_used = core::Width::W8;   ///< pairwise: final rung
   /// Adaptive-ladder retries: pairwise counts 8->16/16->32 re-runs; the
   /// batch paths count lanes re-scored after 8-bit saturation.

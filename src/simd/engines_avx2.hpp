@@ -60,11 +60,11 @@ struct Avx2U8 {
     return _mm256_cmpgt_epi8(_mm256_xor_si256(a, f), _mm256_xor_si256(b, f));
   }
   static vec blend(mask m, vec a, vec b) { return _mm256_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm256_or_si256(a, b); }
-  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
-  static uint64_t to_bits(mask m) {
-    return static_cast<uint32_t>(_mm256_movemask_epi8(m));
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm256_or_si256(dir, _mm256_andnot_si256(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -94,15 +94,6 @@ struct Avx2U8 {
       __m256i* p = reinterpret_cast<__m256i*>(bd + 8 * g);
       _mm256_storeu_si256(p, _mm256_blendv_epi8(_mm256_loadu_si256(p), vd, mg));
     }
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epu8(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 8));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 4));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 2));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 1));
-    return static_cast<elem>(_mm_cvtsi128_si32(x) & 0xFF);
   }
 };
 
@@ -137,11 +128,11 @@ struct Avx2U16 {
     return _mm256_cmpgt_epi16(_mm256_xor_si256(a, f), _mm256_xor_si256(b, f));
   }
   static vec blend(mask m, vec a, vec b) { return _mm256_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm256_or_si256(a, b); }
-  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
-  static uint64_t to_bits(mask m) {  // one bit per 16-bit lane
-    return _pext_u32(static_cast<uint32_t>(_mm256_movemask_epi8(m)), 0xAAAAAAAAu);
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm256_or_si256(dir, _mm256_andnot_si256(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -171,14 +162,6 @@ struct Avx2U16 {
     __m256i* p1 = reinterpret_cast<__m256i*>(bd + 8);
     _mm256_storeu_si256(p0, _mm256_blendv_epi8(_mm256_loadu_si256(p0), vd, m0));
     _mm256_storeu_si256(p1, _mm256_blendv_epi8(_mm256_loadu_si256(p1), vd, m1));
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epu16(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
-    x = _mm_max_epu16(x, _mm_srli_si128(x, 8));
-    x = _mm_max_epu16(x, _mm_srli_si128(x, 4));
-    x = _mm_max_epu16(x, _mm_srli_si128(x, 2));
-    return static_cast<elem>(_mm_cvtsi128_si32(x) & 0xFFFF);
   }
 };
 
@@ -210,11 +193,11 @@ struct Avx2I32 {
   static mask cmpeq(vec a, vec b) { return _mm256_cmpeq_epi32(a, b); }
   static mask cmpgt(vec a, vec b) { return _mm256_cmpgt_epi32(a, b); }
   static vec blend(mask m, vec a, vec b) { return _mm256_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm256_or_si256(a, b); }
-  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
-  static uint64_t to_bits(mask m) {
-    return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(m)));
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm256_or_si256(dir, _mm256_andnot_si256(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm256_testz_si256(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -241,13 +224,6 @@ struct Avx2I32 {
     __m256i* p = reinterpret_cast<__m256i*>(bd);
     _mm256_storeu_si256(
         p, _mm256_blendv_epi8(_mm256_loadu_si256(p), _mm256_set1_epi32(d), m));
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epi32(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
-    x = _mm_max_epi32(x, _mm_srli_si128(x, 8));
-    x = _mm_max_epi32(x, _mm_srli_si128(x, 4));
-    return _mm_cvtsi128_si32(x);
   }
 };
 

@@ -1,51 +1,56 @@
 // AVX-512 engines (512-bit). Include only from translation units compiled
 // with -mavx512f -mavx512bw -mavx512vl (-mavx512vbmi for batch32). Same
-// engine concept as engines_emu.hpp; comparisons use hardware mask registers
-// so to_bits() is free, and narrowing uses vpmovus* so no pack-order fixups
-// are needed.
+// engine concept as engines_emu.hpp; comparisons produce hardware mask
+// registers that blends and masked ops consume directly, and narrowing uses
+// vpmovus* so no pack-order fixups are needed.
 #pragma once
 
 #include <immintrin.h>
 
 #include <cstdint>
 
+#include "seq/alphabet.hpp"
+
 namespace swve::simd {
 
 namespace detail_avx512 {
 
-/// The 32x32 biased byte table staged into registers for vpermi2b lookups:
-/// 8 segments of 4 rows (128 B = one register pair). Built once per
-/// alignment; lives in zmm registers across the hot loop.
+/// The first seq::kShuffleCodes rows of the 32x32 biased byte table,
+/// staged into registers for vpermi2b lookups: 6 segments of 4 rows
+/// (128 B = one register pair). Built once per alignment; lives in zmm
+/// registers across the hot loop.
 struct ShuffleTable {
-  __m512i seg[16];  // seg[2s], seg[2s+1] = rows 4s..4s+3
+  __m512i seg[seq::kShuffleCodes / 2];  // seg[2s], seg[2s+1]: rows 4s..4s+3
 };
 
 inline ShuffleTable load_shuffle_table(const uint8_t* mat8) {
   ShuffleTable t;
-  for (int k = 0; k < 16; ++k) t.seg[k] = _mm512_loadu_si512(mat8 + 64 * k);
+  for (int k = 0; k < seq::kShuffleCodes / 2; ++k)
+    t.seg[k] = _mm512_loadu_si512(mat8 + 64 * k);
   return t;
 }
 
-/// Per byte lane: mat8[q*32 + r], q and r in [0, 32). Eight vpermi2b
-/// lookups (one per 4-row segment) merged by the segment id q >> 2.
-/// Requires AVX-512-VBMI (this TU is compiled with it; runtime gating is
-/// the dispatcher's responsibility).
+/// Per byte lane: mat8[q*32 + r], q in [0, seq::kShuffleCodes) and r in
+/// [0, 32); larger alphabets take another delivery path (core::delivery_for).
+/// Six vpermi2b lookups (one per 4-row segment) merged by a 3-level select
+/// on bits 2, 3 and 4 of q. Requires AVX-512-VBMI (this TU is compiled with
+/// it; runtime gating is the dispatcher's responsibility).
 inline __m512i lookup_q_r(const ShuffleTable& t, __m512i vq, __m512i vr) {
   // idx7 = (q & 3) << 5 | r. Since q & 3 <= 3, the epi16 shift cannot
   // bleed across byte lanes.
   const __m512i idx = _mm512_or_si512(
       _mm512_slli_epi16(_mm512_and_si512(vq, _mm512_set1_epi8(3)), 5), vr);
-  const __m512i seg = _mm512_srli_epi16(
-      _mm512_and_si512(vq, _mm512_set1_epi8(static_cast<char>(0xFC))), 2);
-  __m512i res = _mm512_permutex2var_epi8(t.seg[0], idx, t.seg[1]);
-  for (int s = 1; s < 8; ++s) {
-    const __m512i cand =
-        _mm512_permutex2var_epi8(t.seg[2 * s], idx, t.seg[2 * s + 1]);
-    res = _mm512_mask_mov_epi8(
-        res, _mm512_cmpeq_epi8_mask(seg, _mm512_set1_epi8(static_cast<char>(s))),
-        cand);
-  }
-  return res;
+  __m512i c[6];
+  for (int s = 0; s < 6; ++s)
+    c[s] = _mm512_permutex2var_epi8(t.seg[2 * s], idx, t.seg[2 * s + 1]);
+  const __mmask64 b2 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(4));
+  const __mmask64 b3 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(8));
+  const __mmask64 b4 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(16));
+  const __m512i lo = _mm512_mask_mov_epi8(
+      _mm512_mask_mov_epi8(c[0], b2, c[1]), b3,
+      _mm512_mask_mov_epi8(c[2], b2, c[3]));               // segments 0-3
+  const __m512i hi = _mm512_mask_mov_epi8(c[4], b2, c[5]);  // segments 4-5
+  return _mm512_mask_mov_epi8(lo, b4, hi);
 }
 
 }  // namespace detail_avx512
@@ -88,9 +93,12 @@ struct Avx512U8 {
   static mask cmpeq(vec a, vec b) { return _mm512_cmpeq_epu8_mask(a, b); }
   static mask cmpgt(vec a, vec b) { return _mm512_cmpgt_epu8_mask(a, b); }
   static vec blend(mask m, vec a, vec b) { return _mm512_mask_blend_epi8(m, a, b); }
-  static vec or_(vec a, vec b) { return _mm512_or_si512(a, b); }
+  /// dir | bits in the lanes where a != b; `bits` must be clear in dir, so
+  /// the byte-masked add (there is no byte-masked OR) is that OR.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm512_mask_add_epi8(dir, _mm512_cmpneq_epu8_mask(a, b), dir, bits);
+  }
   static bool any(mask m) { return m != 0; }
-  static uint64_t to_bits(mask m) { return static_cast<uint64_t>(m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -118,16 +126,6 @@ struct Avx512U8 {
     for (int g = 0; g < 4; ++g)
       _mm512_mask_storeu_epi32(bd + 16 * g,
                                static_cast<__mmask16>(m >> (16 * g)), vd);
-  }
-
-  static elem reduce_max(vec a) {
-    __m256i x = _mm256_max_epu8(_mm512_castsi512_si256(a), _mm512_extracti64x4_epi64(a, 1));
-    __m128i y = _mm_max_epu8(_mm256_castsi256_si128(x), _mm256_extracti128_si256(x, 1));
-    y = _mm_max_epu8(y, _mm_srli_si128(y, 8));
-    y = _mm_max_epu8(y, _mm_srli_si128(y, 4));
-    y = _mm_max_epu8(y, _mm_srli_si128(y, 2));
-    y = _mm_max_epu8(y, _mm_srli_si128(y, 1));
-    return static_cast<elem>(_mm_cvtsi128_si32(y) & 0xFF);
   }
 };
 
@@ -171,9 +169,10 @@ struct Avx512U16 {
   static mask cmpeq(vec a, vec b) { return _mm512_cmpeq_epu16_mask(a, b); }
   static mask cmpgt(vec a, vec b) { return _mm512_cmpgt_epu16_mask(a, b); }
   static vec blend(mask m, vec a, vec b) { return _mm512_mask_blend_epi16(m, a, b); }
-  static vec or_(vec a, vec b) { return _mm512_or_si512(a, b); }
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm512_mask_add_epi16(dir, _mm512_cmpneq_epu16_mask(a, b), dir, bits);
+  }
   static bool any(mask m) { return m != 0; }
-  static uint64_t to_bits(mask m) { return static_cast<uint64_t>(m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -198,16 +197,6 @@ struct Avx512U16 {
     const __m512i vd = _mm512_set1_epi32(d);
     _mm512_mask_storeu_epi32(bd, static_cast<__mmask16>(m), vd);
     _mm512_mask_storeu_epi32(bd + 16, static_cast<__mmask16>(m >> 16), vd);
-  }
-
-  static elem reduce_max(vec a) {
-    __m256i x =
-        _mm256_max_epu16(_mm512_castsi512_si256(a), _mm512_extracti64x4_epi64(a, 1));
-    __m128i y = _mm_max_epu16(_mm256_castsi256_si128(x), _mm256_extracti128_si256(x, 1));
-    y = _mm_max_epu16(y, _mm_srli_si128(y, 8));
-    y = _mm_max_epu16(y, _mm_srli_si128(y, 4));
-    y = _mm_max_epu16(y, _mm_srli_si128(y, 2));
-    return static_cast<elem>(_mm_cvtsi128_si32(y) & 0xFFFF);
   }
 };
 
@@ -237,9 +226,10 @@ struct Avx512I32 {
   static mask cmpeq(vec a, vec b) { return _mm512_cmpeq_epi32_mask(a, b); }
   static mask cmpgt(vec a, vec b) { return _mm512_cmpgt_epi32_mask(a, b); }
   static vec blend(mask m, vec a, vec b) { return _mm512_mask_blend_epi32(m, a, b); }
-  static vec or_(vec a, vec b) { return _mm512_or_si512(a, b); }
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm512_mask_or_epi32(dir, _mm512_cmpneq_epi32_mask(a, b), dir, bits);
+  }
   static bool any(mask m) { return m != 0; }
-  static uint64_t to_bits(mask m) { return static_cast<uint64_t>(m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -255,8 +245,6 @@ struct Avx512I32 {
   static void store_bestd(int32_t* bd, mask m, int d) {
     _mm512_mask_storeu_epi32(bd, m, _mm512_set1_epi32(d));
   }
-
-  static elem reduce_max(vec a) { return _mm512_reduce_max_epi32(a); }
 };
 
 }  // namespace swve::simd

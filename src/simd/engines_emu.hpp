@@ -14,8 +14,9 @@
 //   zero/set1/loadu/storeu
 //   add_score(h,s,bias)  max(0, h + (s - bias)), saturating at `cap`
 //   sub_floor(x,p)       max(0, x - p)
-//   max/cmpeq/cmpgt/blend/or_
-//   any/to_bits          mask query; bit k of to_bits = lane k
+//   max/cmpeq/cmpgt/blend
+//   set_bits_ne(d,a,b,x) d | x in the lanes where a != b (x clear in d)
+//   any                  true if any mask lane is set
 //   gather_scores        substitution-matrix lookup, biased into elem domain
 //   store_dir_u8         truncating per-lane byte store (traceback flags)
 #pragma once
@@ -103,14 +104,13 @@ struct EmuEngine {
     for (int k = 0; k < N; ++k) r.v[k] = (m >> k) & 1 ? b.v[k] : a.v[k];
     return r;
   }
-  static vec or_(vec a, vec b) {
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
     vec r;
     for (int k = 0; k < N; ++k)
-      r.v[k] = static_cast<T>(static_cast<uint64_t>(a.v[k]) | static_cast<uint64_t>(b.v[k]));
+      r.v[k] = a.v[k] != b.v[k] ? static_cast<T>(dir.v[k] | bits.v[k]) : dir.v[k];
     return r;
   }
   static bool any(mask m) { return m != 0; }
-  static uint64_t to_bits(mask m) { return m; }
 
   /// Biased substitution-score lookup: mat[qmul[k] + dbr[k]] + bias,
   /// clamped into the (unsigned) element domain. `bias` is 0 for the signed
@@ -137,13 +137,6 @@ struct EmuEngine {
   static void store_bestd(int32_t* bd, mask m, int d) {
     for (int k = 0; k < N; ++k)
       if ((m >> k) & 1) bd[k] = d;
-  }
-
-  static elem reduce_max(vec a) {
-    elem m = a.v[0];
-    for (int k = 1; k < N; ++k)
-      if (a.v[k] > m) m = a.v[k];
-    return m;
   }
 };
 

@@ -4,8 +4,8 @@
 // -msse4.1. Same engine concept as engines_emu.hpp.
 //
 // SSE has no gather instruction; gather_scores stages through a small
-// on-stack array (the Auto score-delivery calibration normally picks Fill
-// on this tier anyway, which bypasses gather_scores entirely).
+// on-stack array (Auto's delivery rule picks Fill on this tier, which
+// bypasses gather_scores entirely).
 #pragma once
 
 #include <smmintrin.h>
@@ -47,11 +47,11 @@ struct Sse41U8 {
     return _mm_cmpgt_epi8(_mm_xor_si128(a, f), _mm_xor_si128(b, f));
   }
   static vec blend(mask m, vec a, vec b) { return _mm_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm_or_si128(a, b); }
-  static bool any(mask m) { return !_mm_testz_si128(m, m); }
-  static uint64_t to_bits(mask m) {
-    return static_cast<uint32_t>(_mm_movemask_epi8(m));
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm_or_si128(dir, _mm_andnot_si128(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm_testz_si128(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -79,14 +79,6 @@ struct Sse41U8 {
     group(bd + 4, _mm_srli_si128(m, 4));
     group(bd + 8, _mm_srli_si128(m, 8));
     group(bd + 12, _mm_srli_si128(m, 12));
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epu8(a, _mm_srli_si128(a, 8));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 4));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 2));
-    x = _mm_max_epu8(x, _mm_srli_si128(x, 1));
-    return static_cast<elem>(_mm_cvtsi128_si32(x) & 0xFF);
   }
 };
 
@@ -119,14 +111,11 @@ struct Sse41U16 {
     return _mm_cmpgt_epi16(_mm_xor_si128(a, f), _mm_xor_si128(b, f));
   }
   static vec blend(mask m, vec a, vec b) { return _mm_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm_or_si128(a, b); }
-  static bool any(mask m) { return !_mm_testz_si128(m, m); }
-  static uint64_t to_bits(mask m) {
-    // one bit per word lane: pack word masks to bytes first
-    return static_cast<uint32_t>(
-               _mm_movemask_epi8(_mm_packs_epi16(m, _mm_setzero_si128()))) &
-           0xFF;
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm_or_si128(dir, _mm_andnot_si128(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm_testz_si128(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -151,13 +140,6 @@ struct Sse41U16 {
     __m128i* p1 = reinterpret_cast<__m128i*>(bd + 4);
     _mm_storeu_si128(p0, _mm_blendv_epi8(_mm_loadu_si128(p0), vd, m0));
     _mm_storeu_si128(p1, _mm_blendv_epi8(_mm_loadu_si128(p1), vd, m1));
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epu16(a, _mm_srli_si128(a, 8));
-    x = _mm_max_epu16(x, _mm_srli_si128(x, 4));
-    x = _mm_max_epu16(x, _mm_srli_si128(x, 2));
-    return static_cast<elem>(_mm_cvtsi128_si32(x) & 0xFFFF);
   }
 };
 
@@ -189,11 +171,11 @@ struct Sse41I32 {
   static mask cmpeq(vec a, vec b) { return _mm_cmpeq_epi32(a, b); }
   static mask cmpgt(vec a, vec b) { return _mm_cmpgt_epi32(a, b); }
   static vec blend(mask m, vec a, vec b) { return _mm_blendv_epi8(a, b, m); }
-  static vec or_(vec a, vec b) { return _mm_or_si128(a, b); }
-  static bool any(mask m) { return !_mm_testz_si128(m, m); }
-  static uint64_t to_bits(mask m) {
-    return static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(m)));
+  /// dir | bits in the lanes where a != b.
+  static vec set_bits_ne(vec dir, vec a, vec b, vec bits) {
+    return _mm_or_si128(dir, _mm_andnot_si128(cmpeq(a, b), bits));
   }
+  static bool any(mask m) { return !_mm_testz_si128(m, m); }
 
   static vec gather_scores(const int32_t* qmul, const int32_t* dbr, const int32_t* mat,
                            int bias) {
@@ -215,12 +197,6 @@ struct Sse41I32 {
     __m128i* p = reinterpret_cast<__m128i*>(bd);
     _mm_storeu_si128(p,
                      _mm_blendv_epi8(_mm_loadu_si128(p), _mm_set1_epi32(d), m));
-  }
-
-  static elem reduce_max(vec a) {
-    __m128i x = _mm_max_epi32(a, _mm_srli_si128(a, 8));
-    x = _mm_max_epi32(x, _mm_srli_si128(x, 4));
-    return _mm_cvtsi128_si32(x);
   }
 };
 
