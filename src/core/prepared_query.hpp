@@ -15,6 +15,7 @@
 // above may still key more conservatively; see align::QueryStateCache.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -39,10 +40,13 @@ class PreparedQuery {
       qenc8_[i] = c;
       qenc16_[i] = c;
       qenc32_[i] = c;
+      max_code_ = std::max(max_code_, c);
     }
   }
 
   int query_length() const noexcept { return m_; }
+  /// Largest residue code in the query (0 when empty).
+  uint8_t max_code() const noexcept { return max_code_; }
   /// Gather/Fill feed: 32 * q[i], kPad zeroed entries past the end.
   const int32_t* qmul32() const noexcept { return qmul32_.data(); }
 
@@ -66,6 +70,7 @@ class PreparedQuery {
 
  private:
   int m_;
+  uint8_t max_code_ = 0;
   std::vector<int32_t> qmul32_;
   std::vector<uint8_t> qenc8_;
   std::vector<uint16_t> qenc16_;

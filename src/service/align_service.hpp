@@ -431,9 +431,13 @@ class AlignService {
   };
 
   /// Resolve per-request options against service defaults; returns the
-  /// effective validated config or a ConfigError.
+  /// effective validated config or a ConfigError. `residue_codes` is the
+  /// largest alphabet among the residues the request scores (its sequences
+  /// and, for search and batch, the database): a Matrix-scheme config whose
+  /// matrix has fewer rows (a DNA matrix against protein) is
+  /// Code::Unsupported.
   core::ErrorOr<core::AlignConfig> effective_config(
-      const RequestOptions& options) const;
+      const RequestOptions& options, int residue_codes) const;
 
   /// Code::Unsupported when the request's ISA cannot drive the packed
   /// batch lanes (core::batch_lanes_fit); nullopt when it can or when there
@@ -493,6 +497,7 @@ class AlignService {
 
   ServiceOptions opt_;
   const seq::SequenceDatabase* db_ = nullptr;
+  int db_alphabet_codes_ = 0;  // largest alphabet among db_'s sequences
   std::unique_ptr<core::Batch32Db> bdb_;       // owned packing (Built path)
   const core::Batch32Db* packed_ = nullptr;    // always the one to search
   const core::MappedDb* mapped_ = nullptr;     // artifact path only

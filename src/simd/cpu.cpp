@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 
 namespace swve::simd {
+
+bool gds_slows_gathers(std::string_view status) noexcept {
+  return status.starts_with("Mitigation") || status.starts_with("Unknown");
+}
+
+static std::string gds_status() {
+#if defined(__linux__)
+  std::ifstream in("/sys/devices/system/cpu/vulnerabilities/gather_data_sampling");
+  std::string line;
+  if (std::getline(in, line)) return line;
+#endif
+  return {};
+}
 
 static CpuFeatures detect() noexcept {
   CpuFeatures f;
@@ -17,6 +31,7 @@ static CpuFeatures detect() noexcept {
                   __builtin_cpu_supports("avx512bw") &&
                   __builtin_cpu_supports("avx512vl");
   f.avx512vbmi = f.avx512bw_vl && __builtin_cpu_supports("avx512vbmi");
+  f.slow_gathers = f.avx2 && gds_slows_gathers(gds_status());
 #endif
   f.hardware_threads = std::max(1u, std::thread::hardware_concurrency());
   return f;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace swve::simd {
 
@@ -24,8 +25,19 @@ struct CpuFeatures {
   bool avx2 = false;
   bool avx512bw_vl = false;  ///< AVX-512 F+BW+VL: 8/16-bit ops and masking
   bool avx512vbmi = false;   ///< full-width byte permute (vpermb) for batch32
+  /// Gathers are slow here: the OS reports the Downfall (GDS) microcode
+  /// mitigation, or cannot tell whether it applies (gds_slows_gathers).
+  bool slow_gathers = false;
   unsigned hardware_threads = 1;
 };
+
+/// Reads Linux's one-line GDS status
+/// (/sys/devices/system/cpu/vulnerabilities/gather_data_sampling): true for
+/// "Mitigation: ..." (the microcode mitigation makes vpgatherdd about ten
+/// times slower) and "Unknown: ..." (an affected CPU in a guest whose
+/// hypervisor decides), false for "Not affected", "Vulnerable..." and ""
+/// (no such file: another OS, or a kernel older than the mitigation).
+bool gds_slows_gathers(std::string_view status) noexcept;
 
 /// Features of the CPU this process is running on (cached after first call).
 const CpuFeatures& cpu_features() noexcept;

@@ -13,6 +13,16 @@ TEST(Cpu, FeaturesAreCachedAndConsistent) {
   if (a.avx512vbmi) EXPECT_TRUE(a.avx512bw_vl);
 }
 
+TEST(Cpu, GdsStatusMarksSlowGathers) {
+  EXPECT_TRUE(gds_slows_gathers("Mitigation: Microcode"));
+  EXPECT_TRUE(gds_slows_gathers("Mitigation: AVX disabled, no microcode"));
+  EXPECT_TRUE(gds_slows_gathers("Unknown: Dependent on hypervisor status"));
+  EXPECT_FALSE(gds_slows_gathers("Not affected"));
+  EXPECT_FALSE(gds_slows_gathers("Vulnerable"));
+  EXPECT_FALSE(gds_slows_gathers("Vulnerable: No microcode"));
+  EXPECT_FALSE(gds_slows_gathers(""));
+}
+
 TEST(Cpu, ScalarAlwaysAvailable) {
   EXPECT_TRUE(isa_available(Isa::Scalar));
   EXPECT_TRUE(isa_available(Isa::Auto));
