@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     double g_auto = bench_cfg(w, q, base, ws);
     for (auto [name, d] :
          std::initializer_list<std::pair<const char*, core::ScoreDelivery>>{
-             {"auto (calibrated)", core::ScoreDelivery::Auto},
+             {"auto (rule)", core::ScoreDelivery::Auto},
              {"gather (vpgatherdd)", core::ScoreDelivery::Gather},
              {"fill (scalar staging)", core::ScoreDelivery::Fill},
              {"shuffle (vpermi2b)", core::ScoreDelivery::Shuffle}}) {
