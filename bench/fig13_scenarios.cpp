@@ -32,7 +32,7 @@
 #include <random>
 #include <thread>
 
-#include "align/batch_server.hpp"
+#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "bench_common.hpp"
@@ -80,7 +80,10 @@ int main(int argc, char** argv) {
   perf::print_banner(std::cout,
                      "Fig 13 / scenario 2: batched queries on a centralized server");
   {
-    align::BatchServer server(w.db, cfg);
+    const core::Batch32Db packed(
+        w.db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
+    align::ExecContext ctx;
+    ctx.pool = &pool;
     align::DatabaseSearch search(w.db, cfg);
 
     // One-at-a-time processing (client waits per query)...
@@ -94,7 +97,7 @@ int main(int argc, char** argv) {
 
     // ...vs accumulating the batch and running the batch32 kernel.
     perf::Stopwatch sw2;
-    server.run(w.queries, 10, &pool);
+    align::engine::batch_run(w.db, packed, cfg, w.queries, 10, ctx);
     double batch_gcups = perf::gcups(cells, sw2.seconds());
 
     perf::Table t({"mode", "GCUPS", "vs one-at-a-time"});

@@ -33,8 +33,8 @@ class ShardedSearch;    // align/sharded_search.hpp
 /// apply only to two or more shards: one shard owns no pool or placement.
 struct ShardOptions {
   /// 1 (default): one shard, run on the caller's pool. 0 = auto: one shard
-  /// per NUMA node (after the runtime hint below), so a single-node host
-  /// runs one shard; N >= 2 forces exactly N shards, each on its own pool.
+  /// per NUMA node (align::clamp_shard_count), so a single-node host runs
+  /// one shard; N >= 2 forces exactly N shards, each on its own pool.
   /// Explicitly requesting more shards than the database has batches is a
   /// typed config error (auto clamps instead).
   int shards = 1;

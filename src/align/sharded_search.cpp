@@ -14,17 +14,9 @@
 
 namespace swve::align {
 
-namespace {
-
-std::atomic<int> g_shard_hint{0};
-
-}  // namespace
-
-void set_shard_count_hint(int shards) noexcept {
-  g_shard_hint.store(std::clamp(shards, 0, 64), std::memory_order_relaxed);
-}
-int shard_count_hint() noexcept {
-  return g_shard_hint.load(std::memory_order_relaxed);
+size_t clamp_shard_count(size_t wanted, size_t batches) noexcept {
+  return std::min({wanted, batches,
+                   static_cast<size_t>(perf::MetricsSnapshot::kMaxShards)});
 }
 
 /// One shard: a contiguous batch range, its pinned pool + workspace arena
@@ -76,14 +68,8 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
   s->numa_ = parallel::numa_disabled_by_env() ? parallel::NumaPolicy::Off
                                               : opt.numa;
   size_t shards = static_cast<size_t>(opt.shards);
-  if (shards == 0) {
-    const int hint = shard_count_hint();
-    shards = hint > 0 ? static_cast<size_t>(hint) : s->topo_.node_count();
-    // Auto degrades, never errors: at most one shard per batch, and no more
-    // than the metrics exporters can report (MetricsSnapshot::kMaxShards).
-    shards = std::min({shards, batches,
-                       static_cast<size_t>(perf::MetricsSnapshot::kMaxShards)});
-  }
+  // Auto degrades, never errors.
+  if (shards == 0) shards = clamp_shard_count(s->topo_.node_count(), batches);
   // Shards are contiguous batch ranges of equal padded cells (max_len *
   // lanes, what the kernel walks per query residue), so length-sorted
   // packings don't starve the short-sequence shards. One shard (also auto's

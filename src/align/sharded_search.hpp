@@ -65,11 +65,12 @@ struct ShardStats {
   }
 };
 
-/// Runtime hyperparameter used when ShardOptions.shards == 0 (auto): lets
-/// the GA tuner (tune::apply_runtime_settings, "shards=N") co-tune shard
-/// count with the compiler flags. 0 restores topology auto.
-void set_shard_count_hint(int shards) noexcept;
-int shard_count_hint() noexcept;
+/// The shard count a search over `batches` packed batches can take when
+/// `wanted` are asked for: at most one shard per batch, and no more than
+/// the metrics exporters report (perf::MetricsSnapshot::kMaxShards). Auto
+/// (ShardOptions.shards == 0) asks for one per NUMA node; an empty
+/// database gets 0, which runs as one shard.
+size_t clamp_shard_count(size_t wanted, size_t batches) noexcept;
 
 class ShardedSearch {
  public:

@@ -1,25 +1,12 @@
 #include "core/dispatch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
 namespace swve::core {
 
 namespace {
-
-int delivery_slot(simd::Isa isa) {
-  return isa == simd::Isa::Avx512  ? 3
-         : isa == simd::Isa::Avx2  ? 2
-         : isa == simd::Isa::Sse41 ? 1
-                                   : 0;
-}
-
-// Per-ISA pins (Auto == not pinned).
-std::atomic<ScoreDelivery> g_delivery_override[4] = {
-    ScoreDelivery::Auto, ScoreDelivery::Auto, ScoreDelivery::Auto,
-    ScoreDelivery::Auto};
 
 // Shuffle needs the 8/16-bit AVX-512 VBMI kernels and a matrix whose codes
 // all fit the in-register table.
@@ -54,18 +41,11 @@ ScoreDelivery delivery_for(const AlignConfig& cfg, simd::Isa isa,
                            Width width) {
   if (cfg.scheme != ScoreScheme::Matrix) return cfg.delivery;
   if (width == Width::Adaptive) width = Width::W8;
-  ScoreDelivery d = cfg.delivery;
-  if (d == ScoreDelivery::Auto)
-    d = g_delivery_override[delivery_slot(isa)].load(std::memory_order_acquire);
+  const ScoreDelivery d = cfg.delivery;
   if (d == ScoreDelivery::Auto ||
       (d == ScoreDelivery::Shuffle && !shuffle_runs(cfg, isa, width)))
-    d = delivery_rule(cfg, isa, width);
+    return delivery_rule(cfg, isa, width);
   return d;
-}
-
-void set_delivery_override(simd::Isa isa, ScoreDelivery delivery) {
-  g_delivery_override[delivery_slot(isa)].store(delivery,
-                                                std::memory_order_release);
 }
 
 DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {

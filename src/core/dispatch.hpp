@@ -32,8 +32,8 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width);
 /// The one resolver of Matrix-scheme score delivery: the path the kernel
 /// dispatch runs for `cfg` at the resolved `isa` and a concrete `width`
 /// (Adaptive means the ladder's first rung, W8), and the one a request
-/// trace reports. Auto takes the per-ISA pin if one is set, else the rule:
-/// Shuffle wherever it runs (the 8/16-bit AVX-512 VBMI kernels, with a
+/// trace reports. A concrete cfg.delivery pins the path; Auto takes the
+/// rule: Shuffle wherever it runs (the 8/16-bit AVX-512 VBMI kernels, with a
 /// matrix of at most seq::kShuffleCodes codes); Fill on SSE4.1 and where
 /// the OS reports Downfall-mitigated gathers (simd::CpuFeatures::
 /// slow_gathers); Gather elsewhere. A Shuffle that cannot run degrades to
@@ -41,11 +41,6 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width);
 /// every call and every process on one host. Fixed-scheme configs are
 /// returned unchanged (no delivery path runs).
 ScoreDelivery delivery_for(const AlignConfig& cfg, simd::Isa isa, Width width);
-
-/// Pin what Auto resolves to for `isa` (tests and the service use this to
-/// fix a delivery path). Passing ScoreDelivery::Auto clears the pin and
-/// restores the rule. Thread-safe; takes effect for subsequent calls.
-void set_delivery_override(simd::Isa isa, ScoreDelivery delivery);
 
 /// Full alignment through the diagonal kernel family: resolves the ISA,
 /// runs the adaptive width ladder, and (if requested) walks the traceback.

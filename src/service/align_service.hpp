@@ -21,10 +21,10 @@
 // Requests route to the same engines the synchronous facades use
 // (engine::search_diagonal / align::ShardedSearch / engine::batch_run /
 // core::diag_align), so results are bit-identical to direct DatabaseSearch /
-// BatchServer / Aligner calls; one shard of a Batch search fans out over the
-// service's pool. Failures — invalid config, queue full, deadline expiry,
-// shutdown — arrive as a typed core::ConfigError in the ErrorOr (to_status()
-// maps it to the wire); nothing is thrown on a worker thread.
+// engine::batch_run / Aligner calls; one shard of a Batch search fans out
+// over the service's pool. Failures — invalid config, queue full, deadline
+// expiry, shutdown — arrive as a typed core::ConfigError in the ErrorOr
+// (to_status() maps it to the wire); nothing is thrown on a worker thread.
 #pragma once
 
 #include <array>
@@ -39,7 +39,7 @@
 #include <thread>
 #include <vector>
 
-#include "align/batch_server.hpp"
+#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/query_cache.hpp"
 #include "align/sharded_search.hpp"

@@ -15,7 +15,7 @@
 #include <optional>
 #include <vector>
 
-#include "align/batch_server.hpp"
+#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "core/error.hpp"
 #include "core/params.hpp"

@@ -7,7 +7,6 @@
 //                               service (singleflight, result cache, QoS)
 //   swve::align::Aligner        pairwise alignment (scenario 3 friendly)
 //   swve::align::DatabaseSearch single query vs database (scenario 1)
-//   swve::align::BatchServer    many queries vs database (scenario 2)
 //   swve::seq::*                alphabets, sequences, FASTA, synthetic data
 //   swve::matrix::ScoreMatrix   BLOSUM/PAM tables, 32-column padded layout
 //   swve::baseline::*           Parasail-style diag/scan/striped kernels
@@ -17,7 +16,6 @@
 #pragma once
 
 #include "align/aligner.hpp"
-#include "align/batch_server.hpp"
 #include "align/db_search.hpp"
 #include "align/format.hpp"
 #include "align/global.hpp"

@@ -145,10 +145,10 @@ extern "C" int swve_tuned_kernel(const uint8_t* q, int m, const uint8_t* r,
 using KernelFn = int (*)(const uint8_t*, int, const uint8_t*, int, const int32_t*,
                          int, int);
 
-/// GCUPS of one in-process batch-kernel pass under the currently applied
-/// runtime setting (shard count) — the term of the fitness the runtime
+/// GCUPS of one in-process batch-kernel pass at `shards` (an individual's
+/// runtime_shard_count) — the term of the fitness the runtime
 /// hyperparameter moves. Fixed synthetic workload.
-double time_batch_pass() {
+double time_batch_pass(int shards) {
   struct Fixture {
     seq::SequenceDatabase db;
     core::Batch32Db bdb;
@@ -173,22 +173,24 @@ double time_batch_pass() {
 
   // A "shards=N" genome routes the pass through ShardedSearch (numa off —
   // the term being tuned is the shard/merge shape, not placement), so the
-  // GA feels the shard count the same way the serving path would. Instances
-  // are cached per shard count: pool spin-up is construction cost, not
-  // per-individual cost.
-  const int hint = align::shard_count_hint();
-  if (hint > 1) {
+  // GA feels the shard count the same way the serving path would. N is
+  // clamped to the fixture's batches, as auto would be. Instances are cached
+  // per shard count: pool spin-up is construction cost, not per-individual
+  // cost.
+  const size_t count = align::clamp_shard_count(static_cast<size_t>(shards),
+                                                fx.bdb.batch_count());
+  if (count > 1) {
     static std::mutex mu;
-    static std::map<int, std::unique_ptr<align::ShardedSearch>> cache;
+    static std::map<size_t, std::unique_ptr<align::ShardedSearch>> cache;
     align::ShardedSearch* sharded = nullptr;
     {
       std::lock_guard<std::mutex> lk(mu);
-      auto it = cache.find(hint);
+      auto it = cache.find(count);
       if (it == cache.end()) {
         align::ShardOptions sopt;
-        sopt.shards = 0;  // resolve via the hint; auto clamps to batches
+        sopt.shards = static_cast<int>(count);
         auto made = align::ShardedSearch::create(fx.db, fx.bdb, sopt);
-        it = cache.emplace(hint, made ? std::move(*made) : nullptr).first;
+        it = cache.emplace(count, made ? std::move(*made) : nullptr).first;
       }
       sharded = it->second.get();
     }
@@ -247,18 +249,16 @@ GccEvaluator::GccEvaluator(const FlagSpace& space, Options opt)
 
 double GccEvaluator::evaluate(const Individual& ind) {
   if (!available_) throw std::runtime_error("GccEvaluator: unavailable here");
-  // Runtime hyperparameters (the batch search's shard count) are
-  // applied to the live process and scored with a real batch-kernel pass;
-  // the fitness is compiled-kernel GCUPS + batch-kernel GCUPS, so one
-  // genome co-tunes compiler flags and runtime knobs. Measured whenever the
-  // space carries runtime flags (choice 0 included) to keep individuals
-  // comparable against the baseline.
+  // Runtime hyperparameters (the batch search's shard count) are scored
+  // with a real batch-kernel pass at the individual's value; the fitness is
+  // compiled-kernel GCUPS + batch-kernel GCUPS, so one genome co-tunes
+  // compiler flags and runtime knobs. Measured whenever the space carries
+  // runtime flags (choice 0 included) to keep individuals comparable
+  // against the baseline.
   double batch_gcups = 0;
-  if (space_->has_runtime()) {
-    apply_runtime_settings(space_->runtime_settings(ind));
-    batch_gcups = time_batch_pass();
-    apply_runtime_settings({});  // restore process defaults
-  }
+  if (space_->has_runtime())
+    batch_gcups =
+        time_batch_pass(runtime_shard_count(space_->runtime_settings(ind)));
   const std::string so =
       opt_.work_dir + "/tuned_" + std::to_string(counter_++) + ".so";
   std::string cmd = opt_.gcc + " -O3 -march=native -shared -fPIC";

@@ -1,9 +1,7 @@
 #include "tune/flag_space.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
-
-#include "align/sharded_search.hpp"
 
 namespace swve::tune {
 
@@ -130,17 +128,18 @@ std::string FlagSpace::to_string(const Individual& ind) const {
   return s.empty() ? "(plain -O3)" : s;
 }
 
-void apply_runtime_settings(const std::vector<std::string>& settings) {
-  // Reset to the default first so an individual that leaves the knob at
-  // choice 0 doesn't inherit the previous individual's setting.
-  align::set_shard_count_hint(0);
+int runtime_shard_count(const std::vector<std::string>& settings) {
+  int shards = 0;
   for (const std::string& s : settings) {
-    if (s.rfind("shards=", 0) == 0) {
-      align::set_shard_count_hint(std::atoi(s.c_str() + 7));
-    } else {
-      throw std::invalid_argument("apply_runtime_settings: unknown key " + s);
-    }
+    if (s.rfind("shards=", 0) != 0)
+      throw std::invalid_argument("runtime_shard_count: unknown key " + s);
+    const char* first = s.data() + 7;
+    const char* last = s.data() + s.size();
+    const auto [end, ec] = std::from_chars(first, last, shards);
+    if (ec != std::errc() || end != last || shards < 0)
+      throw std::invalid_argument("runtime_shard_count: bad value " + s);
   }
+  return shards;
 }
 
 }  // namespace swve::tune

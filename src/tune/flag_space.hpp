@@ -17,8 +17,8 @@ struct Flag {
   std::string name;                  ///< for reports
   std::vector<std::string> values;   ///< command-line text per setting
   /// Runtime hyperparameter instead of a compiler flag: values are
-  /// "key=value" settings applied to the live process (see
-  /// apply_runtime_settings), never passed to the compiler.
+  /// "key=value" settings the evaluator parses (see runtime_shard_count)
+  /// and passes to what it times, never passed to the compiler.
   bool runtime = false;
 };
 
@@ -34,7 +34,7 @@ class FlagSpace {
   /// gcc_default() plus the batch search's runtime hyperparameter — the
   /// shard count ("shards=N") — so fig10 co-tunes it with the compiler
   /// flags. Runtime flags contribute nothing to to_arguments(); evaluators
-  /// apply them with apply_runtime_settings() before timing.
+  /// read them with runtime_shard_count() before timing.
   static FlagSpace gcc_with_runtime();
 
   explicit FlagSpace(std::vector<Flag> flags) : flags_(std::move(flags)) {}
@@ -63,9 +63,10 @@ class FlagSpace {
   std::vector<Flag> flags_;
 };
 
-/// Apply runtime settings to this process: "shards=N" sets the shard-count
-/// hint of sharded batch search (align::set_shard_count_hint). Unknown keys
-/// throw. An empty list resets it to topology auto.
-void apply_runtime_settings(const std::vector<std::string>& settings);
+/// The shard count an individual's runtime settings ask of sharded batch
+/// search: N from "shards=N", 0 when no setting names one. Throws
+/// std::invalid_argument on an unknown key or a value that is not a whole
+/// non-negative number. Touches no process state.
+int runtime_shard_count(const std::vector<std::string>& settings);
 
 }  // namespace swve::tune

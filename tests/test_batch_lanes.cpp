@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "align/batch_server.hpp"
+#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "core/batch32.hpp"
@@ -109,8 +109,6 @@ TEST(BatchLanes, OwningFacadesPackForTheirConfigIsa) {
   const int want = core::batch_lanes_for(simd::resolve_isa(avx2.isa));
   align::DatabaseSearch search(db, avx2, align::SearchMode::Batch);
   EXPECT_EQ(search.packed_db()->lanes(), want);
-  align::BatchServer server(db, avx2);
-  EXPECT_EQ(server.lanes(), want);
 
   const core::AlignConfig auto_cfg;
   align::DatabaseSearch auto_search(db, auto_cfg, align::SearchMode::Batch);

@@ -5,7 +5,6 @@
 
 #include <random>
 
-#include "align/batch_server.hpp"
 #include "align/db_search.hpp"
 #include "core/dispatch.hpp"
 #include "seq/synthetic.hpp"

@@ -6,11 +6,11 @@
 #include <sstream>
 
 #include "align/aligner.hpp"
-#include "align/batch_server.hpp"
 #include "align/db_search.hpp"
 #include "core/traceback.hpp"
 #include "seq/fasta.hpp"
 #include "seq/synthetic.hpp"
+#include "service/align_service.hpp"
 
 namespace swve {
 namespace {
@@ -103,21 +103,31 @@ TEST(Integration, PlantedDomainsCreateSharedHits) {
   EXPECT_GT(strong_pairs, 0);
 }
 
-TEST(Integration, BatchServerPipelineWithThreads) {
+TEST(Integration, ServiceBatchPipelineWithThreads) {
   seq::SyntheticConfig sc;
   sc.seed = 77;
   sc.target_residues = 50'000;
   auto db = seq::SequenceDatabase::synthetic(sc);
-  AlignConfig cfg;
-  align::BatchServer server(db, cfg);
+  service::ServiceOptions opt;
+  opt.pool_threads = 2;
+  service::AlignService svc(db, opt);
   auto queries = seq::make_query_ladder(78, 5, 60, 500);
-  parallel::ThreadPool pool(2);
-  auto results = server.run(queries, 10, &pool);
-  ASSERT_EQ(results.size(), queries.size());
+  service::BatchRequest batch;
+  batch.queries = queries;
+  batch.options.top_k = 10;
+  auto results = submit_future(svc, std::move(batch)).get();
+  ASSERT_TRUE(results.ok()) << results.error().message;
+  ASSERT_EQ(results->results.size(), queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (const auto& hit : results[qi].result.hits) {
-      core::Alignment exact = server.realign(queries[qi], hit);
-      EXPECT_EQ(exact.score, hit.score) << "query " << qi;
+    for (const auto& hit : results->results[qi].result.hits) {
+      service::AlignRequest realign;
+      realign.query = queries[qi];
+      realign.reference = db[hit.seq_index];
+      realign.options.traceback = true;
+      auto exact = submit_future(svc, std::move(realign)).get();
+      ASSERT_TRUE(exact.ok()) << exact.error().message;
+      EXPECT_EQ(exact->alignment.score, hit.score) << "query " << qi;
+      EXPECT_FALSE(exact->alignment.cigar.empty()) << "query " << qi;
     }
   }
 }

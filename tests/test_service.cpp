@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "align/batch_server.hpp"
+#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
@@ -194,14 +194,18 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
   }
 }
 
-TEST(AlignService, BatchMatchesBatchServerForEveryThreadCount) {
+TEST(AlignService, BatchMatchesBatchRunForEveryThreadCount) {
   auto db = make_db(100'000);
   std::vector<seq::Sequence> queries = seq::make_query_ladder(33, 6, 60, 300);
+  const core::AlignConfig cfg;
+  const core::Batch32Db packed(
+      db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
 
   for (unsigned threads : {1u, 3u}) {
     parallel::ThreadPool pool(threads);
-    align::BatchServer direct(db, align::AlignConfig{});
-    auto want = direct.run(queries, 5, &pool);
+    align::ExecContext ctx;
+    ctx.pool = &pool;
+    auto want = align::engine::batch_run(db, packed, cfg, queries, 5, ctx);
 
     ServiceOptions opt;
     opt.pool_threads = threads;
@@ -328,12 +332,14 @@ TEST(AlignService, MetricsSnapshotAndDump) {
 
 TEST(AlignService, DeliveryOverridePinsTracePath) {
   const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
-  core::set_delivery_override(isa, core::ScoreDelivery::Fill);
-  EXPECT_EQ(core::delivery_for(core::AlignConfig{}, isa, core::Width::Adaptive),
+  core::AlignConfig fill;
+  fill.delivery = core::ScoreDelivery::Fill;
+  EXPECT_EQ(core::delivery_for(fill, isa, core::Width::Adaptive),
             core::ScoreDelivery::Fill);
 
   AlignService svc;
   AlignRequest rq = pairwise_request(91);
+  rq.options.config = fill;
   seq::Sequence q = rq.query, r = rq.reference;
   AlignResponse resp = get_ok(submit_future(svc, std::move(rq)));
   EXPECT_EQ(resp.trace.delivery, core::ScoreDelivery::Fill);
@@ -344,8 +350,6 @@ TEST(AlignService, DeliveryOverridePinsTracePath) {
   cfg.delivery = core::ScoreDelivery::Gather;
   align::Aligner gather(cfg);
   EXPECT_EQ(resp.alignment.score, gather.align(q, r).score);
-
-  core::set_delivery_override(isa, core::ScoreDelivery::Auto);  // clear pin
 }
 
 TEST(AlignService, PinnedShuffleOnAvx2ReportsThePathThatRan) {
@@ -367,15 +371,48 @@ TEST(AlignService, PinnedShuffleOnAvx2ReportsThePathThatRan) {
   EXPECT_EQ(resp.trace.delivery, rule);
   EXPECT_EQ(resp.trace.delivery,
             core::delivery_for(cfg, simd::Isa::Avx2, resp.alignment.width_used));
+}
 
-  // The same through the per-ISA pin under Auto.
-  core::set_delivery_override(simd::Isa::Avx2, core::ScoreDelivery::Shuffle);
-  cfg.delivery = core::ScoreDelivery::Auto;
-  rq = pairwise_request(93);
-  rq.options.config = cfg;
-  resp = get_ok(submit_future(svc, std::move(rq)));
-  core::set_delivery_override(simd::Isa::Avx2, core::ScoreDelivery::Auto);
-  EXPECT_EQ(resp.trace.delivery, rule);
+TEST(AlignService, ConcurrentRequestsKeepTheirOwnDeliveryPin) {
+  // Delivery is a per-request value, so requests pinned to different paths
+  // can run side by side in one service: each trace reports its own path,
+  // and every path gives the same score.
+  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
+  std::vector<core::ScoreDelivery> pins = {core::ScoreDelivery::Fill,
+                                           core::ScoreDelivery::Gather};
+  core::AlignConfig shuffle;
+  shuffle.delivery = core::ScoreDelivery::Shuffle;
+  if (core::delivery_for(shuffle, isa, core::Width::Adaptive) ==
+      core::ScoreDelivery::Shuffle)
+    pins.push_back(core::ScoreDelivery::Shuffle);
+
+  ServiceOptions opt;
+  opt.queue.executors = 2;
+  AlignService svc(opt);
+  constexpr int kRounds = 8;
+  std::vector<std::vector<AlignResponse>> got(pins.size());
+  std::vector<std::thread> clients;
+  for (size_t p = 0; p < pins.size(); ++p)
+    clients.emplace_back([&, p] {
+      for (int i = 0; i < kRounds; ++i) {
+        // Above the inline-pair limit, so requests also meet on executors.
+        AlignRequest rq = pairwise_request(300 + static_cast<uint64_t>(i), 300, 400);
+        core::AlignConfig cfg;
+        cfg.delivery = pins[p];
+        rq.options.config = cfg;
+        got[p].push_back(get_ok(submit_future(svc, std::move(rq))));
+      }
+    });
+  for (auto& t : clients) t.join();
+
+  for (size_t p = 0; p < pins.size(); ++p) {
+    ASSERT_EQ(got[p].size(), static_cast<size_t>(kRounds));
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_EQ(got[p][i].trace.delivery, pins[p]) << "pin " << p << " round " << i;
+      EXPECT_EQ(got[p][i].alignment.score, got[0][i].alignment.score)
+          << "pin " << p << " round " << i;
+    }
+  }
 }
 
 TEST(AlignConfigTryValidate, ReturnsMachineReadableCodes) {

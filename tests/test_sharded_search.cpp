@@ -230,10 +230,9 @@ TEST(ShardedSearch, ShardsExceedingBatchesIsTypedError) {
             Code::Unsupported);
 
   // …but auto (0) degrades gracefully, clamping to the batch count.
-  set_shard_count_hint(64);
+  EXPECT_EQ(clamp_shard_count(64, packed.batch_count()), packed.batch_count());
   sopt.shards = 0;
   auto auto_r = ShardedSearch::create(db, packed, sopt);
-  set_shard_count_hint(0);
   ASSERT_TRUE(auto_r.ok());
   EXPECT_LE((*auto_r)->shard_count(), packed.batch_count());
   EXPECT_GE((*auto_r)->shard_count(), 1u);
@@ -266,18 +265,19 @@ TEST(ShardedSearch, OneShardServesEmptyDatabasesAndQueries) {
 }
 
 TEST(ShardedSearch, AutoShardCountClampsToExportedLimit) {
-  // The exporters report at most kMaxShards shards; auto must never build
-  // more, even when the hint and the batch count both allow it.
+  // The exporters report at most kMaxShards shards; auto must never ask
+  // for more, even when the node count and the batch count both allow it.
   auto db = make_db(200'000, 29);
   core::Batch32Db packed(db, 32);
   const size_t limit = perf::MetricsSnapshot::kMaxShards;
   ASSERT_GT(packed.batch_count(), limit);
-  set_shard_count_hint(64);
+  const size_t count = clamp_shard_count(64, packed.batch_count());
+  EXPECT_EQ(count, limit);
+  EXPECT_EQ(clamp_shard_count(2, packed.batch_count()), 2u);
   ShardOptions sopt;
-  sopt.shards = 0;
+  sopt.shards = static_cast<int>(count);
   sopt.total_threads = 1;
   auto r = ShardedSearch::create(db, packed, sopt);
-  set_shard_count_hint(0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)->shard_count(), limit);
 }
@@ -372,6 +372,34 @@ TEST(ShardedSearch, ConcurrentSearchesOnOneInstance) {
       });
     for (auto& th : threads) th.join();
     EXPECT_EQ(mismatches.load(), 0) << "s" << s;
+  }
+}
+
+TEST(ShardedSearch, TwoShardCountsSearchedAtOnceAgree) {
+  // Shard count is a per-instance value: a one-shard and a three-shard
+  // search over one database, each driven from its own thread at the same
+  // time, return identical hits.
+  auto db = make_db(40'000, 17);
+  const core::Batch32Db packed(db, 32);
+  const auto queries = seq::make_query_ladder(95, 6, 60, 300);
+  const DatabaseSearch one(db, packed, core::AlignConfig{}, shards_of(1, 2));
+  const DatabaseSearch three(db, packed, core::AlignConfig{}, shards_of(3, 3));
+  parallel::ThreadPool pool(2);
+
+  std::vector<SearchResult> got_one(queries.size()), got_three(queries.size());
+  std::thread t1([&] {
+    for (size_t i = 0; i < queries.size(); ++i)
+      got_one[i] = one.search(queries[i], 10, &pool);
+  });
+  std::thread t3([&] {
+    for (size_t i = 0; i < queries.size(); ++i)
+      got_three[i] = three.search(queries[i], 10);
+  });
+  t1.join();
+  t3.join();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(got_one[i].hits.empty()) << "query " << i;
+    expect_same_hits(got_three[i], got_one[i], "query " + std::to_string(i));
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <random>
 
-#include "align/sharded_search.hpp"
 #include "tune/evaluator.hpp"
 #include "tune/flag_space.hpp"
 #include "tune/ga.hpp"
@@ -71,15 +70,15 @@ TEST(FlagSpace, RuntimeSpaceExtendsDefaultWithoutTouchingCompilerArgs) {
   EXPECT_EQ(space.to_string(ind), "[runtime]shards=2");
 }
 
-TEST(FlagSpace, ApplyRuntimeSettingsTakesEffectAndResets) {
-  apply_runtime_settings({"shards=2"});
-  EXPECT_EQ(align::shard_count_hint(), 2);
+TEST(FlagSpace, RuntimeShardCountParsesAndRejectsBadValues) {
+  EXPECT_EQ(runtime_shard_count({}), 0);
+  EXPECT_EQ(runtime_shard_count({"shards=2"}), 2);
+  EXPECT_EQ(runtime_shard_count({"shards=0"}), 0);
 
-  // Empty list restores the default (topology-auto shard count).
-  apply_runtime_settings({});
-  EXPECT_EQ(align::shard_count_hint(), 0);
-
-  EXPECT_THROW(apply_runtime_settings({"turbo=9"}), std::invalid_argument);
+  for (const char* bad : {"shards=", "shards=x", "shards=2junk", "shards=-3",
+                          "shards=+2", "shards= 2", "shards=99999999999"})
+    EXPECT_THROW(runtime_shard_count({bad}), std::invalid_argument) << bad;
+  EXPECT_THROW(runtime_shard_count({"turbo=9"}), std::invalid_argument);
 }
 
 TEST(SimulatedEvaluator, DeterministicPerSeedAndIndividual) {
@@ -180,6 +179,25 @@ TEST(GccEvaluator, ProbeAndEvaluateIfAvailable) {
   if (!eval.available()) GTEST_SKIP() << "gcc+dlopen not usable here";
   double base = eval.evaluate(space.baseline_individual());
   EXPECT_GT(base, 0.0);  // compiled, loaded, ran, returned GCUPS
+}
+
+TEST(GccEvaluator, RuntimeShardCountIsTimedThroughShardedSearch) {
+  // The runtime flag's "shards=2" choice times the batch pass on a
+  // two-shard search, next to the plain pass of the baseline individual.
+  FlagSpace space = FlagSpace::gcc_with_runtime();
+  GccEvaluator::Options opt;
+  opt.work_dir = "/tmp/swve_tune_test_runtime";
+  opt.query_size = 64;
+  opt.db_size = 4096;
+  opt.repeats = 1;
+  GccEvaluator eval(space, opt);
+  if (!eval.available()) GTEST_SKIP() << "gcc+dlopen not usable here";
+  Individual sharded = space.baseline_individual();
+  sharded[space.size() - 1] = 2;
+  ASSERT_EQ(space.runtime_settings(sharded),
+            std::vector<std::string>{"shards=2"});
+  EXPECT_GT(eval.evaluate(space.baseline_individual()), 0.0);
+  EXPECT_GT(eval.evaluate(sharded), 0.0);
 }
 
 }  // namespace
