@@ -235,25 +235,35 @@ int run_bench(net::Client& client, const Options& o) {
         pctof(queue_ms, 0.99), pctof(exec_ms, 0.50), pctof(exec_ms, 0.99));
   }
 
-  // Server startup cost is not a request latency: fetch the db section of
+  // Server startup cost is not a request latency: fetch the db families of
   // the metrics JSON and report the one-time database load separately, so
   // the percentiles above are never conflated with cold-start.
   const auto m = client.metrics(/*json=*/true);
   if (m.ok()) {
     const auto doc = net::Json::parse(*m.response);
-    if (doc) {
-      const net::Json& dbj = (*doc)["db"];
-      if (dbj.is_object()) {
-        std::printf(
-            "bench server: db source %s, db load %.1f ms (one-time startup, "
-            "excluded from latencies), map %.1f MiB\n",
-            dbj["source"].as_string().c_str(),
-            dbj["load_seconds"].as_number() * 1e3,
-            dbj["map_bytes"].as_number() / (1024.0 * 1024.0));
-      }
+    if (doc && (*doc)["db_info"].is_array() &&
+        !(*doc)["db_info"].as_array().empty()) {
+      std::printf(
+          "bench server: db source %s, db load %.1f ms (one-time startup, "
+          "excluded from latencies), map %.1f MiB\n",
+          (*doc)["db_info"].as_array()[0]["source"].as_string().c_str(),
+          (*doc)["db_load_seconds"].as_number() * 1e3,
+          (*doc)["db_map_bytes"].as_number() / (1024.0 * 1024.0));
     }
   }
   return 0;
+}
+
+/// Sum of a labeled family's values in the metrics JSON, optionally only
+/// the series whose `label` equals `value`.
+uint64_t family_sum(const net::Json& family, const char* label = nullptr,
+                    const char* value = nullptr) {
+  double sum = 0;
+  if (family.is_array())
+    for (const net::Json& series : family.as_array())
+      if (label == nullptr || series[label].as_string() == value)
+        sum += series["value"].as_number();
+  return static_cast<uint64_t>(sum);
 }
 
 /// metrics --watch S: poll the server's JSON metrics at a fixed cadence
@@ -280,15 +290,13 @@ int run_metrics_watch(net::Client& client, double interval_s) {
       std::fprintf(stderr, "swve_client: unparseable metrics JSON\n");
       return 1;
     }
-    const uint64_t completed =
-        static_cast<uint64_t>((*doc)["requests"]["completed"].as_number());
-    const uint64_t hits =
-        static_cast<uint64_t>((*doc)["result_cache"]["hits"].as_number());
-    const uint64_t misses =
-        static_cast<uint64_t>((*doc)["result_cache"]["misses"].as_number());
+    const uint64_t completed = family_sum((*doc)["requests_completed_total"]);
+    const net::Json& lookups = (*doc)["result_cache_lookups_total"];
+    const uint64_t hits = family_sum(lookups, "result", "hit");
+    const uint64_t misses = family_sum(lookups, "result", "miss");
     const uint64_t cells =
-        static_cast<uint64_t>((*doc)["kernel"]["cells"].as_number());
-    const double kernel_s = (*doc)["kernel"]["seconds"].as_number();
+        static_cast<uint64_t>((*doc)["kernel_cells_total"].as_number());
+    const double kernel_s = (*doc)["kernel_seconds_total"].as_number();
     if (have_prev) {
       const double dt =
           std::chrono::duration<double>(now_t - prev_t).count();

@@ -105,6 +105,8 @@ int main(int argc, char** argv) {
   std::puts("\n('8-bit rescored' = lanes that saturated the 8-bit batch kernel and");
   std::puts(" were re-scored exactly by the 16/32-bit diagonal ladder)");
 
-  std::fputs(server.metrics().to_string().c_str(), stdout);
+  std::fputs(
+      obs::render_metrics(server.metrics(), obs::MetricsFormat::Text).c_str(),
+      stdout);
   return 0;
 }

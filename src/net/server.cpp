@@ -17,7 +17,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/mapped_db.hpp"
 #include "net/json.hpp"
 #include "obs/exporters.hpp"
 #include "obs/log.hpp"
@@ -475,9 +474,7 @@ void Server::process_frame(Connection& c, const FrameHeader& h,
       return;
     }
     case MsgType::MetricsRequest: {
-      const std::string body = obs::render_metrics(
-          metrics(),
-          json ? obs::MetricsFormat::Json : obs::MetricsFormat::Prometheus);
+      const std::string body = render_metrics_body(json);
       FrameHeader r;
       r.type = MsgType::MetricsResponse;
       r.flags = h.flags & kFlagJson;
@@ -841,17 +838,10 @@ void Server::process_http(Connection& c) {
   if (path == "/metrics" && opts_.http_metrics) {
     service_.registry()->on_http_scrape();
     const bool json = query.find("format=json") != std::string_view::npos;
-    obs::SloStatus slo_status;
-    const bool have_slo = service_.slo() != nullptr;
-    if (have_slo) slo_status = service_.slo()->status();
-    const std::string body = obs::render_metrics(
-        metrics(),
-        json ? obs::MetricsFormat::Json : obs::MetricsFormat::Prometheus,
-        have_slo ? &slo_status : nullptr);
     reply = http_response(200, "OK",
                           json ? "application/json"
                                : "text/plain; version=0.0.4",
-                          body);
+                          render_metrics_body(json));
   } else if (path == "/healthz") {
     reply = draining_ ? http_response(503, "Service Unavailable",
                                       "text/plain", "draining\n")
@@ -892,9 +882,17 @@ void Server::process_http(Connection& c) {
 // strings.
 static std::string u64_string(uint64_t v) { return std::to_string(v); }
 
+std::string Server::render_metrics_body(bool json) const {
+  obs::SloStatus slo_status;
+  const obs::SloEngine* slo = service_.slo();
+  if (slo != nullptr) slo_status = slo->status();
+  return obs::render_metrics(
+      metrics(), json ? obs::MetricsFormat::Json : obs::MetricsFormat::Prometheus,
+      slo != nullptr ? &slo_status : nullptr);
+}
+
 std::string Server::render_statusz() const {
   const obs::BuildInfo build = obs::build_info();
-  const perf::MetricsSnapshot snap = metrics();
   const service::ServiceOptions& sopt = service_.options();
   JsonObject out;
   out["build"] = JsonObject{{"version", build.version},
@@ -902,35 +900,6 @@ std::string Server::render_statusz() const {
                             {"isas", build.isas}};
   out["uptime_s"] = steady_s() - started_s_;
   out["db_epoch"] = u64_string(db_epoch_);
-  out["db"] = JsonObject{
-      {"source", core::db_source_name(
-                     static_cast<core::DbSource>(snap.db_source))},
-      {"map_bytes", snap.db_map_bytes},
-      {"resident_bytes", snap.db_resident_bytes},
-      {"load_ms", snap.db_load_seconds * 1e3},
-      {"epoch", u64_string(db_epoch_)}};
-  if (snap.shard_count > 0) {
-    JsonArray shards;
-    for (uint32_t i = 0; i < snap.shard_count &&
-                         i < static_cast<uint32_t>(
-                                 perf::MetricsSnapshot::kMaxShards);
-         ++i) {
-      const perf::MetricsSnapshot::ShardSample& sh = snap.shards[i];
-      shards.push_back(JsonObject{
-          {"shard", static_cast<uint64_t>(i)},
-          {"node", static_cast<double>(sh.node)},
-          {"threads", static_cast<uint64_t>(sh.threads)},
-          {"bound", sh.bound != 0},
-          {"sequences", sh.sequences},
-          {"searches", sh.searches},
-          {"cells", sh.cells},
-          {"busy_s", sh.busy_seconds},
-          {"gcups", sh.gcups()},
-          {"queue_depth", sh.queue_depth},
-          {"llc_misses", sh.llc_misses}});
-    }
-    out["shards"] = std::move(shards);
-  }
   out["port"] = static_cast<double>(port_);
   out["draining"] = draining_;
   out["options"] = JsonObject{
@@ -952,35 +921,10 @@ std::string Server::render_statusz() const {
       {"cache",
        JsonObject{{"query_cache_capacity",
                    static_cast<uint64_t>(sopt.cache.query_cache_capacity)}}}};
-  out["requests"] = JsonObject{{"submitted", snap.submitted},
-                               {"completed", snap.completed},
-                               {"rejected_queue_full", snap.rejected_queue_full},
-                               {"deadline_expired", snap.deadline_expired},
-                               {"invalid", snap.invalid_request}};
-  out["cache"] = JsonObject{{"hits", snap.result_cache_hits},
-                            {"misses", snap.result_cache_misses},
-                            {"evictions", snap.result_cache_evictions},
-                            {"entries", snap.result_cache_entries},
-                            {"capacity",
-                             static_cast<uint64_t>(cache_.capacity())}};
-  out["coalesce"] = JsonObject{{"joined", snap.coalesced},
-                               {"inflight",
-                                static_cast<uint64_t>(flights_.inflight())}};
-  JsonObject tiers;
-  for (int t = 0; t < perf::MetricsSnapshot::kQosTiers; ++t) {
-    uint64_t total = 0;
-    for (int s = 0; s < perf::MetricsSnapshot::kScenarios; ++s)
-      total += snap.tier_requests[static_cast<size_t>(t)][static_cast<size_t>(s)];
-    tiers[perf::qos_tier_label(t)] =
-        JsonObject{{"requests", total},
-                   {"p50_s", snap.tier_latency[static_cast<size_t>(t)].p50_s},
-                   {"p99_s", snap.tier_latency[static_cast<size_t>(t)].p99_s}};
-  }
-  out["tiers"] = std::move(tiers);
-  out["log"] = JsonObject{{"records", snap.log_records},
-                          {"dropped_overflow", snap.log_dropped_overflow},
-                          {"dropped_threads", snap.log_dropped_threads},
-                          {"suppressed", snap.log_suppressed}};
+  out["cache"] =
+      JsonObject{{"capacity", static_cast<uint64_t>(cache_.capacity())}};
+  out["coalesce"] = JsonObject{
+      {"inflight", static_cast<uint64_t>(flights_.inflight())}};
   if (const obs::TimeSeriesStore* ts = service_.timeseries())
     out["telemetry"] =
         JsonObject{{"samples", static_cast<uint64_t>(ts->size())},
@@ -988,7 +932,13 @@ std::string Server::render_statusz() const {
                    {"retention_s", opts_.telemetry_retention_s}};
   if (const obs::SloEngine* slo = service_.slo())
     if (auto s = Json::parse(slo->json())) out["slo"] = *s;
-  return Json(std::move(out)).dump();
+  // The metrics document goes in verbatim (a round trip through Json
+  // would reprint every double at 17 digits).
+  std::string doc = Json(std::move(out)).dump();
+  std::string metrics = render_metrics_body(true);
+  metrics.pop_back();  // its trailing newline
+  doc.pop_back();      // the closing brace
+  return doc + ",\"metrics\":" + metrics + "}";
 }
 
 std::string Server::render_tracez() const {

@@ -184,6 +184,9 @@ class Server {
                       const WireTraceContext& trace, uint64_t t_rx_ns);
 
   // Introspection endpoint bodies (loop thread; see docs/serving.md).
+  /// The metrics document (Prometheus or JSON) with the SLO alert state,
+  /// as /metrics, the MetricsRequest frame and /statusz serve it.
+  std::string render_metrics_body(bool json) const;
   std::string render_statusz() const;
   std::string render_tracez() const;
   std::string render_connz() const;

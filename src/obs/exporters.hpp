@@ -1,9 +1,11 @@
 // Machine-readable renderings of perf::MetricsSnapshot.
 //
-// The human text dump (MetricsSnapshot::to_string) is for eyeballs; these
-// exporters are for scrapers: Prometheus text exposition format 0.0.4
-// (`name{labels} value` lines with HELP/TYPE headers, cumulative `le`
-// histogram buckets) and a JSON object that round-trips every counter.
+// Every metric family is defined once, in a table in exporters.cpp (name,
+// help, type, and one function that emits its samples). Three writers walk
+// that table: Prometheus text exposition 0.0.4 (`name{labels} value` lines
+// with HELP/TYPE headers, cumulative `le` histogram buckets), plain text
+// (the same sample lines without the headers) and JSON (one key per family,
+// derived by rule). A family with no samples renders nothing in any format.
 // The metric schema is documented in docs/observability.md.
 #pragma once
 
@@ -18,9 +20,8 @@ namespace swve::obs {
 
 enum class MetricsFormat { Text, Prometheus, Json };
 
-/// Identity of this build, exported as the swve_build_info gauge (the
-/// Prometheus idiom for version metadata: value 1, facts in labels) and
-/// the JSON "build" section.
+/// Identity of this build, exported as the build_info gauge (the
+/// Prometheus idiom for version metadata: value 1, facts in labels).
 struct BuildInfo {
   const char* version;   ///< project version (CMake PROJECT_VERSION)
   const char* compiler;  ///< compiler identification (__VERSION__)
@@ -38,25 +39,17 @@ std::optional<MetricsFormat> metrics_format_from_string(const std::string& s);
 /// strings contain quotes on some toolchains).
 std::string prom_escape_label(std::string_view value);
 
-/// Render `snapshot` in the requested format. Text delegates to
-/// MetricsSnapshot::to_string(). `slo` (optional) adds the burn-rate
-/// alert state to the Prometheus and JSON renderings.
+/// Render `snapshot` in the requested format. `slo` (optional) adds the
+/// burn-rate alert families; `build` fills the build_info labels.
+///
+/// JSON is one object; each key is a family name without its `swve_`
+/// prefix. An unlabeled family is a number; a labeled family is an array
+/// of `{<label>: "...", ..., "value": v}`; a histogram is `{count, sum,
+/// p50_s, p90_s, p99_s, max_s, buckets}` (plus its labels, inside an
+/// array, when it has any), `buckets` being the raw per-bucket counts.
 std::string render_metrics(const perf::MetricsSnapshot& snapshot,
                            MetricsFormat format,
-                           const SloStatus* slo = nullptr);
-
-/// Prometheus text exposition (swve_* metric families).
-std::string to_prometheus(const perf::MetricsSnapshot& snapshot);
-/// Test seam: render with an explicit BuildInfo instead of the compiled-in
-/// identity (hostile label values must come out escaped), and optionally
-/// the SLO alert state (swve_slo_* families).
-std::string to_prometheus(const perf::MetricsSnapshot& snapshot,
-                          const BuildInfo& build,
-                          const SloStatus* slo = nullptr);
-
-/// JSON object mirroring the snapshot (requests / scenarios / kernel /
-/// window / targets / pool / histograms).
-std::string to_json(const perf::MetricsSnapshot& snapshot,
-                    const SloStatus* slo = nullptr);
+                           const SloStatus* slo = nullptr,
+                           const BuildInfo& build = build_info());
 
 }  // namespace swve::obs

@@ -14,7 +14,7 @@
 // evaluated from the sampler tick, right after the TimeSeriesStore push,
 // reading only the store's delta points. State transitions emit
 // structured "slo.state_change" log events; the current status surfaces
-// in /statusz and both metric exporters.
+// in /statusz and every metrics format.
 #pragma once
 
 #include <cstdint>

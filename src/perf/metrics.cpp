@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace swve::perf {
 
@@ -54,34 +53,7 @@ void recompute_percentiles(LatencyHistogram::Snapshot& s) noexcept {
   s.p99_s = bucket_percentile(s.buckets, s.count, s.max_s, 0.99);
 }
 
-std::string format_hist(const char* name, const LatencyHistogram::Snapshot& h) {
-  std::string out = name;
-  out += ": n=" + std::to_string(h.count);
-  if (h.count > 0) {
-    out += " mean=" + format_seconds(h.mean_s);
-    out += " p50=" + format_seconds(h.p50_s);
-    out += " p90=" + format_seconds(h.p90_s);
-    out += " p99=" + format_seconds(h.p99_s);
-    out += " max=" + format_seconds(h.max_s);
-  }
-  out += "\n";
-  return out;
-}
-
 }  // namespace
-
-std::string format_seconds(double s) {
-  char buf[32];
-  // Promote at the rounding seam of each unit: "%.0f" of 999.5us would
-  // print "1000us" and "%.2f" of 999.995ms would print "1000.00ms".
-  if (s < 0.9995e-3)
-    std::snprintf(buf, sizeof buf, "%.0fus", s * 1e6);
-  else if (s < 0.999995)
-    std::snprintf(buf, sizeof buf, "%.2fms", s * 1e3);
-  else
-    std::snprintf(buf, sizeof buf, "%.3fs", s);
-  return buf;
-}
 
 const char* kernel_variant_name(KernelVariant v) noexcept {
   switch (v) {
@@ -229,185 +201,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   s.queue_wait = queue_wait_.snapshot();
   s.kernel_time = kernel_time_.snapshot();
   return s;
-}
-
-std::string MetricsSnapshot::to_string() const {
-  std::string out;
-  out += "== swve service metrics ==\n";
-  out += "requests: submitted " + std::to_string(submitted) + " (inline " +
-         std::to_string(inline_runs) + "), completed " +
-         std::to_string(completed) + ", rejected(queue-full) " +
-         std::to_string(rejected_queue_full) + ", deadline-expired " +
-         std::to_string(deadline_expired) + ", invalid " +
-         std::to_string(invalid_request) + ", aborted " +
-         std::to_string(aborted) + "\n";
-  out += "scenarios: pairwise " + std::to_string(pairwise) + ", search " +
-         std::to_string(search) + ", batch " + std::to_string(batch) + "\n";
-  char line[160];
-  std::snprintf(line, sizeof line,
-                "kernel: %llu cells in %.3f s, aggregate %.2f GCUPS\n",
-                static_cast<unsigned long long>(cells), kernel_seconds,
-                aggregate_gcups());
-  out += line;
-  std::snprintf(line, sizeof line,
-                "window(%ds): %llu cells in %.3f s, %.2f GCUPS\n",
-                kWindowSeconds, static_cast<unsigned long long>(window_cells),
-                window_kernel_seconds, window_gcups());
-  out += line;
-  for (int i = 0; i < kIsas; ++i) {
-    for (int k = 0; k < kKernelVariants; ++k) {
-      if (target_requests[i][k] == 0) continue;
-      std::snprintf(line, sizeof line, "target %s/%s: %llu requests, %llu cells\n",
-                    simd::isa_name(static_cast<simd::Isa>(i)),
-                    kernel_variant_name(static_cast<KernelVariant>(k)),
-                    static_cast<unsigned long long>(target_requests[i][k]),
-                    static_cast<unsigned long long>(target_cells[i][k]));
-      out += line;
-    }
-  }
-  if (pmu_unavailable) {
-    out += "pmu: unavailable (software-clock fallback)\n";
-  }
-  for (int i = 0; i < kIsas; ++i) {
-    for (int k = 0; k < kKernelVariants; ++k) {
-      for (int w = 0; w < kWidths; ++w) {
-        const PmuSample& c = pmu[i][k][w];
-        if (c.samples == 0 || c.cycles == 0) continue;
-        std::snprintf(line, sizeof line,
-                      "pmu %s/%s/w%u: %llu spans, ipc %.2f, stalls fe %.1f%% "
-                      "be %.1f%%, %.2f GHz\n",
-                      simd::isa_name(static_cast<simd::Isa>(i)),
-                      kernel_variant_name(static_cast<KernelVariant>(k)),
-                      width_bits_at(w),
-                      static_cast<unsigned long long>(c.samples), c.ipc(),
-                      100.0 * c.frontend_stall_fraction(),
-                      100.0 * c.backend_stall_fraction(), c.effective_ghz());
-        out += line;
-      }
-    }
-  }
-  if (const double ratio = avx512_frequency_ratio(); ratio > 0) {
-    std::snprintf(line, sizeof line,
-                  "pmu avx512 frequency ratio: %.2f%s\n", ratio,
-                  ratio < 0.9 ? " (license throttling suspected)" : "");
-    out += line;
-  }
-  if (slow_requests > 0) {
-    out += "slow requests (SLO breaches): " + std::to_string(slow_requests) +
-           "\n";
-  }
-  if (trace_recorded > 0) {
-    std::snprintf(line, sizeof line,
-                  "trace: %llu events recorded, dropped wrap %llu, torn %llu, "
-                  "overflow %llu\n",
-                  static_cast<unsigned long long>(trace_recorded),
-                  static_cast<unsigned long long>(trace_dropped_wrap),
-                  static_cast<unsigned long long>(trace_dropped_torn),
-                  static_cast<unsigned long long>(trace_dropped_overflow));
-    out += line;
-  }
-  if (batch_cells8 > 0) {
-    std::snprintf(line, sizeof line,
-                  "batch packing: %llu cells8, %llu useful, efficiency %.1f%%\n",
-                  static_cast<unsigned long long>(batch_cells8),
-                  static_cast<unsigned long long>(batch_useful_cells8),
-                  100.0 * batch_packing_efficiency());
-    out += line;
-  }
-  if (query_cache_hits + query_cache_misses + workspace_creates > 0) {
-    std::snprintf(line, sizeof line,
-                  "query-cache: %llu hits, %llu misses (%.1f%% hit), "
-                  "%llu evictions, %llu entries, ws reuse %llu/%llu\n",
-                  static_cast<unsigned long long>(query_cache_hits),
-                  static_cast<unsigned long long>(query_cache_misses),
-                  100.0 * query_cache_hit_rate(),
-                  static_cast<unsigned long long>(query_cache_evictions),
-                  static_cast<unsigned long long>(query_cache_entries),
-                  static_cast<unsigned long long>(workspace_reuses),
-                  static_cast<unsigned long long>(workspace_reuses +
-                                                  workspace_creates));
-    out += line;
-  }
-  if (pool_threads > 0) {
-    std::snprintf(line, sizeof line,
-                  "pool: %u threads, %llu jobs, busy %.3f s, utilization %.1f%%\n",
-                  pool_threads, static_cast<unsigned long long>(pool_jobs),
-                  pool_busy_seconds, 100.0 * pool_utilization());
-    out += line;
-  }
-  if (server_connections > 0 || server_frames_rx > 0) {
-    std::snprintf(line, sizeof line,
-                  "server: %llu conns (%llu active), frames rx/tx %llu/%llu, "
-                  "bytes rx/tx %llu/%llu, protocol errors %llu, scrapes %llu\n",
-                  static_cast<unsigned long long>(server_connections),
-                  static_cast<unsigned long long>(server_active_connections),
-                  static_cast<unsigned long long>(server_frames_rx),
-                  static_cast<unsigned long long>(server_frames_tx),
-                  static_cast<unsigned long long>(server_bytes_rx),
-                  static_cast<unsigned long long>(server_bytes_tx),
-                  static_cast<unsigned long long>(server_protocol_errors),
-                  static_cast<unsigned long long>(server_http_scrapes));
-    out += line;
-  }
-  for (int t = 0; t < kQosTiers; ++t) {
-    uint64_t total = 0;
-    for (int sc = 0; sc < kScenarios; ++sc) total += tier_requests[t][sc];
-    if (total == 0) continue;
-    std::snprintf(line, sizeof line,
-                  "tier %s: %llu requests (pairwise %llu, search %llu, "
-                  "batch %llu), p50 %s, p99 %s\n",
-                  qos_tier_label(t), static_cast<unsigned long long>(total),
-                  static_cast<unsigned long long>(tier_requests[t][0]),
-                  static_cast<unsigned long long>(tier_requests[t][1]),
-                  static_cast<unsigned long long>(tier_requests[t][2]),
-                  format_seconds(tier_latency[t].p50_s).c_str(),
-                  format_seconds(tier_latency[t].p99_s).c_str());
-    out += line;
-  }
-  {
-    uint64_t qtotal = 0;
-    for (int b = 0; b < kLengthBins; ++b) qtotal += query_length_bins[b];
-    if (qtotal > 0) {
-      out += "query lengths:";
-      for (int b = 0; b < kLengthBins; ++b) {
-        if (query_length_bins[b] == 0) continue;
-        std::snprintf(line, sizeof line, " [>=%llu]=%llu",
-                      static_cast<unsigned long long>(length_bin_lower(b)),
-                      static_cast<unsigned long long>(query_length_bins[b]));
-        out += line;
-      }
-      out += "\n";
-    }
-  }
-  if (log_records + log_dropped_overflow + log_dropped_threads +
-          log_suppressed >
-      0) {
-    std::snprintf(line, sizeof line,
-                  "log: %llu records, dropped overflow %llu, threads %llu, "
-                  "rate-limited %llu\n",
-                  static_cast<unsigned long long>(log_records),
-                  static_cast<unsigned long long>(log_dropped_overflow),
-                  static_cast<unsigned long long>(log_dropped_threads),
-                  static_cast<unsigned long long>(log_suppressed));
-    out += line;
-  }
-  if (result_cache_hits + result_cache_misses + coalesced > 0) {
-    std::snprintf(line, sizeof line,
-                  "result-cache: %llu hits, %llu misses (%.1f%% hit), "
-                  "%llu evictions, %llu entries; coalesced %llu "
-                  "(dedup %.1f%%)\n",
-                  static_cast<unsigned long long>(result_cache_hits),
-                  static_cast<unsigned long long>(result_cache_misses),
-                  100.0 * result_cache_hit_rate(),
-                  static_cast<unsigned long long>(result_cache_evictions),
-                  static_cast<unsigned long long>(result_cache_entries),
-                  static_cast<unsigned long long>(coalesced),
-                  100.0 * dedup_ratio());
-    out += line;
-  }
-  out += format_hist("queue-wait", queue_wait);
-  out += format_hist("kernel-time", kernel_time);
-  return out;
 }
 
 }  // namespace swve::perf

@@ -7,8 +7,8 @@
 // (counters are read individually; exactness across counters is not
 // required for monitoring).
 //
-// Machine-readable renderings of a MetricsSnapshot (Prometheus text
-// exposition, JSON) live in obs/exporters.hpp.
+// Every rendering of a MetricsSnapshot (Prometheus text exposition, plain
+// text, JSON) lives in obs/exporters.hpp.
 #pragma once
 
 #include <array>
@@ -16,7 +16,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 #include "simd/cpu.hpp"
 
@@ -78,11 +77,6 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_us_{0};
   std::atomic<uint64_t> max_us_{0};
 };
-
-/// Human-friendly duration ("248us", "3.20ms", "1.500s"). Values that would
-/// round up to a whole next unit are promoted ("999.7us" prints "1.00ms",
-/// never "1000us").
-std::string format_seconds(double s);
 
 // Shared delta math for everything that turns two counter snapshots into a
 // window statistic (obs::TimeSeriesStore, `swve_client metrics --watch`).
@@ -249,7 +243,6 @@ struct MetricsSnapshot {
   uint64_t db_map_bytes = 0;       ///< artifact mapping size; 0 when built
   uint64_t db_resident_bytes = 0;  ///< gauge: mapped bytes resident in RAM
   double db_load_seconds = 0;      ///< startup: map/pack -> search-ready
-  uint64_t db_epoch = 0;           ///< content fingerprint; 0 when unknown
 
   // Serving front door (filled by net::Server; zero without one). The
   // result cache sits above the query-state cache and holds serialized
@@ -388,14 +381,6 @@ struct MetricsSnapshot {
                : 0.0;
   }
 
-  /// Prepared-query LRU hit rate, in [0, 1]; 0 before the first lookup.
-  double query_cache_hit_rate() const noexcept {
-    const uint64_t total = query_cache_hits + query_cache_misses;
-    return total > 0 ? static_cast<double>(query_cache_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
-
   /// Busy fraction of the pool over the registry's lifetime [0, 1].
   double pool_utilization() const noexcept {
     return pool_threads > 0 && uptime_seconds > 0
@@ -447,9 +432,6 @@ struct MetricsSnapshot {
 
   LatencyHistogram::Snapshot queue_wait;
   LatencyHistogram::Snapshot kernel_time;
-
-  /// Human-readable multi-line dump (the `swve --metrics` text format).
-  std::string to_string() const;
 };
 
 /// Atomic counters + histograms; one per AlignService. All members are

@@ -220,7 +220,6 @@ perf::MetricsSnapshot AlignService::metrics() const {
   if (db_ != nullptr) {
     s.db_source = static_cast<uint64_t>(db_source_);
     s.db_load_seconds = db_load_seconds_;
-    s.db_epoch = db_epoch_;
     if (mapped_ != nullptr) {
       s.db_map_bytes = mapped_->mapped_bytes();
       s.db_resident_bytes = mapped_->resident_bytes();

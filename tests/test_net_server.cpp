@@ -337,8 +337,8 @@ TEST(NetServer, HttpMetricsAndHealth) {
   ASSERT_TRUE(json.ok());
   const auto doc = Json::parse(json.value());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_TRUE((*doc)["server"].is_object());
-  EXPECT_TRUE((*doc)["result_cache"].is_object());
+  EXPECT_TRUE((*doc)["server_connections_total"].is_number());
+  EXPECT_TRUE((*doc)["result_cache_lookups_total"].is_array());
 
   std::string head;
   const auto health =
@@ -688,15 +688,42 @@ TEST(NetServer, StatuszSchema) {
   ASSERT_TRUE(doc["options"].is_object());
   EXPECT_TRUE(doc["options"]["serve"].is_object());
   EXPECT_TRUE(doc["options"]["queue"].is_object());
-  ASSERT_TRUE(doc["requests"].is_object());
-  EXPECT_GE(doc["requests"]["completed"].as_number(), 1.0);
+  // Metric values come from the embedded /metrics?format=json document.
+  const Json& m = doc["metrics"];
+  ASSERT_TRUE(m.is_object());
+  double completed = 0;
+  for (const Json& s : m["requests_completed_total"].as_array())
+    completed += s["value"].as_number();
+  EXPECT_GE(completed, 1.0);
   ASSERT_TRUE(doc["cache"].is_object());
   EXPECT_GT(doc["cache"]["capacity"].as_number(), 0.0);
   EXPECT_TRUE(doc["coalesce"].is_object());
-  ASSERT_TRUE(doc["tiers"].is_object());
-  EXPECT_FALSE(doc["tiers"].as_object().empty());
-  ASSERT_TRUE(doc["log"].is_object());
-  EXPECT_TRUE(doc["log"]["records"].is_number());
+  ASSERT_TRUE(m["tier_requests_total"].is_array());
+  EXPECT_FALSE(m["tier_requests_total"].as_array().empty());
+  EXPECT_TRUE(m["log_records_total"].is_number());
+}
+
+// A FASTA or synthetic database has no stored fingerprint; the server
+// computes one, and /statusz reports it exactly once.
+TEST(NetServer, StatuszCarriesOneDbEpoch) {
+  Loopback lb;  // synthetic database, packed in-process
+  ASSERT_NE(lb.server->db_epoch(), 0u);
+  const std::string epoch = std::to_string(lb.server->db_epoch());
+
+  const auto body = http_get("127.0.0.1", lb.server->port(), "/statusz");
+  ASSERT_TRUE(body.ok()) << body.error().message;
+  const auto doc = Json::parse(body.value());
+  ASSERT_TRUE(doc.has_value()) << body.value();
+  EXPECT_EQ((*doc)["db_epoch"].as_string(), epoch);
+  const size_t first = body.value().find(epoch);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(body.value().find(epoch, first + 1), std::string::npos)
+      << body.value();
+
+  const auto metrics =
+      http_get("127.0.0.1", lb.server->port(), "/metrics?format=json");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics.value().find(epoch), std::string::npos);
 }
 
 TEST(NetServer, ConnzSchema) {

@@ -8,14 +8,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/json.hpp"
 #include "obs/exporters.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -23,15 +28,6 @@
 
 namespace swve::obs {
 namespace {
-
-// Minimal extractor for the flat JSON the exporters emit: the number that
-// follows `"key":`.
-uint64_t json_u64(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return ~uint64_t{0};
-  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
-}
 
 TraceEvent make_event(const char* name, uint64_t trace_id, uint64_t ts_ns) {
   TraceEvent e;
@@ -231,8 +227,439 @@ perf::MetricsSnapshot sample_snapshot() {
   return s;
 }
 
+std::string prometheus(const perf::MetricsSnapshot& s,
+                       const SloStatus* slo = nullptr) {
+  return render_metrics(s, MetricsFormat::Prometheus, slo);
+}
+
+net::Json json_doc(const perf::MetricsSnapshot& s,
+                   const SloStatus* slo = nullptr,
+                   const BuildInfo& build = build_info()) {
+  const std::string text = render_metrics(s, MetricsFormat::Json, slo, build);
+  auto doc = net::Json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return doc ? *doc : net::Json();
+}
+
+/// Value of the series of a labeled JSON family whose `label` is `value`
+/// (NaN when absent).
+double labeled(const net::Json& family, const std::string& label,
+               const std::string& value) {
+  if (family.is_array())
+    for (const net::Json& series : family.as_array())
+      if (series[label].as_string() == value)
+        return series["value"].as_number();
+  return std::nan("");
+}
+
+/// Sum of a labeled JSON family's series.
+double family_sum(const net::Json& family) {
+  double sum = 0;
+  if (family.is_array())
+    for (const net::Json& series : family.as_array())
+      sum += series["value"].as_number();
+  return sum;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+/// One parsed exposition sample line.
+struct PromSample {
+  std::string name;
+  std::map<std::string, std::string> labels;  ///< values unescaped
+  std::string value;
+};
+
+std::optional<PromSample> parse_sample(const std::string& line) {
+  PromSample s;
+  size_t i = line.find_first_of("{ ");
+  if (i == std::string::npos) return std::nullopt;
+  s.name = line.substr(0, i);
+  if (line[i] == '{') {
+    ++i;
+    while (i < line.size() && line[i] != '}') {
+      const size_t eq = line.find('=', i);
+      if (eq == std::string::npos || eq + 1 >= line.size() ||
+          line[eq + 1] != '"')
+        return std::nullopt;
+      const std::string key = line.substr(i, eq - i);
+      std::string value;
+      size_t j = eq + 2;
+      for (; j < line.size() && line[j] != '"'; ++j) {
+        if (line[j] != '\\') {
+          value += line[j];
+          continue;
+        }
+        if (++j == line.size()) return std::nullopt;
+        value += line[j] == 'n' ? '\n' : line[j];
+      }
+      if (j == line.size()) return std::nullopt;
+      s.labels[key] = value;
+      i = j + 1;
+      if (i < line.size() && line[i] == ',') ++i;
+    }
+    if (i + 1 >= line.size() || line[i + 1] != ' ') return std::nullopt;
+    ++i;
+  }
+  s.value = line.substr(i + 1);
+  return s;
+}
+
+/// The family a sample or HELP/TYPE line belongs to (histogram series keep
+/// their _bucket/_sum/_count suffix).
+std::string family_of(const std::string& line) {
+  if (line.rfind("# ", 0) == 0) {
+    const size_t begin = line.find(' ', 2) + 1;
+    return line.substr(begin, line.find(' ', begin) - begin);
+  }
+  return line.substr(0, line.find_first_of("{ "));
+}
+
+#include "recorded_exposition.inc"
+
+// Families the table added to the recorded exposition: values that only
+// JSON or /statusz carried before, now rendered in every format.
+const std::set<std::string> kAddedFamilies = {
+    "swve_window_cells",          "swve_window_kernel_seconds",
+    "swve_shard_sequences",       "swve_shard_batches_total",
+    "swve_shard_useful_cells_total", "swve_shard_cycles_total",
+    "swve_slo_instant_state",     "swve_slo_evaluations_total"};
+
+// Every family populated: PMU cells on two ISAs (so the AVX-512 frequency
+// ratio is defined), two shards, all three tiers, several length bins and
+// both request histograms. Fields are set directly, so the rendering is
+// deterministic.
+perf::MetricsSnapshot populated_snapshot() {
+  using S = perf::MetricsSnapshot;
+  S s;
+  s.submitted = 1001;
+  s.inline_runs = 17;
+  s.completed = 960;
+  s.rejected_queue_full = 11;
+  s.deadline_expired = 7;
+  s.invalid_request = 3;
+  s.aborted = 2;
+  s.pairwise = 500;
+  s.search = 400;
+  s.batch = 60;
+  s.cells = 123'456'789'012;
+  s.kernel_seconds = 41.123456789;
+  const int avx2 = static_cast<int>(simd::Isa::Avx2);
+  const int avx512 = static_cast<int>(simd::Isa::Avx512);
+  s.target_requests[avx2][0] = 500;
+  s.target_requests[avx512][1] = 460;
+  s.target_cells[avx2][0] = 23'456'789'012;
+  s.target_cells[avx512][1] = 100'000'000'000;
+  s.batch_cells8 = 9'000'000'000;
+  s.batch_useful_cells8 = 7'654'321'000;
+  s.query_cache_hits = 300;
+  s.query_cache_misses = 100;
+  s.query_cache_evictions = 9;
+  s.workspace_reuses = 420;
+  s.workspace_creates = 6;
+  s.query_cache_entries = 55;
+  s.db_source = 1;
+  s.db_map_bytes = 98'765'432;
+  s.db_resident_bytes = 87'654'321;
+  s.db_load_seconds = 0.0123456789;
+  s.result_cache_hits = 250;
+  s.result_cache_misses = 750;
+  s.result_cache_evictions = 12;
+  s.result_cache_entries = 64;
+  s.coalesced = 31;
+  s.server_connections = 44;
+  s.server_active_connections = 5;
+  s.server_frames_rx = 1200;
+  s.server_frames_tx = 1190;
+  s.server_bytes_rx = 4'567'890;
+  s.server_bytes_tx = 12'345'678;
+  s.server_protocol_errors = 4;
+  s.server_http_scrapes = 21;
+  for (int t = 0; t < S::kQosTiers; ++t) {
+    for (int sc = 0; sc < S::kScenarios; ++sc)
+      s.tier_requests[t][sc] = static_cast<uint64_t>(10 * t + sc + 1);
+    perf::LatencyHistogram::Snapshot& h = s.tier_latency[t];
+    h.buckets[3 + t] = 5;
+    h.buckets[10 + t] = 2;
+    h.count = 7;
+    h.mean_s = 0.000321 * (t + 1);
+    h.max_s = 0.0011 * (t + 1);
+    h.p50_s = 0.00001 * (t + 1);
+    h.p90_s = 0.0005 * (t + 1);
+    h.p99_s = 0.001 * (t + 1);
+  }
+  s.query_length_bins[0] = 2;
+  s.query_length_bins[6] = 40;
+  s.query_length_bins[9] = 300;
+  s.query_length_bins[15] = 1;
+  s.log_records = 77;
+  s.log_dropped_overflow = 3;
+  s.log_dropped_threads = 2;
+  s.log_suppressed = 9;
+  s.window_cells = 5'000'000'000;
+  s.window_kernel_seconds = 2.5;
+  s.pool_threads = 4;
+  s.pool_jobs = 8800;
+  s.pool_busy_seconds = 123.456789012;
+  perf::PmuSample cell;
+  cell.samples = 12;
+  cell.wall_ns = 6'000'000;
+  cell.cycles = 15'000'000;
+  cell.instructions = 33'000'000;
+  cell.stall_frontend = 1'500'000;
+  cell.stall_backend = 4'500'000;
+  cell.llc_misses = 420;
+  cell.branch_misses = 99;
+  s.pmu[avx2][0][S::width_index(8)] = cell;
+  cell.samples = 30;
+  cell.wall_ns = 9'000'000;
+  cell.cycles = 18'000'000;
+  cell.instructions = 52'000'000;
+  cell.stall_frontend = 900'000;
+  cell.stall_backend = 7'200'000;
+  cell.llc_misses = 1300;
+  cell.branch_misses = 45;
+  s.pmu[avx512][1][S::width_index(16)] = cell;
+  s.pmu_unavailable = 0;
+  s.slow_requests = 6;
+  s.shard_count = 2;
+  for (uint32_t i = 0; i < 2; ++i) {
+    S::ShardSample& sh = s.shards[i];
+    sh.searches = 200 + i;
+    sh.batches = 3000 + i;
+    sh.cells = 40'000'000'000 + i;
+    sh.useful_cells = 30'000'000'000 + i;
+    sh.busy_seconds = 10.5 + i;
+    sh.llc_misses = 5000 + i;
+    sh.cycles = 60'000'000'000 + i;
+    sh.queue_depth = i;
+    sh.sequences = 1000 + i;
+    sh.node = i == 0 ? 0 : -1;
+    sh.threads = 2;
+    sh.bound = i == 0 ? 1 : 0;
+  }
+  s.trace_recorded = 8192;
+  s.trace_dropped_wrap = 100;
+  s.trace_dropped_torn = 1;
+  s.trace_dropped_overflow = 3;
+  s.uptime_seconds = 3600.25;
+  s.queue_wait.count = 960;
+  s.queue_wait.mean_s = 0.000045;
+  s.queue_wait.max_s = 0.02;
+  s.queue_wait.p50_s = 0.00003;
+  s.queue_wait.p90_s = 0.00008;
+  s.queue_wait.p99_s = 0.0009;
+  s.queue_wait.buckets[4] = 600;
+  s.queue_wait.buckets[6] = 350;
+  s.queue_wait.buckets[15] = 10;
+  s.kernel_time.count = 960;
+  s.kernel_time.mean_s = 0.0428;
+  s.kernel_time.max_s = 0.9;
+  s.kernel_time.p50_s = 0.03;
+  s.kernel_time.p90_s = 0.08;
+  s.kernel_time.p99_s = 0.4;
+  s.kernel_time.buckets[12] = 100;
+  s.kernel_time.buckets[15] = 800;
+  s.kernel_time.buckets[19] = 59;
+  s.kernel_time.buckets[31] = 1;
+  return s;
+}
+
+obs::SloStatus populated_slo() {
+  obs::SloStatus st;
+  st.state = obs::AlertState::Firing;
+  st.instant = obs::AlertState::Warning;
+  st.latency_fast_burn = 20.5;
+  st.latency_slow_burn = 18.25;
+  st.availability_fast_burn = 1.5;
+  st.availability_slow_burn = 0.75;
+  st.evaluations = 42;
+  st.transitions = 3;
+  return st;
+}
+
+obs::BuildInfo fixed_build() { return {"9.8.7", "cc 1.2 \"x\"", "scalar+avx2"}; }
+
+/// Checks that `got` emits every line of `want` in order, and that any
+/// other line belongs to an added family.
+void expect_recorded_lines(const std::string& got,
+                           const std::vector<std::string>& want) {
+  size_t next = 0;
+  for (const std::string& line : lines_of(got)) {
+    if (next < want.size() && line == want[next]) {
+      ++next;
+      continue;
+    }
+    EXPECT_TRUE(kAddedFamilies.count(family_of(line)))
+        << "unexpected line: " << line;
+  }
+  EXPECT_EQ(next, want.size())
+      << "first recorded line missing or out of order: "
+      << (next < want.size() ? want[next] : "");
+}
+
+TEST(Exporters, PrometheusMatchesRecordedExposition) {
+  const perf::MetricsSnapshot s = populated_snapshot();
+  const SloStatus slo = populated_slo();
+  const std::vector<std::string> recorded = lines_of(kRecordedExposition);
+  expect_recorded_lines(
+      render_metrics(s, MetricsFormat::Prometheus, &slo, fixed_build()),
+      recorded);
+
+  // Without a status the swve_slo_* families are absent, the rest unchanged.
+  std::vector<std::string> no_slo;
+  for (const std::string& line : recorded)
+    if (family_of(line).rfind("swve_slo_", 0) != 0) no_slo.push_back(line);
+  const std::string plain =
+      render_metrics(s, MetricsFormat::Prometheus, nullptr, fixed_build());
+  EXPECT_EQ(plain.find("swve_slo_"), std::string::npos);
+  expect_recorded_lines(plain, no_slo);
+}
+
+TEST(Exporters, JsonCarriesEveryPrometheusSample) {
+  const perf::MetricsSnapshot s = populated_snapshot();
+  const SloStatus slo = populated_slo();
+  const std::string prom =
+      render_metrics(s, MetricsFormat::Prometheus, &slo, fixed_build());
+  const net::Json doc = json_doc(s, &slo, fixed_build());
+  ASSERT_TRUE(doc.is_object());
+
+  // Families: the TYPE lines, and their kind.
+  std::map<std::string, std::string> types;
+  for (const std::string& line : lines_of(prom))
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string name = family_of(line);
+      types[name.substr(5)] = line.substr(line.rfind(' ') + 1);
+    }
+  std::set<std::string> json_keys;
+  for (const auto& [key, value] : doc.as_object()) json_keys.insert(key);
+  std::set<std::string> prom_keys;
+  for (const auto& [key, type] : types) prom_keys.insert(key);
+  EXPECT_EQ(json_keys, prom_keys);
+
+  // The JSON series of `key` whose labels are exactly `labels`.
+  const auto find_series = [&](const std::string& key,
+                               const std::map<std::string, std::string>&
+                                   labels) -> const net::Json* {
+    const net::Json& family = doc[key];
+    if (labels.empty()) return &family;
+    if (!family.is_array()) return nullptr;
+    for (const net::Json& series : family.as_array()) {
+      bool match = true;
+      size_t label_fields = 0;
+      for (const auto& [k, v] : series.as_object()) {
+        if (!v.is_string()) continue;
+        ++label_fields;
+        const auto it = labels.find(k);
+        match = match && it != labels.end() && it->second == v.as_string();
+      }
+      if (match && label_fields == labels.size()) return &series;
+    }
+    return nullptr;
+  };
+
+  std::map<std::string, size_t> prom_series;  // per family, sans histogram
+  std::map<std::string, int> bucket_index;    // per histogram series
+  for (const std::string& line : lines_of(prom)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto sample = parse_sample(line);
+    ASSERT_TRUE(sample.has_value()) << line;
+    const double value = std::strtod(sample->value.c_str(), nullptr);
+    std::string key = sample->name.substr(5);
+    std::string part;  // histogram line kind
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      const std::string sfx = suffix;
+      if (key.size() > sfx.size() &&
+          key.compare(key.size() - sfx.size(), sfx.size(), sfx) == 0 &&
+          types[key.substr(0, key.size() - sfx.size())] == "histogram") {
+        key.resize(key.size() - sfx.size());
+        part = sfx;
+      }
+    }
+    auto labels = sample->labels;
+    const std::string le = labels.count("le") ? labels["le"] : "";
+    labels.erase("le");
+    const net::Json* series = find_series(key, labels);
+    ASSERT_NE(series, nullptr) << "no JSON series for " << line;
+    if (part.empty()) {
+      ++prom_series[key];
+      const net::Json& v = labels.empty() ? *series : (*series)["value"];
+      EXPECT_EQ(v.as_number(), value) << line;
+    } else if (part == "_sum") {
+      ++prom_series[key];
+      EXPECT_EQ((*series)["sum"].as_number(), value) << line;
+    } else if (part == "_count") {
+      EXPECT_EQ((*series)["count"].as_number(), value) << line;
+    } else {
+      std::string id = key;
+      for (const auto& [k, v] : labels) id += "," + k + "=" + v;
+      const int i = bucket_index[id]++;
+      const net::JsonArray& buckets = (*series)["buckets"].as_array();
+      ASSERT_EQ(buckets.size(),
+                static_cast<size_t>(perf::LatencyHistogram::kBuckets));
+      double cum = 0;
+      for (int b = 0; b <= i; ++b) cum += buckets[b].as_number();
+      EXPECT_EQ(cum, value) << line;
+      EXPECT_EQ(le == "+Inf", i == perf::LatencyHistogram::kBuckets - 1);
+    }
+  }
+  // No JSON series without a Prometheus sample.
+  for (const auto& [key, family] : doc.as_object())
+    EXPECT_EQ(family.is_array() ? family.as_array().size() : 1u,
+              prom_series[key])
+        << key;
+}
+
+TEST(Exporters, TextIsPrometheusWithoutHeaders) {
+  const perf::MetricsSnapshot s = populated_snapshot();
+  std::string want;
+  for (const std::string& line : lines_of(prometheus(s)))
+    if (line.rfind('#', 0) != 0) want += line + "\n";
+  EXPECT_EQ(render_metrics(s, MetricsFormat::Text), want);
+}
+
+// Regression: the exporter formatted each line into a 512-byte buffer, so a
+// long build identity cut the swve_build_info line short and glued the next
+// HELP line onto it.
+TEST(Exporters, LongBuildInfoSurvivesEveryFormat) {
+  std::string compiler;
+  while (compiler.size() < 4096) compiler += "gcc \"x\" \\ ";
+  compiler.resize(4096);
+  const BuildInfo build{"1.0", compiler.c_str(), "scalar"};
+  const perf::MetricsSnapshot s = sample_snapshot();
+
+  const std::string prom =
+      render_metrics(s, MetricsFormat::Prometheus, nullptr, build);
+  size_t build_lines = 0;
+  for (const std::string& line : lines_of(prom)) {
+    if (line.find("swve_build_info") == std::string::npos) continue;
+    if (line[0] == '#') {
+      EXPECT_TRUE(line.rfind("# HELP swve_build_info ", 0) == 0 ||
+                  line == "# TYPE swve_build_info gauge")
+          << line.substr(0, 200);
+      continue;
+    }
+    ++build_lines;
+    const auto sample = parse_sample(line);
+    ASSERT_TRUE(sample.has_value()) << line.substr(0, 200);
+    EXPECT_EQ(sample->name, "swve_build_info");
+    EXPECT_EQ(sample->labels.at("compiler"), compiler);
+    EXPECT_EQ(sample->value, "1");
+  }
+  EXPECT_EQ(build_lines, 1u);
+
+  const net::Json doc = json_doc(s, nullptr, build);
+  ASSERT_TRUE(doc["build_info"].is_array());
+  EXPECT_EQ(doc["build_info"].as_array()[0]["compiler"].as_string(), compiler);
+}
+
 TEST(Exporters, PrometheusLinesAreWellFormed) {
-  std::string prom = to_prometheus(sample_snapshot());
+  std::string prom = prometheus(sample_snapshot());
   // Every non-comment line is `name{labels} value` or `name value`.
   const std::regex line_re(
       R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? -?[0-9].*$)");
@@ -255,7 +682,7 @@ TEST(Exporters, PrometheusLinesAreWellFormed) {
 }
 
 TEST(Exporters, PrometheusCarriesCountersAndWindowGauge) {
-  std::string prom = to_prometheus(sample_snapshot());
+  std::string prom = prometheus(sample_snapshot());
   EXPECT_NE(prom.find("swve_requests_submitted_total 3"), std::string::npos);
   EXPECT_NE(
       prom.find("swve_requests_failed_total{reason=\"queue_full\"} 1"),
@@ -275,21 +702,26 @@ TEST(Exporters, PrometheusCarriesCountersAndWindowGauge) {
 
 TEST(Exporters, JsonRoundTripsCounters) {
   perf::MetricsSnapshot s = sample_snapshot();
-  std::string json = to_json(s);
-  EXPECT_EQ(json_u64(json, "submitted"), s.submitted);
-  EXPECT_EQ(json_u64(json, "completed"), s.completed);
-  EXPECT_EQ(json_u64(json, "rejected_queue_full"), s.rejected_queue_full);
-  EXPECT_EQ(json_u64(json, "pairwise"), s.pairwise);
-  EXPECT_EQ(json_u64(json, "search"), s.search);
-  EXPECT_EQ(json_u64(json, "cells"), s.cells);
-  EXPECT_EQ(json_u64(json, "threads"), 4u);
-  EXPECT_EQ(json_u64(json, "jobs"), 12u);
-  EXPECT_NE(json.find("\"targets\":[{\"isa\":\"avx2\",\"kernel\":\"diagonal\""),
+  const std::string text = render_metrics(s, MetricsFormat::Json);
+  const net::Json doc = json_doc(s);
+  EXPECT_EQ(doc["requests_submitted_total"].as_number(), s.submitted);
+  EXPECT_EQ(family_sum(doc["requests_completed_total"]), s.completed);
+  EXPECT_EQ(labeled(doc["requests_failed_total"], "reason", "queue_full"),
+            s.rejected_queue_full);
+  EXPECT_EQ(labeled(doc["requests_completed_total"], "scenario", "pairwise"),
+            s.pairwise);
+  EXPECT_EQ(labeled(doc["requests_completed_total"], "scenario", "search"),
+            s.search);
+  EXPECT_EQ(doc["kernel_cells_total"].as_number(), s.cells);
+  EXPECT_EQ(doc["pool_threads"].as_number(), 4.0);
+  EXPECT_EQ(doc["pool_jobs_total"].as_number(), 12.0);
+  EXPECT_NE(text.find("\"kernel_target_requests_total\":[{\"isa\":\"avx2\","
+                      "\"kernel\":\"diagonal\""),
             std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
+            std::count(text.begin(), text.end(), '}'));
+  EXPECT_EQ(std::count(text.begin(), text.end(), '['),
+            std::count(text.begin(), text.end(), ']'));
 }
 
 TEST(Exporters, BuildInfoAndTraceAccounting) {
@@ -305,7 +737,7 @@ TEST(Exporters, BuildInfoAndTraceAccounting) {
   EXPECT_NE(info.version[0], '\0');
   EXPECT_NE(info.isas[0], '\0');
 
-  std::string prom = to_prometheus(s);
+  std::string prom = prometheus(s);
   EXPECT_NE(prom.find("swve_build_info{version=\""), std::string::npos);
   EXPECT_NE(prom.find("swve_trace_events_total 10"), std::string::npos);
   EXPECT_NE(prom.find("swve_trace_dropped_total{cause=\"wrap\"} 3"),
@@ -317,14 +749,15 @@ TEST(Exporters, BuildInfoAndTraceAccounting) {
   EXPECT_NE(prom.find("swve_pmu_unavailable 1"), std::string::npos);
   EXPECT_NE(prom.find("swve_slow_requests_total 4"), std::string::npos);
 
-  std::string json = to_json(s);
-  EXPECT_NE(json.find("\"build\":{\"version\":\""), std::string::npos);
-  EXPECT_EQ(json_u64(json, "recorded"), 10u);
-  EXPECT_EQ(json_u64(json, "dropped_wrap"), 3u);
-  EXPECT_EQ(json_u64(json, "dropped_torn"), 1u);
-  EXPECT_EQ(json_u64(json, "dropped_overflow"), 2u);
-  EXPECT_EQ(json_u64(json, "unavailable"), 1u);
-  EXPECT_EQ(json_u64(json, "slow_requests"), 4u);
+  const std::string text = render_metrics(s, MetricsFormat::Json);
+  EXPECT_NE(text.find("\"build_info\":[{\"version\":\""), std::string::npos);
+  const net::Json doc = json_doc(s);
+  EXPECT_EQ(doc["trace_events_total"].as_number(), 10.0);
+  EXPECT_EQ(labeled(doc["trace_dropped_total"], "cause", "wrap"), 3.0);
+  EXPECT_EQ(labeled(doc["trace_dropped_total"], "cause", "torn"), 1.0);
+  EXPECT_EQ(labeled(doc["trace_dropped_total"], "cause", "overflow"), 2.0);
+  EXPECT_EQ(doc["pmu_unavailable"].as_number(), 1.0);
+  EXPECT_EQ(doc["slow_requests_total"].as_number(), 4.0);
 }
 
 // Regression: a hostile build identity (quotes, backslashes, a newline —
@@ -335,8 +768,8 @@ TEST(Exporters, PrometheusEscapesHostileBuildInfoLabels) {
   hostile.version = "1.0\"evil";
   hostile.compiler = "g++ (a \"b\") \\ 13.2\nsecond-line";
   hostile.isas = "scalar+avx2";
-  const std::string prom =
-      to_prometheus(sample_snapshot(), hostile);
+  const std::string prom = render_metrics(
+      sample_snapshot(), MetricsFormat::Prometheus, nullptr, hostile);
 
   // The raw quote/backslash/newline are escaped per exposition 0.0.4.
   EXPECT_NE(prom.find("version=\"1.0\\\"evil\""), std::string::npos);
@@ -375,8 +808,7 @@ TEST(Exporters, SloStatusRidesAlongInBothFormats) {
   st.evaluations = 42;
   st.transitions = 3;
 
-  const std::string prom =
-      to_prometheus(sample_snapshot(), build_info(), &st);
+  const std::string prom = prometheus(sample_snapshot(), &st);
   EXPECT_NE(prom.find("swve_slo_state 2"), std::string::npos);
   EXPECT_NE(prom.find("swve_slo_burn_rate{objective=\"latency\","
                       "window=\"fast\"} 20.5"),
@@ -386,30 +818,35 @@ TEST(Exporters, SloStatusRidesAlongInBothFormats) {
             std::string::npos);
   EXPECT_NE(prom.find("swve_slo_transitions_total 3"), std::string::npos);
   // Without a status, no swve_slo family appears at all.
-  EXPECT_EQ(to_prometheus(sample_snapshot()).find("swve_slo_"),
+  EXPECT_EQ(prometheus(sample_snapshot()).find("swve_slo_"),
             std::string::npos);
 
-  const std::string json = to_json(sample_snapshot(), &st);
-  EXPECT_NE(json.find("\"slo\":{\"state\":\"firing\",\"instant\":"
-                      "\"warning\""),
+  const net::Json doc = json_doc(sample_snapshot(), &st);
+  EXPECT_EQ(doc["slo_state"].as_number(),
+            static_cast<double>(AlertState::Firing));
+  EXPECT_EQ(doc["slo_instant_state"].as_number(),
+            static_cast<double>(AlertState::Warning));
+  EXPECT_EQ(doc["slo_evaluations_total"].as_number(), 42.0);
+  EXPECT_EQ(render_metrics(sample_snapshot(), MetricsFormat::Json)
+                .find("\"slo_"),
             std::string::npos);
-  EXPECT_EQ(json_u64(json, "evaluations"), 42u);
-  EXPECT_EQ(to_json(sample_snapshot()).find("\"slo\""), std::string::npos);
 }
 
 TEST(Exporters, QueryLengthBinsExportWhenPopulated) {
   perf::MetricsSnapshot s = sample_snapshot();
   s.query_length_bins[8] = 7;   // [256, 512)
   s.query_length_bins[0] = 2;
-  const std::string prom = to_prometheus(s);
+  const std::string prom = prometheus(s);
   EXPECT_NE(prom.find("swve_query_length_requests_total{min_residues="
                       "\"256\"} 7"),
             std::string::npos);
   EXPECT_NE(prom.find("swve_query_length_requests_total{min_residues="
                       "\"0\"} 2"),
             std::string::npos);
-  const std::string json = to_json(s);
-  EXPECT_NE(json.find("\"query_length_bins\":[2,0,0,0,0,0,0,0,7,"),
+  const std::string json = render_metrics(s, MetricsFormat::Json);
+  EXPECT_NE(json.find("\"query_length_requests_total\":["
+                      "{\"min_residues\":\"0\",\"value\":2},"
+                      "{\"min_residues\":\"256\",\"value\":7}]"),
             std::string::npos);
 }
 
@@ -437,7 +874,7 @@ TEST(Exporters, PmuAttributionCellsInBothFormats) {
   EXPECT_DOUBLE_EQ(cell.backend_stall_fraction(), 0.25);
   EXPECT_EQ(s.pmu_total().samples, 2u);
 
-  std::string prom = to_prometheus(s);
+  std::string prom = prometheus(s);
   EXPECT_NE(prom.find("swve_pmu_spans_total{isa=\"avx2\",kernel=\"diagonal\","
                       "width=\"16\"} 2"),
             std::string::npos);
@@ -448,11 +885,13 @@ TEST(Exporters, PmuAttributionCellsInBothFormats) {
                       "width=\"16\"} 2"),
             std::string::npos);
 
-  std::string json = to_json(s);
-  EXPECT_NE(json.find("\"pmu\":{\"unavailable\":0,\"cells\":[{\"isa\":\"avx2\""),
+  std::string json = render_metrics(s, MetricsFormat::Json);
+  EXPECT_NE(json.find("\"pmu_unavailable\":0,\"pmu_spans_total\":[{\"isa\":"
+                      "\"avx2\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"width\":16"), std::string::npos);
-  EXPECT_NE(json.find("\"ipc\":2"), std::string::npos);
+  const net::Json doc = json_doc(s);
+  EXPECT_EQ(labeled(doc["pmu_spans_total"], "width", "16"), 2.0);
+  EXPECT_EQ(labeled(doc["pmu_ipc"], "width", "16"), 2.0);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 }
@@ -464,14 +903,16 @@ TEST(Exporters, InlineRunsRenderBesideSubmitted) {
   reg.on_inline_run();
   const perf::MetricsSnapshot s = reg.snapshot();
   EXPECT_EQ(s.inline_runs, 1u);
-  EXPECT_NE(s.to_string().find("submitted 2 (inline 1)"), std::string::npos);
-  const std::string prom = to_prometheus(s);
+  const std::string text = render_metrics(s, MetricsFormat::Text);
+  EXPECT_NE(text.find("swve_requests_submitted_total 2\n"), std::string::npos);
+  EXPECT_NE(text.find("swve_requests_inline_total 1\n"), std::string::npos);
+  const std::string prom = prometheus(s);
   EXPECT_NE(prom.find("# TYPE swve_requests_inline_total counter"),
             std::string::npos);
   EXPECT_NE(prom.find("swve_requests_inline_total 1\n"), std::string::npos);
-  const std::string json = to_json(s);
-  EXPECT_EQ(json_u64(json, "submitted"), 2u);
-  EXPECT_EQ(json_u64(json, "inline_runs"), 1u);
+  const net::Json doc = json_doc(s);
+  EXPECT_EQ(doc["requests_submitted_total"].as_number(), 2.0);
+  EXPECT_EQ(doc["requests_inline_total"].as_number(), 1.0);
 }
 
 TEST(Exporters, FormatSelection) {
@@ -482,10 +923,11 @@ TEST(Exporters, FormatSelection) {
   EXPECT_EQ(metrics_format_from_string("json"), MetricsFormat::Json);
   EXPECT_FALSE(metrics_format_from_string("xml").has_value());
 
+  // The default build identity is the compiled-in one.
   perf::MetricsSnapshot s = sample_snapshot();
-  EXPECT_EQ(render_metrics(s, MetricsFormat::Text), s.to_string());
-  EXPECT_EQ(render_metrics(s, MetricsFormat::Prometheus), to_prometheus(s));
-  EXPECT_EQ(render_metrics(s, MetricsFormat::Json), to_json(s));
+  for (MetricsFormat f :
+       {MetricsFormat::Text, MetricsFormat::Prometheus, MetricsFormat::Json})
+    EXPECT_EQ(render_metrics(s, f), render_metrics(s, f, nullptr, build_info()));
 }
 
 // ------------------------------------------------------------------ metrics

@@ -297,16 +297,6 @@ TEST(MetricsDelta, QueryLengthBinsMatchPackingRegimes) {
   EXPECT_EQ(S::length_bin_lower(S::kLengthBins - 1), 32768u);
 }
 
-TEST(FormatSeconds, UnitSeams) {
-  EXPECT_EQ(format_seconds(999.4e-6), "999us");
-  EXPECT_EQ(format_seconds(999.6e-6), "1.00ms");   // not "1000us"
-  EXPECT_EQ(format_seconds(0.9994), "999.40ms");
-  EXPECT_EQ(format_seconds(0.9999999), "1.000s");  // not "1000.00ms"
-  EXPECT_EQ(format_seconds(248e-6), "248us");
-  EXPECT_EQ(format_seconds(3.2e-3), "3.20ms");
-  EXPECT_EQ(format_seconds(1.5), "1.500s");
-}
-
 // ---------------------------------------------------------------------------
 // Pay-for-what-you-use tracing: a traced pairwise request returns a
 // bit-identical alignment to an untraced one.

@@ -325,9 +325,13 @@ TEST(AlignService, MetricsSnapshotAndDump) {
   EXPECT_GT(m.aggregate_gcups(), 0.0);
   EXPECT_EQ(m.queue_wait.count, 5u);
   EXPECT_EQ(m.kernel_time.count, 5u);
-  std::string dump = m.to_string();
-  EXPECT_NE(dump.find("completed 5"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("GCUPS"), std::string::npos) << dump;
+  std::string dump = obs::render_metrics(m, obs::MetricsFormat::Text);
+  EXPECT_NE(dump.find("swve_requests_completed_total{scenario=\"pairwise\"} 4\n"
+                      "swve_requests_completed_total{scenario=\"search\"} 1\n"
+                      "swve_requests_completed_total{scenario=\"batch\"} 0\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("swve_gcups_aggregate "), std::string::npos) << dump;
 }
 
 TEST(AlignService, DeliveryOverridePinsTracePath) {
@@ -541,10 +545,11 @@ TEST(AlignService, DumpMetricsFormats) {
   get_ok(submit_future(svc, std::move(srq)));
 
   std::string text = svc.dump_metrics(obs::MetricsFormat::Text);
-  EXPECT_NE(text.find("swve service metrics"), std::string::npos);
-  EXPECT_NE(text.find("window(60s)"), std::string::npos);
-  EXPECT_NE(text.find("pool:"), std::string::npos);
-  EXPECT_NE(text.find("target "), std::string::npos);
+  EXPECT_NE(text.find("swve_requests_submitted_total "), std::string::npos);
+  EXPECT_NE(text.find("swve_gcups_window{window_s=\"60\"}"), std::string::npos);
+  EXPECT_NE(text.find("swve_pool_threads 2\n"), std::string::npos);
+  EXPECT_NE(text.find("swve_kernel_target_requests_total{"), std::string::npos);
+  EXPECT_EQ(text.find("# "), std::string::npos);
 
   std::string prom = svc.dump_metrics(obs::MetricsFormat::Prometheus);
   EXPECT_NE(prom.find("swve_requests_completed_total{scenario=\"pairwise\"} 1"),
@@ -557,9 +562,9 @@ TEST(AlignService, DumpMetricsFormats) {
             std::string::npos);
 
   std::string json = svc.dump_metrics(obs::MetricsFormat::Json);
-  EXPECT_NE(json.find("\"requests\""), std::string::npos);
-  EXPECT_NE(json.find("\"window\""), std::string::npos);
-  EXPECT_NE(json.find("\"targets\""), std::string::npos);
+  EXPECT_NE(json.find("\"requests_submitted_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"gcups_window\""), std::string::npos);
+  EXPECT_NE(json.find("\"kernel_target_requests_total\""), std::string::npos);
 
   // Pool utilization accounting: the search fanned out over the pool.
   perf::MetricsSnapshot m = svc.metrics();
