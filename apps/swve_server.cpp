@@ -72,11 +72,14 @@
 //   --log-rate N             per-event-site records/second cap (0 = off)
 //   --trace-events N         trace-sink ring capacity per thread
 //                            (default 8192; 0 disables the sink and the
-//                            span half of /tracez)
+//                            span half of /tracez). A thread's ring is
+//                            allocated when it first records and holds
+//                            120 B per event written, up to N events.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "swve.hpp"
@@ -220,7 +223,11 @@ int main(int argc, char** argv) {
   // recorder's Chrome-trace dump.
   std::unique_ptr<obs::TraceSink> trace_sink;
   if (trace_events > 0) {
-    trace_sink = std::make_unique<obs::TraceSink>(trace_events);
+    try {
+      trace_sink = std::make_unique<obs::TraceSink>(trace_events);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
     opt.obs.trace_sink = trace_sink.get();
   }
 

@@ -496,6 +496,18 @@ constexpr Family kFamilies[] = {
      }},
     {"swve_uptime_seconds", "Service lifetime", Type::Gauge,
      [](const Source& s, Samples& o) { o.add(g6(s.m.uptime_seconds)); }},
+    {"swve_process_resident_bytes", "Resident set size of the process (VmRSS)",
+     Type::Gauge,
+     [](const Source& s, Samples& o) {
+       if (s.m.process_resident_bytes != 0)
+         o.add(n(s.m.process_resident_bytes));
+     }},
+    {"swve_process_peak_resident_bytes",
+     "Peak resident set size of the process (VmHWM)", Type::Gauge,
+     [](const Source& s, Samples& o) {
+       if (s.m.process_peak_resident_bytes != 0)
+         o.add(n(s.m.process_peak_resident_bytes));
+     }},
     {"swve_query_length_requests_total",
      "Submitted queries by power-of-two length bin (min_residues = inclusive "
      "lower bound)",

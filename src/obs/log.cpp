@@ -1,7 +1,6 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -126,13 +125,11 @@ LogLevel log_level_from_string(std::string_view s) noexcept {
 
 Logger::Logger(const LoggerOptions& options)
     : opts_(options),
-      capacity_(std::bit_ceil(std::max<size_t>(options.ring_capacity, 2))),
+      capacity_(ring_capacity<LogRecord>(options.ring_capacity, "Logger")),
       max_threads_(std::max(1u, options.max_threads)),
       rings_(new Ring[max_threads_]),
       sites_(new Site[kSites]),
       logger_id_(g_logger_ids.fetch_add(1, kRelaxed) + 1) {
-  for (unsigned r = 0; r < max_threads_; ++r)
-    rings_[r].slots.reset(new LogRecord[capacity_]);
 #if defined(__unix__) || defined(__APPLE__)
   if (!opts_.path.empty())
     file_fd_ = ::open(opts_.path.c_str(),
@@ -176,7 +173,9 @@ int Logger::ring_index() noexcept {
   if (cache.logger_id == logger_id_) return cache.idx;
   const unsigned i = registered_.fetch_add(1, kRelaxed);
   cache.logger_id = logger_id_;
-  cache.idx = i < max_threads_ ? static_cast<int>(i) : -1;
+  cache.idx = i < max_threads_ && rings_[i].slots.allocate(capacity_)
+                  ? static_cast<int>(i)
+                  : -1;
   return cache.idx;
 }
 
@@ -231,7 +230,8 @@ void Logger::log(LogLevel level, const char* event,
     dropped_overflow_.fetch_add(1, kRelaxed);
     return;
   }
-  LogRecord& rec = ring.slots[h & (capacity_ - 1)];
+  LogRecord& rec =
+      h < capacity_ ? ring.slots.construct(h) : ring.slots[h & (capacity_ - 1)];
   rec.ts_us = wall_now_us();
   rec.level = level;
   rec.event = event;

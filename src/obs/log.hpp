@@ -4,8 +4,10 @@
 // protocol errors, rejects, slow requests) as machine-parseable lines
 // without putting formatting or write(2) on the request path. The Logger
 // reuses the TraceSink recipe: each producing thread owns a fixed-size
-// ring it alone writes, a background flusher drains all rings on a short
-// period, and everything that can't fit is counted, never blocked on.
+// ring it alone writes, allocated when the thread first logs and resident
+// only as far as it has been written (obs/ring_storage.hpp); a background
+// flusher drains all rings on a short period, and everything that can't
+// fit is counted, never blocked on.
 //
 // Per-ring ordering is single-producer/single-consumer: the producer
 // publishes records with a release store of the ring head, the flusher
@@ -22,7 +24,8 @@
 // Records carry an event name (a static string — it doubles as the
 // rate-limit key) plus up to kMaxLogFields typed key=value fields;
 // string values are truncated into a fixed inline buffer so a record is
-// trivially copyable and the producer path never allocates.
+// trivially copyable and the producer path allocates nothing past its
+// thread's first record.
 #pragma once
 
 #include <atomic>
@@ -35,6 +38,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+
+#include "obs/ring_storage.hpp"
 
 namespace swve::obs {
 
@@ -138,14 +143,17 @@ struct LoggerOptions {
 /// accepted before destruction are lost (only counted drops are).
 class Logger {
  public:
+  /// Throws std::invalid_argument when one ring of `ring_capacity`
+  /// records would overflow size_t.
   explicit Logger(const LoggerOptions& options = {});
   ~Logger();
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
   /// Enqueue one record (drops below min_level, over rate limit, on ring
-  /// overflow, or past max_threads — each drop is counted). Never blocks,
-  /// never allocates.
+  /// overflow, past max_threads or when the thread's ring could not be
+  /// allocated — each drop is counted). Never blocks; allocates only the
+  /// calling thread's ring, on its first record (nothrow).
   void log(LogLevel level, const char* event,
            std::initializer_list<LogField> fields) noexcept;
 
@@ -178,7 +186,7 @@ class Logger {
 
  private:
   struct Ring {
-    std::unique_ptr<LogRecord[]> slots;
+    RingStorage<LogRecord> slots;  ///< allocated by the producing thread
     /// Producer-owned; flusher acquires.
     std::atomic<uint64_t> head{0};
     /// Flusher-owned; producer acquires for the capacity check.

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -92,7 +91,7 @@ const char* trunc_cause_name(TruncCause c) noexcept {
 }
 
 TraceSink::TraceSink(size_t events_per_thread, unsigned max_threads)
-    : capacity_(std::bit_ceil(std::max<size_t>(events_per_thread, 2))),
+    : capacity_(ring_capacity<Slot>(events_per_thread, "TraceSink")),
       mask_(capacity_ - 1),
       max_threads_(std::max(1u, max_threads)),
       rings_(new Ring[max_threads_]),
@@ -101,10 +100,7 @@ TraceSink::TraceSink(size_t events_per_thread, unsigned max_threads)
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               epoch_.time_since_epoch())
               .count())),
-      sink_id_(g_sink_ids.fetch_add(1, kRelaxed) + 1) {
-  for (unsigned r = 0; r < max_threads_; ++r)
-    rings_[r].slots.reset(new Slot[capacity_]);
-}
+      sink_id_(g_sink_ids.fetch_add(1, kRelaxed) + 1) {}
 
 uint64_t TraceSink::now_ns() const noexcept {
   return static_cast<uint64_t>(
@@ -125,7 +121,9 @@ int TraceSink::ring_index() noexcept {
   if (cache.sink_id == sink_id_) return cache.idx;
   const unsigned i = registered_.fetch_add(1, kRelaxed);
   cache.sink_id = sink_id_;
-  cache.idx = i < max_threads_ ? static_cast<int>(i) : -1;
+  cache.idx = i < max_threads_ && rings_[i].slots.allocate(capacity_)
+                  ? static_cast<int>(i)
+                  : -1;
   return cache.idx;
 }
 
@@ -137,7 +135,7 @@ void TraceSink::record(const TraceEvent& event) noexcept {
   }
   Ring& ring = rings_[r];
   const uint64_t h = ring.head.load(kRelaxed);  // single producer: this thread
-  Slot& s = ring.slots[h & mask_];
+  Slot& s = h < capacity_ ? ring.slots.construct(h) : ring.slots[h & mask_];
   const uint64_t v = s.version.load(kRelaxed);
   s.version.store(v + 1, kRelaxed);  // odd: write in progress
   std::atomic_thread_fence(std::memory_order_release);

@@ -11,15 +11,19 @@
 //      ring in the sink; an event write is a per-slot seqlock (all fields
 //      are relaxed atomics, so concurrent export is data-race-free and a
 //      torn read is detected by the version check and skipped).
-//   3. Bounded memory. Rings overwrite their oldest events; the sink counts
-//      what it dropped so an export is never silently partial.
+//   3. Bounded memory, paid as used. A ring is allocated when its thread
+//      first records and grows resident one written slot at a time
+//      (obs/ring_storage.hpp); full rings overwrite their oldest events,
+//      and the sink counts what it dropped so an export is never silently
+//      partial.
 //   4. Crash-readable. The ring is plain atomics, so the flight recorder
 //      (obs/flight_recorder.hpp) can export it from a signal handler via
 //      the allocation-free read_events()/write_chrome_trace() paths.
 //
 // A thread binds to a ring slot the first time it records into a given
 // sink (thread_local cache keyed by a process-unique sink id). Threads
-// beyond `max_threads` drop their events (counted in dropped()).
+// beyond `max_threads`, or whose ring could not be allocated, drop their
+// events (counted in dropped()).
 #pragma once
 
 #include <atomic>
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "obs/pmu.hpp"
+#include "obs/ring_storage.hpp"
 #include "simd/cpu.hpp"
 
 namespace swve::perf {
@@ -93,15 +98,17 @@ struct TraceEvent {
 class TraceSink {
  public:
   /// `events_per_thread` is rounded up to a power of two; each of up to
-  /// `max_threads` recording threads gets its own ring of that many slots.
+  /// `max_threads` recording threads gets its own ring of that many slots,
+  /// allocated when the thread first records. Throws std::invalid_argument
+  /// when one ring's size would overflow size_t.
   explicit TraceSink(size_t events_per_thread = 8192,
                      unsigned max_threads = 64);
-  ~TraceSink() = default;
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
   /// Record one completed span. Wait-free; overwrites the thread's oldest
-  /// event when its ring is full.
+  /// event when its ring is full. A thread's first record allocates its
+  /// ring (nothrow); later ones write one slot and allocate nothing.
   void record(const TraceEvent& event) noexcept;
 
   /// Convenience: record a span whose endpoints were captured with
@@ -123,7 +130,8 @@ class TraceSink {
   /// Events ever recorded into a ring (dropped ones included).
   uint64_t recorded() const noexcept;
   /// Events lost: overwritten by ring wrap, dropped for lack of a thread
-  /// slot, or skipped because an export raced their (re)write.
+  /// slot or of ring memory, or skipped because an export raced their
+  /// (re)write.
   uint64_t dropped() const noexcept;
   /// dropped(), by cause — exported as swve_trace_dropped_total{cause=...}.
   uint64_t wrap_dropped() const noexcept;
@@ -176,12 +184,13 @@ class TraceSink {
     std::atomic<uint64_t> branch_misses{0};
   };
   struct Ring {
-    std::unique_ptr<Slot[]> slots;
+    RingStorage<Slot> slots;        ///< allocated by the owning thread
     std::atomic<uint64_t> head{0};  ///< events ever written to this ring
   };
 
-  /// Ring index for the calling thread, registering it on first use;
-  /// -1 when all `max_threads_` slots are taken.
+  /// Ring index for the calling thread, registering it and allocating its
+  /// ring on first use; -1 when all `max_threads_` slots are taken or the
+  /// ring could not be allocated.
   int ring_index() noexcept;
 
   /// Seqlock-checked read of one slot; false if torn (counted).

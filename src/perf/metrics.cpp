@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 
 namespace swve::perf {
 
@@ -201,6 +202,22 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   s.queue_wait = queue_wait_.snapshot();
   s.kernel_time = kernel_time_.snapshot();
   return s;
+}
+
+ProcessMemory read_process_memory() noexcept {
+  ProcessMemory m;
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return m;
+  char line[128];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %llu kB", &kib) == 1)
+      m.resident_bytes = kib << 10;
+    else if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1)
+      m.peak_resident_bytes = kib << 10;
+  }
+  std::fclose(f);
+  return m;
 }
 
 }  // namespace swve::perf

@@ -335,9 +335,14 @@ struct MetricsSnapshot {
   uint64_t trace_recorded = 0;          ///< events ever recorded
   uint64_t trace_dropped_wrap = 0;      ///< overwritten by ring wrap
   uint64_t trace_dropped_torn = 0;      ///< skipped by racing exports
-  uint64_t trace_dropped_overflow = 0;  ///< threads beyond ring capacity
+  uint64_t trace_dropped_overflow = 0;  ///< threads without a ring
 
   double uptime_seconds = 0;        ///< registry lifetime at snapshot time
+
+  // Process memory (filled by the owner from read_process_memory(); zero
+  // where the platform does not report it).
+  uint64_t process_resident_bytes = 0;       ///< gauge: VmRSS
+  uint64_t process_peak_resident_bytes = 0;  ///< gauge: VmHWM
 
   /// Aggregate throughput over every completed request.
   double aggregate_gcups() const noexcept {
@@ -433,6 +438,14 @@ struct MetricsSnapshot {
   LatencyHistogram::Snapshot queue_wait;
   LatencyHistogram::Snapshot kernel_time;
 };
+
+/// This process's resident set size now and at its peak, in bytes, from
+/// VmRSS and VmHWM in /proc/self/status; zeros where that is unavailable.
+struct ProcessMemory {
+  uint64_t resident_bytes = 0;
+  uint64_t peak_resident_bytes = 0;
+};
+ProcessMemory read_process_memory() noexcept;
 
 /// Atomic counters + histograms; one per AlignService. All members are
 /// individually thread-safe; see MetricsSnapshot for the read side.

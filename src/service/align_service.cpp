@@ -225,6 +225,9 @@ perf::MetricsSnapshot AlignService::metrics() const {
       s.db_resident_bytes = mapped_->resident_bytes();
     }
   }
+  const perf::ProcessMemory mem = perf::read_process_memory();
+  s.process_resident_bytes = mem.resident_bytes;
+  s.process_peak_resident_bytes = mem.peak_resident_bytes;
   return s;
 }
 

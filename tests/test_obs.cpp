@@ -4,18 +4,22 @@
 //
 // The concurrency tests here are the ThreadSanitizer targets of the tsan CI
 // job: writers record into per-thread rings while a reader exports.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "perf/metrics.hpp"
+#include "sanitizers.hpp"
 
 namespace swve::obs {
 namespace {
@@ -119,6 +124,98 @@ TEST(TraceSink, ConcurrentWritersAndExportStayConsistent) {
   EXPECT_EQ(sink.recorded(), kWriters * kPerWriter);
   // Final quiescent snapshot: the last 256 events of each writer survive.
   EXPECT_EQ(sink.snapshot_events().size(), kWriters * 256u);
+}
+
+// Resident set size now, as a signed quantity so deltas can be negative.
+int64_t resident_bytes() {
+  return static_cast<int64_t>(perf::read_process_memory().resident_bytes);
+}
+
+TEST(TraceSink, ConstructionTouchesNoRingMemory) {
+  if (resident_bytes() == 0) GTEST_SKIP() << "no VmRSS on this platform";
+  if (testing_support::kSanitizerAllocator)
+    GTEST_SKIP() << "sanitizer shadow memory counts toward VmRSS";
+  const int64_t before = resident_bytes();
+  TraceSink sink(1 << 16, 64);  // 480 MiB of slots if built up front
+  const int64_t built = resident_bytes();
+  EXPECT_LT(built - before, int64_t{8} << 20);
+
+  // The first record allocates one ring; 1000 events touch ~117 KiB of it.
+  for (uint64_t i = 0; i < 1000; ++i) sink.record(make_event("e", 1, i));
+  EXPECT_LT(resident_bytes() - built, int64_t{1} << 20);
+  EXPECT_EQ(sink.snapshot_events().size(), 1000u);
+  EXPECT_EQ(sink.dropped(), 0u);
+}
+
+TEST(TraceSink, RingAllocationFailureDropsAndCounts) {
+  // A ring whose byte size overflows size_t is refused at construction.
+  EXPECT_THROW(TraceSink sink(size_t{1} << 62), std::invalid_argument);
+  EXPECT_THROW(TraceSink sink(std::numeric_limits<size_t>::max()),
+               std::invalid_argument);
+  if (testing_support::kSanitizerAllocator)
+    GTEST_SKIP() << "sanitizer allocators abort instead of failing a request";
+
+  // 2^44 slots (~2 PiB) fit size_t but no address space: the thread's
+  // ring cannot be allocated, so its events are dropped and counted.
+  TraceSink sink(size_t{1} << 44, 2);
+  for (uint64_t i = 0; i < 5; ++i) sink.record(make_event("lost", 1, i));
+  EXPECT_EQ(sink.overflow_dropped(), 5u);
+  EXPECT_EQ(sink.recorded(), 5u);
+  EXPECT_EQ(sink.dropped(), 5u);
+  EXPECT_TRUE(sink.snapshot_events().empty());
+  TraceEvent out[4];
+  EXPECT_EQ(sink.read_events(out, 4), 0u);
+  EXPECT_NE(sink.chrome_trace_json().find("\"dropped_events\":5"),
+            std::string::npos);
+
+  // A second thread tries its own ring and is counted the same way.
+  std::thread t([&] { sink.record(make_event("lost", 2, 9)); });
+  t.join();
+  EXPECT_EQ(sink.overflow_dropped(), 6u);
+}
+
+TEST(TraceSink, ThreadsRegisterWhileExporting) {
+  // TSan target: threads register, allocate their rings and record while
+  // another thread runs every exporter. An exporter must never read a ring
+  // its owner has not yet published.
+  TraceSink sink(64, 32);
+  constexpr int kWaves = 6;
+  constexpr int kPerWave = 4;
+  constexpr uint64_t kPerThread = 100;
+  const int devnull = ::open("/dev/null", O_WRONLY);
+  ASSERT_GE(devnull, 0);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    std::vector<TraceEvent> buf(kWaves * kPerWave * 64);
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const TraceEvent& e : sink.snapshot_events()) {
+        ASSERT_STREQ(e.name, "r");
+        ASSERT_EQ(e.dur_ns, e.ts_ns + 1);
+      }
+      const size_t n = sink.read_events(buf.data(), buf.size());
+      for (size_t i = 0; i < n; ++i) ASSERT_STREQ(buf[i].name, "r");
+      ASSERT_TRUE(sink.write_chrome_trace(devnull));
+    }
+  });
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kPerWave; ++w)
+      writers.emplace_back([&] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          TraceEvent e = make_event("r", 1, i);
+          e.dur_ns = i + 1;
+          sink.record(e);
+        }
+      });
+    for (auto& t : writers) t.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  ::close(devnull);
+  EXPECT_EQ(sink.recorded(), kWaves * kPerWave * kPerThread);
+  EXPECT_EQ(sink.overflow_dropped(), 0u);
+  // Quiescent: the last 64 events of every thread survive.
+  EXPECT_EQ(sink.snapshot_events().size(), kWaves * kPerWave * 64u);
 }
 
 TEST(Span, InactiveContextIsNoOp) {
@@ -322,13 +419,15 @@ std::string family_of(const std::string& line) {
 
 #include "recorded_exposition.inc"
 
-// Families the table added to the recorded exposition: values that only
-// JSON or /statusz carried before, now rendered in every format.
+// Families added since the recorded exposition: values that only JSON or
+// /statusz carried before, now rendered in every format, and the process
+// memory gauges.
 const std::set<std::string> kAddedFamilies = {
     "swve_window_cells",          "swve_window_kernel_seconds",
     "swve_shard_sequences",       "swve_shard_batches_total",
     "swve_shard_useful_cells_total", "swve_shard_cycles_total",
-    "swve_slo_instant_state",     "swve_slo_evaluations_total"};
+    "swve_slo_instant_state",     "swve_slo_evaluations_total",
+    "swve_process_resident_bytes", "swve_process_peak_resident_bytes"};
 
 // Every family populated: PMU cells on two ISAs (so the AVX-512 frequency
 // ratio is defined), two shards, all three tiers, several length bins and
@@ -448,6 +547,8 @@ perf::MetricsSnapshot populated_snapshot() {
   s.trace_dropped_torn = 1;
   s.trace_dropped_overflow = 3;
   s.uptime_seconds = 3600.25;
+  s.process_resident_bytes = 15'000'000;
+  s.process_peak_resident_bytes = 30'000'000;
   s.queue_wait.count = 960;
   s.queue_wait.mean_s = 0.000045;
   s.queue_wait.max_s = 0.02;
@@ -848,6 +949,31 @@ TEST(Exporters, QueryLengthBinsExportWhenPopulated) {
                       "{\"min_residues\":\"0\",\"value\":2},"
                       "{\"min_residues\":\"256\",\"value\":7}]"),
             std::string::npos);
+}
+
+TEST(Exporters, ProcessMemoryGaugesOnlyWhereKnown) {
+  perf::MetricsSnapshot s = sample_snapshot();
+  EXPECT_EQ(prometheus(s).find("swve_process_"), std::string::npos);
+  EXPECT_EQ(render_metrics(s, MetricsFormat::Json).find("process_"),
+            std::string::npos);
+
+  s.process_resident_bytes = 12'345'678;
+  s.process_peak_resident_bytes = 23'456'789;
+  const std::string prom = prometheus(s);
+  EXPECT_NE(prom.find("# TYPE swve_process_resident_bytes gauge\n"
+                      "swve_process_resident_bytes 12345678\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE swve_process_peak_resident_bytes gauge\n"
+                      "swve_process_peak_resident_bytes 23456789\n"),
+            std::string::npos);
+  const net::Json doc = json_doc(s);
+  EXPECT_EQ(doc["process_resident_bytes"].as_number(), 12'345'678);
+  EXPECT_EQ(doc["process_peak_resident_bytes"].as_number(), 23'456'789);
+
+  // Where the platform reports them, the peak bounds the current size.
+  const perf::ProcessMemory mem = perf::read_process_memory();
+  if (mem.resident_bytes == 0) GTEST_SKIP() << "no VmRSS on this platform";
+  EXPECT_GE(mem.peak_resident_bytes, mem.resident_bytes);
 }
 
 TEST(Exporters, PmuAttributionCellsInBothFormats) {

@@ -8,12 +8,16 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/json.hpp"
 #include "obs/log.hpp"
+#include "perf/metrics.hpp"
+#include "sanitizers.hpp"
 
 namespace swve::obs {
 namespace {
@@ -167,6 +171,47 @@ TEST(StructuredLog, ThreadsBeyondCapacityDropButCount) {
 
   EXPECT_EQ(logger.dropped_threads(), static_cast<uint64_t>(2 * kPerThread));
   EXPECT_EQ(logger.emitted(), 1u);
+}
+
+TEST(StructuredLog, ConstructionTouchesNoRingMemory) {
+  const auto rss = [] {
+    return static_cast<int64_t>(perf::read_process_memory().resident_bytes);
+  };
+  if (rss() == 0) GTEST_SKIP() << "no VmRSS on this platform";
+  if (testing_support::kSanitizerAllocator)
+    GTEST_SKIP() << "sanitizer shadow memory counts toward VmRSS";
+  LoggerOptions opt;
+  opt.fd = -1;
+  opt.ring_capacity = 1 << 14;
+  opt.max_threads = 64;
+  opt.flush_period_s = 5.0;  // no drain (and no drain buffers) while measured
+  const int64_t before = rss();
+  Logger logger(opt);  // 456 MiB of records if built up front
+  const int64_t built = rss();
+  EXPECT_LT(built - before, int64_t{8} << 20);
+
+  // The first record allocates one ring; 1000 records touch ~445 KiB.
+  for (int i = 0; i < 1000; ++i) logger.log(LogLevel::Info, "e", {{"i", i}});
+  EXPECT_LT(rss() - built, int64_t{1} << 20);
+  EXPECT_EQ(logger.dropped_overflow(), 0u);
+  EXPECT_EQ(logger.dropped_threads(), 0u);
+}
+
+TEST(StructuredLog, RingAllocationFailureDropsAndCounts) {
+  LoggerOptions opt;
+  opt.fd = -1;
+  opt.ring_capacity = std::numeric_limits<size_t>::max();
+  EXPECT_THROW(Logger logger(opt), std::invalid_argument);
+  if (testing_support::kSanitizerAllocator)
+    GTEST_SKIP() << "sanitizer allocators abort instead of failing a request";
+
+  // 2^40 records (~456 TiB) fit size_t but no address space.
+  opt.ring_capacity = size_t{1} << 40;
+  Logger logger(opt);
+  for (int i = 0; i < 3; ++i) logger.log(LogLevel::Info, "lost", {{"i", i}});
+  logger.flush();
+  EXPECT_EQ(logger.dropped_threads(), 3u);
+  EXPECT_EQ(logger.emitted(), 0u);
 }
 
 TEST(StructuredLog, ConcurrentWritersProduceNoTornLines) {

@@ -332,6 +332,12 @@ TEST(AlignService, MetricsSnapshotAndDump) {
             std::string::npos)
       << dump;
   EXPECT_NE(dump.find("swve_gcups_aggregate "), std::string::npos) << dump;
+  // The process-memory gauges ride along wherever the platform reports them.
+  if (perf::read_process_memory().resident_bytes != 0) {
+    EXPECT_GT(m.process_resident_bytes, 0u);
+    EXPECT_GE(m.process_peak_resident_bytes, m.process_resident_bytes);
+    EXPECT_NE(dump.find("swve_process_peak_resident_bytes "), std::string::npos);
+  }
 }
 
 TEST(AlignService, DeliveryOverridePinsTracePath) {
