@@ -65,11 +65,14 @@ void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
 }
 
 // Smith-Waterman as a subroutine: 2048 pairs of 30-130 aa, a quarter of
-// them 92%-identity copies (so the width ladder reruns), Adaptive width,
-// traceback on, best ISA. Reports microseconds per pair.
-void BM_DiagShortPairs(benchmark::State& state) {
-  static const std::vector<std::pair<seq::Sequence, seq::Sequence>> pairs = [] {
-    std::vector<std::pair<seq::Sequence, seq::Sequence>> out;
+// them 92%-identity copies (so about a fifth of the pairs saturate the
+// 8-bit rung and widen), Adaptive width, traceback on, best ISA. Reports
+// microseconds per pair.
+using PairList = std::vector<std::pair<seq::Sequence, seq::Sequence>>;
+
+const PairList& short_pairs() {
+  static const PairList pairs = [] {
+    PairList out;
     std::mt19937_64 rng(31);
     for (int i = 0; i < 2048; ++i) {
       auto q = seq::generate_sequence(rng(), 30 + static_cast<uint32_t>(rng() % 101));
@@ -80,8 +83,31 @@ void BM_DiagShortPairs(benchmark::State& state) {
     }
     return out;
   }();
+  return pairs;
+}
+
+core::AlignConfig short_pair_config() {
   core::AlignConfig cfg;
   cfg.traceback = true;
+  return cfg;
+}
+
+// The same pairs, only those whose 8-bit rung saturates.
+const PairList& saturating_short_pairs() {
+  static const PairList pairs = [] {
+    PairList out;
+    core::Workspace ws;
+    for (const auto& p : short_pairs())
+      if (core::diag_align(p.first, p.second, short_pair_config(), ws).saturated_8)
+        out.push_back(p);
+    return out;
+  }();
+  return pairs;
+}
+
+void BM_DiagShortPairs(benchmark::State& state, const PairList& (*pair_list)()) {
+  const PairList& pairs = pair_list();
+  const core::AlignConfig cfg = short_pair_config();
   uint64_t cells = 0;
   for (const auto& [q, r] : pairs) cells += q.length() * r.length();
   for (auto _ : state)
@@ -189,7 +215,11 @@ int main(int argc, char** argv) {
            ScoreScheme::Matrix);
   SWVE_REG("diag/avx512/w8", BM_DiagKernel, Isa::Avx512, Width::W8,
            ScoreScheme::Matrix);
-  benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb", BM_DiagShortPairs)
+  benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb", BM_DiagShortPairs,
+                               short_pairs)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("diag/short_pairs/saturating/adaptive/tb",
+                               BM_DiagShortPairs, saturating_short_pairs)
       ->Unit(benchmark::kMillisecond);
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);

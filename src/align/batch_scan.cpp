@@ -39,8 +39,13 @@ void realign_winners(const seq::SequenceDatabase& db,
                      SearchResult& out) {
   auto lease = QueryStateCache::lease(ctx.query_cache);
   core::Workspace& ws = lease.ws();
+  core::AlignConfig rung = cfg;
   for (Hit& h : out.hits) {
-    core::Alignment a = core::diag_align(query, db[h.seq_index], cfg, ws, prep);
+    // The scan found each winner's exact score: start at the rung that
+    // holds it, where the ladder would finish with the same end cell.
+    if (cfg.width == core::Width::Adaptive)
+      rung.width = core::exact_score_width(cfg, h.score);
+    core::Alignment a = core::diag_align(query, db[h.seq_index], rung, ws, prep);
     h.end_query = a.end_query;
     h.end_ref = a.end_ref;
     out.stats += a.stats;

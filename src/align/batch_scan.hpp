@@ -64,7 +64,8 @@ std::vector<std::pair<size_t, size_t>> plan_by_cells(
 
 /// Phase 2 of a batch search: exact re-alignment of the winners in
 /// out.hits for their end positions, then the scan's cells (out.batch_stats)
-/// folded into out.stats.
+/// folded into out.stats. An Adaptive config starts each winner at the rung
+/// that holds its known score (core::exact_score_width).
 void realign_winners(const seq::SequenceDatabase& db,
                      const core::AlignConfig& cfg, seq::SeqView query,
                      const core::PreparedQuery* prep, const ExecContext& ctx,

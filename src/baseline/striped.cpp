@@ -38,7 +38,8 @@ BaselineResult StripedAligner::align16(seq::SeqView r, core::Workspace& ws) cons
   throw std::runtime_error("StripedAligner::align16 requires AVX2");
 }
 
-core::Alignment StripedAligner::align(seq::SeqView r, core::Workspace& ws) const {
+core::Alignment StripedAligner::align(seq::SeqView r,
+                                      [[maybe_unused]] core::Workspace& ws) const {
   core::Alignment a;
   a.isa_used = simd::Isa::Avx2;
 #if defined(SWVE_HAVE_AVX2_BUILD)

@@ -190,7 +190,8 @@ Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t 
 }
 
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
-                              const AlignConfig& cfg, Workspace& ws, simd::Isa isa) {
+                              const AlignConfig& cfg, Workspace& ws,
+                              [[maybe_unused]] simd::Isa isa) {
   cfg.validate();
 #if defined(SWVE_HAVE_AVX512_BUILD)
   if (lanes == 64 && isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi)

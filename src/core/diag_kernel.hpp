@@ -22,10 +22,11 @@
 //     the global best and end cell (§III-D). Strict-improvement updates give
 //     the same (min i, then min j) tie-break as the golden scalar model;
 //   * 8/16-bit engines run in the unsigned biased domain with saturating
-//     arithmetic; if the observed maximum exceeds cap - bias - max_score the
-//     result is flagged saturated and the dispatcher re-runs wider. When a
-//     wider rung follows, the kernel stops at the first anti-diagonal that
-//     saturates instead of finishing a matrix whose result is discarded.
+//     arithmetic; if the observed maximum reaches cap - bias - max_score the
+//     result is flagged saturated. When a wider rung follows, the kernel
+//     stops after the first anti-diagonal that reaches it, and the next rung
+//     widens the live DP state in place and continues from the diagonal
+//     after it (DiagHandoff): the adaptive ladder computes each cell once.
 #pragma once
 
 #include <bit>
@@ -43,6 +44,18 @@
 
 namespace swve::core {
 
+/// Where a saturated rung stopped, for the next rung of the ladder (twice
+/// its element width) to continue from. Every anti-diagonal before
+/// `next_diag` is exact: the check after the one before it passed, so every
+/// input was below the saturation limit and no add clipped. The live state
+/// (H of the last two diagonals, E and F of the last one, and rowmax) sits
+/// in the workspace as unbiased scores of the stopped rung's width; bestd
+/// and the traceback bytes are the same at every width.
+struct DiagHandoff {
+  int next_diag = 0;     ///< first anti-diagonal still to compute
+  uint64_t tb_next = 0;  ///< traceback offset of next_diag
+};
+
 struct DiagRequest {
   const uint8_t* q = nullptr;
   int m = 0;
@@ -54,12 +67,17 @@ struct DiagRequest {
   /// when set the kernel reads qmul32/qenc from here instead of rebuilding
   /// them into the workspace. Results are bit-identical either way.
   const PreparedQuery* prep = nullptr;
-  /// The caller re-runs a saturated result at a wider width (the adaptive
-  /// ladder's 8- and 16-bit rungs): return `saturated` at the first
-  /// anti-diagonal whose maximum reaches the saturation limit. Off, a
+  /// Wider rungs may continue this run (the adaptive ladder). An 8- or
+  /// 16-bit kernel then sizes its DP state for 32-bit elements and stops
+  /// after the first anti-diagonal whose maximum reaches the saturation
+  /// limit, returning `saturated` and DiagOutput::handoff. Otherwise a
   /// narrow kernel computes the whole matrix and reports its lower-bound
   /// score.
-  bool stop_on_saturation = false;
+  bool may_widen = false;
+  /// Continue the run of the rung half this kernel's width from its
+  /// hand-off: widen the state in place and sweep from resume->next_diag.
+  /// Null, or a hand-off at diagonal 0: a fresh run.
+  const DiagHandoff* resume = nullptr;
 };
 
 struct DiagOutput {
@@ -67,12 +85,12 @@ struct DiagOutput {
   int end_query = -1;
   int end_ref = -1;
   bool saturated = false;
-  KernelStats stats;
+  KernelStats stats;  ///< this call's cells and diagonals only
+  /// Set when a run that may widen stopped saturated.
+  DiagHandoff handoff;
   // With cfg->traceback, direction flags are left in ws->tb_dirs /
   // ws->tb_offsets (diagonal-major; see DiagTracebackView).
 };
-
-using DiagKernelFn = DiagOutput (*)(const DiagRequest&);
 
 /// Compile-time score mode of one kernel instantiation.
 enum class KMode : uint8_t { Gather, Fill, Shuffle, Fixed };
@@ -98,6 +116,107 @@ inline DiagRange diag_range(int d, int m, int n, int band) {
     if (bhi < hi) hi = bhi;
   }
   return {lo, hi};
+}
+
+/// Zero-extends `count` elements of `From` at `buf` to `To` in place. It
+/// runs back to front: wide element k covers only bytes that narrow
+/// elements k and above held, and those have been read by then.
+template <class From, class To>
+void widen_in_place(void* buf, size_t count) {
+  static_assert(sizeof(To) > sizeof(From));
+  auto* b = static_cast<unsigned char*>(buf);
+  constexpr size_t kBlock = 32;
+  size_t hi = count;
+  for (; hi >= kBlock; hi -= kBlock) {
+    From in[kBlock];
+    To out[kBlock];
+    std::memcpy(in, b + (hi - kBlock) * sizeof(From), sizeof in);
+    for (size_t k = 0; k < kBlock; ++k) out[k] = static_cast<To>(in[k]);
+    std::memcpy(b + (hi - kBlock) * sizeof(To), out, sizeof out);
+  }
+  while (hi-- > 0) {
+    From v;
+    std::memcpy(&v, b + hi * sizeof(From), sizeof v);
+    const To w = static_cast<To>(v);
+    std::memcpy(b + hi * sizeof(To), &w, sizeof w);
+  }
+}
+
+/// The DP state one anti-diagonal hands the next, and where the sweep
+/// starts. H, E and F point kPad elements into their buffers.
+template <class elem>
+struct DiagState {
+  elem* H[3] = {nullptr, nullptr, nullptr};
+  elem* E[2] = {nullptr, nullptr};  // Affine only
+  elem* F[2] = {nullptr, nullptr};
+  elem* rowmax = nullptr;
+  int32_t* bestd = nullptr;
+  int first_diag = 0;
+  uint64_t tb_next = 0;  // traceback offset of first_diag
+};
+
+/// State setup: a fresh run sizes the buffers for `state_bytes` per element
+/// and zeroes what the first diagonals read; a continuation widens the
+/// hand-off's state in place (its buffers were sized for this width).
+template <class elem, GapModel GM>
+DiagState<elem> diag_state(const DiagRequest& rq, size_t state_bytes) {
+  const int m = rq.m;
+  Workspace& ws = *rq.ws;
+  const size_t slots = static_cast<size_t>(m) + 2 * kPad;
+  DiagState<elem> st;
+  const DiagHandoff* rs = rq.resume;
+  if (rs != nullptr && rs->next_diag > 0) {
+    using narrow = std::conditional_t<sizeof(elem) == 4, uint16_t, uint8_t>;
+    auto widened = [&](AlignedBuf& b, size_t count) {
+      if (sizeof(elem) == 1 || b.capacity() < count * sizeof(elem))
+        throw std::logic_error("diag_align: no hand-off state for this rung");
+      if constexpr (sizeof(elem) > 1) widen_in_place<narrow, elem>(b.data(), count);
+      return static_cast<elem*>(b.data());
+    };
+    for (int t = 0; t < 3; ++t) st.H[t] = widened(ws.h[t], slots) + kPad;
+    if constexpr (GM == GapModel::Affine) {
+      for (int t = 0; t < 2; ++t) {
+        st.E[t] = widened(ws.e[t], slots) + kPad;
+        st.F[t] = widened(ws.f[t], slots) + kPad;
+      }
+    }
+    st.rowmax = widened(ws.rowmax, static_cast<size_t>(m));
+    st.first_diag = rs->next_diag;
+    st.tb_next = rs->tb_next;
+  } else {
+    // The sweep reads, from the previous two diagonals, only cells it wrote
+    // this run or the boundary sentinels it stores after each diagonal; the
+    // first two diagonals instead read slots -1 and 0 of the initial
+    // buffers, so the full DP zeroes just those. A band leaves diagonals
+    // empty (no sentinels written), so banded runs start from all-zero
+    // buffers.
+    auto dp_buffer = [&](AlignedBuf& b) {
+      elem* p = static_cast<elem*>(b.ensure(slots * state_bytes));
+      if (rq.cfg->band >= 0)
+        std::memset(p, 0, slots * sizeof(elem));
+      else
+        p[kPad - 1] = p[kPad] = 0;
+      return p + kPad;
+    };
+    for (int t = 0; t < 3; ++t) st.H[t] = dp_buffer(ws.h[t]);
+    if constexpr (GM == GapModel::Affine) {
+      for (int t = 0; t < 2; ++t) {
+        st.E[t] = dp_buffer(ws.e[t]);
+        st.F[t] = dp_buffer(ws.f[t]);
+      }
+    }
+    // rowmax/bestd carry kPad slack so the masked tail vector may touch
+    // lanes past m; tail lanes hold h == 0, so they never improve and leave
+    // that slack as they found it. Only rows [0, m) are ever read back, and
+    // bestd[i] only once rowmax[i] > 0, i.e. after row i improved and wrote
+    // it.
+    st.rowmax = static_cast<elem*>(
+        ws.rowmax.ensure((static_cast<size_t>(m) + kPad) * state_bytes));
+    std::memset(st.rowmax, 0, static_cast<size_t>(m) * sizeof(elem));
+  }
+  st.bestd = static_cast<int32_t*>(
+      ws.best_diag.ensure((static_cast<size_t>(m) + kPad) * 4));
+  return st;
 }
 }  // namespace detail
 
@@ -126,41 +245,21 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   const int64_t open_c = open64 > kCap ? kCap : open64;  // clamped into elem
   const int64_t ext_c = ext64 > kCap ? kCap : ext64;
 
-  // ---- workspace ------------------------------------------------------
-  // The sweep reads, from the previous two diagonals, only cells it wrote
-  // this call or the boundary sentinels it stores after each diagonal; the
-  // first two diagonals instead read slots -1 and 0 of the initial buffers,
-  // so the full DP zeroes just those. A band leaves diagonals empty (no
-  // sentinels written), so banded runs start from all-zero buffers.
-  const size_t stride = (static_cast<size_t>(m) + 2 * kPad) * sizeof(elem);
-  auto dp_buffer = [&](AlignedBuf& b) {
-    elem* p;
-    if (cfg.band >= 0) {
-      p = static_cast<elem*>(b.ensure_zeroed(stride)) + kPad;
-    } else {
-      p = static_cast<elem*>(b.ensure(stride)) + kPad;
-      p[-1] = p[0] = 0;
-    }
-    return p;
-  };
-  elem* H[3];
-  for (int t = 0; t < 3; ++t) H[t] = dp_buffer(ws.h[t]);
-  elem *Ebuf[2] = {nullptr, nullptr}, *Fbuf[2] = {nullptr, nullptr};
-  if constexpr (GM == GapModel::Affine) {
-    for (int t = 0; t < 2; ++t) {
-      Ebuf[t] = dp_buffer(ws.e[t]);
-      Fbuf[t] = dp_buffer(ws.f[t]);
-    }
+  // A wider rung may continue this run: stop at the first saturated
+  // anti-diagonal and leave the state sized for the widest rung.
+  const bool hands_off = !E::is_signed && rq.may_widen;
+  if (hands_off && sat_limit <= 0) {  // this width cannot hold any cell
+    out.score = static_cast<int>(sat_limit);
+    out.saturated = true;
+    return out;
   }
-  // rowmax/bestd carry kPad slack so the masked tail vector may touch
-  // lanes past m; tail lanes hold h == 0, so they never improve and leave
-  // that slack as they found it. Only rows [0, m) are ever read back, and
-  // bestd[i] only once rowmax[i] > 0, i.e. after row i improved and wrote it.
-  elem* rowmax = static_cast<elem*>(
-      ws.rowmax.ensure((static_cast<size_t>(m) + kPad) * sizeof(elem)));
-  std::memset(rowmax, 0, static_cast<size_t>(m) * sizeof(elem));
-  auto* bestd = static_cast<int32_t*>(
-      ws.best_diag.ensure((static_cast<size_t>(m) + kPad) * 4));
+
+  // ---- state setup ----------------------------------------------------
+  const detail::DiagState<elem> st = detail::diag_state<elem, GM>(
+      rq, hands_off ? sizeof(int32_t) : sizeof(elem));
+  elem* const rowmax = st.rowmax;
+  int32_t* const bestd = st.bestd;
+  const int d0 = st.first_diag;
 
   const int32_t* mat32 = nullptr;
   const int32_t* qmul = nullptr;
@@ -192,7 +291,9 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     for (int t = 0; t < n; ++t) dbrev[t] = r[n - 1 - t];
     std::memset(dbrev + n, 0, kPad * 4);
     if constexpr (SM == KMode::Fill)
-      sbuf = static_cast<elem*>(ws.diag_scores.ensure_zeroed(stride)) + kPad;
+      sbuf = static_cast<elem*>(ws.diag_scores.ensure_zeroed(
+                 (static_cast<size_t>(m) + 2 * kPad) * sizeof(elem))) +
+             kPad;
   }
   if constexpr (SM == KMode::Fixed || SM == KMode::Shuffle) {
     // Encoded residues widened to the element type (compare feed for
@@ -256,20 +357,22 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   [[maybe_unused]] const vec v3 = E::set1(kTbF);
   [[maybe_unused]] const vec v4 = E::set1(kTbEExt);
   [[maybe_unused]] const vec v8 = E::set1(kTbFExt);
-  // Saturation early exit: the running maximum of every vector cell, tested
-  // once per anti-diagonal against sat_limit - 1.
-  const bool stop_on_sat =
-      !E::is_signed && rq.stop_on_saturation && sat_limit > 0;
-  const vec vsat_below = E::set1(stop_on_sat ? sat_limit - 1 : 0);
+  // Hand-off check: the running maximum of every vector cell and of every
+  // scalar cell, tested once per anti-diagonal against sat_limit.
+  const vec vsat_below = E::set1(hands_off ? sat_limit - 1 : 0);
   vec vhmax = vzero;
+  int64_t shmax = 0;
 
-  elem* Hc = H[0];
-  elem* Hp = H[1];
-  elem* Hp2 = H[2];
-  elem* Ec = Ebuf[0];
-  elem* Ep = Ebuf[1];
-  elem* Fc = Fbuf[0];
-  elem* Fp = Fbuf[1];
+  // Buffer roles at diagonal d0: every diagonal, empty ones included,
+  // rotates H by one and swaps E and F.
+  const int r3 = d0 % 3;
+  elem* Hc = st.H[(3 - r3) % 3];
+  elem* Hp = st.H[(4 - r3) % 3];
+  elem* Hp2 = st.H[(5 - r3) % 3];
+  elem* Ec = st.E[d0 & 1];
+  elem* Ep = st.E[(d0 + 1) & 1];
+  elem* Fc = st.F[d0 & 1];
+  elem* Fp = st.F[(d0 + 1) & 1];
 
   uint64_t vec_cells = 0, scalar_cells = 0;
 
@@ -396,18 +499,19 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       rowmax[i] = static_cast<elem>(h);
       bestd[i] = d;
     }
+    if (h > shmax) shmax = h;
   };
 
-  auto stats = [&](int diagonals) {
+  auto stats = [&](int end_diag) {
     out.stats.cells = vec_cells + scalar_cells;
     out.stats.vector_cells = vec_cells;
     out.stats.scalar_cells = scalar_cells;
-    out.stats.diagonals = static_cast<uint64_t>(diagonals);
+    out.stats.diagonals = static_cast<uint64_t>(end_diag - d0);
   };
 
-  // ---- main anti-diagonal sweep ---------------------------------------
-  [[maybe_unused]] uint64_t tb_next = 0;  // traceback offset of diagonal d
-  for (int d = 0; d < m + n - 1; ++d) {
+  // ---- anti-diagonal sweep from d0 ------------------------------------
+  [[maybe_unused]] uint64_t tb_next = st.tb_next;  // offset of diagonal d
+  for (int d = d0; d < m + n - 1; ++d) {
     const auto [lo, hi] = detail::diag_range(d, m, n, cfg.band);
     if constexpr (TB) tboff[d] = tb_next;
     if (hi < lo) {  // empty banded diagonal: just rotate the buffers
@@ -450,14 +554,6 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
         vector_step(i, d, dbr, dbrE, tbrow, hi - i + 1);
         scalar_cells += static_cast<uint64_t>(hi - i + 1);
       }
-      // A wider rung follows: this one's result is discarded once any cell
-      // reaches the limit, so stop here.
-      if (stop_on_sat && E::any(E::cmpgt(vhmax, vsat_below))) {
-        out.score = static_cast<int>(sat_limit);
-        out.saturated = true;
-        stats(d + 1);
-        return out;
-      }
     }
 
     // Boundary sentinels: cells just outside this diagonal's range must
@@ -471,6 +567,17 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       Ec[hi + 1] = 0;
       Fc[lo - 1] = 0;
       Fc[hi + 1] = 0;
+    }
+
+    // A cell of this diagonal reached the limit, so the next one could
+    // clip: hand this exact state to the wider rung.
+    if (hands_off &&
+        (shmax >= sat_limit || E::any(E::cmpgt(vhmax, vsat_below)))) {
+      out.score = static_cast<int>(sat_limit);
+      out.saturated = true;
+      out.handoff = {d + 1, tb_next};
+      stats(d + 1);
+      return out;
     }
 
     elem* t = Hp2;

@@ -71,6 +71,13 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {
   }
 }
 
+Width exact_score_width(const AlignConfig& cfg, int score) {
+  const int headroom = cfg.bias() + cfg.max_subst_score();
+  if (score < 255 - headroom) return Width::W8;
+  if (score < 65535 - headroom) return Width::W16;
+  return Width::W32;
+}
+
 Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                      Workspace& ws, const PreparedQuery* prep) {
   cfg.validate();
@@ -100,29 +107,32 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
   rq.ws = &ws;
   rq.prep = prep;
 
-  Width ladder[3];
-  int steps = 0;
-  if (cfg.width == Width::Adaptive) {
-    ladder[steps++] = Width::W8;
-    ladder[steps++] = Width::W16;
-    ladder[steps++] = Width::W32;
-  } else {
-    ladder[steps++] = cfg.width;
-  }
-
+  // The adaptive ladder: W8, and on saturation the next width continues
+  // from the diagonal the narrower rung stopped after (DiagHandoff), so
+  // every cell is computed once.
+  const bool adaptive = cfg.width == Width::Adaptive;
+  Width w = adaptive ? Width::W8 : cfg.width;
+  rq.may_widen = adaptive;
   Alignment a;
   a.isa_used = isa;
   DiagOutput o;
-  for (int t = 0; t < steps; ++t) {
-    resolved.delivery = delivery_for(cfg, isa, ladder[t]);
-    rq.stop_on_saturation = t + 1 < steps;
-    o = run_diag_kernel(rq, isa, ladder[t]);
-    a.width_used = ladder[t];
+  DiagHandoff handoff;
+  for (;;) {
+    resolved.delivery = delivery_for(cfg, isa, w);
+    o = run_diag_kernel(rq, isa, w);
     a.stats += o.stats;
-    if (!o.saturated) break;
-    if (ladder[t] == Width::W8) a.saturated_8 = true;
-    if (ladder[t] == Width::W16) a.saturated_16 = true;
+    if (!o.saturated || !adaptive || w == Width::W32) break;
+    if (w == Width::W8) {
+      a.saturated_8 = true;
+      w = Width::W16;
+    } else {
+      a.saturated_16 = true;
+      w = Width::W32;
+    }
+    handoff = o.handoff;
+    rq.resume = &handoff;
   }
+  a.width_used = w;
   a.score = o.score;
   a.end_query = o.end_query;
   a.end_ref = o.end_ref;

@@ -42,6 +42,12 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width);
 /// returned unchanged (no delivery path runs).
 ScoreDelivery delivery_for(const AlignConfig& cfg, simd::Isa isa, Width width);
 
+/// The rung at which the adaptive ladder finishes an alignment whose exact
+/// score is already known: the narrowest concrete width whose saturation
+/// limit (cap - bias - max substitution score) is above `score`. A run at
+/// that width gives the ladder's result without its narrower rungs.
+Width exact_score_width(const AlignConfig& cfg, int score);
+
 /// Full alignment through the diagonal kernel family: resolves the ISA,
 /// runs the adaptive width ladder, and (if requested) walks the traceback.
 /// This is the paper's aligner; align::Aligner wraps it for public use.

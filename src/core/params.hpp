@@ -16,8 +16,8 @@ namespace swve::core {
 enum class GapModel : uint8_t { Affine, Linear };
 
 /// Integer width of the DP arithmetic (contribution iii of the paper).
-/// Adaptive runs 8-bit first and transparently re-runs saturated
-/// alignments at 16 and then 32 bits.
+/// Adaptive runs 8-bit first; on saturation it widens in place to 16 and
+/// then 32 bits, continuing after the first saturated anti-diagonal.
 enum class Width : uint8_t { W8, W16, W32, Adaptive };
 
 /// Score source (Fig 9): a full substitution matrix reached through the

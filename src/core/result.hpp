@@ -64,10 +64,10 @@ class Cigar {
 
 /// Cell accounting for the Fig 3 vector/scalar split and GCUPS math.
 /// Counts what the kernels computed, summed over every rung of the width
-/// ladder. An 8- or 16-bit rung that is followed by a wider one stops at
-/// the first anti-diagonal that saturates, so it contributes only the cells
-/// and diagonals up to and including that one; a rung that finishes, and
-/// any fixed-width call, contributes the whole matrix.
+/// ladder. An 8- or 16-bit rung that saturates hands its state to the next
+/// width, which continues from the following anti-diagonal, so the ladder
+/// counts every cell and diagonal of the matrix once, as a fixed-width call
+/// does.
 struct KernelStats {
   uint64_t cells = 0;         ///< total DP cells computed
   uint64_t vector_cells = 0;  ///< computed in full-width vector ops

@@ -610,8 +610,9 @@ std::optional<BatchRequest> decode_batch_request_json(
   size_t i = 0;
   for (const Json& q : queries.as_array()) {
     if (!q.is_string()) return std::nullopt;
-    rq.queries.emplace_back("q" + std::to_string(i++), q.as_string(),
-                            alphabet);
+    std::string id = "q";
+    id += std::to_string(i++);
+    rq.queries.emplace_back(std::move(id), q.as_string(), alphabet);
   }
   rq.options = options_from_json(j);
   return rq;

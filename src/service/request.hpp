@@ -112,7 +112,7 @@ struct RequestTrace {
   /// final rung of the width ladder).
   core::ScoreDelivery delivery = core::ScoreDelivery::Auto;
   core::Width width_used = core::Width::W8;   ///< pairwise: final rung
-  /// Adaptive-ladder retries: pairwise counts 8->16/16->32 re-runs; the
+  /// Adaptive-ladder retries: pairwise counts 8->16/16->32 widenings; the
   /// batch paths count lanes re-scored after 8-bit saturation.
   uint64_t saturation_retries = 0;
 

@@ -43,7 +43,7 @@ const CpuFeatures& cpu_features() noexcept {
 }
 
 bool isa_available(Isa isa) noexcept {
-  const CpuFeatures& f = cpu_features();
+  [[maybe_unused]] const CpuFeatures& f = cpu_features();
   switch (isa) {
     case Isa::Scalar:
       return true;

@@ -143,12 +143,12 @@ struct Avx512U16 {
   }
   static vec shuffle_scores(const shuffle_tab& t, const elem* qenc,
                             const elem* dbr_rev) {
-    // Narrow the u16 codes to bytes (< 32), run the byte lookup, widen.
-    const __m256i q8 = _mm512_cvtepi16_epi8(_mm512_loadu_si512(qenc));
-    const __m256i r8 = _mm512_cvtepi16_epi8(_mm512_loadu_si512(dbr_rev));
-    const __m512i res8 = detail_avx512::lookup_q_r(
-        t, _mm512_castsi256_si512(q8), _mm512_castsi256_si512(r8));
-    return _mm512_cvtepu8_epi16(_mm512_castsi512_si256(res8));
+    // A code (< 32) fills the low byte of its 16-bit lane and the high
+    // byte is 0: run the byte lookup on the lanes as they are and keep the
+    // low bytes (the high bytes looked up code 0 against code 0).
+    const __m512i res = detail_avx512::lookup_q_r(
+        t, _mm512_loadu_si512(qenc), _mm512_loadu_si512(dbr_rev));
+    return _mm512_and_si512(res, _mm512_set1_epi16(0x00FF));
   }
 
   static vec zero() { return _mm512_setzero_si512(); }

@@ -82,9 +82,10 @@ TEST(Banded, GoldenMatrixMaxMatchesAlign) {
     // Out-of-band cells are all zero.
     for (int i = 0; i < static_cast<int>(q.length()); ++i)
       for (int j = 0; j < static_cast<int>(r.length()); ++j)
-        if (std::abs(i - j) > cfg.band)
+        if (std::abs(i - j) > cfg.band) {
           EXPECT_EQ(H[static_cast<size_t>(i) * r.length() + static_cast<size_t>(j)],
                     0);
+        }
   }
 }
 
@@ -150,7 +151,9 @@ TEST(Banded, BandZeroKernelHandlesEmptyDiagonals) {
     cfg.isa = isa;
     Alignment got = diag_align(q, q, cfg, ws);
     Alignment ref = ref_align(q, q, cfg);
-    if (!got.saturated) EXPECT_EQ(got.score, ref.score) << simd::isa_name(isa);
+    if (!got.saturated) {
+      EXPECT_EQ(got.score, ref.score) << simd::isa_name(isa);
+    }
   }
 }
 

@@ -42,7 +42,9 @@ TEST_F(BaselineSweep, StripedMatchesGoldenOnRandomPairs) {
     BaselineResult r16 = sa.align16(r, ws_);
     EXPECT_EQ(r16.score, ref) << "striped16 it=" << it;
     BaselineResult r8 = sa.align8(r, ws_);
-    if (!r8.saturated) EXPECT_EQ(r8.score, ref) << "striped8 it=" << it;
+    if (!r8.saturated) {
+      EXPECT_EQ(r8.score, ref) << "striped8 it=" << it;
+    }
     EXPECT_EQ(sa.align(r, ws_).score, ref) << "striped adaptive it=" << it;
   }
 }
@@ -98,11 +100,15 @@ TEST_F(BaselineSweep, LazyFGapHeavyInputs) {
     int ref = core::ref_align(q, r, cfg).score;
     StripedAligner sa(q, cfg);
     BaselineResult r16 = sa.align16(r, ws_);
-    if (!r16.saturated) EXPECT_EQ(r16.score, ref) << "striped16 lazyF it=" << it;
+    if (!r16.saturated) {
+      EXPECT_EQ(r16.score, ref) << "striped16 lazyF it=" << it;
+    }
     EXPECT_GT(r16.lazy_f_iterations, 0u);
     ScanAligner sc(q, cfg);
     BaselineResult s16 = sc.align16(r, ws_);
-    if (!s16.saturated) EXPECT_EQ(s16.score, ref) << "scan16 lazyF it=" << it;
+    if (!s16.saturated) {
+      EXPECT_EQ(s16.score, ref) << "scan16 lazyF it=" << it;
+    }
   }
 }
 

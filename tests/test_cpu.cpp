@@ -10,7 +10,9 @@ TEST(Cpu, FeaturesAreCachedAndConsistent) {
   const CpuFeatures& b = cpu_features();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.hardware_threads, 1u);
-  if (a.avx512vbmi) EXPECT_TRUE(a.avx512bw_vl);
+  if (a.avx512vbmi) {
+    EXPECT_TRUE(a.avx512bw_vl);
+  }
 }
 
 TEST(Cpu, GdsStatusMarksSlowGathers) {
@@ -40,11 +42,15 @@ TEST(Cpu, ResolveAutoPicksWidestAvailable) {
 
 TEST(Cpu, ResolveConcreteIsIdentityWhenAvailable) {
   for (Isa isa : {Isa::Scalar, Isa::Sse41, Isa::Avx2, Isa::Avx512})
-    if (isa_available(isa)) EXPECT_EQ(resolve_isa(isa), isa);
+    if (isa_available(isa)) {
+      EXPECT_EQ(resolve_isa(isa), isa);
+    }
 }
 
 TEST(Cpu, AvxImpliesSse41) {
-  if (isa_available(Isa::Avx2)) EXPECT_TRUE(isa_available(Isa::Sse41));
+  if (isa_available(Isa::Avx2)) {
+    EXPECT_TRUE(isa_available(Isa::Sse41));
+  }
 }
 
 TEST(Cpu, Names) {

@@ -129,8 +129,9 @@ TEST(DatabaseSearch, HitsAreSortedBestFirst) {
   SearchResult res = search.search(q, 20);
   for (size_t k = 1; k < res.hits.size(); ++k) {
     EXPECT_GE(res.hits[k - 1].score, res.hits[k].score);
-    if (res.hits[k - 1].score == res.hits[k].score)
+    if (res.hits[k - 1].score == res.hits[k].score) {
       EXPECT_LT(res.hits[k - 1].seq_index, res.hits[k].seq_index);
+    }
   }
 }
 

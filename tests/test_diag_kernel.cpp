@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
+#include <tuple>
 #include <type_traits>
 
 #include "core/dispatch.hpp"
@@ -184,7 +186,9 @@ TEST_P(DiagKernelTest, AllScoreDeliveriesAgree) {
       EXPECT_EQ(got.score, ref.score) << "delivery " << static_cast<int>(d);
       EXPECT_EQ(got.end_query, ref.end_query);
       EXPECT_EQ(got.end_ref, ref.end_ref);
-      if (cfg.traceback && got.score > 0) EXPECT_EQ(got.cigar, ref.cigar);
+      if (cfg.traceback && got.score > 0) {
+        EXPECT_EQ(got.cigar, ref.cigar);
+      }
     }
   }
 }
@@ -481,7 +485,100 @@ TEST(DiagDelivery, CodesPastTheMatrixAlphabetScoreItsMinimum) {
   }
 }
 
-// ---- adaptive ladder: narrow rungs stop at the first saturated diagonal ---
+// ---- adaptive ladder: a saturated rung widens in place ----------------------
+
+// Lanes of each ISA's 8-bit diagonal engine.
+int lanes8(simd::Isa isa) {
+  switch (isa) {
+    case simd::Isa::Avx512:
+      return 64;
+    case simd::Isa::Avx2:
+      return 32;
+    default:
+      return 16;  // SSE4.1 and the portable engine
+  }
+}
+
+// Where an 8-bit kernel of `lanes` lanes meets the first anti-diagonal that
+// holds a cell at or above `limit`: a scalar tiny diagonal, a full vector,
+// or only the masked tail vector.
+enum class SatSite { None, Scalar, Body, Tail };
+
+struct FirstSaturation {
+  SatSite site = SatSite::None;
+  int diag = -1;
+};
+
+FirstSaturation first_saturation(const std::vector<int>& H, int m, int n,
+                                 int band, int64_t limit, int lanes) {
+  for (int d = 0; d < m + n - 1; ++d) {
+    const auto [lo, hi] = detail::diag_range(d, m, n, band);
+    if (hi < lo) continue;
+    const int len = hi - lo + 1;
+    const int tail = lo + len / lanes * lanes;  // first masked-tail row
+    bool hit = false, body = false;
+    for (int i = lo; i <= hi; ++i)
+      if (H[static_cast<size_t>(i) * static_cast<size_t>(n) +
+            static_cast<size_t>(d - i)] >= limit) {
+        hit = true;
+        body = body || i < tail;
+      }
+    if (!hit) continue;
+    if (len <= detail::kScalarDiagonal) return {SatSite::Scalar, d};
+    return {body ? SatSite::Body : SatSite::Tail, d};
+  }
+  return {};
+}
+
+// One rung of the adaptive ladder run alone: `width` may widen to 32 bits,
+// continuing from `resume` when given.
+DiagOutput ladder_rung(const seq::Sequence& q, const seq::Sequence& r,
+                       const AlignConfig& cfg, simd::Isa isa, Width width,
+                       Workspace& ws, const DiagHandoff* resume = nullptr) {
+  AlignConfig resolved = cfg;
+  resolved.delivery = delivery_for(cfg, isa, width);
+  DiagRequest rq;
+  rq.q = q.data();
+  rq.m = static_cast<int>(q.length());
+  rq.r = r.data();
+  rq.n = static_cast<int>(r.length());
+  rq.cfg = &resolved;
+  rq.ws = &ws;
+  rq.may_widen = true;
+  rq.resume = resume;
+  return run_diag_kernel(rq, isa, width);
+}
+
+// The whole contract of an Adaptive result against the golden model and a
+// fixed 32-bit run of the same config.
+void expect_ladder_result(const Alignment& a, const Alignment& ref,
+                          const Alignment& w32, int64_t sat8, int64_t sat16,
+                          const seq::Sequence& q, const seq::Sequence& r,
+                          const std::string& what) {
+  const bool s8 = ref.score >= sat8, s16 = ref.score >= sat16;
+  EXPECT_FALSE(a.saturated) << what;
+  EXPECT_EQ(a.saturated_8, s8) << what;
+  EXPECT_EQ(a.saturated_16, s16) << what;
+  EXPECT_EQ(a.width_used, s16 ? Width::W32 : s8 ? Width::W16 : Width::W8)
+      << what;
+  for (const Alignment* want : {&ref, &w32}) {
+    EXPECT_EQ(a.score, want->score) << what;
+    EXPECT_EQ(a.end_query, want->end_query) << what;
+    EXPECT_EQ(a.end_ref, want->end_ref) << what;
+    EXPECT_EQ(a.begin_query, want->begin_query) << what;
+    EXPECT_EQ(a.begin_ref, want->begin_ref) << what;
+    EXPECT_EQ(a.cigar, want->cigar) << what;
+  }
+  EXPECT_EQ(a.stats.cells, w32.stats.cells) << what;
+  EXPECT_EQ(a.stats.diagonals, q.length() + r.length() - 1) << what;
+}
+
+seq::Sequence concat(std::initializer_list<const seq::Sequence*> parts) {
+  std::vector<uint8_t> codes;
+  for (const seq::Sequence* p : parts)
+    codes.insert(codes.end(), p->data(), p->data() + p->length());
+  return seq::Sequence("cat", std::move(codes), seq::Alphabet::protein());
+}
 
 TEST(DiagLadder, EarlyExitMatchesScalarRefAndFixedWidths) {
   // +100 per match: a few matches saturate 8 bits, ~650 saturate 16.
@@ -515,43 +612,282 @@ TEST(DiagLadder, EarlyExitMatchesScalarRefAndFixedWidths) {
         const Alignment ref = ref_align(p.q, p.r, cfg);
         Workspace ws;
         const Alignment a = diag_align(p.q, p.r, cfg, ws);
-        const bool s8 = ref.score >= sat8, s16 = ref.score >= sat16;
-        EXPECT_EQ(a.saturated_8, s8) << what;
-        EXPECT_EQ(a.saturated_16, s16) << what;
-        EXPECT_FALSE(a.saturated) << what;
-        EXPECT_EQ(a.width_used, s16 ? Width::W32 : s8 ? Width::W16 : Width::W8)
-            << what;
         cfg.width = Width::W32;
         const Alignment w32 = diag_align(p.q, p.r, cfg, ws);
         cfg.width = Width::W16;
         const Alignment w16 = diag_align(p.q, p.r, cfg, ws);
-        for (const Alignment* want : {&ref, &w32}) {
-          EXPECT_EQ(a.score, want->score) << what;
-          EXPECT_EQ(a.end_query, want->end_query) << what;
-          EXPECT_EQ(a.end_ref, want->end_ref) << what;
-          EXPECT_EQ(a.begin_query, want->begin_query) << what;
-          EXPECT_EQ(a.begin_ref, want->begin_ref) << what;
-          EXPECT_EQ(a.cigar, want->cigar) << what;
-        }
-        EXPECT_EQ(w16.saturated, s16) << what;
-        if (!s16) {
+        expect_ladder_result(a, ref, w32, sat8, sat16, p.q, p.r, what);
+        EXPECT_EQ(w16.saturated, ref.score >= sat16) << what;
+        if (!w16.saturated) {
           EXPECT_EQ(a.score, w16.score) << what;
           EXPECT_EQ(a.end_ref, w16.end_ref) << what;
           EXPECT_EQ(a.cigar, w16.cigar) << what;
         }
-        // Each rung that saturated stopped early: it counted fewer cells and
-        // diagonals than a whole matrix (KernelStats, result.hpp).
-        const uint64_t cells = p.q.length() * p.r.length();
-        const uint64_t diags = p.q.length() + p.r.length() - 1;
-        const uint64_t rungs = 1 + (s8 ? 1 : 0) + (s16 ? 1 : 0);
-        if (s8) {
-          EXPECT_LT(a.stats.cells, rungs * cells) << what;
-          EXPECT_LT(a.stats.diagonals, rungs * diags) << what;
-        } else {
-          EXPECT_EQ(a.stats.cells, cells) << what;
-        }
+        // Each saturated rung hands its state on: the ladder computes every
+        // cell and every diagonal exactly once (KernelStats, result.hpp).
+        EXPECT_EQ(a.stats.cells, p.q.length() * p.r.length()) << what;
+        EXPECT_EQ(a.stats.vector_cells + a.stats.scalar_cells, a.stats.cells)
+            << what;
       }
   }
+}
+
+TEST(DiagLadder, HandOffEdgesMatchScalarRefAndFixedW32) {
+  // +20 per match: about a dozen matches saturate 8 bits. Each pair plants
+  // a mutated copy behind a random prefix of the query, so the diagonal
+  // where the 8-bit rung first saturates falls on full vectors, on the
+  // masked tail, or (at the far corner of a short identical pair, and on
+  // every diagonal of a band of 2) on the scalar tiny diagonals.
+  const matrix::ScoreMatrix warm =
+      matrix::ScoreMatrix::match_mismatch(20, -10, seq::Alphabet::protein());
+  std::vector<std::pair<seq::Sequence, seq::Sequence>> pairs;
+  std::mt19937_64 rng(211);
+  for (uint32_t prefix : {0u, 9u, 23u, 47u, 70u, 101u})
+    for (uint32_t core : {14u, 40u, 83u}) {
+      const auto pre = seq::generate_sequence(rng(), prefix);
+      const auto c = seq::generate_sequence(rng(), core);
+      const auto suf = seq::generate_sequence(rng(), 5 + rng() % 30);
+      pairs.emplace_back(concat({&pre, &c, &suf}), seq::mutate(c, rng(), 0.04));
+    }
+  for (uint32_t len : {12u, 13u, 14u}) {  // saturate at the far corner
+    const auto c = seq::generate_sequence(rng(), len);
+    pairs.emplace_back(c, c);
+  }
+  for (uint32_t m : {2u, 3u, 4u}) {
+    const auto r = seq::generate_sequence(rng(), 90);
+    pairs.emplace_back(r.subsequence(30, m), r);
+  }
+  pairs.emplace_back(seq::generate_sequence(rng(), 60),
+                     seq::generate_sequence(rng(), 70));  // never saturates
+
+  std::set<std::tuple<simd::Isa, int, SatSite>> seen;
+  for (int scheme = 0; scheme < 2; ++scheme)
+    for (GapModel gm : {GapModel::Affine, GapModel::Linear})
+      for (int band : {-1, 2, 70})
+        for (bool tb : {false, true}) {
+          AlignConfig cfg;
+          cfg.scheme = scheme ? ScoreScheme::Fixed : ScoreScheme::Matrix;
+          cfg.matrix = &warm;
+          cfg.match = 20;
+          cfg.mismatch = -10;
+          cfg.gap_model = gm;
+          cfg.gap_open = 15;
+          cfg.gap_extend = 3;
+          cfg.band = band;
+          cfg.traceback = tb;
+          const int64_t sat8 = 255 - cfg.bias() - cfg.max_subst_score();
+          const int64_t sat16 = 65535 - cfg.bias() - cfg.max_subst_score();
+          for (const auto& [q, r] : pairs) {
+            const Alignment ref = ref_align(q, r, cfg);
+            const std::vector<int> H = ref_matrix(q, r, cfg);
+            const int m = static_cast<int>(q.length());
+            const int n = static_cast<int>(r.length());
+            for (simd::Isa isa : available_isas()) {
+              const FirstSaturation fs =
+                  first_saturation(H, m, n, band, sat8, lanes8(isa));
+              seen.insert({isa, band, fs.site});
+              for (ScoreDelivery d : {ScoreDelivery::Gather, ScoreDelivery::Fill,
+                                      ScoreDelivery::Shuffle}) {
+                if (scheme == 1 && d != ScoreDelivery::Gather) continue;
+                cfg.isa = isa;
+                cfg.delivery = d;
+                const std::string what =
+                    std::string(simd::isa_name(isa)) + " scheme " +
+                    std::to_string(scheme) + " gm " +
+                    std::to_string(static_cast<int>(gm)) + " band " +
+                    std::to_string(band) + " tb " + std::to_string(tb) +
+                    " delivery " + std::to_string(static_cast<int>(d)) +
+                    " m=" + std::to_string(m) + " n=" + std::to_string(n);
+                Workspace ws;
+                // The 8-bit rung stops right after the first saturated
+                // diagonal, wherever that diagonal's saturated cells lie.
+                const DiagOutput o8 = ladder_rung(q, r, cfg, isa, Width::W8, ws);
+                EXPECT_EQ(o8.saturated, fs.site != SatSite::None) << what;
+                if (o8.saturated) {
+                  EXPECT_EQ(o8.handoff.next_diag, fs.diag + 1) << what;
+                }
+                cfg.width = Width::W32;
+                const Alignment w32 = diag_align(q, r, cfg, ws);
+                cfg.width = Width::Adaptive;
+                const Alignment a = diag_align(q, r, cfg, ws);
+                expect_ladder_result(a, ref, w32, sat8, sat16, q, r, what);
+              }
+            }
+          }
+        }
+  // Every edge of the hand-off was reached on every ISA.
+  for (simd::Isa isa : available_isas()) {
+    const std::string name = simd::isa_name(isa);
+    EXPECT_TRUE(seen.count({isa, -1, SatSite::Scalar})) << name;
+    EXPECT_TRUE(seen.count({isa, -1, SatSite::Body})) << name;
+    EXPECT_TRUE(seen.count({isa, -1, SatSite::Tail})) << name;
+    EXPECT_TRUE(seen.count({isa, -1, SatSite::None})) << name;
+    EXPECT_TRUE(seen.count({isa, 2, SatSite::Scalar})) << name;
+    EXPECT_TRUE(seen.count({isa, 70, SatSite::Body})) << name;
+    EXPECT_TRUE(seen.count({isa, 70, SatSite::Tail})) << name;
+  }
+}
+
+TEST(DiagLadder, WidensFrom16To32AtTheFirstDiagonalPastTheLimit) {
+  // +100 per match over ~700 matches: both narrow rungs hand off.
+  const matrix::ScoreMatrix hot =
+      matrix::ScoreMatrix::match_mismatch(100, -40, seq::Alphabet::protein());
+  const auto q = seq::generate_sequence(7, 720);
+  const auto r = seq::mutate(q, 8, 0.02);
+  const int m = static_cast<int>(q.length());
+  const int n = static_cast<int>(r.length());
+  for (int scheme = 0; scheme < 2; ++scheme)
+    for (GapModel gm : {GapModel::Affine, GapModel::Linear})
+      for (bool tb : {false, true}) {
+        AlignConfig cfg;
+        cfg.scheme = scheme ? ScoreScheme::Fixed : ScoreScheme::Matrix;
+        cfg.matrix = &hot;
+        cfg.match = 100;
+        cfg.mismatch = -40;
+        cfg.gap_model = gm;
+        cfg.traceback = tb;
+        const int64_t sat8 = 255 - cfg.bias() - cfg.max_subst_score();
+        const int64_t sat16 = 65535 - cfg.bias() - cfg.max_subst_score();
+        const Alignment ref = ref_align(q, r, cfg);
+        ASSERT_GE(ref.score, sat16);
+        const std::vector<int> H = ref_matrix(q, r, cfg);
+        const FirstSaturation fs16 = first_saturation(H, m, n, -1, sat16, 1);
+        for (simd::Isa isa : available_isas())
+          for (ScoreDelivery d : {ScoreDelivery::Gather, ScoreDelivery::Fill,
+                                  ScoreDelivery::Shuffle}) {
+            if (scheme == 1 && d != ScoreDelivery::Gather) continue;
+            cfg.isa = isa;
+            cfg.delivery = d;
+            const std::string what =
+                std::string(simd::isa_name(isa)) + " scheme " +
+                std::to_string(scheme) + " gm " +
+                std::to_string(static_cast<int>(gm)) + " tb " +
+                std::to_string(tb) + " delivery " +
+                std::to_string(static_cast<int>(d));
+            Workspace ws;
+            const DiagOutput o8 = ladder_rung(q, r, cfg, isa, Width::W8, ws);
+            ASSERT_TRUE(o8.saturated) << what;
+            const DiagHandoff h8 = o8.handoff;
+            const DiagOutput o16 =
+                ladder_rung(q, r, cfg, isa, Width::W16, ws, &h8);
+            ASSERT_TRUE(o16.saturated) << what;
+            EXPECT_EQ(o16.handoff.next_diag, fs16.diag + 1) << what;
+            EXPECT_EQ(o8.stats.diagonals + o16.stats.diagonals,
+                      static_cast<uint64_t>(fs16.diag + 1))
+                << what;
+            cfg.width = Width::W32;
+            const Alignment w32 = diag_align(q, r, cfg, ws);
+            cfg.width = Width::Adaptive;
+            const Alignment a = diag_align(q, r, cfg, ws);
+            expect_ladder_result(a, ref, w32, sat8, sat16, q, r, what);
+          }
+      }
+}
+
+TEST(DiagLadder, HandOffRightAfterTheWorkspaceGrowsOrShrinks) {
+  // One workspace: saturating pairs large then small, small then large,
+  // and fixed narrow runs (which size the state for their own width only)
+  // between them, so a hand-off follows every kind of buffer growth.
+  const matrix::ScoreMatrix hot =
+      matrix::ScoreMatrix::match_mismatch(100, -40, seq::Alphabet::protein());
+  struct Step {
+    uint32_t len;
+    Width width;
+  };
+  const std::vector<Step> steps = {
+      {600, Width::Adaptive}, {40, Width::Adaptive},  {300, Width::Adaptive},
+      {3, Width::Adaptive},   {720, Width::Adaptive}, {50, Width::Adaptive},
+      {900, Width::W8},       {200, Width::Adaptive}, {2, Width::Adaptive},
+      {500, Width::W16},      {650, Width::Adaptive}, {120, Width::Adaptive}};
+  for (simd::Isa isa : available_isas())
+    for (bool tb : {false, true}) {
+      AlignConfig cfg;
+      cfg.matrix = &hot;
+      cfg.isa = isa;
+      cfg.traceback = tb;
+      const int64_t sat8 = 255 - cfg.bias() - cfg.max_subst_score();
+      const int64_t sat16 = 65535 - cfg.bias() - cfg.max_subst_score();
+      Workspace shared;
+      uint64_t seed = 300;
+      for (const Step& s : steps) {
+        const auto q = seq::generate_sequence(++seed, s.len);
+        const auto r = seq::mutate(q, ++seed, 0.03);
+        cfg.width = s.width;
+        const Alignment a = diag_align(q, r, cfg, shared);
+        Workspace fresh;
+        const Alignment want = diag_align(q, r, cfg, fresh);
+        const std::string what = std::string(simd::isa_name(isa)) + " len " +
+                                 std::to_string(s.len) + " tb " +
+                                 std::to_string(tb);
+        EXPECT_EQ(a.score, want.score) << what;
+        EXPECT_EQ(a.end_query, want.end_query) << what;
+        EXPECT_EQ(a.end_ref, want.end_ref) << what;
+        EXPECT_EQ(a.cigar, want.cigar) << what;
+        EXPECT_EQ(a.saturated, want.saturated) << what;
+        if (s.width != Width::Adaptive) continue;
+        cfg.width = Width::W32;
+        const Alignment w32 = diag_align(q, r, cfg, fresh);
+        expect_ladder_result(a, ref_align(q, r, cfg), w32, sat8, sat16, q, r,
+                             what);
+      }
+    }
+}
+
+TEST(DiagLadder, ARungThatHoldsNoCellHandsOffBeforeDiagonalZero) {
+  // bias 100 + max score 200 leave 8 bits no headroom: the 8-bit rung
+  // computes nothing and the 16-bit rung starts the matrix.
+  AlignConfig cfg;
+  cfg.scheme = ScoreScheme::Fixed;
+  cfg.match = 200;
+  cfg.mismatch = -100;
+  cfg.traceback = true;
+  const int64_t sat8 = 255 - cfg.bias() - cfg.max_subst_score();
+  const int64_t sat16 = 65535 - cfg.bias() - cfg.max_subst_score();
+  ASSERT_LE(sat8, 0);
+  const auto q = seq::generate_sequence(41, 90);
+  const auto r = seq::mutate(q, 42, 0.1);
+  const Alignment ref = ref_align(q, r, cfg);
+  for (simd::Isa isa : available_isas()) {
+    cfg.isa = isa;
+    Workspace ws;
+    const DiagOutput o8 = ladder_rung(q, r, cfg, isa, Width::W8, ws);
+    EXPECT_TRUE(o8.saturated);
+    EXPECT_EQ(o8.handoff.next_diag, 0);
+    EXPECT_EQ(o8.stats.cells, 0u);
+    cfg.width = Width::W32;
+    const Alignment w32 = diag_align(q, r, cfg, ws);
+    cfg.width = Width::Adaptive;
+    const Alignment a = diag_align(q, r, cfg, ws);
+    expect_ladder_result(a, ref, w32, sat8, sat16, q, r, simd::isa_name(isa));
+  }
+}
+
+TEST(DiagLadder, ExactScoreWidthIsTheRungTheLadderEndsOn) {
+  // Scores from 0 to past the 16-bit limit: the width picked from the exact
+  // score is the ladder's final rung, and a run there gives its result.
+  const matrix::ScoreMatrix hot =
+      matrix::ScoreMatrix::match_mismatch(100, -40, seq::Alphabet::protein());
+  std::mt19937_64 rng(223);
+  Workspace ws;
+  for (const matrix::ScoreMatrix* mat : {&matrix::ScoreMatrix::blosum62(), &hot})
+    for (uint32_t len : {1u, 20u, 45u, 60u, 130u, 700u})
+      for (double rate : {0.02, 0.6}) {
+        AlignConfig cfg;
+        cfg.matrix = mat;
+        cfg.traceback = true;
+        const auto q = seq::generate_sequence(rng(), len);
+        const auto r = seq::mutate(q, rng(), rate);
+        const Alignment a = diag_align(q, r, cfg, ws);
+        const std::string what = mat->name() + " len " + std::to_string(len);
+        EXPECT_EQ(exact_score_width(cfg, a.score), a.width_used) << what;
+        cfg.width = a.width_used;
+        const Alignment at = diag_align(q, r, cfg, ws);
+        EXPECT_FALSE(at.saturated) << what;
+        EXPECT_EQ(at.score, a.score) << what;
+        EXPECT_EQ(at.end_query, a.end_query) << what;
+        EXPECT_EQ(at.end_ref, a.end_ref) << what;
+        EXPECT_EQ(at.cigar, a.cigar) << what;
+      }
 }
 
 TEST(DiagLadder, FixedNarrowWidthStillComputesTheWholeMatrix) {

@@ -27,8 +27,9 @@ TEST_P(BuiltinMatrixTest, DiagonalDominatesRowAndIsPositive) {
     int diag = m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(a));
     EXPECT_GT(diag, 0);
     for (int b = 0; b < 20; ++b)
-      if (a != b)
+      if (a != b) {
         EXPECT_GE(diag, m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(b)));
+      }
   }
 }
 

@@ -39,9 +39,10 @@ TEST(StripedProfile, BiasedUnsigned) {
   for (int v = 0; v < prof.seg_len(); ++v)
     for (int k = 0; k < 32; ++k) {
       int i = k * prof.seg_len() + v;
-      if (i < 20)
+      if (i < 20) {
         EXPECT_EQ(row[v * 32 + k],
                   m.score(q.codes()[static_cast<size_t>(i)], 0) + m.bias());
+      }
     }
 }
 

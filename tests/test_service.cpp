@@ -100,7 +100,9 @@ TEST(AlignService, FifoCompletionOrderWithOneExecutor) {
   uint64_t prev = 0;
   for (size_t i = 0; i < futs.size(); ++i) {
     AlignResponse r = get_ok(std::move(futs[i]));
-    if (i > 0) EXPECT_EQ(r.trace.exec_sequence, prev + 1) << i;
+    if (i > 0) {
+      EXPECT_EQ(r.trace.exec_sequence, prev + 1) << i;
+    }
     prev = r.trace.exec_sequence;
   }
 }
@@ -581,8 +583,9 @@ TEST(AlignService, DumpMetricsFormats) {
   for (int i = 0; i < perf::MetricsSnapshot::kIsas; ++i) {
     // The pairwise and search requests were attributed to exactly one
     // diagonal-target ISA each (they resolve to the same ISA here).
-    if (m.target_requests[i][0] > 0)
+    if (m.target_requests[i][0] > 0) {
       EXPECT_GT(m.target_cells[i][0], 0u);
+    }
   }
 }
 

@@ -321,7 +321,7 @@ TEST(ShardedSearch, CancellationAndDeadlineTruncateCleanly) {
   auto q = seq::generate_sequence(92, 200);
   parallel::ThreadPool pool(3);
   for (int s : {1, 3}) {
-    SCOPED_TRACE("s" + std::to_string(s));
+    SCOPED_TRACE(::testing::Message() << "s" << s);
     DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
                            core::PackingPolicy::LengthSorted, shards_of(s, 3));
     std::atomic<bool> cancel{true};  // cancelled before the first batch
