@@ -3,7 +3,11 @@
 // the batch32 and baseline kernels.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <random>
+#include <semaphore>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,7 +16,9 @@
 #include "baseline/striped.hpp"
 #include "core/batch32.hpp"
 #include "core/dispatch.hpp"
+#include "obs/trace.hpp"
 #include "seq/synthetic.hpp"
+#include "service/align_service.hpp"
 #include "simd/cpu.hpp"
 
 using namespace swve;
@@ -105,22 +111,69 @@ const PairList& saturating_short_pairs() {
   return pairs;
 }
 
+// Wall microseconds per pair on each thread, averaged over the threads (a
+// submitter waiting for a queued reply is charged for the wait).
+void report_us_per_pair(benchmark::State& state, size_t pairs,
+                        std::chrono::steady_clock::duration wall) {
+  state.counters["us_per_pair"] = benchmark::Counter(
+      std::chrono::duration<double, std::micro>(wall).count() /
+          (static_cast<double>(pairs) * static_cast<double>(state.iterations())),
+      benchmark::Counter::kAvgThreads);
+}
+
 void BM_DiagShortPairs(benchmark::State& state, const PairList& (*pair_list)()) {
   const PairList& pairs = pair_list();
   const core::AlignConfig cfg = short_pair_config();
   uint64_t cells = 0;
   for (const auto& [q, r] : pairs) cells += q.length() * r.length();
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state)
     for (const auto& [q, r] : pairs) {
       core::Alignment a = core::diag_align(q, r, cfg, tls_ws());
       benchmark::DoNotOptimize(a.score);
     }
   report_cells(state, cells);
-  // Inverted rate: seconds per (pairs x 1e-6), i.e. microseconds per pair.
-  state.counters["us_per_pair"] = benchmark::Counter(
-      static_cast<double>(pairs.size()) * static_cast<double>(state.iterations()) *
-          1e-6,
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  report_us_per_pair(state, pairs.size(), std::chrono::steady_clock::now() - t0);
+}
+
+// The short pairs through AlignService::submit_async, sent the way the
+// perfbench `pairwise` closed loop sends them: a TraceSink installed,
+// default PMU attribution, traceback on, each submitter building its
+// request (two sequence copies) and waiting for the reply. Its us_per_pair
+// minus the direct case's at the same thread count is what the service
+// costs per request.
+service::AlignService& short_pair_service() {
+  static obs::TraceSink sink(8192);
+  static service::AlignService svc([] {
+    service::ServiceOptions opt;
+    opt.obs.trace_sink = &sink;
+    return opt;
+  }());
+  return svc;
+}
+
+void BM_ServiceShortPairs(benchmark::State& state) {
+  const PairList& pairs = short_pairs();
+  service::AlignService& svc = short_pair_service();
+  std::binary_semaphore replied(0);
+  bool ok = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    for (const auto& [q, r] : pairs) {
+      service::AlignRequest rq;
+      rq.query = q;
+      rq.reference = r;
+      rq.options.traceback = true;
+      svc.submit_async(std::move(rq),
+                       [&](core::ErrorOr<service::AlignResponse> out) {
+                         ok = ok && out.ok();
+                         replied.release();
+                       });
+      replied.acquire();
+    }
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  if (!ok) state.SkipWithError("a request failed");
+  report_us_per_pair(state, pairs.size(), wall);
 }
 
 void BM_Striped(benchmark::State& state) {
@@ -221,6 +274,24 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("diag/short_pairs/saturating/adaptive/tb",
                                BM_DiagShortPairs, saturating_short_pairs)
       ->Unit(benchmark::kMillisecond);
+  // The direct and the service case at one thread and at nproc - 1 threads
+  // (perfbench's submitter count): their us_per_pair difference is the
+  // service's cost per request.
+  const int submitters =
+      static_cast<int>(std::max(2u, std::thread::hardware_concurrency())) - 1;
+  if (submitters > 1)
+    benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb",
+                                 BM_DiagShortPairs, short_pairs)
+        ->Unit(benchmark::kMillisecond)
+        ->Threads(submitters)
+        ->UseRealTime();
+  auto* service_case =
+      benchmark::RegisterBenchmark("service/short_pairs/tb",
+                                   BM_ServiceShortPairs)
+          ->Unit(benchmark::kMillisecond)
+          ->Threads(1)
+          ->UseRealTime();
+  if (submitters > 1) service_case->Threads(submitters);
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);

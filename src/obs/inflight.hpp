@@ -1,7 +1,9 @@
 // In-flight request table: one atomic slot per running request, recording
 // which request is running right now and since when. Executors own fixed
 // slots; a request run on its submitting thread claims a free slot with a
-// CAS on `id`, so two runners never share an entry.
+// CAS on `id`, so two runners never share an entry. A thread's claim
+// starts at the slot it last held, so each submitter settles on a slot of
+// its own.
 //
 // Two consumers, both of which forbid locks:
 //   * the watchdog thread (obs/watchdog.hpp) scans it every period looking
@@ -68,7 +70,7 @@ class InFlightTable {
     Guard(InFlightTable& table, unsigned slot, uint64_t id, Scenario scenario,
           uint64_t deadline_ns) noexcept
         : table_(&table), slot_(slot) {
-      table_->begin(slot_, id, scenario, deadline_ns);
+      table_->begin(slot_, id, scenario, deadline_ns, steady_now_ns());
     }
     Guard(Guard&& o) noexcept
         : table_(std::exchange(o.table_, nullptr)), slot_(o.slot_) {}
@@ -86,20 +88,30 @@ class InFlightTable {
     unsigned slot_ = 0;
   };
 
-  /// Claim a free slot in [first, slots()) for one request: the first whose
-  /// `id` CASes from 0. Returns an empty Guard when every one is occupied.
+  /// Claim a free slot in [first, slots()) for one request that started at
+  /// `start_ns` (steady_now_ns() scale): the first whose `id` CASes from 0,
+  /// scanning from the slot the calling thread last claimed so concurrent
+  /// claimers do not all CAS the same slot. Returns an empty Guard when
+  /// every one is occupied.
   Guard claim(unsigned first, uint64_t id, Scenario scenario,
-              uint64_t deadline_ns) noexcept {
-    for (unsigned i = first; i < slots_; ++i) {
+              uint64_t deadline_ns,
+              uint64_t start_ns = steady_now_ns()) noexcept {
+    if (first >= slots_) return {};
+    thread_local unsigned last = 0;
+    const unsigned span = slots_ - first;
+    const unsigned from = last >= first && last < slots_ ? last - first : 0;
+    for (unsigned k = 0; k < span; ++k) {
+      const unsigned i = first + (from + k) % span;
       uint64_t free = 0;
       if (!table_[i].id.compare_exchange_strong(free, kClaiming,
                                                 std::memory_order_acquire,
                                                 std::memory_order_relaxed))
         continue;
+      last = i;
       Guard g;
       g.table_ = this;
       g.slot_ = i;
-      begin(i, id, scenario, deadline_ns);
+      begin(i, id, scenario, deadline_ns, start_ns);
       return g;
     }
     return {};
@@ -146,11 +158,11 @@ class InFlightTable {
   };
 
   void begin(unsigned slot, uint64_t id, Scenario scenario,
-             uint64_t deadline_ns) noexcept {
+             uint64_t deadline_ns, uint64_t start_ns) noexcept {
     Slot& s = table_[slot];
     s.scenario.store(static_cast<uint32_t>(scenario),
                      std::memory_order_relaxed);
-    s.start_ns.store(steady_now_ns(), std::memory_order_relaxed);
+    s.start_ns.store(start_ns, std::memory_order_relaxed);
     s.deadline_ns.store(deadline_ns, std::memory_order_relaxed);
     s.id.store(id != 0 && id != kClaiming ? id : 1, std::memory_order_release);
   }

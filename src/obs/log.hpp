@@ -185,13 +185,16 @@ class Logger {
   static Logger* global() noexcept;
 
  private:
-  struct Ring {
+  // One cache line per ring, so one thread's head and tail stores do not
+  // invalidate its neighbours' rings.
+  struct alignas(64) Ring {
     RingStorage<LogRecord> slots;  ///< allocated by the producing thread
     /// Producer-owned; flusher acquires.
     std::atomic<uint64_t> head{0};
     /// Flusher-owned; producer acquires for the capacity check.
     std::atomic<uint64_t> tail{0};
   };
+  static_assert(alignof(Ring) == 64 && sizeof(Ring) == 64);
 
   /// Per event-site token bucket for rate limiting; open-addressed on the
   /// event string pointer. Approximate by design: windows race benignly.

@@ -178,9 +178,9 @@ const char* PmuSession::unavailable_reason() noexcept {
   return "unknown";
 }
 
-PmuReading PmuSession::read() noexcept {
+PmuReading PmuSession::read_at(uint64_t ns) noexcept {
   PmuReading r;
-  r.ns = steady_now_ns();
+  r.ns = ns;
   if (state() != State::Available) return r;
 #if defined(__linux__)
   ThreadGroup& g = thread_group();

@@ -108,7 +108,10 @@ class PmuSession {
 
   /// Read the calling thread's counter group (opening it on first use).
   /// Always fills `ns`; hw=false when degraded.
-  PmuReading read() noexcept;
+  PmuReading read() noexcept { return read_at(steady_now_ns()); }
+  /// read() stamped with `ns`, a steady_now_ns() value the caller already
+  /// took for this instant; reads no clock of its own.
+  PmuReading read_at(uint64_t ns) noexcept;
 
   /// end - begin, multiplex-scaled; hw only if both readings were hw.
   static PmuDelta delta(const PmuReading& begin,

@@ -343,16 +343,16 @@ bool TraceSink::write_chrome_trace(int fd) const noexcept {
 #endif
 }
 
-void Span::begin(const TraceContext& ctx, const char* name) noexcept {
+void Span::begin(const TraceContext& ctx, const char* name,
+                 uint64_t start_ns) noexcept {
   live_ = true;
   sink_ = ctx.sink;
   pmu_ = ctx.pmu;
   registry_ = ctx.registry;
   ev_.name = name;
   ev_.trace_id = ctx.trace_id;
-  // One clock read either way: a PMU read stamps `ns` itself.
-  start_ = pmu_ != nullptr ? pmu_->read() : PmuReading{};
-  if (!start_.hw && start_.ns == 0) start_.ns = steady_now_ns();
+  start_ =
+      pmu_ != nullptr ? pmu_->read_at(start_ns) : PmuReading{.ns = start_ns};
 }
 
 void Span::finish() noexcept {

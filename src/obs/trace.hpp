@@ -183,10 +183,13 @@ class TraceSink {
     std::atomic<uint64_t> llc_misses{0};
     std::atomic<uint64_t> branch_misses{0};
   };
-  struct Ring {
+  // One cache line per ring: every record() stores its thread's `head`,
+  // so neighbouring rings must not share a line.
+  struct alignas(64) Ring {
     RingStorage<Slot> slots;        ///< allocated by the owning thread
     std::atomic<uint64_t> head{0};  ///< events ever written to this ring
   };
+  static_assert(alignof(Ring) == 64 && sizeof(Ring) == 64);
 
   /// Ring index for the calling thread, registering it and allocating its
   /// ring on first use; -1 when all `max_threads_` slots are taken or the
@@ -203,10 +206,12 @@ class TraceSink {
   std::atomic<unsigned> registered_{0};
   std::atomic<uint64_t> overflow_dropped_{0};
   mutable std::atomic<uint64_t> torn_skipped_{0};
-  std::atomic<uint64_t> trace_ids_{0};
   std::chrono::steady_clock::time_point epoch_;
   uint64_t epoch_steady_ns_ = 0;
   uint64_t sink_id_;  ///< process-unique, keys the thread_local ring cache
+  /// Written by every request; on a cache line of its own, away from the
+  /// fields record() reads.
+  alignas(64) std::atomic<uint64_t> trace_ids_{0};
 };
 
 /// What flows on align::ExecContext: which sink (if any) to record into,
@@ -231,7 +236,12 @@ class Span {
  public:
   Span() = default;
   Span(const TraceContext& ctx, const char* name) noexcept {
-    if (ctx.active()) begin(ctx, name);
+    if (ctx.active()) begin(ctx, name, steady_now_ns());
+  }
+  /// A span that started at `start_ns` (steady_now_ns() scale), a clock
+  /// value the caller already read for the same instant.
+  Span(const TraceContext& ctx, const char* name, uint64_t start_ns) noexcept {
+    if (ctx.active()) begin(ctx, name, start_ns);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -274,7 +284,8 @@ class Span {
   }
 
  private:
-  void begin(const TraceContext& ctx, const char* name) noexcept;
+  void begin(const TraceContext& ctx, const char* name,
+             uint64_t start_ns) noexcept;
   void finish() noexcept;
 
   bool live_ = false;

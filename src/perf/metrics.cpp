@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <new>
 
 namespace swve::perf {
 
@@ -76,13 +77,24 @@ void LatencyHistogram::record(double seconds) noexcept {
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::snapshot() const noexcept {
+  const LatencyHistogram* self = this;
+  return sum({&self, 1});
+}
+
+LatencyHistogram::Snapshot LatencyHistogram::sum(
+    std::span<const LatencyHistogram* const> parts) noexcept {
   Snapshot s;
-  for (int i = 0; i < kBuckets; ++i) s.buckets[i] = buckets_[i].load(kRelaxed);
-  s.count = count_.load(kRelaxed);
-  s.max_s = static_cast<double>(max_us_.load(kRelaxed)) * 1e-6;
+  uint64_t sum_us = 0, max_us = 0;
+  for (const LatencyHistogram* h : parts) {
+    for (int i = 0; i < kBuckets; ++i)
+      s.buckets[i] += h->buckets_[i].load(kRelaxed);
+    s.count += h->count_.load(kRelaxed);
+    sum_us += h->sum_us_.load(kRelaxed);
+    max_us = std::max(max_us, h->max_us_.load(kRelaxed));
+  }
+  s.max_s = static_cast<double>(max_us) * 1e-6;
   if (s.count == 0) return s;
-  s.mean_s = static_cast<double>(sum_us_.load(kRelaxed)) * 1e-6 /
-             static_cast<double>(s.count);
+  s.mean_s = static_cast<double>(sum_us) * 1e-6 / static_cast<double>(s.count);
   recompute_percentiles(s);
   return s;
 }
@@ -130,77 +142,134 @@ LatencyHistogram::Snapshot LatencyHistogram::Snapshot::merge(
   return m;
 }
 
+namespace detail {
+
+unsigned next_metrics_shard() noexcept {
+  static std::atomic<unsigned> next{0};
+  return next.fetch_add(1, kRelaxed) % MetricsRegistry::kThreadShards;
+}
+
+}  // namespace detail
+
+MetricsRegistry::MetricsRegistry() : start_(Clock::now()) {
+  shards_[0].store(new Shard, std::memory_order_release);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  for (auto& s : shards_) delete s.load(std::memory_order_acquire);
+}
+
+MetricsRegistry::Shard& MetricsRegistry::add_shard(unsigned i) noexcept {
+  Shard* fresh = new (std::nothrow) Shard;
+  // Out of memory: record into shard 0, which the constructor allocated.
+  if (fresh == nullptr) return *shards_[0].load(std::memory_order_acquire);
+  Shard* raced = nullptr;
+  if (shards_[i].compare_exchange_strong(raced, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire))
+    return *fresh;
+  delete fresh;  // another thread of this shard index won
+  return *raced;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   MetricsSnapshot s;
-  // Scenario counters first, completed_ after (see on_completed), so
-  // pairwise + search + batch <= completed holds in every snapshot.
-  s.pairwise = by_scenario_[0].load(std::memory_order_acquire);
-  s.search = by_scenario_[1].load(std::memory_order_acquire);
-  s.batch = by_scenario_[2].load(std::memory_order_acquire);
-  s.submitted = submitted_.load(kRelaxed);
-  s.inline_runs = inline_runs_.load(kRelaxed);
-  s.completed = completed_.load(kRelaxed);
-  s.rejected_queue_full = rejected_queue_full_.load(kRelaxed);
-  s.deadline_expired = deadline_expired_.load(kRelaxed);
-  s.invalid_request = invalid_request_.load(kRelaxed);
-  s.aborted = aborted_.load(kRelaxed);
-  s.cells = cells_.load(kRelaxed);
-  s.kernel_seconds = static_cast<double>(kernel_ns_.load(kRelaxed)) * 1e-9;
-  s.batch_cells8 = batch_cells8_.load(kRelaxed);
-  s.batch_useful_cells8 = batch_useful_cells8_.load(kRelaxed);
-  for (int i = 0; i < MetricsSnapshot::kIsas; ++i) {
-    for (int k = 0; k < MetricsSnapshot::kKernelVariants; ++k) {
-      s.target_requests[i][k] = target_requests_[i][k].load(kRelaxed);
-      s.target_cells[i][k] = target_cells_[i][k].load(kRelaxed);
-      for (int w = 0; w < MetricsSnapshot::kWidths; ++w) {
-        const PmuCell& c = pmu_[i][k][w];
-        PmuSample& o = s.pmu[i][k][w];
-        o.samples = c.samples.load(kRelaxed);
-        o.wall_ns = c.wall_ns.load(kRelaxed);
-        o.cycles = c.cycles.load(kRelaxed);
-        o.instructions = c.instructions.load(kRelaxed);
-        o.stall_frontend = c.stall_frontend.load(kRelaxed);
-        o.stall_backend = c.stall_backend.load(kRelaxed);
-        o.llc_misses = c.llc_misses.load(kRelaxed);
-        o.branch_misses = c.branch_misses.load(kRelaxed);
+  std::array<const Shard*, kThreadShards> live{};
+  size_t n = 0;
+  for (const auto& p : shards_)
+    if (const Shard* sh = p.load(std::memory_order_acquire); sh != nullptr)
+      live[n++] = sh;
+  const std::span<const Shard* const> shards(live.data(), n);
+
+  uint64_t kernel_ns = 0;
+  for (const Shard* sh : shards) {
+    // Scenario counters first, completed after (see on_completed), so
+    // pairwise + search + batch <= completed holds in every shard and
+    // therefore in the sum.
+    s.pairwise += sh->by_scenario[0].load(std::memory_order_acquire);
+    s.search += sh->by_scenario[1].load(std::memory_order_acquire);
+    s.batch += sh->by_scenario[2].load(std::memory_order_acquire);
+    s.completed += sh->completed.load(kRelaxed);
+    s.submitted += sh->submitted.load(kRelaxed);
+    s.inline_runs += sh->inline_runs.load(kRelaxed);
+    s.rejected_queue_full += sh->rejected_queue_full.load(kRelaxed);
+    s.deadline_expired += sh->deadline_expired.load(kRelaxed);
+    s.invalid_request += sh->invalid_request.load(kRelaxed);
+    s.aborted += sh->aborted.load(kRelaxed);
+    s.cells += sh->cells.load(kRelaxed);
+    kernel_ns += sh->kernel_ns.load(kRelaxed);
+    s.batch_cells8 += sh->batch_cells8.load(kRelaxed);
+    s.batch_useful_cells8 += sh->batch_useful_cells8.load(kRelaxed);
+    for (int i = 0; i < MetricsSnapshot::kIsas; ++i) {
+      for (int k = 0; k < MetricsSnapshot::kKernelVariants; ++k) {
+        s.target_requests[i][k] += sh->target_requests[i][k].load(kRelaxed);
+        s.target_cells[i][k] += sh->target_cells[i][k].load(kRelaxed);
+        for (int w = 0; w < MetricsSnapshot::kWidths; ++w) {
+          const PmuCell& c = sh->pmu[i][k][w];
+          PmuSample& o = s.pmu[i][k][w];
+          o.samples += c.samples.load(kRelaxed);
+          o.wall_ns += c.wall_ns.load(kRelaxed);
+          o.cycles += c.cycles.load(kRelaxed);
+          o.instructions += c.instructions.load(kRelaxed);
+          o.stall_frontend += c.stall_frontend.load(kRelaxed);
+          o.stall_backend += c.stall_backend.load(kRelaxed);
+          o.llc_misses += c.llc_misses.load(kRelaxed);
+          o.branch_misses += c.branch_misses.load(kRelaxed);
+        }
       }
     }
+    s.slow_requests += sh->slow_requests.load(kRelaxed);
+    s.result_cache_hits += sh->result_cache_hits.load(kRelaxed);
+    s.result_cache_misses += sh->result_cache_misses.load(kRelaxed);
+    s.result_cache_evictions += sh->result_cache_evictions.load(kRelaxed);
+    s.coalesced += sh->coalesced.load(kRelaxed);
+    s.server_connections += sh->server_connections.load(kRelaxed);
+    s.server_frames_rx += sh->server_frames_rx.load(kRelaxed);
+    s.server_frames_tx += sh->server_frames_tx.load(kRelaxed);
+    s.server_bytes_rx += sh->server_bytes_rx.load(kRelaxed);
+    s.server_bytes_tx += sh->server_bytes_tx.load(kRelaxed);
+    s.server_protocol_errors += sh->server_protocol_errors.load(kRelaxed);
+    s.server_http_scrapes += sh->server_http_scrapes.load(kRelaxed);
+    for (int t = 0; t < MetricsSnapshot::kQosTiers; ++t)
+      for (int sc = 0; sc < MetricsSnapshot::kScenarios; ++sc)
+        s.tier_requests[t][sc] += sh->tier_requests[t][sc].load(kRelaxed);
+    for (int b = 0; b < MetricsSnapshot::kLengthBins; ++b)
+      s.query_length_bins[b] += sh->query_length_bins[b].load(kRelaxed);
   }
-  s.slow_requests = slow_requests_.load(kRelaxed);
-  s.result_cache_hits = result_cache_hits_.load(kRelaxed);
-  s.result_cache_misses = result_cache_misses_.load(kRelaxed);
-  s.result_cache_evictions = result_cache_evictions_.load(kRelaxed);
-  s.coalesced = coalesced_.load(kRelaxed);
-  s.server_connections = server_connections_.load(kRelaxed);
-  s.server_frames_rx = server_frames_rx_.load(kRelaxed);
-  s.server_frames_tx = server_frames_tx_.load(kRelaxed);
-  s.server_bytes_rx = server_bytes_rx_.load(kRelaxed);
-  s.server_bytes_tx = server_bytes_tx_.load(kRelaxed);
-  s.server_protocol_errors = server_protocol_errors_.load(kRelaxed);
-  s.server_http_scrapes = server_http_scrapes_.load(kRelaxed);
-  for (int t = 0; t < MetricsSnapshot::kQosTiers; ++t) {
-    for (int sc = 0; sc < MetricsSnapshot::kScenarios; ++sc)
-      s.tier_requests[t][sc] = tier_requests_[t][sc].load(kRelaxed);
-    s.tier_latency[t] = tier_latency_[t].snapshot();
-  }
-  for (int b = 0; b < MetricsSnapshot::kLengthBins; ++b)
-    s.query_length_bins[b] = query_length_bins_[b].load(kRelaxed);
+  s.kernel_seconds = static_cast<double>(kernel_ns) * 1e-9;
+
+  // Each histogram family sums its per-shard histograms.
+  const auto family = [&](auto member) {
+    std::array<const LatencyHistogram*, kThreadShards> parts{};
+    for (size_t i = 0; i < n; ++i) parts[i] = &member(*live[i]);
+    return LatencyHistogram::sum({parts.data(), n});
+  };
+  for (int t = 0; t < MetricsSnapshot::kQosTiers; ++t)
+    s.tier_latency[t] = family(
+        [t](const Shard& sh) -> const LatencyHistogram& {
+          return sh.tier_latency[t];
+        });
+  s.queue_wait = family(
+      [](const Shard& sh) -> const LatencyHistogram& { return sh.queue_wait; });
+  s.kernel_time = family(
+      [](const Shard& sh) -> const LatencyHistogram& { return sh.kernel_time; });
+
   const uint64_t now_s = elapsed_s();
   uint64_t wcells = 0, wns = 0;
-  for (const WindowBucket& b : window_) {
-    const uint64_t e = b.epoch_s.load(kRelaxed);
-    if (e != kNoEpoch && e <= now_s &&
-        now_s - e < static_cast<uint64_t>(MetricsSnapshot::kWindowSeconds)) {
-      wcells += b.cells.load(kRelaxed);
-      wns += b.kernel_ns.load(kRelaxed);
+  for (const Shard* sh : shards) {
+    for (const WindowBucket& b : sh->window) {
+      const uint64_t e = b.epoch_s.load(kRelaxed);
+      if (e != kNoEpoch && e <= now_s &&
+          now_s - e < static_cast<uint64_t>(MetricsSnapshot::kWindowSeconds)) {
+        wcells += b.cells.load(kRelaxed);
+        wns += b.kernel_ns.load(kRelaxed);
+      }
     }
   }
   s.window_cells = wcells;
   s.window_kernel_seconds = static_cast<double>(wns) * 1e-9;
   s.uptime_seconds =
       std::chrono::duration<double>(Clock::now() - start_).count();
-  s.queue_wait = queue_wait_.snapshot();
-  s.kernel_time = kernel_time_.snapshot();
   return s;
 }
 

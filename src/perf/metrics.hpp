@@ -1,11 +1,14 @@
 // Service observability: lock-free counters and latency/GCUPS histograms.
 //
 // A MetricsRegistry is owned by service::AlignService and updated from its
-// executor threads with relaxed atomics — recording a sample is a handful
-// of fetch_adds, cheap enough to sit on the per-request path. snapshot()
-// gives a consistent-enough point-in-time copy for dashboards/CLI dumps
-// (counters are read individually; exactness across counters is not
-// required for monitoring).
+// executor threads and from the submitting threads of inline runs with
+// relaxed atomics — recording a sample is a handful of fetch_adds, cheap
+// enough to sit on the per-request path. Every counter, histogram, window
+// bucket and PMU cell lives in a cache-line-aligned per-thread shard, so
+// concurrent recorders do not write one cache line. snapshot() sums the
+// shards into a point-in-time copy for dashboards/CLI dumps: totals are
+// exact once recording stops, but counters are read individually, so a
+// snapshot taken mid-flight is not atomic across families.
 //
 // Every rendering of a MetricsSnapshot (Prometheus text exposition, plain
 // text, JSON) lives in obs/exporters.hpp.
@@ -16,6 +19,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <span>
 
 #include "simd/cpu.hpp"
 
@@ -70,6 +74,10 @@ class LatencyHistogram {
     static Snapshot merge(const Snapshot& a, const Snapshot& b) noexcept;
   };
   Snapshot snapshot() const noexcept;
+  /// Snapshot of the samples of all `parts` together: the raw buckets,
+  /// counts and sums add before the mean and percentiles are computed, so
+  /// the result is what one histogram fed every sample would report.
+  static Snapshot sum(std::span<const LatencyHistogram* const> parts) noexcept;
 
  private:
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
@@ -447,46 +455,74 @@ struct ProcessMemory {
 };
 ProcessMemory read_process_memory() noexcept;
 
+namespace detail {
+/// Registry shard index of the calling thread (kNoShard until it first
+/// records into any registry).
+inline constexpr unsigned kNoShard = ~0u;
+inline constinit thread_local unsigned t_metrics_shard = kNoShard;
+/// Next index from the process-wide round-robin counter.
+unsigned next_metrics_shard() noexcept;
+}  // namespace detail
+
 /// Atomic counters + histograms; one per AlignService. All members are
-/// individually thread-safe; see MetricsSnapshot for the read side.
+/// thread-safe; see MetricsSnapshot for the read side.
+///
+/// Storage is sharded by recording thread: a thread takes a shard index
+/// once, round-robin from one process-wide counter, and records into that
+/// shard of every registry. Shard 0 exists from construction; the others
+/// are allocated when a thread first records into them. Threads beyond
+/// kThreadShards share shards, still with atomics, so totals stay exact.
 class MetricsRegistry {
  public:
   enum class Scenario : int { Pairwise = 0, Search = 1, Batch = 2 };
 
-  MetricsRegistry() : start_(Clock::now()) {}
+  /// Shards per registry (at most this many threads record without
+  /// sharing a cache line).
+  static constexpr unsigned kThreadShards = 16;
 
-  void on_submitted() noexcept { submitted_.fetch_add(1, kRelaxed); }
-  void on_inline_run() noexcept { inline_runs_.fetch_add(1, kRelaxed); }
+  MetricsRegistry();
+  ~MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  void on_submitted() noexcept { shard().submitted.fetch_add(1, kRelaxed); }
+  void on_inline_run() noexcept { shard().inline_runs.fetch_add(1, kRelaxed); }
   void on_rejected_queue_full() noexcept {
-    rejected_queue_full_.fetch_add(1, kRelaxed);
+    shard().rejected_queue_full.fetch_add(1, kRelaxed);
   }
   void on_deadline_expired() noexcept {
-    deadline_expired_.fetch_add(1, kRelaxed);
+    shard().deadline_expired.fetch_add(1, kRelaxed);
   }
-  void on_invalid_request() noexcept { invalid_request_.fetch_add(1, kRelaxed); }
-  void on_aborted() noexcept { aborted_.fetch_add(1, kRelaxed); }
+  void on_invalid_request() noexcept {
+    shard().invalid_request.fetch_add(1, kRelaxed);
+  }
+  void on_aborted() noexcept { shard().aborted.fetch_add(1, kRelaxed); }
 
-  void on_queue_wait(double seconds) noexcept { queue_wait_.record(seconds); }
+  void on_queue_wait(double seconds) noexcept {
+    shard().queue_wait.record(seconds);
+  }
 
   void on_completed(Scenario s, double kernel_seconds,
                     uint64_t cells) noexcept {
-    // Release pairs with snapshot()'s acquire loads, which read the
-    // scenario counters before completed_, so a snapshot never shows more
-    // per-scenario completions than total completions.
-    completed_.fetch_add(1, kRelaxed);
-    by_scenario_[static_cast<int>(s)].fetch_add(1, std::memory_order_release);
-    cells_.fetch_add(cells, kRelaxed);
+    Shard& sh = shard();
+    // Release pairs with snapshot()'s acquire loads, which read a shard's
+    // scenario counters before its completed count, so a snapshot never
+    // shows more per-scenario completions than total completions.
+    sh.completed.fetch_add(1, kRelaxed);
+    sh.by_scenario[static_cast<int>(s)].fetch_add(1, std::memory_order_release);
+    sh.cells.fetch_add(cells, kRelaxed);
     const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
-    kernel_ns_.fetch_add(ns, kRelaxed);
-    kernel_time_.record(kernel_seconds);
-    window_record(cells, ns);
+    sh.kernel_ns.fetch_add(ns, kRelaxed);
+    sh.kernel_time.record(kernel_seconds);
+    window_record(sh, cells, ns);
   }
 
   /// Record the batch kernel's padded vs useful 8-bit cell counts for one
   /// completed batch-path request (see core::BatchSearchStats).
   void on_batch_packing(uint64_t cells8, uint64_t useful_cells8) noexcept {
-    batch_cells8_.fetch_add(cells8, kRelaxed);
-    batch_useful_cells8_.fetch_add(useful_cells8, kRelaxed);
+    Shard& sh = shard();
+    sh.batch_cells8.fetch_add(cells8, kRelaxed);
+    sh.batch_useful_cells8.fetch_add(useful_cells8, kRelaxed);
   }
 
   /// Fold one span's hardware-counter deltas into the ISA×kernel×width
@@ -499,7 +535,7 @@ class MetricsRegistry {
     if (i >= static_cast<size_t>(MetricsSnapshot::kIsas) ||
         k >= static_cast<size_t>(MetricsSnapshot::kKernelVariants))
       return;
-    PmuCell& c = pmu_[i][k][MetricsSnapshot::width_index(width_bits)];
+    PmuCell& c = shard().pmu[i][k][MetricsSnapshot::width_index(width_bits)];
     c.samples.fetch_add(d.samples, kRelaxed);
     c.wall_ns.fetch_add(d.wall_ns, kRelaxed);
     c.cycles.fetch_add(d.cycles, kRelaxed);
@@ -511,35 +547,39 @@ class MetricsRegistry {
   }
 
   /// The watchdog flagged a request as exceeding the latency SLO.
-  void on_slow_request() noexcept { slow_requests_.fetch_add(1, kRelaxed); }
+  void on_slow_request() noexcept {
+    shard().slow_requests.fetch_add(1, kRelaxed);
+  }
 
   // Serving front-door events (recorded by net::Server).
   void on_result_cache_hit() noexcept {
-    result_cache_hits_.fetch_add(1, kRelaxed);
+    shard().result_cache_hits.fetch_add(1, kRelaxed);
   }
   void on_result_cache_miss() noexcept {
-    result_cache_misses_.fetch_add(1, kRelaxed);
+    shard().result_cache_misses.fetch_add(1, kRelaxed);
   }
   void on_result_cache_eviction() noexcept {
-    result_cache_evictions_.fetch_add(1, kRelaxed);
+    shard().result_cache_evictions.fetch_add(1, kRelaxed);
   }
-  void on_coalesced() noexcept { coalesced_.fetch_add(1, kRelaxed); }
+  void on_coalesced() noexcept { shard().coalesced.fetch_add(1, kRelaxed); }
   void on_connection_accepted() noexcept {
-    server_connections_.fetch_add(1, kRelaxed);
+    shard().server_connections.fetch_add(1, kRelaxed);
   }
   void on_frame_rx(uint64_t bytes) noexcept {
-    server_frames_rx_.fetch_add(1, kRelaxed);
-    server_bytes_rx_.fetch_add(bytes, kRelaxed);
+    Shard& sh = shard();
+    sh.server_frames_rx.fetch_add(1, kRelaxed);
+    sh.server_bytes_rx.fetch_add(bytes, kRelaxed);
   }
   void on_frame_tx(uint64_t bytes) noexcept {
-    server_frames_tx_.fetch_add(1, kRelaxed);
-    server_bytes_tx_.fetch_add(bytes, kRelaxed);
+    Shard& sh = shard();
+    sh.server_frames_tx.fetch_add(1, kRelaxed);
+    sh.server_bytes_tx.fetch_add(bytes, kRelaxed);
   }
   void on_protocol_error() noexcept {
-    server_protocol_errors_.fetch_add(1, kRelaxed);
+    shard().server_protocol_errors.fetch_add(1, kRelaxed);
   }
   void on_http_scrape() noexcept {
-    server_http_scrapes_.fetch_add(1, kRelaxed);
+    shard().server_http_scrapes.fetch_add(1, kRelaxed);
   }
 
   /// One completed request attributed to its QoS tier: scenario count plus
@@ -551,14 +591,15 @@ class MetricsRegistry {
     if (t >= static_cast<size_t>(MetricsSnapshot::kQosTiers) ||
         sc >= static_cast<size_t>(MetricsSnapshot::kScenarios))
       return;
-    tier_requests_[t][sc].fetch_add(1, kRelaxed);
-    tier_latency_[t].record(total_s);
+    Shard& sh = shard();
+    sh.tier_requests[t][sc].fetch_add(1, kRelaxed);
+    sh.tier_latency[t].record(total_s);
   }
 
   /// Bucket one accepted query's length into its workload regime.
   void on_query_length(uint64_t residues) noexcept {
-    query_length_bins_[MetricsSnapshot::length_bin_of(residues)].fetch_add(
-        1, kRelaxed);
+    shard().query_length_bins[MetricsSnapshot::length_bin_of(residues)]
+        .fetch_add(1, kRelaxed);
   }
 
   /// Attribute a completed request to the dispatch target that served it
@@ -571,8 +612,9 @@ class MetricsRegistry {
     if (i >= static_cast<size_t>(MetricsSnapshot::kIsas) ||
         k >= static_cast<size_t>(MetricsSnapshot::kKernelVariants))
       return;
-    target_requests_[i][k].fetch_add(1, kRelaxed);
-    target_cells_[i][k].fetch_add(cells, kRelaxed);
+    Shard& sh = shard();
+    sh.target_requests[i][k].fetch_add(1, kRelaxed);
+    sh.target_cells[i][k].fetch_add(cells, kRelaxed);
   }
 
   MetricsSnapshot snapshot() const noexcept;
@@ -602,21 +644,88 @@ class MetricsRegistry {
     std::atomic<uint64_t> branch_misses{0};
   };
 
+  /// Everything one group of recording threads writes, on cache lines of
+  /// its own.
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> submitted{0};
+    std::atomic<uint64_t> inline_runs{0};
+    std::atomic<uint64_t> completed{0};
+    std::atomic<uint64_t> rejected_queue_full{0};
+    std::atomic<uint64_t> deadline_expired{0};
+    std::atomic<uint64_t> invalid_request{0};
+    std::atomic<uint64_t> aborted{0};
+    std::array<std::atomic<uint64_t>, MetricsSnapshot::kScenarios>
+        by_scenario{};
+    std::atomic<uint64_t> cells{0};
+    std::atomic<uint64_t> kernel_ns{0};
+    std::atomic<uint64_t> batch_cells8{0};
+    std::atomic<uint64_t> batch_useful_cells8{0};
+    std::array<std::array<std::atomic<uint64_t>,
+                          MetricsSnapshot::kKernelVariants>,
+               MetricsSnapshot::kIsas>
+        target_requests{};
+    std::array<std::array<std::atomic<uint64_t>,
+                          MetricsSnapshot::kKernelVariants>,
+               MetricsSnapshot::kIsas>
+        target_cells{};
+    std::array<std::array<std::array<PmuCell, MetricsSnapshot::kWidths>,
+                          MetricsSnapshot::kKernelVariants>,
+               MetricsSnapshot::kIsas>
+        pmu{};
+    std::atomic<uint64_t> slow_requests{0};
+    std::atomic<uint64_t> result_cache_hits{0};
+    std::atomic<uint64_t> result_cache_misses{0};
+    std::atomic<uint64_t> result_cache_evictions{0};
+    std::atomic<uint64_t> coalesced{0};
+    std::atomic<uint64_t> server_connections{0};
+    std::atomic<uint64_t> server_frames_rx{0};
+    std::atomic<uint64_t> server_frames_tx{0};
+    std::atomic<uint64_t> server_bytes_rx{0};
+    std::atomic<uint64_t> server_bytes_tx{0};
+    std::atomic<uint64_t> server_protocol_errors{0};
+    std::atomic<uint64_t> server_http_scrapes{0};
+    std::array<std::array<std::atomic<uint64_t>, MetricsSnapshot::kScenarios>,
+               MetricsSnapshot::kQosTiers>
+        tier_requests{};
+    std::array<std::atomic<uint64_t>, MetricsSnapshot::kLengthBins>
+        query_length_bins{};
+    std::array<LatencyHistogram, MetricsSnapshot::kQosTiers> tier_latency;
+    std::array<WindowBucket, kWindowBuckets> window{};
+    LatencyHistogram queue_wait;
+    LatencyHistogram kernel_time;
+  };
+
+  /// The calling thread's shard of this registry.
+  Shard& shard() noexcept {
+    const unsigned i = thread_shard_index();
+    Shard* s = shards_[i].load(std::memory_order_acquire);
+    return s != nullptr ? *s : add_shard(i);
+  }
+  /// The calling thread's shard index, the same in every registry.
+  static unsigned thread_shard_index() noexcept {
+    unsigned& i = detail::t_metrics_shard;
+    if (i == detail::kNoShard) i = detail::next_metrics_shard();
+    return i;
+  }
+  /// Allocate shard `i` on first use (shard 0 when allocation fails).
+  Shard& add_shard(unsigned i) noexcept;
+
   uint64_t elapsed_s() const noexcept {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(Clock::now() - start_)
             .count());
   }
 
-  void window_record(uint64_t cells, uint64_t ns) noexcept {
+  void window_record(Shard& sh, uint64_t cells, uint64_t ns) noexcept {
     const uint64_t now_s = elapsed_s();
-    WindowBucket& b = window_[now_s % kWindowBuckets];
+    WindowBucket& b = sh.window[now_s % kWindowBuckets];
     uint64_t e = b.epoch_s.load(kRelaxed);
     if (e != now_s &&
         b.epoch_s.compare_exchange_strong(e, now_s, kRelaxed, kRelaxed)) {
       // This thread rolled the bucket over; reset it. A concurrent recorder
-      // that raced between the CAS and these stores can lose its sample —
-      // a once-per-second monitoring-grade race, not a data race.
+      // sharing the shard that raced between the CAS and these stores can
+      // lose its sample — a once-per-second monitoring-grade race, not a
+      // data race.
       b.cells.store(0, kRelaxed);
       b.kernel_ns.store(0, kRelaxed);
     }
@@ -624,49 +733,7 @@ class MetricsRegistry {
     b.kernel_ns.fetch_add(ns, kRelaxed);
   }
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> inline_runs_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
-  std::atomic<uint64_t> deadline_expired_{0};
-  std::atomic<uint64_t> invalid_request_{0};
-  std::atomic<uint64_t> aborted_{0};
-  std::array<std::atomic<uint64_t>, 3> by_scenario_{};
-  std::atomic<uint64_t> cells_{0};
-  std::atomic<uint64_t> kernel_ns_{0};
-  std::atomic<uint64_t> batch_cells8_{0};
-  std::atomic<uint64_t> batch_useful_cells8_{0};
-  std::array<std::array<std::atomic<uint64_t>, MetricsSnapshot::kKernelVariants>,
-             MetricsSnapshot::kIsas>
-      target_requests_{};
-  std::array<std::array<std::atomic<uint64_t>, MetricsSnapshot::kKernelVariants>,
-             MetricsSnapshot::kIsas>
-      target_cells_{};
-  std::array<std::array<std::array<PmuCell, MetricsSnapshot::kWidths>,
-                        MetricsSnapshot::kKernelVariants>,
-             MetricsSnapshot::kIsas>
-      pmu_{};
-  std::atomic<uint64_t> slow_requests_{0};
-  std::atomic<uint64_t> result_cache_hits_{0};
-  std::atomic<uint64_t> result_cache_misses_{0};
-  std::atomic<uint64_t> result_cache_evictions_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> server_connections_{0};
-  std::atomic<uint64_t> server_frames_rx_{0};
-  std::atomic<uint64_t> server_frames_tx_{0};
-  std::atomic<uint64_t> server_bytes_rx_{0};
-  std::atomic<uint64_t> server_bytes_tx_{0};
-  std::atomic<uint64_t> server_protocol_errors_{0};
-  std::atomic<uint64_t> server_http_scrapes_{0};
-  std::array<std::array<std::atomic<uint64_t>, MetricsSnapshot::kScenarios>,
-             MetricsSnapshot::kQosTiers>
-      tier_requests_{};
-  std::array<std::atomic<uint64_t>, MetricsSnapshot::kLengthBins>
-      query_length_bins_{};
-  std::array<LatencyHistogram, MetricsSnapshot::kQosTiers> tier_latency_;
-  std::array<WindowBucket, kWindowBuckets> window_{};
-  LatencyHistogram queue_wait_;
-  LatencyHistogram kernel_time_;
+  std::array<std::atomic<Shard*>, kThreadShards> shards_{};
   Clock::time_point start_;
 };
 

@@ -24,17 +24,27 @@ int alphabet_codes(const Seqs& seqs) {
   return codes;
 }
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+/// Seconds between two obs::steady_now_ns() readings.
+double seconds_between(uint64_t t0_ns, uint64_t t1_ns) {
+  return static_cast<double>(t1_ns - t0_ns) / 1e9;
 }
 
-/// A steady_clock time_point on the obs::steady_now_ns() scale (both are
-/// steady_clock nanoseconds since the same epoch); 0 for the null deadline.
-uint64_t deadline_to_ns(Clock::time_point deadline) {
-  const auto since = deadline.time_since_epoch();
-  if (since.count() == 0) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(since).count());
+/// An obs::steady_now_ns() value as a steady_clock time_point (both are
+/// steady_clock nanoseconds since the same epoch); 0 stays the null point.
+Clock::time_point steady_time_point(uint64_t ns) {
+  return Clock::time_point(std::chrono::duration_cast<Clock::duration>(
+      std::chrono::nanoseconds(ns)));
+}
+
+/// A steady_now_ns() value on a sink's trace time base.
+uint64_t sink_ns(const obs::TraceSink& sink, uint64_t steady_ns) {
+  return steady_ns > sink.epoch_steady_ns() ? steady_ns - sink.epoch_steady_ns()
+                                            : 0;
+}
+
+core::ConfigError shut_down_before_run() {
+  return core::ConfigError{Code::ShuttingDown,
+                           "AlignService: shut down before run"};
 }
 
 uint16_t dp_width_bits(core::Width w) {
@@ -68,6 +78,10 @@ AlignService::AlignService(InitTag, ServiceOptions options)
         opt_.cache.query_cache_capacity);
   inflight_ = std::make_unique<obs::InFlightTable>(
       opt_.queue.executors + std::max(1u, std::thread::hardware_concurrency()));
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    publish_admission_locked();  // start_paused: nothing runs inline yet
+  }
   if (opt_.obs.slow_request_slo_s > 0) {
     obs::WatchdogOptions wo;
     wo.slo_s = opt_.obs.slow_request_slo_s;
@@ -159,6 +173,7 @@ AlignService::~AlignService() {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
     for (int t = 0; t < kQosTiers; ++t) leftover[t].swap(queues_[t]);
+    publish_admission_locked();
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
@@ -244,8 +259,9 @@ double AlignService::model_ghz() {
   return g;
 }
 
+template <typename Work>
 std::optional<perf::TopDownResult> AlignService::maybe_topdown(
-    const std::function<void()>& work, uint64_t est_cells) {
+    Work&& work, uint64_t est_cells) {
   if (opt_.obs.topdown_every_n == 0 ||
       topdown_seq_.fetch_add(1, std::memory_order_relaxed) %
               opt_.obs.topdown_every_n !=
@@ -260,7 +276,7 @@ std::optional<perf::TopDownResult> AlignService::maybe_topdown(
   model.instructions = est_cells > 0 ? est_cells : 1;
   model.mem_bytes = est_cells / 8 + 1;
   model.ghz = model_ghz();
-  return perf::topdown_analyze(work, model);
+  return perf::topdown_analyze(std::function<void()>(work), model);
 }
 
 size_t AlignService::queued_locked() const {
@@ -288,14 +304,24 @@ size_t AlignService::queue_depth() const {
 void AlignService::pause() {
   std::lock_guard<std::mutex> lk(mu_);
   paused_ = true;
+  publish_admission_locked();
 }
 
 void AlignService::resume() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     paused_ = false;
+    publish_admission_locked();
   }
   work_cv_.notify_all();
+}
+
+void AlignService::publish_admission_locked() {
+  const uint64_t busy = std::min<uint64_t>(busy_, (uint64_t{1} << 30) - 1);
+  const uint64_t queued = std::min<uint64_t>(queued_locked(), ~uint32_t{0});
+  admission_.value.store(uint64_t{stop_} | uint64_t{paused_} << 1 |
+                             busy << 2 | queued << 32,
+                         std::memory_order_release);
 }
 
 void AlignService::executor_loop(unsigned index) {
@@ -307,39 +333,20 @@ void AlignService::executor_loop(unsigned index) {
     {
       Task t = pop_locked();
       ++busy_;
+      publish_admission_locked();
       lk.unlock();
       space_cv_.notify_one();
-      execute(t, index);
+      // Occupy this executor's in-flight slot for the run: the watchdog's
+      // and flight recorder's view of "what is executing right now".
+      obs::InFlightTable::Guard slot(*inflight_, index, t.id, t.scenario,
+                                     t.deadline_ns);
+      if (opt_.before_execute_hook) opt_.before_execute_hook();
+      t.run(/*aborted=*/false);
     }  // the task and its captures die outside the lock
     lk.lock();
     --busy_;
+    publish_admission_locked();
   }
-}
-
-bool AlignService::execute(Task& t, std::optional<unsigned> executor) {
-  // Occupy an in-flight slot for the run: the watchdog's and flight
-  // recorder's view of "what is executing right now".
-  obs::InFlightTable::Guard slot =
-      executor ? obs::InFlightTable::Guard(*inflight_, *executor, t.id,
-                                           t.scenario, t.deadline_ns)
-               : inflight_->claim(opt_.queue.executors, t.id, t.scenario,
-                                  t.deadline_ns);
-  if (!slot) return false;
-  if (!executor) {
-    metrics_.on_submitted();
-    metrics_.on_inline_run();
-  }
-  if (opt_.before_execute_hook) opt_.before_execute_hook();
-  t.run(/*aborted=*/false);
-  return true;
-}
-
-bool AlignService::try_run_inline(Task& t) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || paused_ || busy_ > 0 || queued_locked() > 0) return false;
-  }
-  return execute(t, std::nullopt);
 }
 
 obs::TraceContext AlignService::trace_context(uint64_t trace_id) noexcept {
@@ -356,7 +363,7 @@ obs::TraceContext AlignService::trace_context(uint64_t trace_id) noexcept {
 uint64_t AlignService::next_request_id() noexcept {
   return opt_.obs.trace_sink != nullptr
              ? opt_.obs.trace_sink->next_trace_id()
-             : request_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
+             : request_ids_.value.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 bool AlignService::enqueue(
@@ -389,6 +396,7 @@ bool AlignService::enqueue(
     return false;
   }
   queues_[static_cast<size_t>(task.tier)].push_back(std::move(task));
+  publish_admission_locked();
   metrics_.on_submitted();
   lk.unlock();
   work_cv_.notify_one();
@@ -425,6 +433,7 @@ std::optional<core::ConfigError> AlignService::batch_lanes_error(
 
 RequestTrace AlignService::make_trace(Scenario scenario,
                                       const core::AlignConfig& cfg,
+                                      simd::Isa isa, core::Width width,
                                       double queue_wait_s, double kernel_s,
                                       uint64_t cells, uint64_t retries) const {
   RequestTrace tr;
@@ -433,115 +442,148 @@ RequestTrace AlignService::make_trace(Scenario scenario,
   tr.kernel_s = kernel_s;
   tr.cells = cells;
   tr.saturation_retries = retries;
-  tr.isa = simd::resolve_isa(cfg.isa);
-  tr.delivery = core::delivery_for(cfg, tr.isa, cfg.width);
+  tr.isa = isa;
+  tr.delivery = core::delivery_for(cfg, isa, width);
   return tr;
 }
 
-void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
-  auto cb = std::make_shared<AlignCompletion>(std::move(done));
-  auto rq = std::make_shared<AlignRequest>(std::move(request));
-  metrics_.on_query_length(rq->query.length());
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      rq->options.deadline ? submitted + *rq->options.deadline
-                           : Clock::time_point{};
-  obs::TraceSink* const sink = opt_.obs.trace_sink;
+AlignService::Stamp AlignService::stamp(const RequestOptions& options) noexcept {
+  Stamp st;
   // A caller-propagated trace id (wire tracing) wins over a local one so
   // client and server spans share a single id end to end.
-  const uint64_t trace_id =
-      rq->options.trace_id != 0 ? rq->options.trace_id : next_request_id();
-  const uint64_t t_sub_ns = sink ? sink->now_ns() : 0;
-  const uint64_t est_cells =
-      static_cast<uint64_t>(rq->query.length()) * rq->reference.length();
+  st.trace_id = options.trace_id != 0 ? options.trace_id : next_request_id();
+  st.submit_ns = obs::steady_now_ns();
+  if (options.deadline)
+    st.deadline_ns =
+        st.submit_ns +
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                *options.deadline)
+                .count());
+  return st;
+}
 
+core::ErrorOr<double> AlignService::begin_run(const Stamp& st,
+                                              uint64_t now_ns) {
+  if (obs::TraceSink* sink = opt_.obs.trace_sink; sink != nullptr)
+    sink->record_span("queue_wait", st.trace_id, sink_ns(*sink, st.submit_ns),
+                      sink_ns(*sink, now_ns));
+  const double qwait = seconds_between(st.submit_ns, now_ns);
+  metrics_.on_queue_wait(qwait);
+  if (st.deadline_ns != 0 && now_ns >= st.deadline_ns) {
+    metrics_.on_deadline_expired();
+    obs::log_warn("service.deadline_expired", {{"trace_id", st.trace_id},
+                                               {"where", "queue"},
+                                               {"queue_wait_s", qwait}});
+    return core::ConfigError{Code::DeadlineExceeded,
+                             "AlignService: deadline expired in queue"};
+  }
+  return qwait;
+}
+
+void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
+  metrics_.on_query_length(request.query.length());
+  const Stamp st = stamp(request.options);
+  const uint64_t cells =
+      static_cast<uint64_t>(request.query.length()) * request.reference.length();
+  if (cells <= kInlineMaxCells && admits_inline()) {
+    // Caller-runs: the request and `done` stay where they are, and the
+    // in-flight entry starts at the submit instant.
+    obs::InFlightTable::Guard slot =
+        inflight_->claim(opt_.queue.executors, st.trace_id,
+                         obs::Scenario::Pairwise, st.deadline_ns, st.submit_ns);
+    if (slot) {
+      metrics_.on_submitted();
+      metrics_.on_inline_run();
+      if (opt_.before_execute_hook) opt_.before_execute_hook();
+      run_pairwise(request, done, st);
+      return;
+    }
+  }
+  auto cb = std::make_shared<AlignCompletion>(std::move(done));
+  auto rq = std::make_shared<AlignRequest>(std::move(request));
   Task task;
-  task.run = [this, cb, rq, submitted, deadline, sink, trace_id, t_sub_ns,
-              est_cells](bool aborted) {
+  task.run = [this, cb, rq, st](bool aborted) {
     if (aborted) {
-      (*cb)(core::ConfigError{Code::ShuttingDown,
-                              "AlignService: shut down before run"});
+      (*cb)(shut_down_before_run());
       return;
     }
-    const obs::TraceContext tctx = trace_context(trace_id);
-    if (sink) sink->record_span("queue_wait", trace_id, t_sub_ns, sink->now_ns());
-    const double qwait = seconds_since(submitted);
-    metrics_.on_queue_wait(qwait);
-    if (deadline.time_since_epoch().count() != 0 && Clock::now() >= deadline) {
-      metrics_.on_deadline_expired();
-      obs::log_warn("service.deadline_expired",
-                    {{"trace_id", trace_id},
-                     {"where", "queue"},
-                     {"queue_wait_s", qwait}});
-      (*cb)(core::ConfigError{Code::DeadlineExceeded,
-                              "AlignService: deadline expired in queue"});
-      return;
-    }
-    auto cfg_or = effective_config(
-        rq->options, std::max(rq->query.alphabet().size(),
-                              rq->reference.alphabet().size()));
-    if (!cfg_or) {
-      metrics_.on_invalid_request();
-      obs::log_warn("service.invalid_request",
-                    {{"trace_id", trace_id},
-                     {"message", cfg_or.error().message}});
-      (*cb)(cfg_or.error());
-      return;
-    }
-    core::AlignConfig cfg = *cfg_or;
-    if (rq->options.traceback) cfg.traceback = *rq->options.traceback;
-
-    obs::Span dispatch(tctx, "dispatch.pairwise");
-    perf::Stopwatch sw;
-    core::Alignment a;
-    std::optional<perf::TopDownResult> td;
-    try {
-      td = maybe_topdown(
-          [&] {
-            // One per executor or inline caller thread. The kernel builds
-            // its query feed here: a pair is too small for the query-state
-            // cache's lookup to pay (results are bit-identical either way).
-            thread_local core::Workspace ws;
-            obs::Span chunk(tctx, "chunk.pairwise");
-            chunk.set_kernel(perf::KernelVariant::Diagonal);
-            a = core::diag_align(rq->query, rq->reference, cfg, ws);
-            chunk.set_isa(a.isa_used);
-            chunk.set_width_bits(dp_width_bits(a.width_used));
-            chunk.add_cells(a.stats.cells);
-          },
-          est_cells);
-    } catch (const std::exception& e) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::Internal, e.what()});
-      return;
-    }
-    const double kernel_s = sw.seconds();
-    const uint64_t retries =
-        static_cast<uint64_t>(a.saturated_8) + static_cast<uint64_t>(a.saturated_16);
-    RequestTrace tr = make_trace(Scenario::Pairwise, cfg, qwait, kernel_s,
-                                 a.stats.cells, retries);
-    tr.exec_sequence = exec_sequence_.fetch_add(1, std::memory_order_relaxed);
-    tr.isa = a.isa_used;
-    tr.width_used = a.width_used;
-    tr.delivery = core::delivery_for(cfg, a.isa_used, a.width_used);
-    tr.trace_id = sink != nullptr ? trace_id : 0;
-    tr.topdown = std::move(td);
-    metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
-                          a.stats.cells);
-    metrics_.on_tier_completed(static_cast<unsigned>(rq->options.tier),
-                               perf::MetricsRegistry::Scenario::Pairwise,
-                               qwait + kernel_s);
-    metrics_.on_kernel_completed(a.isa_used, perf::KernelVariant::Diagonal,
-                                 a.stats.cells);
-    dispatch.end();
-    (*cb)(AlignResponse{std::move(a), tr});
+    run_pairwise(*rq, *cb, st);
   };
-  task.id = trace_id;
+  task.id = st.trace_id;
   task.scenario = obs::Scenario::Pairwise;
-  task.deadline_ns = deadline_to_ns(deadline);
+  task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
-  if (est_cells <= kInlineMaxCells && try_run_inline(task)) return;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
+}
+
+void AlignService::run_pairwise(const AlignRequest& rq,
+                                const AlignCompletion& done, const Stamp& st) {
+  // One clock read ends the queue wait and starts the dispatch span.
+  const uint64_t t_exec = obs::steady_now_ns();
+  core::ErrorOr<double> qwait = begin_run(st, t_exec);
+  if (!qwait) {
+    done(qwait.error());
+    return;
+  }
+  auto cfg_or = effective_config(
+      rq.options,
+      std::max(rq.query.alphabet().size(), rq.reference.alphabet().size()));
+  if (!cfg_or) {
+    metrics_.on_invalid_request();
+    obs::log_warn("service.invalid_request",
+                  {{"trace_id", st.trace_id},
+                   {"message", cfg_or.error().message}});
+    done(cfg_or.error());
+    return;
+  }
+  core::AlignConfig cfg = *cfg_or;
+  if (rq.options.traceback) cfg.traceback = *rq.options.traceback;
+
+  const obs::TraceContext tctx = trace_context(st.trace_id);
+  obs::Span dispatch(tctx, "dispatch.pairwise", t_exec);
+  core::Alignment a;
+  std::optional<perf::TopDownResult> td;
+  try {
+    td = maybe_topdown(
+        [&] {
+          // One per executor or inline caller thread. The kernel builds
+          // its query feed here: a pair is too small for the query-state
+          // cache's lookup to pay (results are bit-identical either way).
+          thread_local core::Workspace ws;
+          obs::Span chunk(tctx, "chunk.pairwise");
+          chunk.set_kernel(perf::KernelVariant::Diagonal);
+          a = core::diag_align(rq.query, rq.reference, cfg, ws);
+          chunk.set_isa(a.isa_used);
+          chunk.set_width_bits(dp_width_bits(a.width_used));
+          chunk.add_cells(a.stats.cells);
+        },
+        static_cast<uint64_t>(rq.query.length()) * rq.reference.length());
+  } catch (const std::exception& e) {
+    metrics_.on_invalid_request();
+    done(core::ConfigError{Code::Internal, e.what()});
+    return;
+  }
+  const double kernel_s = seconds_between(t_exec, obs::steady_now_ns());
+  const uint64_t retries = static_cast<uint64_t>(a.saturated_8) +
+                           static_cast<uint64_t>(a.saturated_16);
+  RequestTrace tr = make_trace(Scenario::Pairwise, cfg, a.isa_used,
+                               a.width_used, *qwait, kernel_s, a.stats.cells,
+                               retries);
+  tr.exec_sequence =
+      exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
+  tr.width_used = a.width_used;
+  tr.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
+  tr.topdown = std::move(td);
+  metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
+                        a.stats.cells);
+  metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
+                             perf::MetricsRegistry::Scenario::Pairwise,
+                             *qwait + kernel_s);
+  metrics_.on_kernel_completed(a.isa_used, perf::KernelVariant::Diagonal,
+                               a.stats.cells);
+  dispatch.end();
+  done(AlignResponse{std::move(a), std::move(tr)});
 }
 
 void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
@@ -555,39 +597,22 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
   auto cb = std::make_shared<SearchCompletion>(std::move(done));
   auto rq = std::make_shared<SearchRequest>(std::move(request));
   metrics_.on_query_length(rq->query.length());
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      rq->options.deadline ? submitted + *rq->options.deadline
-                           : Clock::time_point{};
-  obs::TraceSink* const sink = opt_.obs.trace_sink;
-  // A caller-propagated trace id (wire tracing) wins over a local one so
-  // client and server spans share a single id end to end.
-  const uint64_t trace_id =
-      rq->options.trace_id != 0 ? rq->options.trace_id : next_request_id();
-  const uint64_t t_sub_ns = sink ? sink->now_ns() : 0;
+  const Stamp st = stamp(rq->options);
 
   Task task;
-  task.run = [this, cb, rq, submitted, deadline, sink, trace_id,
-              t_sub_ns](bool aborted) {
+  task.run = [this, cb, rq, st](bool aborted) {
     if (aborted) {
-      (*cb)(core::ConfigError{Code::ShuttingDown,
-                              "AlignService: shut down before run"});
+      (*cb)(shut_down_before_run());
       return;
     }
-    const obs::TraceContext tctx = trace_context(trace_id);
-    if (sink) sink->record_span("queue_wait", trace_id, t_sub_ns, sink->now_ns());
-    const double qwait = seconds_since(submitted);
-    metrics_.on_queue_wait(qwait);
-    if (deadline.time_since_epoch().count() != 0 && Clock::now() >= deadline) {
-      metrics_.on_deadline_expired();
-      obs::log_warn("service.deadline_expired",
-                    {{"trace_id", trace_id},
-                     {"where", "queue"},
-                     {"queue_wait_s", qwait}});
-      (*cb)(core::ConfigError{Code::DeadlineExceeded,
-                              "AlignService: deadline expired in queue"});
+    const uint64_t t_exec = obs::steady_now_ns();
+    const core::ErrorOr<double> qwait_or = begin_run(st, t_exec);
+    if (!qwait_or) {
+      (*cb)(qwait_or.error());
       return;
     }
+    const double qwait = *qwait_or;
+    const uint64_t trace_id = st.trace_id;
     if (!db_) {
       metrics_.on_invalid_request();
       (*cb)(core::ConfigError{Code::NoDatabase,
@@ -615,12 +640,13 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
     }
     const size_t top_k = rq->options.top_k.value_or(opt_.default_top_k);
 
+    const obs::TraceContext tctx = trace_context(trace_id);
     align::ExecContext ctx;
     ctx.pool = &pool_;
     ctx.query_cache = query_cache_.get();
-    ctx.deadline = deadline;
+    ctx.deadline = steady_time_point(st.deadline_ns);
     ctx.trace = tctx;
-    obs::Span dispatch(tctx, "dispatch.search");
+    obs::Span dispatch(tctx, "dispatch.search", t_exec);
     const uint64_t est_cells =
         static_cast<uint64_t>(rq->query.length()) * db_->total_residues();
     align::SearchResult res;
@@ -645,10 +671,12 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
                               "AlignService: deadline expired mid-search"});
       return;
     }
-    RequestTrace tr = make_trace(Scenario::Search, cfg, qwait, res.seconds,
-                                 res.stats.cells, 0);
-    tr.exec_sequence = exec_sequence_.fetch_add(1, std::memory_order_relaxed);
-    tr.trace_id = sink != nullptr ? trace_id : 0;
+    RequestTrace tr =
+        make_trace(Scenario::Search, cfg, simd::resolve_isa(cfg.isa),
+                   cfg.width, qwait, res.seconds, res.stats.cells, 0);
+    tr.exec_sequence =
+        exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
+    tr.trace_id = opt_.obs.trace_sink != nullptr ? trace_id : 0;
     tr.topdown = std::move(td);
     metrics_.on_completed(perf::MetricsRegistry::Scenario::Search, res.seconds,
                           res.stats.cells);
@@ -664,11 +692,11 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
                                      : perf::KernelVariant::Diagonal,
                                  res.stats.cells);
     dispatch.end();
-    (*cb)(SearchResponse{std::move(res), tr});
+    (*cb)(SearchResponse{std::move(res), std::move(tr)});
   };
-  task.id = trace_id;
+  task.id = st.trace_id;
   task.scenario = obs::Scenario::Search;
-  task.deadline_ns = deadline_to_ns(deadline);
+  task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
 }
@@ -682,39 +710,22 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
   auto cb = std::make_shared<BatchCompletion>(std::move(done));
   auto rq = std::make_shared<BatchRequest>(std::move(request));
   for (const auto& q : rq->queries) metrics_.on_query_length(q.length());
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      rq->options.deadline ? submitted + *rq->options.deadline
-                           : Clock::time_point{};
-  obs::TraceSink* const sink = opt_.obs.trace_sink;
-  // A caller-propagated trace id (wire tracing) wins over a local one so
-  // client and server spans share a single id end to end.
-  const uint64_t trace_id =
-      rq->options.trace_id != 0 ? rq->options.trace_id : next_request_id();
-  const uint64_t t_sub_ns = sink ? sink->now_ns() : 0;
+  const Stamp st = stamp(rq->options);
 
   Task task;
-  task.run = [this, cb, rq, submitted, deadline, sink, trace_id,
-              t_sub_ns](bool aborted) {
+  task.run = [this, cb, rq, st](bool aborted) {
     if (aborted) {
-      (*cb)(core::ConfigError{Code::ShuttingDown,
-                              "AlignService: shut down before run"});
+      (*cb)(shut_down_before_run());
       return;
     }
-    const obs::TraceContext tctx = trace_context(trace_id);
-    if (sink) sink->record_span("queue_wait", trace_id, t_sub_ns, sink->now_ns());
-    const double qwait = seconds_since(submitted);
-    metrics_.on_queue_wait(qwait);
-    if (deadline.time_since_epoch().count() != 0 && Clock::now() >= deadline) {
-      metrics_.on_deadline_expired();
-      obs::log_warn("service.deadline_expired",
-                    {{"trace_id", trace_id},
-                     {"where", "queue"},
-                     {"queue_wait_s", qwait}});
-      (*cb)(core::ConfigError{Code::DeadlineExceeded,
-                              "AlignService: deadline expired in queue"});
+    const uint64_t t_exec = obs::steady_now_ns();
+    const core::ErrorOr<double> qwait_or = begin_run(st, t_exec);
+    if (!qwait_or) {
+      (*cb)(qwait_or.error());
       return;
     }
+    const double qwait = *qwait_or;
+    const uint64_t trace_id = st.trace_id;
     if (!db_) {
       metrics_.on_invalid_request();
       (*cb)(core::ConfigError{Code::NoDatabase,
@@ -748,12 +759,13 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
     }
     const size_t top_k = rq->options.top_k.value_or(opt_.default_top_k);
 
+    const obs::TraceContext tctx = trace_context(trace_id);
     align::ExecContext ctx;
     ctx.pool = &pool_;
     ctx.query_cache = query_cache_.get();
-    ctx.deadline = deadline;
+    ctx.deadline = steady_time_point(st.deadline_ns);
     ctx.trace = tctx;
-    obs::Span dispatch(tctx, "dispatch.batch");
+    obs::Span dispatch(tctx, "dispatch.batch", t_exec);
     uint64_t est_cells = 0;
     for (const auto& q : rq->queries)
       est_cells += static_cast<uint64_t>(q.length()) * db_->total_residues();
@@ -788,10 +800,12 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
                               "AlignService: deadline expired mid-batch"});
       return;
     }
-    RequestTrace tr = make_trace(Scenario::Batch, cfg, qwait, kernel_s, cells,
-                                 retries);
-    tr.exec_sequence = exec_sequence_.fetch_add(1, std::memory_order_relaxed);
-    tr.trace_id = sink != nullptr ? trace_id : 0;
+    RequestTrace tr =
+        make_trace(Scenario::Batch, cfg, simd::resolve_isa(cfg.isa), cfg.width,
+                   qwait, kernel_s, cells, retries);
+    tr.exec_sequence =
+        exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
+    tr.trace_id = opt_.obs.trace_sink != nullptr ? trace_id : 0;
     tr.topdown = std::move(td);
     metrics_.on_completed(perf::MetricsRegistry::Scenario::Batch, kernel_s,
                           cells);
@@ -801,11 +815,11 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
     if (cells8 > 0) metrics_.on_batch_packing(cells8, useful8);
     metrics_.on_kernel_completed(tr.isa, perf::KernelVariant::Batch32, cells);
     dispatch.end();
-    (*cb)(BatchResponse{std::move(results), tr});
+    (*cb)(BatchResponse{std::move(results), std::move(tr)});
   };
-  task.id = trace_id;
+  task.id = st.trace_id;
   task.scenario = obs::Scenario::Batch;
-  task.deadline_ns = deadline_to_ns(deadline);
+  task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
 }

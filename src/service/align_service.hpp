@@ -317,9 +317,12 @@ class AlignService {
   // kInlineMaxCells cells runs there, through the same execution path,
   // when the service is neither stopping nor paused, no request is queued
   // in any tier, no executor is running one, and an in-flight slot is free.
-  // It therefore never overtakes an earlier request. A caller must not hold
-  // a lock across submit_async that `done` also takes. This is the primary
-  // API — the network front door hangs its completion pump on it.
+  // It therefore never overtakes an earlier request. That admission check
+  // reads one atomic word and takes no lock, and the inline run uses the
+  // request and `done` in place on the caller's stack, allocating nothing
+  // of its own. A caller must not hold a lock across submit_async that
+  // `done` also takes. This is the primary API — the network front door
+  // hangs its completion pump on it.
   void submit_async(AlignRequest request, AlignCompletion done);
   void submit_async(SearchRequest request, SearchCompletion done);
   void submit_async(BatchRequest request, BatchCompletion done);
@@ -421,6 +424,8 @@ class AlignService {
   /// std::invalid_argument on a typed config error (shards > batches).
   void init_sharding();
 
+  /// A queued request. Only queued requests build one: an inline pairwise
+  /// run needs no Task.
   struct Task {
     /// Runs the request (aborted=true: fail the completion without running).
     std::function<void(bool aborted)> run;
@@ -459,17 +464,36 @@ class AlignService {
 
   void executor_loop(unsigned index);
 
-  /// Run `t` on this thread: in executor `executor`'s fixed in-flight slot,
-  /// or with no executor (an inline run) in a claimed one, counting the run
-  /// as submitted and inline. Returns false without running when no slot
-  /// is free. Executor and inline runs share this path, so the hook,
-  /// deadline check, spans, exec_sequence and metrics are the same.
-  bool execute(Task& t, std::optional<unsigned> executor);
+  /// Store the admission word from stop_, paused_, busy_ and the queued
+  /// count. Caller holds mu_; every change to those four publishes.
+  void publish_admission_locked();
 
-  /// Caller-runs admission: execute `t` inline when the service is neither
+  /// Caller-runs admission, lock-free: true when the service is neither
   /// stopping nor paused, nothing is queued in any tier and no executor is
-  /// busy. Returns false, `t` untouched, when it must be enqueued instead.
-  bool try_run_inline(Task& t);
+  /// busy, as of the last publish_admission_locked().
+  bool admits_inline() const noexcept {
+    return admission_.value.load(std::memory_order_acquire) == 0;
+  }
+
+  /// What every request carries from submit to execution: its id and, on
+  /// the obs::steady_now_ns() scale, when it was submitted and its absolute
+  /// deadline (0 = none).
+  struct Stamp {
+    uint64_t trace_id = 0;
+    uint64_t submit_ns = 0;
+    uint64_t deadline_ns = 0;
+  };
+  Stamp stamp(const RequestOptions& options) noexcept;
+
+  /// The start of every request body at `now_ns`: ends the queue_wait
+  /// span, records the wait and checks the deadline. Returns the wait in
+  /// seconds, or the DeadlineExceeded error to fail the request with.
+  core::ErrorOr<double> begin_run(const Stamp& st, uint64_t now_ns);
+
+  /// The pairwise request body. An inline run calls it on the submitting
+  /// thread's stack; a queued one from its Task.
+  void run_pairwise(const AlignRequest& rq, const AlignCompletion& done,
+                    const Stamp& st);
 
   /// The TraceContext requests thread through the engines: sink + trace id,
   /// plus the PMU session and registry when attribution is on.
@@ -480,16 +504,19 @@ class AlignService {
   /// still get unique ids).
   uint64_t next_request_id() noexcept;
 
-  /// Fill the common trace fields once execution finished.
+  /// Fill the common trace fields once execution finished; `isa` and
+  /// `width` are what ran (the delivery follows from them).
   RequestTrace make_trace(Scenario scenario, const core::AlignConfig& cfg,
+                          simd::Isa isa, core::Width width,
                           double queue_wait_s, double kernel_s,
                           uint64_t cells, uint64_t retries) const;
 
   /// Run `work`, wrapping it in perf::topdown_analyze for one in
   /// topdown_every_n calls (est_cells feeds the analytical-model fallback).
   /// The work runs exactly once either way.
-  std::optional<perf::TopDownResult> maybe_topdown(
-      const std::function<void()>& work, uint64_t est_cells);
+  template <typename Work>
+  std::optional<perf::TopDownResult> maybe_topdown(Work&& work,
+                                                   uint64_t est_cells);
 
   /// Effective frequency for the top-down analytical model, measured once
   /// (~10 ms) on first use and cached.
@@ -510,17 +537,26 @@ class AlignService {
   parallel::ThreadPool pool_;
   std::mutex pool_mu_;  ///< one fan-out request on the pool at a time
 
-  mutable std::mutex mu_;
+  /// An atomic counter alone on its cache line.
+  struct alignas(64) LineAtomic {
+    std::atomic<uint64_t> value{0};
+  };
+
+  alignas(64) mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< executors: queue non-empty/stop
   std::condition_variable space_cv_;  ///< blocking submitters: space freed
   std::array<std::deque<Task>, kQosTiers> queues_;  ///< one FIFO per tier
   bool stop_ = false;
   bool paused_ = false;
   unsigned busy_ = 0;  ///< executors running a request
+  /// stop_ | paused_ << 1 | busy_ << 2 | queued << 32 (each clamped to its
+  /// bits): zero exactly when a small pair may run inline. Stored only
+  /// under mu_, read without it.
+  LineAtomic admission_;
+  LineAtomic exec_sequence_;  ///< stamped on every request when it runs
 
   std::vector<std::thread> executors_;
   perf::MetricsRegistry metrics_;
-  std::atomic<uint64_t> exec_sequence_{0};
 
   // Telemetry history + SLO engine, fed from the sampler tick. Declared
   // before sampler_ so even default member destruction tears the sampler
@@ -533,7 +569,7 @@ class AlignService {
 
   std::unique_ptr<obs::InFlightTable> inflight_;  ///< slot per runner
   std::unique_ptr<obs::Watchdog> watchdog_;       ///< SLO scanner (optional)
-  std::atomic<uint64_t> request_ids_{0};  ///< id source when not tracing
+  LineAtomic request_ids_;  ///< id source when not tracing
 };
 
 namespace detail {

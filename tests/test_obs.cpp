@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -1110,6 +1111,113 @@ TEST(MetricsRegistry, ConcurrentRecordingIsRaceFree) {
   EXPECT_EQ(s.completed, 20'000u);
   EXPECT_EQ(s.cells, 2'000'000u);
   EXPECT_EQ(s.target_requests[static_cast<int>(simd::Isa::Avx2)][0], 20'000u);
+}
+
+TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
+  // More writer threads than shards, so some threads share one. Every
+  // family the service records is hammered while a reader snapshots; the
+  // summed totals must come out exact.
+  using Scenario = perf::MetricsRegistry::Scenario;
+  constexpr unsigned kWriters = perf::MetricsRegistry::kThreadShards + 4;
+  constexpr uint64_t kIters = 2000, kTotal = kWriters * kIters;
+  constexpr double kQueueS = 0x1p-17, kKernelS = 0x1p-15, kTierS = 0x1p-14;
+  const auto us_of = [](double s) { return static_cast<uint64_t>(s * 1e6); };
+  perf::PmuSample d;
+  d.samples = 1;
+  d.wall_ns = 1000;
+  d.cycles = 7;
+  d.instructions = 11;
+  d.stall_frontend = 2;
+  d.stall_backend = 3;
+  d.llc_misses = 5;
+  d.branch_misses = 1;
+
+  perf::MetricsRegistry reg;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const perf::MetricsSnapshot s = reg.snapshot();
+      ASSERT_LE(s.pairwise + s.search + s.batch, s.completed);
+      ASSERT_LE(s.completed, kTotal);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const auto sc = static_cast<Scenario>(w % 3);
+      for (uint64_t i = 0; i < kIters; ++i) {
+        reg.on_query_length(100);
+        reg.on_submitted();
+        reg.on_inline_run();
+        reg.on_queue_wait(kQueueS);
+        reg.on_completed(sc, kKernelS, 100);
+        reg.on_tier_completed(w % 3, sc, kTierS);
+        reg.on_kernel_completed(simd::Isa::Avx2, perf::KernelVariant::Diagonal,
+                                100);
+        reg.on_pmu_sample(simd::Isa::Avx2, perf::KernelVariant::Diagonal, 16,
+                          d);
+        reg.on_frame_rx(10);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const perf::MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.submitted, kTotal);
+  EXPECT_EQ(s.inline_runs, kTotal);
+  EXPECT_EQ(s.completed, kTotal);
+  EXPECT_EQ(s.pairwise + s.search + s.batch, kTotal);
+  // Writer w records scenario and tier w % 3: 7, 7 and 6 writers.
+  const auto writers_of = [&](unsigned r) {
+    return (kWriters + 2 - r) / 3 * kIters;
+  };
+  EXPECT_EQ(s.pairwise, writers_of(0));
+  EXPECT_EQ(s.search, writers_of(1));
+  EXPECT_EQ(s.batch, writers_of(2));
+  EXPECT_EQ(s.cells, kTotal * 100);
+  EXPECT_EQ(s.query_length_bins[perf::MetricsSnapshot::length_bin_of(100)],
+            kTotal);
+  EXPECT_EQ(s.server_frames_rx, kTotal);
+  EXPECT_EQ(s.server_bytes_rx, kTotal * 10);
+  const auto avx2 = static_cast<int>(simd::Isa::Avx2);
+  EXPECT_EQ(s.target_requests[avx2][0], kTotal);
+  EXPECT_EQ(s.target_cells[avx2][0], kTotal * 100);
+
+  // Histograms: exact counts and sums.
+  const auto expect_hist = [&](const perf::LatencyHistogram::Snapshot& h,
+                               uint64_t count, double seconds) {
+    EXPECT_EQ(h.count, count);
+    const uint64_t us = us_of(seconds);
+    EXPECT_EQ(h.buckets[static_cast<size_t>(std::bit_width(us))], count);
+    EXPECT_DOUBLE_EQ(h.mean_s, static_cast<double>(us) * 1e-6);
+    EXPECT_DOUBLE_EQ(h.max_s, static_cast<double>(us) * 1e-6);
+  };
+  expect_hist(s.queue_wait, kTotal, kQueueS);
+  expect_hist(s.kernel_time, kTotal, kKernelS);
+  for (unsigned t = 0; t < 3; ++t) {
+    expect_hist(s.tier_latency[t], writers_of(t), kTierS);
+    EXPECT_EQ(s.tier_requests[t][t], writers_of(t));
+  }
+
+  // PMU attribution cell: exact sums of every field.
+  const perf::PmuSample& c =
+      s.pmu[avx2][0][perf::MetricsSnapshot::width_index(16)];
+  EXPECT_EQ(c.samples, kTotal);
+  EXPECT_EQ(c.wall_ns, kTotal * 1000);
+  EXPECT_EQ(c.cycles, kTotal * 7);
+  EXPECT_EQ(c.instructions, kTotal * 11);
+  EXPECT_EQ(c.stall_frontend, kTotal * 2);
+  EXPECT_EQ(c.stall_backend, kTotal * 3);
+  EXPECT_EQ(c.llc_misses, kTotal * 5);
+  EXPECT_EQ(c.branch_misses, kTotal);
+  EXPECT_EQ(s.pmu_total().samples, kTotal);
+
+  // The sliding window can lose a sample when threads sharing a shard race
+  // a once-per-second rollover; it never gains one.
+  EXPECT_GT(s.window_cells, 0u);
+  EXPECT_LE(s.window_cells, s.cells);
 }
 
 // ------------------------------------------------------------------ sampler

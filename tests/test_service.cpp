@@ -835,5 +835,168 @@ TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
   EXPECT_EQ(m.submitted, m.completed);
 }
 
+TEST(AlignService, ConcurrentInlinePairsCountExactly) {
+  // N submitters x M small pairs on an otherwise idle service: every
+  // request is counted exactly once in every family, however the pairs
+  // split between inline runs and the executor.
+  constexpr int kThreads = 4, kPerThread = 300;
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  obs::TraceSink sink(1024);
+  ServiceOptions opt;
+  opt.obs.trace_sink = &sink;
+  AlignService svc(opt);
+
+  std::atomic<uint64_t> queued{0}, fired{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      const std::thread::id me = std::this_thread::get_id();
+      std::latch left(kPerThread);
+      for (int i = 0; i < kPerThread; ++i)
+        svc.submit_async(pairwise_request(2000 + 2 * (t * kPerThread + i),
+                                          20 + i % 90, 30 + i % 70),
+                         [&](core::ErrorOr<AlignResponse> out) {
+                           EXPECT_TRUE(out.ok());
+                           if (std::this_thread::get_id() != me)
+                             queued.fetch_add(1);
+                           fired.fetch_add(1);
+                           left.count_down();
+                         });
+      left.wait();
+    });
+  }
+  for (auto& t : submitters) t.join();
+
+  EXPECT_EQ(fired.load(), kTotal);
+  const perf::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.submitted, kTotal);
+  EXPECT_EQ(m.completed, kTotal);
+  EXPECT_EQ(m.pairwise, kTotal);
+  EXPECT_EQ(m.inline_runs + queued.load(), kTotal);
+  EXPECT_EQ(m.queue_wait.count, kTotal);
+  EXPECT_EQ(m.kernel_time.count, kTotal);
+  EXPECT_EQ(m.tier_latency[static_cast<int>(QosTier::Standard)].count, kTotal);
+  EXPECT_EQ(m.pmu_total().samples, kTotal);
+  uint64_t targets = 0;
+  for (const auto& isa : m.target_requests) targets += isa[0];
+  EXPECT_EQ(targets, kTotal);
+}
+
+// ----------------------------------------------- lock-free inline admission
+
+TEST(AlignService, PausedServiceWithAQueuedRequestQueuesSmallPairs) {
+  ServiceOptions opt;
+  opt.queue.executors = 1;
+  opt.queue.start_paused = true;
+  AlignService svc(opt);
+
+  bool a_done = false, b_done = false;
+  svc.submit_async(pairwise_request(450), [&](core::ErrorOr<AlignResponse>) {
+    a_done = true;
+  });
+  EXPECT_FALSE(a_done);  // paused: queued, not run inline
+  std::promise<uint64_t> b_seq;
+  svc.submit_async(pairwise_request(451),
+                   [&](core::ErrorOr<AlignResponse> out) {
+                     b_done = true;
+                     b_seq.set_value(out.ok() ? out->trace.exec_sequence : 0);
+                   });
+  EXPECT_FALSE(b_done);  // paused with a request queued
+  EXPECT_EQ(svc.queue_depth(), 2u);
+
+  svc.resume();
+  EXPECT_EQ(b_seq.get_future().get(), 1u);  // after A, in order
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+}
+
+TEST(AlignService, SmallPairQueuesBehindAnExecutorHoldingABatchSearch) {
+  auto db = make_db(20'000);
+  std::latch entered(1), release(1);
+  std::atomic<int> hooks{0};
+  ServiceOptions opt;
+  opt.pool_threads = 2;
+  opt.queue.executors = 1;
+  opt.before_execute_hook = [&] {
+    if (hooks.fetch_add(1) == 0) {
+      entered.count_down();
+      release.wait();
+    }
+  };
+  AlignService svc(db, opt);
+
+  SearchRequest search;
+  search.query = seq::generate_sequence(460, 120);
+  search.mode = align::SearchMode::Batch;
+  auto fs = submit_future(svc, std::move(search));
+  entered.wait();  // the executor now holds the Batch search
+  bool done = false;
+  std::promise<uint64_t> seq;
+  svc.submit_async(pairwise_request(461),
+                   [&](core::ErrorOr<AlignResponse> out) {
+                     done = true;
+                     seq.set_value(out.ok() ? out->trace.exec_sequence : 0);
+                   });
+  EXPECT_FALSE(done);
+  EXPECT_EQ(svc.queue_depth(), 1u);
+  release.count_down();
+
+  const SearchResponse rs = get_ok(std::move(fs));
+  EXPECT_EQ(seq.get_future().get(), rs.trace.exec_sequence + 1);
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+}
+
+TEST(AlignService, PauseFromAnotherThreadGatesInlineRuns) {
+  ServiceOptions opt;
+  opt.queue.executors = 1;
+  opt.queue.overflow = QueueOptions::Overflow::Block;  // queued, never rejected
+  AlignService svc(opt);
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // Paused by another thread: a small pair queues until it resumes.
+  std::thread([&] { svc.pause(); }).join();
+  std::promise<std::thread::id> ran_on;
+  svc.submit_async(pairwise_request(470),
+                   [&](core::ErrorOr<AlignResponse> out) {
+                     EXPECT_TRUE(out.ok());
+                     ran_on.set_value(std::this_thread::get_id());
+                   });
+  EXPECT_EQ(svc.queue_depth(), 1u);
+  std::thread([&] { svc.resume(); }).join();
+  EXPECT_NE(ran_on.get_future().get(), caller);
+  EXPECT_EQ(svc.metrics().inline_runs, 0u);
+
+  // Pause and resume racing the submitter: each pair runs exactly once,
+  // inline on this thread or on the executor, and every count matches.
+  constexpr int kPairs = 400;
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    while (!stop.load()) {
+      svc.pause();
+      std::this_thread::yield();
+      svc.resume();
+    }
+  });
+  std::atomic<int> on_caller{0}, fired{0};
+  std::latch left(kPairs);
+  for (int i = 0; i < kPairs; ++i)
+    svc.submit_async(pairwise_request(480 + 2 * i, 30 + i % 60, 40),
+                     [&](core::ErrorOr<AlignResponse> out) {
+                       EXPECT_TRUE(out.ok());
+                       if (std::this_thread::get_id() == caller)
+                         on_caller.fetch_add(1);
+                       fired.fetch_add(1);
+                       left.count_down();
+                     });
+  stop.store(true);
+  toggler.join();
+  svc.resume();
+  left.wait();
+  EXPECT_EQ(fired.load(), kPairs);
+  const perf::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.completed, static_cast<uint64_t>(kPairs) + 1);
+  EXPECT_EQ(m.submitted, m.completed);
+  EXPECT_EQ(m.inline_runs, static_cast<uint64_t>(on_caller.load()));
+}
+
 }  // namespace
 }  // namespace swve::service
