@@ -355,7 +355,7 @@ int cmd_batch(const CliOptions& o) {
                svc.batch_lanes());
   std::printf("query\ttarget\tscore\n");
   for (size_t qi = 0; qi < qs.size(); ++qi)
-    for (const auto& h : resp.results[qi].result.hits)
+    for (const auto& h : resp.results[qi].hits)
       std::printf("%s\t%s\t%d\n", qs[qi].id().c_str(), db[h.seq_index].id().c_str(),
                   h.score);
   report_topdown(resp.trace);

@@ -438,7 +438,7 @@ int main(int argc, char** argv) {
                   provenance(r.flags));
       print_timing(r, rtt);
       for (size_t q = 0; q < r.response->results.size(); ++q) {
-        const auto& hits = r.response->results[q].result.hits;
+        const auto& hits = r.response->results[q].hits;
         std::printf("  query %zu: %zu hits, best %d\n", q, hits.size(),
                     hits.empty() ? 0 : hits.front().score);
       }

@@ -1,7 +1,7 @@
 // Fig 13: the three Smith-Waterman usage scenarios (§II-C / §IV-G).
 //   1. single query streamed against the database (threads split the db);
-//   2. a batch of queries on a centralized server (batch32 kernel,
-//      queries fan out across threads);
+//   2. a batch of queries on a centralized server (one batch32 scan of
+//      every query; (query, chunk) items fan out across threads);
 //   3. many small query/reference pairs (SW as a subroutine, reusable
 //      aligner, working set in cache).
 // Plus a packing-policy comparison: the same batch search over a
@@ -32,7 +32,6 @@
 #include <random>
 #include <thread>
 
-#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "bench_common.hpp"
@@ -82,6 +81,9 @@ int main(int argc, char** argv) {
   {
     const core::Batch32Db packed(
         w.db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
+    // One shard on `pool`: the scan a BatchRequest runs.
+    const auto sharded = align::ShardedSearch::create(w.db, packed, {}).value();
+    const std::vector<seq::SeqView> queries(w.queries.begin(), w.queries.end());
     align::ExecContext ctx;
     ctx.pool = &pool;
     align::DatabaseSearch search(w.db, cfg);
@@ -95,9 +97,9 @@ int main(int argc, char** argv) {
     }
     double serial_gcups = perf::gcups(cells, sw1.seconds());
 
-    // ...vs accumulating the batch and running the batch32 kernel.
+    // ...vs accumulating the batch and scanning it once with batch32.
     perf::Stopwatch sw2;
-    align::engine::batch_run(w.db, packed, cfg, w.queries, 10, ctx);
+    sharded->scan(cfg, queries, 10, ctx);
     double batch_gcups = perf::gcups(cells, sw2.seconds());
 
     perf::Table t({"mode", "GCUPS", "vs one-at-a-time"});

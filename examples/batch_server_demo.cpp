@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
   std::vector<std::future<core::ErrorOr<service::AlignResponse>>> realigns(
       queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (resp.results[qi].result.hits.empty()) continue;
+    if (resp.results[qi].hits.empty()) continue;
     service::AlignRequest rq;
     rq.query = queries[qi];
-    rq.reference = db[resp.results[qi].result.hits[0].seq_index];
+    rq.reference = db[resp.results[qi].hits[0].seq_index];
     rq.options.traceback = true;
     realigns[qi] = service::submit_future(server, std::move(rq));
   }
@@ -82,12 +82,12 @@ int main(int argc, char** argv) {
                  "8-bit rescored"});
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto& r = resp.results[qi];
-    if (r.result.hits.empty()) {
+    if (r.hits.empty()) {
       t.row({queries[qi].id(), std::to_string(queries[qi].length()), "-", "0", "-",
              std::to_string(r.batch_stats.rescored)});
       continue;
     }
-    const align::Hit& top = r.result.hits[0];
+    const align::Hit& top = r.hits[0];
     auto realigned = realigns[qi].get();
     if (!realigned) {
       std::fprintf(stderr, "realign failed: %s\n",

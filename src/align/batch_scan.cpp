@@ -50,41 +50,49 @@ void realign_winners(const seq::SequenceDatabase& db,
     h.end_ref = a.end_ref;
     out.stats += a.stats;
   }
-  out.stats.cells += out.batch_stats.cells8 + out.batch_stats.rescored_cells;
-  out.stats.vector_cells += out.batch_stats.cells8;
 }
 
 BatchScan::BatchScan(const seq::SequenceDatabase& db,
                      const core::Batch32Db& bdb, const core::AlignConfig& cfg,
-                     seq::SeqView query, const core::PreparedQuery* prep,
+                     std::span<const ScanQuery> queries,
                      const ExecContext& ctx, size_t begin, size_t end,
                      unsigned workers)
     : db_(db),
       bdb_(bdb),
       cfg_(cfg),
-      query_(query),
-      prep_(prep),
+      queries_(queries),
       ctx_(ctx),
       isa_(simd::resolve_isa(cfg.isa)) {
   if (!core::batch_lanes_fit(bdb.lanes(), isa_))
     throw std::invalid_argument(
         "batch search: database packed for a different ISA");
-  chunks_ = plan_by_cells(bdb, begin, end,
-                          std::max(1u, workers) * kChunksPerWorker);
-  // Longest first, so the chunk that starts last is a short one and no
-  // worker is left finishing a long tail while the others idle. Ties keep
-  // database order.
+  const auto chunks = plan_by_cells(bdb, begin, end,
+                                    std::max(1u, workers) * kChunksPerWorker);
   const auto records = bdb.batch_records();
-  std::vector<std::pair<uint64_t, std::pair<size_t, size_t>>> by_cost;
-  by_cost.reserve(chunks_.size());
-  for (const auto& c : chunks_) {
+  std::vector<uint64_t> chunk_len;
+  chunk_len.reserve(chunks.size());
+  for (const auto& c : chunks) {
     uint64_t len = 0;
     for (size_t b = c.first; b < c.second; ++b) len += records[b].max_len;
-    by_cost.emplace_back(len, c);
+    chunk_len.push_back(len);
+  }
+  // Longest first, so the item that starts last is a short one and no
+  // worker is left finishing a long tail while the others idle. Ties keep
+  // query order, then database order.
+  std::vector<std::pair<uint64_t, Item>> by_cost;
+  by_cost.reserve(queries.size() * chunks.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const uint64_t m = queries[qi].seq.length;
+    if (m == 0) continue;
+    for (size_t c = 0; c < chunks.size(); ++c)
+      by_cost.push_back({m * chunk_len[c],
+                         Item{static_cast<uint32_t>(qi), chunks[c].first,
+                              chunks[c].second}});
   }
   std::stable_sort(by_cost.begin(), by_cost.end(),
                    [](const auto& x, const auto& y) { return x.first > y.first; });
-  for (size_t i = 0; i < by_cost.size(); ++i) chunks_[i] = by_cost[i].second;
+  items_.reserve(by_cost.size());
+  for (const auto& [cost, item] : by_cost) items_.push_back(item);
 }
 
 }  // namespace swve::align::detail

@@ -1,17 +1,20 @@
-// The batch32 scan loop of ShardedSearch.
+// The batch32 scan loop of ShardedSearch, for one query or many.
 //
 // A shard's workers score a contiguous range of packed batches one batch at
 // a time through core::score_batch (the 8-bit kernel plus the 8 -> 16 ->
 // 32-bit rescore ladder for saturated lanes) and hand every scored sequence
-// to a per-hit sink (ShardedSearch folds them into per-worker top-k heaps).
+// to a per-hit sink (ShardedSearch folds them into per-worker, per-query
+// top-k heaps).
 //
 // Scheduling is by cost, not by batch count. A length-sorted database puts
 // its longest batches last, so equal batch counts per worker leave the
 // worker holding the tail busy while the others idle. BatchScan instead
 // cuts its range into about kChunksPerWorker chunks per worker of roughly
-// equal padded cells (plan_by_cells, the same planner that cuts shards),
-// and every worker pulls chunks, longest first, from one atomic cursor.
-// Which worker scans which chunk varies from run to run; the result does
+// equal padded cells (plan_by_cells, the same planner that cuts shards).
+// Every (query, chunk) pair is one item, costed query length x the chunk's
+// summed max_len, and every worker pulls items, longest first, from one
+// atomic cursor, so many short queries and one long query balance alike.
+// Which worker scans which item varies from run to run; the result does
 // not, because scores are exact per sequence and land in heaps whose merge
 // is selection under Hit's strict total order.
 #pragma once
@@ -19,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,9 +67,9 @@ std::vector<std::pair<size_t, size_t>> plan_by_cells(
     const core::Batch32Db& packed, size_t begin, size_t end, size_t parts);
 
 /// Phase 2 of a batch search: exact re-alignment of the winners in
-/// out.hits for their end positions, then the scan's cells (out.batch_stats)
-/// folded into out.stats. An Adaptive config starts each winner at the rung
-/// that holds its known score (core::exact_score_width).
+/// out.hits for their end positions, adding that work to out.stats. An
+/// Adaptive config starts each winner at the rung that holds its known
+/// score (core::exact_score_width).
 void realign_winners(const seq::SequenceDatabase& db,
                      const core::AlignConfig& cfg, seq::SeqView query,
                      const core::PreparedQuery* prep, const ExecContext& ctx,
@@ -76,20 +80,29 @@ void realign_winners(const seq::SequenceDatabase& db,
 /// measurable.
 inline constexpr size_t kChunksPerWorker = 16;
 
-/// One request's scan of batches [begin, end) by `workers` jobs. Throws
-/// std::invalid_argument when `bdb` was packed for lanes that cfg.isa
-/// cannot drive (core::batch_lanes_fit).
+/// One query of a scan: its residues and, when the caller has one, its
+/// prepared feed (core::score_batch's `prep`).
+struct ScanQuery {
+  seq::SeqView seq;
+  const core::PreparedQuery* prep = nullptr;
+};
+
+/// One request's scan of batches [begin, end) for `queries` by `workers`
+/// jobs. `queries` must outlive the scan. Throws std::invalid_argument
+/// when `bdb` was packed for lanes that cfg.isa cannot drive
+/// (core::batch_lanes_fit).
 class BatchScan {
  public:
   BatchScan(const seq::SequenceDatabase& db, const core::Batch32Db& bdb,
-            const core::AlignConfig& cfg, seq::SeqView query,
-            const core::PreparedQuery* prep, const ExecContext& ctx,
-            size_t begin, size_t end, unsigned workers);
+            const core::AlignConfig& cfg, std::span<const ScanQuery> queries,
+            const ExecContext& ctx, size_t begin, size_t end,
+            unsigned workers);
   BatchScan(const BatchScan&) = delete;
   BatchScan& operator=(const BatchScan&) = delete;
 
-  /// Chunks the scan was cut into (at most workers * kChunksPerWorker).
-  size_t chunk_count() const noexcept { return chunks_.size(); }
+  /// (query, chunk) items: at most workers * kChunksPerWorker chunks for
+  /// every non-empty query; an empty query gets none.
+  size_t item_count() const noexcept { return items_.size(); }
   /// True once any worker stopped early on ctx cancellation or deadline.
   bool truncated() const noexcept {
     return truncated_.load(std::memory_order_relaxed);
@@ -97,37 +110,47 @@ class BatchScan {
 
   /// What one worker scanned.
   struct Tally {
-    core::BatchSearchStats stats;
+    std::vector<core::BatchSearchStats> stats;  ///< per query
     uint64_t batches = 0;
+
+    core::BatchSearchStats total() const noexcept {
+      core::BatchSearchStats all{};
+      for (const core::BatchSearchStats& s : stats) all += s;
+      return all;
+    }
   };
 
-  /// One worker's share: pull chunks until none are left or ctx stops,
-  /// calling sink(seq_index, score) once for every sequence scored. Opens
-  /// one `chunk.search_batch` span over the whole share (none when the
-  /// cursor was already dry), annotated with the kernel plan and `shard`.
+  /// One worker's share: pull items until none are left or ctx stops,
+  /// calling sink(query, seq_index, score) once for every sequence scored.
+  /// Opens one `chunk.search_batch` span over the whole share (none when
+  /// the cursor was already dry), annotated with the kernel plan and
+  /// `shard`.
   template <class Sink>
   Tally run(uint64_t shard, core::Workspace& ws, Sink&& sink);
 
  private:
-  bool next_chunk(std::pair<size_t, size_t>& chunk) noexcept {
+  struct Item {
+    uint32_t query;
+    size_t begin, end;  // batches
+  };
+  bool next_item(Item& item) noexcept {
     const size_t c = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (c >= chunks_.size()) return false;
-    chunk = chunks_[c];
+    if (c >= items_.size()) return false;
+    item = items_[c];
     return true;
   }
-  /// Scan one chunk batch by batch; false when ctx stopped the scan.
+  /// Scan one item batch by batch; false when ctx stopped the scan.
   template <class Sink>
-  bool scan_chunk(std::pair<size_t, size_t> chunk, core::Workspace& ws,
-                  obs::Span& span, Tally& t, Sink& sink);
+  bool scan_item(const Item& item, core::Workspace& ws, obs::Span& span,
+                 Tally& t, Sink& sink);
 
   const seq::SequenceDatabase& db_;
   const core::Batch32Db& bdb_;
   const core::AlignConfig& cfg_;
-  seq::SeqView query_;
-  const core::PreparedQuery* prep_;
+  std::span<const ScanQuery> queries_;
   const ExecContext& ctx_;
   simd::Isa isa_;
-  std::vector<std::pair<size_t, size_t>> chunks_;  // longest first
+  std::vector<Item> items_;  // longest first
   std::atomic<size_t> cursor_{0};
   std::atomic<bool> truncated_{false};
 };
@@ -136,8 +159,9 @@ template <class Sink>
 BatchScan::Tally BatchScan::run(uint64_t shard, core::Workspace& ws,
                                 Sink&& sink) {
   Tally t;
-  std::pair<size_t, size_t> chunk;
-  if (!next_chunk(chunk)) return t;
+  Item item;
+  if (!next_item(item)) return t;
+  t.stats.resize(queries_.size());
   obs::Span span(ctx_.trace, "chunk.search_batch");
   span.set_kernel(perf::KernelVariant::Batch32);
   span.set_index(shard);
@@ -145,19 +169,21 @@ BatchScan::Tally BatchScan::run(uint64_t shard, core::Workspace& ws,
   span.set_width_bits(8);
   span.set_lanes(static_cast<uint32_t>(bdb_.lanes()));
   do {
-    if (!scan_chunk(chunk, ws, span, t, sink)) break;
-  } while (next_chunk(chunk));
-  span.add_cells(t.stats.cells8 + t.stats.rescored_cells);
-  span.set_useful_cells(t.stats.useful_cells8 + t.stats.rescored_cells);
+    if (!scan_item(item, ws, span, t, sink)) break;
+  } while (next_item(item));
+  const core::BatchSearchStats all = t.total();
+  span.add_cells(all.cells8 + all.rescored_cells);
+  span.set_useful_cells(all.useful_cells8 + all.rescored_cells);
   return t;
 }
 
 template <class Sink>
-bool BatchScan::scan_chunk(std::pair<size_t, size_t> chunk,
-                           core::Workspace& ws, obs::Span& span, Tally& t,
-                           Sink& sink) {
+bool BatchScan::scan_item(const Item& item, core::Workspace& ws,
+                          obs::Span& span, Tally& t, Sink& sink) {
+  const ScanQuery& q = queries_[item.query];
+  core::BatchSearchStats& stats = t.stats[item.query];
   int scores[64];
-  for (size_t b = chunk.first; b < chunk.second; ++b) {
+  for (size_t b = item.begin; b < item.end; ++b) {
     if (ctx_.should_stop()) {  // per-batch cancellation/deadline check
       truncated_.store(true, std::memory_order_relaxed);
       span.set_trunc(ctx_.cancelled() ? obs::TruncCause::Cancelled
@@ -165,10 +191,10 @@ bool BatchScan::scan_chunk(std::pair<size_t, size_t> chunk,
       return false;
     }
     const core::Batch32Db::Batch batch = bdb_.batch(b);
-    core::score_batch(query_, batch, bdb_.lanes(), db_, cfg_, isa_, ws, prep_,
-                      scores, t.stats);
+    core::score_batch(q.seq, batch, bdb_.lanes(), db_, cfg_, isa_, ws, q.prep,
+                      scores, stats);
     for (uint32_t k = 0; k < batch.count; ++k)
-      sink(batch.seq_index[k], scores[k]);
+      sink(item.query, batch.seq_index[k], scores[k]);
     ++t.batches;
   }
   return true;

@@ -1,8 +1,8 @@
 // Execution context threaded through the scenario engines.
 //
-// The engines (engine::search_diagonal / batch_run, ShardedSearch) take
-// everything a request needs — the thread pool to fan out over, a
-// cooperative cancellation flag, a deadline — in an ExecContext.
+// The engines (engine::search_diagonal and ShardedSearch's scan and
+// search) take everything a request needs — the thread pool to fan out
+// over, a cooperative cancellation flag, a deadline — in an ExecContext.
 // Cancellation/deadline is checked at sequence-chunk granularity: an engine
 // polls should_stop() between sequences (diagonal path) or between batches
 // (batch path) and returns early with the result marked truncated.

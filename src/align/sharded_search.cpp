@@ -155,32 +155,79 @@ ShardStats ShardedSearch::shard_stats(size_t s) const noexcept {
   return out;
 }
 
+namespace {
+
+/// The query's shared prepared feed from ctx.query_cache; null without a
+/// cache, or when the scan has nothing to score.
+std::shared_ptr<const core::PreparedQuery> prepare(
+    const seq::SequenceDatabase& db, const core::AlignConfig& cfg,
+    seq::SeqView query, const ExecContext& ctx) {
+  if (ctx.query_cache == nullptr || db.empty() || query.empty()) return {};
+  return ctx.query_cache->prepared(query, cfg);
+}
+
+}  // namespace
+
+std::vector<SearchResult> ShardedSearch::scan(
+    const core::AlignConfig& cfg, std::span<const seq::SeqView> queries,
+    size_t top_k, const ExecContext& ctx) const {
+  std::vector<std::shared_ptr<const core::PreparedQuery>> preps;
+  std::vector<detail::ScanQuery> scan_queries;
+  preps.reserve(queries.size());
+  scan_queries.reserve(queries.size());
+  for (const seq::SeqView q : queries) {
+    preps.push_back(prepare(*db_, cfg, q, ctx));
+    scan_queries.push_back({q, preps.back().get()});
+  }
+  return scan_prepared(cfg, scan_queries, top_k, ctx);
+}
+
 SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
                                    seq::SeqView query, size_t top_k,
                                    const ExecContext& ctx) const {
   perf::Stopwatch sw;
-  SearchResult out;
-  out.query_length = query.length;
-  out.db_residues = db_->total_residues();
-  if (db_->empty() || query.empty()) return out;
+  const auto prep = prepare(*db_, cfg, query, ctx);
+  const detail::ScanQuery scan_query{query, prep.get()};
+  SearchResult out =
+      std::move(scan_prepared(cfg, {&scan_query, 1}, top_k, ctx).front());
+  // A truncated scan withholds its partial answer: no re-alignment pass.
+  if (out.truncated || out.hits.empty()) return out;
 
-  std::shared_ptr<const core::PreparedQuery> prep;
-  if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
+  // Phase 2: exact re-alignment of just the winners for end positions.
+  detail::realign_winners(*db_, cfg, query, prep.get(), ctx, out);
+  out.seconds = sw.seconds();
+  return out;
+}
+
+std::vector<SearchResult> ShardedSearch::scan_prepared(
+    const core::AlignConfig& cfg, std::span<const detail::ScanQuery> queries,
+    size_t top_k, const ExecContext& ctx) const {
+  perf::Stopwatch sw;
+  const size_t nq = queries.size();
+  std::vector<SearchResult> out(nq);
+  uint64_t live = 0;  // queries with residues to scan
+  for (size_t qi = 0; qi < nq; ++qi) {
+    out[qi].query_length = queries[qi].seq.length;
+    out[qi].db_residues = db_->total_residues();
+    live += queries[qi].seq.empty() ? 0 : 1;
+  }
+  if (db_->empty() || live == 0) return out;
 
   const seq::SequenceDatabase& db = *db_;
   const core::Batch32Db& bdb = *packed_;
   const size_t nshards = shards_.size();
 
-  // Phase 1: every shard scans its batch range concurrently, each worker
-  // pulling cost-balanced chunks of its shard and folding lane scores into
-  // a bounded per-worker heap; the heaps are merged at the end — selection
-  // under Hit's strict total order is partition-shape independent, so the
-  // answer is the same for every shard count and pool size.
+  // Every shard scans its batch range concurrently, each worker pulling
+  // cost-balanced (query, chunk) items of its shard and folding lane scores
+  // into bounded per-query heaps; the heaps are merged per query at the
+  // end — selection under Hit's strict total order is partition-shape
+  // independent, so the answer is the same for every shard count and pool
+  // size.
   struct ShardRun {
     parallel::ThreadPool* pool = nullptr;  // null: inline on this thread
     std::optional<detail::BatchScan> scan;
-    std::vector<std::vector<Hit>> worker_hits;  // [slot] sorted top-k
-    core::BatchSearchStats stats;
+    std::vector<std::vector<std::vector<Hit>>> worker_hits;  // [slot][query]
+    std::vector<core::BatchSearchStats> stats;               // [query]
     std::mutex mu;
   };
   std::vector<ShardRun> runs(nshards);
@@ -193,9 +240,10 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
     const unsigned workers = run.pool ? run.pool->size() : 1u;
     if (!shard.pool)
       shard.borrowed_threads.store(workers, std::memory_order_relaxed);
-    run.scan.emplace(db, bdb, cfg, query, prep.get(), ctx, shard.first_batch,
+    run.scan.emplace(db, bdb, cfg, queries, ctx, shard.first_batch,
                      shard.end_batch, workers);
-    run.worker_hits.resize(std::min<size_t>(workers, run.scan->chunk_count()));
+    run.worker_hits.resize(std::min<size_t>(workers, run.scan->item_count()));
+    run.stats.resize(nq);
   }
 
   std::mutex done_mu;
@@ -209,15 +257,15 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     ShardRun& run = runs[si];
-    auto scan = [&run, &shard, &ctx, top_k, si](size_t slot, size_t,
-                                                 unsigned) {
+    auto scan = [&run, &shard, &ctx, top_k, nq, si](size_t slot, size_t,
+                                                     unsigned) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
       auto lease = shard.cache ? shard.cache->lease_workspace()
                                : QueryStateCache::lease(ctx.query_cache);
-      detail::TopK top(top_k);
-      const detail::BatchScan::Tally t =
-          run.scan->run(si, lease.ws(), [&top](uint32_t seq_idx, int score) {
-            top.offer(Hit{seq_idx, score, -1, -1});
+      std::vector<detail::TopK> tops(nq, detail::TopK(top_k));
+      const detail::BatchScan::Tally t = run.scan->run(
+          si, lease.ws(), [&tops](uint32_t qi, uint32_t seq_idx, int score) {
+            tops[qi].offer(Hit{seq_idx, score, -1, -1});
           });
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
       const obs::PmuDelta d = obs::PmuSession::delta(pmu0, pmu1);
@@ -226,19 +274,24 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
         shard.llc_misses.fetch_add(d.llc_misses, std::memory_order_relaxed);
         shard.cycles.fetch_add(d.cycles, std::memory_order_relaxed);
       }
+      const core::BatchSearchStats all = t.total();
       shard.batches.fetch_add(t.batches, std::memory_order_relaxed);
-      shard.cells.fetch_add(t.stats.cells8 + t.stats.rescored_cells,
+      shard.cells.fetch_add(all.cells8 + all.rescored_cells,
                             std::memory_order_relaxed);
-      shard.useful_cells.fetch_add(t.stats.useful_cells8,
+      shard.useful_cells.fetch_add(all.useful_cells8,
                                    std::memory_order_relaxed);
-      shard.rescored.fetch_add(t.stats.rescored, std::memory_order_relaxed);
+      shard.rescored.fetch_add(all.rescored, std::memory_order_relaxed);
+      std::vector<std::vector<Hit>> hits;
+      hits.reserve(nq);
+      for (detail::TopK& top : tops) hits.push_back(std::move(top).sorted());
       {
         std::lock_guard<std::mutex> lk(run.mu);
-        run.worker_hits[slot] = std::move(top).sorted();
-        run.stats += t.stats;
+        run.worker_hits[slot] = std::move(hits);
+        for (size_t qi = 0; qi < t.stats.size(); ++qi)
+          run.stats[qi] += t.stats[qi];
       }
     };
-    shard.searches.fetch_add(1, std::memory_order_relaxed);
+    shard.searches.fetch_add(live, std::memory_order_relaxed);
     const size_t slots = run.worker_hits.size();
     if (run.pool) {
       run.pool->parallel_for_async(slots, std::move(scan), shard_done);
@@ -252,24 +305,25 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
     done_cv.wait(lk, [&shards_left] { return shards_left == 0; });
   }
 
-  core::BatchSearchStats agg{};
-  detail::TopK merged(top_k);
-  for (size_t si = 0; si < nshards; ++si) {
-    agg += runs[si].stats;
-    out.truncated = out.truncated || runs[si].scan->truncated();
-    for (const auto& worker : runs[si].worker_hits)
-      for (const Hit& h : worker) merged.offer(h);
+  bool truncated = false;
+  std::vector<detail::TopK> merged(nq, detail::TopK(top_k));
+  for (const ShardRun& run : runs) {
+    truncated = truncated || run.scan->truncated();
+    for (size_t qi = 0; qi < nq; ++qi) out[qi].batch_stats += run.stats[qi];
+    for (const auto& worker : run.worker_hits)
+      for (size_t qi = 0; qi < worker.size(); ++qi)
+        for (const Hit& h : worker[qi]) merged[qi].offer(h);
   }
-  out.batch_stats = agg;
-  if (out.truncated) {  // partial answer; skip the exact re-alignment pass
-    out.seconds = sw.seconds();
-    return out;
+  const double seconds = sw.seconds();
+  for (size_t qi = 0; qi < nq; ++qi) {
+    SearchResult& r = out[qi];
+    r.seconds = seconds;
+    r.truncated = truncated;
+    if (truncated) continue;  // partial answers are withheld, not mixed
+    r.hits = std::move(merged[qi]).sorted();
+    r.stats.cells = r.batch_stats.cells8 + r.batch_stats.rescored_cells;
+    r.stats.vector_cells = r.batch_stats.cells8;
   }
-
-  // Phase 2: exact re-alignment of just the winners for end positions.
-  out.hits = std::move(merged).sorted();
-  detail::realign_winners(db, cfg, query, prep.get(), ctx, out);
-  out.seconds = sw.seconds();
   return out;
 }
 

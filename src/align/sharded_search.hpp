@@ -1,33 +1,37 @@
-// Scenario-1 batch search: every Batch-mode search, sharded or not, runs
-// here, with NUMA-aware placement and a bit-identical top-k merge.
+// The one database scan of scenarios 1 and 2: every Batch-mode search and
+// every query batch, sharded or not, runs here, with NUMA-aware placement
+// and a bit-identical top-k merge.
 //
 // ShardedSearch splits a Batch32Db into S shards *between* batches (batches
 // are the packing's length bins, so packing efficiency survives the split
-// untouched) and scans all shards concurrently into bounded per-worker
-// top-k heaps. Inside a shard, the workers pull cost-balanced chunks of the
-// shard's range from one cursor (align/batch_scan.hpp). At S = 1 (the
-// default) the single shard owns nothing: it runs on the caller's pool
-// (ExecContext::pool; inline when null) with workspaces leased from the
-// caller's ExecContext::query_cache. At S >= 2 each shard gets a
-// thread-pool slice pinned to one NUMA node (parallel/topology.hpp) with its
-// own workspace arena (a per-shard QueryStateCache partition), and its
-// column bytes are placed on its node (mbind under `bind`, page-interleave
-// under `interleave`, first-touch otherwise), so no socket streams columns
-// it does not own.
+// untouched) and scans all shards concurrently into bounded per-worker,
+// per-query top-k heaps. Inside a shard, the workers pull cost-balanced
+// (query, chunk) items of the shard's range from one cursor
+// (align/batch_scan.hpp). scan() stops there, with score-only hits;
+// search() adds phase 2, the exact re-alignment of one query's winners for
+// their end cells. At S = 1 (the default) the single shard owns nothing:
+// it runs on the caller's pool (ExecContext::pool; inline when null) with
+// workspaces leased from the caller's ExecContext::query_cache. At S >= 2
+// each shard gets a thread-pool slice pinned to one NUMA node
+// (parallel/topology.hpp) with its own workspace arena (a per-shard
+// QueryStateCache partition), and its column bytes are placed on its node
+// (mbind under `bind`, page-interleave under `interleave`, first-touch
+// otherwise), so no socket streams columns it does not own.
 //
 // Determinism: per-sequence scores are exact (the 8-bit kernel plus the
 // 16/32-bit rescore ladder is deterministic, and batches are never split),
 // and Hit's ordering is a strict total order (score desc, then seq_index
 // asc, with seq_index unique). Top-k selection under a strict total order
-// is a unique set whatever the partition shape, so merging the per-worker
-// heaps at the end — SWAPHI's shard/merge shape, with NUMA nodes playing
-// the coprocessor cards — returns the same hits for every shard count, pool
-// size and packing policy. tests/test_sharded_search.cpp checks that
-// against a scalar golden top-k.
+// is a unique set whatever the partition shape, so merging each query's
+// per-worker heaps at the end — SWAPHI's shard/merge shape, with NUMA
+// nodes playing the coprocessor cards — returns the same hits for every
+// shard count, pool size and packing policy. tests/test_sharded_search.cpp
+// checks that against a scalar golden top-k.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "align/db_search.hpp"
@@ -37,6 +41,9 @@
 namespace swve::align {
 
 class QueryStateCache;
+namespace detail {
+struct ScanQuery;
+}
 
 /// Lifetime per-shard accounting snapshot (relaxed-atomic reads).
 struct ShardStats {
@@ -87,16 +94,23 @@ class ShardedSearch {
   ShardedSearch(const ShardedSearch&) = delete;
   ShardedSearch& operator=(const ShardedSearch&) = delete;
 
-  /// Scenario-1 batch search across all shards concurrently, then exact
-  /// re-alignment of the winners for end positions. `cfg` must be validated
-  /// with traceback off. A single shard runs on ctx.pool (inline when null)
-  /// and leases workspaces from ctx.query_cache; two or more ignore
-  /// ctx.pool and use their own pools and arenas. ctx cancel/deadline is
-  /// honored at batch granularity inside every shard, and ctx.query_cache
-  /// supplies the shared prepared query. Identical hits for every shard
-  /// count. Throws std::invalid_argument, before any scan starts, when
-  /// cfg.isa cannot drive the packed lanes (core::batch_lanes_fit).
-  /// Thread-safe.
+  /// Phase 1 for every query at once: one result per query, in query
+  /// order, with score-only hits (end_query = end_ref = -1), the query's
+  /// batch_stats and its cells in stats. `cfg` must be validated with
+  /// traceback off. A single shard runs on ctx.pool (inline when null) and
+  /// leases workspaces from ctx.query_cache; two or more ignore ctx.pool
+  /// and use their own pools and arenas. ctx cancel/deadline is honored at
+  /// batch granularity inside every shard; a stop marks every result
+  /// truncated and withholds its hits. ctx.query_cache supplies the shared
+  /// prepared queries. Identical hits for every shard count and pool size.
+  /// Throws std::invalid_argument, before any scan starts, when cfg.isa
+  /// cannot drive the packed lanes (core::batch_lanes_fit). Thread-safe.
+  std::vector<SearchResult> scan(const core::AlignConfig& cfg,
+                                 std::span<const seq::SeqView> queries,
+                                 size_t top_k, const ExecContext& ctx) const;
+
+  /// Scenario-1 batch search: scan() of one query, then exact re-alignment
+  /// of the winners for their end cells (skipped when truncated).
   SearchResult search(const core::AlignConfig& cfg, seq::SeqView query,
                       size_t top_k, const ExecContext& ctx) const;
 
@@ -108,6 +122,10 @@ class ShardedSearch {
  private:
   struct Shard;
   ShardedSearch(const seq::SequenceDatabase& db, const core::Batch32Db& packed);
+  /// scan() over queries whose feeds are already prepared.
+  std::vector<SearchResult> scan_prepared(
+      const core::AlignConfig& cfg, std::span<const detail::ScanQuery> queries,
+      size_t top_k, const ExecContext& ctx) const;
 
   const seq::SequenceDatabase* db_;
   const core::Batch32Db* packed_;

@@ -632,8 +632,9 @@ void encode_search_response(std::string& out, const SearchResponse& r) {
 
 void encode_batch_response(std::string& out, const BatchResponse& r) {
   put_u32(out, static_cast<uint32_t>(r.results.size()));
-  for (const align::BatchQueryResult& q : r.results) {
-    encode_search_result(out, q.result);
+  for (const align::SearchResult& q : r.results) {
+    encode_search_result(out, q);
+    // v1 trailer: the query's batch_stats again, after the search result.
     put_u64(out, q.batch_stats.cells8);
     put_u64(out, q.batch_stats.useful_cells8);
     put_u64(out, q.batch_stats.rescored);
@@ -666,8 +667,10 @@ std::optional<BatchResponse> decode_batch_response(std::string_view payload) {
   uint32_t n;
   if (!r.u32(n) || n > r.remaining() / 60) return std::nullopt;
   out.results.resize(n);
-  for (align::BatchQueryResult& q : out.results) {
-    if (!decode_search_result(r, q.result) || !r.u64(q.batch_stats.cells8) ||
+  for (align::SearchResult& q : out.results) {
+    // The trailer wins over the inner batch_stats, which older servers
+    // sent as zeros.
+    if (!decode_search_result(r, q) || !r.u64(q.batch_stats.cells8) ||
         !r.u64(q.batch_stats.useful_cells8) ||
         !r.u64(q.batch_stats.rescored) ||
         !r.u64(q.batch_stats.rescored_cells))
@@ -713,10 +716,10 @@ std::string batch_response_json(const BatchResponse& r) {
   o["status"] = "ok";
   JsonArray results;
   results.reserve(r.results.size());
-  for (const align::BatchQueryResult& q : r.results) {
+  for (const align::SearchResult& q : r.results) {
     JsonObject e;
-    e["hits"] = hits_to_json(q.result.hits);
-    e["truncated"] = q.result.truncated;
+    e["hits"] = hits_to_json(q.hits);
+    e["truncated"] = q.truncated;
     results.push_back(Json(std::move(e)));
   }
   o["results"] = Json(std::move(results));

@@ -586,6 +586,115 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   done(AlignResponse{std::move(a), std::move(tr)});
 }
 
+core::ErrorOr<AlignService::DbRun> AlignService::run_database(
+    Scenario scenario, align::SearchMode mode,
+    std::span<const seq::Sequence> queries, const RequestOptions& options,
+    const Stamp& st) {
+  const bool batch = scenario == Scenario::Batch;
+  const uint64_t t_exec = obs::steady_now_ns();
+  const core::ErrorOr<double> qwait = begin_run(st, t_exec);
+  if (!qwait) return qwait.error();
+  if (!db_) {
+    metrics_.on_invalid_request();
+    return core::ConfigError{Code::NoDatabase,
+                             "AlignService: no database attached"};
+  }
+  if (queries.empty()) {
+    metrics_.on_invalid_request();
+    return core::ConfigError{Code::EmptyRequest,
+                             "AlignService: batch with no queries"};
+  }
+  auto cfg_or = effective_config(
+      options, std::max(alphabet_codes(queries), db_alphabet_codes_));
+  if (!cfg_or) {
+    metrics_.on_invalid_request();
+    obs::log_warn("service.invalid_request",
+                  {{"trace_id", st.trace_id},
+                   {"message", cfg_or.error().message}});
+    return cfg_or.error();
+  }
+  core::AlignConfig cfg = *cfg_or;
+  cfg.traceback = false;  // scoring pass, like DatabaseSearch
+  if (mode == align::SearchMode::Batch && cfg.band >= 0) {
+    metrics_.on_invalid_request();
+    return core::ConfigError{Code::Unsupported,
+                             batch ? "AlignService: batch cannot band"
+                                   : "AlignService: Batch search cannot band"};
+  }
+  const size_t top_k = options.top_k.value_or(opt_.default_top_k);
+
+  const obs::TraceContext tctx = trace_context(st.trace_id);
+  align::ExecContext ctx;
+  ctx.pool = &pool_;
+  ctx.query_cache = query_cache_.get();
+  ctx.deadline = steady_time_point(st.deadline_ns);
+  ctx.trace = tctx;
+  obs::Span dispatch(tctx, batch ? "dispatch.batch" : "dispatch.search",
+                     t_exec);
+  uint64_t est_cells = 0;
+  for (const seq::Sequence& q : queries)
+    est_cells += static_cast<uint64_t>(q.length()) * db_->total_residues();
+  DbRun run;
+  std::optional<perf::TopDownResult> td;
+  {
+    std::lock_guard<std::mutex> pool_lk(pool_mu_);
+    td = maybe_topdown(
+        [&] {
+          if (batch) {
+            const std::vector<seq::SeqView> views(queries.begin(),
+                                                  queries.end());
+            run.results = sharded_->scan(cfg, views, top_k, ctx);
+          } else if (mode == align::SearchMode::Batch) {
+            run.results.push_back(
+                sharded_->search(cfg, queries.front(), top_k, ctx));
+          } else {
+            run.results.push_back(align::engine::search_diagonal(
+                *db_, cfg, queries.front(), top_k, ctx));
+          }
+        },
+        est_cells);
+  }
+  double kernel_s = 0;
+  uint64_t cells = 0;
+  bool truncated = false;
+  core::BatchSearchStats scanned{};
+  for (const align::SearchResult& r : run.results) {
+    kernel_s = std::max(kernel_s, r.seconds);
+    cells += r.stats.cells;
+    truncated = truncated || r.truncated;
+    scanned += r.batch_stats;
+  }
+  if (truncated) {
+    metrics_.on_deadline_expired();
+    obs::log_warn("service.deadline_expired",
+                  {{"trace_id", st.trace_id},
+                   {"where", batch ? "mid_batch" : "mid_search"}});
+    return core::ConfigError{Code::DeadlineExceeded,
+                             batch ? "AlignService: deadline expired mid-batch"
+                                   : "AlignService: deadline expired mid-search"};
+  }
+  run.trace = make_trace(scenario, cfg, simd::resolve_isa(cfg.isa), cfg.width,
+                         *qwait, kernel_s, cells, scanned.rescored);
+  run.trace.exec_sequence =
+      exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
+  run.trace.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
+  run.trace.topdown = std::move(td);
+  const auto metrics_scenario = batch ? perf::MetricsRegistry::Scenario::Batch
+                                      : perf::MetricsRegistry::Scenario::Search;
+  metrics_.on_completed(metrics_scenario, kernel_s, cells);
+  metrics_.on_tier_completed(static_cast<unsigned>(options.tier),
+                             metrics_scenario, *qwait + kernel_s);
+  if (scanned.cells8 > 0)
+    metrics_.on_batch_packing(scanned.cells8, scanned.useful_cells8);
+  metrics_.on_kernel_completed(run.trace.isa,
+                               mode == align::SearchMode::Batch
+                                   ? perf::KernelVariant::Batch32
+                                   : perf::KernelVariant::Diagonal,
+                               cells);
+  dispatch.end();
+  return run;
+}
+
 void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
   if (request.mode == align::SearchMode::Batch) {
     if (auto err = batch_lanes_error(request.options)) {
@@ -605,94 +714,14 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
       (*cb)(shut_down_before_run());
       return;
     }
-    const uint64_t t_exec = obs::steady_now_ns();
-    const core::ErrorOr<double> qwait_or = begin_run(st, t_exec);
-    if (!qwait_or) {
-      (*cb)(qwait_or.error());
+    auto run = run_database(Scenario::Search, rq->mode, {&rq->query, 1},
+                            rq->options, st);
+    if (!run) {
+      (*cb)(run.error());
       return;
     }
-    const double qwait = *qwait_or;
-    const uint64_t trace_id = st.trace_id;
-    if (!db_) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::NoDatabase,
-                              "AlignService: no database attached"});
-      return;
-    }
-    auto cfg_or = effective_config(
-        rq->options,
-        std::max(rq->query.alphabet().size(), db_alphabet_codes_));
-    if (!cfg_or) {
-      metrics_.on_invalid_request();
-      obs::log_warn("service.invalid_request",
-                    {{"trace_id", trace_id},
-                     {"message", cfg_or.error().message}});
-      (*cb)(cfg_or.error());
-      return;
-    }
-    core::AlignConfig cfg = *cfg_or;
-    cfg.traceback = false;  // scoring pass, like DatabaseSearch
-    if (rq->mode == align::SearchMode::Batch && cfg.band >= 0) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::Unsupported,
-                              "AlignService: Batch search cannot band"});
-      return;
-    }
-    const size_t top_k = rq->options.top_k.value_or(opt_.default_top_k);
-
-    const obs::TraceContext tctx = trace_context(trace_id);
-    align::ExecContext ctx;
-    ctx.pool = &pool_;
-    ctx.query_cache = query_cache_.get();
-    ctx.deadline = steady_time_point(st.deadline_ns);
-    ctx.trace = tctx;
-    obs::Span dispatch(tctx, "dispatch.search", t_exec);
-    const uint64_t est_cells =
-        static_cast<uint64_t>(rq->query.length()) * db_->total_residues();
-    align::SearchResult res;
-    std::optional<perf::TopDownResult> td;
-    {
-      std::lock_guard<std::mutex> pool_lk(pool_mu_);
-      td = maybe_topdown(
-          [&] {
-            if (rq->mode == align::SearchMode::Batch)
-              res = sharded_->search(cfg, rq->query, top_k, ctx);
-            else
-              res = align::engine::search_diagonal(*db_, cfg, rq->query,
-                                                   top_k, ctx);
-          },
-          est_cells);
-    }
-    if (res.truncated) {
-      metrics_.on_deadline_expired();
-      obs::log_warn("service.deadline_expired",
-                    {{"trace_id", trace_id}, {"where", "mid_search"}});
-      (*cb)(core::ConfigError{Code::DeadlineExceeded,
-                              "AlignService: deadline expired mid-search"});
-      return;
-    }
-    RequestTrace tr =
-        make_trace(Scenario::Search, cfg, simd::resolve_isa(cfg.isa),
-                   cfg.width, qwait, res.seconds, res.stats.cells, 0);
-    tr.exec_sequence =
-        exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
-    tr.trace_id = opt_.obs.trace_sink != nullptr ? trace_id : 0;
-    tr.topdown = std::move(td);
-    metrics_.on_completed(perf::MetricsRegistry::Scenario::Search, res.seconds,
-                          res.stats.cells);
-    metrics_.on_tier_completed(static_cast<unsigned>(rq->options.tier),
-                               perf::MetricsRegistry::Scenario::Search,
-                               qwait + res.seconds);
-    if (res.batch_stats.cells8 > 0)
-      metrics_.on_batch_packing(res.batch_stats.cells8,
-                                res.batch_stats.useful_cells8);
-    metrics_.on_kernel_completed(tr.isa,
-                                 rq->mode == align::SearchMode::Batch
-                                     ? perf::KernelVariant::Batch32
-                                     : perf::KernelVariant::Diagonal,
-                                 res.stats.cells);
-    dispatch.end();
-    (*cb)(SearchResponse{std::move(res), std::move(tr)});
+    (*cb)(SearchResponse{std::move(run->results.front()),
+                         std::move(run->trace)});
   };
   task.id = st.trace_id;
   task.scenario = obs::Scenario::Search;
@@ -718,104 +747,13 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
       (*cb)(shut_down_before_run());
       return;
     }
-    const uint64_t t_exec = obs::steady_now_ns();
-    const core::ErrorOr<double> qwait_or = begin_run(st, t_exec);
-    if (!qwait_or) {
-      (*cb)(qwait_or.error());
+    auto run = run_database(Scenario::Batch, align::SearchMode::Batch,
+                            rq->queries, rq->options, st);
+    if (!run) {
+      (*cb)(run.error());
       return;
     }
-    const double qwait = *qwait_or;
-    const uint64_t trace_id = st.trace_id;
-    if (!db_) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::NoDatabase,
-                              "AlignService: no database attached"});
-      return;
-    }
-    if (rq->queries.empty()) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::EmptyRequest,
-                              "AlignService: batch with no queries"});
-      return;
-    }
-    auto cfg_or = effective_config(
-        rq->options,
-        std::max(alphabet_codes(rq->queries), db_alphabet_codes_));
-    if (!cfg_or) {
-      metrics_.on_invalid_request();
-      obs::log_warn("service.invalid_request",
-                    {{"trace_id", trace_id},
-                     {"message", cfg_or.error().message}});
-      (*cb)(cfg_or.error());
-      return;
-    }
-    core::AlignConfig cfg = *cfg_or;
-    cfg.traceback = false;
-    if (cfg.band >= 0) {
-      metrics_.on_invalid_request();
-      (*cb)(core::ConfigError{Code::Unsupported,
-                              "AlignService: batch cannot band"});
-      return;
-    }
-    const size_t top_k = rq->options.top_k.value_or(opt_.default_top_k);
-
-    const obs::TraceContext tctx = trace_context(trace_id);
-    align::ExecContext ctx;
-    ctx.pool = &pool_;
-    ctx.query_cache = query_cache_.get();
-    ctx.deadline = steady_time_point(st.deadline_ns);
-    ctx.trace = tctx;
-    obs::Span dispatch(tctx, "dispatch.batch", t_exec);
-    uint64_t est_cells = 0;
-    for (const auto& q : rq->queries)
-      est_cells += static_cast<uint64_t>(q.length()) * db_->total_residues();
-    perf::Stopwatch sw;
-    std::vector<align::BatchQueryResult> results;
-    std::optional<perf::TopDownResult> td;
-    {
-      std::lock_guard<std::mutex> pool_lk(pool_mu_);
-      td = maybe_topdown(
-          [&] {
-            results = align::engine::batch_run(*db_, *packed_, cfg, rq->queries,
-                                               top_k, ctx);
-          },
-          est_cells);
-    }
-    const double kernel_s = sw.seconds();
-    uint64_t cells = 0, retries = 0;
-    uint64_t cells8 = 0, useful8 = 0;
-    bool truncated = false;
-    for (const auto& r : results) {
-      cells += r.result.stats.cells;
-      retries += r.batch_stats.rescored;
-      cells8 += r.batch_stats.cells8;
-      useful8 += r.batch_stats.useful_cells8;
-      truncated = truncated || r.result.truncated;
-    }
-    if (truncated) {
-      metrics_.on_deadline_expired();
-      obs::log_warn("service.deadline_expired",
-                    {{"trace_id", trace_id}, {"where", "mid_batch"}});
-      (*cb)(core::ConfigError{Code::DeadlineExceeded,
-                              "AlignService: deadline expired mid-batch"});
-      return;
-    }
-    RequestTrace tr =
-        make_trace(Scenario::Batch, cfg, simd::resolve_isa(cfg.isa), cfg.width,
-                   qwait, kernel_s, cells, retries);
-    tr.exec_sequence =
-        exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
-    tr.trace_id = opt_.obs.trace_sink != nullptr ? trace_id : 0;
-    tr.topdown = std::move(td);
-    metrics_.on_completed(perf::MetricsRegistry::Scenario::Batch, kernel_s,
-                          cells);
-    metrics_.on_tier_completed(static_cast<unsigned>(rq->options.tier),
-                               perf::MetricsRegistry::Scenario::Batch,
-                               qwait + kernel_s);
-    if (cells8 > 0) metrics_.on_batch_packing(cells8, useful8);
-    metrics_.on_kernel_completed(tr.isa, perf::KernelVariant::Batch32, cells);
-    dispatch.end();
-    (*cb)(BatchResponse{std::move(results), std::move(tr)});
+    (*cb)(BatchResponse{std::move(run->results), std::move(run->trace)});
   };
   task.id = st.trace_id;
   task.scenario = obs::Scenario::Batch;

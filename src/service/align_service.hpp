@@ -19,10 +19,11 @@
 // the same ErrorOr.
 //
 // Requests route to the same engines the synchronous facades use
-// (engine::search_diagonal / align::ShardedSearch / engine::batch_run /
-// core::diag_align), so results are bit-identical to direct DatabaseSearch /
-// engine::batch_run / Aligner calls; one shard of a Batch search fans out
-// over the service's pool. Failures — invalid config, queue full, deadline
+// (engine::search_diagonal / align::ShardedSearch / core::diag_align), so
+// results are bit-identical to direct DatabaseSearch / ShardedSearch /
+// Aligner calls. A batch is one ShardedSearch::scan of all its queries,
+// and one shard of a batch or Batch search fans out over the service's
+// pool. Failures — invalid config, queue full, deadline
 // expiry, shutdown — arrive as a typed core::ConfigError in the ErrorOr
 // (to_status() maps it to the wire); nothing is thrown on a worker thread.
 #pragma once
@@ -36,10 +37,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/query_cache.hpp"
 #include "align/sharded_search.hpp"
@@ -494,6 +495,22 @@ class AlignService {
   /// thread's stack; a queued one from its Task.
   void run_pairwise(const AlignRequest& rq, const AlignCompletion& done,
                     const Stamp& st);
+
+  /// What a database request body returns on success.
+  struct DbRun {
+    std::vector<align::SearchResult> results;  ///< one per query
+    RequestTrace trace;
+  };
+  /// The body of search and batch requests (`scenario`): `queries` against
+  /// the attached database. Batch mode scans them all in one
+  /// ShardedSearch::scan, except that a Search request takes
+  /// ShardedSearch::search for its end cells; Diagonal mode runs
+  /// engine::search_diagonal. Returns the results and the trace, or the
+  /// error to fail the request with.
+  core::ErrorOr<DbRun> run_database(Scenario scenario, align::SearchMode mode,
+                                    std::span<const seq::Sequence> queries,
+                                    const RequestOptions& options,
+                                    const Stamp& st);
 
   /// The TraceContext requests thread through the engines: sink + trace id,
   /// plus the PMU session and registry when attribution is on.

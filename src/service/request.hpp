@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "core/error.hpp"
 #include "core/params.hpp"
@@ -139,7 +138,9 @@ struct SearchResponse {
 };
 
 struct BatchResponse {
-  std::vector<align::BatchQueryResult> results;
+  /// One result per query, in query order. Hits are score-only
+  /// (end_query = end_ref = -1): a batch skips search's phase 2.
+  std::vector<align::SearchResult> results;
   RequestTrace trace;
 };
 

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "core/batch32.hpp"
@@ -125,8 +124,6 @@ TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
 
   core::Workspace ws;
   EXPECT_THROW(core::batch_scores(q, wide, db, cfg, ws), std::invalid_argument);
-  EXPECT_THROW(align::engine::batch_run(db, wide, cfg, {q}, 5, ctx),
-               std::invalid_argument);
   EXPECT_THROW(align::DatabaseSearch(db, wide, cfg).search(q, 5),
                std::invalid_argument);
 
@@ -136,9 +133,12 @@ TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
   parallel::ThreadPool pool(4);
   align::ExecContext pooled;
   pooled.pool = &pool;
+  const seq::SeqView batch[] = {q, q};
   EXPECT_THROW((*one)->search(cfg, q, 5, pooled), std::invalid_argument);
+  EXPECT_THROW((*one)->scan(cfg, batch, 5, pooled), std::invalid_argument);
   EXPECT_EQ(pool.stats().jobs, 0u);
   EXPECT_THROW((*one)->search(cfg, q, 5, ctx), std::invalid_argument);
+  EXPECT_THROW((*one)->scan(cfg, batch, 5, ctx), std::invalid_argument);
 
   align::ShardOptions so;
   so.shards = 2;
@@ -146,6 +146,7 @@ TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
   auto sharded = align::ShardedSearch::create(db, wide, so);
   ASSERT_TRUE(sharded.ok()) << sharded.error().message;
   EXPECT_THROW((*sharded)->search(cfg, q, 5, ctx), std::invalid_argument);
+  EXPECT_THROW((*sharded)->scan(cfg, batch, 5, ctx), std::invalid_argument);
 }
 
 TEST(AlignServiceBatchLanes, BatchRequestWithMismatchedIsaIsUnsupported) {

@@ -119,7 +119,7 @@ TEST(Integration, ServiceBatchPipelineWithThreads) {
   ASSERT_TRUE(results.ok()) << results.error().message;
   ASSERT_EQ(results->results.size(), queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (const auto& hit : results->results[qi].result.hits) {
+    for (const auto& hit : results->results[qi].hits) {
       service::AlignRequest realign;
       realign.query = queries[qi];
       realign.reference = db[hit.seq_index];

@@ -138,6 +138,118 @@ TEST(NetProtocol, BatchRequestRoundTrip) {
     EXPECT_EQ(codes_of(back->queries[i]), codes_of(rq.queries[i]));
 }
 
+/// A two-query batch response whose every field is set; each query's
+/// batch_stats is what the v1 trailer after its search result carries.
+service::BatchResponse make_batch_response() {
+  service::BatchResponse r;
+  r.results.resize(2);
+  align::SearchResult& a = r.results[0];
+  a.query_length = 120;
+  a.db_residues = 50000;
+  a.seconds = 0.125;
+  a.stats.cells = 6000123;
+  a.stats.vector_cells = 6000000;
+  a.batch_stats = {6144000, 6000000, 2, 123};
+  a.hits = {{17, 88, -1, -1}, {4, 61, -1, -1}};
+  align::SearchResult& b = r.results[1];
+  b.query_length = 80;
+  b.db_residues = 50000;
+  b.seconds = 0.125;
+  b.stats.cells = 4096000;
+  b.stats.vector_cells = 4096000;
+  b.batch_stats = {4096000, 4000000, 0, 0};
+  b.hits = {{9, 45, -1, -1}};
+  r.trace.scenario = service::Scenario::Batch;
+  r.trace.queue_wait_s = 0.0005;
+  r.trace.kernel_s = 0.125;
+  r.trace.cells = 10096123;
+  r.trace.isa = simd::Isa::Avx2;
+  r.trace.delivery = core::ScoreDelivery::Fill;
+  r.trace.width_used = core::Width::W8;
+  r.trace.saturation_retries = 2;
+  return r;
+}
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex += kDigits[static_cast<uint8_t>(c) >> 4];
+    hex += kDigits[static_cast<uint8_t>(c) & 15];
+  }
+  return hex;
+}
+
+TEST(NetProtocol, BatchResponseRoundTrip) {
+  const service::BatchResponse r = make_batch_response();
+  std::string payload;
+  encode_batch_response(payload, r);
+  const auto back = decode_batch_response(payload);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->results.size(), r.results.size());
+  for (size_t q = 0; q < r.results.size(); ++q) {
+    const align::SearchResult& want = r.results[q];
+    const align::SearchResult& got = back->results[q];
+    EXPECT_EQ(got.query_length, want.query_length) << q;
+    EXPECT_EQ(got.db_residues, want.db_residues) << q;
+    EXPECT_EQ(got.seconds, want.seconds) << q;
+    EXPECT_EQ(got.stats.cells, want.stats.cells) << q;
+    EXPECT_EQ(got.stats.vector_cells, want.stats.vector_cells) << q;
+    EXPECT_EQ(got.batch_stats.cells8, want.batch_stats.cells8) << q;
+    EXPECT_EQ(got.batch_stats.useful_cells8, want.batch_stats.useful_cells8);
+    EXPECT_EQ(got.batch_stats.rescored, want.batch_stats.rescored) << q;
+    EXPECT_EQ(got.batch_stats.rescored_cells, want.batch_stats.rescored_cells);
+    EXPECT_EQ(got.truncated, want.truncated) << q;
+    ASSERT_EQ(got.hits.size(), want.hits.size()) << q;
+    for (size_t k = 0; k < want.hits.size(); ++k) {
+      EXPECT_EQ(got.hits[k].seq_index, want.hits[k].seq_index);
+      EXPECT_EQ(got.hits[k].score, want.hits[k].score);
+      EXPECT_EQ(got.hits[k].end_query, want.hits[k].end_query);
+      EXPECT_EQ(got.hits[k].end_ref, want.hits[k].end_ref);
+    }
+  }
+  EXPECT_EQ(back->trace.cells, r.trace.cells);
+  EXPECT_EQ(back->trace.saturation_retries, r.trace.saturation_retries);
+  // Re-encoding is byte-identical (the result-cache contract).
+  std::string again;
+  encode_batch_response(again, *back);
+  EXPECT_EQ(again, payload);
+  for (size_t n = 0; n < payload.size(); ++n)
+    EXPECT_FALSE(decode_batch_response(std::string_view(payload).substr(0, n)))
+        << "batch response prefix " << n;
+}
+
+TEST(NetProtocol, BatchResponseBytesAreRecorded) {
+  // make_batch_response() as encoded by the server generation whose batch
+  // results carried batch_stats only in the per-query trailer (its inner
+  // batch_stats set to the same values). Protocol v1 keeps these bytes.
+  constexpr const char kRecorded[] =
+      "0200000000780000000000000050c3000000000000000000000000c03ffb8d5b"
+      "0000000000808d5b00000000000000000000000000000000000000000000c05d"
+      "0000000000808d5b000000000002000000000000007b00000000000000020000"
+      "001100000058000000ffffffffffffffff040000003d000000ffffffffffffff"
+      "ff00c05d0000000000808d5b000000000002000000000000007b000000000000"
+      "0000500000000000000050c3000000000000000000000000c03f00803e000000"
+      "000000803e00000000000000000000000000000000000000000000803e000000"
+      "000000093d000000000000000000000000000000000000000000010000000900"
+      "00002d000000ffffffffffffffff00803e000000000000093d00000000000000"
+      "000000000000000000000000000002fca9f1d24d62403f000000000000c03ffb"
+      "0d9a00000000000302000200000000000000";
+  std::string payload;
+  encode_batch_response(payload, make_batch_response());
+  EXPECT_EQ(to_hex(payload), kRecorded);
+
+  // A server that sent zeros inside the search result still decodes, with
+  // batch_stats taken from the trailer.
+  std::string old = payload;
+  const size_t inner = 4 + 1 + 8 * 7;  // count, truncated, 7 u64/f64 fields
+  std::memset(old.data() + inner, 0, 32);
+  const auto back = decode_batch_response(old);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->results[0].batch_stats.cells8, 6144000u);
+  EXPECT_EQ(back->results[0].batch_stats.rescored_cells, 123u);
+}
+
 TEST(NetProtocol, EveryTruncationIsRejected) {
   std::string align_p, search_p, batch_p;
   encode_align_request(align_p, make_align_request());

@@ -13,11 +13,11 @@
 #include <chrono>
 #include <future>
 #include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "align/batch_run.hpp"
 #include "align/db_search.hpp"
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
@@ -196,40 +196,51 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
   }
 }
 
-TEST(AlignService, BatchMatchesBatchRunForEveryThreadCount) {
+TEST(AlignService, BatchMatchesPerQuerySearchForEveryThreadCount) {
+  // A batch is one scan of all its queries; each query's result is the
+  // Batch-mode search of that query alone, without its end cells.
   auto db = make_db(100'000);
   std::vector<seq::Sequence> queries = seq::make_query_ladder(33, 6, 60, 300);
-  const core::AlignConfig cfg;
-  const core::Batch32Db packed(
-      db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
 
   for (unsigned threads : {1u, 3u}) {
-    parallel::ThreadPool pool(threads);
-    align::ExecContext ctx;
-    ctx.pool = &pool;
-    auto want = align::engine::batch_run(db, packed, cfg, queries, 5, ctx);
+    for (int shards : {1, 2}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << shards << " shards");
+      ServiceOptions opt;
+      opt.pool_threads = threads;
+      opt.search.shards = shards;
+      AlignService svc(db, opt);
+      BatchRequest rq;
+      rq.queries = queries;
+      rq.options.top_k = 5;
+      BatchResponse got = get_ok(submit_future(svc, std::move(rq)));
+      EXPECT_EQ(got.trace.scenario, Scenario::Batch);
+      ASSERT_EQ(got.results.size(), queries.size());
 
-    ServiceOptions opt;
-    opt.pool_threads = threads;
-    AlignService svc(db, opt);
-    BatchRequest rq;
-    rq.queries = queries;
-    rq.options.top_k = 5;
-    BatchResponse got = get_ok(submit_future(svc, std::move(rq)));
-
-    ASSERT_EQ(got.results.size(), want.size());
-    for (size_t qi = 0; qi < want.size(); ++qi) {
-      ASSERT_EQ(got.results[qi].result.hits.size(),
-                want[qi].result.hits.size())
-          << qi;
-      for (size_t k = 0; k < want[qi].result.hits.size(); ++k) {
-        EXPECT_EQ(got.results[qi].result.hits[k].seq_index,
-                  want[qi].result.hits[k].seq_index);
-        EXPECT_EQ(got.results[qi].result.hits[k].score,
-                  want[qi].result.hits[k].score);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        SearchRequest srq;
+        srq.query = queries[qi];
+        srq.mode = align::SearchMode::Batch;
+        srq.options.top_k = 5;
+        const align::SearchResult want =
+            get_ok(submit_future(svc, std::move(srq))).result;
+        const align::SearchResult& res = got.results[qi];
+        ASSERT_EQ(res.hits.size(), want.hits.size()) << qi;
+        for (size_t k = 0; k < want.hits.size(); ++k) {
+          EXPECT_EQ(res.hits[k].seq_index, want.hits[k].seq_index) << qi;
+          EXPECT_EQ(res.hits[k].score, want.hits[k].score) << qi;
+          EXPECT_EQ(res.hits[k].end_query, -1) << qi;
+          EXPECT_EQ(res.hits[k].end_ref, -1) << qi;
+        }
+        EXPECT_EQ(res.batch_stats.cells8, want.batch_stats.cells8) << qi;
+        EXPECT_EQ(res.batch_stats.useful_cells8,
+                  want.batch_stats.useful_cells8) << qi;
+        EXPECT_EQ(res.batch_stats.rescored, want.batch_stats.rescored) << qi;
+        EXPECT_EQ(res.batch_stats.rescored_cells,
+                  want.batch_stats.rescored_cells) << qi;
+        EXPECT_FALSE(res.truncated);
       }
     }
-    EXPECT_EQ(got.trace.scenario, Scenario::Batch);
   }
 }
 
@@ -505,13 +516,21 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
   // A 4000-aa query over 2M residues on one thread scans far longer than
   // any deadline tried, so a request dequeued in time is cut mid-scan. A
   // loaded host can only hold it in the queue past its deadline; the test
-  // then doubles the deadline instead of racing the clock. It passes on a
-  // chunk span that opened before `before + deadline` (the service's
-  // deadline is later still) and carries TruncCause::Deadline.
+  // then doubles the deadline instead of racing the clock. It passes on the
+  // engine's chunk span that opened before `before + deadline` (the
+  // service's deadline is later still) and carries TruncCause::Deadline.
+  // Cases: Diagonal search, Batch search, and a batch of that one query.
   auto db = make_db(2'000'000);
   const seq::Sequence q = seq::generate_sequence(90, 4000);
-  for (align::SearchMode mode :
-       {align::SearchMode::Diagonal, align::SearchMode::Batch}) {
+  struct Case {
+    const char* label;
+    std::optional<align::SearchMode> search_mode;  // nullopt: BatchRequest
+    const char* chunk;
+  };
+  for (const Case& c :
+       {Case{"diagonal", align::SearchMode::Diagonal, "chunk.search_diagonal"},
+        Case{"batch search", align::SearchMode::Batch, "chunk.search_batch"},
+        Case{"batch", std::nullopt, "chunk.search_batch"}}) {
     obs::TraceSink sink;
     ServiceOptions opt;
     opt.pool_threads = 1;
@@ -521,24 +540,29 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
     uint64_t id = 100;
     for (milliseconds deadline{10}; !marked && deadline.count() <= 160;
          deadline *= 2) {
-      SearchRequest rq;
-      rq.query = q;
-      rq.mode = mode;
-      rq.options.deadline = deadline;
-      rq.options.trace_id = ++id;
+      RequestOptions ro;
+      ro.deadline = deadline;
+      ro.trace_id = ++id;
       const uint64_t expiry_ns = sink.now_ns() + 1'000'000 * deadline.count();
-      const auto out = submit_future(svc, std::move(rq)).get();
-      ASSERT_FALSE(out.ok()) << "the scan beat the deadline";
-      ASSERT_EQ(out.error().code, Code::DeadlineExceeded);
-      const std::string& message = out.error().message;
-      if (message.find("in queue") != std::string::npos) continue;
+      std::optional<core::ConfigError> err;
+      if (c.search_mode) {
+        SearchRequest rq{q, *c.search_mode, ro};
+        const auto out = submit_future(svc, std::move(rq)).get();
+        if (!out.ok()) err = out.error();
+      } else {
+        BatchRequest rq{{q}, ro};
+        const auto out = submit_future(svc, std::move(rq)).get();
+        if (!out.ok()) err = out.error();
+      }
+      ASSERT_TRUE(err.has_value()) << c.label << ": the scan beat the deadline";
+      ASSERT_EQ(err->code, Code::DeadlineExceeded) << c.label;
+      if (err->message.find("in queue") != std::string::npos) continue;
       for (const auto& e : sink.snapshot_events())
         marked = marked || (e.trace_id == id && e.ts_ns < expiry_ns &&
                             e.trunc == obs::TruncCause::Deadline &&
-                            std::string(e.name).rfind("chunk.", 0) == 0);
+                            std::string(e.name) == c.chunk);
     }
-    EXPECT_TRUE(marked) << (mode == align::SearchMode::Batch ? "batch"
-                                                             : "diagonal");
+    EXPECT_TRUE(marked) << c.label;
   }
 }
 

@@ -1,9 +1,12 @@
-// ShardedSearch: the one scenario-1 batch engine.
+// ShardedSearch: the one database scan, for one query (search) and for a
+// query batch (scan).
 //
 // The load-bearing property is identity: one shard on the caller's pool (or
 // inline), or S shards on their own pinned pools, must return the scalar
-// golden model's top-k for every packing policy and shard count, including
-// ragged splits and duplicate-score tie-breaks. Also covers the shard
+// golden model's top-k for every packing policy, shard count and pool
+// size, including ragged splits, duplicate-score tie-breaks, and batches of
+// queries from 64 to 2048 residues with duplicated and empty ones. scan()'s
+// hits carry no end cells. Also covers the shard
 // planner, typed errors for impossible shard counts, empty databases and
 // queries, SWVE_NUMA=off, cancellation/deadline mid-shard, concurrent
 // searches on one instance (the TSan lane runs this file), and the service
@@ -20,6 +23,7 @@
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "core/scalar_ref.hpp"
+#include "core/traceback.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -53,6 +57,37 @@ ShardOptions shards_of(int s, unsigned total_threads) {
   sopt.shards = s;
   sopt.total_threads = total_threads;
   return sopt;
+}
+
+/// The scalar model's top-k of `q` over every sequence of `db`, best score
+/// first, then lowest index; end cells -1, as scan() reports them.
+std::vector<Hit> golden_scores(const seq::SequenceDatabase& db,
+                               seq::SeqView q, const core::AlignConfig& cfg,
+                               size_t top_k) {
+  std::vector<Hit> hits;
+  for (size_t i = 0; i < db.size() && !q.empty(); ++i) {
+    const int score = core::ref_align(q, db[i], cfg).score;
+    if (score > 0) hits.push_back(Hit{static_cast<uint32_t>(i), score, -1, -1});
+  }
+  std::sort(hits.begin(), hits.end());
+  if (hits.size() > top_k) hits.resize(top_k);
+  return hits;
+}
+
+/// One shard of `db`, packed for cfg's lanes, scanning `queries` on `pool`
+/// (inline when null).
+std::vector<SearchResult> scan_one_shard(
+    const seq::SequenceDatabase& db, const core::AlignConfig& cfg,
+    const std::vector<seq::Sequence>& queries, size_t top_k,
+    parallel::ThreadPool* pool = nullptr) {
+  const core::Batch32Db packed(
+      db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
+  auto sharded = ShardedSearch::create(db, packed, ShardOptions{});
+  EXPECT_TRUE(sharded.ok());
+  ExecContext ctx;
+  ctx.pool = pool;
+  const std::vector<seq::SeqView> views(queries.begin(), queries.end());
+  return (*sharded)->scan(cfg, views, top_k, ctx);
 }
 
 TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
@@ -92,6 +127,144 @@ TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
       expect_same_hits(search.search(q, 12), want, label + " inline");
     }
   }
+}
+
+TEST(ShardedSearch, MultiQueryScanMatchesScalarGolden) {
+  // A query ladder of 64 to 2048 residues, one query twice and one empty,
+  // over a database with fewer batches than the largest pool and over one
+  // with many.
+  const core::AlignConfig cfg;
+  const int lanes = core::batch_lanes_for(simd::resolve_isa(cfg.isa));
+  seq::SyntheticConfig tiny_cfg;
+  tiny_cfg.seed = 41;
+  tiny_cfg.target_residues = static_cast<uint64_t>(2 * lanes + 1) * 60;
+  tiny_cfg.min_length = 20;
+  tiny_cfg.max_length = 60;
+  std::vector<seq::Sequence> tiny = seq::generate_database(tiny_cfg);
+  tiny.resize(static_cast<size_t>(2 * lanes + 1));  // three batches
+  const seq::SequenceDatabase few(std::move(tiny));
+  const seq::SequenceDatabase many = make_db(40'000, 43);
+
+  const std::vector<seq::Sequence> ladder =
+      seq::make_query_ladder(44, 4, 64, 2048);
+  std::vector<seq::SeqView> queries(ladder.begin(), ladder.end());
+  queries.insert(queries.begin() + 2, ladder[1]);
+  queries.push_back(seq::SeqView{});
+  constexpr size_t kTop = 9;
+
+  for (const seq::SequenceDatabase* db : {&few, &many}) {
+    const core::Batch32Db packed(*db, lanes);
+    ASSERT_GE(packed.batch_count(), 3u);
+    std::vector<std::vector<Hit>> want;
+    for (const seq::SeqView q : queries)
+      want.push_back(golden_scores(*db, q, cfg, kTop));
+    for (int s : {1, 2, 3}) {
+      for (unsigned threads : {1u, 2u, 4u}) {
+        const std::string label = std::to_string(packed.batch_count()) +
+                                  " batches s" + std::to_string(s) + " p" +
+                                  std::to_string(threads);
+        auto sharded =
+            ShardedSearch::create(*db, packed, shards_of(s, threads));
+        ASSERT_TRUE(sharded.ok()) << label;
+        parallel::ThreadPool pool(threads);
+        ExecContext ctx;
+        ctx.pool = &pool;
+        const std::vector<SearchResult> got =
+            (*sharded)->scan(cfg, queries, kTop, ctx);
+        ASSERT_EQ(got.size(), queries.size()) << label;
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          SearchResult golden;
+          golden.hits = want[qi];
+          expect_same_hits(got[qi], golden,
+                           label + " query " + std::to_string(qi));
+          EXPECT_FALSE(got[qi].truncated) << label;
+          EXPECT_EQ(got[qi].query_length, queries[qi].length) << label;
+        }
+        EXPECT_EQ(got[1].batch_stats.cells8, got[2].batch_stats.cells8)
+            << label;
+        EXPECT_EQ(got.back().batch_stats.cells8, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(ShardedSearch, ScanScoresAgreeWithDatabaseSearch) {
+  auto db = make_db(50'000, 25);
+  const AlignConfig cfg;
+  DatabaseSearch search(db, cfg);
+  auto queries = seq::make_query_ladder(30, 4, 40, 300);
+  auto results = scan_one_shard(db, cfg, queries, 8);
+  ASSERT_EQ(results.size(), queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    SearchResult direct = search.search(queries[qi], 8);
+    const SearchResult& scanned = results[qi];
+    ASSERT_EQ(scanned.hits.size(), direct.hits.size()) << "query " << qi;
+    for (size_t k = 0; k < direct.hits.size(); ++k) {
+      EXPECT_EQ(scanned.hits[k].seq_index, direct.hits[k].seq_index);
+      EXPECT_EQ(scanned.hits[k].score, direct.hits[k].score);
+      EXPECT_EQ(scanned.hits[k].end_query, -1);
+      EXPECT_EQ(scanned.hits[k].end_ref, -1);
+    }
+  }
+}
+
+TEST(ShardedSearch, ScanDeterministicAcrossThreadCounts) {
+  auto db = make_db(40'000, 25);
+  const AlignConfig cfg;
+  auto queries = seq::make_query_ladder(31, 6, 50, 400);
+  auto serial = scan_one_shard(db, cfg, queries, 5);
+  for (unsigned threads : {2u, 4u}) {
+    parallel::ThreadPool pool(threads);
+    auto par = scan_one_shard(db, cfg, queries, 5, &pool);
+    ASSERT_EQ(par.size(), serial.size());
+    for (size_t qi = 0; qi < serial.size(); ++qi) {
+      expect_same_hits(par[qi], serial[qi], "query " + std::to_string(qi));
+      EXPECT_EQ(par[qi].batch_stats.cells8, serial[qi].batch_stats.cells8);
+      EXPECT_EQ(par[qi].batch_stats.rescored, serial[qi].batch_stats.rescored);
+    }
+  }
+}
+
+TEST(ShardedSearch, ScanTopHitReplaysWithTraceback) {
+  auto q = seq::generate_sequence(32, 200);
+  std::vector<seq::Sequence> seqs;
+  for (int i = 0; i < 40; ++i)
+    seqs.push_back(seq::generate_sequence(33 + static_cast<uint64_t>(i), 150));
+  seqs.push_back(seq::mutate(q, 34, 0.15));
+  seq::SequenceDatabase db(std::move(seqs));
+  AlignConfig cfg;
+  auto results = scan_one_shard(db, cfg, {q}, 3);
+  ASSERT_FALSE(results[0].hits.empty());
+  const Hit& top = results[0].hits[0];
+  EXPECT_EQ(top.seq_index, 40u);
+  AlignConfig replay_cfg = cfg;
+  replay_cfg.traceback = true;
+  core::Alignment a = Aligner(replay_cfg).align(q, db[top.seq_index]);
+  EXPECT_EQ(a.score, top.score);
+  ASSERT_FALSE(a.cigar.empty());
+  EXPECT_EQ(core::replay_score(q, db[top.seq_index], replay_cfg, a), a.score);
+}
+
+TEST(ShardedSearch, PackedLanesMatchCpuCapability) {
+  auto db = make_db(5'000, 25);
+  const core::Batch32Db packed(
+      db, core::batch_lanes_for(simd::resolve_isa(AlignConfig{}.isa)));
+  EXPECT_TRUE(packed.lanes() == 32 || packed.lanes() == 64);
+  EXPECT_EQ(packed.lanes(),
+            core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)));
+}
+
+TEST(ShardedSearch, ScanEmptyQueryListAndStats) {
+  auto db = make_db(5'000, 25);
+  const AlignConfig cfg;
+  EXPECT_TRUE(scan_one_shard(db, cfg, {}, 5).empty());
+  auto q = seq::generate_sequence(35, 80);
+  auto results = scan_one_shard(db, cfg, {q}, 5);
+  ASSERT_EQ(results.size(), 1u);
+  const core::BatchSearchStats& bs = results[0].batch_stats;
+  EXPECT_GT(bs.cells8, 0u);
+  EXPECT_EQ(results[0].stats.cells, bs.cells8 + bs.rescored_cells);
+  EXPECT_EQ(results[0].stats.vector_cells, bs.cells8);
 }
 
 TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
