@@ -121,7 +121,15 @@ void report_us_per_pair(benchmark::State& state, size_t pairs,
       benchmark::Counter::kAvgThreads);
 }
 
-void BM_DiagShortPairs(benchmark::State& state, const PairList& (*pair_list)()) {
+using PairAligner = core::Alignment (*)(seq::SeqView, seq::SeqView,
+                                        const core::AlignConfig&, core::Workspace&,
+                                        const core::PreparedQuery*);
+
+// `align` is core::diag_align (the diag/ cases) or core::pair_align, which
+// runs the column sweep on these pairs where the host has AVX-512 VBMI
+// (the pair/ cases).
+void BM_ShortPairs(benchmark::State& state, const PairList& (*pair_list)(),
+                   PairAligner align) {
   const PairList& pairs = pair_list();
   const core::AlignConfig cfg = short_pair_config();
   uint64_t cells = 0;
@@ -129,7 +137,7 @@ void BM_DiagShortPairs(benchmark::State& state, const PairList& (*pair_list)()) 
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state)
     for (const auto& [q, r] : pairs) {
-      core::Alignment a = core::diag_align(q, r, cfg, tls_ws());
+      core::Alignment a = align(q, r, cfg, tls_ws(), nullptr);
       benchmark::DoNotOptimize(a.score);
     }
   report_cells(state, cells);
@@ -268,12 +276,16 @@ int main(int argc, char** argv) {
            ScoreScheme::Matrix);
   SWVE_REG("diag/avx512/w8", BM_DiagKernel, Isa::Avx512, Width::W8,
            ScoreScheme::Matrix);
-  benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb", BM_DiagShortPairs,
-                               short_pairs)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("diag/short_pairs/saturating/adaptive/tb",
-                               BM_DiagShortPairs, saturating_short_pairs)
-      ->Unit(benchmark::kMillisecond);
+  for (auto [kernel, align] : {std::pair{"diag", &core::diag_align},
+                                {"pair", &core::pair_align}}) {
+    const std::string k = kernel;
+    benchmark::RegisterBenchmark((k + "/short_pairs/adaptive/tb").c_str(), BM_ShortPairs,
+                                 short_pairs, align)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark((k + "/short_pairs/saturating/adaptive/tb").c_str(),
+                                 BM_ShortPairs, saturating_short_pairs, align)
+        ->Unit(benchmark::kMillisecond);
+  }
   // The direct and the service case at one thread and at nproc - 1 threads
   // (perfbench's submitter count): their us_per_pair difference is the
   // service's cost per request.
@@ -281,7 +293,7 @@ int main(int argc, char** argv) {
       static_cast<int>(std::max(2u, std::thread::hardware_concurrency())) - 1;
   if (submitters > 1)
     benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb",
-                                 BM_DiagShortPairs, short_pairs)
+                                 BM_ShortPairs, short_pairs, &core::diag_align)
         ->Unit(benchmark::kMillisecond)
         ->Threads(submitters)
         ->UseRealTime();

@@ -29,10 +29,12 @@ class Aligner {
     cfg_ = cfg;
   }
 
-  /// Align query against reference with the diagonal kernel family
-  /// (ISA-dispatched, adaptive width, optional traceback per config).
+  /// Align query against reference with the kernel that suits the pair
+  /// (core::pair_align: the column sweep for short pairs on AVX-512 VBMI,
+  /// else the diagonal kernel family; ISA-dispatched, adaptive width,
+  /// optional traceback per config).
   Alignment align(seq::SeqView query, seq::SeqView reference) {
-    return core::diag_align(query, reference, cfg_, ws_);
+    return core::pair_align(query, reference, cfg_, ws_);
   }
 
   /// Access the workspace (advanced: sharing with the batch kernels).

@@ -45,7 +45,7 @@ void realign_winners(const seq::SequenceDatabase& db,
     // holds it, where the ladder would finish with the same end cell.
     if (cfg.width == core::Width::Adaptive)
       rung.width = core::exact_score_width(cfg, h.score);
-    core::Alignment a = core::diag_align(query, db[h.seq_index], rung, ws, prep);
+    core::Alignment a = core::pair_align(query, db[h.seq_index], rung, ws, prep);
     h.end_query = a.end_query;
     h.end_ref = a.end_ref;
     out.stats += a.stats;

@@ -64,7 +64,6 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
     auto [begin, end] = ranges[p];
     if (begin >= end) return;
     obs::Span span(ctx.trace, "chunk.search_diagonal");
-    span.set_kernel(perf::KernelVariant::Diagonal);
     span.set_index(p);
     auto lease = QueryStateCache::lease(ctx.query_cache);
     core::Workspace& ws = lease.ws();
@@ -76,12 +75,17 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
         span.set_trunc(trunc_cause(ctx));
         break;
       }
-      core::Alignment a = core::diag_align(query, db[s], cfg, ws, prep.get());
+      core::Alignment a = core::pair_align(query, db[s], cfg, ws, prep.get());
       span.set_isa(a.isa_used);
       span.set_width_bits(width_bits(a.width_used));
       stats += a.stats;
       top.offer(Hit{static_cast<uint32_t>(s), a.score, a.end_query, a.end_ref});
     }
+    // pair_align picks the sweep per target: the chunk carries the one
+    // that computed most of its cells (the diagonal kernel when none ran).
+    span.set_kernel(kernel_variant(2 * stats.column_cells > stats.cells
+                                       ? core::Sweep::Column
+                                       : core::Sweep::Diagonal));
     span.add_cells(stats.cells);
     part_hits[p] = std::move(top).sorted();
     part_stats[p] = stats;

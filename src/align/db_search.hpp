@@ -18,6 +18,7 @@
 #include "core/batch32.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/topology.hpp"
+#include "perf/metrics.hpp"
 #include "seq/database.hpp"
 
 namespace swve::core {
@@ -27,6 +28,13 @@ class MappedDb;
 namespace swve::align {
 
 class ShardedSearch;    // align/sharded_search.hpp
+
+/// The metrics and trace label of the sweep that computed an alignment
+/// (core::pair_align picks it per pair).
+constexpr perf::KernelVariant kernel_variant(core::Sweep s) noexcept {
+  return s == core::Sweep::Column ? perf::KernelVariant::Column
+                                  : perf::KernelVariant::Diagonal;
+}
 
 /// How a Batch-mode search splits the packed database (align::ShardedSearch;
 /// ServiceOptions.search mirrors these). numa, total_threads and mapped

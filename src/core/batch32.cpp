@@ -241,15 +241,16 @@ void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
       scores[k] = r8.max_score[k];
       continue;
     }
-    // Exact re-score with the diagonal kernel at 16 bits, then 32.
+    // Exact re-score at 16 bits, then 32 (pair_align: the column sweep
+    // for a short pair, which never saturates at 16 bits).
     const seq::Sequence& s = db[batch.seq_index[k]];
     AlignConfig wide = cfg;
     wide.width = Width::W16;
     wide.isa = isa;
-    Alignment a = diag_align(q, s, wide, ws, prep);
+    Alignment a = pair_align(q, s, wide, ws, prep);
     if (a.saturated) {
       wide.width = Width::W32;
-      a = diag_align(q, s, wide, ws, prep);
+      a = pair_align(q, s, wide, ws, prep);
     }
     scores[k] = a.score;
     ++stats.rescored;

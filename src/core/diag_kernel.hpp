@@ -560,13 +560,20 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     // read as 0 from the next diagonals (out-of-ref columns for the full
     // DP, out-of-band cells under a band). Overwrites are provably either
     // dead slots or already zero; indices stay inside the kPad margins.
-    Hc[lo - 1] = 0;
-    Hc[hi + 1] = 0;
-    if constexpr (GM == GapModel::Affine) {
-      Ec[lo - 1] = 0;
-      Ec[hi + 1] = 0;
-      Fc[lo - 1] = 0;
-      Fc[hi + 1] = 0;
+    // In a full DP a masked tail vector has already stored those zeros at
+    // hi + 1, and lo - 1 needs none: slot -1 is zeroed at setup and never
+    // rewritten, and once d >= n no later cell reads lo - 1. So only
+    // scalar diagonals, diagonals without a tail vector and banded runs
+    // store them.
+    if (cfg.band >= 0 || len <= detail::kScalarDiagonal || len % V == 0) {
+      Hc[lo - 1] = 0;
+      Hc[hi + 1] = 0;
+      if constexpr (GM == GapModel::Affine) {
+        Ec[lo - 1] = 0;
+        Ec[hi + 1] = 0;
+        Fc[lo - 1] = 0;
+        Fc[hi + 1] = 0;
+      }
     }
 
     // A cell of this diagonal reached the limit, so the next one could

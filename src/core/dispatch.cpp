@@ -35,6 +35,17 @@ uint8_t max_code(seq::SeqView s) {
   return mx;
 }
 
+// Every delivery path indexes the padded 32-column matrix with the raw
+// codes (rows past the matrix's alphabet score its minimum); the in-register
+// lookup holds only the first `q_limit` (seq::kShuffleCodes) rows.
+void check_codes(int q_max, int q_limit, seq::SeqView r) {
+  if (q_max >= q_limit || max_code(r) >= seq::kMatrixStride)
+    throw std::invalid_argument(
+        "diag_align: residue code past the score table (query codes must "
+        "be below " + std::to_string(q_limit) + ", reference codes below " +
+        std::to_string(seq::kMatrixStride) + ")");
+}
+
 }  // namespace
 
 ScoreDelivery delivery_for(const AlignConfig& cfg, simd::Isa isa,
@@ -83,19 +94,11 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
   cfg.validate();
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   if (cfg.scheme == ScoreScheme::Matrix) {
-    // Every delivery path indexes the padded 32-column matrix with the raw
-    // codes (rows past the matrix's alphabet score its minimum); the
-    // in-register lookup holds only the first seq::kShuffleCodes rows.
     const int q_limit =
         delivery_for(cfg, isa, cfg.width) == ScoreDelivery::Shuffle
             ? seq::kShuffleCodes
             : seq::kMatrixStride;
-    const int q_max = prep != nullptr ? prep->max_code() : max_code(q);
-    if (q_max >= q_limit || max_code(r) >= seq::kMatrixStride)
-      throw std::invalid_argument(
-          "diag_align: residue code past the score table (query codes must "
-          "be below " + std::to_string(q_limit) + ", reference codes below " +
-          std::to_string(seq::kMatrixStride) + ")");
+    check_codes(prep != nullptr ? prep->max_code() : max_code(q), q_limit, r);
   }
   AlignConfig resolved = cfg;
   DiagRequest rq;
@@ -148,6 +151,45 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
     a.cigar = std::move(t.cigar);
   }
   return a;
+}
+
+bool column_sweep_runs(const AlignConfig& cfg, simd::Isa isa, size_t m,
+                       size_t n, uint8_t q_max_code) {
+#if defined(SWVE_HAVE_AVX512_BUILD)
+  const int64_t limit16 = 65535 - cfg.bias() - cfg.max_subst_score();
+  return isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi &&
+         m >= 1 && m <= kColumnSweepMaxLength && n <= kColumnSweepMaxLength &&
+         cfg.band < 0 && cfg.width != Width::W32 &&
+         (cfg.scheme == ScoreScheme::Fixed || q_max_code < seq::kShuffleCodes) &&
+         static_cast<int64_t>(m) * cfg.max_subst_score() < limit16;
+#else
+  (void)cfg, (void)isa, (void)m, (void)n, (void)q_max_code;
+  return false;
+#endif
+}
+
+Alignment pair_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
+                     Workspace& ws, const PreparedQuery* prep) {
+  cfg.validate();
+  [[maybe_unused]] const simd::Isa isa = simd::resolve_isa(cfg.isa);
+  [[maybe_unused]] const uint8_t q_max =
+      prep != nullptr ? prep->max_code() : max_code(q);
+#if defined(SWVE_HAVE_AVX512_BUILD)
+  if (column_sweep_runs(cfg, isa, q.length, r.length, q_max)) {
+    if (cfg.scheme == ScoreScheme::Matrix) check_codes(q_max, seq::kShuffleCodes, r);
+    Alignment a = column_avx512(q, r, cfg, ws);
+    if (cfg.traceback && a.score > 0 && !a.saturated) {
+      const ColumnTracebackView view{
+          static_cast<const uint8_t*>(ws.tb_dirs.data()), static_cast<int>(q.length)};
+      TracebackResult t = walk_traceback(view, a.end_query, a.end_ref);
+      a.begin_query = t.begin_query;
+      a.begin_ref = t.begin_ref;
+      a.cigar = std::move(t.cigar);
+    }
+    return a;
+  }
+#endif
+  return diag_align(q, r, cfg, ws, prep);
 }
 
 }  // namespace swve::core

@@ -22,6 +22,10 @@ DiagOutput diag_avx2(const DiagRequest& rq, Width width);
 #endif
 #if defined(SWVE_HAVE_AVX512_BUILD)
 DiagOutput diag_avx512(const DiagRequest& rq, Width width);
+/// The column sweep (column_avx512.cpp) for a pair column_sweep_runs
+/// admits; no traceback walk (pair_align does it).
+Alignment column_avx512(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
+                        Workspace& ws);
 #endif
 
 /// Run one kernel at a concrete ISA and width. `isa` must already be
@@ -60,6 +64,30 @@ Width exact_score_width(const AlignConfig& cfg, int score);
 /// std::invalid_argument otherwise. Codes of every seq::Alphabet qualify;
 /// a code past the matrix's own alphabet scores the matrix minimum.
 Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
+                     Workspace& ws, const PreparedQuery* prep = nullptr);
+
+/// Longest query and reference the column sweep takes: past it the sweep's
+/// ceil(log2 m)-step gap scan costs more per column than the diagonal
+/// kernel's anti-diagonal (EXPERIMENTS.md, "Column sweep for short queries").
+inline constexpr size_t kColumnSweepMaxLength = 128;
+
+/// The one rule for which sweep core::pair_align runs: the column sweep
+/// when the resolved `isa` is AVX-512 with VBMI, 1 <= m <= 128, n <= 128,
+/// the DP is unbanded, the width is Adaptive, W8 or W16, every query code
+/// is below seq::kShuffleCodes (or the scheme is Fixed), and
+/// m * max_subst_score() is below the 16-bit saturation limit, so no 32-bit
+/// rung can be needed. `q_max_code` is the largest query code. A fixed
+/// rule, no timing.
+bool column_sweep_runs(const AlignConfig& cfg, simd::Isa isa, size_t m,
+                       size_t n, uint8_t q_max_code);
+
+/// Full alignment of one pair through the kernel that suits its shape:
+/// the column sweep where column_sweep_runs admits it, else diag_align
+/// (with `prep` forwarded). Same signature, validation and results as
+/// diag_align in every field but Alignment::sweep and the stats'
+/// `diagonals` (the column sweep counts columns). Traceback over more than
+/// cfg.max_traceback_cells cells throws std::length_error.
+Alignment pair_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                      Workspace& ws, const PreparedQuery* prep = nullptr);
 
 }  // namespace swve::core

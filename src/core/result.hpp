@@ -72,16 +72,29 @@ struct KernelStats {
   uint64_t cells = 0;         ///< total DP cells computed
   uint64_t vector_cells = 0;  ///< computed in full-width vector ops
   uint64_t scalar_cells = 0;  ///< ragged-segment cells on the scalar path
-  uint64_t diagonals = 0;     ///< anti-diagonals processed (diag kernels)
+  /// Anti-diagonals processed by the diagonal kernels; reference columns
+  /// for the column sweep (each of its steps is one column of m cells).
+  uint64_t diagonals = 0;
+  /// Of `cells`, those the column sweep computed (the rest ran on the
+  /// diagonal or batch kernels); not carried on the wire.
+  uint64_t column_cells = 0;
 
   KernelStats& operator+=(const KernelStats& o) {
     cells += o.cells;
     vector_cells += o.vector_cells;
     scalar_cells += o.scalar_cells;
     diagonals += o.diagonals;
+    column_cells += o.column_cells;
     return *this;
   }
 };
+
+/// Which dynamic-programming sweep produced an Alignment.
+///   Diagonal — the paper's anti-diagonal kernel (every ISA, width and band).
+///   Column   — the column sweep core::pair_align runs for short pairs on
+///              AVX-512 VBMI: query rows in the lanes, one reference column
+///              per step (docs/kernel.md, "Column sweep").
+enum class Sweep : uint8_t { Diagonal, Column };
 
 struct Alignment {
   int score = 0;
@@ -97,6 +110,7 @@ struct Alignment {
 
   Width width_used = Width::W32;
   simd::Isa isa_used = simd::Isa::Scalar;
+  Sweep sweep = Sweep::Diagonal;  ///< the kernel that ran
   /// Adaptive-width bookkeeping: which narrower attempts saturated.
   bool saturated_8 = false;
   bool saturated_16 = false;

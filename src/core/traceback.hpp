@@ -101,4 +101,16 @@ struct DiagTracebackView {
   }
 };
 
+/// Flags for the column sweep's layout: column j's direction bytes are
+/// rows [0, m) at dirs + j*m.
+struct ColumnTracebackView {
+  const uint8_t* dirs = nullptr;
+  int m = 0;  // query length
+
+  uint8_t operator()(int i, int j) const noexcept {
+    return dirs[static_cast<uint64_t>(j) * static_cast<uint64_t>(m) +
+                static_cast<uint64_t>(i)];
+  }
+};
+
 }  // namespace swve::core

@@ -91,8 +91,13 @@ struct Workspace {
   AlignedBuf qenc;          // (m + kPad) elements
   AlignedBuf dbrev_enc;     // (n + kPad) elements
 
-  // Traceback: per-cell direction bytes in diagonal-major order plus the
-  // per-diagonal offsets into that buffer.
+  // Column sweep: biased scores of every query row against each reference
+  // code present, one group of vectors per code.
+  AlignedBuf column_prof;   // up to 256 codes * 256 bytes
+
+  // Traceback: per-cell direction bytes (diagonal-major for the diagonal
+  // kernels, column-major for the column sweep) plus the per-diagonal
+  // offsets into that buffer.
   AlignedBuf tb_dirs;       // m*n bytes (guarded by max_traceback_cells)
   AlignedBuf tb_offsets;    // (m+n) uint64
 

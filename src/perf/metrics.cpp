@@ -61,6 +61,7 @@ const char* kernel_variant_name(KernelVariant v) noexcept {
   switch (v) {
     case KernelVariant::Diagonal: return "diagonal";
     case KernelVariant::Batch32: return "batch32";
+    case KernelVariant::Column: return "column";
   }
   return "?";
 }

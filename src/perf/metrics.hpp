@@ -117,6 +117,7 @@ constexpr double delta_ratio(uint64_t num_now, uint64_t num_prev,
 enum class KernelVariant : int {
   Diagonal = 0,
   Batch32 = 1,  ///< inter-sequence batch kernel
+  Column = 2,   ///< column sweep (core::pair_align on short pairs)
 };
 const char* kernel_variant_name(KernelVariant v) noexcept;
 
@@ -171,7 +172,7 @@ constexpr const char* qos_tier_label(int tier) noexcept {
 /// Point-in-time copy of a MetricsRegistry.
 struct MetricsSnapshot {
   static constexpr int kIsas = 5;            ///< simd::Isa enum size
-  static constexpr int kKernelVariants = 2;  ///< KernelVariant enum size
+  static constexpr int kKernelVariants = 3;  ///< KernelVariant enum size
   static constexpr int kWidths = 4;          ///< DP width: unknown/8/16/32
   static constexpr int kWindowSeconds = 60;  ///< sliding-window span
 

@@ -481,7 +481,36 @@ core::ErrorOr<double> AlignService::begin_run(const Stamp& st,
   return qwait;
 }
 
+std::optional<core::ConfigError> AlignService::traceback_cap_error(
+    const AlignRequest& request) const {
+  const core::AlignConfig& cfg =
+      request.options.config ? *request.options.config : opt_.config;
+  const uint64_t cells =
+      static_cast<uint64_t>(request.query.length()) * request.reference.length();
+  if (!request.options.traceback.value_or(cfg.traceback) ||
+      cells <= cfg.max_traceback_cells)
+    return std::nullopt;
+  // An invalid config fails with its own error, from the request body.
+  if (!effective_config(request.options,
+                        std::max(request.query.alphabet().size(),
+                                 request.reference.alphabet().size())))
+    return std::nullopt;
+  return core::ConfigError{
+      Code::Unsupported,
+      "AlignService: traceback over " + std::to_string(cells) +
+          " cells exceeds max_traceback_cells (" +
+          std::to_string(cfg.max_traceback_cells) + ")"};
+}
+
 void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
+  if (auto err = traceback_cap_error(request)) {
+    metrics_.on_invalid_request();
+    obs::log_warn("service.invalid_request",
+                  {{"trace_id", request.options.trace_id},
+                   {"message", err->message}});
+    done(std::move(*err));
+    return;
+  }
   metrics_.on_query_length(request.query.length());
   const Stamp st = stamp(request.options);
   const uint64_t cells =
@@ -552,8 +581,8 @@ void AlignService::run_pairwise(const AlignRequest& rq,
           // cache's lookup to pay (results are bit-identical either way).
           thread_local core::Workspace ws;
           obs::Span chunk(tctx, "chunk.pairwise");
-          chunk.set_kernel(perf::KernelVariant::Diagonal);
-          a = core::diag_align(rq.query, rq.reference, cfg, ws);
+          a = core::pair_align(rq.query, rq.reference, cfg, ws);
+          chunk.set_kernel(align::kernel_variant(a.sweep));
           chunk.set_isa(a.isa_used);
           chunk.set_width_bits(dp_width_bits(a.width_used));
           chunk.add_cells(a.stats.cells);
@@ -580,7 +609,7 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
                              perf::MetricsRegistry::Scenario::Pairwise,
                              *qwait + kernel_s);
-  metrics_.on_kernel_completed(a.isa_used, perf::KernelVariant::Diagonal,
+  metrics_.on_kernel_completed(a.isa_used, align::kernel_variant(a.sweep),
                                a.stats.cells);
   dispatch.end();
   done(AlignResponse{std::move(a), std::move(tr)});
@@ -686,11 +715,21 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
                              metrics_scenario, *qwait + kernel_s);
   if (scanned.cells8 > 0)
     metrics_.on_batch_packing(scanned.cells8, scanned.useful_cells8);
-  metrics_.on_kernel_completed(run.trace.isa,
-                               mode == align::SearchMode::Batch
-                                   ? perf::KernelVariant::Batch32
-                                   : perf::KernelVariant::Diagonal,
-                               cells);
+  if (mode == align::SearchMode::Batch) {
+    metrics_.on_kernel_completed(run.trace.isa, perf::KernelVariant::Batch32,
+                                 cells);
+  } else {
+    // pair_align picks the sweep per target: each sweep's cells count under
+    // its own target (a search that computed none counts under diagonal).
+    const uint64_t column = run.results.front().stats.column_cells;
+    if (column > 0)
+      metrics_.on_kernel_completed(
+          run.trace.isa, align::kernel_variant(core::Sweep::Column), column);
+    if (column < cells || cells == 0)
+      metrics_.on_kernel_completed(run.trace.isa,
+                                   align::kernel_variant(core::Sweep::Diagonal),
+                                   cells - column);
+  }
   dispatch.end();
   return run;
 }

@@ -451,6 +451,13 @@ class AlignService {
   std::optional<core::ConfigError> batch_lanes_error(
       const RequestOptions& options) const;
 
+  /// Code::Unsupported when a pairwise request with a valid config asks
+  /// for a traceback over more than its max_traceback_cells cells (the
+  /// kernels refuse it); nullopt otherwise, config errors included (the
+  /// request body reports those).
+  std::optional<core::ConfigError> traceback_cap_error(
+      const AlignRequest& request) const;
+
   /// Enqueue under the capacity policy (into the task's QoS tier). On
   /// rejection, fulfils `reject` with the QueueFull/ShuttingDown error and
   /// returns false.

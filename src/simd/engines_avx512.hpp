@@ -120,6 +120,21 @@ struct Avx512U8 {
   }
 
   static void store_dir_u8(uint8_t* p, vec a) { storeu(p, a); }
+  /// Direction bytes of the lanes set in `m` only.
+  static void store_dir_u8_masked(uint8_t* p, mask m, vec a) {
+    _mm512_mask_storeu_epi8(p, m, a);
+  }
+
+  // Lane shifts of the column sweep, where lane i holds query row i and
+  // rows span consecutive vectors. shift_up(below, v, shift_index(s))
+  // moves the lanes of v s places up (towards higher rows), filling the
+  // bottom s lanes from the top of `below`; 0 < s < lanes. One vpermt2b.
+  static vec shift_index(int s) {
+    return _mm512_add_epi8(iota(), _mm512_set1_epi8(static_cast<char>(lanes - s)));
+  }
+  static vec shift_up(vec below, vec v, vec idx) {
+    return _mm512_permutex2var_epi8(below, idx, v);
+  }
 
   static void store_bestd(int32_t* bd, mask m, int d) {
     const __m512i vd = _mm512_set1_epi32(d);
@@ -191,6 +206,17 @@ struct Avx512U16 {
   static void store_dir_u8(uint8_t* p, vec a) {
     __m256i b = _mm512_cvtepi16_epi8(a);  // vpmovwb (truncating; dirs are small)
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), b);
+  }
+  static void store_dir_u8_masked(uint8_t* p, mask m, vec a) {
+    _mm512_mask_cvtepi16_storeu_epi8(p, m, a);  // vpmovwb to memory
+  }
+
+  /// Lane shifts of the column sweep (see Avx512U8); one vpermt2w.
+  static vec shift_index(int s) {
+    return _mm512_add_epi16(iota(), _mm512_set1_epi16(static_cast<short>(lanes - s)));
+  }
+  static vec shift_up(vec below, vec v, vec idx) {
+    return _mm512_permutex2var_epi16(below, idx, v);
   }
 
   static void store_bestd(int32_t* bd, mask m, int d) {

@@ -100,13 +100,27 @@ TEST(Fuzz, DiagKernelsAllAxes) {
   if (simd::isa_available(simd::Isa::Avx512)) isas.push_back(simd::Isa::Avx512);
   Workspace ws;
 
-  int checked = 0;
+  int checked = 0, column = 0;
   for (int it = 0; it < 250; ++it) {
     FuzzCase fc = make_case(rng);
     const Alignment ref = ref_align(fc.q, fc.r, fc.cfg);
     AlignConfig cfg = fc.cfg;
     cfg.isa = isas[rng() % isas.size()];
     Alignment got = diag_align(fc.q, fc.r, cfg, ws);
+    // pair_align (the column sweep where its rule admits the pair) gives
+    // the diagonal kernel's result in every field.
+    const Alignment pa = pair_align(fc.q, fc.r, cfg, ws);
+    ASSERT_EQ(pa.score, got.score) << "it=" << it;
+    ASSERT_EQ(pa.end_query, got.end_query) << "it=" << it;
+    ASSERT_EQ(pa.end_ref, got.end_ref) << "it=" << it;
+    ASSERT_EQ(pa.begin_query, got.begin_query) << "it=" << it;
+    ASSERT_EQ(pa.begin_ref, got.begin_ref) << "it=" << it;
+    ASSERT_EQ(pa.cigar, got.cigar) << "it=" << it;
+    ASSERT_EQ(pa.width_used, got.width_used) << "it=" << it;
+    ASSERT_EQ(pa.saturated_8, got.saturated_8) << "it=" << it;
+    ASSERT_EQ(pa.saturated_16, got.saturated_16) << "it=" << it;
+    ASSERT_EQ(pa.saturated, got.saturated) << "it=" << it;
+    if (pa.sweep == Sweep::Column) ++column;
     if (got.saturated) continue;  // fixed narrow width on a hot pair
     ASSERT_EQ(got.score, ref.score)
         << "it=" << it << " isa=" << simd::isa_name(cfg.isa)
@@ -122,6 +136,9 @@ TEST(Fuzz, DiagKernelsAllAxes) {
     ++checked;
   }
   EXPECT_GT(checked, 150);  // most cases must be exercised, not skipped
+  if (simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi) {
+    EXPECT_GT(column, 5);  // the column sweep ran on some of them
+  }
 }
 
 TEST(Fuzz, BaselinesAllConfigs) {

@@ -307,6 +307,83 @@ TEST(AlignService, MatrixWithoutRowsForTheResiduesIsRejected) {
   EXPECT_FALSE(get_ok(submit_future(svc, std::move(protein))).result.hits.empty());
 }
 
+TEST(AlignService, TracebackOverTheCellCapIsRejectedBeforeItRuns) {
+  // A 20x20 pair with traceback under a 100-cell cap: Unsupported, counted
+  // once as invalid, never run or queued. Inline (caller-runs) first, then
+  // on a paused service, where it would otherwise wait in the queue.
+  core::AlignConfig capped;
+  capped.max_traceback_cells = 100;
+  for (bool paused : {false, true}) {
+    ServiceOptions opt;
+    opt.queue.start_paused = paused;
+    AlignService svc(opt);
+    AlignRequest rq = pairwise_request(60, 20, 20);
+    rq.options.config = capped;
+    rq.options.traceback = true;
+    auto f = submit_future(svc, std::move(rq));
+    EXPECT_EQ(failure_code(f), Code::Unsupported) << paused;
+    EXPECT_EQ(svc.queue_depth(), 0u) << paused;
+    perf::MetricsSnapshot m = svc.metrics();
+    EXPECT_EQ(m.invalid_request, 1u) << paused;
+    EXPECT_EQ(m.submitted, 0u) << paused;
+
+    AlignRequest scores_only = pairwise_request(60, 20, 20);
+    scores_only.options.config = capped;
+    auto ok = submit_future(svc, std::move(scores_only));
+    if (paused) svc.resume();
+    EXPECT_TRUE(ok.get().ok()) << paused;
+    EXPECT_EQ(svc.metrics().invalid_request, 1u) << paused;
+
+    // An invalid config still reports its own error first.
+    AlignRequest bad = pairwise_request(60, 20, 20);
+    core::AlignConfig bad_cfg = capped;
+    bad_cfg.gap_open = 1;
+    bad_cfg.gap_extend = 5;
+    bad.options.config = bad_cfg;
+    bad.options.traceback = true;
+    auto bad_f = submit_future(svc, std::move(bad));
+    EXPECT_EQ(failure_code(bad_f), Code::OpenLessThanExtend) << paused;
+    EXPECT_EQ(svc.metrics().invalid_request, 2u) << paused;
+  }
+}
+
+TEST(AlignService, DiagonalSearchCountsEachSweepsCells) {
+  // pair_align picks the sweep per target: a short query against targets of
+  // 20-400 residues runs the column sweep (where the host has AVX-512 VBMI)
+  // on those up to 128 long and the diagonal kernel on the rest. The
+  // metrics count each sweep's cells under its own target.
+  auto db = make_db(60'000);
+  ServiceOptions opt;
+  opt.pool_threads = 2;
+  AlignService svc(db, opt);
+  SearchRequest rq;
+  rq.query = seq::generate_sequence(91, 60);
+  rq.mode = align::SearchMode::Diagonal;
+  SearchResponse got = get_ok(submit_future(svc, std::move(rq)));
+  const core::KernelStats& st = got.result.stats;
+  uint64_t short_cells = 0;
+  for (size_t s = 0; s < db.size(); ++s)
+    if (db[s].length() <= core::kColumnSweepMaxLength)
+      short_cells += 60 * db[s].length();
+  const bool column =
+      simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi;
+  EXPECT_EQ(st.column_cells, column ? short_cells : 0u);
+  EXPECT_LT(st.column_cells, st.cells);
+
+  const perf::MetricsSnapshot m = svc.metrics();
+  uint64_t col_cells = 0, diag_cells = 0, col_reqs = 0, diag_reqs = 0;
+  for (size_t i = 0; i < m.target_cells.size(); ++i) {
+    col_cells += m.target_cells[i][static_cast<size_t>(perf::KernelVariant::Column)];
+    diag_cells += m.target_cells[i][static_cast<size_t>(perf::KernelVariant::Diagonal)];
+    col_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Column)];
+    diag_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Diagonal)];
+  }
+  EXPECT_EQ(col_cells, st.column_cells);
+  EXPECT_EQ(diag_cells, st.cells - st.column_cells);
+  EXPECT_EQ(col_reqs, column ? 1u : 0u);
+  EXPECT_EQ(diag_reqs, 1u);
+}
+
 TEST(AlignService, ShutdownFailsQueuedRequests) {
   std::future<core::ErrorOr<AlignResponse>> fut;
   {
@@ -901,8 +978,15 @@ TEST(AlignService, ConcurrentInlinePairsCountExactly) {
   EXPECT_EQ(m.kernel_time.count, kTotal);
   EXPECT_EQ(m.tier_latency[static_cast<int>(QosTier::Standard)].count, kTotal);
   EXPECT_EQ(m.pmu_total().samples, kTotal);
+  // Queries of 20-109 residues against references of 30-99:
+  // core::pair_align's column sweep where the host has AVX-512 VBMI, else
+  // the diagonal kernel.
+  const bool column =
+      simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi;
+  const auto kernel = static_cast<size_t>(column ? perf::KernelVariant::Column
+                                                 : perf::KernelVariant::Diagonal);
   uint64_t targets = 0;
-  for (const auto& isa : m.target_requests) targets += isa[0];
+  for (const auto& isa : m.target_requests) targets += isa[kernel];
   EXPECT_EQ(targets, kTotal);
 }
 
