@@ -147,9 +147,10 @@ void BM_ShortPairs(benchmark::State& state, const PairList& (*pair_list)(),
 // The short pairs through AlignService::submit_async, sent the way the
 // perfbench `pairwise` closed loop sends them: a TraceSink installed,
 // default PMU attribution, traceback on, each submitter building its
-// request (two sequence copies) and waiting for the reply. Its us_per_pair
-// minus the direct case's at the same thread count is what the service
-// costs per request.
+// request (two sequence copies) and waiting for the reply. The service
+// aligns with core::pair_align, so its us_per_pair minus the direct
+// pair/short_pairs/adaptive/tb case's at the same thread count is what the
+// service costs per request.
 service::AlignService& short_pair_service() {
   static obs::TraceSink sink(8192);
   static service::AlignService svc([] {
@@ -286,14 +287,14 @@ int main(int argc, char** argv) {
                                  BM_ShortPairs, saturating_short_pairs, align)
         ->Unit(benchmark::kMillisecond);
   }
-  // The direct and the service case at one thread and at nproc - 1 threads
-  // (perfbench's submitter count): their us_per_pair difference is the
-  // service's cost per request.
+  // The direct pair_align case and the service case at one thread and at
+  // nproc - 1 threads (perfbench's submitter count): their us_per_pair
+  // difference is the service's cost per request.
   const int submitters =
       static_cast<int>(std::max(2u, std::thread::hardware_concurrency())) - 1;
   if (submitters > 1)
-    benchmark::RegisterBenchmark("diag/short_pairs/adaptive/tb",
-                                 BM_ShortPairs, short_pairs, &core::diag_align)
+    benchmark::RegisterBenchmark("pair/short_pairs/adaptive/tb",
+                                 BM_ShortPairs, short_pairs, &core::pair_align)
         ->Unit(benchmark::kMillisecond)
         ->Threads(submitters)
         ->UseRealTime();

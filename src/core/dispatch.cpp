@@ -38,8 +38,8 @@ uint8_t max_code(seq::SeqView s) {
 // Every delivery path indexes the padded 32-column matrix with the raw
 // codes (rows past the matrix's alphabet score its minimum); the in-register
 // lookup holds only the first `q_limit` (seq::kShuffleCodes) rows.
-void check_codes(int q_max, int q_limit, seq::SeqView r) {
-  if (q_max >= q_limit || max_code(r) >= seq::kMatrixStride)
+void check_codes(int q_max, int q_limit, uint8_t r_max) {
+  if (q_max >= q_limit || r_max >= seq::kMatrixStride)
     throw std::invalid_argument(
         "diag_align: residue code past the score table (query codes must "
         "be below " + std::to_string(q_limit) + ", reference codes below " +
@@ -98,7 +98,8 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
         delivery_for(cfg, isa, cfg.width) == ScoreDelivery::Shuffle
             ? seq::kShuffleCodes
             : seq::kMatrixStride;
-    check_codes(prep != nullptr ? prep->max_code() : max_code(q), q_limit, r);
+    check_codes(prep != nullptr ? prep->max_code() : max_code(q), q_limit,
+                max_code(r));
   }
   AlignConfig resolved = cfg;
   DiagRequest rq;
@@ -176,8 +177,9 @@ Alignment pair_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
       prep != nullptr ? prep->max_code() : max_code(q);
 #if defined(SWVE_HAVE_AVX512_BUILD)
   if (column_sweep_runs(cfg, isa, q.length, r.length, q_max)) {
-    if (cfg.scheme == ScoreScheme::Matrix) check_codes(q_max, seq::kShuffleCodes, r);
-    Alignment a = column_avx512(q, r, cfg, ws);
+    const uint8_t r_max = max_code(r);
+    if (cfg.scheme == ScoreScheme::Matrix) check_codes(q_max, seq::kShuffleCodes, r_max);
+    Alignment a = column_avx512(q, r, r_max, cfg, ws);
     if (cfg.traceback && a.score > 0 && !a.saturated) {
       const ColumnTracebackView view{
           static_cast<const uint8_t*>(ws.tb_dirs.data()), static_cast<int>(q.length)};

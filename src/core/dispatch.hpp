@@ -23,9 +23,10 @@ DiagOutput diag_avx2(const DiagRequest& rq, Width width);
 #if defined(SWVE_HAVE_AVX512_BUILD)
 DiagOutput diag_avx512(const DiagRequest& rq, Width width);
 /// The column sweep (column_avx512.cpp) for a pair column_sweep_runs
-/// admits; no traceback walk (pair_align does it).
-Alignment column_avx512(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
-                        Workspace& ws);
+/// admits; `r_max_code` is the largest code in r. No traceback walk
+/// (pair_align does it).
+Alignment column_avx512(seq::SeqView q, seq::SeqView r, uint8_t r_max_code,
+                        const AlignConfig& cfg, Workspace& ws);
 #endif
 
 /// Run one kernel at a concrete ISA and width. `isa` must already be
@@ -66,9 +67,10 @@ Width exact_score_width(const AlignConfig& cfg, int score);
 Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                      Workspace& ws, const PreparedQuery* prep = nullptr);
 
-/// Longest query and reference the column sweep takes: past it the sweep's
-/// ceil(log2 m)-step gap scan costs more per column than the diagonal
-/// kernel's anti-diagonal (EXPERIMENTS.md, "Column sweep for short queries").
+/// Longest query and reference the column sweep takes. The reference bound
+/// is the score-only crossover measured before the sweep's gap scan stopped
+/// early; EXPERIMENTS.md ("Column sweep at its floor") has the newer table,
+/// and moving the bound is a measured change of its own.
 inline constexpr size_t kColumnSweepMaxLength = 128;
 
 /// The one rule for which sweep core::pair_align runs: the column sweep

@@ -38,6 +38,11 @@ ScoreMatrix::ScoreMatrix(std::string name, const seq::Alphabet& alphabet,
     int v = data32_[i] + bias_v;
     rows_u8_[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
   }
+  cols_u8_.resize(rows_u8_.size());
+  for (int a = 0; a < kMatrixStride; ++a)
+    for (int b = 0; b < kMatrixStride; ++b)
+      cols_u8_[static_cast<size_t>(b) * kMatrixStride + a] =
+          rows_u8_[static_cast<size_t>(a) * kMatrixStride + b];
 }
 
 ScoreMatrix ScoreMatrix::match_mismatch(int match, int mismatch,

@@ -66,6 +66,10 @@ class ScoreMatrix {
   /// 32x32 biased uint8 copy: entry = score + bias(). Row q is one 256-bit
   /// load; used by the batch32 shuffle LUT.
   const uint8_t* rows_biased_u8() const noexcept { return rows_u8_.data(); }
+  /// The same biased bytes column-major: entry r*32 + q = score(q, r) +
+  /// bias(). Column r is one 256-bit load; the column sweep's query profile
+  /// looks a whole query up in it with one vpermb.
+  const uint8_t* cols_biased_u8() const noexcept { return cols_u8_.data(); }
 
  private:
   std::string name_;
@@ -74,6 +78,7 @@ class ScoreMatrix {
   int min_ = 0, max_ = 0;
   std::vector<int32_t> data32_;  // 32*32
   std::vector<uint8_t> rows_u8_;  // 32*32
+  std::vector<uint8_t> cols_u8_;  // 32*32, transposed
 };
 
 }  // namespace swve::matrix

@@ -92,6 +92,23 @@ FuzzCase make_case(std::mt19937_64& rng) {
   return fc;
 }
 
+/// q with a block of 1-70 residues deleted or random residues inserted at a
+/// random point: aligning it to q crosses one long vertical or horizontal
+/// gap.
+seq::Sequence with_indel(const seq::Sequence& q, std::mt19937_64& rng) {
+  std::vector<uint8_t> codes(q.codes().begin(), q.codes().end());
+  const size_t len = 1 + rng() % 70;
+  const size_t at = rng() % (codes.size() + 1);
+  if (rng() % 2 == 0) {
+    codes.erase(codes.begin() + at, codes.begin() + std::min(codes.size(), at + len));
+  } else {
+    for (size_t k = 0; k < len; ++k)
+      codes.insert(codes.begin() + at, static_cast<uint8_t>(rng() % 20));
+  }
+  if (codes.empty()) codes.push_back(0);
+  return seq::Sequence("indel", std::move(codes), q.alphabet());
+}
+
 TEST(Fuzz, DiagKernelsAllAxes) {
   std::mt19937_64 rng(777);
   std::vector<simd::Isa> isas = {simd::Isa::Scalar};
@@ -103,6 +120,7 @@ TEST(Fuzz, DiagKernelsAllAxes) {
   int checked = 0, column = 0;
   for (int it = 0; it < 250; ++it) {
     FuzzCase fc = make_case(rng);
+    if (rng() % 3 == 0) fc.r = with_indel(fc.q, rng);
     const Alignment ref = ref_align(fc.q, fc.r, fc.cfg);
     AlignConfig cfg = fc.cfg;
     cfg.isa = isas[rng() % isas.size()];

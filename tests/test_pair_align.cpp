@@ -99,8 +99,7 @@ TEST(PairAlign, RuleAdmitsShortPairsOnAvx512Vbmi) {
   EXPECT_EQ(column_sweep_runs(cfg, avx512, 64, 0, 0), host);  // empty reference
   EXPECT_FALSE(column_sweep_runs(cfg, avx512, 0, 64, 0));
   EXPECT_FALSE(column_sweep_runs(cfg, avx512, 129, 64, 0));
-  // A long reference: the sweep's gap scan costs more per column than the
-  // diagonal kernel's anti-diagonal.
+  // A long reference: past the rule's bound (kColumnSweepMaxLength).
   EXPECT_FALSE(column_sweep_runs(cfg, avx512, 64, 129, 0));
   EXPECT_FALSE(column_sweep_runs(cfg, avx512, 16, 4000, 0));
   EXPECT_FALSE(column_sweep_runs(cfg, avx512, 64, 64, 24));  // past the table
@@ -276,6 +275,49 @@ TEST(PairAlign, ExtremeGapPenalties) {
       cfg.width = w;
       cfg.traceback = true;
       check_pair(q, r, cfg, label("gaps", 70, 120, cfg));
+    }
+  }
+}
+
+// The reference is the query with L residues cut from its middle or 20
+// residues before its end (and the roles swapped), so the best alignment
+// crosses a vertical (and a horizontal) gap of L rows, in the first vector
+// of rows or only in a later one. L runs across every power of two the
+// sweep's gap scan shifts by, and one either side, so the scan's early
+// stop is exercised before, at and after each of its steps.
+TEST(PairAlign, VerticalGapsCrossEveryScanStep) {
+  struct Gaps {
+    GapModel gm;
+    int open, ext;
+  };
+  const Gaps gaps[] = {{GapModel::Affine, 11, 1}, {GapModel::Affine, 5, 2},
+                       {GapModel::Linear, 0, 3}, {GapModel::Affine, 6, 0}};
+  uint64_t seed = 2000;
+  for (int m : {63, 64, 65, 127, 128}) {
+    const seq::Sequence q = seq::generate_sequence(seed++, static_cast<uint32_t>(m));
+    for (int gap : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
+      for (int at : {(m - gap) / 2, m - gap - 20}) {
+        if (gap >= m || at < 0) continue;
+        std::vector<uint8_t> cut(q.codes().begin(), q.codes().end());
+        cut.erase(cut.begin() + at, cut.begin() + at + gap);
+        const seq::Sequence r("cut", std::move(cut), q.alphabet());
+        const std::string where = " gap=" + std::to_string(gap) + " at=" + std::to_string(at);
+        for (const Gaps& g : gaps) {
+          for (Width w : {Width::Adaptive, Width::W8, Width::W16}) {
+            for (bool tb : {false, true}) {
+              AlignConfig cfg;
+              cfg.gap_model = g.gm;
+              cfg.gap_open = g.open;
+              cfg.gap_extend = g.ext;
+              cfg.width = w;
+              cfg.traceback = tb;
+              check_pair(q, r, cfg, label("vertical", q.length(), r.length(), cfg) + where);
+              check_pair(r, q, cfg, label("horizontal", r.length(), q.length(), cfg) + where);
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
     }
   }
 }
