@@ -46,8 +46,8 @@
 //                            shard per NUMA node; default 1 = one shard
 //                            on the --threads pool)
 //   --numa MODE              off | interleave | bind placement of packed
-//                            shard columns (needs --shards; SWVE_NUMA=off
-//                            overrides)
+//                            shard columns (needs --shards; off, the
+//                            default, pins and places nothing)
 //   --executors N            executor threads draining the queue
 //   --queue-cap N            submission queue capacity (default 256)
 //   --slo-ms N               watchdog SLO for slow-request records

@@ -25,11 +25,6 @@ using namespace swve;
 
 namespace {
 
-core::Workspace& tls_ws() {
-  static thread_local core::Workspace ws;
-  return ws;
-}
-
 const seq::Sequence& bench_query(int len) {
   static std::map<int, seq::Sequence> cache;
   auto it = cache.find(len);
@@ -64,7 +59,7 @@ void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
   cfg.match = 5;
   cfg.mismatch = -2;
   for (auto _ : state) {
-    core::Alignment a = core::diag_align(q, t, cfg, tls_ws());
+    core::Alignment a = core::diag_align(q, t, cfg, core::thread_workspace());
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
@@ -137,7 +132,7 @@ void BM_ShortPairs(benchmark::State& state, const PairList& (*pair_list)(),
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state)
     for (const auto& [q, r] : pairs) {
-      core::Alignment a = align(q, r, cfg, tls_ws(), nullptr);
+      core::Alignment a = align(q, r, cfg, core::thread_workspace(), nullptr);
       benchmark::DoNotOptimize(a.score);
     }
   report_cells(state, cells);
@@ -194,7 +189,7 @@ void BM_Striped(benchmark::State& state) {
   const seq::Sequence& t = bench_target();
   baseline::StripedAligner striped(q, core::AlignConfig{});
   for (auto _ : state) {
-    core::Alignment a = striped.align(t, tls_ws());
+    core::Alignment a = striped.align(t, core::thread_workspace());
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
@@ -209,7 +204,7 @@ void BM_Scan(benchmark::State& state) {
   const seq::Sequence& t = bench_target();
   baseline::ScanAligner scan(q, core::AlignConfig{});
   for (auto _ : state) {
-    core::Alignment a = scan.align(t, tls_ws());
+    core::Alignment a = scan.align(t, core::thread_workspace());
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
@@ -224,7 +219,7 @@ void BM_DiagBasic(benchmark::State& state) {
   const seq::Sequence& t = bench_target();
   baseline::DiagBasicAligner diag(q, core::AlignConfig{});
   for (auto _ : state) {
-    core::Alignment a = diag.align(t, tls_ws());
+    core::Alignment a = diag.align(t, core::thread_workspace());
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
@@ -248,7 +243,7 @@ void BM_Batch32(benchmark::State& state) {
   const seq::Sequence& q = bench_query(static_cast<int>(state.range(0)));
   core::AlignConfig cfg;
   for (auto _ : state) {
-    auto scores = core::batch_scores(q, bdb, db, cfg, tls_ws());
+    auto scores = core::batch_scores(q, bdb, db, cfg, core::thread_workspace());
     benchmark::DoNotOptimize(scores.data());
   }
   report_cells(state, q.length() * db.total_residues());

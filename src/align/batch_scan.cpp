@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "align/query_cache.hpp"
 #include "core/dispatch.hpp"
 
 namespace swve::align::detail {
@@ -35,10 +34,8 @@ std::vector<std::pair<size_t, size_t>> plan_by_cells(
 
 void realign_winners(const seq::SequenceDatabase& db,
                      const core::AlignConfig& cfg, seq::SeqView query,
-                     const core::PreparedQuery* prep, const ExecContext& ctx,
-                     SearchResult& out) {
-  auto lease = QueryStateCache::lease(ctx.query_cache);
-  core::Workspace& ws = lease.ws();
+                     const core::PreparedQuery* prep, SearchResult& out) {
+  core::Workspace& ws = core::thread_workspace();
   core::AlignConfig rung = cfg;
   for (Hit& h : out.hits) {
     // The scan found each winner's exact score: start at the rung that

@@ -72,8 +72,7 @@ std::vector<std::pair<size_t, size_t>> plan_by_cells(
 /// score (core::exact_score_width).
 void realign_winners(const seq::SequenceDatabase& db,
                      const core::AlignConfig& cfg, seq::SeqView query,
-                     const core::PreparedQuery* prep, const ExecContext& ctx,
-                     SearchResult& out);
+                     const core::PreparedQuery* prep, SearchResult& out);
 
 /// Chunks planned per worker. Enough that the last chunk to start is short
 /// next to one worker's share, few enough that the cursor costs nothing

@@ -65,8 +65,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
     if (begin >= end) return;
     obs::Span span(ctx.trace, "chunk.search_diagonal");
     span.set_index(p);
-    auto lease = QueryStateCache::lease(ctx.query_cache);
-    core::Workspace& ws = lease.ws();
+    core::Workspace& ws = core::thread_workspace();
     detail::TopK top(top_k);
     core::KernelStats stats;
     for (size_t s = begin; s < end; ++s) {

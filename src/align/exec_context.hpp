@@ -25,9 +25,10 @@ struct ExecContext {
   /// (Two or more ShardedSearch shards use their own pools instead.)
   parallel::ThreadPool* pool = nullptr;
 
-  /// Optional query-state cache (prepared query feeds + pooled workspaces,
-  /// see align::QueryStateCache). Null means build everything per request —
-  /// bit-identical results, just more per-request setup.
+  /// Optional query-state cache: supplies prepared() query feeds (see
+  /// align::QueryStateCache). Null means build the feeds per request —
+  /// bit-identical results, just more per-request setup. Scratch memory
+  /// always comes from the running thread's core::thread_workspace().
   QueryStateCache* query_cache = nullptr;
 
   /// Optional external cancellation: when *cancel becomes true the engine

@@ -42,8 +42,8 @@ size_t QueryStateCache::KeyHash::operator()(const Key& k) const noexcept {
   return static_cast<size_t>(h);
 }
 
-QueryStateCache::QueryStateCache(size_t capacity, size_t max_pool)
-    : capacity_(capacity == 0 ? 1 : capacity), max_pool_(max_pool) {}
+QueryStateCache::QueryStateCache(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<const core::PreparedQuery> QueryStateCache::prepared(
     seq::SeqView query, const core::AlignConfig& cfg) {
@@ -97,36 +97,10 @@ std::shared_ptr<const core::PreparedQuery> QueryStateCache::prepared(
   return prep;
 }
 
-QueryStateCache::WorkspaceLease QueryStateCache::lease_workspace() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!pool_.empty()) {
-    std::unique_ptr<core::Workspace> ws = std::move(pool_.back());
-    pool_.pop_back();
-    ++stats_.ws_reuses;
-    lk.unlock();
-    return WorkspaceLease(std::move(ws), this);
-  }
-  ++stats_.ws_creates;
-  lk.unlock();
-  return WorkspaceLease(std::make_unique<core::Workspace>(), this);
-}
-
-void QueryStateCache::return_workspace(std::unique_ptr<core::Workspace> ws) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (pool_.size() < max_pool_) pool_.push_back(std::move(ws));
-  // else: pool full, let it free
-}
-
-QueryStateCache::WorkspaceLease::~WorkspaceLease() {
-  if (owner_ != nullptr && ws_ != nullptr)
-    owner_->return_workspace(std::move(ws_));
-}
-
 QueryCacheStats QueryStateCache::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   QueryCacheStats s = stats_;
   s.entries = lru_.size();
-  s.pooled_workspaces = pool_.size();
   return s;
 }
 
@@ -134,7 +108,6 @@ void QueryStateCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   lru_.clear();
   map_.clear();
-  pool_.clear();
   stats_.prepared_bytes = 0;
 }
 

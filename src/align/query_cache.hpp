@@ -1,14 +1,13 @@
 // Per-service cache of per-query state: built core::PreparedQuery feed
-// arrays behind an LRU, plus a pool of reusable core::Workspace objects
-// leased per worker thread.
+// arrays behind an LRU.
 //
-// Why: the engines are stateless — each request builds its query feeds and
-// a fresh multi-megabyte Workspace from cold memory. A service that sees the
-// same query on back-to-back requests (the ROADMAP's "heavy repeated
-// traffic") repays that setup on every request. The cache sits in
-// ExecContext as an optional pointer: engines that find one lease pooled
-// workspaces and share prepared queries; engines that don't behave exactly
-// as before. Results are bit-identical either way.
+// Why: the engines are stateless — each request builds its query feeds. A
+// service that sees the same query on back-to-back requests (the ROADMAP's
+// "heavy repeated traffic") repays that setup on every request. The cache
+// sits in ExecContext as an optional pointer: engines that find one share
+// prepared queries; engines that don't build their own. Results are
+// bit-identical either way. (Scratch memory is not cached here: every
+// engine takes its thread's core::thread_workspace().)
 //
 // Keying: PreparedQuery contents depend only on the query bytes, but the
 // LRU key also folds in the scoring config (matrix identity, scheme,
@@ -18,8 +17,8 @@
 // correctness trap while a too-narrow one only costs duplicate entries.
 //
 // Thread safety: all public methods are safe to call concurrently; the LRU
-// and pool are guarded by one mutex (lookups are O(query) hashing + a map
-// probe, far below the DP work they precede). Entries are handed out as
+// is guarded by one mutex (lookups are O(query) hashing + a map probe, far
+// below the DP work they precede). Entries are handed out as
 // shared_ptr-to-const so eviction never invalidates an in-flight request.
 #pragma once
 
@@ -32,7 +31,6 @@
 
 #include "core/params.hpp"
 #include "core/prepared_query.hpp"
-#include "core/workspace.hpp"
 #include "seq/sequence.hpp"
 
 namespace swve::align {
@@ -41,19 +39,14 @@ struct QueryCacheStats {
   uint64_t hits = 0;        ///< prepared() served from the LRU
   uint64_t misses = 0;      ///< prepared() had to build
   uint64_t evictions = 0;   ///< LRU entries displaced at capacity
-  uint64_t ws_reuses = 0;   ///< workspace leases served from the pool
-  uint64_t ws_creates = 0;  ///< workspace leases that had to allocate
   size_t entries = 0;       ///< current LRU size
-  size_t pooled_workspaces = 0;  ///< idle workspaces in the pool
-  uint64_t prepared_bytes = 0;   ///< memory held by cached PreparedQuerys
+  uint64_t prepared_bytes = 0;  ///< memory held by cached PreparedQuerys
 };
 
 class QueryStateCache {
  public:
-  /// `capacity` bounds the number of distinct (query, config, ISA) entries;
-  /// `max_pool` bounds idle pooled workspaces (leases beyond it allocate
-  /// and free as before).
-  explicit QueryStateCache(size_t capacity = 32, size_t max_pool = 64);
+  /// `capacity` bounds the number of distinct (query, config, ISA) entries.
+  explicit QueryStateCache(size_t capacity = 32);
 
   /// The PreparedQuery for `query` under `cfg`, building and caching it on
   /// first sight. The returned pointer stays valid after eviction (shared
@@ -61,38 +54,8 @@ class QueryStateCache {
   std::shared_ptr<const core::PreparedQuery> prepared(
       seq::SeqView query, const core::AlignConfig& cfg);
 
-  /// RAII workspace checkout. Returned to the owning pool on destruction
-  /// (or freed, if detached / pool full). Movable, not copyable.
-  class WorkspaceLease {
-   public:
-    WorkspaceLease() : ws_(std::make_unique<core::Workspace>()) {}
-    WorkspaceLease(WorkspaceLease&&) noexcept = default;
-    WorkspaceLease& operator=(WorkspaceLease&&) noexcept = default;
-    WorkspaceLease(const WorkspaceLease&) = delete;
-    WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-    ~WorkspaceLease();
-
-    core::Workspace& ws() noexcept { return *ws_; }
-
-   private:
-    friend class QueryStateCache;
-    WorkspaceLease(std::unique_ptr<core::Workspace> ws, QueryStateCache* owner)
-        : ws_(std::move(ws)), owner_(owner) {}
-    std::unique_ptr<core::Workspace> ws_;
-    QueryStateCache* owner_ = nullptr;  // null: detached, free on destroy
-  };
-
-  /// Check a workspace out of the pool (allocating when the pool is empty).
-  WorkspaceLease lease_workspace();
-
-  /// Engine-side helper: pool-backed lease when `cache` is set, plain fresh
-  /// workspace otherwise — so engine code takes one unconditional lease.
-  static WorkspaceLease lease(QueryStateCache* cache) {
-    return cache != nullptr ? cache->lease_workspace() : WorkspaceLease();
-  }
-
   QueryCacheStats stats() const;
-  void clear();  ///< drop all entries and pooled workspaces (stats remain)
+  void clear();  ///< drop all entries (stats remain)
   size_t capacity() const noexcept { return capacity_; }
 
  private:
@@ -111,14 +74,10 @@ class QueryStateCache {
     std::shared_ptr<const core::PreparedQuery> prep;
   };
 
-  void return_workspace(std::unique_ptr<core::Workspace> ws);
-
   size_t capacity_;
-  size_t max_pool_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
-  std::vector<std::unique_ptr<core::Workspace>> pool_;
   QueryCacheStats stats_{};
 };
 

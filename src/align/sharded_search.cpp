@@ -1,7 +1,7 @@
 #include "align/sharded_search.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <optional>
 
@@ -19,9 +19,9 @@ size_t clamp_shard_count(size_t wanted, size_t batches) noexcept {
                    static_cast<size_t>(perf::MetricsSnapshot::kMaxShards)});
 }
 
-/// One shard: a contiguous batch range, its pinned pool + workspace arena
-/// (both null for a single shard, which borrows the caller's), and lifetime
-/// counters (relaxed atomics, read by shard_stats()).
+/// One shard: a contiguous batch range, its pinned pool (null for a single
+/// shard, which borrows the caller's), and lifetime counters (relaxed
+/// atomics, read by shard_stats()).
 struct ShardedSearch::Shard {
   size_t first_batch = 0;
   size_t end_batch = 0;
@@ -29,7 +29,6 @@ struct ShardedSearch::Shard {
   int node = -1;
   bool bound = false;
   std::unique_ptr<parallel::ThreadPool> pool;
-  std::unique_ptr<QueryStateCache> cache;
   std::atomic<unsigned> borrowed_threads{0};  // pool size of the last search
 
   std::atomic<uint64_t> searches{0};
@@ -65,16 +64,15 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
 
   std::unique_ptr<ShardedSearch> s(new ShardedSearch(db, packed));
   s->topo_ = parallel::Topology::detect();
-  s->numa_ = parallel::numa_disabled_by_env() ? parallel::NumaPolicy::Off
-                                              : opt.numa;
+  s->numa_ = opt.numa;
   size_t shards = static_cast<size_t>(opt.shards);
   // Auto degrades, never errors.
   if (shards == 0) shards = clamp_shard_count(s->topo_.node_count(), batches);
   // Shards are contiguous batch ranges of equal padded cells (max_len *
   // lanes, what the kernel walks per query residue), so length-sorted
   // packings don't starve the short-sequence shards. One shard (also auto's
-  // answer for an empty database) owns no pool, arena or placement: it runs
-  // on the caller's.
+  // answer for an empty database) owns no pool or placement: it runs on the
+  // caller's.
   const auto ranges =
       shards <= 1 ? std::vector<std::pair<size_t, size_t>>{{0, batches}}
                   : detail::plan_by_cells(packed, 0, batches, shards);
@@ -102,12 +100,10 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
       shard->node = node.id;
       cpus = node.cpus;
     }
+    // Workers pin before they first touch their thread_workspace(), so
+    // first-touch puts each worker's scratch on the shard's own node.
     shard->pool =
         std::make_unique<parallel::ThreadPool>(per_shard, std::move(cpus));
-    // Per-shard workspace arena: leases never migrate across shards, so
-    // first-touch puts each arena's pages on the shard's own node.
-    shard->cache = std::make_unique<QueryStateCache>(
-        /*capacity=*/8, /*max_pool=*/per_shard * 2);
 
     const auto range =
         packed.column_range(shard->first_batch, shard->end_batch);
@@ -194,7 +190,7 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   if (out.truncated || out.hits.empty()) return out;
 
   // Phase 2: exact re-alignment of just the winners for end positions.
-  detail::realign_winners(*db_, cfg, query, prep.get(), ctx, out);
+  detail::realign_winners(*db_, cfg, query, prep.get(), out);
   out.seconds = sw.seconds();
   return out;
 }
@@ -246,25 +242,19 @@ std::vector<SearchResult> ShardedSearch::scan_prepared(
     run.stats.resize(nq);
   }
 
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t shards_left = nshards;
-  auto shard_done = [&done_mu, &done_cv, &shards_left] {
-    std::lock_guard<std::mutex> lk(done_mu);
-    if (--shards_left == 0) done_cv.notify_all();
-  };
+  std::latch shards_left(static_cast<std::ptrdiff_t>(nshards));
+  auto shard_done = [&shards_left] { shards_left.count_down(); };
 
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     ShardRun& run = runs[si];
-    auto scan = [&run, &shard, &ctx, top_k, nq, si](size_t slot, size_t,
-                                                     unsigned) {
+    auto scan = [&run, &shard, top_k, nq, si](size_t slot, size_t,
+                                              unsigned) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
-      auto lease = shard.cache ? shard.cache->lease_workspace()
-                               : QueryStateCache::lease(ctx.query_cache);
       std::vector<detail::TopK> tops(nq, detail::TopK(top_k));
       const detail::BatchScan::Tally t = run.scan->run(
-          si, lease.ws(), [&tops](uint32_t qi, uint32_t seq_idx, int score) {
+          si, core::thread_workspace(),
+          [&tops](uint32_t qi, uint32_t seq_idx, int score) {
             tops[qi].offer(Hit{seq_idx, score, -1, -1});
           });
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
@@ -300,10 +290,7 @@ std::vector<SearchResult> ShardedSearch::scan_prepared(
       shard_done();
     }
   }
-  {
-    std::unique_lock<std::mutex> lk(done_mu);
-    done_cv.wait(lk, [&shards_left] { return shards_left == 0; });
-  }
+  shards_left.wait();
 
   bool truncated = false;
   std::vector<detail::TopK> merged(nq, detail::TopK(top_k));

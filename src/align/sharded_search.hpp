@@ -10,13 +10,13 @@
 // (align/batch_scan.hpp). scan() stops there, with score-only hits;
 // search() adds phase 2, the exact re-alignment of one query's winners for
 // their end cells. At S = 1 (the default) the single shard owns nothing:
-// it runs on the caller's pool (ExecContext::pool; inline when null) with
-// workspaces leased from the caller's ExecContext::query_cache. At S >= 2
-// each shard gets a thread-pool slice pinned to one NUMA node
-// (parallel/topology.hpp) with its own workspace arena (a per-shard
-// QueryStateCache partition), and its column bytes are placed on its node
+// it runs on the caller's pool (ExecContext::pool; inline when null). At
+// S >= 2 each shard gets a thread-pool slice pinned to one NUMA node
+// (parallel/topology.hpp), and its column bytes are placed on its node
 // (mbind under `bind`, page-interleave under `interleave`, first-touch
-// otherwise), so no socket streams columns it does not own.
+// otherwise), so no socket streams columns it does not own. Every worker
+// scans with its own core::thread_workspace(); a pinned worker first
+// touches it after pinning, so it too lives on the shard's node.
 //
 // Determinism: per-sequence scores are exact (the 8-bit kernel plus the
 // 16/32-bit rescore ladder is deterministic, and batches are never split),
@@ -40,7 +40,6 @@
 
 namespace swve::align {
 
-class QueryStateCache;
 namespace detail {
 struct ScanQuery;
 }
@@ -97,12 +96,12 @@ class ShardedSearch {
   /// Phase 1 for every query at once: one result per query, in query
   /// order, with score-only hits (end_query = end_ref = -1), the query's
   /// batch_stats and its cells in stats. `cfg` must be validated with
-  /// traceback off. A single shard runs on ctx.pool (inline when null) and
-  /// leases workspaces from ctx.query_cache; two or more ignore ctx.pool
-  /// and use their own pools and arenas. ctx cancel/deadline is honored at
-  /// batch granularity inside every shard; a stop marks every result
-  /// truncated and withholds its hits. ctx.query_cache supplies the shared
-  /// prepared queries. Identical hits for every shard count and pool size.
+  /// traceback off. A single shard runs on ctx.pool (inline when null);
+  /// two or more ignore ctx.pool and use their own pools. ctx
+  /// cancel/deadline is honored at batch granularity inside every shard; a
+  /// stop marks every result truncated and withholds its hits.
+  /// ctx.query_cache supplies the shared prepared queries. Identical hits
+  /// for every shard count and pool size.
   /// Throws std::invalid_argument, before any scan starts, when cfg.isa
   /// cannot drive the packed lanes (core::batch_lanes_fit). Thread-safe.
   std::vector<SearchResult> scan(const core::AlignConfig& cfg,

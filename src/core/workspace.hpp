@@ -2,7 +2,9 @@
 //
 // "SW as a subroutine" (scenario 3) calls align() millions of times on small
 // sequences; every kernel therefore takes a Workspace& and allocates nothing
-// once the workspace has warmed up to the largest (m, n) seen.
+// once the workspace has warmed up to the largest (m, n) seen. The engines
+// and the service take theirs from thread_workspace(): one per thread, kept
+// until the thread exits, with no lock and no lease.
 #pragma once
 
 #include <cstdint>
@@ -112,5 +114,15 @@ struct Workspace {
   // per-diagonal score scratch.
   AlignedBuf baseline[4];
 };
+
+/// The calling thread's Workspace, built on first use and kept (at the size
+/// of its largest request) until the thread exits. A pinned pool worker
+/// touches it only after pinning, so first-touch places its pages on the
+/// worker's node. Its contents are scratch: any call that takes it may
+/// overwrite them, so keep nothing in it across such a call.
+inline Workspace& thread_workspace() noexcept {
+  thread_local Workspace ws;
+  return ws;
+}
 
 }  // namespace swve::core

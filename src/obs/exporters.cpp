@@ -219,12 +219,6 @@ constexpr Family kFamilies[] = {
     {"swve_query_cache_entries",
      "Prepared-query LRU entries currently cached", Type::Gauge,
      [](const Source& s, Samples& o) { o.add(n(s.m.query_cache_entries)); }},
-    {"swve_workspace_leases_total", "Workspace-pool checkouts, by source",
-     Type::Counter,
-     [](const Source& s, Samples& o) {
-       o.add(n(s.m.workspace_reuses), {{"source", "pool"}});
-       o.add(n(s.m.workspace_creates), {{"source", "alloc"}});
-     }},
     {"swve_pool_threads", "Worker threads in the owned pool", Type::Gauge,
      [](const Source& s, Samples& o) { o.add(n(s.m.pool_threads)); }},
     {"swve_pool_jobs_total", "Jobs executed by the pool", Type::Counter,

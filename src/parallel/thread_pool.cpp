@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 
 #include "parallel/topology.hpp"
@@ -18,7 +19,7 @@ ThreadPool::ThreadPool(unsigned threads, std::vector<int> affinity_cpus)
   for (unsigned w = 0; w < threads; ++w)
     workers_.emplace_back([this, w] {
       if (!affinity_cpus_.empty()) pin_current_thread(affinity_cpus_);
-      worker_loop(w);
+      worker_loop();
     });
 }
 
@@ -31,9 +32,9 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::worker_loop(unsigned id) {
+void ThreadPool::worker_loop() {
   for (;;) {
-    Job job;
+    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait(lk, [this] { return stop_ || !jobs_.empty(); });
@@ -42,37 +43,25 @@ void ThreadPool::worker_loop(unsigned id) {
       jobs_.pop();
     }
     const auto t0 = std::chrono::steady_clock::now();
-    job.fn(id);
+    job();
     const auto dur = std::chrono::steady_clock::now() - t0;
     busy_ns_.fetch_add(
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(dur).count()),
         std::memory_order_relaxed);
     jobs_run_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    --outstanding_;
   }
 }
 
 void ThreadPool::parallel_for(size_t n,
                               const std::function<void(size_t, size_t, unsigned)>& fn) {
-  if (n == 0) return;
-  const unsigned workers = size();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[n, w, workers, &fn](unsigned id) {
-        auto [b, e] = block_range(n, w, workers);
-        if (b < e) fn(b, e, id);
-      }});
-    }
-    outstanding_ += workers;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return outstanding_ == 0; });
+  std::latch done(1);
+  parallel_for_async(
+      n, [&fn](size_t b, size_t e, unsigned block) { fn(b, e, block); },
+      [&done] { done.count_down(); });
+  done.wait();
 }
 
 void ThreadPool::parallel_for_async(
@@ -98,7 +87,7 @@ void ThreadPool::parallel_for_async(
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[n, w, workers, shared](unsigned) {
+      jobs_.push([n, w, workers, shared] {
         auto [b, e] = block_range(n, w, workers);
         // Pass the *block* index, not the executing worker id: under
         // concurrent fan-outs one worker can run several blocks, and
@@ -107,34 +96,11 @@ void ThreadPool::parallel_for_async(
         if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
             shared->on_done)
           shared->on_done();
-      }});
+      });
     }
     outstanding_ += workers;
   }
   cv_.notify_all();
-}
-
-void ThreadPool::parallel_chunks(size_t chunks,
-                                 const std::function<void(size_t, unsigned)>& fn) {
-  if (chunks == 0) return;
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  const unsigned workers = size();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[chunks, next, &fn](unsigned id) {
-        for (;;) {
-          size_t c = next->fetch_add(1, std::memory_order_relaxed);
-          if (c >= chunks) return;
-          fn(c, id);
-        }
-      }});
-    }
-    outstanding_ += workers;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return outstanding_ == 0; });
 }
 
 }  // namespace swve::parallel

@@ -1,11 +1,13 @@
 // Fixed-size thread pool with deterministic results.
 //
-// Scheduling may be static (parallel_for's contiguous blocks) or dynamic
-// (parallel_chunks, or a caller's own cursor over one job per worker, as
-// the batch scan in align/batch_scan.hpp does). Either way callers write
-// results by index, not by worker, and merge them in index order, so
-// results are bit-identical for any thread count — part of the library's
-// determinism guarantee.
+// One fan-out: parallel_for_async splits [0, n) into size() contiguous
+// blocks and signals the caller when the last one retires; parallel_for
+// is the same split with its own wait. Dynamic scheduling is the caller's
+// own cursor over one block per worker, as the batch scan in
+// align/batch_scan.hpp does. Either way callers write results by block or
+// item index, not by worker, and merge them in index order, so results are
+// bit-identical for any thread count — part of the library's determinism
+// guarantee. Each worker's scratch memory is its core::thread_workspace().
 #pragma once
 
 #include <atomic>
@@ -50,25 +52,20 @@ class ThreadPool {
                          1e-9};
   }
 
-  /// Run fn(begin, end, worker) over [0, n) split into size() contiguous
-  /// blocks; blocks before returning. Worker ids are stable in [0, size()).
-  /// The calling thread does not execute work (workers own their scratch).
+  /// Run fn(begin, end, block) over [0, n) split into size() contiguous
+  /// blocks, as parallel_for_async does, and return once this call's own
+  /// blocks are done (other callers' fan-outs on the pool do not delay
+  /// it). The calling thread does not execute work.
   void parallel_for(size_t n,
                     const std::function<void(size_t, size_t, unsigned)>& fn);
-
-  /// Run fn(chunk_index, worker) for every chunk in [0, chunks); chunks are
-  /// handed out dynamically but results should be written by chunk_index so
-  /// output stays deterministic.
-  void parallel_chunks(size_t chunks,
-                       const std::function<void(size_t, unsigned)>& fn);
 
   /// Non-blocking parallel_for: enqueues the same static split and returns
   /// immediately; `on_done` runs exactly once, on the worker that finishes
   /// the last block. Lets one caller fan out over several pools at once
   /// (per-shard pools in align::ShardedSearch) and wait on its own latch.
-  /// Unlike parallel_for, fn's third argument is the *block* index in
-  /// [0, size()) — stable per block even when one worker executes several
-  /// blocks of the same fan-out — so callers can index output slots by it.
+  /// fn's third argument is the *block* index in [0, size()) — stable per
+  /// block even when one worker executes several blocks of the same fan-out
+  /// — so callers can index output slots by it.
   void parallel_for_async(size_t n,
                           std::function<void(size_t, size_t, unsigned)> fn,
                           std::function<void()> on_done);
@@ -80,17 +77,13 @@ class ThreadPool {
   }
 
  private:
-  struct Job {
-    std::function<void(unsigned)> fn;  // receives worker id
-  };
-  void worker_loop(unsigned id);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::vector<int> affinity_cpus_;  // empty: unpinned
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  std::queue<Job> jobs_;
+  std::queue<std::function<void()>> jobs_;
   size_t outstanding_ = 0;
   bool stop_ = false;
   std::atomic<uint64_t> jobs_run_{0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -33,12 +32,6 @@ bool parse_numa_policy(const std::string& s, NumaPolicy* out) noexcept {
   else if (s == "bind") *out = NumaPolicy::Bind;
   else return false;
   return true;
-}
-
-bool numa_disabled_by_env() noexcept {
-  const char* v = std::getenv("SWVE_NUMA");
-  return v != nullptr &&
-         (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
 }
 
 std::vector<int> parse_cpulist(const std::string& list) {
@@ -92,7 +85,6 @@ Topology synthetic_topology(const std::string& sysfs) {
 }  // namespace
 
 Topology Topology::detect_at(const std::string& sysfs) {
-  if (numa_disabled_by_env()) return synthetic_topology(sysfs);
   Topology topo;
 #if defined(__linux__)
   const std::string node_dir = sysfs + "/devices/system/node";
@@ -119,7 +111,7 @@ Topology Topology::detect() { return detect_at("/sys"); }
 
 bool pin_current_thread(const std::vector<int>& cpus) noexcept {
 #if defined(__linux__)
-  if (cpus.empty() || numa_disabled_by_env()) return false;
+  if (cpus.empty()) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
   for (int c : cpus)
@@ -160,9 +152,7 @@ bool mbind_range(const void* addr, size_t len, int mode,
 
 bool bind_memory_to_node(const void* addr, size_t len, int node) noexcept {
 #if defined(__linux__) && defined(SYS_mbind)
-  if (addr == nullptr || len == 0 || node < 0 || node >= 64 ||
-      numa_disabled_by_env())
-    return false;
+  if (addr == nullptr || len == 0 || node < 0 || node >= 64) return false;
   unsigned long mask = 1ul << node;
   return mbind_range(addr, len, kMpolBind, &mask, 64);
 #else
@@ -176,8 +166,7 @@ bool bind_memory_to_node(const void* addr, size_t len, int node) noexcept {
 bool interleave_memory(const void* addr, size_t len,
                        unsigned num_nodes) noexcept {
 #if defined(__linux__) && defined(SYS_mbind)
-  if (addr == nullptr || len == 0 || num_nodes == 0 || num_nodes > 64 ||
-      numa_disabled_by_env())
+  if (addr == nullptr || len == 0 || num_nodes == 0 || num_nodes > 64)
     return false;
   unsigned long mask =
       num_nodes >= 64 ? ~0ul : ((1ul << num_nodes) - 1ul);

@@ -8,7 +8,7 @@
 // (/sys/devices/system/node) plus two raw syscalls (sched_setaffinity,
 // mbind), all best-effort:
 //   * detection falls back to a single synthetic node covering every online
-//     CPU (containers, non-Linux, SWVE_NUMA=off);
+//     CPU (containers, non-Linux);
 //   * pinning and mbind return false instead of failing the search — the
 //     result is bit-identical either way, placement only moves bytes closer.
 #pragma once
@@ -30,10 +30,6 @@ const char* numa_policy_name(NumaPolicy p) noexcept;
 /// Parses "off" / "interleave" / "bind"; false on anything else.
 bool parse_numa_policy(const std::string& s, NumaPolicy* out) noexcept;
 
-/// `SWVE_NUMA=off` disables topology detection and all placement syscalls
-/// (mirrors SWVE_SHM / SWVE_PMU). Read once per call — cheap.
-bool numa_disabled_by_env() noexcept;
-
 struct Topology {
   struct Node {
     int id = 0;
@@ -51,8 +47,7 @@ struct Topology {
   }
 
   /// Detect from /sys/devices/system/node; single synthetic node over all
-  /// online CPUs when that fails or SWVE_NUMA=off. Never returns an empty
-  /// topology.
+  /// online CPUs when that fails. Never returns an empty topology.
   static Topology detect();
   /// Same, rooted at `sysfs` instead of /sys (test seam).
   static Topology detect_at(const std::string& sysfs);

@@ -242,8 +242,6 @@ struct MetricsSnapshot {
   uint64_t query_cache_hits = 0;
   uint64_t query_cache_misses = 0;
   uint64_t query_cache_evictions = 0;
-  uint64_t workspace_reuses = 0;
-  uint64_t workspace_creates = 0;
   uint64_t query_cache_entries = 0;
 
   // Database provenance (filled by the owner — service::AlignService; all

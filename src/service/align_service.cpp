@@ -207,8 +207,6 @@ perf::MetricsSnapshot AlignService::metrics() const {
     s.query_cache_hits = qs.hits;
     s.query_cache_misses = qs.misses;
     s.query_cache_evictions = qs.evictions;
-    s.workspace_reuses = qs.ws_reuses;
-    s.workspace_creates = qs.ws_creates;
     s.query_cache_entries = qs.entries;
   }
   if (sharded_) {
@@ -576,12 +574,13 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   try {
     td = maybe_topdown(
         [&] {
-          // One per executor or inline caller thread. The kernel builds
-          // its query feed here: a pair is too small for the query-state
-          // cache's lookup to pay (results are bit-identical either way).
-          thread_local core::Workspace ws;
+          // The executor's or inline caller's own workspace. The kernel
+          // builds its query feed here: a pair is too small for the
+          // query-state cache's lookup to pay (results are bit-identical
+          // either way).
           obs::Span chunk(tctx, "chunk.pairwise");
-          a = core::pair_align(rq.query, rq.reference, cfg, ws);
+          a = core::pair_align(rq.query, rq.reference, cfg,
+                               core::thread_workspace());
           chunk.set_kernel(align::kernel_variant(a.sweep));
           chunk.set_isa(a.isa_used);
           chunk.set_width_bits(dp_width_bits(a.width_used));

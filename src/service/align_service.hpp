@@ -90,9 +90,10 @@ struct CacheOptions {
   core::PackingPolicy batch_packing = core::PackingPolicy::LengthSorted;
   /// Distinct (query, config, ISA) entries the query-state cache holds;
   /// back-to-back search or batch requests for a cached query skip
-  /// rebuilding its kernel feed arrays, and engine workspaces come from a
-  /// reusable pool. Pairwise requests do not use the cache. Capacity 0
-  /// disables the cache (every request builds its own state).
+  /// rebuilding its kernel feed arrays. Pairwise requests do not use the
+  /// cache. Capacity 0 disables the cache (every request builds its own
+  /// feeds). Scratch memory is per thread either way
+  /// (core::thread_workspace()).
   size_t query_cache_capacity = 32;
 };
 
@@ -109,7 +110,7 @@ struct SearchOptions {
   /// Results are bit-identical for every value.
   int shards = 1;
   /// Thread pinning + memory placement across shards (no effect when
-  /// shards resolve to 1; forced Off by SWVE_NUMA=off):
+  /// shards resolve to 1):
   ///   Off        — shard, but let the scheduler and first-touch decide;
   ///   Interleave — pin shard threads, page-interleave shared columns;
   ///   Bind       — pin shard threads, mbind each shard's columns local.

@@ -166,7 +166,7 @@ double time_batch_pass(int shards) {
           q(seq::generate_sequence(34, 128)) {}
   };
   static Fixture fx;
-  static thread_local core::Workspace ws;
+  core::Workspace& ws = core::thread_workspace();
   core::AlignConfig cfg;
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   const uint64_t cells = fx.bdb.padded_residues() * fx.q.length();

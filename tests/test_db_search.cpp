@@ -4,9 +4,12 @@
 #include <cmath>
 #include <string>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
+#include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 
@@ -352,6 +355,57 @@ TEST(DatabaseSearch, BatchModeRejectsBand) {
   AlignConfig cfg;
   cfg.band = 8;
   EXPECT_THROW(DatabaseSearch(db, cfg, SearchMode::Batch), std::invalid_argument);
+}
+
+/// Capacity of every buffer in `ws`, in declaration order.
+std::vector<size_t> capacities(const core::Workspace& ws) {
+  std::vector<size_t> out;
+  for (const auto& b : ws.h) out.push_back(b.capacity());
+  for (const auto& b : ws.e) out.push_back(b.capacity());
+  for (const auto& b : ws.f) out.push_back(b.capacity());
+  for (const core::AlignedBuf* b :
+       {&ws.rowmax, &ws.best_diag, &ws.qmul32, &ws.dbrev32, &ws.diag_scores,
+        &ws.qenc, &ws.dbrev_enc, &ws.column_prof, &ws.tb_dirs,
+        &ws.tb_offsets, &ws.batch_h, &ws.batch_f, &ws.batch_prof})
+    out.push_back(b->capacity());
+  for (const auto& b : ws.baseline) out.push_back(b.capacity());
+  return out;
+}
+
+// Every engine scans with the calling thread's core::thread_workspace(): on
+// a thread with no pool, a Diagonal-mode search, a Batch-mode search and a
+// pair_align all grow the one object, a repeat grows nothing, and another
+// thread has its own.
+TEST(DatabaseSearch, EnginesScanWithTheThreadWorkspace) {
+  auto db = make_db(40'000, 31);
+  core::AlignConfig cfg;
+  auto q = seq::generate_sequence(131, 180);
+  DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
+  DatabaseSearch batch(db, cfg, SearchMode::Batch);
+  const core::Workspace* const main_ws = &core::thread_workspace();
+
+  // A fresh thread, so its workspace starts with nothing allocated.
+  std::thread worker([&] {
+    const core::Workspace& ws = core::thread_workspace();
+    EXPECT_NE(&ws, main_ws);  // the spawning thread's is still alive
+    const ExecContext none;  // no pool: every engine runs on this thread
+    auto run_all = [&] {
+      diag.search(q, 10, none);
+      EXPECT_EQ(&core::thread_workspace(), &ws);
+      EXPECT_GT(ws.h[0].capacity(), 0u);  // the diagonal kernel's DP state
+      batch.search(q, 10, none);
+      EXPECT_EQ(&core::thread_workspace(), &ws);
+      EXPECT_GT(ws.batch_h.capacity(), 0u);  // the batch kernel's columns
+      core::pair_align(q, db[0], cfg, core::thread_workspace());
+      EXPECT_EQ(&core::thread_workspace(), &ws);
+    };
+    ASSERT_EQ(ws.h[0].capacity(), 0u);
+    run_all();
+    const std::vector<size_t> warmed = capacities(ws);
+    run_all();
+    EXPECT_EQ(capacities(ws), warmed) << "a repeated search grew a buffer";
+  });
+  worker.join();
 }
 
 TEST(DatabaseSearch, TopKZero) {

@@ -460,8 +460,6 @@ perf::MetricsSnapshot populated_snapshot() {
   s.query_cache_hits = 300;
   s.query_cache_misses = 100;
   s.query_cache_evictions = 9;
-  s.workspace_reuses = 420;
-  s.workspace_creates = 6;
   s.query_cache_entries = 55;
   s.db_source = 1;
   s.db_map_bytes = 98'765'432;

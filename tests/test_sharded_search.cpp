@@ -6,16 +6,15 @@
 // golden model's top-k for every packing policy, shard count and pool
 // size, including ragged splits, duplicate-score tie-breaks, and batches of
 // queries from 64 to 2048 residues with duplicated and empty ones. scan()'s
-// hits carry no end cells. Also covers the shard
-// planner, typed errors for impossible shard counts, empty databases and
-// queries, SWVE_NUMA=off, cancellation/deadline mid-shard, concurrent
-// searches on one instance (the TSan lane runs this file), and the service
-// wiring (ServiceOptions.search.shards).
+// hits carry no end cells. Also covers the shard planner, typed errors for
+// impossible shard counts, empty databases and queries, the reported NUMA
+// policy, cancellation/deadline mid-shard, concurrent searches on one
+// instance (the TSan lane runs this file), and the service wiring
+// (ServiceOptions.search.shards).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -468,7 +467,7 @@ TEST(ShardedSearch, ServiceRejectsShardsBeyondExportedLimit) {
   EXPECT_NE(st.error().message.find("search.shards"), std::string::npos);
 }
 
-TEST(ShardedSearch, NumaEnvKnobForcesPolicyOff) {
+TEST(ShardedSearch, RequestedNumaPolicyIsReported) {
   auto db = make_db(20'000, 9);
   core::Batch32Db packed(db, 32);
   ShardOptions sopt;
@@ -476,14 +475,8 @@ TEST(ShardedSearch, NumaEnvKnobForcesPolicyOff) {
   sopt.numa = parallel::NumaPolicy::Bind;
   sopt.total_threads = 2;
 
-  ::setenv("SWVE_NUMA", "off", 1);
-  auto off = ShardedSearch::create(db, packed, sopt);
-  ::unsetenv("SWVE_NUMA");
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ((*off)->numa_policy(), parallel::NumaPolicy::Off);
-
-  // Without the knob the requested policy survives (placement may still be
-  // a no-op on a single-node host, but the policy is honored).
+  // The requested policy survives (placement may still be a no-op on a
+  // single-node host, but the policy is honored).
   auto on = ShardedSearch::create(db, packed, sopt);
   ASSERT_TRUE(on.ok());
   EXPECT_EQ((*on)->numa_policy(), parallel::NumaPolicy::Bind);

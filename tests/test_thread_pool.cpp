@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -69,13 +73,6 @@ TEST(ThreadPool, ParallelForEmptyRange) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, ParallelChunksRunsEveryChunkOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(57);
-  pool.parallel_chunks(57, [&](size_t c, unsigned) { counts[c].fetch_add(1); });
-  for (auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
 TEST(ThreadPool, SequentialReuse) {
   ThreadPool pool(2);
   std::atomic<uint64_t> sum{0};
@@ -102,8 +99,46 @@ TEST(ThreadPool, StressManySmallJobs) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   for (int round = 0; round < 200; ++round)
-    pool.parallel_chunks(8, [&](size_t, unsigned) { total.fetch_add(1); });
+    pool.parallel_for(8, [&](size_t b, size_t e, unsigned) {
+      total.fetch_add(static_cast<int>(e - b));
+    });
   EXPECT_EQ(total.load(), 1600);
+}
+
+// parallel_for waits for its own blocks, not for the whole pool to go idle:
+// with one worker parked inside another caller's fan-out, a parallel_for
+// from a second thread still completes on the free worker.
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnBlocks) {
+  std::latch parked(1), release(1), async_done(1);
+  std::promise<void> returned;
+  std::future<void> returned_f = returned.get_future();
+  ThreadPool pool(2);
+  pool.parallel_for_async(
+      2,
+      [&](size_t b, size_t, unsigned) {
+        if (b == 0) {
+          parked.count_down();
+          release.wait();
+        }
+      },
+      [&] { async_done.count_down(); });
+  parked.wait();
+
+  std::atomic<size_t> visited{0};
+  std::thread caller([&] {
+    pool.parallel_for(2, [&](size_t b, size_t e, unsigned) {
+      visited.fetch_add(e - b);
+    });
+    returned.set_value();
+  });
+  const bool in_time = returned_f.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  release.count_down();  // let the parked block finish either way
+  caller.join();
+  async_done.wait();
+  EXPECT_TRUE(in_time)
+      << "parallel_for waited on another caller's parked block";
+  EXPECT_EQ(visited.load(), 2u);
 }
 
 }  // namespace
