@@ -17,6 +17,7 @@
 #include "core/batch32.hpp"
 #include "core/dispatch.hpp"
 #include "obs/trace.hpp"
+#include "perf/metrics.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 #include "simd/cpu.hpp"
@@ -180,6 +181,56 @@ void BM_ServiceShortPairs(benchmark::State& state) {
   report_us_per_pair(state, pairs.size(), wall);
 }
 
+// A hand-written copy of the bookkeeping run_pairwise
+// (src/service/align_service.cpp) does around one inline pair, with no
+// kernel and no request: the registry calls, the trace id and the three
+// spans (queue_wait, dispatch.pairwise, chunk.pairwise) into a TraceSink
+// with PMU attribution on, from the path's four clock reads. It leaves out
+// the options and deadline handling, the in-flight claim, exec_sequence,
+// the RequestTrace and the response, and nothing ties it to run_pairwise,
+// so the service's full cost per request stays service/short_pairs/tb
+// minus pair/short_pairs/adaptive/tb. Threads share the sink and the
+// registry, as submitters share the service's.
+void BM_ServiceBookkeeping(benchmark::State& state) {
+  using Scenario = perf::MetricsRegistry::Scenario;
+  static obs::TraceSink sink(8192);
+  static perf::MetricsRegistry registry;
+  constexpr uint64_t kCells = 80 * 80;
+  obs::TraceContext tctx;
+  tctx.sink = &sink;
+  tctx.pmu = &obs::PmuSession::instance();
+  tctx.registry = &registry;
+  const uint64_t epoch = sink.epoch_steady_ns();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    registry.on_query_length(80);
+    tctx.trace_id = sink.next_trace_id();
+    const uint64_t t_submit = obs::steady_now_ns();
+    registry.on_submitted();
+    registry.on_inline_run();
+    const uint64_t t_exec = obs::steady_now_ns();
+    sink.record_span("queue_wait", tctx.trace_id, t_submit - epoch,
+                     t_exec - epoch);
+    const double qwait = static_cast<double>(t_exec - t_submit) * 1e-9;
+    registry.on_queue_wait(qwait);
+    obs::Span dispatch(tctx, "dispatch.pairwise", t_exec);
+    obs::Span chunk(tctx, "chunk.pairwise");
+    const uint64_t t_end = obs::steady_now_ns();
+    chunk.set_kernel(perf::KernelVariant::Column);
+    chunk.set_isa(simd::Isa::Avx512);
+    chunk.set_width_bits(8);
+    chunk.add_cells(kCells);
+    chunk.end(t_end);
+    const double kernel_s = static_cast<double>(t_end - t_exec) * 1e-9;
+    registry.on_completed(Scenario::Pairwise, kernel_s, kCells, t_end);
+    registry.on_tier_completed(1, Scenario::Pairwise, qwait + kernel_s);
+    registry.on_kernel_completed(simd::Isa::Avx512, perf::KernelVariant::Column,
+                                 kCells);
+    dispatch.end(t_end);
+  }
+  report_us_per_pair(state, 1, std::chrono::steady_clock::now() - t0);
+}
+
 void BM_Striped(benchmark::State& state) {
   if (!simd::isa_available(simd::Isa::Avx2)) {
     state.SkipWithError("needs AVX2");
@@ -300,6 +351,12 @@ int main(int argc, char** argv) {
           ->Threads(1)
           ->UseRealTime();
   if (submitters > 1) service_case->Threads(submitters);
+  // The service's bookkeeping alone, at the same thread counts.
+  auto* bookkeeping_case =
+      benchmark::RegisterBenchmark("service/bookkeeping", BM_ServiceBookkeeping)
+          ->Threads(1)
+          ->UseRealTime();
+  if (submitters > 1) bookkeeping_case->Threads(submitters);
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);

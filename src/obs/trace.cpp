@@ -355,10 +355,10 @@ void Span::begin(const TraceContext& ctx, const char* name,
       pmu_ != nullptr ? pmu_->read_at(start_ns) : PmuReading{.ns = start_ns};
 }
 
-void Span::finish() noexcept {
+void Span::finish(uint64_t end_ns) noexcept {
   live_ = false;
   const PmuReading end_reading =
-      pmu_ != nullptr ? pmu_->read() : PmuReading{.ns = steady_now_ns()};
+      pmu_ != nullptr ? pmu_->read_at(end_ns) : PmuReading{.ns = end_ns};
   const PmuDelta d = PmuSession::delta(start_, end_reading);
   ev_.dur_ns = d.wall_ns;
   if (d.hw) {

@@ -280,13 +280,19 @@ class Span {
 
   /// Record the span now (idempotent; the destructor is then a no-op).
   void end() noexcept {
-    if (live_) finish();
+    if (live_) finish(steady_now_ns());
+  }
+  /// Record the span as ending at `end_ns` (steady_now_ns() scale), a
+  /// clock value the caller already read for the same instant. Hardware
+  /// counters, when live, are still read here.
+  void end(uint64_t end_ns) noexcept {
+    if (live_) finish(end_ns);
   }
 
  private:
   void begin(const TraceContext& ctx, const char* name,
              uint64_t start_ns) noexcept;
-  void finish() noexcept;
+  void finish(uint64_t end_ns) noexcept;
 
   bool live_ = false;
   bool has_kernel_ = false;

@@ -69,12 +69,10 @@ const char* kernel_variant_name(KernelVariant v) noexcept {
 void LatencyHistogram::record(double seconds) noexcept {
   if (seconds < 0) seconds = 0;
   const uint64_t us = static_cast<uint64_t>(seconds * 1e6);
-  buckets_[bucket_of(us)].fetch_add(1, kRelaxed);
-  count_.fetch_add(1, kRelaxed);
-  sum_us_.fetch_add(us, kRelaxed);
-  uint64_t prev = max_us_.load(kRelaxed);
-  while (us > prev && !max_us_.compare_exchange_weak(prev, us, kRelaxed)) {
-  }
+  detail::owned_add(buckets_[bucket_of(us)]);
+  detail::owned_add(count_);
+  detail::owned_add(sum_us_, us);
+  if (us > max_us_.load(kRelaxed)) max_us_.store(us, kRelaxed);
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::snapshot() const noexcept {
@@ -145,37 +143,79 @@ LatencyHistogram::Snapshot LatencyHistogram::Snapshot::merge(
 
 namespace detail {
 
-unsigned next_metrics_shard() noexcept {
-  static std::atomic<unsigned> next{0};
-  return next.fetch_add(1, kRelaxed) % MetricsRegistry::kThreadShards;
+namespace {
+
+// Bit i % 64 of word i / 64 set: shard index i is held by a live thread.
+constexpr unsigned kHeldWords = kMetricsShards / 64;
+static_assert(kMetricsShards % 64 == 0);
+std::array<std::atomic<uint64_t>, kHeldWords> g_held_shards{};
+
+// Returns the thread's index to the free list when the thread exits. The
+// release pairs with the acquire in acquire_metrics_shard(), so the next
+// holder's plain updates follow every update this thread made.
+struct ShardReturn {
+  ShardReturn() = default;
+  ShardReturn(const ShardReturn&) = delete;
+  ShardReturn& operator=(const ShardReturn&) = delete;
+  ~ShardReturn() {
+    const unsigned i = t_metrics_shard;
+    // Anything this thread records after this point takes the locked
+    // overflow shard.
+    t_metrics_shard = kRetiredShard;
+    if (i < kMetricsShards)
+      g_held_shards[i / 64].fetch_and(~(uint64_t{1} << (i % 64)),
+                                      std::memory_order_release);
+  }
+};
+
+}  // namespace
+
+unsigned acquire_metrics_shard() noexcept {
+  for (unsigned w = 0; w < kHeldWords; ++w) {
+    uint64_t held = g_held_shards[w].load(kRelaxed);
+    while (held != ~uint64_t{0}) {
+      const auto b = static_cast<unsigned>(std::countr_one(held));
+      if (g_held_shards[w].compare_exchange_weak(
+              held, held | uint64_t{1} << b, std::memory_order_acquire,
+              kRelaxed)) {
+        thread_local ShardReturn give_back;
+        return w * 64 + b;
+      }
+    }
+  }
+  return kNoShard;
 }
 
 }  // namespace detail
 
-MetricsRegistry::MetricsRegistry() : start_(Clock::now()) {
-  shards_[0].store(new Shard, std::memory_order_release);
+MetricsRegistry::MetricsRegistry() : start_ns_(steady_ns(Clock::now())) {
+  shards_[kThreadShards].store(new Shard, std::memory_order_release);
 }
 
 MetricsRegistry::~MetricsRegistry() {
   for (auto& s : shards_) delete s.load(std::memory_order_acquire);
 }
 
-MetricsRegistry::Shard& MetricsRegistry::add_shard(unsigned i) noexcept {
-  Shard* fresh = new (std::nothrow) Shard;
-  // Out of memory: record into shard 0, which the constructor allocated.
-  if (fresh == nullptr) return *shards_[0].load(std::memory_order_acquire);
-  Shard* raced = nullptr;
-  if (shards_[i].compare_exchange_strong(raced, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire))
-    return *fresh;
-  delete fresh;  // another thread of this shard index won
-  return *raced;
+MetricsRegistry::Writer MetricsRegistry::claim_shard(unsigned i) noexcept {
+  if (i == detail::kNoShard)
+    i = detail::t_metrics_shard = detail::acquire_metrics_shard();
+  if (i < kThreadShards) {
+    // Only the index's holder stores its pointer, so no CAS: a shard made
+    // by an earlier holder is reused, else this thread makes it.
+    Shard* s = shards_[i].load(std::memory_order_acquire);
+    if (s == nullptr) {
+      s = new (std::nothrow) Shard;
+      if (s != nullptr) shards_[i].store(s, std::memory_order_release);
+    }
+    if (s != nullptr) return Writer(*s);
+  }
+  // No free index, or out of memory: share the overflow shard, locked.
+  return Writer(*shards_[kThreadShards].load(kRelaxed), overflow_mu_);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   MetricsSnapshot s;
-  std::array<const Shard*, kThreadShards> live{};
+  std::array<const Shard*, kThreadShards + 1> live{};
   size_t n = 0;
   for (const auto& p : shards_)
     if (const Shard* sh = p.load(std::memory_order_acquire); sh != nullptr)
@@ -241,7 +281,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
 
   // Each histogram family sums its per-shard histograms.
   const auto family = [&](auto member) {
-    std::array<const LatencyHistogram*, kThreadShards> parts{};
+    std::array<const LatencyHistogram*, kThreadShards + 1> parts{};
     for (size_t i = 0; i < n; ++i) parts[i] = &member(*live[i]);
     return LatencyHistogram::sum({parts.data(), n});
   };
@@ -255,7 +295,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   s.kernel_time = family(
       [](const Shard& sh) -> const LatencyHistogram& { return sh.kernel_time; });
 
-  const uint64_t now_s = elapsed_s();
+  const uint64_t now_ns = steady_ns(Clock::now());
+  const uint64_t now_s = elapsed_s(now_ns);
   uint64_t wcells = 0, wns = 0;
   for (const Shard* sh : shards) {
     for (const WindowBucket& b : sh->window) {
@@ -269,8 +310,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   }
   s.window_cells = wcells;
   s.window_kernel_seconds = static_cast<double>(wns) * 1e-9;
-  s.uptime_seconds =
-      std::chrono::duration<double>(Clock::now() - start_).count();
+  s.uptime_seconds = static_cast<double>(now_ns - start_ns_) * 1e-9;
   return s;
 }
 

@@ -1,12 +1,12 @@
-// Service observability: lock-free counters and latency/GCUPS histograms.
+// Service observability: counters and latency/GCUPS histograms.
 //
 // A MetricsRegistry is owned by service::AlignService and updated from its
-// executor threads and from the submitting threads of inline runs with
-// relaxed atomics — recording a sample is a handful of fetch_adds, cheap
-// enough to sit on the per-request path. Every counter, histogram, window
-// bucket and PMU cell lives in a cache-line-aligned per-thread shard, so
-// concurrent recorders do not write one cache line. snapshot() sums the
-// shards into a point-in-time copy for dashboards/CLI dumps: totals are
+// executor threads and from the submitting threads of inline runs. Every
+// counter, histogram, window bucket and PMU cell lives in a
+// cache-line-aligned shard that one thread at a time writes, so recording a
+// sample is a handful of relaxed loads and stores with no locked
+// instruction, cheap enough to sit on the per-request path. snapshot() sums
+// the shards into a point-in-time copy for dashboards/CLI dumps: totals are
 // exact once recording stops, but counters are read individually, so a
 // snapshot taken mid-flight is not atomic across families.
 //
@@ -19,18 +19,20 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <span>
 
 #include "simd/cpu.hpp"
 
 namespace swve::perf {
 
-/// Lock-free log2-scale latency histogram. Bucket 0 holds samples < 1 us;
-/// bucket i (i >= 1) holds samples in [2^(i-1), 2^i) microseconds; the last
-/// bucket absorbs everything beyond ~35 minutes. Percentiles interpolate
-/// log-linearly inside the hit bucket (clamped to the observed max), so a
-/// reported p99 is an estimate within the bucket rather than the raw
-/// power-of-two upper bound.
+/// Log2-scale latency histogram, recorded by one writer at a time (a
+/// registry shard's writer) and readable by snapshot() concurrently. Bucket
+/// 0 holds samples < 1 us; bucket i (i >= 1) holds samples in
+/// [2^(i-1), 2^i) microseconds; the last bucket absorbs everything beyond
+/// ~35 minutes. Percentiles interpolate log-linearly inside the hit bucket
+/// (clamped to the observed max), so a reported p99 is an estimate within
+/// the bucket rather than the raw power-of-two upper bound.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 32;
@@ -455,78 +457,102 @@ struct ProcessMemory {
 ProcessMemory read_process_memory() noexcept;
 
 namespace detail {
-/// Registry shard index of the calling thread (kNoShard until it first
-/// records into any registry).
-inline constexpr unsigned kNoShard = ~0u;
+/// Owned shards per registry (MetricsRegistry::kThreadShards). Indices are
+/// held for a thread's whole life and executor pools default to one worker
+/// per hardware thread, so the index space covers the pool, the submitters
+/// and the server threads of hosts with up to a few hundred hardware
+/// threads. A shard is allocated only when its index first records, so an
+/// index no thread takes costs one pointer per registry.
+inline constexpr unsigned kMetricsShards = 256;
+/// Registry shard index of the calling thread: an index below
+/// kMetricsShards that it alone holds, or one of the two values below.
+inline constexpr unsigned kNoShard = ~0u;  ///< none held yet; try to take one
+inline constexpr unsigned kRetiredShard = ~0u - 1;  ///< returned at exit
 inline constinit thread_local unsigned t_metrics_shard = kNoShard;
-/// Next index from the process-wide round-robin counter.
-unsigned next_metrics_shard() noexcept;
+/// Take the lowest free index from the process-wide free list for the
+/// calling thread, to be returned when the thread exits; kNoShard when
+/// every index is held by a live thread.
+unsigned acquire_metrics_shard() noexcept;
+
+/// Add `v` to a counter that one writer at a time updates: a relaxed load
+/// and store, with no locked instruction. Readers still load it atomically.
+inline void owned_add(std::atomic<uint64_t>& c, uint64_t v = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+}
 }  // namespace detail
 
-/// Atomic counters + histograms; one per AlignService. All members are
+/// Counters + histograms; one per AlignService. All members are
 /// thread-safe; see MetricsSnapshot for the read side.
 ///
-/// Storage is sharded by recording thread: a thread takes a shard index
-/// once, round-robin from one process-wide counter, and records into that
-/// shard of every registry. Shard 0 exists from construction; the others
-/// are allocated when a thread first records into them. Threads beyond
-/// kThreadShards share shards, still with atomics, so totals stay exact.
+/// Storage is sharded by recording thread. A thread takes a shard index
+/// from a process-wide free list when it first records, records into that
+/// shard of every registry, and returns the index when it exits, so index i
+/// is written by one live thread at a time. Every update is therefore a
+/// relaxed load and store. A thread that finds no free index, or whose
+/// shard cannot be allocated, records into the overflow shard under the
+/// registry's overflow_mu_, through the same update code. Shards are
+/// allocated when their index first records here; the overflow shard exists
+/// from construction.
 class MetricsRegistry {
  public:
   enum class Scenario : int { Pairwise = 0, Search = 1, Batch = 2 };
 
-  /// Shards per registry (at most this many threads record without
-  /// sharing a cache line).
-  static constexpr unsigned kThreadShards = 16;
+  /// Owned shards per registry: at most this many live threads record
+  /// without a lock; the rest share the overflow shard.
+  static constexpr unsigned kThreadShards = detail::kMetricsShards;
 
   MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  void on_submitted() noexcept { shard().submitted.fetch_add(1, kRelaxed); }
-  void on_inline_run() noexcept { shard().inline_runs.fetch_add(1, kRelaxed); }
+  void on_submitted() noexcept { add(shard()->submitted); }
+  void on_inline_run() noexcept { add(shard()->inline_runs); }
   void on_rejected_queue_full() noexcept {
-    shard().rejected_queue_full.fetch_add(1, kRelaxed);
+    add(shard()->rejected_queue_full);
   }
-  void on_deadline_expired() noexcept {
-    shard().deadline_expired.fetch_add(1, kRelaxed);
-  }
-  void on_invalid_request() noexcept {
-    shard().invalid_request.fetch_add(1, kRelaxed);
-  }
-  void on_aborted() noexcept { shard().aborted.fetch_add(1, kRelaxed); }
+  void on_deadline_expired() noexcept { add(shard()->deadline_expired); }
+  void on_invalid_request() noexcept { add(shard()->invalid_request); }
+  void on_aborted() noexcept { add(shard()->aborted); }
 
   void on_queue_wait(double seconds) noexcept {
-    shard().queue_wait.record(seconds);
+    shard()->queue_wait.record(seconds);
   }
 
+  /// One completed request. `now_ns` is the completion instant on the
+  /// steady_clock nanosecond scale (obs::steady_now_ns()); it places the
+  /// kernel work in the sliding window.
+  void on_completed(Scenario s, double kernel_seconds, uint64_t cells,
+                    uint64_t now_ns) noexcept {
+    const Writer w = shard();
+    // The release store pairs with snapshot()'s acquire loads, which read a
+    // shard's scenario counters before its completed count, so a snapshot
+    // never shows more per-scenario completions than total completions.
+    add(w->completed);
+    std::atomic<uint64_t>& by = w->by_scenario[static_cast<int>(s)];
+    by.store(by.load(kRelaxed) + 1, std::memory_order_release);
+    add(w->cells, cells);
+    const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
+    add(w->kernel_ns, ns);
+    w->kernel_time.record(kernel_seconds);
+    window_record(*w, cells, ns, now_ns);
+  }
+  /// on_completed at the current instant.
   void on_completed(Scenario s, double kernel_seconds,
                     uint64_t cells) noexcept {
-    Shard& sh = shard();
-    // Release pairs with snapshot()'s acquire loads, which read a shard's
-    // scenario counters before its completed count, so a snapshot never
-    // shows more per-scenario completions than total completions.
-    sh.completed.fetch_add(1, kRelaxed);
-    sh.by_scenario[static_cast<int>(s)].fetch_add(1, std::memory_order_release);
-    sh.cells.fetch_add(cells, kRelaxed);
-    const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
-    sh.kernel_ns.fetch_add(ns, kRelaxed);
-    sh.kernel_time.record(kernel_seconds);
-    window_record(sh, cells, ns);
+    on_completed(s, kernel_seconds, cells, steady_ns(Clock::now()));
   }
 
   /// Record the batch kernel's padded vs useful 8-bit cell counts for one
   /// completed batch-path request (see core::BatchSearchStats).
   void on_batch_packing(uint64_t cells8, uint64_t useful_cells8) noexcept {
-    Shard& sh = shard();
-    sh.batch_cells8.fetch_add(cells8, kRelaxed);
-    sh.batch_useful_cells8.fetch_add(useful_cells8, kRelaxed);
+    const Writer w = shard();
+    add(w->batch_cells8, cells8);
+    add(w->batch_useful_cells8, useful_cells8);
   }
 
   /// Fold one span's hardware-counter deltas into the ISA×kernel×width
-  /// attribution cell. `d.samples` should be 1 for a single span. Relaxed
-  /// fetch_adds — cheap enough for chunk-granularity recording.
+  /// attribution cell. `d.samples` should be 1 for a single span.
   void on_pmu_sample(simd::Isa isa, KernelVariant variant, uint16_t width_bits,
                      const PmuSample& d) noexcept {
     const auto i = static_cast<size_t>(isa);
@@ -534,52 +560,43 @@ class MetricsRegistry {
     if (i >= static_cast<size_t>(MetricsSnapshot::kIsas) ||
         k >= static_cast<size_t>(MetricsSnapshot::kKernelVariants))
       return;
-    PmuCell& c = shard().pmu[i][k][MetricsSnapshot::width_index(width_bits)];
-    c.samples.fetch_add(d.samples, kRelaxed);
-    c.wall_ns.fetch_add(d.wall_ns, kRelaxed);
-    c.cycles.fetch_add(d.cycles, kRelaxed);
-    c.instructions.fetch_add(d.instructions, kRelaxed);
-    c.stall_frontend.fetch_add(d.stall_frontend, kRelaxed);
-    c.stall_backend.fetch_add(d.stall_backend, kRelaxed);
-    c.llc_misses.fetch_add(d.llc_misses, kRelaxed);
-    c.branch_misses.fetch_add(d.branch_misses, kRelaxed);
+    const Writer w = shard();
+    PmuCell& c = w->pmu[i][k][MetricsSnapshot::width_index(width_bits)];
+    add(c.samples, d.samples);
+    add(c.wall_ns, d.wall_ns);
+    add(c.cycles, d.cycles);
+    add(c.instructions, d.instructions);
+    add(c.stall_frontend, d.stall_frontend);
+    add(c.stall_backend, d.stall_backend);
+    add(c.llc_misses, d.llc_misses);
+    add(c.branch_misses, d.branch_misses);
   }
 
   /// The watchdog flagged a request as exceeding the latency SLO.
-  void on_slow_request() noexcept {
-    shard().slow_requests.fetch_add(1, kRelaxed);
-  }
+  void on_slow_request() noexcept { add(shard()->slow_requests); }
 
   // Serving front-door events (recorded by net::Server).
-  void on_result_cache_hit() noexcept {
-    shard().result_cache_hits.fetch_add(1, kRelaxed);
-  }
-  void on_result_cache_miss() noexcept {
-    shard().result_cache_misses.fetch_add(1, kRelaxed);
-  }
+  void on_result_cache_hit() noexcept { add(shard()->result_cache_hits); }
+  void on_result_cache_miss() noexcept { add(shard()->result_cache_misses); }
   void on_result_cache_eviction() noexcept {
-    shard().result_cache_evictions.fetch_add(1, kRelaxed);
+    add(shard()->result_cache_evictions);
   }
-  void on_coalesced() noexcept { shard().coalesced.fetch_add(1, kRelaxed); }
+  void on_coalesced() noexcept { add(shard()->coalesced); }
   void on_connection_accepted() noexcept {
-    shard().server_connections.fetch_add(1, kRelaxed);
+    add(shard()->server_connections);
   }
   void on_frame_rx(uint64_t bytes) noexcept {
-    Shard& sh = shard();
-    sh.server_frames_rx.fetch_add(1, kRelaxed);
-    sh.server_bytes_rx.fetch_add(bytes, kRelaxed);
+    const Writer w = shard();
+    add(w->server_frames_rx);
+    add(w->server_bytes_rx, bytes);
   }
   void on_frame_tx(uint64_t bytes) noexcept {
-    Shard& sh = shard();
-    sh.server_frames_tx.fetch_add(1, kRelaxed);
-    sh.server_bytes_tx.fetch_add(bytes, kRelaxed);
+    const Writer w = shard();
+    add(w->server_frames_tx);
+    add(w->server_bytes_tx, bytes);
   }
-  void on_protocol_error() noexcept {
-    shard().server_protocol_errors.fetch_add(1, kRelaxed);
-  }
-  void on_http_scrape() noexcept {
-    shard().server_http_scrapes.fetch_add(1, kRelaxed);
-  }
+  void on_protocol_error() noexcept { add(shard()->server_protocol_errors); }
+  void on_http_scrape() noexcept { add(shard()->server_http_scrapes); }
 
   /// One completed request attributed to its QoS tier: scenario count plus
   /// end-to-end (queue wait + execution) latency. Out-of-range indices are
@@ -590,15 +607,14 @@ class MetricsRegistry {
     if (t >= static_cast<size_t>(MetricsSnapshot::kQosTiers) ||
         sc >= static_cast<size_t>(MetricsSnapshot::kScenarios))
       return;
-    Shard& sh = shard();
-    sh.tier_requests[t][sc].fetch_add(1, kRelaxed);
-    sh.tier_latency[t].record(total_s);
+    const Writer w = shard();
+    add(w->tier_requests[t][sc]);
+    w->tier_latency[t].record(total_s);
   }
 
   /// Bucket one accepted query's length into its workload regime.
   void on_query_length(uint64_t residues) noexcept {
-    shard().query_length_bins[MetricsSnapshot::length_bin_of(residues)]
-        .fetch_add(1, kRelaxed);
+    add(shard()->query_length_bins[MetricsSnapshot::length_bin_of(residues)]);
   }
 
   /// Attribute a completed request to the dispatch target that served it
@@ -611,9 +627,9 @@ class MetricsRegistry {
     if (i >= static_cast<size_t>(MetricsSnapshot::kIsas) ||
         k >= static_cast<size_t>(MetricsSnapshot::kKernelVariants))
       return;
-    Shard& sh = shard();
-    sh.target_requests[i][k].fetch_add(1, kRelaxed);
-    sh.target_cells[i][k].fetch_add(cells, kRelaxed);
+    const Writer w = shard();
+    add(w->target_requests[i][k]);
+    add(w->target_cells[i][k], cells);
   }
 
   MetricsSnapshot snapshot() const noexcept;
@@ -621,6 +637,9 @@ class MetricsRegistry {
  private:
   using Clock = std::chrono::steady_clock;
   static constexpr auto kRelaxed = std::memory_order_relaxed;
+  static void add(std::atomic<uint64_t>& c, uint64_t v = 1) noexcept {
+    detail::owned_add(c, v);
+  }
   // One-second buckets; > kWindowSeconds of them so an expired bucket is
   // reused before it could be confused with a live one.
   static constexpr int kWindowBuckets = 64;
@@ -643,8 +662,7 @@ class MetricsRegistry {
     std::atomic<uint64_t> branch_misses{0};
   };
 
-  /// Everything one group of recording threads writes, on cache lines of
-  /// its own.
+  /// Everything one recording thread writes, on cache lines of its own.
   struct alignas(64) Shard {
     std::atomic<uint64_t> submitted{0};
     std::atomic<uint64_t> inline_runs{0};
@@ -694,46 +712,63 @@ class MetricsRegistry {
     LatencyHistogram kernel_time;
   };
 
-  /// The calling thread's shard of this registry.
-  Shard& shard() noexcept {
-    const unsigned i = thread_shard_index();
-    Shard* s = shards_[i].load(std::memory_order_acquire);
-    return s != nullptr ? *s : add_shard(i);
-  }
-  /// The calling thread's shard index, the same in every registry.
-  static unsigned thread_shard_index() noexcept {
-    unsigned& i = detail::t_metrics_shard;
-    if (i == detail::kNoShard) i = detail::next_metrics_shard();
-    return i;
-  }
-  /// Allocate shard `i` on first use (shard 0 when allocation fails).
-  Shard& add_shard(unsigned i) noexcept;
+  /// The shard one update writes: the calling thread's own, or the
+  /// overflow shard with overflow_mu_ held until the update ends.
+  class Writer {
+   public:
+    explicit Writer(Shard& s) noexcept : shard_(&s) {}
+    Writer(Shard& s, std::mutex& mu) noexcept : shard_(&s), lock_(mu) {}
+    Shard* operator->() const noexcept { return shard_; }
+    Shard& operator*() const noexcept { return *shard_; }
 
-  uint64_t elapsed_s() const noexcept {
+   private:
+    Shard* shard_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
+  /// The calling thread's shard of this registry.
+  Writer shard() noexcept {
+    const unsigned i = detail::t_metrics_shard;
+    if (i < kThreadShards) [[likely]]
+      if (Shard* s = shards_[i].load(std::memory_order_acquire); s != nullptr)
+        return Writer(*s);
+    return claim_shard(i);
+  }
+  /// Slow path of shard(): take an index, allocate the index's shard, or
+  /// fall back to the locked overflow shard.
+  Writer claim_shard(unsigned i) noexcept;
+
+  static uint64_t steady_ns(Clock::time_point t) noexcept {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::seconds>(Clock::now() - start_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            t.time_since_epoch())
             .count());
   }
-
-  void window_record(Shard& sh, uint64_t cells, uint64_t ns) noexcept {
-    const uint64_t now_s = elapsed_s();
-    WindowBucket& b = sh.window[now_s % kWindowBuckets];
-    uint64_t e = b.epoch_s.load(kRelaxed);
-    if (e != now_s &&
-        b.epoch_s.compare_exchange_strong(e, now_s, kRelaxed, kRelaxed)) {
-      // This thread rolled the bucket over; reset it. A concurrent recorder
-      // sharing the shard that raced between the CAS and these stores can
-      // lose its sample — a once-per-second monitoring-grade race, not a
-      // data race.
-      b.cells.store(0, kRelaxed);
-      b.kernel_ns.store(0, kRelaxed);
-    }
-    b.cells.fetch_add(cells, kRelaxed);
-    b.kernel_ns.fetch_add(ns, kRelaxed);
+  /// Whole seconds from the registry's start to `now_ns` (0 before it).
+  uint64_t elapsed_s(uint64_t now_ns) const noexcept {
+    return now_ns > start_ns_ ? (now_ns - start_ns_) / 1'000'000'000 : 0;
   }
 
-  std::array<std::atomic<Shard*>, kThreadShards> shards_{};
-  Clock::time_point start_;
+  void window_record(Shard& sh, uint64_t cells, uint64_t ns,
+                     uint64_t now_ns) noexcept {
+    const uint64_t now_s = elapsed_s(now_ns);
+    WindowBucket& b = sh.window[now_s % kWindowBuckets];
+    if (b.epoch_s.load(kRelaxed) != now_s) {
+      // First sample of this second in the shard: roll the bucket over.
+      // Only this writer updates the shard, so no sample can land between
+      // the reset and the store of the new epoch.
+      b.cells.store(0, kRelaxed);
+      b.kernel_ns.store(0, kRelaxed);
+      b.epoch_s.store(now_s, kRelaxed);
+    }
+    add(b.cells, cells);
+    add(b.kernel_ns, ns);
+  }
+
+  /// Owned shards [0, kThreadShards), then the overflow shard.
+  std::array<std::atomic<Shard*>, kThreadShards + 1> shards_{};
+  std::mutex overflow_mu_;  ///< serializes writers of the overflow shard
+  uint64_t start_ns_;       ///< construction instant, steady_ns() scale
 };
 
 }  // namespace swve::perf

@@ -546,7 +546,10 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
 
 void AlignService::run_pairwise(const AlignRequest& rq,
                                 const AlignCompletion& done, const Stamp& st) {
-  // One clock read ends the queue wait and starts the dispatch span.
+  // Past the submit stamp, three clock reads: t_exec ends the queue wait and
+  // starts the dispatch span and kernel_s, chunk.pairwise takes its own
+  // just before the kernel, and t_end ends the kernel, both spans, kernel_s
+  // and the request's window second.
   const uint64_t t_exec = obs::steady_now_ns();
   core::ErrorOr<double> qwait = begin_run(st, t_exec);
   if (!qwait) {
@@ -570,6 +573,7 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   const obs::TraceContext tctx = trace_context(st.trace_id);
   obs::Span dispatch(tctx, "dispatch.pairwise", t_exec);
   core::Alignment a;
+  uint64_t t_end = 0;
   std::optional<perf::TopDownResult> td;
   try {
     td = maybe_topdown(
@@ -581,10 +585,12 @@ void AlignService::run_pairwise(const AlignRequest& rq,
           obs::Span chunk(tctx, "chunk.pairwise");
           a = core::pair_align(rq.query, rq.reference, cfg,
                                core::thread_workspace());
+          t_end = obs::steady_now_ns();
           chunk.set_kernel(align::kernel_variant(a.sweep));
           chunk.set_isa(a.isa_used);
           chunk.set_width_bits(dp_width_bits(a.width_used));
           chunk.add_cells(a.stats.cells);
+          chunk.end(t_end);
         },
         static_cast<uint64_t>(rq.query.length()) * rq.reference.length());
   } catch (const std::exception& e) {
@@ -592,7 +598,7 @@ void AlignService::run_pairwise(const AlignRequest& rq,
     done(core::ConfigError{Code::Internal, e.what()});
     return;
   }
-  const double kernel_s = seconds_between(t_exec, obs::steady_now_ns());
+  const double kernel_s = seconds_between(t_exec, t_end);
   const uint64_t retries = static_cast<uint64_t>(a.saturated_8) +
                            static_cast<uint64_t>(a.saturated_16);
   RequestTrace tr = make_trace(Scenario::Pairwise, cfg, a.isa_used,
@@ -604,13 +610,13 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   tr.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
   tr.topdown = std::move(td);
   metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
-                        a.stats.cells);
+                        a.stats.cells, t_end);
   metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
                              perf::MetricsRegistry::Scenario::Pairwise,
                              *qwait + kernel_s);
   metrics_.on_kernel_completed(a.isa_used, align::kernel_variant(a.sweep),
                                a.stats.cells);
-  dispatch.end();
+  dispatch.end(t_end);
   done(AlignResponse{std::move(a), std::move(tr)});
 }
 

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -1216,6 +1218,173 @@ TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
   // a once-per-second rollover; it never gains one.
   EXPECT_GT(s.window_cells, 0u);
   EXPECT_LE(s.window_cells, s.cells);
+}
+
+TEST(MetricsRegistry, WindowKeepsEverySampleAcrossRollover) {
+  // Holders take all but a few owned shard indices and keep them while
+  // writers record until the registry's clock has crossed a whole second,
+  // so owned shards and the locked overflow shard both roll a window bucket
+  // over while other threads record. The window spans 60 s, so it must hold
+  // every recorded cell.
+  using Scenario = perf::MetricsRegistry::Scenario;
+  constexpr unsigned kFree = 4;
+  constexpr unsigned kHolders = perf::MetricsRegistry::kThreadShards - kFree;
+  constexpr unsigned kWriters = 2 * kFree;
+  constexpr uint64_t kCells = 3;
+  perf::MetricsRegistry reg;
+  std::latch held(kHolders), release(1);
+  std::vector<std::thread> holders;
+  for (unsigned h = 0; h < kHolders; ++h) {
+    holders.emplace_back([&] {
+      reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
+      held.count_down();
+      release.wait();
+    });
+  }
+  held.wait();
+
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1200);
+  std::atomic<uint64_t> recorded{kHolders};
+  std::atomic<unsigned> overflowed{0};
+  std::vector<std::thread> writers;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
+      // Read before any writer exits and hands its index on.
+      if (perf::detail::t_metrics_shard >= perf::MetricsRegistry::kThreadShards)
+        ++overflowed;
+      uint64_t n = 1;
+      while (std::chrono::steady_clock::now() < stop_at) {
+        reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
+        ++n;
+      }
+      recorded.fetch_add(n);
+    });
+  }
+  for (auto& t : writers) t.join();
+  release.count_down();
+  for (auto& t : holders) t.join();
+
+  // At most kFree indices were free, so the other writers shared the
+  // overflow shard.
+  EXPECT_GE(overflowed.load(), kWriters - kFree);
+  const perf::MetricsSnapshot s = reg.snapshot();
+  ASSERT_GE(s.uptime_seconds, 1.0);
+  EXPECT_EQ(s.completed, recorded.load());
+  EXPECT_EQ(s.cells, recorded.load() * kCells);
+  EXPECT_EQ(s.window_cells, s.cells);
+}
+
+TEST(MetricsRegistry, RecordsWhileEveryShardIndexIsHeld) {
+  // Long-lived threads, one per owned shard, record once and stay alive, so
+  // every index is held (by them or by this process's other threads). A
+  // thread started then still records, on the overflow shard; once the
+  // holders exit, a new thread owns a shard again. Totals stay exact.
+  constexpr unsigned kShards = perf::MetricsRegistry::kThreadShards;
+  perf::MetricsRegistry reg;
+  std::latch held(kShards), release(1);
+  std::vector<std::thread> holders;
+  for (unsigned h = 0; h < kShards; ++h) {
+    holders.emplace_back([&] {
+      reg.on_submitted();
+      held.count_down();
+      release.wait();
+    });
+  }
+  held.wait();
+
+  const auto record_once = [&] {
+    unsigned index = 0;
+    std::thread([&] {
+      reg.on_submitted();
+      reg.on_completed(perf::MetricsRegistry::Scenario::Search, 0x1p-15, 7);
+      index = perf::detail::t_metrics_shard;
+    }).join();
+    return index;
+  };
+  EXPECT_GE(record_once(), kShards);
+  perf::MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.submitted, kShards + 1);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.search, 1u);
+  EXPECT_EQ(s.window_cells, 7u);
+
+  release.count_down();
+  for (auto& t : holders) t.join();
+  EXPECT_LT(record_once(), kShards);
+  s = reg.snapshot();
+  EXPECT_EQ(s.submitted, kShards + 2);
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.cells, 14u);
+  EXPECT_EQ(s.kernel_time.count, 2u);
+}
+
+TEST(MetricsRegistry, ExitedThreadsHandTheirShardOn) {
+  // Waves of short-lived recording threads, more of them in all than twice
+  // the owned shards. Within a wave every thread records once and waits for
+  // the others, so all of them are live together: a wave wider than
+  // kThreadShards must put some threads on the overflow shard. An index
+  // returns to the free list when its thread exits, so every thread of a
+  // wave half that wide owns a shard (this process's other threads hold
+  // fewer than half the indices). Totals stay exact, and a concurrent
+  // reader never sees more scenario completions than completions.
+  using Scenario = perf::MetricsRegistry::Scenario;
+  constexpr unsigned kShards = perf::MetricsRegistry::kThreadShards;
+  constexpr unsigned kWaves[] = {kShards / 2, kShards + 5, kShards / 2,
+                                 kShards + 9, kShards / 2};
+  constexpr uint64_t kIters = 500;
+  perf::MetricsRegistry reg;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const perf::MetricsSnapshot s = reg.snapshot();
+      ASSERT_LE(s.pairwise + s.search + s.batch, s.completed);
+    }
+  });
+
+  uint64_t threads = 0;
+  for (const unsigned width : kWaves) {
+    std::latch all_live(width);
+    std::atomic<unsigned> overflowed{0};
+    std::vector<std::thread> wave;
+    for (unsigned w = 0; w < width; ++w) {
+      wave.emplace_back([&, w] {
+        const auto sc = static_cast<Scenario>(w % 3);
+        for (uint64_t i = 0; i < kIters; ++i) {
+          reg.on_submitted();
+          reg.on_queue_wait(0x1p-17);
+          reg.on_completed(sc, 0x1p-15, 100);
+          reg.on_kernel_completed(simd::Isa::Avx2,
+                                  perf::KernelVariant::Diagonal, 100);
+          if (i == 0) {
+            if (perf::detail::t_metrics_shard >= kShards) ++overflowed;
+            all_live.arrive_and_wait();
+          }
+        }
+      });
+    }
+    for (auto& t : wave) t.join();
+    threads += width;
+    if (width > kShards)
+      EXPECT_GE(overflowed.load(), width - kShards) << "wave of " << width;
+    else
+      EXPECT_EQ(overflowed.load(), 0u) << "wave of " << width;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  ASSERT_GT(threads, 2 * kShards);
+
+  const uint64_t total = threads * kIters;
+  const perf::MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.submitted, total);
+  EXPECT_EQ(s.completed, total);
+  EXPECT_EQ(s.pairwise + s.search + s.batch, total);
+  EXPECT_EQ(s.cells, total * 100);
+  EXPECT_EQ(s.window_cells, total * 100);
+  EXPECT_EQ(s.queue_wait.count, total);
+  EXPECT_EQ(s.kernel_time.count, total);
+  EXPECT_EQ(s.target_requests[static_cast<int>(simd::Isa::Avx2)][0], total);
 }
 
 // ------------------------------------------------------------------ sampler

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <latch>
 #include <optional>
@@ -587,6 +588,53 @@ TEST(AlignService, TraceSinkCapturesRequestSpans) {
   EXPECT_NE(json.find("\"chunk.search_diagonal\""), std::string::npos);
   EXPECT_NE(json.find("\"isa\""), std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
+}
+
+TEST(AlignService, InlinePairSpansShareOneClock) {
+  // An inline pair reads the clock at submit, at the start of execution,
+  // just before its kernel (chunk.pairwise's start) and at the end of its
+  // kernel; its spans and its kernel time reuse those readings. Holds
+  // whether PMU attribution has hardware counters or falls back to wall
+  // time (SWVE_PMU=eperm/off).
+  obs::TraceSink sink;
+  ServiceOptions opt;
+  opt.obs.trace_sink = &sink;
+  opt.obs.pmu_attribution = true;
+  AlignService svc(opt);
+  std::optional<AlignResponse> resp;
+  svc.submit_async(pairwise_request(500),
+                   [&](core::ErrorOr<AlignResponse> out) {
+                     ASSERT_TRUE(out.ok()) << out.error().message;
+                     resp = std::move(out).value();
+                   });
+  ASSERT_TRUE(resp.has_value());  // ran inline, before submit_async returned
+  const perf::MetricsSnapshot m = svc.metrics();
+  ASSERT_EQ(m.inline_runs, 1u);
+
+  std::optional<obs::TraceEvent> queue_wait, dispatch, chunk;
+  for (const obs::TraceEvent& e : sink.snapshot_events()) {
+    if (e.trace_id != resp->trace.trace_id) continue;
+    const std::string name = e.name;
+    if (name == "queue_wait") queue_wait = e;
+    if (name == "dispatch.pairwise") dispatch = e;
+    if (name == "chunk.pairwise") chunk = e;
+  }
+  ASSERT_TRUE(queue_wait && dispatch && chunk);
+  EXPECT_EQ(queue_wait->ts_ns + queue_wait->dur_ns, dispatch->ts_ns);
+  EXPECT_GE(chunk->ts_ns, dispatch->ts_ns);
+  EXPECT_EQ(chunk->ts_ns + chunk->dur_ns, dispatch->ts_ns + dispatch->dur_ns);
+  EXPECT_EQ(dispatch->dur_ns,
+            static_cast<uint64_t>(std::llround(resp->trace.kernel_s * 1e9)));
+
+  // The kernel span's attribution cell holds this one sample.
+  const core::Alignment& a = resp->alignment;
+  const perf::PmuSample& cell =
+      m.pmu[static_cast<size_t>(a.isa_used)]
+           [static_cast<size_t>(align::kernel_variant(a.sweep))]
+           [perf::MetricsSnapshot::width_index(chunk->width_bits)];
+  EXPECT_EQ(cell.samples, 1u);
+  EXPECT_EQ(cell.wall_ns, chunk->dur_ns);
+  EXPECT_EQ(m.pmu_total().samples, 1u);
 }
 
 TEST(AlignService, TraceMarksDeadlineTruncation) {
