@@ -107,6 +107,39 @@ const PairList& saturating_short_pairs() {
   return pairs;
 }
 
+// The pairs that set pairwise alignment's slowest percent: 1024 queries of
+// 100-130 aa against 92%-identity copies of themselves, so most saturate
+// the 8-bit rung and finish at 16 bits.
+const PairList& related_pairs() {
+  static const PairList pairs = [] {
+    PairList out;
+    std::mt19937_64 rng(37);
+    for (int i = 0; i < 1024; ++i) {
+      auto q = seq::generate_sequence(rng(), 100 + static_cast<uint32_t>(rng() % 31));
+      auto r = seq::mutate(q, rng(), 0.08);
+      out.emplace_back(std::move(q), std::move(r));
+    }
+    return out;
+  }();
+  return pairs;
+}
+
+// Eight random queries of M residues, each against a random 4096-residue
+// reference: the column sweep on long references.
+template <uint32_t M>
+const PairList& long_ref_pairs() {
+  static const PairList pairs = [] {
+    PairList out;
+    std::mt19937_64 rng(41 + M);
+    for (int i = 0; i < 8; ++i) {
+      auto q = seq::generate_sequence(rng(), M);
+      out.emplace_back(std::move(q), seq::generate_sequence(rng(), 4096));
+    }
+    return out;
+  }();
+  return pairs;
+}
+
 // Wall microseconds per pair on each thread, averaged over the threads (a
 // submitter waiting for a queued reply is charged for the wait).
 void report_us_per_pair(benchmark::State& state, size_t pairs,
@@ -333,6 +366,14 @@ int main(int argc, char** argv) {
                                  BM_ShortPairs, saturating_short_pairs, align)
         ->Unit(benchmark::kMillisecond);
   }
+  benchmark::RegisterBenchmark("pair/related_pairs/adaptive/tb", BM_ShortPairs,
+                               related_pairs, &core::pair_align)
+      ->Unit(benchmark::kMillisecond);
+  for (auto [name, pairs] : {std::pair{"pair/long_ref/64x4096", &long_ref_pairs<64>},
+                             {"pair/long_ref/128x4096", &long_ref_pairs<128>},
+                             {"pair/long_ref/256x4096", &long_ref_pairs<256>}})
+    benchmark::RegisterBenchmark(name, BM_ShortPairs, pairs, &core::pair_align)
+        ->Unit(benchmark::kMillisecond);
   // The direct pair_align case and the service case at one thread and at
   // nproc - 1 threads (perfbench's submitter count): their us_per_pair
   // difference is the service's cost per request.

@@ -30,9 +30,9 @@ class Aligner {
   }
 
   /// Align query against reference with the kernel that suits the pair
-  /// (core::pair_align: the column sweep for short pairs on AVX-512 VBMI,
-  /// else the diagonal kernel family; ISA-dispatched, adaptive width,
-  /// optional traceback per config).
+  /// (core::pair_align: the column sweep for queries of up to 256 residues
+  /// on AVX-512 VBMI, else the diagonal kernel family; ISA-dispatched,
+  /// adaptive width, optional traceback per config).
   Alignment align(seq::SeqView query, seq::SeqView reference) {
     return core::pair_align(query, reference, cfg_, ws_);
   }

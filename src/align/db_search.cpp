@@ -80,7 +80,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
       stats += a.stats;
       top.offer(Hit{static_cast<uint32_t>(s), a.score, a.end_query, a.end_ref});
     }
-    // pair_align picks the sweep per target: the chunk carries the one
+    // pair_align picks the sweep per pair: the chunk carries the one
     // that computed most of its cells (the diagonal kernel when none ran).
     span.set_kernel(kernel_variant(2 * stats.column_cells > stats.cells
                                        ? core::Sweep::Column

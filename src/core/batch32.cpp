@@ -242,7 +242,8 @@ void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
       continue;
     }
     // Exact re-score at 16 bits, then 32 (pair_align: the column sweep
-    // for a short pair, which never saturates at 16 bits).
+    // for a query of at most 256 residues, which never saturates at 16
+    // bits).
     const seq::Sequence& s = db[batch.seq_index[k]];
     AlignConfig wide = cfg;
     wide.width = Width::W16;

@@ -155,16 +155,15 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
 }
 
 bool column_sweep_runs(const AlignConfig& cfg, simd::Isa isa, size_t m,
-                       size_t n, uint8_t q_max_code) {
+                       uint8_t q_max_code) {
 #if defined(SWVE_HAVE_AVX512_BUILD)
   const int64_t limit16 = 65535 - cfg.bias() - cfg.max_subst_score();
   return isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi &&
-         m >= 1 && m <= kColumnSweepMaxLength && n <= kColumnSweepMaxLength &&
-         cfg.band < 0 && cfg.width != Width::W32 &&
+         m >= 1 && m <= kColumnSweepMaxQuery && cfg.band < 0 && cfg.width != Width::W32 &&
          (cfg.scheme == ScoreScheme::Fixed || q_max_code < seq::kShuffleCodes) &&
          static_cast<int64_t>(m) * cfg.max_subst_score() < limit16;
 #else
-  (void)cfg, (void)isa, (void)m, (void)n, (void)q_max_code;
+  (void)cfg, (void)isa, (void)m, (void)q_max_code;
   return false;
 #endif
 }
@@ -176,19 +175,10 @@ Alignment pair_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
   [[maybe_unused]] const uint8_t q_max =
       prep != nullptr ? prep->max_code() : max_code(q);
 #if defined(SWVE_HAVE_AVX512_BUILD)
-  if (column_sweep_runs(cfg, isa, q.length, r.length, q_max)) {
+  if (column_sweep_runs(cfg, isa, q.length, q_max)) {
     const uint8_t r_max = max_code(r);
     if (cfg.scheme == ScoreScheme::Matrix) check_codes(q_max, seq::kShuffleCodes, r_max);
-    Alignment a = column_avx512(q, r, r_max, cfg, ws);
-    if (cfg.traceback && a.score > 0 && !a.saturated) {
-      const ColumnTracebackView view{
-          static_cast<const uint8_t*>(ws.tb_dirs.data()), static_cast<int>(q.length)};
-      TracebackResult t = walk_traceback(view, a.end_query, a.end_ref);
-      a.begin_query = t.begin_query;
-      a.begin_ref = t.begin_ref;
-      a.cigar = std::move(t.cigar);
-    }
-    return a;
+    return column_avx512(q, r, r_max, cfg, ws);
   }
 #endif
   return diag_align(q, r, cfg, ws, prep);

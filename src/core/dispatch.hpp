@@ -23,8 +23,7 @@ DiagOutput diag_avx2(const DiagRequest& rq, Width width);
 #if defined(SWVE_HAVE_AVX512_BUILD)
 DiagOutput diag_avx512(const DiagRequest& rq, Width width);
 /// The column sweep (column_avx512.cpp) for a pair column_sweep_runs
-/// admits; `r_max_code` is the largest code in r. No traceback walk
-/// (pair_align does it).
+/// admits, traceback walk included; `r_max_code` is the largest code in r.
 Alignment column_avx512(seq::SeqView q, seq::SeqView r, uint8_t r_max_code,
                         const AlignConfig& cfg, Workspace& ws);
 #endif
@@ -67,21 +66,21 @@ Width exact_score_width(const AlignConfig& cfg, int score);
 Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                      Workspace& ws, const PreparedQuery* prep = nullptr);
 
-/// Longest query and reference the column sweep takes. The reference bound
-/// is the score-only crossover measured before the sweep's gap scan stopped
-/// early; EXPERIMENTS.md ("Column sweep at its floor") has the newer table,
-/// and moving the bound is a measured change of its own.
-inline constexpr size_t kColumnSweepMaxLength = 128;
+/// Longest query the column sweep takes, with a reference of any length.
+/// The largest length at which the sweep measured no slower than
+/// diag_align in every cell of the crossover table in EXPERIMENTS.md
+/// ("Striped column sweep").
+inline constexpr size_t kColumnSweepMaxQuery = 256;
 
 /// The one rule for which sweep core::pair_align runs: the column sweep
-/// when the resolved `isa` is AVX-512 with VBMI, 1 <= m <= 128, n <= 128,
-/// the DP is unbanded, the width is Adaptive, W8 or W16, every query code
-/// is below seq::kShuffleCodes (or the scheme is Fixed), and
-/// m * max_subst_score() is below the 16-bit saturation limit, so no 32-bit
-/// rung can be needed. `q_max_code` is the largest query code. A fixed
-/// rule, no timing.
+/// when the resolved `isa` is AVX-512 with VBMI, 1 <= m <=
+/// kColumnSweepMaxQuery (any reference length), the DP is unbanded, the
+/// width is Adaptive, W8 or W16, every query code is below
+/// seq::kShuffleCodes (or the scheme is Fixed), and m * max_subst_score()
+/// is below the 16-bit saturation limit, so no 32-bit rung can be needed.
+/// `q_max_code` is the largest query code. A fixed rule, no timing.
 bool column_sweep_runs(const AlignConfig& cfg, simd::Isa isa, size_t m,
-                       size_t n, uint8_t q_max_code);
+                       uint8_t q_max_code);
 
 /// Full alignment of one pair through the kernel that suits its shape:
 /// the column sweep where column_sweep_runs admits it, else diag_align

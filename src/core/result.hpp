@@ -91,9 +91,10 @@ struct KernelStats {
 
 /// Which dynamic-programming sweep produced an Alignment.
 ///   Diagonal — the paper's anti-diagonal kernel (every ISA, width and band).
-///   Column   — the column sweep core::pair_align runs for short pairs on
-///              AVX-512 VBMI: query rows in the lanes, one reference column
-///              per step (docs/kernel.md, "Column sweep").
+///   Column   — the column sweep core::pair_align runs for queries of up
+///              to 256 residues on AVX-512 VBMI: query rows striped over
+///              the lanes, one reference column per step (docs/kernel.md,
+///              "Column sweep").
 enum class Sweep : uint8_t { Diagonal, Column };
 
 struct Alignment {

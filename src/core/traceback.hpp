@@ -101,16 +101,52 @@ struct DiagTracebackView {
   }
 };
 
-/// Flags for the column sweep's layout: column j's direction bytes are
-/// rows [0, m) at dirs + j*m.
-struct ColumnTracebackView {
-  const uint8_t* dirs = nullptr;
-  int m = 0;  // query length
+/// x / s for 0 <= x < 4096 and 1 <= s <= 8, by a multiply: the column
+/// sweep's stripe count is a run-time value, and a division per traceback
+/// cell would cost more than the lookup it feeds.
+inline int divide_by_stripes(int x, int s) noexcept {
+  static constexpr uint32_t kInverse[9] = {0,     65536, 32768, 21846, 16384,
+                                           13108, 10923, 9363,  8192};
+  return static_cast<int>((static_cast<uint32_t>(x) * kInverse[s]) >> 16);
+}
+
+/// Flags for the column sweep's layout. Column j holds m bytes at
+/// dirs + j*m. The sweep stripes the query rows over S vectors (row i in
+/// vector i mod S, lane i / S) and stores vector v's ceil((m-v)/S) rows
+/// together from offset v*(m/S) + min(v, m mod S). S is `stripes` before
+/// column `wide_from` and `wide_stripes` from it on, since the 8-bit and
+/// 16-bit rungs stripe differently; both are at most 8, and m < 4096.
+class ColumnTracebackView {
+ public:
+  ColumnTracebackView(const uint8_t* dirs, int m, int stripes, int wide_from,
+                      int wide_stripes) noexcept
+      : dirs_(dirs), m_(m), wide_from_(wide_from), narrow_(layout(m, stripes)),
+        wide_(layout(m, wide_stripes)) {}
 
   uint8_t operator()(int i, int j) const noexcept {
-    return dirs[static_cast<uint64_t>(j) * static_cast<uint64_t>(m) +
-                static_cast<uint64_t>(i)];
+    const Layout& s = j < wide_from_ ? narrow_ : wide_;
+    const uint64_t col = static_cast<uint64_t>(j) * static_cast<uint64_t>(m_);
+    if (s.stripes == 1) return dirs_[col + static_cast<uint64_t>(i)];
+    const int lane = divide_by_stripes(i, s.stripes);
+    const int v = i - lane * s.stripes;
+    return dirs_[col + static_cast<uint64_t>(v * s.rows + (v < s.extra ? v : s.extra) + lane)];
   }
+
+ private:
+  struct Layout {
+    int stripes;
+    int rows;   // m / stripes
+    int extra;  // m mod stripes: the vectors holding one row more
+  };
+  static Layout layout(int m, int s) noexcept {
+    const int rows = divide_by_stripes(m, s);
+    return {s, rows, m - rows * s};
+  }
+
+  const uint8_t* dirs_;
+  int m_;
+  int wide_from_;
+  Layout narrow_, wide_;
 };
 
 }  // namespace swve::core

@@ -95,7 +95,7 @@ struct Workspace {
 
   // Column sweep: biased scores of every query row against each reference
   // code present, one group of vectors per code.
-  AlignedBuf column_prof;   // up to 256 codes * 256 bytes
+  AlignedBuf column_prof;   // up to 256 codes * 512 bytes
 
   // Traceback: per-cell direction bytes (diagonal-major for the diagonal
   // kernels, column-major for the column sweep) plus the per-diagonal

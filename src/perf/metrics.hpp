@@ -119,7 +119,7 @@ constexpr double delta_ratio(uint64_t num_now, uint64_t num_prev,
 enum class KernelVariant : int {
   Diagonal = 0,
   Batch32 = 1,  ///< inter-sequence batch kernel
-  Column = 2,   ///< column sweep (core::pair_align on short pairs)
+  Column = 2,   ///< column sweep (core::pair_align, queries <= 256 residues)
 };
 const char* kernel_variant_name(KernelVariant v) noexcept;
 

@@ -724,7 +724,7 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
     metrics_.on_kernel_completed(run.trace.isa, perf::KernelVariant::Batch32,
                                  cells);
   } else {
-    // pair_align picks the sweep per target: each sweep's cells count under
+    // pair_align picks the sweep per pair: each sweep's cells count under
     // its own target (a search that computed none counts under diagonal).
     const uint64_t column = run.results.front().stats.column_cells;
     if (column > 0)

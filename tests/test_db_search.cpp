@@ -379,7 +379,9 @@ std::vector<size_t> capacities(const core::Workspace& ws) {
 TEST(DatabaseSearch, EnginesScanWithTheThreadWorkspace) {
   auto db = make_db(40'000, 31);
   core::AlignConfig cfg;
-  auto q = seq::generate_sequence(131, 180);
+  // Longer than core::kColumnSweepMaxQuery, so the Diagonal engine runs
+  // the diagonal kernel.
+  auto q = seq::generate_sequence(131, 300);
   DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
   DatabaseSearch batch(db, cfg, SearchMode::Batch);
   const core::Workspace* const main_ws = &core::thread_workspace();

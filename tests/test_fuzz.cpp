@@ -26,8 +26,7 @@ struct FuzzCase {
   std::string desc;
 };
 
-seq::Sequence fuzz_seq(std::mt19937_64& rng, uint32_t max_len) {
-  const uint32_t len = 1 + static_cast<uint32_t>(rng() % max_len);
+seq::Sequence fuzz_seq_of(std::mt19937_64& rng, uint32_t len) {
   switch (rng() % 4) {
     case 0:  // natural composition
       return seq::generate_sequence(rng(), len);
@@ -55,6 +54,16 @@ seq::Sequence fuzz_seq(std::mt19937_64& rng, uint32_t max_len) {
       return seq::Sequence("uni", std::move(codes), seq::Alphabet::protein());
     }
   }
+}
+
+seq::Sequence fuzz_seq(std::mt19937_64& rng, uint32_t max_len) {
+  return fuzz_seq_of(rng, 1 + static_cast<uint32_t>(rng() % max_len));
+}
+
+/// A length at a vector edge of the column sweep's striped layout: one
+/// below, at and above 64, 128, 192 and 256 rows.
+uint32_t edge_length(std::mt19937_64& rng) {
+  return 64 * static_cast<uint32_t>(1 + rng() % 4) - 1 + static_cast<uint32_t>(rng() % 3);
 }
 
 FuzzCase make_case(std::mt19937_64& rng) {
@@ -120,6 +129,9 @@ TEST(Fuzz, DiagKernelsAllAxes) {
   int checked = 0, column = 0;
   for (int it = 0; it < 250; ++it) {
     FuzzCase fc = make_case(rng);
+    // A third of the queries and references sit at a vector edge.
+    if (rng() % 3 == 0) fc.q = fuzz_seq_of(rng, edge_length(rng));
+    if (rng() % 3 == 0) fc.r = fuzz_seq_of(rng, edge_length(rng));
     if (rng() % 3 == 0) fc.r = with_indel(fc.q, rng);
     const Alignment ref = ref_align(fc.q, fc.r, fc.cfg);
     AlignConfig cfg = fc.cfg;

@@ -1114,9 +1114,11 @@ TEST(MetricsRegistry, ConcurrentRecordingIsRaceFree) {
 }
 
 TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
-  // More writer threads than shards, so some threads share one. Every
-  // family the service records is hammered while a reader snapshots; the
-  // summed totals must come out exact.
+  // More writer threads than owned shards: kThreadShards + 4 = 260 writers
+  // for 256 shard indices, so those that find every index taken (at least
+  // the last 4) record into the locked overflow shard. Every family the
+  // service records is hammered while a reader snapshots; the summed totals
+  // must come out exact.
   using Scenario = perf::MetricsRegistry::Scenario;
   constexpr unsigned kWriters = perf::MetricsRegistry::kThreadShards + 4;
   constexpr uint64_t kIters = 2000, kTotal = kWriters * kIters;
@@ -1169,7 +1171,7 @@ TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
   EXPECT_EQ(s.inline_runs, kTotal);
   EXPECT_EQ(s.completed, kTotal);
   EXPECT_EQ(s.pairwise + s.search + s.batch, kTotal);
-  // Writer w records scenario and tier w % 3: 7, 7 and 6 writers.
+  // Writer w records scenario and tier w % 3: 87, 87 and 86 writers.
   const auto writers_of = [&](unsigned r) {
     return (kWriters + 2 - r) / 3 * kIters;
   };

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,7 +55,7 @@ void check_pair(seq::SeqView q, seq::SeqView r,
   const Alignment d = diag_align(q, r, cfg, ws);
   const Alignment p = pair_align(q, r, cfg, ws);
   const bool column =
-      column_sweep_runs(cfg, simd::resolve_isa(cfg.isa), q.length, r.length, max_code(q));
+      column_sweep_runs(cfg, simd::resolve_isa(cfg.isa), q.length, max_code(q));
   EXPECT_EQ(p.sweep, column ? Sweep::Column : Sweep::Diagonal) << what;
   EXPECT_EQ(d.sweep, Sweep::Diagonal) << what;
   EXPECT_EQ(p.score, d.score) << what;
@@ -94,40 +95,40 @@ TEST(PairAlign, RuleAdmitsShortPairsOnAvx512Vbmi) {
   AlignConfig cfg;
   const simd::Isa avx512 = simd::Isa::Avx512;
   const bool host = column_sweep_host();
-  EXPECT_EQ(column_sweep_runs(cfg, avx512, 1, 1, 0), host);
-  EXPECT_EQ(column_sweep_runs(cfg, avx512, 128, 128, 23), host);
-  EXPECT_EQ(column_sweep_runs(cfg, avx512, 64, 0, 0), host);  // empty reference
-  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 0, 64, 0));
-  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 129, 64, 0));
-  // A long reference: past the rule's bound (kColumnSweepMaxLength).
-  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 64, 129, 0));
-  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 16, 4000, 0));
-  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 64, 64, 24));  // past the table
-  EXPECT_FALSE(column_sweep_runs(cfg, simd::Isa::Avx2, 64, 64, 0));
-  EXPECT_FALSE(column_sweep_runs(cfg, simd::Isa::Scalar, 64, 64, 0));
+  EXPECT_EQ(column_sweep_runs(cfg, avx512, 1, 0), host);
+  EXPECT_EQ(column_sweep_runs(cfg, avx512, 128, 23), host);
+  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 0, 0));
+  // The query bound (kColumnSweepMaxQuery); the reference length is no
+  // part of the rule.
+  EXPECT_EQ(column_sweep_runs(cfg, avx512, kColumnSweepMaxQuery, 0), host);
+  EXPECT_FALSE(column_sweep_runs(cfg, avx512, kColumnSweepMaxQuery + 1, 0));
+  EXPECT_FALSE(column_sweep_runs(cfg, avx512, 64, 24));  // past the table
+  EXPECT_FALSE(column_sweep_runs(cfg, simd::Isa::Avx2, 64, 0));
+  EXPECT_FALSE(column_sweep_runs(cfg, simd::Isa::Scalar, 64, 0));
   AlignConfig c = cfg;
   c.band = 8;
-  EXPECT_FALSE(column_sweep_runs(c, avx512, 64, 64, 0));
+  EXPECT_FALSE(column_sweep_runs(c, avx512, 64, 0));
   c = cfg;
   c.width = Width::W32;
-  EXPECT_FALSE(column_sweep_runs(c, avx512, 64, 64, 0));
+  EXPECT_FALSE(column_sweep_runs(c, avx512, 64, 0));
   for (Width w : {Width::W8, Width::W16, Width::Adaptive}) {
     c.width = w;
-    EXPECT_EQ(column_sweep_runs(c, avx512, 64, 64, 0), host);
+    EXPECT_EQ(column_sweep_runs(c, avx512, 64, 0), host);
   }
   c = cfg;
   c.scheme = ScoreScheme::Fixed;
-  EXPECT_EQ(column_sweep_runs(c, avx512, 64, 64, 200), host);  // any code
+  EXPECT_EQ(column_sweep_runs(c, avx512, 64, 200), host);  // any code
   // A query whose score could reach the 16-bit limit needs a 32-bit rung.
   c.match = 600;
   c.mismatch = -1;
-  EXPECT_FALSE(column_sweep_runs(c, avx512, 128, 64, 0));
-  EXPECT_EQ(column_sweep_runs(c, avx512, 100, 64, 0), host);
+  EXPECT_FALSE(column_sweep_runs(c, avx512, 128, 0));
+  EXPECT_EQ(column_sweep_runs(c, avx512, 100, 0), host);
 }
 
 TEST(PairAlign, LengthGridMatchesDiagonalKernel) {
-  const std::vector<uint32_t> ms = {1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129};
-  const std::vector<uint32_t> ns = {1, 2, 5, 64, 65, 127, 128, 129, 300};
+  const std::vector<uint32_t> ms = {1,   2,   31,  32,  33,  63,  64,  65,  127,
+                                    128, 129, 191, 192, 193, 255, 256, 257};
+  const std::vector<uint32_t> ns = {1, 2, 5, 64, 65, 127, 128, 129, 257, 300, 1000, 4096};
   uint64_t seed = 100;
   for (uint32_t m : ms) {
     const seq::Sequence q = seq::generate_sequence(seed++, m);
@@ -281,10 +282,12 @@ TEST(PairAlign, ExtremeGapPenalties) {
 
 // The reference is the query with L residues cut from its middle or 20
 // residues before its end (and the roles swapped), so the best alignment
-// crosses a vertical (and a horizontal) gap of L rows, in the first vector
-// of rows or only in a later one. L runs across every power of two the
-// sweep's gap scan shifts by, and one either side, so the scan's early
-// stop is exercised before, at and after each of its steps.
+// crosses a vertical (and a horizontal) gap of L rows, in the first lanes
+// or only in later ones. The query rows are striped over S vectors (S 1-4
+// at 8 bits, 1-8 at 16), and the gap scan's carry steps shift by S*2^s
+// rows; L runs across every such shift of both widths, and one either
+// side, so the scan's early stop is exercised before, at and after each of
+// its steps, and the gaps cross lane blocks.
 TEST(PairAlign, VerticalGapsCrossEveryScanStep) {
   struct Gaps {
     GapModel gm;
@@ -293,11 +296,15 @@ TEST(PairAlign, VerticalGapsCrossEveryScanStep) {
   const Gaps gaps[] = {{GapModel::Affine, 11, 1}, {GapModel::Affine, 5, 2},
                        {GapModel::Linear, 0, 3}, {GapModel::Affine, 6, 0}};
   uint64_t seed = 2000;
-  for (int m : {63, 64, 65, 127, 128}) {
+  for (int m : {63, 64, 65, 127, 128, 129, 193, static_cast<int>(kColumnSweepMaxQuery)}) {
     const seq::Sequence q = seq::generate_sequence(seed++, static_cast<uint32_t>(m));
-    for (int gap : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
+    std::set<int> cuts;
+    for (int s : {(m + 63) / 64, (m + 31) / 32})
+      for (int step = s; step < m; step *= 2)
+        for (int d : {-1, 0, 1}) cuts.insert(step + d);
+    for (int gap : cuts) {
       for (int at : {(m - gap) / 2, m - gap - 20}) {
-        if (gap >= m || at < 0) continue;
+        if (gap < 1 || gap >= m || at < 0) continue;
         std::vector<uint8_t> cut(q.codes().begin(), q.codes().end());
         cut.erase(cut.begin() + at, cut.begin() + at + gap);
         const seq::Sequence r("cut", std::move(cut), q.alphabet());
@@ -315,6 +322,56 @@ TEST(PairAlign, VerticalGapsCrossEveryScanStep) {
               check_pair(r, q, cfg, label("horizontal", r.length(), q.length(), cfg) + where);
               if (HasFailure()) return;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Long references holding several copies of the query, each with a long
+// block deleted (a vertical gap) or a long random block inserted (a
+// horizontal one): the gap scan's early stop rarely fires in the columns
+// that cross them, and the best alignment may end in any copy.
+TEST(PairAlign, LongReferencesCrossLongGaps) {
+  struct Gaps {
+    GapModel gm;
+    int open, ext;
+  };
+  const Gaps gaps[] = {{GapModel::Affine, 11, 1}, {GapModel::Affine, 4, 1},
+                       {GapModel::Linear, 0, 2}};
+  std::mt19937_64 rng(2050);
+  for (uint32_t m : {64u, 128u, 200u, static_cast<uint32_t>(kColumnSweepMaxQuery)}) {
+    const seq::Sequence q = seq::generate_sequence(rng(), m);
+    for (uint32_t n : {1000u, 4096u}) {
+      const seq::Sequence base = seq::generate_sequence(rng(), n);
+      std::vector<uint8_t> codes(base.codes().begin(), base.codes().end());
+      for (size_t pos = rng() % 100; pos < n; pos += m + 100 + rng() % 300) {
+        std::vector<uint8_t> copy(q.codes().begin(), q.codes().end());
+        const size_t len = m / 8 + rng() % (m / 2);
+        const size_t at = rng() % (m - len);
+        if (rng() % 2 == 0) {
+          copy.erase(copy.begin() + at, copy.begin() + at + len);
+        } else {
+          for (size_t k = 0; k < len; ++k)
+            copy.insert(copy.begin() + at, static_cast<uint8_t>(rng() % 20));
+        }
+        for (auto& c : copy)
+          if (rng() % 100 < 5) c = static_cast<uint8_t>(rng() % 20);
+        for (size_t k = 0; k < copy.size() && pos + k < n; ++k) codes[pos + k] = copy[k];
+      }
+      const seq::Sequence r("long", std::move(codes), q.alphabet());
+      for (const Gaps& g : gaps) {
+        for (Width w : {Width::Adaptive, Width::W8, Width::W16}) {
+          for (bool tb : {false, true}) {
+            AlignConfig cfg;
+            cfg.gap_model = g.gm;
+            cfg.gap_open = g.open;
+            cfg.gap_extend = g.ext;
+            cfg.width = w;
+            cfg.traceback = tb;
+            check_pair(q, r, cfg, label("long", m, n, cfg));
+            if (HasFailure()) return;
           }
         }
       }
@@ -401,11 +458,19 @@ TEST(PairAlign, EmptyReferenceAndColumnCounts) {
   EXPECT_EQ(a.stats.vector_cells, a.stats.cells);
   EXPECT_EQ(a.stats.diagonals, 77u);  // the column sweep counts columns
   EXPECT_EQ(a.stats.column_cells, a.stats.cells);
-  // One residue past the rule's reference bound: the diagonal kernel.
-  const seq::Sequence long_r = seq::generate_sequence(2702, 129);
+  // A long reference takes the sweep too.
+  const seq::Sequence long_r = seq::generate_sequence(2702, 4000);
   const Alignment b = pair_align(q, long_r, AlignConfig{}, ws);
-  EXPECT_EQ(b.sweep, Sweep::Diagonal);
-  EXPECT_EQ(b.stats.column_cells, 0u);
+  EXPECT_EQ(b.sweep, Sweep::Column);
+  EXPECT_EQ(b.stats.column_cells, 40u * 4000u);
+  // The longest query the rule admits takes the sweep, one residue more the
+  // diagonal kernel.
+  const seq::Sequence at_bound = seq::generate_sequence(2703, kColumnSweepMaxQuery);
+  EXPECT_EQ(pair_align(at_bound, r, AlignConfig{}, ws).sweep, Sweep::Column);
+  const seq::Sequence past = seq::generate_sequence(2704, kColumnSweepMaxQuery + 1);
+  const Alignment c = pair_align(past, r, AlignConfig{}, ws);
+  EXPECT_EQ(c.sweep, Sweep::Diagonal);
+  EXPECT_EQ(c.stats.column_cells, 0u);
 }
 
 // Random shapes and configs: the rule's whole domain plus its edges.
@@ -413,8 +478,8 @@ TEST(PairAlign, RandomPairsMatchDiagonalKernel) {
   std::mt19937_64 rng(31337);
   auto names = matrix::ScoreMatrix::builtin_names();
   for (int it = 0; it < 300; ++it) {
-    const uint32_t m = 1 + static_cast<uint32_t>(rng() % 130);
-    const uint32_t n = 1 + static_cast<uint32_t>(rng() % 260);
+    const uint32_t m = 1 + static_cast<uint32_t>(rng() % 300);
+    const uint32_t n = 1 + static_cast<uint32_t>(rng() % 600);
     const seq::Sequence q = seq::generate_sequence(rng(), m);
     const seq::Sequence r = rng() % 3 == 0 ? related(q, n, rng(), 8)
                                            : seq::generate_sequence(rng(), n);

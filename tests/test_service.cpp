@@ -349,27 +349,31 @@ TEST(AlignService, TracebackOverTheCellCapIsRejectedBeforeItRuns) {
 }
 
 TEST(AlignService, DiagonalSearchCountsEachSweepsCells) {
-  // pair_align picks the sweep per target: a short query against targets of
-  // 20-400 residues runs the column sweep (where the host has AVX-512 VBMI)
-  // on those up to 128 long and the diagonal kernel on the rest. The
-  // metrics count each sweep's cells under its own target.
+  // pair_align picks the sweep by the query: one of 60 residues runs the
+  // column sweep (where the host has AVX-512 VBMI) against every target,
+  // whatever its length, and one longer than core::kColumnSweepMaxQuery
+  // the diagonal kernel. The metrics count each sweep's cells under its
+  // own target.
   auto db = make_db(60'000);
   ServiceOptions opt;
   opt.pool_threads = 2;
   AlignService svc(db, opt);
-  SearchRequest rq;
-  rq.query = seq::generate_sequence(91, 60);
-  rq.mode = align::SearchMode::Diagonal;
-  SearchResponse got = get_ok(submit_future(svc, std::move(rq)));
-  const core::KernelStats& st = got.result.stats;
-  uint64_t short_cells = 0;
-  for (size_t s = 0; s < db.size(); ++s)
-    if (db[s].length() <= core::kColumnSweepMaxLength)
-      short_cells += 60 * db[s].length();
+  auto search = [&](uint32_t length) {
+    SearchRequest rq;
+    rq.query = seq::generate_sequence(91, length);
+    rq.mode = align::SearchMode::Diagonal;
+    return get_ok(submit_future(svc, std::move(rq))).result.stats;
+  };
+  const core::KernelStats short_q = search(60);
+  const core::KernelStats long_q =
+      search(static_cast<uint32_t>(core::kColumnSweepMaxQuery) + 40);
+  uint64_t residues = 0;
+  for (size_t s = 0; s < db.size(); ++s) residues += db[s].length();
   const bool column =
       simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi;
-  EXPECT_EQ(st.column_cells, column ? short_cells : 0u);
-  EXPECT_LT(st.column_cells, st.cells);
+  EXPECT_EQ(short_q.column_cells, column ? 60 * residues : 0u);
+  EXPECT_EQ(long_q.column_cells, 0u);
+  EXPECT_GT(long_q.cells, 0u);
 
   const perf::MetricsSnapshot m = svc.metrics();
   uint64_t col_cells = 0, diag_cells = 0, col_reqs = 0, diag_reqs = 0;
@@ -379,10 +383,10 @@ TEST(AlignService, DiagonalSearchCountsEachSweepsCells) {
     col_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Column)];
     diag_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Diagonal)];
   }
-  EXPECT_EQ(col_cells, st.column_cells);
-  EXPECT_EQ(diag_cells, st.cells - st.column_cells);
+  EXPECT_EQ(col_cells, short_q.column_cells);
+  EXPECT_EQ(diag_cells, short_q.cells - short_q.column_cells + long_q.cells);
   EXPECT_EQ(col_reqs, column ? 1u : 0u);
-  EXPECT_EQ(diag_reqs, 1u);
+  EXPECT_EQ(diag_reqs, column ? 1u : 2u);
 }
 
 TEST(AlignService, ShutdownFailsQueuedRequests) {
