@@ -15,11 +15,6 @@
 //                            so corrupt artifacts are rejected with a
 //                            typed error rather than misparsed as FASTA.
 //                            Artifacts mmap in O(1) instead of re-packing.
-//   --shm                    artifact only: attach/create a shared-memory
-//                            resident copy (falls back to file mmap;
-//                            SWVE_SHM=off forces the fallback)
-//   --madvise MODE           artifact only: off | sequential | willneed |
-//                            sequential+willneed mapping hints
 //   --synthetic-residues N   serve a deterministic synthetic database
 //                            (default: 2,000,000 residues, seed 42)
 //   --seed N                 synthetic generator seed
@@ -92,7 +87,7 @@ namespace {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fputs(
       "usage: swve_server [options]\n"
-      "  --db FILE(.fa|.swdb) [--shm] [--madvise MODE]\n"
+      "  --db FILE(.fa|.swdb)\n"
       "  --synthetic-residues N [--seed N] [--dna]\n"
       "  --port N | --bind ADDR | --max-conns N | --max-frame-mb N\n"
       "  --cache-entries N | --no-singleflight | --no-http\n"
@@ -111,9 +106,6 @@ namespace {
 
 int main(int argc, char** argv) {
   std::string db_path;
-  bool use_shm = false;
-  core::MappedDbOptions::Madvise madvise_mode =
-      core::MappedDbOptions::Madvise::Off;
   uint64_t synthetic_residues = 2'000'000;
   uint64_t seed = 42;
   bool dna = false;
@@ -135,18 +127,6 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (s == "--db") db_path = next();
-    else if (s == "--shm") use_shm = true;
-    else if (s == "--madvise") {
-      const std::string m = next();
-      if (m == "off") madvise_mode = core::MappedDbOptions::Madvise::Off;
-      else if (m == "sequential")
-        madvise_mode = core::MappedDbOptions::Madvise::Sequential;
-      else if (m == "willneed")
-        madvise_mode = core::MappedDbOptions::Madvise::WillNeed;
-      else if (m == "sequential+willneed")
-        madvise_mode = core::MappedDbOptions::Madvise::SequentialWillNeed;
-      else usage(("unknown --madvise mode " + m).c_str());
-    }
     else if (s == "--synthetic-residues")
       synthetic_residues = std::strtoull(next(), nullptr, 10);
     else if (s == "--seed") seed = std::strtoull(next(), nullptr, 10);
@@ -245,12 +225,7 @@ int main(int argc, char** argv) {
        (db_path.size() > 5 &&
         db_path.compare(db_path.size() - 5, 5, ".swdb") == 0));
   if (is_artifact) {
-    core::MappedDbOptions mopts;
-    mopts.residency = use_shm
-                          ? core::MappedDbOptions::Residency::SharedMemory
-                          : core::MappedDbOptions::Residency::File;
-    mopts.madvise = madvise_mode;
-    auto opened = core::MappedDb::open(db_path, mopts);
+    auto opened = core::MappedDb::open(db_path);
     if (!opened) {
       std::fprintf(stderr, "swve_server: %s (%s)\n",
                    opened.error().message.c_str(),

@@ -111,8 +111,7 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
       shard->bound = parallel::bind_memory_to_node(range.data(), range.size(),
                                                    shard->node);
     if (opt.mapped != nullptr)
-      opt.mapped->advise_batch_columns(shard->first_batch, shard->end_batch,
-                                       core::MappedDbOptions::Madvise::WillNeed);
+      opt.mapped->advise_batch_columns(shard->first_batch, shard->end_batch);
     s->shards_.push_back(std::move(shard));
   }
   if (ranges.size() > 1 && s->numa_ == parallel::NumaPolicy::Interleave &&

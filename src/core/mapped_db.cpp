@@ -8,10 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "seq/alphabet.hpp"
@@ -22,7 +19,6 @@ const char* db_source_name(DbSource s) noexcept {
   switch (s) {
     case DbSource::Built: return "built";
     case DbSource::Mmap: return "mmap";
-    case DbSource::Shm: return "shm";
   }
   return "?";
 }
@@ -241,118 +237,7 @@ ErrorOr<ParsedImage> parse_image(const uint8_t* base, size_t size,
   return img;
 }
 
-void apply_madvise(const uint8_t* base, size_t size,
-                   MappedDbOptions::Madvise mode) noexcept {
-  using M = MappedDbOptions::Madvise;
-  if (mode == M::Off || base == nullptr || size == 0) return;
-  void* p = const_cast<uint8_t*>(base);
-  // Advisory only: failure changes performance, not correctness.
-  if (mode == M::Sequential || mode == M::SequentialWillNeed)
-    (void)::madvise(p, size, MADV_SEQUENTIAL);
-  if (mode == M::WillNeed || mode == M::SequentialWillNeed)
-    (void)::madvise(p, size, MADV_WILLNEED);
-}
-
-bool shm_disabled_by_env() noexcept {
-  const char* v = std::getenv("SWVE_SHM");
-  if (v == nullptr) return false;
-  return std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-         std::strcmp(v, "false") == 0 || std::strcmp(v, "no") == 0;
-}
-
-/// Attach to an existing shm object: wait (bounded) for the creator to
-/// ftruncate it to full size and release-store the magic.
-bool shm_attach(int fd, size_t expected_size, double timeout_s,
-                const uint8_t** out_base) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  for (;;) {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return false;
-    }
-    if (static_cast<size_t>(st.st_size) >= expected_size) break;
-    if (Clock::now() >= deadline) {
-      ::close(fd);
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  void* p = ::mmap(nullptr, expected_size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (p == MAP_FAILED) return false;
-  const auto* base = static_cast<const uint8_t*>(p);
-  for (;;) {
-    const uint32_t magic = __atomic_load_n(
-        reinterpret_cast<const uint32_t*>(base), __ATOMIC_ACQUIRE);
-    if (magic == kSwdbMagic) break;
-    if (Clock::now() >= deadline) {
-      ::munmap(p, expected_size);
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  *out_base = base;
-  return true;
-}
-
-/// Attach-or-create. `file_base` is the validated file image to seed a
-/// freshly created object from. Returns false for graceful fallback.
-bool try_shm(const std::string& name, const uint8_t* file_base,
-             size_t file_size, double timeout_s, const uint8_t** out_base) {
-  int fd = ::shm_open(name.c_str(), O_RDONLY, 0);
-  if (fd >= 0) return shm_attach(fd, file_size, timeout_s, out_base);
-  if (errno != ENOENT) return false;
-
-  fd = ::shm_open(name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  if (fd < 0) {
-    // Lost the creation race — attach to the winner's object.
-    fd = ::shm_open(name.c_str(), O_RDONLY, 0);
-    return fd >= 0 && shm_attach(fd, file_size, timeout_s, out_base);
-  }
-  if (::ftruncate(fd, static_cast<off_t>(file_size)) != 0) {
-    ::close(fd);
-    ::shm_unlink(name.c_str());
-    return false;
-  }
-  void* p =
-      ::mmap(nullptr, file_size, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (p == MAP_FAILED) {
-    ::shm_unlink(name.c_str());
-    return false;
-  }
-  auto* dst = static_cast<uint8_t*>(p);
-  // Readiness protocol: everything but the magic first, then the magic
-  // with a release store — an attacher that acquires the magic is
-  // guaranteed to see the full image.
-  std::memcpy(dst + sizeof(uint32_t), file_base + sizeof(uint32_t),
-              file_size - sizeof(uint32_t));
-  __atomic_store_n(reinterpret_cast<uint32_t*>(dst), kSwdbMagic,
-                   __ATOMIC_RELEASE);
-  (void)::mprotect(p, file_size, PROT_READ);
-  *out_base = dst;
-  return true;
-}
-
 }  // namespace
-
-std::string MappedDb::shm_object_name(const SwdbHeader& h) {
-  // Content fingerprint plus packing parameters: same FASTA packed with
-  // different lanes/policy yields distinct objects, never a false attach.
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "/swve.db.v%u.%016llx.l%up%u", kSwdbVersion,
-                static_cast<unsigned long long>(h.db_epoch),
-                static_cast<unsigned>(h.lanes),
-                static_cast<unsigned>(h.packing));
-  return buf;
-}
-
-bool MappedDb::shm_unlink_object(const SwdbHeader& h) noexcept {
-  return ::shm_unlink(shm_object_name(h).c_str()) == 0;
-}
 
 ErrorOr<std::unique_ptr<MappedDb>> MappedDb::open(const std::string& path,
                                                   const MappedDbOptions& opts) {
@@ -363,8 +248,6 @@ ErrorOr<std::unique_ptr<MappedDb>> MappedDb::open(const std::string& path,
   const uint8_t* fbase = fm->base;
   const size_t fsize = fm->size;
 
-  // The FILE image is always validated first: corrupt artifacts come back
-  // as typed errors no matter the residency mode.
   auto parsed = parse_image(fbase, fsize, opts.verify_all, "'" + path + "'");
   if (!parsed) {
     ::munmap(const_cast<uint8_t*>(fbase), fsize);
@@ -376,29 +259,6 @@ ErrorOr<std::unique_ptr<MappedDb>> MappedDb::open(const std::string& path,
   m->base_ = fbase;
   m->size_ = fsize;
   m->source_ = DbSource::Mmap;
-
-  if (opts.residency == MappedDbOptions::Residency::SharedMemory &&
-      !shm_disabled_by_env()) {
-    const std::string name = shm_object_name(parsed->header);
-    const uint8_t* sbase = nullptr;
-    if (try_shm(name, fbase, fsize, opts.shm_ready_timeout_s, &sbase)) {
-      auto sparsed = parse_image(sbase, fsize, /*verify_all=*/false,
-                                 "shm '" + name + "'");
-      if (sparsed && sparsed->header.db_epoch == parsed->header.db_epoch) {
-        ::munmap(const_cast<uint8_t*>(fbase), fsize);
-        m->base_ = sbase;
-        m->source_ = DbSource::Shm;
-        m->shm_name_ = name;
-        parsed = std::move(sparsed);
-      } else {
-        // Name collision with foreign content, or a corrupt resident copy:
-        // fall back to the (already validated) file map.
-        ::munmap(const_cast<uint8_t*>(sbase), fsize);
-      }
-    }
-  }
-
-  apply_madvise(m->base_, m->size_, opts.madvise);
 
   const ParsedImage& img = *parsed;
   const SwdbHeader& h = img.header;
@@ -438,15 +298,12 @@ ErrorOr<std::unique_ptr<MappedDb>> MappedDb::open(const std::string& path,
 }
 
 MappedDb::~MappedDb() {
-  // The shm object itself is deliberately left linked: outliving its
-  // creator so later processes attach warm is the point. Cleanup is
-  // explicit via shm_unlink_object.
   if (base_ != nullptr)
     ::munmap(const_cast<uint8_t*>(base_), size_);
 }
 
-void MappedDb::advise_batch_columns(size_t first_batch, size_t end_batch,
-                                    MappedDbOptions::Madvise mode) const noexcept {
+void MappedDb::advise_batch_columns(size_t first_batch,
+                                    size_t end_batch) const noexcept {
   if (bdb_ == nullptr) return;
   const auto range = bdb_->column_range(first_batch, end_batch);
   if (range.empty()) return;
@@ -459,7 +316,8 @@ void MappedDb::advise_batch_columns(size_t first_batch, size_t end_batch,
   uintptr_t end = begin + range.size();
   begin &= ~(page - 1);
   end = (end + page - 1) & ~(page - 1);
-  apply_madvise(reinterpret_cast<const uint8_t*>(begin), end - begin, mode);
+  // Advisory only: failure changes performance, not correctness.
+  (void)::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_WILLNEED);
 }
 
 size_t MappedDb::resident_bytes() const noexcept {

@@ -1,4 +1,4 @@
-// Read-only mmap / POSIX-shm loader for swve db artifacts.
+// Read-only mmap loader for swve db artifacts.
 //
 // MappedDb::open maps a file written by tools/swve_db_build and serves both
 // the SequenceDatabase (non-owning Sequence views into the mapped code
@@ -8,15 +8,6 @@
 // gigabytes of column data are faulted in lazily by the kernel, shared
 // across processes via the page cache, and evictable, so databases larger
 // than RAM stream.
-//
-// SharedMemory residency goes one step further: the first process copies
-// the artifact into a POSIX shm object named after the db fingerprint
-// (attach-by-name), later processes attach to the existing object, and the
-// hot copy is explicitly resident instead of competing with file-backed
-// page cache. Readiness is signalled by writing the header magic LAST with
-// a release store; attachers spin (bounded) on an acquire load. Any shm
-// failure — unsupported platform, permission, timeout on a half-written
-// object, SWVE_SHM=off — degrades gracefully to plain file mmap.
 #pragma once
 
 #include <memory>
@@ -30,30 +21,16 @@
 namespace swve::core {
 
 /// Where the served database bytes live. Built = packed in-process from
-/// FASTA/synthetic input (the legacy path); Mmap = file-backed artifact
-/// map; Shm = POSIX shared-memory resident copy of an artifact.
-enum class DbSource : uint8_t { Built = 0, Mmap = 1, Shm = 2 };
+/// FASTA/synthetic input (the legacy path); Mmap = read-only file mapping
+/// of an artifact.
+enum class DbSource : uint8_t { Built = 0, Mmap = 1 };
 const char* db_source_name(DbSource s) noexcept;
 
 struct MappedDbOptions {
-  enum class Residency : uint8_t {
-    File,          ///< plain file-backed mmap (default)
-    SharedMemory,  ///< shm attach-by-name, fallback to File
-  };
-  /// madvise() hints on the mapping. Off leaves kernel defaults;
-  /// Sequential suits one-pass scans, WillNeed prefaults eagerly (pairs
-  /// with the batch kernels' software prefetch distance).
-  enum class Madvise : uint8_t { Off, Sequential, WillNeed, SequentialWillNeed };
-
-  Residency residency = Residency::File;
-  Madvise madvise = Madvise::Off;
   /// Also checksum the big payload sections (SeqCodes, BatchColumns) at
   /// open — O(file size), touches every page. Off by default because it
   /// defeats the O(1)-startup point; --verify and tests turn it on.
   bool verify_all = false;
-  /// How long an attacher waits for a half-initialized shm object to
-  /// become ready before falling back to file mmap.
-  double shm_ready_timeout_s = 5.0;
 };
 
 /// An opened artifact. Immutable and internally synchronized-by-constness:
@@ -80,23 +57,12 @@ class MappedDb {
   /// Bytes of the mapping currently resident in RAM (mincore walk);
   /// 0 if the query fails. A residency gauge, not a hard guarantee.
   size_t resident_bytes() const noexcept;
-  /// Shard slicing helper: madvise only the column bytes of batches
-  /// [first_batch, end_batch) — a sharded server prefaults each shard's own
-  /// stream from that shard's threads instead of faulting every page
-  /// through whichever node mapped the file. Advisory; no-op on bad ranges.
-  void advise_batch_columns(size_t first_batch, size_t end_batch,
-                            MappedDbOptions::Madvise mode) const noexcept;
+  /// Shard slicing helper: MADV_WILLNEED only the file-mapped column bytes
+  /// of batches [first_batch, end_batch), rounded out to whole pages — a
+  /// sharded server prefaults each shard's own stream instead of faulting
+  /// every page on first scan. Advisory; no-op on bad ranges.
+  void advise_batch_columns(size_t first_batch, size_t end_batch) const noexcept;
   const std::string& path() const noexcept { return path_; }
-  /// Non-empty only when source() == Shm.
-  const std::string& shm_name() const noexcept { return shm_name_; }
-
-  /// Name a shm object for an artifact: fingerprint plus the packing
-  /// parameters, so differently-packed artifacts of the same content never
-  /// collide.
-  static std::string shm_object_name(const SwdbHeader& h);
-  /// Remove a leftover shm object (crashed creator, test cleanup).
-  /// Returns true if one existed and was unlinked.
-  static bool shm_unlink_object(const SwdbHeader& h) noexcept;
 
  private:
   MappedDb() = default;
@@ -105,7 +71,6 @@ class MappedDb {
   seq::SequenceDatabase db_;
   std::unique_ptr<Batch32Db> bdb_;
   std::string path_;
-  std::string shm_name_;
   const uint8_t* base_ = nullptr;
   size_t size_ = 0;
   DbSource source_ = DbSource::Mmap;

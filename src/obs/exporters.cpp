@@ -315,8 +315,7 @@ constexpr Family kFamilies[] = {
      [](const Source& s, Samples& o) { o.add(n(s.m.slow_requests)); }},
     {"swve_db_info",
      "Database provenance: constant 1 labeled by source (built = packed "
-     "in-process, mmap = file-backed artifact, shm = shared-memory resident "
-     "artifact)",
+     "in-process, mmap = file-backed artifact)",
      Type::Gauge,
      [](const Source& s, Samples& o) {
        o.add(n(1), {{"source", core::db_source_name(static_cast<core::DbSource>(

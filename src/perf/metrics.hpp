@@ -248,7 +248,7 @@ struct MetricsSnapshot {
 
   // Database provenance (filled by the owner — service::AlignService; all
   // zero for a database-less or legacy in-process-packed service).
-  uint64_t db_source = 0;          ///< core::DbSource: 0 built, 1 mmap, 2 shm
+  uint64_t db_source = 0;          ///< core::DbSource: 0 built, 1 mmap
   uint64_t db_map_bytes = 0;       ///< artifact mapping size; 0 when built
   uint64_t db_resident_bytes = 0;  ///< gauge: mapped bytes resident in RAM
   double db_load_seconds = 0;      ///< startup: map/pack -> search-ready

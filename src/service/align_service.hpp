@@ -376,7 +376,7 @@ class AlignService {
   /// and efficiency. Owned or a view into the mapped artifact.
   const core::Batch32Db* packed_db() const noexcept { return packed_; }
 
-  /// Where the database bytes live: Built (packed in-process), Mmap, Shm.
+  /// Where the database bytes live: Built (packed in-process) or Mmap.
   core::DbSource db_source() const noexcept { return db_source_; }
   /// The artifact's content fingerprint; 0 when the service was built from
   /// an in-memory database (the network layer then computes it itself).

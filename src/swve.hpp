@@ -18,7 +18,6 @@
 #include "align/aligner.hpp"
 #include "align/db_search.hpp"
 #include "align/format.hpp"
-#include "align/global.hpp"
 #include "align/sharded_search.hpp"
 #include "align/stats.hpp"
 #include "baseline/diag_basic.hpp"

@@ -9,18 +9,24 @@
 // hits carry no end cells. Also covers the shard planner, typed errors for
 // impossible shard counts, empty databases and queries, the reported NUMA
 // policy, cancellation/deadline mid-shard, concurrent searches on one
-// instance (the TSan lane runs this file), and the service wiring
+// instance (the TSan lane runs this file), two shards over a mapped .swdb
+// artifact (ShardOptions::mapped), and the service wiring
 // (ServiceOptions.search.shards).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "align/batch_scan.hpp"
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
+#include "core/db_format.hpp"
+#include "core/mapped_db.hpp"
 #include "core/scalar_ref.hpp"
 #include "core/traceback.hpp"
 #include "seq/synthetic.hpp"
@@ -567,6 +573,49 @@ TEST(ShardedSearch, TwoShardCountsSearchedAtOnceAgree) {
     EXPECT_FALSE(got_one[i].hits.empty()) << "query " << i;
     expect_same_hits(got_three[i], got_one[i], "query " + std::to_string(i));
   }
+}
+
+TEST(ShardedSearch, MappedTwoShardsMatchOwnedOneShard) {
+  // Two shards over a mapped artifact, each advising its own column range
+  // at construction, return the owned one-shard hits: Batch search and a
+  // multi-query scan.
+  const core::AlignConfig cfg;
+  auto db = make_db(60'000, 23);
+  const core::Batch32Db owned(
+      db, core::batch_lanes_for(simd::resolve_isa(cfg.isa)));
+  const std::string path = "/tmp/swve_sharded_test_" +
+                           std::to_string(::getpid()) + ".swdb";
+  auto written = core::write_swdb(db, owned, path);
+  ASSERT_TRUE(written.ok()) << written.error().message;
+  auto mapped = core::MappedDb::open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.error().message;
+  const core::MappedDb& m = **mapped;
+
+  auto one = ShardedSearch::create(db, owned, shards_of(1, 2));
+  ShardOptions sopt = shards_of(2, 2);
+  sopt.mapped = &m;
+  auto two = ShardedSearch::create(m.db(), m.batch_db(), sopt);
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ((*two)->shard_count(), 2u);
+
+  parallel::ThreadPool pool(2);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  const auto ladder = seq::make_query_ladder(97, 4, 64, 512);
+  for (size_t i = 0; i < ladder.size(); ++i) {
+    const SearchResult want = (*one)->search(cfg, ladder[i], 10, ctx);
+    EXPECT_FALSE(want.hits.empty()) << "query " << i;
+    expect_same_hits((*two)->search(cfg, ladder[i], 10, ctx), want,
+                     "search " + std::to_string(i));
+  }
+  const std::vector<seq::SeqView> views(ladder.begin(), ladder.end());
+  const auto want = (*one)->scan(cfg, views, 10, ctx);
+  const auto got = (*two)->scan(cfg, views, 10, ctx);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i)
+    expect_same_hits(got[i], want[i], "scan " + std::to_string(i));
+  std::remove(path.c_str());
 }
 
 TEST(ShardedSearch, StatsAttributeWorkToEveryShard) {
