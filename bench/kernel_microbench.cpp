@@ -321,9 +321,15 @@ const seq::SequenceDatabase& bench_db() {
   return db;
 }
 
-void BM_Batch32(benchmark::State& state) {
+// `lanes` 32 runs the AVX2 engine (on an AVX-512 VBMI host too), 64 the
+// AVX-512 VBMI engine that a Batch search on such a host runs.
+void BM_Batch32(benchmark::State& state, int lanes) {
+  if (!core::batch_lanes_fit(lanes, simd::resolve_isa(simd::Isa::Auto))) {
+    state.SkipWithError("needs AVX-512 VBMI");
+    return;
+  }
   const seq::SequenceDatabase& db = bench_db();
-  static core::Batch32Db bdb(db, 32);
+  const core::Batch32Db bdb(db, lanes);
   const seq::Sequence& q = bench_query(static_cast<int>(state.range(0)));
   core::AlignConfig cfg;
   for (auto _ : state) {
@@ -401,7 +407,8 @@ int main(int argc, char** argv) {
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);
-  SWVE_REG("batch32", BM_Batch32);
+  SWVE_REG("batch32", BM_Batch32, 32);
+  SWVE_REG("batch32/64lanes", BM_Batch32, 64);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

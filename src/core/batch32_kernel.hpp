@@ -2,24 +2,35 @@
 // Instantiated per batch engine: emulated (any CPU), AVX2 (32 lanes,
 // double-pshufb row lookup), AVX-512-VBMI (64 lanes, vpermb row lookup).
 //
-// One column loop, as in Fig 5: column j of the batch is one vector of
-// `lanes` residues, and every query row updates that column's H/E/F vectors.
-// The column block kBatchPrefetchCols ahead is software-prefetched.
+// Column-blocked row loop: column j of the batch is one vector of `lanes`
+// residues (Fig 5), and one pass over the query rows computes
+// kBatchBlockCols = K consecutive columns j0..j0+K-1. A row step loads
+// H(i, j0-1) and F(i, j0), carries the block's K E vectors and the previous
+// row's H of columns j0..j0+K-2 (the next row's diagonals) in registers,
+// passes F across the block in a register, and stores only H(i, j0+K-1) and
+// F(i, j0+K). That is 1 + 2/K loads and 2/K stores per cell against the
+// m-row H and F buffers, instead of 3 and 2 for one column per pass. The
+// ncols mod K tail columns run the same block function at K = 1. While
+// computing a block the kernel prefetches the columns kBatchPrefetchCols
+// ahead, i.e. the next block.
 //
-// Score profile (SWAPHI): before walking column j the kernel extracts one
-// score vector per query letter, prof[c] = score(c, column j) + bias, with
-// the engine's lookup32 (select_eq for the fixed scheme). The row loop then
-// loads prof[q[i]] instead of shuffling per cell.
+// Score profile (SWAPHI): before a pass the kernel extracts one score
+// vector per query letter and block column, prof[c][k] = score(c, column
+// j0+k) + bias, with the engine's lookup32 (select_eq for the fixed
+// scheme). A row reads its K score vectors from one contiguous run.
 //
-// Affine gaps carry F forward: row i stores F(i, j+1) = max(H(i,j) - open,
-// F(i,j) - ext), reusing the H - open that E needs anyway. Linear gaps keep
-// their own shorter body (F = H(i, j-1) - ext, nothing stored): running them
-// as affine with open = ext would be bit-identical but measurably slower.
+// Affine gaps carry F forward: cell (i, j) yields F(i, j+1) = max(H(i,j) -
+// open, F(i,j) - ext), reusing the H - open that E needs anyway. Linear gaps
+// keep their own shorter body (F = H(i, j-1) - ext, which for every column
+// but the block's first is the left cell's E): running them as affine with
+// open = ext would be bit-identical but measurably slower.
 //
 // Headroom rule: `hdiag + s` uses a wrapping add. It can only wrap when
 // hdiag > 255 - s >= sat_limit, and hdiag is an H that already went into
-// vmax, so that lane is flagged saturated (and rescored exactly by the
-// caller) before the wrap. Unflagged lanes get the saturating result.
+// vmax (in the row step that computed it), so that lane is flagged saturated
+// (and rescored exactly by the caller) before the wrap. Unflagged lanes get
+// the saturating result. Every cell gets the same value as in a
+// one-column-per-pass loop, so results do not depend on K.
 //
 // Batch engine concept:
 //   vec, lanes
@@ -44,15 +55,102 @@
 
 namespace swve::core {
 
+/// Database columns per pass over the query rows (the register block).
+inline constexpr int kBatchBlockCols = 4;
+
 /// Software-prefetch distance of the batch kernel, in columns: while
-/// walking column j it prefetches column j + kBatchPrefetchCols.
-inline constexpr uint32_t kBatchPrefetchCols = 4;
+/// computing the block at column j0 it prefetches the kBatchBlockCols
+/// columns from j0 + kBatchPrefetchCols on (the next block).
+inline constexpr uint32_t kBatchPrefetchCols = kBatchBlockCols;
+
+namespace batch_detail {
+
+template <class BE>
+struct Consts {
+  typename BE::vec bias, open, ext, match, mis;
+  const uint8_t* rows;  // biased matrix rows; nullptr for the fixed scheme
+};
+
+// prof[a][k] = score(a, column k of `cols`) + bias, for letters a in
+// [0, letters).
+template <class BE, int K>
+void build_profile(const uint8_t* cols, int letters, const Consts<BE>& c,
+                   uint8_t* prof) {
+  constexpr int B = BE::lanes;
+  for (int k = 0; k < K; ++k) {
+    const auto sym = BE::load(cols + static_cast<size_t>(k) * B);
+    for (int a = 0; a < letters; ++a)
+      BE::store(prof + static_cast<size_t>(a * K + k) * B,
+                c.rows ? BE::lookup32(c.rows + static_cast<size_t>(a) * seq::kMatrixStride,
+                                      sym)
+                       : BE::select_eq(BE::set1(a), sym, c.match, c.mis));
+  }
+}
+
+// One pass over the m query rows computing K consecutive columns. hcol holds
+// H of the column left of the block on entry and H of its last column on
+// exit; fcol (affine) holds F of the block's first column on entry and F of
+// the column after it on exit.
+template <class BE, int K, bool Affine>
+void row_pass(seq::SeqView q, const uint8_t* prof, uint8_t* hcol, uint8_t* fcol,
+              const Consts<BE>& c, typename BE::vec& vmax) {
+  using vec = typename BE::vec;
+  constexpr int B = BE::lanes;
+  vec e[K];      // E(i, j0+k), vertical gaps, carried down each column
+  vec hdiag[K];  // H(i-1, j0+k-1)
+  for (int k = 0; k < K; ++k) e[k] = hdiag[k] = BE::zero();
+  for (size_t i = 0; i < q.length; ++i) {
+    const uint8_t* s = prof + static_cast<size_t>(q[i]) * K * B;
+    uint8_t* hrow = hcol + i * B;
+    vec hl = BE::load(hrow);  // H(i, j0-1), then H(i, j0+k-1)
+    vec f = Affine ? BE::load(fcol + i * B) : BE::subs(hl, c.ext);  // F(i, j0+k)
+    // The diagonal terms first: each hdiag register is then free to take
+    // this row's H of its left column.
+    vec hs[K];
+    for (int k = 0; k < K; ++k)
+      hs[k] = BE::subs(BE::add(hdiag[k], BE::load(s + static_cast<size_t>(k) * B)), c.bias);
+    for (int k = 0; k < K; ++k) {
+      const vec h = BE::max(BE::max_alt(hs[k], f), e[k]);
+      if constexpr (Affine) {
+        const vec hopen = BE::subs(h, c.open);
+        e[k] = BE::max(hopen, BE::subs(e[k], c.ext));
+        f = BE::max_alt(hopen, BE::subs(f, c.ext));
+      } else {
+        e[k] = f = BE::subs(h, c.ext);
+      }
+      hdiag[k] = hl;
+      hl = h;
+      // The last column's maximum goes through the other ports.
+      vmax = k == K - 1 ? BE::max_alt(vmax, h) : BE::max(vmax, h);
+    }
+    BE::store(hrow, hl);
+    if constexpr (Affine) BE::store(fcol + i * B, f);
+  }
+}
+
+// Columns [j0, j0 + K): profile, prefetch of the next block, row pass.
+template <class BE, int K>
+void column_block(seq::SeqView q, const uint8_t* columns, uint32_t j0, uint32_t ncols,
+                  int letters, bool affine, const Consts<BE>& c, uint8_t* prof,
+                  uint8_t* hcol, uint8_t* fcol, typename BE::vec& vmax) {
+  constexpr int B = BE::lanes;
+  for (uint32_t j = j0 + kBatchPrefetchCols; j < j0 + kBatchPrefetchCols + K && j < ncols; ++j)
+    BE::prefetch(columns + static_cast<size_t>(j) * B);
+  build_profile<BE, K>(columns + static_cast<size_t>(j0) * B, letters, c, prof);
+  if (affine)
+    row_pass<BE, K, true>(q, prof, hcol, fcol, c, vmax);
+  else
+    row_pass<BE, K, false>(q, prof, hcol, fcol, c, vmax);
+}
+
+}  // namespace batch_detail
 
 template <class BE>
 Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t ncols,
                             const AlignConfig& cfg, Workspace& ws) {
   using vec = typename BE::vec;
   constexpr int B = BE::lanes;
+  constexpr int K = kBatchBlockCols;
   const int m = static_cast<int>(q.length);
 
   Batch8Result out{};
@@ -61,17 +159,16 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
   if (m == 0 || ncols == 0) return out;
 
   const bool affine = cfg.gap_model == GapModel::Affine;
-  const bool use_matrix = cfg.scheme == ScoreScheme::Matrix;
   const int bias = cfg.bias();
   const int sat_limit = 255 - bias - cfg.max_subst_score();
   auto clamp_u8 = [](int v) { return v < 0 ? 0 : (v > 255 ? 255 : v); };
-  const vec vzero = BE::zero();
-  const vec vbias = BE::set1(bias);
-  const vec vopen = BE::set1(clamp_u8(cfg.gap_open));
-  const vec vext = BE::set1(clamp_u8(cfg.gap_extend));
-  const vec vmatch = BE::set1(clamp_u8(cfg.match + bias));
-  const vec vmis = BE::set1(clamp_u8(cfg.mismatch + bias));
-  const uint8_t* rows = use_matrix ? cfg.matrix->rows_biased_u8() : nullptr;
+  const batch_detail::Consts<BE> c{
+      BE::set1(bias),
+      BE::set1(clamp_u8(cfg.gap_open)),
+      BE::set1(clamp_u8(cfg.gap_extend)),
+      BE::set1(clamp_u8(cfg.match + bias)),
+      BE::set1(clamp_u8(cfg.mismatch + bias)),
+      cfg.scheme == ScoreScheme::Matrix ? cfg.matrix->rows_biased_u8() : nullptr};
 
   // The profile holds rows for letters [0, letters): every code in q.
   int letters = 0;
@@ -84,43 +181,16 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
                             static_cast<size_t>(m) * B))
                       : nullptr;
   auto* prof = static_cast<uint8_t*>(
-      ws.batch_prof.ensure(static_cast<size_t>(seq::kMatrixStride) * B));
+      ws.batch_prof.ensure(static_cast<size_t>(seq::kMatrixStride) * K * B));
 
-  vec vmax = vzero;
-  for (uint32_t j = 0; j < ncols; ++j) {
-    if (j + kBatchPrefetchCols < ncols)
-      BE::prefetch(columns + static_cast<size_t>(j + kBatchPrefetchCols) * B);
-    const vec sym = BE::load(columns + static_cast<size_t>(j) * B);
-    for (int c = 0; c < letters; ++c)
-      BE::store(prof + static_cast<size_t>(c) * B,
-                use_matrix
-                    ? BE::lookup32(rows + static_cast<size_t>(c) * seq::kMatrixStride,
-                                   sym)
-                    : BE::select_eq(BE::set1(c), sym, vmatch, vmis));
-    vec e = vzero;      // E(i, j), vertical gaps, carried down the column
-    vec hdiag = vzero;  // H(i-1, j-1)
-    for (int i = 0; i < m; ++i) {
-      const vec s = BE::load(prof + static_cast<size_t>(q[static_cast<size_t>(i)]) * B);
-      uint8_t* hrow = hcol + static_cast<size_t>(i) * B;
-      const vec hp = BE::load(hrow);  // H(i, j-1)
-      const vec hs = BE::subs(BE::add(hdiag, s), vbias);
-      vec h;
-      if (affine) {
-        uint8_t* frow = fcol + static_cast<size_t>(i) * B;
-        const vec f = BE::load(frow);  // F(i, j), stored by column j-1
-        h = BE::max(BE::max_alt(hs, f), e);
-        const vec hopen = BE::subs(h, vopen);
-        e = BE::max(hopen, BE::subs(e, vext));
-        BE::store(frow, BE::max_alt(hopen, BE::subs(f, vext)));
-      } else {
-        h = BE::max(BE::max_alt(hs, BE::subs(hp, vext)), e);
-        e = BE::subs(h, vext);
-      }
-      BE::store(hrow, h);
-      hdiag = hp;
-      vmax = BE::max(vmax, h);
-    }
-  }
+  vec vmax = BE::zero();
+  uint32_t j = 0;
+  for (; j + K <= ncols; j += K)
+    batch_detail::column_block<BE, K>(q, columns, j, ncols, letters, affine, c, prof,
+                                      hcol, fcol, vmax);
+  for (; j < ncols; ++j)
+    batch_detail::column_block<BE, 1>(q, columns, j, ncols, letters, affine, c, prof,
+                                      hcol, fcol, vmax);
 
   // Per-lane saturation check against the unbiased 8-bit headroom bound.
   BE::store(out.max_score, vmax);

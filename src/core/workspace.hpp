@@ -104,11 +104,11 @@ struct Workspace {
   AlignedBuf tb_offsets;    // (m+n) uint64
 
   // Batch32 kernel (Fig 5): per-query-row H and F vectors, one vector of
-  // `lanes` bytes per row, and the current column's score profile, one
-  // vector per letter.
+  // `lanes` bytes per row, and the current column block's score profile,
+  // one vector per letter and block column (prof[letter][k]).
   AlignedBuf batch_h;     // m * lanes bytes
   AlignedBuf batch_f;     // m * lanes bytes
-  AlignedBuf batch_prof;  // 32 * lanes bytes (2 KiB at 64 lanes)
+  AlignedBuf batch_prof;  // 32 * 4 * lanes bytes (8 KiB at 64 lanes)
 
   // Baseline kernels (striped / scan / diag-basic): column state and
   // per-diagonal score scratch.

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "core/batch32.hpp"
+#include "core/batch32_kernel.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 #include "simd/cpu.hpp"
@@ -510,6 +511,97 @@ TEST(BatchKernel, MatchesIndependentSaturatingModelOnEveryEngine) {
       EXPECT_GT(exact, 0) << c.name << " lanes " << lanes;
     }
   }
+}
+
+// The kernel computes kBatchBlockCols columns per pass over the query rows
+// and the ncols mod kBatchBlockCols tail one column per pass. Hand-built
+// batches of every width from 1 to 2 * kBatchBlockCols + 1 columns (ragged
+// lanes padded with kBatchPadCode) cover a lone tail, full blocks and a tail
+// after two blocks, on queries around the 64-residue vector edge and one
+// long query.
+TEST(BatchKernel, RaggedColumnBlocksMatchModel) {
+  static_assert(kBatchBlockCols > 3, "the saturating lane peaks in column 2");
+  constexpr int kSatLane = 5;
+  Workspace ws;
+  std::mt19937 rng(36);
+  std::vector<seq::Sequence> queries;
+  for (uint32_t m : {1u, 2u, 63u, 64u, 65u, 300u})
+    queries.push_back(seq::generate_sequence(3600 + m, m));
+  std::vector<std::pair<const char*, AlignConfig>> cfgs;
+  for (bool linear : {false, true}) {
+    AlignConfig matrix;  // BLOSUM62, affine 11/1
+    if (linear) {
+      matrix.gap_model = GapModel::Linear;
+      matrix.gap_extend = 2;
+    }
+    cfgs.push_back({linear ? "matrix-linear" : "matrix-affine", matrix});
+    // Three matches in a row reach sat_limit = 255 - 60 - 60 = 135, and
+    // every gap or mismatch costs at least 60.
+    AlignConfig fixed;
+    fixed.scheme = ScoreScheme::Fixed;
+    fixed.match = 60;
+    fixed.mismatch = -60;
+    fixed.gap_open = 60;
+    fixed.gap_extend = linear ? 60 : 30;
+    if (linear) fixed.gap_model = GapModel::Linear;
+    cfgs.push_back({linear ? "fixed-linear" : "fixed-affine", fixed});
+  }
+  int sat_lane_flagged = 0;
+  for (int lanes : {32, 64}) {
+    std::vector<simd::Isa> engines = {simd::Isa::Scalar};
+    if (lanes == 32 && simd::isa_available(simd::Isa::Avx2))
+      engines.push_back(simd::Isa::Avx2);
+    if (lanes == 64 && batch_lanes_for(simd::Isa::Avx512) == 64)
+      engines.push_back(simd::Isa::Avx512);
+    for (uint32_t ncols = 1; ncols <= 2 * kBatchBlockCols + 1; ++ncols) {
+      for (const seq::Sequence& q : queries) {
+        // Random residues; lane k holds a sequence of 1..ncols residues
+        // (lane 0 the full width), padded with kBatchPadCode.
+        std::vector<uint8_t> cols(static_cast<size_t>(ncols) * lanes);
+        for (int k = 0; k < lanes; ++k) {
+          const uint32_t len = k == 0 ? ncols : 1 + rng() % ncols;
+          for (uint32_t j = 0; j < ncols; ++j)
+            cols[static_cast<size_t>(j) * lanes + k] =
+                j < len ? static_cast<uint8_t>(rng() % 20) : kBatchPadCode;
+        }
+        // kSatLane is the query's first three residues, so with the fixed
+        // scheme it first reaches sat_limit in column 2 of the first block,
+        // and every later column stays below it.
+        for (uint32_t j = 0; j < ncols; ++j)
+          cols[static_cast<size_t>(j) * lanes + kSatLane] =
+              j < 3 && j < q.length() ? q.codes()[j] : kBatchPadCode;
+        Batch32Db::Batch batch{};
+        batch.columns = cols.data();
+        batch.max_len = ncols;
+        batch.count = static_cast<uint32_t>(lanes);
+        for (const auto& [name, cfg] : cfgs) {
+          const int sat_limit = 255 - cfg.bias() - cfg.max_subst_score();
+          const std::vector<int> want = model_lane_max(q, cols.data(), ncols, lanes, cfg);
+          if (cfg.scheme == ScoreScheme::Fixed && ncols >= 3 && q.length() >= 3) {
+            ASSERT_GE(want[kSatLane], sat_limit) << name << " m " << q.length();
+            ASSERT_LT(model_lane_max(q, cols.data(), 2, lanes, cfg)[kSatLane], sat_limit)
+                << name << " m " << q.length();
+            ++sat_lane_flagged;
+          }
+          for (simd::Isa isa : engines) {
+            const Batch8Result got = batch32_align_u8(q, batch, lanes, cfg, ws, isa);
+            for (int k = 0; k < lanes; ++k) {
+              const bool want_sat = want[static_cast<size_t>(k)] >= sat_limit;
+              ASSERT_EQ(((got.saturated_mask >> k) & 1) != 0, want_sat)
+                  << name << " " << simd::isa_name(isa) << " lanes " << lanes
+                  << " ncols " << ncols << " m " << q.length() << " lane " << k;
+              if (!want_sat) {
+                ASSERT_EQ(got.max_score[k], want[static_cast<size_t>(k)])
+                    << name << " " << simd::isa_name(isa) << " lanes " << lanes
+                    << " ncols " << ncols << " m " << q.length() << " lane " << k;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(sat_lane_flagged, 0);
 }
 
 }  // namespace

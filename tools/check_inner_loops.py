@@ -10,13 +10,21 @@ fails when no loop is selected, or when a selected loop
 
   * has no %zmm operand (--zmm),
   * contains an instruction matching a --forbid pattern,
-  * has more than N instructions matching a --max PATTERN=N limit.
+  * has more than N instructions matching a --max PATTERN=N limit,
+  * has more than N instructions matching a --per-cell PATTERN=N limit per
+    DP cell, where --cells names the instruction that occurs once per cell.
 
-Example (the batch32 AVX-512 row loop):
+With --min-cells N it also fails unless some selected loop computes at
+least N cells per iteration.
+
+Example (the batch32 AVX-512 row loops: 7 busy-port byte ops per cell, one
+wrapping vpaddb per cell, a 4-column block whose loop stores only H and F):
 
   tools/check_inner_loops.py build/src/CMakeFiles/swve.dir/core/batch32_avx512.cpp.o \\
       --func 'batch32_u8_avx512\\(|batch32_kernel<.*BatchAvx512' --zmm \\
-      --forbid vpermb --max 'vp(maxub|minub|addusb|subusb)=7'
+      --forbid '^vpermb' --cells '^vpaddb' \\
+      --per-cell 'vp(maxub|minub|addusb|subusb)=7' --min-cells 4 \\
+      --max 'vmov\\S* %zmm[0-9]+,[^%]*\\(%r[a-z0-9]+=2'
 """
 import argparse
 import os
@@ -91,6 +99,11 @@ def main():
                     help="regex of an instruction no loop may contain")
     ap.add_argument("--max", action="append", default=[], metavar="PATTERN=N",
                     help="at most N instructions matching PATTERN per loop")
+    ap.add_argument("--cells", help="regex of the instruction that occurs once per DP cell")
+    ap.add_argument("--per-cell", action="append", default=[], metavar="PATTERN=N",
+                    help="at most N instructions matching PATTERN per cell (needs --cells)")
+    ap.add_argument("--min-cells", type=int, default=0, metavar="N",
+                    help="some loop computes at least N cells (needs --cells)")
     args = ap.parse_args()
 
     if not os.path.isfile(args.obj):
@@ -101,12 +114,21 @@ def main():
     func_re = re.compile(args.func)
     select = re.compile(args.select)
     forbid = [re.compile(p) for p in args.forbid]
-    limits = []
-    for spec in args.max:
-        pattern, _, n = spec.rpartition("=")
-        limits.append((pattern, re.compile(r"^(%s)\b" % pattern), int(n)))
+    if (args.per_cell or args.min_cells) and not args.cells:
+        ap.error("--per-cell and --min-cells need --cells")
+    cells_re = re.compile(args.cells) if args.cells else None
 
-    checked, errors = 0, []
+    def parse(specs):
+        out = []
+        for spec in specs:
+            pattern, _, n = spec.rpartition("=")
+            out.append((pattern, re.compile(r"^(%s)\b" % pattern), int(n)))
+        return out
+
+    limits = parse(args.max)
+    cell_limits = parse(args.per_cell)
+
+    checked, most_cells, errors = 0, 0, []
     for name, body in functions(text, func_re):
         short = short_name(name)
         for start, loop in innermost_loops(body):
@@ -114,9 +136,13 @@ def main():
                 continue
             checked += 1
             where = "%s loop at %x (%d insns)" % (short, start, len(loop))
-            counts = {p: sum(1 for i in loop if r.search(i)) for p, r, _ in limits}
-            print("%s: zmm=%d %s" % (where, sum("%zmm" in i for i in loop),
-                                      " ".join("%s=%d" % kv for kv in counts.items())))
+            counts = {p: sum(1 for i in loop if r.search(i))
+                      for p, r, _ in limits + cell_limits}
+            cells = sum(1 for i in loop if cells_re.search(i)) if cells_re else 0
+            most_cells = max(most_cells, cells)
+            print("%s: zmm=%d%s %s" % (where, sum("%zmm" in i for i in loop),
+                                        " cells=%d" % cells if cells_re else "",
+                                        " ".join("%s=%d" % kv for kv in counts.items())))
             if args.zmm and not any("%zmm" in i for i in loop):
                 errors.append("%s: no zmm instruction" % where)
             for r in forbid:
@@ -127,8 +153,17 @@ def main():
                 if counts[pattern] > n:
                     errors.append("%s: %d instructions match %s (max %d)"
                                   % (where, counts[pattern], pattern, n))
+            if cell_limits and cells == 0:
+                errors.append("%s: no instruction matches --cells %s" % (where, args.cells))
+            for pattern, _, n in cell_limits:
+                if counts[pattern] > n * cells:
+                    errors.append("%s: %d instructions match %s in %d cells (max %d per cell)"
+                                  % (where, counts[pattern], pattern, cells, n))
     if checked == 0:
         errors.append("no innermost loop of a function matching %r selected" % args.func)
+    elif most_cells < args.min_cells:
+        errors.append("no selected loop computes %d cells (most: %d)"
+                      % (args.min_cells, most_cells))
     for e in errors:
         print("::error::" + e)
     return 1 if errors else 0

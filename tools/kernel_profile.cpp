@@ -42,12 +42,14 @@ struct BatchRow {
   const char* isa_name;
   const char* gaps;
   int lanes;
+  size_t query_len;
   double gcups = 0;
   obs::PmuDelta pmu{};
 };
 
 /// Time the batch kernel over a synthetic packed database, per available
-/// batch ISA and gap model (same batches, same query).
+/// batch ISA, gap model and query length (same batches). At 256 residues the
+/// kernel's H and F rows fit in a 48 KiB L1d; at 2048 they do not.
 static std::vector<BatchRow> batch_rows() {
   seq::SyntheticConfig scfg;
   scfg.seed = 11;
@@ -55,7 +57,8 @@ static std::vector<BatchRow> batch_rows() {
   scfg.min_length = 100;
   scfg.max_length = 400;
   const seq::SequenceDatabase db = seq::SequenceDatabase::synthetic(scfg);
-  const seq::Sequence q = seq::generate_sequence(1, 256);
+  const seq::Sequence queries[] = {seq::generate_sequence(1, 256),
+                                   seq::generate_sequence(2, 2048)};
   core::Workspace ws;
   obs::PmuSession& pmu = obs::PmuSession::instance();
 
@@ -73,29 +76,34 @@ static std::vector<BatchRow> batch_rows() {
   std::vector<BatchRow> rows;
   for (const IsaCase& c : cases) {
     core::Batch32Db bdb(db, c.lanes);
-    const uint64_t cells_per_pass = bdb.padded_residues() * q.length();
-    // Keep the scalar reference quick, the SIMD rows thorough.
-    const int reps = c.isa == simd::Isa::Scalar ? 1 : 6;
-    for (core::GapModel gaps : {core::GapModel::Affine, core::GapModel::Linear}) {
-      core::AlignConfig cfg;
-      cfg.gap_model = gaps;
-      auto pass = [&] {
-        for (size_t b = 0; b < bdb.batch_count(); ++b)
-          core::batch32_align_u8(q, bdb.batch(b), c.lanes, cfg, ws, c.isa);
-      };
-      pass();  // warm-up
-      obs::PmuReading start = pmu.read();
-      perf::Stopwatch sw;
-      for (int r = 0; r < reps; ++r) pass();
-      const double seconds = sw.seconds();
-      BatchRow row;
-      row.isa_name = c.name;
-      row.gaps = gaps == core::GapModel::Affine ? "affine" : "linear";
-      row.lanes = c.lanes;
-      row.pmu = obs::PmuSession::delta(start, pmu.read());
-      row.gcups =
-          perf::gcups(cells_per_pass * static_cast<uint64_t>(reps), seconds);
-      rows.push_back(row);
+    for (const seq::Sequence& q : queries) {
+      // Keep the scalar reference quick (the short query, one pass), the
+      // SIMD rows thorough.
+      if (c.isa == simd::Isa::Scalar && q.length() > 256) continue;
+      const int reps = c.isa == simd::Isa::Scalar ? 1 : 6;
+      const uint64_t cells_per_pass = bdb.padded_residues() * q.length();
+      for (core::GapModel gaps : {core::GapModel::Affine, core::GapModel::Linear}) {
+        core::AlignConfig cfg;
+        cfg.gap_model = gaps;
+        auto pass = [&] {
+          for (size_t b = 0; b < bdb.batch_count(); ++b)
+            core::batch32_align_u8(q, bdb.batch(b), c.lanes, cfg, ws, c.isa);
+        };
+        pass();  // warm-up
+        obs::PmuReading start = pmu.read();
+        perf::Stopwatch sw;
+        for (int r = 0; r < reps; ++r) pass();
+        const double seconds = sw.seconds();
+        BatchRow row;
+        row.isa_name = c.name;
+        row.gaps = gaps == core::GapModel::Affine ? "affine" : "linear";
+        row.lanes = c.lanes;
+        row.query_len = q.length();
+        row.pmu = obs::PmuSession::delta(start, pmu.read());
+        row.gcups =
+            perf::gcups(cells_per_pass * static_cast<uint64_t>(reps), seconds);
+        rows.push_back(row);
+      }
     }
   }
   return rows;
@@ -103,17 +111,17 @@ static std::vector<BatchRow> batch_rows() {
 
 static void print_batch_table(const std::vector<BatchRow>& rows) {
   std::printf("\nbatch32 kernel\n");
-  std::printf("%-8s %-7s %6s %10s %6s %8s %7s\n", "isa", "gaps", "lanes",
-              "GCUPS", "ipc", "be-stall", "GHz");
+  std::printf("%-8s %-7s %6s %6s %10s %6s %8s %7s\n", "isa", "gaps", "lanes",
+              "query", "GCUPS", "ipc", "be-stall", "GHz");
   for (const BatchRow& r : rows) {
     if (r.pmu.hw && r.pmu.cycles > 0) {
-      std::printf("%-8s %-7s %6d %10.2f %6.2f %7.1f%% %7.2f\n", r.isa_name,
-                  r.gaps, r.lanes, r.gcups, r.pmu.ipc(),
+      std::printf("%-8s %-7s %6d %6zu %10.2f %6.2f %7.1f%% %7.2f\n", r.isa_name,
+                  r.gaps, r.lanes, r.query_len, r.gcups, r.pmu.ipc(),
                   100.0 * r.pmu.backend_stall_fraction(),
                   r.pmu.effective_ghz());
     } else {
-      std::printf("%-8s %-7s %6d %10.2f %6s %8s %7s\n", r.isa_name, r.gaps,
-                  r.lanes, r.gcups, "-", "-", "-");
+      std::printf("%-8s %-7s %6d %6zu %10.2f %6s %8s %7s\n", r.isa_name, r.gaps,
+                  r.lanes, r.query_len, r.gcups, "-", "-", "-");
     }
   }
 }
