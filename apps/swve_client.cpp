@@ -56,7 +56,6 @@ struct Options {
   size_t top_k = 10;
   bool dna = false;
   int repeat = 1;
-  bool batch = false;  ///< search: batch engine (the server's ShardedSearch)
   bool json = false;
   bool trace = false;
   double watch_s = 0;  ///< metrics: poll interval; 0 = single dump
@@ -73,7 +72,6 @@ struct Options {
       "usage: swve_client <ping|align|search|batch|metrics|bench> [options]\n"
       "  --host ADDR | --port N | --timeout S | --tier NAME\n"
       "  --deadline-ms N | --no-cache | --top K | --dna | --repeat N\n"
-      "  --batch (search: batch engine, split across the server's --shards)\n"
       "  --trace (server timing breakdown)\n"
       "  --json | --watch S (metrics) | --requests N --length N "
       "--distinct N (bench)\n",
@@ -103,7 +101,6 @@ Options parse(int argc, char** argv) {
     else if (s == "--top") o.top_k = std::strtoul(next(), nullptr, 10);
     else if (s == "--dna") o.dna = true;
     else if (s == "--repeat") o.repeat = std::atoi(next());
-    else if (s == "--batch") o.batch = true;
     else if (s == "--json") o.json = true;
     else if (s == "--watch") o.watch_s = std::atof(next());
     else if (s == "--trace") o.trace = true;
@@ -395,7 +392,6 @@ int main(int argc, char** argv) {
     if (o.positional.size() != 1) usage("search needs QUERY.fa");
     service::SearchRequest rq;
     rq.query = first_record(o.positional[0], alphabet);
-    if (o.batch) rq.mode = align::SearchMode::Batch;
     rq.options = request_options(o);
     for (int i = 0; i < o.repeat; ++i) {
       const auto t0 = std::chrono::steady_clock::now();

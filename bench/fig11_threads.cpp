@@ -8,6 +8,7 @@
 #include "align/db_search.hpp"
 #include "align/sharded_search.hpp"
 #include "bench_common.hpp"
+#include "obs/pmu.hpp"
 #include "perf/freq_monitor.hpp"
 #include "parallel/topology.hpp"
 
@@ -43,14 +44,15 @@ int main(int argc, char** argv) {
                      "Fig 11b: database-search scaling (16-bit diag kernel, all queries)");
   core::AlignConfig cfg;
   cfg.width = core::Width::W16;
-  align::DatabaseSearch search(w.db, cfg);
 
   auto run_at = [&](unsigned threads) {
     parallel::ThreadPool pool(threads);
+    align::ExecContext ctx;
+    ctx.pool = &pool;
     perf::Stopwatch sw;
     uint64_t cells = 0;
     for (const auto& q : w.queries) {
-      align::SearchResult r = search.search(q, 10, &pool);
+      align::engine::search_diagonal(w.db, cfg, q, 10, ctx);
       cells += q.length() * w.db.total_residues();
     }
     return perf::gcups(cells, sw.seconds());
@@ -113,12 +115,17 @@ int main(int argc, char** argv) {
       sopt.shards = static_cast<int>(std::min(S, batches));
       sopt.numa = topo.multi_node() ? parallel::NumaPolicy::Bind
                                     : parallel::NumaPolicy::Off;
-      align::DatabaseSearch search(w.db, bcfg, align::SearchMode::Batch,
+      align::DatabaseSearch search(w.db, bcfg,
                                    core::PackingPolicy::LengthSorted, sopt);
       const align::ShardedSearch* sh = search.sharded();
       const size_t got = sh->shard_count();
+      // The shards read hardware counters only through the context's PMU
+      // session (the LLC column).
+      align::ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.trace.pmu = &obs::PmuSession::instance();
 
-      for (const auto& q : w.queries) search.search(q, 10, &pool);  // warm-up
+      for (const auto& q : w.queries) search.search(q, 10, ctx);  // warm-up
       uint64_t llc0 = 0, cells0 = 0;
       std::vector<double> busy0(got, 0.0);
       for (size_t i = 0; i < got; ++i) {
@@ -131,7 +138,7 @@ int main(int argc, char** argv) {
       perf::Stopwatch sw;
       for (int r = 0; r < reps; ++r)
         for (const auto& q : w.queries) {
-          align::SearchResult res = search.search(q, 10, &pool);
+          align::SearchResult res = search.search(q, 10, ctx);
           cells += res.stats.cells;
         }
       const double g = perf::gcups(cells, sw.seconds());

@@ -58,14 +58,20 @@ int main(int argc, char** argv) {
 
   perf::print_banner(std::cout, "Fig 13 / scenario 1: single query vs database");
   {
-    align::DatabaseSearch search(w.db, cfg);
+    // The paper's scenario 1 streams the database through the diagonal
+    // kernel: time that engine directly (the facade would take the batch
+    // scan).
+    align::ExecContext serial, threaded;
+    threaded.pool = &pool;
     perf::Table t({"query", "len", "GCUPS (1 thread)", "GCUPS (" +
                                                            std::to_string(hw) +
                                                            " threads)"});
     std::vector<double> g1, gn;
     for (const auto& q : w.queries) {
-      align::SearchResult r1 = search.search(q, 10);
-      align::SearchResult rn = search.search(q, 10, &pool);
+      align::SearchResult r1 =
+          align::engine::search_diagonal(w.db, cfg, q, 10, serial);
+      align::SearchResult rn =
+          align::engine::search_diagonal(w.db, cfg, q, 10, threaded);
       g1.push_back(r1.gcups());
       gn.push_back(rn.gcups());
       t.row({q.id(), std::to_string(q.length()), perf::Table::num(r1.gcups(), 2),
@@ -86,13 +92,13 @@ int main(int argc, char** argv) {
     const std::vector<seq::SeqView> queries(w.queries.begin(), w.queries.end());
     align::ExecContext ctx;
     ctx.pool = &pool;
-    align::DatabaseSearch search(w.db, cfg);
 
-    // One-at-a-time processing (client waits per query)...
+    // One-at-a-time processing (client waits per query, each streamed
+    // through the diagonal engine)...
     perf::Stopwatch sw1;
     uint64_t cells = 0;
     for (const auto& q : w.queries) {
-      search.search(q, 10, &pool);
+      align::engine::search_diagonal(w.db, cfg, q, 10, ctx);
       cells += q.length() * w.db.total_residues();
     }
     double serial_gcups = perf::gcups(cells, sw1.seconds());
@@ -178,8 +184,7 @@ int main(int argc, char** argv) {
     bool identical = true;
     const int reps = args.quick ? 3 : 5;
     for (auto& run : runs) {
-      align::DatabaseSearch search(skewed, cfg, align::SearchMode::Batch,
-                                   run.policy);
+      align::DatabaseSearch search(skewed, cfg, run.policy);
       run.efficiency = search.packed_db()->packing_efficiency();
       align::SearchResult best = search.search(query, 10, &pool);  // warm-up
       if (reference.empty()) {
@@ -226,14 +231,16 @@ int main(int argc, char** argv) {
     // bounded per-worker top-k heaps and merged at the end. One shard (the
     // DatabaseSearch default, "flat" below) runs on the caller's pool; two
     // get their own pool slices. The shard/topk_identical sentinel checks
-    // every shard count against the diagonal kernel's top-k, an independent
-    // engine. On a single-node runner S=2 still exercises the full
+    // every shard count against engine::search_diagonal's top-k, an
+    // independent engine. On a single-node runner S=2 still exercises the full
     // split/merge machinery (numa stays off); the GCUPS columns show what
     // the shape costs or buys without placement in play.
     seq::Sequence query = seq::generate_sequence(args.seed + 34, 512);
     const int reps = args.quick ? 3 : 5;
+    align::ExecContext pooled;
+    pooled.pool = &pool;
     const align::SearchResult ref =
-        align::DatabaseSearch(w.db, cfg).search(query, 10, &pool);
+        align::engine::search_diagonal(w.db, cfg, query, 10, pooled);
     bool identical = true;
     // Best-of-reps GCUPS after a warm-up search whose top-k must equal ref.
     auto measure = [&](const align::DatabaseSearch& search) {
@@ -249,7 +256,7 @@ int main(int argc, char** argv) {
         gcups = std::max(gcups, search.search(query, 10, &pool).gcups());
       return gcups;
     };
-    const align::DatabaseSearch flat(w.db, cfg, align::SearchMode::Batch);
+    const align::DatabaseSearch flat(w.db, cfg);
     const double flat_gcups = measure(flat);
     align::ShardOptions sopt;
     double shard_gcups[2];
@@ -257,9 +264,8 @@ int main(int argc, char** argv) {
     for (int s = 1; s <= 2; ++s) {
       sopt.shards = static_cast<int>(std::min<size_t>(
           static_cast<size_t>(s), flat.packed_db()->batch_count()));
-      const align::DatabaseSearch search(w.db, cfg, align::SearchMode::Batch,
-                                         core::PackingPolicy::LengthSorted,
-                                         sopt);
+      const align::DatabaseSearch search(
+          w.db, cfg, core::PackingPolicy::LengthSorted, sopt);
       shard_count[s - 1] = search.sharded()->shard_count();
       shard_gcups[s - 1] = measure(search);
     }
@@ -318,7 +324,7 @@ int main(int argc, char** argv) {
     const double load_ms = (*mapped)->load_seconds() * 1e3;
 
     // Sentinel: the mapped view must return the owned packing's exact hits.
-    align::DatabaseSearch owned(w.db, cfg, align::SearchMode::Batch);
+    align::DatabaseSearch owned(w.db, cfg);
     align::DatabaseSearch viewed((*mapped)->db(), (*mapped)->batch_db(), cfg);
     bool identical = true;
     for (const auto& q : w.queries) {

@@ -112,30 +112,35 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
 
 }  // namespace engine
 
+SearchResult search_database(const seq::SequenceDatabase& db,
+                             const ShardedSearch* sharded,
+                             const core::AlignConfig& cfg, seq::SeqView query,
+                             size_t top_k, const ExecContext& ctx) {
+  if (sharded != nullptr && cfg.band < 0 &&
+      core::batch_lanes_fit(sharded->lanes(), simd::resolve_isa(cfg.isa)))
+    return sharded->search(cfg, query, top_k, ctx);
+  return engine::search_diagonal(db, cfg, query, top_k, ctx);
+}
+
 DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
-                               SearchMode mode, core::PackingPolicy packing,
+                               core::PackingPolicy packing,
                                const ShardOptions& sharding)
-    : db_(&db), cfg_(cfg), mode_(mode) {
+    : db_(&db), cfg_(cfg) {
   cfg_.validate();
   cfg_.traceback = false;  // scoring pass; re-align hits for traceback
-  if (mode_ == SearchMode::Batch) {
-    if (cfg_.band >= 0)
-      throw std::invalid_argument("DatabaseSearch: Batch mode cannot band");
-    bdb_ = std::make_unique<core::Batch32Db>(
-        db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)), packing);
-    packed_ = bdb_.get();
-    sharded_ = make_sharded(db, *packed_, sharding);
-  }
+  if (cfg_.band >= 0) return;  // the batch kernel cannot band
+  bdb_ = std::make_unique<core::Batch32Db>(
+      db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)), packing);
+  packed_ = bdb_.get();
+  sharded_ = make_sharded(db, *packed_, sharding);
 }
 
 DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db,
                                const core::Batch32Db& packed, AlignConfig cfg,
                                const ShardOptions& sharding)
-    : db_(&db), cfg_(cfg), mode_(SearchMode::Batch), packed_(&packed) {
+    : db_(&db), cfg_(cfg), packed_(&packed) {
   cfg_.validate();
   cfg_.traceback = false;
-  if (cfg_.band >= 0)
-    throw std::invalid_argument("DatabaseSearch: Batch mode cannot band");
   if (packed.sequence_count() != db.size())
     throw std::invalid_argument(
         "DatabaseSearch: packed database does not match the sequence database");
@@ -155,8 +160,7 @@ SearchResult DatabaseSearch::search(seq::SeqView query, size_t top_k,
 
 SearchResult DatabaseSearch::search(seq::SeqView query, size_t top_k,
                                     const ExecContext& ctx) const {
-  return sharded_ ? sharded_->search(cfg_, query, top_k, ctx)
-                  : engine::search_diagonal(*db_, cfg_, query, top_k, ctx);
+  return search_database(*db_, sharded_.get(), cfg_, query, top_k, ctx);
 }
 
 }  // namespace swve::align

@@ -1,12 +1,12 @@
 // Scenario 1: one query streamed against a sequence database, with
 // deterministic top-k merging.
 //
-// The diagonal search loop lives in the stateless `engine` namespace and the
-// batch search in align::ShardedSearch (align/sharded_search.hpp); both take
-// the database, config, and an ExecContext (pool / cancellation / deadline)
-// explicitly, so the synchronous DatabaseSearch facade and the async
-// service::AlignService drive the exact same code and get bit-identical
-// results.
+// Two engines return the same hits: the batch scan (align::ShardedSearch)
+// and the stateless diagonal loop (engine::search_diagonal). Both take the
+// database, config, and an ExecContext (pool / cancellation / deadline)
+// explicitly, and search_database() is the one rule between them, so the
+// synchronous DatabaseSearch facade and the async service::AlignService
+// run the same code and get bit-identical results.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ constexpr perf::KernelVariant kernel_variant(core::Sweep s) noexcept {
                                   : perf::KernelVariant::Diagonal;
 }
 
-/// How a Batch-mode search splits the packed database (align::ShardedSearch;
+/// How a batch-scan search splits the packed database (align::ShardedSearch;
 /// ServiceOptions.search mirrors these). numa, total_threads and mapped
 /// apply only to two or more shards: one shard owns no pool or placement.
 struct ShardOptions {
@@ -75,7 +75,7 @@ struct Hit {
 struct SearchResult {
   std::vector<Hit> hits;  ///< top-k, best first
   core::KernelStats stats;
-  /// Batch-path accounting (zero for the diagonal path): 8-bit kernel cells
+  /// Batch-scan accounting (zero for the diagonal engine): 8-bit kernel cells
   /// split into useful vs padding, and the rescore ladder's work. The ratio
   /// useful_cells8 / cells8 is the packing efficiency of this search.
   core::BatchSearchStats batch_stats;
@@ -94,15 +94,11 @@ struct SearchResult {
   }
 };
 
-/// How DatabaseSearch scores the database.
+/// Protocol v1's search-mode byte (service::SearchRequest::mode). Nothing
+/// reads it: search_database() picks the engine from the config and the
+/// packed lanes, and both engines return the same hits.
 enum class SearchMode {
-  /// Stream every sequence through the intra-sequence diagonal kernel
-  /// (adaptive width). Hits carry exact end positions.
   Diagonal,
-  /// Score through the inter-sequence batch32 kernel (the database is
-  /// packed once at construction), then re-align only the top-k hits with
-  /// the diagonal kernel for end positions. Fastest for scoring whole
-  /// databases; identical hits and scores.
   Batch,
 };
 
@@ -117,27 +113,34 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
 
 }  // namespace engine
 
-/// Synchronous facade over the engines (owns the packed database and the
-/// ShardedSearch in Batch mode). service::AlignService is the asynchronous,
-/// instrumented front door over the same engines.
+/// The one search rule: the batch scan (`sharded`->search) when `cfg` is
+/// unbanded and its resolved ISA drives the packed lanes
+/// (core::batch_lanes_fit), else engine::search_diagonal (also when
+/// `sharded` is null). Same hits either way; only the batch scan fills
+/// batch_stats. `cfg` must be validated with traceback off.
+SearchResult search_database(const seq::SequenceDatabase& db,
+                             const ShardedSearch* sharded,
+                             const core::AlignConfig& cfg, seq::SeqView query,
+                             size_t top_k, const ExecContext& ctx);
+
+/// Synchronous facade over search_database(); service::AlignService is the
+/// asynchronous, instrumented front door over the same rule.
 class DatabaseSearch {
  public:
-  /// Batch mode packs the database for cfg's resolved ISA
-  /// (core::batch_lanes_for). `packing` selects how (ignored in Diagonal
-  /// mode); every policy returns identical hits and scores — see
-  /// core::PackingPolicy. `sharding` splits the Batch-mode scan, with the
-  /// same hits for every shard count; std::invalid_argument when
-  /// ShardedSearch::create refuses it.
+  /// An unbanded config packs the database for its resolved ISA
+  /// (core::batch_lanes_for); a banded one packs nothing and searches with
+  /// the diagonal engine. `packing` selects how; every policy returns
+  /// identical hits and scores — see core::PackingPolicy. `sharding`
+  /// splits the batch scan, with the same hits for every shard count;
+  /// std::invalid_argument when ShardedSearch::create refuses it.
   DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
-                 SearchMode mode = SearchMode::Diagonal,
                  core::PackingPolicy packing = core::PackingPolicy::LengthSorted,
                  const ShardOptions& sharding = {});
 
-  /// Batch-mode facade over an externally-owned packed database (the
-  /// mmap'd-artifact path: a core::MappedDb's batch_db()). Nothing is
-  /// packed or copied here; `db` and `packed` must describe the same
-  /// database and outlive the facade. Results are bit-identical to the
-  /// owning constructor with the same lanes/policy.
+  /// Facade over an externally-owned packed database (the mmap'd-artifact
+  /// path: a core::MappedDb's batch_db()). Nothing is packed or copied
+  /// here; `db` and `packed` must describe the same database and outlive
+  /// the facade. Results are bit-identical to the owning constructor.
   DatabaseSearch(const seq::SequenceDatabase& db,
                  const core::Batch32Db& packed, AlignConfig cfg,
                  const ShardOptions& sharding = {});
@@ -146,9 +149,9 @@ class DatabaseSearch {
   DatabaseSearch(DatabaseSearch&&) noexcept;
   DatabaseSearch& operator=(DatabaseSearch&&) noexcept;
 
-  /// Search with `pool` (or single-threaded when null; Batch mode with two
-  /// or more shards uses their own pools). Results are identical for every
-  /// thread count and for both search modes.
+  /// Search with `pool` (or single-threaded when null; a batch scan with
+  /// two or more shards uses their own pools). Results are identical for
+  /// every thread count and for both engines.
   SearchResult search(seq::SeqView query, size_t top_k,
                       parallel::ThreadPool* pool = nullptr) const;
 
@@ -156,23 +159,21 @@ class DatabaseSearch {
   SearchResult search(seq::SeqView query, size_t top_k,
                       const ExecContext& ctx) const;
 
-  SearchMode mode() const noexcept { return mode_; }
-  /// Batch mode's packed database (null in Diagonal mode); exposes packing
-  /// efficiency and policy for metrics/benchmarks. Owned or external,
-  /// depending on the constructor used.
+  /// The packed database (null for a banded owning facade); exposes
+  /// packing efficiency and policy for metrics/benchmarks. Owned or
+  /// external, depending on the constructor used.
   const core::Batch32Db* packed_db() const noexcept { return packed_; }
 
-  /// The Batch-mode engine (null in Diagonal mode): shard layout and
+  /// The batch-scan engine (null when packed_db() is): shard layout and
   /// per-shard stats.
   const ShardedSearch* sharded() const noexcept { return sharded_.get(); }
 
  private:
   const seq::SequenceDatabase* db_;
   AlignConfig cfg_;
-  SearchMode mode_;
-  std::unique_ptr<core::Batch32Db> bdb_;          // owning Batch mode only
-  const core::Batch32Db* packed_ = nullptr;       // Batch mode (either ctor)
-  std::unique_ptr<ShardedSearch> sharded_;        // Batch mode
+  std::unique_ptr<core::Batch32Db> bdb_;          // owning, unbanded only
+  const core::Batch32Db* packed_ = nullptr;
+  std::unique_ptr<ShardedSearch> sharded_;
 };
 
 }  // namespace swve::align

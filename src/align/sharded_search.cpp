@@ -241,23 +241,27 @@ std::vector<SearchResult> ShardedSearch::scan_prepared(
     run.stats.resize(nq);
   }
 
+  // Counters only through the context's session (null: attribution off,
+  // no perf_event group opened); wall time feeds busy_ns either way.
+  auto read = [pmu = ctx.trace.pmu] {
+    return pmu ? pmu->read() : obs::PmuReading{.ns = obs::steady_now_ns()};
+  };
   std::latch shards_left(static_cast<std::ptrdiff_t>(nshards));
   auto shard_done = [&shards_left] { shards_left.count_down(); };
 
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     ShardRun& run = runs[si];
-    auto scan = [&run, &shard, top_k, nq, si](size_t slot, size_t,
-                                              unsigned) {
-      const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
+    auto scan = [&run, &shard, &read, top_k, nq, si](size_t slot, size_t,
+                                                     unsigned) {
+      const obs::PmuReading pmu0 = read();
       std::vector<detail::TopK> tops(nq, detail::TopK(top_k));
       const detail::BatchScan::Tally t = run.scan->run(
           si, core::thread_workspace(),
           [&tops](uint32_t qi, uint32_t seq_idx, int score) {
             tops[qi].offer(Hit{seq_idx, score, -1, -1});
           });
-      const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
-      const obs::PmuDelta d = obs::PmuSession::delta(pmu0, pmu1);
+      const obs::PmuDelta d = obs::PmuSession::delta(pmu0, read());
       shard.busy_ns.fetch_add(d.wall_ns, std::memory_order_relaxed);
       if (d.hw) {
         shard.llc_misses.fetch_add(d.llc_misses, std::memory_order_relaxed);

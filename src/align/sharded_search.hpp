@@ -1,6 +1,7 @@
-// The one database scan of scenarios 1 and 2: every Batch-mode search and
-// every query batch, sharded or not, runs here, with NUMA-aware placement
-// and a bit-identical top-k merge.
+// The one database scan of scenarios 1 and 2: every unbanded search whose
+// ISA drives the packed lanes (align::search_database's rule) and every
+// query batch, sharded or not, runs here, with NUMA-aware placement and a
+// bit-identical top-k merge.
 //
 // ShardedSearch splits a Batch32Db into S shards *between* batches (batches
 // are the packing's length bins, so packing efficiency survives the split
@@ -58,7 +59,8 @@ struct ShardStats {
   uint64_t useful_cells = 0;
   uint64_t rescored = 0;
   double busy_seconds = 0;    ///< summed worker wall time inside this shard
-  uint64_t llc_misses = 0;    ///< PMU deltas over shard scans (0: no PMU)
+  uint64_t llc_misses = 0;    ///< PMU deltas over shard scans (0: no PMU,
+                              ///< or no session on the scans' context)
   uint64_t cycles = 0;
   size_t queue_depth = 0;     ///< jobs on the shard's own pool now (0: none)
 
@@ -100,8 +102,9 @@ class ShardedSearch {
   /// two or more ignore ctx.pool and use their own pools. ctx
   /// cancel/deadline is honored at batch granularity inside every shard; a
   /// stop marks every result truncated and withholds its hits.
-  /// ctx.query_cache supplies the shared prepared queries. Identical hits
-  /// for every shard count and pool size.
+  /// ctx.query_cache supplies the shared prepared queries, and
+  /// ctx.trace.pmu the shard counters (wall time only when null).
+  /// Identical hits for every shard count and pool size.
   /// Throws std::invalid_argument, before any scan starts, when cfg.isa
   /// cannot drive the packed lanes (core::batch_lanes_fit). Thread-safe.
   std::vector<SearchResult> scan(const core::AlignConfig& cfg,
@@ -113,6 +116,8 @@ class ShardedSearch {
   SearchResult search(const core::AlignConfig& cfg, seq::SeqView query,
                       size_t top_k, const ExecContext& ctx) const;
 
+  /// Lanes of the packed database (what core::batch_lanes_fit checks).
+  int lanes() const noexcept { return packed_->lanes(); }
   size_t shard_count() const noexcept;
   ShardStats shard_stats(size_t s) const noexcept;
   parallel::NumaPolicy numa_policy() const noexcept { return numa_; }

@@ -826,7 +826,6 @@ std::string cache_identity(const SearchRequest& rq, uint64_t db_epoch) {
   put_u8(out, static_cast<uint8_t>(MsgType::SearchRequest));
   put_u64(out, db_epoch);
   identity_options(out, rq.options);
-  put_u8(out, rq.mode == align::SearchMode::Batch ? 1 : 0);
   identity_sequence(out, rq.query);
   return out;
 }

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__linux__)
@@ -129,15 +128,6 @@ PmuSession::State classify_errno(int err) {
 
 #endif  // __linux__
 
-PmuSession::State env_state() {
-  const char* env = std::getenv("SWVE_PMU");
-  if (env == nullptr) return PmuSession::State::Unknown;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)
-    return PmuSession::State::Disabled;
-  if (std::strcmp(env, "eperm") == 0) return PmuSession::State::Eperm;
-  return PmuSession::State::Unknown;  // anything else: probe normally
-}
-
 }  // namespace
 
 PmuSession& PmuSession::instance() noexcept {
@@ -149,18 +139,15 @@ PmuSession::State PmuSession::state() noexcept {
   int s = g_state.load(std::memory_order_acquire);
   if (s != static_cast<int>(State::Unknown)) return static_cast<State>(s);
 
-  State probed = env_state();
 #if defined(__linux__)
-  if (probed == State::Unknown) {
-    ThreadGroup& g = thread_group();
-    const int err = g.tried ? (g.ok() ? 0 : ENOENT) : g.open();
-    probed = err == 0 ? State::Available : classify_errno(err);
-  }
+  ThreadGroup& g = thread_group();
+  const int err = g.tried ? (g.ok() ? 0 : ENOENT) : g.open();
+  const State probed = err == 0 ? State::Available : classify_errno(err);
 #else
-  if (probed == State::Unknown) probed = State::Enoent;
+  const State probed = State::Enoent;
 #endif
   // First probe wins; a concurrent prober reached the same conclusion
-  // (env/kernel state does not change between the races we care about).
+  // (kernel state does not change between the races we care about).
   int expected = static_cast<int>(State::Unknown);
   g_state.compare_exchange_strong(expected, static_cast<int>(probed),
                                   std::memory_order_acq_rel);

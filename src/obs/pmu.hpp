@@ -18,11 +18,13 @@
 //   * Reading is one read(2) of the leader — a start/stop delta costs two
 //     syscalls per span, paid only at chunk granularity (per database
 //     partition / per 32-lane batch), never inside kernel loops.
-//   * Graceful degradation everywhere: EPERM/EACCES (perf_event_paranoid),
-//     ENOENT/ENODEV (no PMU: VMs, containers), or SWVE_PMU=off all fall
-//     back to wall-clock-only readings with hw=false; callers surface the
-//     state as a `pmu_unavailable` gauge. Alignment results are identical
-//     either way — the counters only observe.
+//   * Graceful degradation everywhere: EPERM/EACCES (perf_event_paranoid)
+//     and ENOENT/ENODEV (no PMU: VMs, containers) fall back to
+//     wall-clock-only readings with hw=false; callers surface the state as
+//     a `pmu_unavailable` gauge. Alignment results are identical either
+//     way — the counters only observe. The library reads no environment:
+//     an embedder turns attribution off with ServiceOptions'
+//     obs.pmu_attribution, and tests force a state with simulate_for_test.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +95,7 @@ class PmuSession {
   enum class State : int {
     Unknown = 0,   ///< not probed yet
     Available,     ///< counter groups open and counting
-    Disabled,      ///< SWVE_PMU=off
+    Disabled,      ///< forced off (simulate_for_test("off"))
     Eperm,         ///< perf_event_paranoid locked down (or simulated)
     Enoent,        ///< no PMU: VM/container without hardware events
   };

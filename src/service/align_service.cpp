@@ -416,19 +416,6 @@ core::ErrorOr<core::AlignConfig> AlignService::effective_config(
   return cfg;
 }
 
-std::optional<core::ConfigError> AlignService::batch_lanes_error(
-    const RequestOptions& options) const {
-  if (packed_ == nullptr) return std::nullopt;
-  const simd::Isa isa = simd::resolve_isa(
-      (options.config ? *options.config : opt_.config).isa);
-  if (core::batch_lanes_fit(packed_->lanes(), isa)) return std::nullopt;
-  return core::ConfigError{
-      Code::Unsupported,
-      "AlignService: database packed " + std::to_string(packed_->lanes()) +
-          " lanes wide; isa " + simd::isa_name(isa) + " drives " +
-          std::to_string(core::batch_lanes_for(isa))};
-}
-
 RequestTrace AlignService::make_trace(Scenario scenario,
                                       const core::AlignConfig& cfg,
                                       simd::Isa isa, core::Width width,
@@ -621,9 +608,8 @@ void AlignService::run_pairwise(const AlignRequest& rq,
 }
 
 core::ErrorOr<AlignService::DbRun> AlignService::run_database(
-    Scenario scenario, align::SearchMode mode,
-    std::span<const seq::Sequence> queries, const RequestOptions& options,
-    const Stamp& st) {
+    Scenario scenario, std::span<const seq::Sequence> queries,
+    const RequestOptions& options, const Stamp& st) {
   const bool batch = scenario == Scenario::Batch;
   const uint64_t t_exec = obs::steady_now_ns();
   const core::ErrorOr<double> qwait = begin_run(st, t_exec);
@@ -649,11 +635,10 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
   }
   core::AlignConfig cfg = *cfg_or;
   cfg.traceback = false;  // scoring pass, like DatabaseSearch
-  if (mode == align::SearchMode::Batch && cfg.band >= 0) {
+  if (batch && cfg.band >= 0) {
     metrics_.on_invalid_request();
     return core::ConfigError{Code::Unsupported,
-                             batch ? "AlignService: batch cannot band"
-                                   : "AlignService: Batch search cannot band"};
+                             "AlignService: batch cannot band"};
   }
   const size_t top_k = options.top_k.value_or(opt_.default_top_k);
 
@@ -678,12 +663,9 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
             const std::vector<seq::SeqView> views(queries.begin(),
                                                   queries.end());
             run.results = sharded_->scan(cfg, views, top_k, ctx);
-          } else if (mode == align::SearchMode::Batch) {
-            run.results.push_back(
-                sharded_->search(cfg, queries.front(), top_k, ctx));
           } else {
-            run.results.push_back(align::engine::search_diagonal(
-                *db_, cfg, queries.front(), top_k, ctx));
+            run.results.push_back(align::search_database(
+                *db_, sharded_.get(), cfg, queries.front(), top_k, ctx));
           }
         },
         est_cells);
@@ -720,7 +702,8 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
                              metrics_scenario, *qwait + kernel_s);
   if (scanned.cells8 > 0)
     metrics_.on_batch_packing(scanned.cells8, scanned.useful_cells8);
-  if (mode == align::SearchMode::Batch) {
+  // A search whose scan counted 8-bit batch cells took the batch scan.
+  if (batch || scanned.cells8 > 0) {
     metrics_.on_kernel_completed(run.trace.isa, perf::KernelVariant::Batch32,
                                  cells);
   } else {
@@ -740,13 +723,6 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
 }
 
 void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
-  if (request.mode == align::SearchMode::Batch) {
-    if (auto err = batch_lanes_error(request.options)) {
-      metrics_.on_invalid_request();
-      done(std::move(*err));
-      return;
-    }
-  }
   auto cb = std::make_shared<SearchCompletion>(std::move(done));
   auto rq = std::make_shared<SearchRequest>(std::move(request));
   metrics_.on_query_length(rq->query.length());
@@ -758,8 +734,8 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
       (*cb)(shut_down_before_run());
       return;
     }
-    auto run = run_database(Scenario::Search, rq->mode, {&rq->query, 1},
-                            rq->options, st);
+    auto run =
+        run_database(Scenario::Search, {&rq->query, 1}, rq->options, st);
     if (!run) {
       (*cb)(run.error());
       return;
@@ -775,9 +751,17 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
 }
 
 void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
-  if (auto err = batch_lanes_error(request.options)) {
+  // A batch has no engine but the batch scan: an ISA that cannot drive the
+  // packed lanes fails before queueing.
+  const simd::Isa isa = simd::resolve_isa(
+      (request.options.config ? *request.options.config : opt_.config).isa);
+  if (packed_ != nullptr && !core::batch_lanes_fit(packed_->lanes(), isa)) {
     metrics_.on_invalid_request();
-    done(std::move(*err));
+    done(core::ConfigError{
+        Code::Unsupported,
+        "AlignService: database packed " + std::to_string(packed_->lanes()) +
+            " lanes wide; isa " + simd::isa_name(isa) + " drives " +
+            std::to_string(core::batch_lanes_for(isa))});
     return;
   }
   auto cb = std::make_shared<BatchCompletion>(std::move(done));
@@ -791,8 +775,7 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
       (*cb)(shut_down_before_run());
       return;
     }
-    auto run = run_database(Scenario::Batch, align::SearchMode::Batch,
-                            rq->queries, rq->options, st);
+    auto run = run_database(Scenario::Batch, rq->queries, rq->options, st);
     if (!run) {
       (*cb)(run.error());
       return;

@@ -18,11 +18,13 @@
 // Blocking callers wrap it with submit_future() below, whose future yields
 // the same ErrorOr.
 //
-// Requests route to the same engines the synchronous facades use
-// (engine::search_diagonal / align::ShardedSearch / core::diag_align), so
+// Requests route to the same code the synchronous facades use
+// (align::search_database / align::ShardedSearch / core::pair_align), so
 // results are bit-identical to direct DatabaseSearch / ShardedSearch /
-// Aligner calls. A batch is one ShardedSearch::scan of all its queries,
-// and one shard of a batch or Batch search fans out over the service's
+// Aligner calls. A search takes search_database's rule: the batch scan
+// when its config is unbanded and its ISA drives the packed lanes, the
+// diagonal engine otherwise. A batch is one ShardedSearch::scan of all
+// its queries, and one shard of either scan fans out over the service's
 // pool. Failures — invalid config, queue full, deadline
 // expiry, shutdown — arrive as a typed core::ConfigError in the ErrorOr
 // (to_status() maps it to the wire); nothing is thrown on a worker thread.
@@ -100,7 +102,7 @@ struct CacheOptions {
 /// Scenario-1 batch execution (align::ShardedSearch): how the packed
 /// database is split across NUMA nodes and how shard memory is placed.
 struct SearchOptions {
-  /// Database shards for batch-mode search. 1 (default) = one shard on the
+  /// Database shards for the batch scan. 1 (default) = one shard on the
   /// service's pool; 0 = auto (one shard per NUMA node — one shard on
   /// single-node hosts; at most perf::MetricsSnapshot::kMaxShards); N >= 2
   /// forces N shards, each on its own slice of pool_threads, and
@@ -312,8 +314,8 @@ class AlignService {
   // Non-throwing submission: exactly one `done` invocation per call, with
   // the response or a core::ConfigError (map to the wire with to_status()).
   // Immediate rejections (queue full under Overflow::Reject, shutdown, and
-  // Code::Unsupported for a Batch-mode search or batch request whose ISA
-  // cannot drive the packed lanes — core::batch_lanes_fit) run `done`
+  // Code::Unsupported for a batch request whose ISA cannot drive the
+  // packed lanes — core::batch_lanes_fit) run `done`
   // inline on the submitting thread. Small pairwise requests may run `done`
   // on the submitting thread before submit_async returns: a pair of at most
   // kInlineMaxCells cells runs there, through the same execution path,
@@ -446,12 +448,6 @@ class AlignService {
   core::ErrorOr<core::AlignConfig> effective_config(
       const RequestOptions& options, int residue_codes) const;
 
-  /// Code::Unsupported when the request's ISA cannot drive the packed
-  /// batch lanes (core::batch_lanes_fit); nullopt when it can or when there
-  /// is no packed database.
-  std::optional<core::ConfigError> batch_lanes_error(
-      const RequestOptions& options) const;
-
   /// Code::Unsupported when a pairwise request with a valid config asks
   /// for a traceback over more than its max_traceback_cells cells (the
   /// kernels refuse it); nullopt otherwise, config errors included (the
@@ -510,12 +506,11 @@ class AlignService {
     RequestTrace trace;
   };
   /// The body of search and batch requests (`scenario`): `queries` against
-  /// the attached database. Batch mode scans them all in one
-  /// ShardedSearch::scan, except that a Search request takes
-  /// ShardedSearch::search for its end cells; Diagonal mode runs
-  /// engine::search_diagonal. Returns the results and the trace, or the
-  /// error to fail the request with.
-  core::ErrorOr<DbRun> run_database(Scenario scenario, align::SearchMode mode,
+  /// the attached database. A batch scans them all in one
+  /// ShardedSearch::scan; a search runs align::search_database, which picks
+  /// its engine from the config and the packed lanes. Returns the results
+  /// and the trace, or the error to fail the request with.
+  core::ErrorOr<DbRun> run_database(Scenario scenario,
                                     std::span<const seq::Sequence> queries,
                                     const RequestOptions& options,
                                     const Stamp& st);

@@ -84,6 +84,10 @@ struct AlignRequest {
 /// Scenario 1 (one query vs the service database).
 struct SearchRequest {
   seq::Sequence query;
+  /// Protocol v1's mode byte, kept so the wire format and perfbench (which
+  /// sets it) stay as they are. Nothing reads it: the engine follows from
+  /// the config's band and the packed lanes (align::search_database), with
+  /// the same hits either way.
   align::SearchMode mode = align::SearchMode::Diagonal;
   RequestOptions options;
 };

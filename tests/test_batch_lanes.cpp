@@ -1,10 +1,12 @@
 // The batch lane rule: a database packed `lanes` wide can be scanned at a
 // resolved ISA only when the lanes are 32 or that ISA's native width
 // (core::batch_lanes_fit). Anything else would silently run the emulated
-// 64-lane kernel, so the engines throw and AlignService answers a typed
-// Unsupported before queueing. The service tests use a 64-lane .swdb and a
-// request pinned to isa = avx2, which mismatch on every host: avx2 drives
-// 32 lanes, and a host without AVX2 resolves it to scalar, also 32.
+// 64-lane kernel, so the batch engines throw, a batch request gets a typed
+// Unsupported before queueing, and a search (align::search_database's
+// rule) runs the diagonal engine instead. The service tests use a 64-lane
+// .swdb and a request pinned to isa = avx2, which mismatch on every host:
+// avx2 drives 32 lanes, and a host without AVX2 resolves it to scalar,
+// also 32.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -84,7 +86,7 @@ service::BatchRequest mismatched_batch_request() {
 service::SearchRequest search_request(align::SearchMode mode) {
   service::SearchRequest rq;
   rq.query = seq::generate_sequence(64, 100);
-  rq.mode = mode;
+  rq.mode = mode;  // the wire byte: either value takes the same engine
   rq.options.config = avx2_config();
   rq.options.top_k = 5;
   return rq;
@@ -106,11 +108,11 @@ TEST(BatchLanes, OwningFacadesPackForTheirConfigIsa) {
   const seq::SequenceDatabase db = make_db();
   const core::AlignConfig avx2 = avx2_config();
   const int want = core::batch_lanes_for(simd::resolve_isa(avx2.isa));
-  align::DatabaseSearch search(db, avx2, align::SearchMode::Batch);
+  align::DatabaseSearch search(db, avx2);
   EXPECT_EQ(search.packed_db()->lanes(), want);
 
   const core::AlignConfig auto_cfg;
-  align::DatabaseSearch auto_search(db, auto_cfg, align::SearchMode::Batch);
+  align::DatabaseSearch auto_search(db, auto_cfg);
   EXPECT_EQ(auto_search.packed_db()->lanes(),
             core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)));
 }
@@ -124,8 +126,19 @@ TEST(BatchLanes, EnginesRejectLanesTheIsaCannotDrive) {
 
   core::Workspace ws;
   EXPECT_THROW(core::batch_scores(q, wide, db, cfg, ws), std::invalid_argument);
-  EXPECT_THROW(align::DatabaseSearch(db, wide, cfg).search(q, 5),
-               std::invalid_argument);
+  // The facade's rule sends such a search to the diagonal engine.
+  const align::SearchResult facade =
+      align::DatabaseSearch(db, wide, cfg).search(q, 5);
+  const align::SearchResult diagonal =
+      align::engine::search_diagonal(db, cfg, q, 5, ctx);
+  ASSERT_EQ(facade.hits.size(), diagonal.hits.size());
+  for (size_t k = 0; k < diagonal.hits.size(); ++k) {
+    EXPECT_EQ(facade.hits[k].seq_index, diagonal.hits[k].seq_index) << k;
+    EXPECT_EQ(facade.hits[k].score, diagonal.hits[k].score) << k;
+    EXPECT_EQ(facade.hits[k].end_query, diagonal.hits[k].end_query) << k;
+    EXPECT_EQ(facade.hits[k].end_ref, diagonal.hits[k].end_ref) << k;
+  }
+  EXPECT_EQ(facade.batch_stats.cells8, 0u);
 
   // One shard, on a caller pool (no job reaches it) and inline.
   auto one = align::ShardedSearch::create(db, wide, align::ShardOptions{});
@@ -159,26 +172,40 @@ TEST(AlignServiceBatchLanes, BatchRequestWithMismatchedIsaIsUnsupported) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Code::Unsupported) << r.error().message;
 
-  // The service keeps serving: a diagonal-mode search reads no packed lanes.
+  // The service keeps serving: the same ISA's search runs the diagonal
+  // engine, which reads no packed lanes.
   auto after = submit_wait<service::SearchResponse>(
-      svc, search_request(align::SearchMode::Diagonal));
+      svc, search_request(align::SearchMode::Batch));
   ASSERT_TRUE(after.ok()) << after.error().message;
   EXPECT_FALSE(after->result.hits.empty());
 }
 
-TEST(AlignServiceBatchLanes, BatchSearchWithMismatchedIsaIsUnsupported) {
+TEST(AlignServiceBatchLanes, SearchWithMismatchedIsaRunsTheDiagonalEngine) {
+  // Either mode byte's search takes the diagonal engine, with its hits,
+  // where a batch request is refused.
   Wide64Artifact art;
   ASSERT_NE(art.mapped, nullptr);
   service::AlignService svc(*art.mapped);
+  const service::SearchRequest rq = search_request(align::SearchMode::Batch);
+  const align::SearchResult want = align::engine::search_diagonal(
+      art.mapped->db(), *rq.options.config, rq.query, *rq.options.top_k,
+      align::ExecContext{});
+  ASSERT_FALSE(want.hits.empty());
 
-  auto r = submit_wait<service::SearchResponse>(
-      svc, search_request(align::SearchMode::Batch));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Code::Unsupported) << r.error().message;
-
-  auto after = submit_wait<service::SearchResponse>(
-      svc, search_request(align::SearchMode::Diagonal));
-  ASSERT_TRUE(after.ok()) << after.error().message;
+  for (align::SearchMode mode :
+       {align::SearchMode::Batch, align::SearchMode::Diagonal}) {
+    auto r = submit_wait<service::SearchResponse>(svc, search_request(mode));
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    ASSERT_EQ(r->result.hits.size(), want.hits.size());
+    for (size_t k = 0; k < want.hits.size(); ++k) {
+      EXPECT_EQ(r->result.hits[k].seq_index, want.hits[k].seq_index) << k;
+      EXPECT_EQ(r->result.hits[k].score, want.hits[k].score) << k;
+      EXPECT_EQ(r->result.hits[k].end_query, want.hits[k].end_query) << k;
+      EXPECT_EQ(r->result.hits[k].end_ref, want.hits[k].end_ref) << k;
+    }
+    EXPECT_EQ(r->result.batch_stats.cells8, 0u);
+  }
+  EXPECT_EQ(svc.metrics().invalid_request, 0u);
 }
 
 TEST(AlignServiceBatchLanes, WireRejectionKeepsServerServing) {

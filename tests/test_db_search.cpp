@@ -157,15 +157,24 @@ TEST(DatabaseSearch, IdenticalResultsForAnyThreadCount) {
 
 TEST(DatabaseSearch, StatsCountEveryCell) {
   auto db = make_db(30'000);
-  DatabaseSearch search(db, AlignConfig{});
   auto q = seq::generate_sequence(93, 64);
-  SearchResult res = search.search(q, 5);
-  // Adaptive width may re-run saturated pairs, so cells >= m * residues.
+  // The diagonal engine: adaptive width may re-run saturated pairs, so
+  // cells >= m * residues.
+  SearchResult res =
+      engine::search_diagonal(db, AlignConfig{}, q, 5, ExecContext{});
   EXPECT_GE(res.stats.cells, 64u * db.total_residues());
   EXPECT_EQ(res.db_residues, db.total_residues());
   EXPECT_EQ(res.query_length, 64u);
   EXPECT_GT(res.seconds, 0.0);
   EXPECT_GT(res.gcups(), 0.0);
+
+  // The facade's batch scan: every real cell once, plus lane padding.
+  DatabaseSearch search(db, AlignConfig{});
+  SearchResult batch = search.search(q, 5);
+  EXPECT_EQ(batch.batch_stats.useful_cells8, 64u * db.total_residues());
+  EXPECT_GE(batch.stats.cells, batch.batch_stats.useful_cells8);
+  EXPECT_EQ(batch.db_residues, db.total_residues());
+  EXPECT_GT(batch.gcups(), 0.0);
 }
 
 TEST(DatabaseSearch, PlantedHomologIsTopHit) {
@@ -195,13 +204,13 @@ TEST(DatabaseSearch, EmptyQueryAndEmptyDb) {
 TEST(DatabaseSearch, BatchModeMatchesDiagonalMode) {
   auto db = make_db(50'000);
   AlignConfig cfg;
-  DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
-  DatabaseSearch batch(db, cfg, SearchMode::Batch);
-  EXPECT_EQ(batch.mode(), SearchMode::Batch);
+  DatabaseSearch batch(db, cfg);
   for (uint64_t seed : {400u, 401u, 402u}) {
     auto q = seq::generate_sequence(seed, 80 + seed % 200);
-    SearchResult a = diag.search(q, 12);
+    SearchResult a = engine::search_diagonal(db, cfg, q, 12, ExecContext{});
     SearchResult b = batch.search(q, 12);
+    EXPECT_EQ(a.batch_stats.cells8, 0u);
+    EXPECT_GT(b.batch_stats.cells8, 0u);  // the facade took the batch scan
     ASSERT_EQ(a.hits.size(), b.hits.size()) << "seed " << seed;
     for (size_t k = 0; k < a.hits.size(); ++k) {
       EXPECT_EQ(a.hits[k].seq_index, b.hits[k].seq_index) << k;
@@ -228,7 +237,7 @@ TEST(DatabaseSearch, BatchModeDeterministicAcrossThreads) {
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    DatabaseSearch batch(db, AlignConfig{}, SearchMode::Batch, policy);
+    DatabaseSearch batch(db, AlignConfig{}, policy);
     ASSERT_GE(batch.packed_db()->batch_count(),
               3 * 7 * detail::kChunksPerWorker)
         << "workload too small to put several batches in every chunk";
@@ -268,7 +277,7 @@ TEST(DatabaseSearch, BatchModeHandlesSaturatingHomolog) {
   seqs.push_back(seq::mutate(q, 422, 0.05));  // saturates the 8-bit kernel
   seq::SequenceDatabase db(std::move(seqs));
   AlignConfig cfg;
-  DatabaseSearch batch(db, cfg, SearchMode::Batch);
+  DatabaseSearch batch(db, cfg);
   SearchResult res = batch.search(q, 3);
   ASSERT_FALSE(res.hits.empty());
   EXPECT_EQ(res.hits[0].seq_index, 50u);
@@ -288,15 +297,14 @@ TEST(DatabaseSearch, PackedTopKIdenticalOnAdversarialLengthMix) {
   seq::SequenceDatabase db(std::move(seqs));
 
   AlignConfig cfg;
-  DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
   auto q = seq::generate_sequence(501, 180);
-  SearchResult ref = diag.search(q, 15);
+  SearchResult ref = engine::search_diagonal(db, cfg, q, 15, ExecContext{});
   ASSERT_FALSE(ref.hits.empty());
 
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    DatabaseSearch batch(db, cfg, SearchMode::Batch, policy);
+    DatabaseSearch batch(db, cfg, policy);
     ASSERT_NE(batch.packed_db(), nullptr);
     EXPECT_EQ(batch.packed_db()->policy(), policy);
     SearchResult res = batch.search(q, 15);
@@ -314,9 +322,8 @@ TEST(DatabaseSearch, PackedTopKIdenticalOnAdversarialLengthMix) {
   }
 
   // And the length-aware layouts must waste strictly fewer 8-bit cells.
-  DatabaseSearch naive(db, cfg, SearchMode::Batch, core::PackingPolicy::DbOrder);
-  DatabaseSearch sorted(db, cfg, SearchMode::Batch,
-                        core::PackingPolicy::LengthSorted);
+  DatabaseSearch naive(db, cfg, core::PackingPolicy::DbOrder);
+  DatabaseSearch sorted(db, cfg, core::PackingPolicy::LengthSorted);
   EXPECT_GT(sorted.packed_db()->packing_efficiency(),
             naive.packed_db()->packing_efficiency());
 }
@@ -335,9 +342,8 @@ TEST(DatabaseSearch, BatchModeSaturationLadderReachesWide32) {
   cfg.scheme = core::ScoreScheme::Fixed;
   cfg.match = 30;
   cfg.mismatch = -3;
-  DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
-  DatabaseSearch batch(db, cfg, SearchMode::Batch);
-  SearchResult a = diag.search(q, 5);
+  DatabaseSearch batch(db, cfg);
+  SearchResult a = engine::search_diagonal(db, cfg, q, 5, ExecContext{});
   SearchResult b = batch.search(q, 5);
   ASSERT_FALSE(b.hits.empty());
   EXPECT_EQ(b.hits[0].seq_index, 70u);
@@ -350,11 +356,29 @@ TEST(DatabaseSearch, BatchModeSaturationLadderReachesWide32) {
   }
 }
 
-TEST(DatabaseSearch, BatchModeRejectsBand) {
+TEST(DatabaseSearch, BandedConfigRunsTheDiagonalEngine) {
+  // The batch kernel cannot band: a banded facade packs nothing and
+  // returns the diagonal engine's hits, end cells included.
   auto db = make_db(5'000);
   AlignConfig cfg;
   cfg.band = 8;
-  EXPECT_THROW(DatabaseSearch(db, cfg, SearchMode::Batch), std::invalid_argument);
+  DatabaseSearch search(db, cfg);
+  EXPECT_EQ(search.packed_db(), nullptr);
+  EXPECT_EQ(search.sharded(), nullptr);
+  auto q = seq::generate_sequence(99, 90);
+  const SearchResult got = search.search(q, 10);
+  const SearchResult want =
+      engine::search_diagonal(db, cfg, q, 10, ExecContext{});
+  ASSERT_FALSE(want.hits.empty());
+  ASSERT_EQ(got.hits.size(), want.hits.size());
+  for (size_t k = 0; k < want.hits.size(); ++k) {
+    EXPECT_EQ(got.hits[k].seq_index, want.hits[k].seq_index) << k;
+    EXPECT_EQ(got.hits[k].score, want.hits[k].score) << k;
+    EXPECT_EQ(got.hits[k].end_query, want.hits[k].end_query) << k;
+    EXPECT_EQ(got.hits[k].end_ref, want.hits[k].end_ref) << k;
+  }
+  EXPECT_EQ(got.batch_stats.cells8, 0u);
+  EXPECT_EQ(got.stats.cells, want.stats.cells);
 }
 
 /// Capacity of every buffer in `ws`, in declaration order.
@@ -373,17 +397,16 @@ std::vector<size_t> capacities(const core::Workspace& ws) {
 }
 
 // Every engine scans with the calling thread's core::thread_workspace(): on
-// a thread with no pool, a Diagonal-mode search, a Batch-mode search and a
-// pair_align all grow the one object, a repeat grows nothing, and another
-// thread has its own.
+// a thread with no pool, a diagonal-engine search, a batch-scan search and
+// a pair_align all grow the one object, a repeat grows nothing, and
+// another thread has its own.
 TEST(DatabaseSearch, EnginesScanWithTheThreadWorkspace) {
   auto db = make_db(40'000, 31);
   core::AlignConfig cfg;
-  // Longer than core::kColumnSweepMaxQuery, so the Diagonal engine runs
+  // Longer than core::kColumnSweepMaxQuery, so the diagonal engine runs
   // the diagonal kernel.
   auto q = seq::generate_sequence(131, 300);
-  DatabaseSearch diag(db, cfg, SearchMode::Diagonal);
-  DatabaseSearch batch(db, cfg, SearchMode::Batch);
+  DatabaseSearch batch(db, cfg);
   const core::Workspace* const main_ws = &core::thread_workspace();
 
   // A fresh thread, so its workspace starts with nothing allocated.
@@ -392,7 +415,7 @@ TEST(DatabaseSearch, EnginesScanWithTheThreadWorkspace) {
     EXPECT_NE(&ws, main_ws);  // the spawning thread's is still alive
     const ExecContext none;  // no pool: every engine runs on this thread
     auto run_all = [&] {
-      diag.search(q, 10, none);
+      engine::search_diagonal(db, cfg, q, 10, none);
       EXPECT_EQ(&core::thread_workspace(), &ws);
       EXPECT_GT(ws.h[0].capacity(), 0u);  // the diagonal kernel's DP state
       batch.search(q, 10, none);

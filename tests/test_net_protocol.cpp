@@ -378,9 +378,6 @@ TEST(NetCacheKey, IdentityAndSensitivity) {
   other = rq;
   other.options.top_k = 6;
   EXPECT_NE(cache_key(other, epoch), key);
-  other = rq;
-  other.mode = align::SearchMode::Diagonal;
-  EXPECT_NE(cache_key(other, epoch), key);
   EXPECT_NE(cache_key(rq, epoch + 1), key);  // different database
 
   // ...scheduling-only fields do not: tier and deadline shape when a
@@ -389,6 +386,11 @@ TEST(NetCacheKey, IdentityAndSensitivity) {
   other.options.tier = service::QosTier::Bulk;
   other.options.deadline = std::chrono::seconds(1);
   EXPECT_EQ(cache_key(other, epoch), key);
+  // Nor does the search-mode byte: the engine follows from the config
+  // and the packed lanes, with the same response for either mode.
+  other = rq;
+  other.mode = align::SearchMode::Diagonal;
+  EXPECT_EQ(cache_identity(other, epoch), cache_identity(rq, epoch));
 }
 
 TEST(NetCacheKey, ScenariosNeverCollide) {

@@ -3,7 +3,8 @@
 // result-cache hits (kFlagFromCache), singleflight coalescing under a
 // paused service (kFlagCoalesced), protocol-error statuses, partial-frame
 // reassembly, oversized-frame rejection, deadline mapping, the HTTP
-// /metrics endpoint, and graceful drain.
+// /metrics endpoint, graceful drain, and the one search rule (every
+// unbanded search takes the batch scan, whatever its mode byte).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -90,6 +91,124 @@ TEST(NetServer, SearchOverWireMatchesInProcess) {
     EXPECT_EQ(wire.response->result.hits[i].end_ref,
               local.result.hits[i].end_ref);
   }
+}
+
+/// A search response's bytes with the measured durations zeroed: what two
+/// executions of one request must agree on.
+std::string canonical_bytes(service::SearchResponse resp) {
+  resp.result.seconds = 0;
+  resp.trace.queue_wait_s = 0;
+  resp.trace.kernel_s = 0;
+  std::string bytes;
+  encode_search_response(bytes, resp);
+  return bytes;
+}
+
+/// The JSON form of the same: a search_response_json document with its
+/// trace durations (and the GCUPS derived from them) zeroed.
+std::string canonical_json(std::string_view doc) {
+  const auto parsed = Json::parse(doc);
+  if (!parsed || !parsed->is_object()) return "unparsable: " + std::string(doc);
+  JsonObject o = parsed->as_object();
+  JsonObject trace = o["trace"].as_object();
+  for (const char* key : {"queue_wait_s", "kernel_s", "gcups"}) trace[key] = 0;
+  o["trace"] = Json(std::move(trace));
+  return Json(std::move(o)).dump();
+}
+
+TEST(NetServer, EverySearchModeServesTheBatchScan) {
+  // The search-mode byte picks nothing: a default-mode, a Batch-mode and a
+  // JSON request without "mode" all run the batch scan and answer the
+  // same bytes, and one mode's reply serves the other from the cache. A
+  // banded request (the batch kernel cannot band) runs the diagonal engine.
+  obs::TraceSink sink;
+  service::ServiceOptions opt;
+  opt.obs.trace_sink = &sink;
+  Loopback lb(opt);
+  auto c = lb.client();
+  c->enable_tracing(true);
+  const SearchRequest plain = search_request(41, 180);
+  SearchRequest batch = plain;
+  batch.mode = align::SearchMode::Batch;
+
+  c->set_trace_id(101);
+  const auto first = c->search(plain);
+  ASSERT_TRUE(first.ok()) << first.error;
+  EXPECT_FALSE(first.from_cache());
+  c->set_trace_id(102);
+  const auto fresh = c->search(batch, kFlagNoCache);
+  ASSERT_TRUE(fresh.ok()) << fresh.error;
+  EXPECT_FALSE(fresh.from_cache());
+  c->set_trace_id(103);
+  const auto cached = c->search(batch);
+  ASSERT_TRUE(cached.ok()) << cached.error;
+  EXPECT_TRUE(cached.from_cache());  // the default-mode reply, replayed
+  const std::string want = canonical_bytes(*first.response);
+  EXPECT_EQ(canonical_bytes(*fresh.response), want);
+  EXPECT_EQ(canonical_bytes(*cached.response), want);
+  EXPECT_GT(first.response->result.batch_stats.cells8, 0u);
+
+  FrameHeader h;
+  h.type = MsgType::SearchRequest;
+  h.flags = kFlagJson;
+  h.request_id = 104;
+  const std::string json_rq = R"({"query":")" +
+                              plain.query.to_string() + R"(","top_k":5})";
+  const auto json = c->roundtrip_raw(encode_frame(h, json_rq));
+  ASSERT_TRUE(json.has_value());
+  ASSERT_EQ(json->first.type, MsgType::SearchResponse) << json->second;
+  EXPECT_EQ(canonical_json(json->second),
+            canonical_json(search_response_json(*first.response)));
+
+  // Both executed binary requests ran the batch scan and nothing else.
+  auto spans = [&](uint64_t trace_id, const std::string& name) {
+    size_t n = 0;
+    for (const obs::TraceEvent& e : sink.snapshot_events())
+      n += e.trace_id == trace_id && name == e.name ? 1 : 0;
+    return n;
+  };
+  for (uint64_t id : {101u, 102u}) {
+    EXPECT_GE(spans(id, "chunk.search_batch"), 1u) << id;
+    EXPECT_EQ(spans(id, "chunk.search_diagonal"), 0u) << id;
+  }
+  const perf::MetricsSnapshot m = lb.svc->metrics();
+  uint64_t batch32 = 0, all = 0;
+  for (const auto& isa : m.target_requests) {
+    batch32 += isa[static_cast<size_t>(perf::KernelVariant::Batch32)];
+    for (const uint64_t n : isa) all += n;
+  }
+  EXPECT_EQ(batch32, 3u);  // the default, the uncached Batch and the JSON
+  EXPECT_EQ(all, 3u);
+
+  // A banded request, in Batch mode too, takes the diagonal engine.
+  SearchRequest banded = batch;
+  core::AlignConfig cfg;
+  cfg.band = 24;
+  banded.options.config = cfg;
+  c->set_trace_id(105);
+  const auto narrow = c->search(banded);
+  ASSERT_TRUE(narrow.ok()) << narrow.error;
+  const align::SearchResult diagonal = align::engine::search_diagonal(
+      lb.db, cfg, plain.query, 5, align::ExecContext{});
+  ASSERT_FALSE(diagonal.hits.empty());
+  ASSERT_EQ(narrow.response->result.hits.size(), diagonal.hits.size());
+  for (size_t k = 0; k < diagonal.hits.size(); ++k) {
+    const align::Hit& got = narrow.response->result.hits[k];
+    EXPECT_EQ(got.seq_index, diagonal.hits[k].seq_index) << k;
+    EXPECT_EQ(got.score, diagonal.hits[k].score) << k;
+    EXPECT_EQ(got.end_query, diagonal.hits[k].end_query) << k;
+    EXPECT_EQ(got.end_ref, diagonal.hits[k].end_ref) << k;
+  }
+  EXPECT_GE(spans(105, "chunk.search_diagonal"), 1u);
+  EXPECT_EQ(spans(105, "chunk.search_batch"), 0u);
+
+  // A batch request still cannot band.
+  service::BatchRequest banded_batch;
+  banded_batch.queries = {plain.query};
+  banded_batch.options.config = cfg;
+  const auto refused = c->batch(banded_batch);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status, ServiceStatus::Unsupported) << refused.error;
 }
 
 TEST(NetServer, AlignWithTracebackMatchesInProcess) {

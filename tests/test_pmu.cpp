@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,6 +29,7 @@
 #include "obs/watchdog.hpp"
 #include "perf/freq_monitor.hpp"
 #include "perf/metrics.hpp"
+#include "pmu_lane.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -35,12 +37,14 @@ namespace swve::obs {
 namespace {
 
 /// Forces a PmuSession availability state for one test, restoring the
-/// real probe on scope exit.
+/// lane's forced state (or the real probe) on scope exit.
 struct SimulatedPmu {
   explicit SimulatedPmu(const char* mode) {
     PmuSession::instance().simulate_for_test(mode);
   }
-  ~SimulatedPmu() { PmuSession::instance().simulate_for_test(nullptr); }
+  ~SimulatedPmu() {
+    PmuSession::instance().simulate_for_test(test::lane_pmu_mode());
+  }
 };
 
 uint64_t json_u64(const std::string& json, const std::string& key) {
@@ -215,6 +219,30 @@ TEST(AlignServicePmu, UnavailableGaugeReflectsDegradation) {
   off.obs.pmu_attribution = false;
   service::AlignService svc_off(db, off);
   EXPECT_EQ(svc_off.metrics().pmu_unavailable, 0u);
+}
+
+TEST(AlignServicePmu, ForcedStatesReadUnavailable) {
+  // The obs-degraded lane forces eperm or off on the whole binary before
+  // any test runs; without a lane state, each is simulated here. Under
+  // either, a service with attribution on exports swve_pmu_unavailable 1.
+  auto unavailable = [] {
+    service::ServiceOptions opt;
+    opt.pool_threads = 1;
+    opt.obs.pmu_attribution = true;
+    service::AlignService svc(opt);
+    return svc.dump_metrics(MetricsFormat::Text)
+               .find("swve_pmu_unavailable 1\n") != std::string::npos;
+  };
+  if (const char* lane = test::lane_pmu_mode()) {
+    EXPECT_STREQ(PmuSession::instance().unavailable_reason(),
+                 std::strcmp(lane, "off") == 0 ? "disabled" : "eperm");
+    EXPECT_TRUE(unavailable()) << lane;
+    return;
+  }
+  for (const char* mode : {"eperm", "off"}) {
+    SimulatedPmu sim(mode);
+    EXPECT_TRUE(unavailable()) << mode;
+  }
 }
 
 // -------------------------------------------------------------- InFlightTable

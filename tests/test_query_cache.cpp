@@ -149,15 +149,20 @@ TEST(QueryStateCache, SearchResultsBitIdenticalWithAndWithoutCache) {
   core::AlignConfig cfg;
   auto q = seq::generate_sequence(650, 140);
   QueryStateCache cache(8);
-  for (SearchMode mode : {SearchMode::Diagonal, SearchMode::Batch}) {
-    DatabaseSearch search(db, cfg, mode);
+  const DatabaseSearch batch(db, cfg);
+  // Both engines: the diagonal one and the facade's batch scan.
+  for (bool diagonal : {true, false}) {
+    auto search = [&](const ExecContext& ctx) {
+      return diagonal ? engine::search_diagonal(db, cfg, q, 12, ctx)
+                      : batch.search(q, 12, ctx);
+    };
     ExecContext plain;
     ExecContext cached;
     cached.query_cache = &cache;
-    SearchResult a = search.search(q, 12, plain);
+    SearchResult a = search(plain);
     // Twice through the cache: the second run hits the LRU.
-    SearchResult b = search.search(q, 12, cached);
-    SearchResult c = search.search(q, 12, cached);
+    SearchResult b = search(cached);
+    SearchResult c = search(cached);
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (size_t k = 0; k < a.hits.size(); ++k) {
       EXPECT_EQ(a.hits[k].seq_index, b.hits[k].seq_index) << k;

@@ -9,6 +9,7 @@
 // admission rule for small pairwise requests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -167,12 +168,24 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
   auto db = make_db(120'000);
   auto q = seq::generate_sequence(90, 150);
 
+  // The facade, the diagonal engine and the service (in either wire mode)
+  // return the same hits.
+  align::ExecContext none;
+  const align::SearchResult diagonal = align::engine::search_diagonal(
+      db, align::AlignConfig{}, q, 10, none);
   for (unsigned threads : {1u, 2u, 3u}) {
     for (align::SearchMode mode :
          {align::SearchMode::Diagonal, align::SearchMode::Batch}) {
       parallel::ThreadPool pool(threads);
-      align::DatabaseSearch direct(db, align::AlignConfig{}, mode);
+      align::DatabaseSearch direct(db, align::AlignConfig{});
       align::SearchResult want = direct.search(q, 10, &pool);
+      ASSERT_EQ(want.hits.size(), diagonal.hits.size());
+      for (size_t k = 0; k < want.hits.size(); ++k) {
+        EXPECT_EQ(want.hits[k].seq_index, diagonal.hits[k].seq_index) << k;
+        EXPECT_EQ(want.hits[k].score, diagonal.hits[k].score) << k;
+        EXPECT_EQ(want.hits[k].end_query, diagonal.hits[k].end_query) << k;
+        EXPECT_EQ(want.hits[k].end_ref, diagonal.hits[k].end_ref) << k;
+      }
 
       ServiceOptions opt;
       opt.pool_threads = threads;
@@ -182,6 +195,7 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
       rq.mode = mode;
       rq.options.top_k = 10;
       SearchResponse got = get_ok(submit_future(svc, std::move(rq)));
+      EXPECT_EQ(got.result.batch_stats.cells8, want.batch_stats.cells8);
 
       ASSERT_EQ(got.result.hits.size(), want.hits.size())
           << threads << " threads, mode " << static_cast<int>(mode);
@@ -199,7 +213,7 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
 
 TEST(AlignService, BatchMatchesPerQuerySearchForEveryThreadCount) {
   // A batch is one scan of all its queries; each query's result is the
-  // Batch-mode search of that query alone, without its end cells.
+  // search of that query alone, without its end cells.
   auto db = make_db(100'000);
   std::vector<seq::Sequence> queries = seq::make_query_ladder(33, 6, 60, 300);
 
@@ -221,7 +235,6 @@ TEST(AlignService, BatchMatchesPerQuerySearchForEveryThreadCount) {
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         SearchRequest srq;
         srq.query = queries[qi];
-        srq.mode = align::SearchMode::Batch;
         srq.options.top_k = 5;
         const align::SearchResult want =
             get_ok(submit_future(svc, std::move(srq))).result;
@@ -283,15 +296,11 @@ TEST(AlignService, MatrixWithoutRowsForTheResiduesIsRejected) {
   EXPECT_EQ(failure_code(pf), Code::Unsupported);
 
   // A DNA query: the protein database is what the matrix cannot score.
-  for (align::SearchMode mode :
-       {align::SearchMode::Diagonal, align::SearchMode::Batch}) {
-    SearchRequest rq;
-    rq.query = seq::generate_sequence(95, 60, seq::AlphabetKind::Dna);
-    rq.mode = mode;
-    rq.options.config = dna;
-    auto f = submit_future(svc, std::move(rq));
-    EXPECT_EQ(failure_code(f), Code::Unsupported);
-  }
+  SearchRequest rq;
+  rq.query = seq::generate_sequence(95, 60, seq::AlphabetKind::Dna);
+  rq.options.config = dna;
+  auto f = submit_future(svc, std::move(rq));
+  EXPECT_EQ(failure_code(f), Code::Unsupported);
   BatchRequest batch;
   batch.queries.push_back(seq::generate_sequence(96, 60, seq::AlphabetKind::Dna));
   batch.options.config = dna;
@@ -349,24 +358,20 @@ TEST(AlignService, TracebackOverTheCellCapIsRejectedBeforeItRuns) {
 }
 
 TEST(AlignService, DiagonalSearchCountsEachSweepsCells) {
-  // pair_align picks the sweep by the query: one of 60 residues runs the
-  // column sweep (where the host has AVX-512 VBMI) against every target,
-  // whatever its length, and one longer than core::kColumnSweepMaxQuery
-  // the diagonal kernel. The metrics count each sweep's cells under its
-  // own target.
+  // pair_align picks the sweep by the query: in the diagonal engine, one of
+  // 60 residues runs the column sweep (where the host has AVX-512 VBMI)
+  // against every target, whatever its length, and one longer than
+  // core::kColumnSweepMaxQuery the diagonal kernel.
   auto db = make_db(60'000);
-  ServiceOptions opt;
-  opt.pool_threads = 2;
-  AlignService svc(db, opt);
-  auto search = [&](uint32_t length) {
-    SearchRequest rq;
-    rq.query = seq::generate_sequence(91, length);
-    rq.mode = align::SearchMode::Diagonal;
-    return get_ok(submit_future(svc, std::move(rq))).result.stats;
+  auto engine = [&](uint32_t length) {
+    return align::engine::search_diagonal(
+               db, core::AlignConfig{}, seq::generate_sequence(91, length), 10,
+               align::ExecContext{})
+        .stats;
   };
-  const core::KernelStats short_q = search(60);
+  const core::KernelStats short_q = engine(60);
   const core::KernelStats long_q =
-      search(static_cast<uint32_t>(core::kColumnSweepMaxQuery) + 40);
+      engine(static_cast<uint32_t>(core::kColumnSweepMaxQuery) + 40);
   uint64_t residues = 0;
   for (size_t s = 0; s < db.size(); ++s) residues += db[s].length();
   const bool column =
@@ -375,18 +380,41 @@ TEST(AlignService, DiagonalSearchCountsEachSweepsCells) {
   EXPECT_EQ(long_q.column_cells, 0u);
   EXPECT_GT(long_q.cells, 0u);
 
+  // The service counts each kernel's cells under its own target: a banded
+  // search runs the diagonal engine (the column sweep cannot band either),
+  // an unbanded one the batch scan.
+  ServiceOptions opt;
+  opt.pool_threads = 2;
+  AlignService svc(db, opt);
+  auto search = [&](int band) {
+    SearchRequest rq;
+    rq.query = seq::generate_sequence(91, 60);
+    core::AlignConfig cfg;
+    cfg.band = band;
+    rq.options.config = cfg;
+    return get_ok(submit_future(svc, std::move(rq))).result.stats;
+  };
+  const core::KernelStats banded = search(16);
+  const core::KernelStats unbanded = search(-1);
+  EXPECT_EQ(banded.column_cells, 0u);
+  EXPECT_GT(banded.cells, 0u);
+  EXPECT_GE(unbanded.cells, 60 * residues);
+
   const perf::MetricsSnapshot m = svc.metrics();
-  uint64_t col_cells = 0, diag_cells = 0, col_reqs = 0, diag_reqs = 0;
-  for (size_t i = 0; i < m.target_cells.size(); ++i) {
-    col_cells += m.target_cells[i][static_cast<size_t>(perf::KernelVariant::Column)];
-    diag_cells += m.target_cells[i][static_cast<size_t>(perf::KernelVariant::Diagonal)];
-    col_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Column)];
-    diag_reqs += m.target_requests[i][static_cast<size_t>(perf::KernelVariant::Diagonal)];
-  }
-  EXPECT_EQ(col_cells, short_q.column_cells);
-  EXPECT_EQ(diag_cells, short_q.cells - short_q.column_cells + long_q.cells);
-  EXPECT_EQ(col_reqs, column ? 1u : 0u);
-  EXPECT_EQ(diag_reqs, column ? 1u : 2u);
+  std::array<uint64_t, perf::MetricsSnapshot::kKernelVariants> cells{},
+      reqs{};
+  for (size_t i = 0; i < m.target_cells.size(); ++i)
+    for (size_t k = 0; k < cells.size(); ++k) {
+      cells[k] += m.target_cells[i][k];
+      reqs[k] += m.target_requests[i][k];
+    }
+  const auto at = [](perf::KernelVariant v) { return static_cast<size_t>(v); };
+  EXPECT_EQ(cells[at(perf::KernelVariant::Column)], 0u);
+  EXPECT_EQ(cells[at(perf::KernelVariant::Diagonal)], banded.cells);
+  EXPECT_EQ(cells[at(perf::KernelVariant::Batch32)], unbanded.cells);
+  EXPECT_EQ(reqs[at(perf::KernelVariant::Column)], 0u);
+  EXPECT_EQ(reqs[at(perf::KernelVariant::Diagonal)], 1u);
+  EXPECT_EQ(reqs[at(perf::KernelVariant::Batch32)], 1u);
 }
 
 TEST(AlignService, ShutdownFailsQueuedRequests) {
@@ -549,12 +577,17 @@ TEST(AlignService, TraceSinkCapturesRequestSpans) {
   AlignService svc(db, opt);
 
   AlignResponse presp = get_ok(submit_future(svc, pairwise_request(300)));
+  // A banded search runs the diagonal engine, an unbanded one the batch
+  // scan.
   SearchRequest srq;
   srq.query = seq::generate_sequence(90, 120);
+  core::AlignConfig banded;
+  banded.band = 32;
+  srq.options.config = banded;
   SearchResponse sresp = get_ok(submit_future(svc, std::move(srq)));
-  srq.query = seq::generate_sequence(91, 120);
-  srq.mode = align::SearchMode::Batch;
-  SearchResponse bresp = get_ok(submit_future(svc, std::move(srq)));
+  SearchRequest brq;
+  brq.query = seq::generate_sequence(91, 120);
+  SearchResponse bresp = get_ok(submit_future(svc, std::move(brq)));
 
   EXPECT_NE(presp.trace.trace_id, sresp.trace.trace_id);
   EXPECT_GT(presp.trace.trace_id, 0u);
@@ -648,17 +681,19 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
   // then doubles the deadline instead of racing the clock. It passes on the
   // engine's chunk span that opened before `before + deadline` (the
   // service's deadline is later still) and carries TruncCause::Deadline.
-  // Cases: Diagonal search, Batch search, and a batch of that one query.
+  // Cases: a banded search (the diagonal engine; the band still leaves
+  // most of every pair's cells), an unbanded search (the batch scan), and
+  // a batch of that one query.
   auto db = make_db(2'000'000);
   const seq::Sequence q = seq::generate_sequence(90, 4000);
   struct Case {
     const char* label;
-    std::optional<align::SearchMode> search_mode;  // nullopt: BatchRequest
+    std::optional<int> band;  // search request's band; nullopt: BatchRequest
     const char* chunk;
   };
   for (const Case& c :
-       {Case{"diagonal", align::SearchMode::Diagonal, "chunk.search_diagonal"},
-        Case{"batch search", align::SearchMode::Batch, "chunk.search_batch"},
+       {Case{"banded search", 2000, "chunk.search_diagonal"},
+        Case{"search", -1, "chunk.search_batch"},
         Case{"batch", std::nullopt, "chunk.search_batch"}}) {
     obs::TraceSink sink;
     ServiceOptions opt;
@@ -674,8 +709,13 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
       ro.trace_id = ++id;
       const uint64_t expiry_ns = sink.now_ns() + 1'000'000 * deadline.count();
       std::optional<core::ConfigError> err;
-      if (c.search_mode) {
-        SearchRequest rq{q, *c.search_mode, ro};
+      if (c.band) {
+        core::AlignConfig cfg;
+        cfg.band = *c.band;
+        ro.config = cfg;
+        SearchRequest rq;
+        rq.query = q;
+        rq.options = ro;
         const auto out = submit_future(svc, std::move(rq)).get();
         if (!out.ok()) err = out.error();
       } else {
@@ -955,7 +995,6 @@ TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
     for (uint64_t s = 0; !stop.load(); ++s) {
       SearchRequest rq;
       rq.query = seq::generate_sequence(500 + s, 120);
-      rq.mode = align::SearchMode::Batch;
       EXPECT_TRUE(submit_future(svc, std::move(rq)).get().ok());
     }
   });
@@ -1086,7 +1125,6 @@ TEST(AlignService, SmallPairQueuesBehindAnExecutorHoldingABatchSearch) {
 
   SearchRequest search;
   search.query = seq::generate_sequence(460, 120);
-  search.mode = align::SearchMode::Batch;
   auto fs = submit_future(svc, std::move(search));
   entered.wait();  // the executor now holds the Batch search
   bool done = false;

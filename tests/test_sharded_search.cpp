@@ -118,7 +118,7 @@ TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
     for (int s : {1, 2, 3, 7}) {
-      DatabaseSearch search(db, cfg, SearchMode::Batch, policy,
+      DatabaseSearch search(db, cfg, policy,
                             shards_of(s, 4));
       ASSERT_GE(search.packed_db()->batch_count(), 7u)
           << "workload too small to exercise S=7";
@@ -196,12 +196,12 @@ TEST(ShardedSearch, MultiQueryScanMatchesScalarGolden) {
 TEST(ShardedSearch, ScanScoresAgreeWithDatabaseSearch) {
   auto db = make_db(50'000, 25);
   const AlignConfig cfg;
-  DatabaseSearch search(db, cfg);
   auto queries = seq::make_query_ladder(30, 4, 40, 300);
   auto results = scan_one_shard(db, cfg, queries, 8);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    SearchResult direct = search.search(queries[qi], 8);
+    SearchResult direct =
+        engine::search_diagonal(db, cfg, queries[qi], 8, ExecContext{});
     const SearchResult& scanned = results[qi];
     ASSERT_EQ(scanned.hits.size(), direct.hits.size()) << "query " << qi;
     for (size_t k = 0; k < direct.hits.size(); ++k) {
@@ -288,7 +288,7 @@ TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
 
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
-    DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch, policy);
+    DatabaseSearch one(db, core::AlignConfig{}, policy);
     parallel::ThreadPool pool(4);
     SearchResult want = one.search(q, 12, &pool);
     for (int s : {2, 3}) {
@@ -297,7 +297,7 @@ TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
                                   " s" + std::to_string(s) + " w" +
                                   std::to_string(per_shard);
         DatabaseSearch sharded(
-            db, core::AlignConfig{}, SearchMode::Batch, policy,
+            db, core::AlignConfig{}, policy,
             shards_of(s, per_shard * static_cast<unsigned>(s)));
         const ShardedSearch* sh = sharded.sharded();
         bool uneven = false;
@@ -345,7 +345,7 @@ TEST(ShardedSearch, PlanShardsIsContiguousCompleteAndNonEmpty) {
 
 TEST(ShardedSearch, RaggedLastShardStillIdentical) {
   auto db = make_db(60'000, 7);
-  DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch);
+  DatabaseSearch one(db, core::AlignConfig{});
   const size_t n = one.packed_db()->batch_count();
   ASSERT_GE(n, 3u);
   auto q = seq::generate_sequence(91, 120);
@@ -353,7 +353,7 @@ TEST(ShardedSearch, RaggedLastShardStillIdentical) {
 
   // n-1 shards forces a deliberately lopsided plan: n-2 singleton shards
   // plus whatever the planner leaves for the tail.
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+  DatabaseSearch sharded(db, core::AlignConfig{},
                          core::PackingPolicy::LengthSorted,
                          shards_of(static_cast<int>(n - 1), 2));
   expect_same_hits(sharded.search(q, 10), want, "ragged");
@@ -370,7 +370,7 @@ TEST(ShardedSearch, DuplicateScoresKeepTieBreakOrder) {
   for (int i = 0; i < 40; ++i) seqs.push_back(dup);
   seq::SequenceDatabase db(std::move(seqs));
 
-  DatabaseSearch one(db, core::AlignConfig{}, SearchMode::Batch);
+  DatabaseSearch one(db, core::AlignConfig{});
   // The query *is* the duplicated sequence, so every clone scores the same
   // self-alignment score and floods the top-k with ties.
   SearchResult want = one.search(dup, 25);
@@ -384,7 +384,7 @@ TEST(ShardedSearch, DuplicateScoresKeepTieBreakOrder) {
   EXPECT_TRUE(saw_tie);
 
   for (int s : {2, 3}) {
-    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+    DatabaseSearch sharded(db, core::AlignConfig{},
                            core::PackingPolicy::LengthSorted, shards_of(s, 3));
     expect_same_hits(sharded.search(dup, 25), want,
                      "ties s" + std::to_string(s));
@@ -431,12 +431,12 @@ TEST(ShardedSearch, OneShardServesEmptyDatabasesAndQueries) {
       Code::Unsupported);
 
   parallel::ThreadPool pool(2);
-  const DatabaseSearch empty(empty_db, core::AlignConfig{}, SearchMode::Batch);
+  const DatabaseSearch empty(empty_db, core::AlignConfig{});
   auto q = seq::generate_sequence(98, 80);
   EXPECT_TRUE(empty.search(q, 10, &pool).hits.empty());
   EXPECT_TRUE(empty.search(q, 10).hits.empty());
   auto db = make_db(20'000, 5);
-  const SearchResult r = DatabaseSearch(db, core::AlignConfig{}, SearchMode::Batch)
+  const SearchResult r = DatabaseSearch(db, core::AlignConfig{})
                              .search(seq::SeqView{}, 10, &pool);
   EXPECT_TRUE(r.hits.empty());
   EXPECT_FALSE(r.truncated);
@@ -494,7 +494,7 @@ TEST(ShardedSearch, CancellationAndDeadlineTruncateCleanly) {
   parallel::ThreadPool pool(3);
   for (int s : {1, 3}) {
     SCOPED_TRACE(::testing::Message() << "s" << s);
-    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+    DatabaseSearch sharded(db, core::AlignConfig{},
                            core::PackingPolicy::LengthSorted, shards_of(s, 3));
     std::atomic<bool> cancel{true};  // cancelled before the first batch
     ExecContext cancelled;
@@ -522,7 +522,7 @@ TEST(ShardedSearch, ConcurrentSearchesOnOneInstance) {
   // shards on their own pools.
   parallel::ThreadPool pool(3);
   for (int s : {1, 3}) {
-    DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+    DatabaseSearch sharded(db, core::AlignConfig{},
                            core::PackingPolicy::LengthSorted, shards_of(s, 3));
     SearchResult want = sharded.search(q, 10, &pool);
 
@@ -620,7 +620,7 @@ TEST(ShardedSearch, MappedTwoShardsMatchOwnedOneShard) {
 
 TEST(ShardedSearch, StatsAttributeWorkToEveryShard) {
   auto db = make_db(50'000, 17);
-  DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+  DatabaseSearch sharded(db, core::AlignConfig{},
                          core::PackingPolicy::LengthSorted, shards_of(3, 3));
   auto q = seq::generate_sequence(95, 140);
   sharded.search(q, 10);
@@ -641,6 +641,30 @@ TEST(ShardedSearch, StatsAttributeWorkToEveryShard) {
   EXPECT_EQ(total_seqs, db.size());
 }
 
+TEST(ShardedSearch, ScanWithoutPmuSessionCountsWallTimeOnly) {
+  // No PMU session on the context (attribution off): the workers read no
+  // counters, whatever the host offers, and still account their time.
+  auto db = make_db(50'000, 17);
+  for (int shards : {1, 3}) {
+    DatabaseSearch search(db, core::AlignConfig{},
+                          core::PackingPolicy::LengthSorted,
+                          shards_of(shards, 3));
+    parallel::ThreadPool pool(2);
+    ExecContext ctx;
+    ctx.pool = &pool;
+    ASSERT_EQ(ctx.trace.pmu, nullptr);
+    search.search(seq::generate_sequence(97, 140), 10, ctx);
+    const ShardedSearch* sh = search.sharded();
+    ASSERT_NE(sh, nullptr);
+    for (size_t i = 0; i < sh->shard_count(); ++i) {
+      const ShardStats st = sh->shard_stats(i);
+      EXPECT_EQ(st.cycles, 0u) << shards << " shards, shard " << i;
+      EXPECT_EQ(st.llc_misses, 0u) << shards << " shards, shard " << i;
+      EXPECT_GT(st.busy_seconds, 0.0) << shards << " shards, shard " << i;
+    }
+  }
+}
+
 TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   auto db = make_db(60'000, 19);
   auto q = seq::generate_sequence(96, 150);
@@ -652,7 +676,6 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   service::AlignService one_svc(db, plain);
   service::SearchRequest rq;
   rq.query = q;
-  rq.mode = SearchMode::Batch;
   rq.options.top_k = 10;
   service::SearchResponse want = service::submit_future(one_svc, std::move(rq)).get().value();
   const perf::MetricsSnapshot one_m = one_svc.metrics();
@@ -675,7 +698,6 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
 
   service::SearchRequest srq;
   srq.query = q;
-  srq.mode = SearchMode::Batch;
   srq.options.top_k = 10;
   service::SearchResponse got = service::submit_future(svc, std::move(srq)).get().value();
   expect_same_hits(got.result, want.result, "service");
