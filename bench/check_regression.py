@@ -7,7 +7,8 @@ Compares a fresh ``fig13_scenarios --json`` report against the committed
 runners are noisy shared machines, so this lane never fails the build on a
 slowdown -- it annotates the run so a human looks at the artifact.
 Structural problems (missing file, malformed JSON, a correctness sentinel
--- ``packing/topk_identical``, ``shard/topk_identical``,
+-- ``packing/topk_identical`` (the batch search on a length-skewed
+database vs the diagonal engine), ``shard/topk_identical``,
 ``serve/topk_identical``, or ``db/topk_identical`` -- flipping to 0, or a
 baseline metric missing from the new report) DO fail, because those are
 bugs, not noise.
@@ -51,11 +52,13 @@ def main():
               file=sys.stderr)
         return 2
 
-    # Correctness sentinels: packing policies and shard counts must each
-    # agree on the top-k, responses decoded off the serving wire must match
-    # in-process submissions, and a search through an mmap'd swve db
-    # artifact must return the owned packing's exact hits.
-    for sentinel, what in (("packing/topk_identical", "policies"),
+    # Correctness sentinels: the batch search on the length-skewed database
+    # and at every shard count must agree with the diagonal engine on the
+    # top-k, responses decoded off the serving wire must match in-process
+    # submissions, and a search through an mmap'd swve db artifact must
+    # return the owned packing's exact hits.
+    for sentinel, what in (("packing/topk_identical",
+                            "skewed-db batch search vs diagonal engine"),
                            ("shard/topk_identical",
                             "batch search at S=1,2 vs diagonal engine"),
                            ("serve/topk_identical", "wire vs in-process"),

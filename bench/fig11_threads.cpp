@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
       sopt.shards = static_cast<int>(std::min(S, batches));
       sopt.numa = topo.multi_node() ? parallel::NumaPolicy::Bind
                                     : parallel::NumaPolicy::Off;
-      align::DatabaseSearch search(w.db, bcfg,
-                                   core::PackingPolicy::LengthSorted, sopt);
+      align::DatabaseSearch search(w.db, bcfg, sopt);
       const align::ShardedSearch* sh = search.sharded();
       const size_t got = sh->shard_count();
       // The shards read hardware counters only through the context's PMU

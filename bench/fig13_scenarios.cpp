@@ -4,9 +4,10 @@
 //      every query; (query, chunk) items fan out across threads);
 //   3. many small query/reference pairs (SW as a subroutine, reusable
 //      aligner, working set in cache).
-// Plus a packing-policy comparison: the same batch search over a
-// length-skewed database under DbOrder / LengthSorted / LengthBinned,
-// verifying the top-k is bit-identical while GCUPS and padding differ.
+// Plus a packing section: the batch search over a length-skewed database,
+// reporting the length-sorted layout's padding efficiency and GCUPS and
+// verifying its top-k against engine::search_diagonal, an independent
+// engine.
 //
 // Paper findings: larger queries => higher GCUPS; accumulating queries and
 // batching (scenario 2) roughly doubles efficiency in some cases.
@@ -46,6 +47,21 @@
 using namespace swve;
 using bench::BenchArgs;
 using bench::Workload;
+
+namespace {
+
+/// Same hits, scores and end cells, in the same order.
+bool same_topk(const align::SearchResult& got, const align::SearchResult& ref) {
+  bool same = got.hits.size() == ref.hits.size();
+  for (size_t i = 0; same && i < ref.hits.size(); ++i)
+    same = got.hits[i].seq_index == ref.hits[i].seq_index &&
+           got.hits[i].score == ref.hits[i].score &&
+           got.hits[i].end_query == ref.hits[i].end_query &&
+           got.hits[i].end_ref == ref.hits[i].end_ref;
+  return same;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::parse(argc, argv);
@@ -151,10 +167,9 @@ int main(int argc, char** argv) {
                      "Fig 13 / packing: batch search on a length-skewed database");
   {
     // Adversarial length mix for the batch32 kernel: mostly short proteins
-    // plus a handful of multi-thousand-residue outliers. Packed in database
-    // order, every batch containing an outlier pads all other lanes to its
-    // length; length-aware packing confines that cost to the outliers' own
-    // batches.
+    // plus a handful of multi-thousand-residue outliers. Any batch holding
+    // an outlier pads its other lanes to the outlier's length; the
+    // length-sorted layout confines that cost to the outliers' own batch.
     std::mt19937_64 rng(args.seed + 7);
     std::vector<seq::Sequence> seqs;
     const int n_short = args.quick ? 400 : 1200;
@@ -162,8 +177,8 @@ int main(int argc, char** argv) {
     const uint32_t long_len = args.quick ? 4000 : 6000;
     for (int i = 0; i < n_short; ++i)
       seqs.push_back(seq::generate_sequence(rng(), 40 + static_cast<uint32_t>(rng() % 90)));
-    // Scatter the outliers through the database so DbOrder pays for them in
-    // several different batches.
+    // Scatter the outliers through the database, so only a length-aware
+    // layout groups them.
     for (int i = 0; i < n_long; ++i) {
       auto pos = seqs.begin() +
                  static_cast<std::ptrdiff_t>(rng() % (seqs.size() + 1));
@@ -172,54 +187,30 @@ int main(int argc, char** argv) {
     seq::SequenceDatabase skewed(std::move(seqs));
     seq::Sequence query = seq::generate_sequence(args.seed + 8, 512);
 
-    struct PolicyRun {
-      core::PackingPolicy policy;
-      double gcups = 0;
-      double efficiency = 0;
-    };
-    std::vector<PolicyRun> runs = {{core::PackingPolicy::DbOrder},
-                                   {core::PackingPolicy::LengthSorted},
-                                   {core::PackingPolicy::LengthBinned}};
-    std::vector<align::Hit> reference;
-    bool identical = true;
-    const int reps = args.quick ? 3 : 5;
-    for (auto& run : runs) {
-      align::DatabaseSearch search(skewed, cfg, run.policy);
-      run.efficiency = search.packed_db()->packing_efficiency();
-      align::SearchResult best = search.search(query, 10, &pool);  // warm-up
-      if (reference.empty()) {
-        reference = best.hits;
-      } else if (best.hits.size() != reference.size()) {
-        identical = false;
-      } else {
-        for (size_t i = 0; i < reference.size(); ++i)
-          if (best.hits[i].seq_index != reference[i].seq_index ||
-              best.hits[i].score != reference[i].score)
-            identical = false;
-      }
-      for (int r = 0; r < reps; ++r) {
-        align::SearchResult res = search.search(query, 10, &pool);
-        run.gcups = std::max(run.gcups, res.gcups());
-      }
-    }
+    align::ExecContext pooled;
+    pooled.pool = &pool;
+    const align::SearchResult ref =
+        align::engine::search_diagonal(skewed, cfg, query, 10, pooled);
+    const align::DatabaseSearch search(skewed, cfg);
+    const double efficiency = search.packed_db()->packing_efficiency();
+    const bool identical =
+        same_topk(search.search(query, 10, &pool), ref);  // also the warm-up
+    double gcups = 0;
+    for (int r = 0, reps = args.quick ? 3 : 5; r < reps; ++r)
+      gcups = std::max(gcups, search.search(query, 10, &pool).gcups());
 
-    perf::Table t({"packing policy", "efficiency", "GCUPS", "vs db-order"});
-    for (const auto& run : runs) {
-      t.row({core::packing_policy_name(run.policy),
-             perf::Table::num(100.0 * run.efficiency, 1) + "%",
-             perf::Table::num(run.gcups, 2),
-             perf::Table::num(run.gcups / runs[0].gcups, 2)});
-      std::string key = std::string("packing/") +
-                        core::packing_policy_name(run.policy);
-      report.add(key + "_gcups", run.gcups);
-      report.add(key + "_efficiency", run.efficiency);
-    }
+    perf::Table t({"layout", "efficiency", "GCUPS"});
+    t.row({"length-sorted", perf::Table::num(100.0 * efficiency, 1) + "%",
+           perf::Table::num(gcups, 2)});
     t.print(std::cout);
-    std::cout << "top-k identical across policies: " << (identical ? "yes" : "NO")
-              << "\n";
+    std::cout << "top-k identical to the diagonal engine: "
+              << (identical ? "yes" : "NO") << "\n";
+    report.add("packing/length-sorted_gcups", gcups);
+    report.add("packing/length-sorted_efficiency", efficiency);
     report.add("packing/topk_identical", identical ? 1 : 0);
     if (!identical) {
-      std::cerr << "FAIL: packing policies disagree on top-k\n";
+      std::cerr << "FAIL: batch search disagrees with the diagonal engine on "
+                   "the skewed database's top-k\n";
       return 1;
     }
   }
@@ -244,13 +235,7 @@ int main(int argc, char** argv) {
     bool identical = true;
     // Best-of-reps GCUPS after a warm-up search whose top-k must equal ref.
     auto measure = [&](const align::DatabaseSearch& search) {
-      const align::SearchResult got = search.search(query, 10, &pool);
-      identical = identical && got.hits.size() == ref.hits.size();
-      for (size_t i = 0; identical && i < ref.hits.size(); ++i)
-        identical = got.hits[i].seq_index == ref.hits[i].seq_index &&
-                    got.hits[i].score == ref.hits[i].score &&
-                    got.hits[i].end_query == ref.hits[i].end_query &&
-                    got.hits[i].end_ref == ref.hits[i].end_ref;
+      identical = same_topk(search.search(query, 10, &pool), ref) && identical;
       double gcups = 0;
       for (int r = 0; r < reps; ++r)
         gcups = std::max(gcups, search.search(query, 10, &pool).gcups());
@@ -264,8 +249,7 @@ int main(int argc, char** argv) {
     for (int s = 1; s <= 2; ++s) {
       sopt.shards = static_cast<int>(std::min<size_t>(
           static_cast<size_t>(s), flat.packed_db()->batch_count()));
-      const align::DatabaseSearch search(
-          w.db, cfg, core::PackingPolicy::LengthSorted, sopt);
+      const align::DatabaseSearch search(w.db, cfg, sopt);
       shard_count[s - 1] = search.sharded()->shard_count();
       shard_gcups[s - 1] = measure(search);
     }

@@ -123,14 +123,13 @@ SearchResult search_database(const seq::SequenceDatabase& db,
 }
 
 DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
-                               core::PackingPolicy packing,
                                const ShardOptions& sharding)
     : db_(&db), cfg_(cfg) {
   cfg_.validate();
   cfg_.traceback = false;  // scoring pass; re-align hits for traceback
   if (cfg_.band >= 0) return;  // the batch kernel cannot band
   bdb_ = std::make_unique<core::Batch32Db>(
-      db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)), packing);
+      db, core::batch_lanes_for(simd::resolve_isa(cfg_.isa)));
   packed_ = bdb_.get();
   sharded_ = make_sharded(db, *packed_, sharding);
 }

@@ -129,12 +129,10 @@ class DatabaseSearch {
  public:
   /// An unbanded config packs the database for its resolved ISA
   /// (core::batch_lanes_for); a banded one packs nothing and searches with
-  /// the diagonal engine. `packing` selects how; every policy returns
-  /// identical hits and scores — see core::PackingPolicy. `sharding`
-  /// splits the batch scan, with the same hits for every shard count;
-  /// std::invalid_argument when ShardedSearch::create refuses it.
+  /// the diagonal engine. `sharding` splits the batch scan, with the same
+  /// hits for every shard count; std::invalid_argument when
+  /// ShardedSearch::create refuses it.
   DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
-                 core::PackingPolicy packing = core::PackingPolicy::LengthSorted,
                  const ShardOptions& sharding = {});
 
   /// Facade over an externally-owned packed database (the mmap'd-artifact
@@ -160,7 +158,7 @@ class DatabaseSearch {
                       const ExecContext& ctx) const;
 
   /// The packed database (null for a banded owning facade); exposes
-  /// packing efficiency and policy for metrics/benchmarks. Owned or
+  /// packing efficiency for metrics/benchmarks. Owned or
   /// external, depending on the constructor used.
   const core::Batch32Db* packed_db() const noexcept { return packed_; }
 

@@ -69,8 +69,8 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
   // Auto degrades, never errors.
   if (shards == 0) shards = clamp_shard_count(s->topo_.node_count(), batches);
   // Shards are contiguous batch ranges of equal padded cells (max_len *
-  // lanes, what the kernel walks per query residue), so length-sorted
-  // packings don't starve the short-sequence shards. One shard (also auto's
+  // lanes, what the kernel walks per query residue), so the length-sorted
+  // packing doesn't starve the short-sequence shards. One shard (also auto's
   // answer for an empty database) owns no pool or placement: it runs on the
   // caller's.
   const auto ranges =

@@ -3,10 +3,10 @@
 // query batch, sharded or not, runs here, with NUMA-aware placement and a
 // bit-identical top-k merge.
 //
-// ShardedSearch splits a Batch32Db into S shards *between* batches (batches
-// are the packing's length bins, so packing efficiency survives the split
-// untouched) and scans all shards concurrently into bounded per-worker,
-// per-query top-k heaps. Inside a shard, the workers pull cost-balanced
+// ShardedSearch splits a Batch32Db into S shards *between* batches (a batch
+// is never split, so packing efficiency survives the split untouched) and
+// scans all shards concurrently into bounded per-worker, per-query top-k
+// heaps. Inside a shard, the workers pull cost-balanced
 // (query, chunk) items of the shard's range from one cursor
 // (align/batch_scan.hpp). scan() stops there, with score-only hits;
 // search() adds phase 2, the exact re-alignment of one query's winners for
@@ -26,8 +26,8 @@
 // is a unique set whatever the partition shape, so merging each query's
 // per-worker heaps at the end — SWAPHI's shard/merge shape, with NUMA
 // nodes playing the coprocessor cards — returns the same hits for every
-// shard count, pool size and packing policy. tests/test_sharded_search.cpp
-// checks that against a scalar golden top-k.
+// shard count and pool size. tests/test_sharded_search.cpp checks that
+// against a scalar golden top-k.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/batch32.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "core/batch32_kernel.hpp"
@@ -9,63 +8,12 @@
 
 namespace swve::core {
 
-const char* packing_policy_name(PackingPolicy p) noexcept {
-  switch (p) {
-    case PackingPolicy::DbOrder: return "db-order";
-    case PackingPolicy::LengthSorted: return "length-sorted";
-    case PackingPolicy::LengthBinned: return "length-binned";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Sequence order the batches are cut from, per policy.
-std::vector<uint32_t> packing_order(const seq::SequenceDatabase& db,
-                                    PackingPolicy policy) {
-  switch (policy) {
-    case PackingPolicy::LengthSorted:
-      return db.by_length();  // ascending length: minimal padding
-    case PackingPolicy::DbOrder: {
-      std::vector<uint32_t> order(db.size());
-      for (size_t s = 0; s < db.size(); ++s)
-        order[s] = static_cast<uint32_t>(s);
-      return order;
-    }
-    case PackingPolicy::LengthBinned: {
-      // Geometric bins: bin b holds lengths in [2^b, 2^(b+1)), so every
-      // batch mixes lengths within at most 2x. A counting pass sizes the
-      // bins, then a stable scatter preserves database order inside each.
-      auto bin_of = [](size_t len) {
-        return len == 0 ? 0 : static_cast<int>(std::bit_width(len)) - 1;
-      };
-      int max_bin = 0;
-      for (size_t s = 0; s < db.size(); ++s)
-        max_bin = std::max(max_bin, bin_of(db[s].length()));
-      std::vector<size_t> bin_start(static_cast<size_t>(max_bin) + 2, 0);
-      for (size_t s = 0; s < db.size(); ++s)
-        ++bin_start[static_cast<size_t>(bin_of(db[s].length())) + 1];
-      for (size_t b = 1; b < bin_start.size(); ++b)
-        bin_start[b] += bin_start[b - 1];
-      std::vector<uint32_t> order(db.size());
-      for (size_t s = 0; s < db.size(); ++s)
-        order[bin_start[static_cast<size_t>(bin_of(db[s].length()))]++] =
-            static_cast<uint32_t>(s);
-      return order;
-    }
-  }
-  return db.by_length();
-}
-
-}  // namespace
-
-Batch32Db::Batch32Db(const seq::SequenceDatabase& db, int lanes,
-                     PackingPolicy policy)
-    : lanes_(lanes), policy_(policy) {
+Batch32Db::Batch32Db(const seq::SequenceDatabase& db, int lanes)
+    : lanes_(lanes) {
   if (lanes != 32 && lanes != 64)
     throw std::invalid_argument("Batch32Db: lanes must be 32 or 64");
   total_seqs_ = db.size();
-  const std::vector<uint32_t> order = packing_order(db, policy);
+  const std::vector<uint32_t>& order = db.by_length();
 
   for (size_t start = 0; start < order.size(); start += static_cast<size_t>(lanes)) {
     const size_t count = std::min(static_cast<size_t>(lanes), order.size() - start);
@@ -115,7 +63,6 @@ Batch32Db::Batch32Db(const seq::SequenceDatabase& db, int lanes,
 
 Batch32Db::Batch32Db(const PackedView& view)
     : lanes_(view.lanes),
-      policy_(view.policy),
       view_(true),
       total_seqs_(view.total_seqs),
       real_residues_(view.real_residues),

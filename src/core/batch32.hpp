@@ -28,28 +28,6 @@ namespace swve::core {
 
 class PreparedQuery;  // core/prepared_query.hpp
 
-/// How Batch32Db orders sequences across batches. Every policy keeps the
-/// seq_index indirection, so scores always land at original database
-/// indices and results are bit-identical across policies — only the DP work
-/// spent on padding differs.
-enum class PackingPolicy : uint8_t {
-  /// Database order. Every batch pays max_len over a mixed-length group, so
-  /// most of the 8-bit kernel's work can land on padding (the layout the
-  /// batch kernel naively inherits from the input). Kept for comparison
-  /// benchmarks and for callers that require packed order == input order.
-  DbOrder,
-  /// Ascending length order: for a fixed lane count this minimizes the sum
-  /// of per-batch max_len, i.e. it is the padding-optimal packing (the
-  /// SWAPHI / SSW approach). The default.
-  LengthSorted,
-  /// Geometric length bins (each bin spans lengths within 2x), database
-  /// order preserved inside a bin. Padding within ~2x of optimal while
-  /// keeping batch members close in database order — friendlier to callers
-  /// that correlate nearby indices (rescore locality, sharding).
-  LengthBinned,
-};
-const char* packing_policy_name(PackingPolicy p) noexcept;
-
 /// One batch's placement inside the packed buffers. The layout is fixed and
 /// padding-free (32 bytes) because this struct is also the on-disk batch
 /// record of the swve db artifact (core/db_format.hpp): changing it means
@@ -68,7 +46,6 @@ static_assert(sizeof(BatchRecord) == 32, "BatchRecord is an on-disk layout");
 /// outlive any Batch32Db view built on top of it.
 struct PackedView {
   int lanes = 32;
-  PackingPolicy policy = PackingPolicy::LengthSorted;
   size_t total_seqs = 0;
   uint64_t real_residues = 0;
   uint64_t padded_residues = 0;
@@ -79,19 +56,22 @@ struct PackedView {
   size_t batch_count = 0;
 };
 
-/// Database packed for the batch kernel. Sequences are length-sorted (or
-/// binned, per PackingPolicy) before batching so per-batch padding (to the
-/// batch max length) stays small.
+/// Database packed for the batch kernel. Batches are cut from the
+/// sequences in ascending length order (SequenceDatabase::by_length), the
+/// SWAPHI layout: for a fixed lane count it minimizes the sum of per-batch
+/// max_len, so the padding the 8-bit kernel walks stays small, and each
+/// batch's max_len is at least the previous batch's. seq_index maps every
+/// lane back to its original database index, so scores land in database
+/// order.
 class Batch32Db {
  public:
   /// `lanes` is the kernel width in sequences: 32 (AVX2 / scalar) or 64
   /// (AVX-512 VBMI). The final ragged batch is padded with empty lanes.
-  Batch32Db(const seq::SequenceDatabase& db, int lanes,
-            PackingPolicy policy = PackingPolicy::LengthSorted);
+  Batch32Db(const seq::SequenceDatabase& db, int lanes);
 
   /// View mode: serve batches straight out of externally-owned storage (an
   /// mmap'd artifact). No copies; search results are bit-identical to an
-  /// owned Batch32Db packed with the same lanes/policy.
+  /// owned Batch32Db packed with the same lanes.
   explicit Batch32Db(const PackedView& view);
 
   struct Batch {
@@ -104,7 +84,6 @@ class Batch32Db {
   };
 
   int lanes() const noexcept { return lanes_; }
-  PackingPolicy policy() const noexcept { return policy_; }
   size_t batch_count() const noexcept { return batch_count_; }
   Batch batch(size_t b) const noexcept;
   size_t sequence_count() const noexcept { return total_seqs_; }
@@ -136,7 +115,6 @@ class Batch32Db {
 
  private:
   int lanes_;
-  PackingPolicy policy_;
   bool view_ = false;
   size_t total_seqs_ = 0;
   uint64_t real_residues_ = 0;

@@ -170,7 +170,6 @@ ErrorOr<SwdbBuildStats> write_swdb(const seq::SequenceDatabase& db,
   h.header_bytes = kHeaderBytes;
   h.section_count = kSwdbSectionCount;
   h.alphabet = static_cast<uint8_t>(alphabet->kind());
-  h.packing = static_cast<uint8_t>(bdb.policy());
   h.lanes = static_cast<uint8_t>(bdb.lanes());
   h.db_epoch = database_fingerprint(db);
   h.seq_count = n;

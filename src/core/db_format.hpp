@@ -52,6 +52,11 @@ inline constexpr uint32_t kSwdbMagic = 0x42445753u;
 /// machine sees 0x04030201 and rejects the file instead of mis-decoding.
 inline constexpr uint32_t kSwdbEndianTag = 0x01020304u;
 inline constexpr uint32_t kSwdbVersion = 1;
+/// The header's `packing` byte. Every artifact is length-sorted (the one
+/// core::Batch32Db layout); the byte stays so that v1 artifacts written
+/// with the retired db-order (0) or length-binned (2) layouts are refused,
+/// not reinterpreted.
+inline constexpr uint8_t kSwdbLengthSorted = 1;
 /// Alignment of every section payload (and in particular BatchColumns, so
 /// the batch kernels can load columns with aligned vector loads).
 inline constexpr uint32_t kSwdbAlign = 64;
@@ -79,7 +84,7 @@ struct SwdbHeader {
   uint32_t header_bytes = 0;    ///< header + section table, in bytes
   uint32_t section_count = 0;
   uint8_t alphabet = 0;         ///< seq::AlphabetKind
-  uint8_t packing = 0;          ///< core::PackingPolicy
+  uint8_t packing = kSwdbLengthSorted;  ///< the only value readers accept
   uint8_t lanes = 0;            ///< batch kernel width: 32 or 64
   uint8_t flags = 0;            ///< reserved, must be 0 in v1
   uint64_t db_epoch = 0;        ///< database_fingerprint of the content

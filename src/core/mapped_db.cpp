@@ -108,8 +108,10 @@ ErrorOr<ParsedImage> parse_image(const uint8_t* base, size_t size,
                std::to_string(size) + " — truncated?)");
   if (h.lanes != 32 && h.lanes != 64)
     return bad(what + ": invalid lane count " + std::to_string(h.lanes));
-  if (h.packing > static_cast<uint8_t>(PackingPolicy::LengthBinned))
-    return bad(what + ": unknown packing policy");
+  if (h.packing != kSwdbLengthSorted)
+    return bad(what + ": batch layout " + std::to_string(h.packing) +
+               " is not length-sorted (" + std::to_string(kSwdbLengthSorted) +
+               "); rebuild the artifact with swve_db_build");
   if (h.alphabet > static_cast<uint8_t>(seq::AlphabetKind::Dna))
     return bad(what + ": unknown alphabet id");
   // Counts can't exceed the file size (every sequence/batch costs metadata
@@ -281,7 +283,6 @@ ErrorOr<std::unique_ptr<MappedDb>> MappedDb::open(const std::string& path,
 
   PackedView pv;
   pv.lanes = h.lanes;
-  pv.policy = static_cast<PackingPolicy>(h.packing);
   pv.total_seqs = h.seq_count;
   pv.real_residues = h.real_residues;
   pv.padded_residues = h.padded_residues;

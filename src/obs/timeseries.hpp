@@ -99,8 +99,9 @@ struct TimeSeriesPoint {
   };
   std::vector<ShardPoint> shards;
 
-  // Workload characterization: queries per length regime this window (the
-  // packing policies' geometric bins), plus the busiest bin (-1 = idle).
+  // Workload characterization: queries per power-of-two length regime this
+  // window (perf::MetricsSnapshot::length_bin_of), plus the busiest bin
+  // (-1 = idle).
   std::array<uint64_t, perf::MetricsSnapshot::kLengthBins> length_bins{};
   int dominant_length_bin = -1;
 };

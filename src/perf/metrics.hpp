@@ -193,10 +193,8 @@ struct MetricsSnapshot {
     return idx >= 0 && idx < kWidths ? kBits[idx] : 0;
   }
 
-  // Live-workload characterization: query lengths bucketed into the same
-  // geometric regimes the packing policies bin by (core/batch32.cpp,
-  // LengthBinned): bin b holds lengths [2^b, 2^(b+1)); the last bin
-  // saturates. This is the per-length-bin feed the online tuner keys its
+  // Live-workload characterization: query lengths bucketed into geometric
+  // regimes: bin b holds lengths [2^b, 2^(b+1)); the last bin saturates. This is the per-length-bin feed the online tuner keys its
   // (ISA × kernel × length-bin) cells on.
   static constexpr int kLengthBins = 16;  ///< last bin: >= 32768 residues
 

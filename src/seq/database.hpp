@@ -38,8 +38,9 @@ class SequenceDatabase {
   uint64_t total_residues() const noexcept { return total_residues_; }
   size_t max_length() const noexcept { return max_length_; }
 
-  /// Indices of sequences ordered by ascending length (batch32 packing and
-  /// deterministic scheduling both want this).
+  /// Indices of sequences ordered by ascending length: the order
+  /// core::Batch32Db cuts its batches from, persisted as the .swdb
+  /// artifact's LengthIndex section.
   const std::vector<uint32_t>& by_length() const noexcept { return by_length_; }
 
  private:

@@ -129,8 +129,7 @@ AlignService::AlignService(const seq::SequenceDatabase& db,
   // the caller hasn't submitted yet — which it can't: it has no handle).
   perf::Stopwatch sw;
   bdb_ = std::make_unique<core::Batch32Db>(
-      db, core::batch_lanes_for(simd::resolve_isa(opt_.config.isa)),
-      opt_.cache.batch_packing);
+      db, core::batch_lanes_for(simd::resolve_isa(opt_.config.isa)));
   packed_ = bdb_.get();
   db_source_ = core::DbSource::Built;
   db_load_seconds_ = sw.seconds();

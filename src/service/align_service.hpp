@@ -84,12 +84,8 @@ struct QueueOptions {
   bool start_paused = false;
 };
 
-/// Caching layers under the service (batch packing, query-state LRU).
+/// Caching layers under the service (query-state LRU).
 struct CacheOptions {
-  /// How the shared database is packed for the batch32 kernel. Every policy
-  /// returns identical hits/scores; LengthSorted (default) minimizes the
-  /// padding the 8-bit kernel burns on mixed-length batches.
-  core::PackingPolicy batch_packing = core::PackingPolicy::LengthSorted;
   /// Distinct (query, config, ISA) entries the query-state cache holds;
   /// back-to-back search or batch requests for a cached query skip
   /// rebuilding its kernel feed arrays. Pairwise requests do not use the
@@ -302,8 +298,7 @@ class AlignService {
   /// Full service over an opened swve db artifact: the sequence database
   /// and the packed batch database are both served straight out of the
   /// mapping — nothing is re-packed, so construction cost is independent
-  /// of database size. `mapped` must outlive the service. The cache
-  /// packing-policy option is ignored (the artifact fixes the policy).
+  /// of database size. `mapped` must outlive the service.
   AlignService(const core::MappedDb& mapped, ServiceOptions options = {});
 
   /// Fails every pending request with Code::ShuttingDown, then joins.
@@ -374,8 +369,8 @@ class AlignService {
   const seq::SequenceDatabase* database() const noexcept { return db_; }
   /// Lanes of the packed batch database (0 without a database).
   int batch_lanes() const noexcept { return packed_ ? packed_->lanes() : 0; }
-  /// The packed batch database (null without one); exposes packing policy
-  /// and efficiency. Owned or a view into the mapped artifact.
+  /// The packed batch database (null without one); exposes packing
+  /// efficiency. Owned or a view into the mapped artifact.
   const core::Batch32Db* packed_db() const noexcept { return packed_; }
 
   /// Where the database bytes live: Built (packed in-process) or Mmap.

@@ -48,55 +48,51 @@ uint64_t padded_cells(const core::Batch32Db& packed, size_t b, size_t e) {
 
 TEST(ScanPlanner, CutsAreContiguousAndBalanced) {
   seq::SequenceDatabase db(make_mixed_db(400'000));
-  for (core::PackingPolicy policy :
-       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
-    core::Batch32Db packed(db, 32, policy);
-    const size_t n = packed.batch_count();
-    ASSERT_GE(n, 200u);
-    // Whole database and an unaligned sub-range (a shard's view).
-    for (auto [begin, end] : {std::pair<size_t, size_t>{0, n},
-                              std::pair<size_t, size_t>{7, n - 3}}) {
-      uint64_t max_batch = 0;
-      for (size_t b = begin; b < end; ++b)
-        max_batch = std::max(max_batch, padded_cells(packed, b, b + 1));
-      const uint64_t total = padded_cells(packed, begin, end);
-      for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, size_t{48}}) {
-        const std::string label = std::string(core::packing_policy_name(policy)) +
-                                  " [" + std::to_string(begin) + "," +
-                                  std::to_string(end) + ") parts" +
-                                  std::to_string(parts);
-        auto ranges = detail::plan_by_cells(packed, begin, end, parts);
-        ASSERT_EQ(ranges.size(), parts) << label;
-        size_t expect_begin = begin;
-        for (const auto& [b, e] : ranges) {
-          EXPECT_EQ(b, expect_begin) << label;  // contiguous, in order
-          EXPECT_GT(e, b) << label;             // non-empty
-          const double target = static_cast<double>(total) /
-                                static_cast<double>(parts);
-          EXPECT_LE(std::abs(static_cast<double>(padded_cells(packed, b, e)) -
-                             target),
-                    static_cast<double>(max_batch))
-              << label << " range [" << b << "," << e << ")";
-          expect_begin = e;
-        }
-        EXPECT_EQ(expect_begin, end) << label;  // every batch covered
+  core::Batch32Db packed(db, 32);
+  const size_t n = packed.batch_count();
+  ASSERT_GE(n, 200u);
+  // Whole database and an unaligned sub-range (a shard's view).
+  for (auto [begin, end] : {std::pair<size_t, size_t>{0, n},
+                            std::pair<size_t, size_t>{7, n - 3}}) {
+    uint64_t max_batch = 0;
+    for (size_t b = begin; b < end; ++b)
+      max_batch = std::max(max_batch, padded_cells(packed, b, b + 1));
+    const uint64_t total = padded_cells(packed, begin, end);
+    for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, size_t{48}}) {
+      std::string label = "[";
+      label += std::to_string(begin) + "," + std::to_string(end) + ") parts" +
+               std::to_string(parts);
+      auto ranges = detail::plan_by_cells(packed, begin, end, parts);
+      ASSERT_EQ(ranges.size(), parts) << label;
+      size_t expect_begin = begin;
+      for (const auto& [b, e] : ranges) {
+        EXPECT_EQ(b, expect_begin) << label;  // contiguous, in order
+        EXPECT_GT(e, b) << label;             // non-empty
+        const double target = static_cast<double>(total) /
+                              static_cast<double>(parts);
+        EXPECT_LE(std::abs(static_cast<double>(padded_cells(packed, b, e)) -
+                           target),
+                  static_cast<double>(max_batch))
+            << label << " range [" << b << "," << e << ")";
+        expect_begin = e;
       }
+      EXPECT_EQ(expect_begin, end) << label;  // every batch covered
     }
-
-    // Fewer batches than parts: one range per batch.
-    auto few = detail::plan_by_cells(packed, 10, 13, 8);
-    ASSERT_EQ(few.size(), 3u);
-    EXPECT_EQ(few[0], (std::pair<size_t, size_t>{10, 11}));
-    EXPECT_EQ(few[1], (std::pair<size_t, size_t>{11, 12}));
-    EXPECT_EQ(few[2], (std::pair<size_t, size_t>{12, 13}));
-    // A single batch is one range whatever the part count.
-    auto one = detail::plan_by_cells(packed, 5, 6, 4);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(one[0], (std::pair<size_t, size_t>{5, 6}));
-    // Empty range, or no parts.
-    EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4).empty());
-    EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0).empty());
   }
+
+  // Fewer batches than parts: one range per batch.
+  auto few = detail::plan_by_cells(packed, 10, 13, 8);
+  ASSERT_EQ(few.size(), 3u);
+  EXPECT_EQ(few[0], (std::pair<size_t, size_t>{10, 11}));
+  EXPECT_EQ(few[1], (std::pair<size_t, size_t>{11, 12}));
+  EXPECT_EQ(few[2], (std::pair<size_t, size_t>{12, 13}));
+  // A single batch is one range whatever the part count.
+  auto one = detail::plan_by_cells(packed, 5, 6, 4);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], (std::pair<size_t, size_t>{5, 6}));
+  // Empty range, or no parts.
+  EXPECT_TRUE(detail::plan_by_cells(packed, 9, 9, 4).empty());
+  EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0).empty());
 }
 
 TEST(DatabaseSearch, TopKMatchesBruteForce) {
@@ -233,39 +229,32 @@ TEST(DatabaseSearch, BatchModeDeterministicAcrossThreads) {
                 seq::mutate(q, 411 + i, 0.02 * static_cast<double>(i)));
   seq::SequenceDatabase db(std::move(seqs));
 
-  SearchResult want;  // hits of the first policy; every run must match it
-  for (core::PackingPolicy policy :
-       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
-        core::PackingPolicy::LengthBinned}) {
-    DatabaseSearch batch(db, AlignConfig{}, policy);
-    ASSERT_GE(batch.packed_db()->batch_count(),
-              3 * 7 * detail::kChunksPerWorker)
-        << "workload too small to put several batches in every chunk";
-    SearchResult serial = batch.search(q, 10);
-    ASSERT_FALSE(serial.truncated);
-    EXPECT_GE(serial.batch_stats.rescored, 1u);
-    if (want.hits.empty()) want = serial;
-    for (unsigned threads : {1u, 2u, 3u, 5u, 7u}) {
-      parallel::ThreadPool pool(threads);
-      SearchResult par = batch.search(q, 10, &pool);
-      const std::string label = std::string(core::packing_policy_name(policy)) +
-                                " t" + std::to_string(threads);
-      ASSERT_EQ(par.hits.size(), want.hits.size()) << label;
-      for (size_t i = 0; i < want.hits.size(); ++i) {
-        EXPECT_EQ(par.hits[i].seq_index, want.hits[i].seq_index) << label;
-        EXPECT_EQ(par.hits[i].score, want.hits[i].score) << label;
-        EXPECT_EQ(par.hits[i].end_query, want.hits[i].end_query) << label;
-        EXPECT_EQ(par.hits[i].end_ref, want.hits[i].end_ref) << label;
-      }
-      EXPECT_EQ(par.batch_stats.cells8, serial.batch_stats.cells8) << label;
-      EXPECT_EQ(par.batch_stats.useful_cells8,
-                serial.batch_stats.useful_cells8) << label;
-      EXPECT_EQ(par.batch_stats.rescored, serial.batch_stats.rescored)
-          << label;
-      EXPECT_EQ(par.batch_stats.rescored_cells,
-                serial.batch_stats.rescored_cells) << label;
-      EXPECT_EQ(par.stats.cells, serial.stats.cells) << label;
+  DatabaseSearch batch(db, AlignConfig{});
+  ASSERT_GE(batch.packed_db()->batch_count(),
+            3 * 7 * detail::kChunksPerWorker)
+      << "workload too small to put several batches in every chunk";
+  SearchResult serial = batch.search(q, 10);
+  ASSERT_FALSE(serial.truncated);
+  EXPECT_GE(serial.batch_stats.rescored, 1u);
+  for (unsigned threads : {1u, 2u, 3u, 5u, 7u}) {
+    parallel::ThreadPool pool(threads);
+    SearchResult par = batch.search(q, 10, &pool);
+    const std::string label = std::to_string(threads) + " threads";
+    ASSERT_EQ(par.hits.size(), serial.hits.size()) << label;
+    for (size_t i = 0; i < serial.hits.size(); ++i) {
+      EXPECT_EQ(par.hits[i].seq_index, serial.hits[i].seq_index) << label;
+      EXPECT_EQ(par.hits[i].score, serial.hits[i].score) << label;
+      EXPECT_EQ(par.hits[i].end_query, serial.hits[i].end_query) << label;
+      EXPECT_EQ(par.hits[i].end_ref, serial.hits[i].end_ref) << label;
     }
+    EXPECT_EQ(par.batch_stats.cells8, serial.batch_stats.cells8) << label;
+    EXPECT_EQ(par.batch_stats.useful_cells8,
+              serial.batch_stats.useful_cells8) << label;
+    EXPECT_EQ(par.batch_stats.rescored, serial.batch_stats.rescored)
+        << label;
+    EXPECT_EQ(par.batch_stats.rescored_cells,
+              serial.batch_stats.rescored_cells) << label;
+    EXPECT_EQ(par.stats.cells, serial.stats.cells) << label;
   }
 }
 
@@ -286,8 +275,8 @@ TEST(DatabaseSearch, BatchModeHandlesSaturatingHomolog) {
 
 TEST(DatabaseSearch, PackedTopKIdenticalOnAdversarialLengthMix) {
   // Worst case for batch packing: one 10k-residue sequence buried among
-  // hundreds of short ones. Every packing policy must return the same top-k
-  // (indices, scores, end positions) as the unpacked diagonal path.
+  // hundreds of short ones. The packed batch scan must return the same
+  // top-k (indices, scores, end positions) as the unpacked diagonal path.
   std::mt19937_64 rng(500);
   std::vector<seq::Sequence> seqs;
   for (int i = 0; i < 300; ++i)
@@ -301,31 +290,20 @@ TEST(DatabaseSearch, PackedTopKIdenticalOnAdversarialLengthMix) {
   SearchResult ref = engine::search_diagonal(db, cfg, q, 15, ExecContext{});
   ASSERT_FALSE(ref.hits.empty());
 
-  for (core::PackingPolicy policy :
-       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
-        core::PackingPolicy::LengthBinned}) {
-    DatabaseSearch batch(db, cfg, policy);
-    ASSERT_NE(batch.packed_db(), nullptr);
-    EXPECT_EQ(batch.packed_db()->policy(), policy);
-    SearchResult res = batch.search(q, 15);
-    ASSERT_EQ(res.hits.size(), ref.hits.size())
-        << core::packing_policy_name(policy);
-    for (size_t k = 0; k < ref.hits.size(); ++k) {
-      EXPECT_EQ(res.hits[k].seq_index, ref.hits[k].seq_index) << k;
-      EXPECT_EQ(res.hits[k].score, ref.hits[k].score) << k;
-      EXPECT_EQ(res.hits[k].end_query, ref.hits[k].end_query) << k;
-      EXPECT_EQ(res.hits[k].end_ref, ref.hits[k].end_ref) << k;
-    }
-    // The batch accounting must agree with the packed database layout.
-    EXPECT_EQ(res.batch_stats.useful_cells8, db.total_residues() * q.length());
-    EXPECT_GT(res.batch_stats.cells8, 0u);
+  DatabaseSearch batch(db, cfg);
+  ASSERT_NE(batch.packed_db(), nullptr);
+  SearchResult res = batch.search(q, 15);
+  ASSERT_EQ(res.hits.size(), ref.hits.size());
+  for (size_t k = 0; k < ref.hits.size(); ++k) {
+    EXPECT_EQ(res.hits[k].seq_index, ref.hits[k].seq_index) << k;
+    EXPECT_EQ(res.hits[k].score, ref.hits[k].score) << k;
+    EXPECT_EQ(res.hits[k].end_query, ref.hits[k].end_query) << k;
+    EXPECT_EQ(res.hits[k].end_ref, ref.hits[k].end_ref) << k;
   }
-
-  // And the length-aware layouts must waste strictly fewer 8-bit cells.
-  DatabaseSearch naive(db, cfg, core::PackingPolicy::DbOrder);
-  DatabaseSearch sorted(db, cfg, core::PackingPolicy::LengthSorted);
-  EXPECT_GT(sorted.packed_db()->packing_efficiency(),
-            naive.packed_db()->packing_efficiency());
+  // The batch accounting must agree with the packed database layout.
+  EXPECT_EQ(res.batch_stats.useful_cells8, db.total_residues() * q.length());
+  EXPECT_EQ(res.batch_stats.cells8,
+            batch.packed_db()->padded_residues() * q.length());
 }
 
 TEST(DatabaseSearch, BatchModeSaturationLadderReachesWide32) {

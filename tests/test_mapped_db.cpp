@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -118,7 +119,7 @@ TEST(SwdbFormat, WriterRejectsInconsistentInputs) {
 
 TEST(SwdbFormat, HeaderFieldsRoundTrip) {
   auto db = small_db(36, 9'000);
-  Batch32Db bdb(db, 32, PackingPolicy::LengthBinned);
+  Batch32Db bdb(db, 32);
   const std::string path = write_artifact(db, bdb, "header");
 
   const std::vector<uint8_t> bytes = slurp(path);
@@ -130,7 +131,7 @@ TEST(SwdbFormat, HeaderFieldsRoundTrip) {
   EXPECT_EQ(h.version, kSwdbVersion);
   EXPECT_EQ(h.section_count, kSwdbSectionCount);
   EXPECT_EQ(h.lanes, 32);
-  EXPECT_EQ(h.packing, static_cast<uint8_t>(PackingPolicy::LengthBinned));
+  EXPECT_EQ(h.packing, kSwdbLengthSorted);
   EXPECT_EQ(h.seq_count, db.size());
   EXPECT_EQ(h.total_residues, db.total_residues());
   EXPECT_EQ(h.batch_count, bdb.batch_count());
@@ -153,12 +154,31 @@ TEST(SwdbFormat, HeaderFieldsRoundTrip) {
 
 // ---------------------------------------------------------------- reader --
 
-class MappedDbPolicyTest : public ::testing::TestWithParam<PackingPolicy> {};
+// The packer sorts by length whatever order the source database is in, so
+// the artifact must round-trip bit-identically for every input order: as
+// generated, pre-sorted by length, and grouped into 64-residue length bins.
+enum class InputOrder : uint8_t { DbOrder, LengthSorted, LengthBinned };
+
+seq::SequenceDatabase reordered(const seq::SequenceDatabase& db,
+                                InputOrder order) {
+  std::vector<seq::Sequence> seqs = db.sequences();
+  if (order == InputOrder::LengthSorted) {
+    std::stable_sort(seqs.begin(), seqs.end(), [](const auto& a, const auto& b) {
+      return a.length() < b.length();
+    });
+  } else if (order == InputOrder::LengthBinned) {
+    std::stable_sort(seqs.begin(), seqs.end(), [](const auto& a, const auto& b) {
+      return a.length() / 64 > b.length() / 64;
+    });
+  }
+  return seq::SequenceDatabase(std::move(seqs));
+}
+
+class MappedDbPolicyTest : public ::testing::TestWithParam<InputOrder> {};
 
 TEST_P(MappedDbPolicyTest, MappedViewIsBitIdenticalToOwned) {
-  const PackingPolicy policy = GetParam();
-  auto db = small_db(41, 20'000);
-  Batch32Db owned(db, 32, policy);
+  auto db = reordered(small_db(41, 20'000), GetParam());
+  Batch32Db owned(db, 32);
   const std::string path = write_artifact(db, owned, "policy");
 
   MappedDbOptions opts;
@@ -187,7 +207,6 @@ TEST_P(MappedDbPolicyTest, MappedViewIsBitIdenticalToOwned) {
   const Batch32Db& v = m.batch_db();
   EXPECT_FALSE(v.owns_storage());
   EXPECT_EQ(v.lanes(), owned.lanes());
-  EXPECT_EQ(v.policy(), owned.policy());
   ASSERT_EQ(v.batch_count(), owned.batch_count());
   EXPECT_EQ(v.real_residues(), owned.real_residues());
   EXPECT_EQ(v.padded_residues(), owned.padded_residues());
@@ -205,9 +224,8 @@ TEST_P(MappedDbPolicyTest, MappedViewIsBitIdenticalToOwned) {
 
 TEST_P(MappedDbPolicyTest, SearchScoresMatchOwnedAndMapped) {
   // Batch scores through the mapped view equal those of the owned packing.
-  const PackingPolicy policy = GetParam();
-  auto db = small_db(42, 15'000);
-  Batch32Db owned(db, 32, policy);
+  auto db = reordered(small_db(42, 15'000), GetParam());
+  Batch32Db owned(db, 32);
   const std::string path = write_artifact(db, owned, "scores");
   auto mapped = MappedDb::open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.error().message;
@@ -222,13 +240,13 @@ TEST_P(MappedDbPolicyTest, SearchScoresMatchOwnedAndMapped) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, MappedDbPolicyTest,
-    ::testing::Values(PackingPolicy::DbOrder, PackingPolicy::LengthSorted,
-                      PackingPolicy::LengthBinned),
+    ::testing::Values(InputOrder::DbOrder, InputOrder::LengthSorted,
+                      InputOrder::LengthBinned),
     [](const auto& info) {
       switch (info.param) {
-        case PackingPolicy::DbOrder: return "DbOrder";
-        case PackingPolicy::LengthSorted: return "LengthSorted";
-        case PackingPolicy::LengthBinned: return "LengthBinned";
+        case InputOrder::DbOrder: return "DbOrder";
+        case InputOrder::LengthSorted: return "LengthSorted";
+        case InputOrder::LengthBinned: return "LengthBinned";
       }
       return "Unknown";
     });
@@ -311,6 +329,32 @@ TEST_F(SwdbCorruption, WrongVersionRejected) {
   expect_rejected(art_, "bad_version", [](std::vector<uint8_t>& b) {
     b[8] = 99;  // SwdbHeader.version (offset 8, little-endian)
   });
+}
+
+TEST_F(SwdbCorruption, RetiredBatchLayoutRejectedWithRebuildHint) {
+  // v1 artifacts written with the retired db-order (0) or length-binned (2)
+  // layouts carry a valid header checksum; the reader must still refuse
+  // them, naming the fix, rather than serve a layout it no longer builds.
+  for (const uint8_t packing : {uint8_t{0}, uint8_t{2}}) {
+    std::vector<uint8_t> bytes = slurp(art_);
+    ASSERT_GE(bytes.size(), sizeof(SwdbHeader));
+    SwdbHeader h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    h.packing = packing;
+    h.header_checksum = 0;
+    uint64_t hcs = fnv1a_64(&h, sizeof h);
+    hcs = fnv1a_64(bytes.data() + sizeof h, h.header_bytes - sizeof h, hcs);
+    h.header_checksum = hcs;
+    std::memcpy(bytes.data(), &h, sizeof h);
+    const std::string bad = tmp_path("retired_layout");
+    spit(bad, bytes);
+    auto m = MappedDb::open(bad);
+    std::remove(bad.c_str());
+    ASSERT_FALSE(m.ok()) << "packing byte " << int{packing} << " was accepted";
+    EXPECT_EQ(m.error().code, ConfigError::Code::InvalidArtifact);
+    EXPECT_NE(m.error().message.find("rebuild"), std::string::npos)
+        << m.error().message;
+  }
 }
 
 TEST_F(SwdbCorruption, FlippedSectionTableByteRejected) {

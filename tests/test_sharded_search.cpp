@@ -3,8 +3,7 @@
 //
 // The load-bearing property is identity: one shard on the caller's pool (or
 // inline), or S shards on their own pinned pools, must return the scalar
-// golden model's top-k for every packing policy, shard count and pool
-// size, including ragged splits, duplicate-score tie-breaks, and batches of
+// golden model's top-k for every shard count and pool size, including ragged splits, duplicate-score tie-breaks, and batches of
 // queries from 64 to 2048 residues with duplicated and empty ones. scan()'s
 // hits carry no end cells. Also covers the shard planner, typed errors for
 // impossible shard counts, empty databases and queries, the reported NUMA
@@ -95,7 +94,7 @@ std::vector<SearchResult> scan_one_shard(
   return (*sharded)->scan(cfg, views, top_k, ctx);
 }
 
-TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
+TEST(ShardedSearch, MatchesScalarGoldenAcrossShardCounts) {
   auto db = make_db(160'000);
   auto q = seq::generate_sequence(90, 150);
   const core::AlignConfig cfg;
@@ -114,23 +113,17 @@ TEST(ShardedSearch, MatchesScalarGoldenAcrossPoliciesAndShardCounts) {
   want.hits.resize(12);
 
   parallel::ThreadPool pool(4);
-  for (core::PackingPolicy policy :
-       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
-        core::PackingPolicy::LengthBinned}) {
-    for (int s : {1, 2, 3, 7}) {
-      DatabaseSearch search(db, cfg, policy,
-                            shards_of(s, 4));
-      ASSERT_GE(search.packed_db()->batch_count(), 7u)
-          << "workload too small to exercise S=7";
-      ASSERT_NE(search.sharded(), nullptr);
-      EXPECT_EQ(search.sharded()->shard_count(), static_cast<size_t>(s));
-      const std::string label = std::string(core::packing_policy_name(policy)) +
-                                " s" + std::to_string(s);
-      // One shard runs on the caller's pool, or inline without one; more
-      // shards use their own pools either way.
-      expect_same_hits(search.search(q, 12, &pool), want, label + " pool");
-      expect_same_hits(search.search(q, 12), want, label + " inline");
-    }
+  for (int s : {1, 2, 3, 7}) {
+    DatabaseSearch search(db, cfg, shards_of(s, 4));
+    ASSERT_GE(search.packed_db()->batch_count(), 7u)
+        << "workload too small to exercise S=7";
+    ASSERT_NE(search.sharded(), nullptr);
+    EXPECT_EQ(search.sharded()->shard_count(), static_cast<size_t>(s));
+    const std::string label = std::to_string(s) + " shards";
+    // One shard runs on the caller's pool, or inline without one; more
+    // shards use their own pools either way.
+    expect_same_hits(search.search(q, 12, &pool), want, label + " pool");
+    expect_same_hits(search.search(q, 12), want, label + " inline");
   }
 }
 
@@ -286,36 +279,31 @@ TEST(ShardedSearch, PoolsThatDoNotDivideShardsStayIdentical) {
   seq::SequenceDatabase db(seq::generate_database(cfg));
   auto q = seq::generate_sequence(97, 90);
 
-  for (core::PackingPolicy policy :
-       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted}) {
-    DatabaseSearch one(db, core::AlignConfig{}, policy);
-    parallel::ThreadPool pool(4);
-    SearchResult want = one.search(q, 12, &pool);
-    for (int s : {2, 3}) {
-      for (unsigned per_shard : {3u, 5u}) {
-        const std::string label = std::string(core::packing_policy_name(policy)) +
-                                  " s" + std::to_string(s) + " w" +
-                                  std::to_string(per_shard);
-        DatabaseSearch sharded(
-            db, core::AlignConfig{}, policy,
-            shards_of(s, per_shard * static_cast<unsigned>(s)));
-        const ShardedSearch* sh = sharded.sharded();
-        bool uneven = false;
-        for (size_t i = 0; i < sh->shard_count(); ++i) {
-          const ShardStats st = sh->shard_stats(i);
-          EXPECT_EQ(st.threads, per_shard) << label;
-          uneven = uneven || (st.end_batch - st.first_batch) % per_shard != 0;
-        }
-        EXPECT_TRUE(uneven) << label;
-        SearchResult got = sharded.search(q, 12);
-        expect_same_hits(got, want, label);
-        EXPECT_EQ(got.batch_stats.cells8, want.batch_stats.cells8) << label;
-        EXPECT_EQ(got.batch_stats.useful_cells8, want.batch_stats.useful_cells8)
-            << label;
-        EXPECT_EQ(got.batch_stats.rescored, want.batch_stats.rescored) << label;
-        EXPECT_EQ(got.batch_stats.rescored_cells,
-                  want.batch_stats.rescored_cells) << label;
+  DatabaseSearch one(db, core::AlignConfig{});
+  parallel::ThreadPool pool(4);
+  SearchResult want = one.search(q, 12, &pool);
+  for (int s : {2, 3}) {
+    for (unsigned per_shard : {3u, 5u}) {
+      const std::string label = std::to_string(s) + " shards, " +
+                                std::to_string(per_shard) + " workers";
+      DatabaseSearch sharded(db, core::AlignConfig{},
+                             shards_of(s, per_shard * static_cast<unsigned>(s)));
+      const ShardedSearch* sh = sharded.sharded();
+      bool uneven = false;
+      for (size_t i = 0; i < sh->shard_count(); ++i) {
+        const ShardStats st = sh->shard_stats(i);
+        EXPECT_EQ(st.threads, per_shard) << label;
+        uneven = uneven || (st.end_batch - st.first_batch) % per_shard != 0;
       }
+      EXPECT_TRUE(uneven) << label;
+      SearchResult got = sharded.search(q, 12);
+      expect_same_hits(got, want, label);
+      EXPECT_EQ(got.batch_stats.cells8, want.batch_stats.cells8) << label;
+      EXPECT_EQ(got.batch_stats.useful_cells8, want.batch_stats.useful_cells8)
+          << label;
+      EXPECT_EQ(got.batch_stats.rescored, want.batch_stats.rescored) << label;
+      EXPECT_EQ(got.batch_stats.rescored_cells,
+                want.batch_stats.rescored_cells) << label;
     }
   }
 }
@@ -354,7 +342,6 @@ TEST(ShardedSearch, RaggedLastShardStillIdentical) {
   // n-1 shards forces a deliberately lopsided plan: n-2 singleton shards
   // plus whatever the planner leaves for the tail.
   DatabaseSearch sharded(db, core::AlignConfig{},
-                         core::PackingPolicy::LengthSorted,
                          shards_of(static_cast<int>(n - 1), 2));
   expect_same_hits(sharded.search(q, 10), want, "ragged");
 }
@@ -384,8 +371,7 @@ TEST(ShardedSearch, DuplicateScoresKeepTieBreakOrder) {
   EXPECT_TRUE(saw_tie);
 
   for (int s : {2, 3}) {
-    DatabaseSearch sharded(db, core::AlignConfig{},
-                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
+    DatabaseSearch sharded(db, core::AlignConfig{}, shards_of(s, 3));
     expect_same_hits(sharded.search(dup, 25), want,
                      "ties s" + std::to_string(s));
   }
@@ -494,8 +480,7 @@ TEST(ShardedSearch, CancellationAndDeadlineTruncateCleanly) {
   parallel::ThreadPool pool(3);
   for (int s : {1, 3}) {
     SCOPED_TRACE(::testing::Message() << "s" << s);
-    DatabaseSearch sharded(db, core::AlignConfig{},
-                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
+    DatabaseSearch sharded(db, core::AlignConfig{}, shards_of(s, 3));
     std::atomic<bool> cancel{true};  // cancelled before the first batch
     ExecContext cancelled;
     cancelled.pool = &pool;
@@ -522,8 +507,7 @@ TEST(ShardedSearch, ConcurrentSearchesOnOneInstance) {
   // shards on their own pools.
   parallel::ThreadPool pool(3);
   for (int s : {1, 3}) {
-    DatabaseSearch sharded(db, core::AlignConfig{},
-                           core::PackingPolicy::LengthSorted, shards_of(s, 3));
+    DatabaseSearch sharded(db, core::AlignConfig{}, shards_of(s, 3));
     SearchResult want = sharded.search(q, 10, &pool);
 
     std::vector<std::thread> threads;
@@ -620,8 +604,7 @@ TEST(ShardedSearch, MappedTwoShardsMatchOwnedOneShard) {
 
 TEST(ShardedSearch, StatsAttributeWorkToEveryShard) {
   auto db = make_db(50'000, 17);
-  DatabaseSearch sharded(db, core::AlignConfig{},
-                         core::PackingPolicy::LengthSorted, shards_of(3, 3));
+  DatabaseSearch sharded(db, core::AlignConfig{}, shards_of(3, 3));
   auto q = seq::generate_sequence(95, 140);
   sharded.search(q, 10);
 
@@ -646,9 +629,7 @@ TEST(ShardedSearch, ScanWithoutPmuSessionCountsWallTimeOnly) {
   // counters, whatever the host offers, and still account their time.
   auto db = make_db(50'000, 17);
   for (int shards : {1, 3}) {
-    DatabaseSearch search(db, core::AlignConfig{},
-                          core::PackingPolicy::LengthSorted,
-                          shards_of(shards, 3));
+    DatabaseSearch search(db, core::AlignConfig{}, shards_of(shards, 3));
     parallel::ThreadPool pool(2);
     ExecContext ctx;
     ctx.pool = &pool;

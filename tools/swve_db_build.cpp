@@ -7,7 +7,6 @@
 // longer scales with database size.
 //
 //   swve_db_build db.fasta -o db.swdb [--alphabet protein|dna]
-//                 [--packing length-sorted|db-order|length-binned]
 //                 [--lanes 32|64] [--verify]
 //
 // --verify round-trips the freshly written file: reopen via core::MappedDb
@@ -37,7 +36,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: swve_db_build INPUT.fasta -o OUTPUT.swdb\n"
                "         [--alphabet protein|dna] [--lanes 32|64]\n"
-               "         [--packing length-sorted|db-order|length-binned]\n"
                "         [--verify]\n");
   return 1;
 }
@@ -60,8 +58,7 @@ int verify_roundtrip(const seq::SequenceDatabase& db, const core::Batch32Db& bdb
       return fail("verify: residue mismatch at index " + std::to_string(i));
   }
   const core::Batch32Db& mb = mapped.batch_db();
-  if (mb.batch_count() != bdb.batch_count() || mb.lanes() != bdb.lanes() ||
-      mb.policy() != bdb.policy())
+  if (mb.batch_count() != bdb.batch_count() || mb.lanes() != bdb.lanes())
     return fail("verify: batch layout mismatch after round-trip");
   for (size_t b = 0; b < bdb.batch_count(); ++b) {
     const auto x = bdb.batch(b);
@@ -83,7 +80,6 @@ int main(int argc, char** argv) {
   std::string input;
   std::string output;
   const seq::Alphabet* alphabet = &seq::Alphabet::protein();
-  core::PackingPolicy packing = core::PackingPolicy::LengthSorted;
   int lanes = 32;
   bool verify = false;
 
@@ -100,16 +96,6 @@ int main(int argc, char** argv) {
       if (std::strcmp(v, "protein") == 0) alphabet = &seq::Alphabet::protein();
       else if (std::strcmp(v, "dna") == 0) alphabet = &seq::Alphabet::dna();
       else return fail("unknown alphabet '" + std::string(v) + "'");
-    } else if (a == "--packing") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      if (std::strcmp(v, "length-sorted") == 0)
-        packing = core::PackingPolicy::LengthSorted;
-      else if (std::strcmp(v, "db-order") == 0)
-        packing = core::PackingPolicy::DbOrder;
-      else if (std::strcmp(v, "length-binned") == 0)
-        packing = core::PackingPolicy::LengthBinned;
-      else return fail("unknown packing policy '" + std::string(v) + "'");
     } else if (a == "--lanes") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -141,7 +127,7 @@ int main(int argc, char** argv) {
   const double read_s = total.seconds();
 
   perf::Stopwatch pack;
-  const core::Batch32Db bdb(db, lanes, packing);
+  const core::Batch32Db bdb(db, lanes);
   const double pack_s = pack.seconds();
 
   perf::Stopwatch write;
@@ -152,13 +138,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "swve_db_build: %s -> %s\n"
                "  sequences      %zu (%llu residues, max %zu)\n"
-               "  packing        %s, %d lanes, %llu batches, %.1f%% efficient\n"
+               "  packing        %d lanes, %llu batches, %.1f%% efficient\n"
                "  db_epoch       %016llx\n"
                "  file           %.2f MiB\n"
                "  time           read %.0f ms, pack %.0f ms, write %.0f ms\n",
                input.c_str(), output.c_str(), db.size(),
                static_cast<unsigned long long>(db.total_residues()),
-               db.max_length(), core::packing_policy_name(packing), lanes,
+               db.max_length(), lanes,
                static_cast<unsigned long long>(stats->batch_count),
                100.0 * bdb.packing_efficiency(),
                static_cast<unsigned long long>(stats->db_epoch),
