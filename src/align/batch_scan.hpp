@@ -40,13 +40,17 @@ class TopK {
  public:
   explicit TopK(size_t k) : k_(k) {}
   void offer(const Hit& h) {
-    if (h.score <= 0) return;
-    hits_.push_back(h);
-    std::push_heap(hits_.begin(), hits_.end());  // max-heap on operator<,
-    if (hits_.size() > k_) {                     // i.e. worst hit at front
-      std::pop_heap(hits_.begin(), hits_.end());
-      hits_.pop_back();
+    if (h.score <= 0 || k_ == 0) return;
+    if (hits_.size() < k_) {
+      hits_.push_back(h);
+      std::push_heap(hits_.begin(), hits_.end());  // max-heap on operator<,
+      return;                                      // i.e. worst hit at front
     }
+    // Full: most offers lose to the worst kept hit and cost one compare.
+    if (!(h < hits_.front())) return;
+    std::pop_heap(hits_.begin(), hits_.end());
+    hits_.back() = h;
+    std::push_heap(hits_.begin(), hits_.end());
   }
   std::vector<Hit> sorted() && {
     std::sort(hits_.begin(), hits_.end());

@@ -136,6 +136,11 @@ Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t 
   return batch32_kernel<EmuBatchEngine<32>>(q, columns, cols, cfg, ws);
 }
 
+BatchEngineOps batch32_ops_scalar(const uint8_t* a, const uint8_t* b, int lanes) {
+  if (lanes == 64) return batch32_engine_ops<EmuBatchEngine<64>>(a, b);
+  return batch32_engine_ops<EmuBatchEngine<32>>(a, b);
+}
+
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                               const AlignConfig& cfg, Workspace& ws,
                               [[maybe_unused]] simd::Isa isa) {

@@ -13,7 +13,9 @@
 //
 // The kernel is 8-bit and score-only: it is the high-throughput scoring
 // front end of scenario 2 (batch of queries vs database). Lanes that
-// saturate are re-scored exactly by the diagonal kernel's 16/32-bit ladder.
+// saturate are re-scored exactly by core::score_batch's 16/32-bit ladder,
+// which runs core::pair_align (the column sweep for queries of at most
+// kColumnSweepMaxQuery residues on AVX-512 VBMI, else the diagonal kernel).
 #pragma once
 
 #include <cstdint>
@@ -165,8 +167,8 @@ int batch_lanes_for(simd::Isa isa) noexcept;
 bool batch_lanes_fit(int lanes, simd::Isa isa) noexcept;
 
 /// Score one query against the whole packed database: runs the 8-bit batch
-/// kernel and transparently re-scores saturated lanes with the diagonal
-/// kernel's 16/32-bit ladder. Returns scores indexed by original database
+/// kernel and transparently re-scores saturated lanes with score_batch's
+/// 16/32-bit ladder. Returns scores indexed by original database
 /// sequence index, plus statistics.
 struct BatchSearchStats {
   uint64_t cells8 = 0;        ///< DP cells done by the 8-bit batch kernel
@@ -207,16 +209,28 @@ void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                  simd::Isa isa, Workspace& ws, const PreparedQuery* prep,
                  int* scores, BatchSearchStats& stats);
 
-// Per-ISA kernel entry points (internal; exposed for tests/benches).
+/// One batch engine's saturating subtract and max, each in its plain form
+/// and its `_alt` form (the same value through other execution ports),
+/// applied lane by lane to two byte vectors.
+struct BatchEngineOps {
+  uint8_t subs[64], subs_alt[64], max[64], max_alt[64];
+};
+
+// Per-ISA kernel entry points (internal; exposed for tests/benches). The
+// batch32_ops_* functions run one engine's primitives on `a` and `b` (the
+// engine's lane count of bytes each).
 Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                int lanes, const AlignConfig& cfg, Workspace& ws);
+BatchEngineOps batch32_ops_scalar(const uint8_t* a, const uint8_t* b, int lanes);
 #if defined(SWVE_HAVE_AVX2_BUILD)
 Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                              const AlignConfig& cfg, Workspace& ws);  // 32 lanes
+BatchEngineOps batch32_ops_avx2(const uint8_t* a, const uint8_t* b);
 #endif
 #if defined(SWVE_HAVE_AVX512_BUILD)
 Batch8Result batch32_u8_avx512(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                const AlignConfig& cfg, Workspace& ws);  // 64 lanes
+BatchEngineOps batch32_ops_avx512(const uint8_t* a, const uint8_t* b);
 #endif
 
 // These four names exist only so perfbench/src/search.cpp, their one

@@ -24,6 +24,7 @@ struct BatchAvx2 {
   static vec subs(vec a, vec b) { return _mm256_subs_epu8(a, b); }
   static vec max(vec a, vec b) { return _mm256_max_epu8(a, b); }
   static vec max_alt(vec a, vec b) { return max(a, b); }
+  static vec subs_alt(vec a, vec b) { return subs(a, b); }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm256_blendv_epi8(f, t, _mm256_cmpeq_epi8(a, b));
   }
@@ -50,6 +51,10 @@ struct BatchAvx2 {
 Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                              const AlignConfig& cfg, Workspace& ws) {
   return batch32_kernel<BatchAvx2>(q, columns, cols, cfg, ws);
+}
+
+BatchEngineOps batch32_ops_avx2(const uint8_t* a, const uint8_t* b) {
+  return batch32_engine_ops<BatchAvx2>(a, b);
 }
 
 }  // namespace swve::core

@@ -5,7 +5,8 @@
 // Port map of the zmm byte ops (measured): vpmaxub, vpsubusb and vpaddusb
 // share one port; vpermb and vpcmpub->k run on the other; vpaddb and
 // vpblendmb run on either. The row loop is bound by the shared port, so
-// `add` wraps (vpaddb) and max_alt is a compare + blend.
+// `add` wraps (vpaddb), max_alt is a compare + blend, and subs_alt is a
+// compare + zero-masked vpsubb.
 #include <immintrin.h>
 
 #include "core/batch32_kernel.hpp"
@@ -28,6 +29,9 @@ struct BatchAvx512 {
   static vec max_alt(vec a, vec b) {
     return _mm512_mask_blend_epi8(_mm512_cmpgt_epu8_mask(a, b), b, a);
   }
+  static vec subs_alt(vec a, vec b) {
+    return _mm512_maskz_sub_epi8(_mm512_cmpgt_epu8_mask(a, b), a, b);
+  }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm512_mask_blend_epi8(_mm512_cmpeq_epu8_mask(a, b), f, t);
   }
@@ -48,6 +52,10 @@ struct BatchAvx512 {
 Batch8Result batch32_u8_avx512(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                const AlignConfig& cfg, Workspace& ws) {
   return batch32_kernel<BatchAvx512>(q, columns, cols, cfg, ws);
+}
+
+BatchEngineOps batch32_ops_avx512(const uint8_t* a, const uint8_t* b) {
+  return batch32_engine_ops<BatchAvx512>(a, b);
 }
 
 }  // namespace swve::core

@@ -25,6 +25,19 @@
 // but the block's first is the left cell's E): running them as affine with
 // open = ext would be bit-identical but measurably slower.
 //
+// Row step latency: F threads the block's K columns, so its link from one
+// column to the next is the row step's longest chain. The cell therefore
+// takes F last, H = max(max_alt(hs, E), F), and decays it through
+// subs_alt: F' = max(H - open, subs_alt(F, ext)). On AVX-512 the link is
+// vpmaxub -> vpsubusb -> vpmaxub (~3 cycles), with F's compare-to-mask and
+// zero-masked vpsubb (~4) beside the first two: ~5 cycles per column. The
+// order max(max_alt(hs, F), E), F' = max_alt(H - open, F - ext) put two
+// compare + blend pairs on the link, ~10 cycles per column and ~40 per
+// 4-column row step against the 27 busy-port cycles the row needs. Both
+// orders run 7 busy-port ops per cell (27 per 4 cells, as the last
+// column's running maximum goes through max_alt) and give every cell the
+// same value.
+//
 // Headroom rule: `hdiag + s` uses a wrapping add. It can only wrap when
 // hdiag > 255 - s >= sat_limit, and hdiag is an H that already went into
 // vmax (in the row step that computed it), so that lane is flagged saturated
@@ -36,9 +49,9 @@
 //   vec, lanes
 //   zero/set1/load/store        — byte vectors
 //   add                         — wrapping byte add
-//   subs                        — unsigned saturating subtract (epu8)
-//   max, max_alt                — unsigned max; max_alt returns the same
-//                                 value through other execution ports
+//   subs, subs_alt              — unsigned saturating subtract (epu8)
+//   max, max_alt                — unsigned max; the _alt forms return the
+//                                 same value through other execution ports
 //   select_eq(a, b, t, f)       — per lane: a == b ? t : f
 //   lookup32(row32, idx)        — per lane: row32[idx], idx in [0, 32)
 //   prefetch(p)                 — hint a future column block into cache
@@ -110,11 +123,12 @@ void row_pass(seq::SeqView q, const uint8_t* prof, uint8_t* hcol, uint8_t* fcol,
     for (int k = 0; k < K; ++k)
       hs[k] = BE::subs(BE::add(hdiag[k], BE::load(s + static_cast<size_t>(k) * B)), c.bias);
     for (int k = 0; k < K; ++k) {
-      const vec h = BE::max(BE::max_alt(hs[k], f), e[k]);
+      // F joins last: the F chain through the block is max -> subs -> max.
+      const vec h = BE::max(BE::max_alt(hs[k], e[k]), f);
       if constexpr (Affine) {
         const vec hopen = BE::subs(h, c.open);
         e[k] = BE::max(hopen, BE::subs(e[k], c.ext));
-        f = BE::max_alt(hopen, BE::subs(f, c.ext));
+        f = BE::max(hopen, BE::subs_alt(f, c.ext));
       } else {
         e[k] = f = BE::subs(h, c.ext);
       }
@@ -199,6 +213,17 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
   return out;
 }
 
+template <class BE>
+BatchEngineOps batch32_engine_ops(const uint8_t* a, const uint8_t* b) {
+  const auto va = BE::load(a), vb = BE::load(b);
+  BatchEngineOps r{};
+  BE::store(r.subs, BE::subs(va, vb));
+  BE::store(r.subs_alt, BE::subs_alt(va, vb));
+  BE::store(r.max, BE::max(va, vb));
+  BE::store(r.max_alt, BE::max_alt(va, vb));
+  return r;
+}
+
 /// Portable batch engine.
 template <int B>
 struct EmuBatchEngine {
@@ -241,6 +266,7 @@ struct EmuBatchEngine {
     return r;
   }
   static vec max_alt(vec a, vec b) { return max(a, b); }
+  static vec subs_alt(vec a, vec b) { return subs(a, b); }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     vec r;
     for (int k = 0; k < B; ++k) r.v[k] = a.v[k] == b.v[k] ? t.v[k] : f.v[k];

@@ -316,6 +316,49 @@ TEST(BatchKernel, GroupCallMatchesPerBatchCalls) {
   }
 }
 
+// Every engine's port-balancing primitives return the value of their plain
+// forms, which are the saturating subtract and the max, for all 256 x 256
+// byte pairs: the kernel's cell order may pick either form freely.
+TEST(BatchKernel, EngineAltPrimitivesMatchPlainOnEveryBytePair) {
+  struct Engine {
+    const char* name;
+    int lanes;
+    BatchEngineOps (*ops)(const uint8_t*, const uint8_t*);
+  };
+  std::vector<Engine> engines = {
+      {"emulated-32", 32, [](const uint8_t* a, const uint8_t* b) {
+         return batch32_ops_scalar(a, b, 32);
+       }},
+      {"emulated-64", 64, [](const uint8_t* a, const uint8_t* b) {
+         return batch32_ops_scalar(a, b, 64);
+       }}};
+#if defined(SWVE_HAVE_AVX2_BUILD)
+  if (simd::isa_available(simd::Isa::Avx2))
+    engines.push_back({"avx2", 32, &batch32_ops_avx2});
+#endif
+#if defined(SWVE_HAVE_AVX512_BUILD)
+  if (batch_lanes_for(simd::Isa::Avx512) == 64)
+    engines.push_back({"avx512", 64, &batch32_ops_avx512});
+#endif
+  for (const Engine& e : engines) {
+    uint8_t a[64], b[64];
+    for (int x = 0; x < 256; ++x) {
+      std::fill(a, a + e.lanes, static_cast<uint8_t>(x));
+      for (int y0 = 0; y0 < 256; y0 += e.lanes) {
+        for (int k = 0; k < e.lanes; ++k) b[k] = static_cast<uint8_t>(y0 + k);
+        const BatchEngineOps r = e.ops(a, b);
+        for (int k = 0; k < e.lanes; ++k) {
+          const int y = y0 + k;
+          ASSERT_EQ(r.subs[k], std::max(x - y, 0)) << e.name << " " << x << " " << y;
+          ASSERT_EQ(r.subs_alt[k], r.subs[k]) << e.name << " " << x << " " << y;
+          ASSERT_EQ(r.max[k], std::max(x, y)) << e.name << " " << x << " " << y;
+          ASSERT_EQ(r.max_alt[k], r.max[k]) << e.name << " " << x << " " << y;
+        }
+      }
+    }
+  }
+}
+
 // Plain saturating-u8 model of one batch, lane by lane: the Fig 5
 // recurrence on biased scores with every add and subtract clamped to
 // [0, 255], written out here rather than taken from the kernel's engines.

@@ -411,6 +411,41 @@ TEST(DatabaseSearch, EnginesScanWithTheThreadWorkspace) {
   worker.join();
 }
 
+// TopK rejects an offer no better than its worst kept hit before touching
+// the heap. Scores drawn from a narrow range (many ties, some not positive)
+// and every offer order must keep exactly the first k of the sorted
+// positive hits.
+TEST(DatabaseSearch, TopKMatchesSortedSelectionWithTies) {
+  std::mt19937 rng(39);
+  for (int round = 0; round < 40; ++round) {
+    const int n = 1 + static_cast<int>(rng() % 300);
+    std::vector<Hit> offers(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      offers[static_cast<size_t>(i)].seq_index = static_cast<uint32_t>(i);
+      offers[static_cast<size_t>(i)].score = static_cast<int>(rng() % 7) - 1;
+    }
+    std::shuffle(offers.begin(), offers.end(), rng);
+    std::vector<Hit> positive;
+    for (const Hit& h : offers)
+      if (h.score > 0) positive.push_back(h);
+    std::sort(positive.begin(), positive.end());
+    for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{10},
+                     static_cast<size_t>(n), static_cast<size_t>(n) + 5}) {
+      detail::TopK top(k);
+      for (const Hit& h : offers) top.offer(h);
+      const std::vector<Hit> got = std::move(top).sorted();
+      const std::vector<Hit> want(
+          positive.begin(),
+          positive.begin() + static_cast<std::ptrdiff_t>(std::min(k, positive.size())));
+      ASSERT_EQ(got.size(), want.size()) << "round " << round << " k " << k;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].seq_index, want[i].seq_index) << "round " << round << " k " << k;
+        EXPECT_EQ(got[i].score, want[i].score) << "round " << round << " k " << k;
+      }
+    }
+  }
+}
+
 TEST(DatabaseSearch, TopKZero) {
   auto db = make_db(10'000);
   DatabaseSearch search(db, AlignConfig{});

@@ -12,18 +12,23 @@ fails when no loop is selected, or when a selected loop
   * contains an instruction matching a --forbid pattern,
   * has more than N instructions matching a --max PATTERN=N limit,
   * has more than N instructions matching a --per-cell PATTERN=N limit per
-    DP cell, where --cells names the instruction that occurs once per cell.
+    DP cell, where --cells names the instruction that occurs once per cell,
+  * has fewer than N instructions matching a --min-per-cell PATTERN=N bound
+    per DP cell.
 
 With --min-cells N it also fails unless some selected loop computes at
 least N cells per iteration.
 
-Example (the batch32 AVX-512 row loops: 7 busy-port byte ops per cell, one
-wrapping vpaddb per cell, a 4-column block whose loop stores only H and F):
+Example (the batch32 AVX-512 affine row loops, selected by their F decay,
+a zero-masked vpsubb: one such vpsubb and at most 7 busy-port byte ops per
+cell, one wrapping vpaddb per cell, a 4-column block whose loop stores only
+H and F):
 
   tools/check_inner_loops.py build/src/CMakeFiles/swve.dir/core/batch32_avx512.cpp.o \\
       --func 'batch32_u8_avx512\\(|batch32_kernel<.*BatchAvx512' --zmm \\
-      --forbid '^vpermb' --cells '^vpaddb' \\
-      --per-cell 'vp(maxub|minub|addusb|subusb)=7' --min-cells 4 \\
+      --select '^vpsubb .*\\{z\\}' --forbid '^vpermb' --cells '^vpaddb' \\
+      --per-cell 'vp(maxub|minub|addusb|subusb)=7' \\
+      --min-per-cell 'vpsubb .*\\{z=1' --min-cells 4 \\
       --max 'vmov\\S* %zmm[0-9]+,[^%]*\\(%r[a-z0-9]+=2'
 """
 import argparse
@@ -102,6 +107,8 @@ def main():
     ap.add_argument("--cells", help="regex of the instruction that occurs once per DP cell")
     ap.add_argument("--per-cell", action="append", default=[], metavar="PATTERN=N",
                     help="at most N instructions matching PATTERN per cell (needs --cells)")
+    ap.add_argument("--min-per-cell", action="append", default=[], metavar="PATTERN=N",
+                    help="at least N instructions matching PATTERN per cell (needs --cells)")
     ap.add_argument("--min-cells", type=int, default=0, metavar="N",
                     help="some loop computes at least N cells (needs --cells)")
     args = ap.parse_args()
@@ -114,8 +121,8 @@ def main():
     func_re = re.compile(args.func)
     select = re.compile(args.select)
     forbid = [re.compile(p) for p in args.forbid]
-    if (args.per_cell or args.min_cells) and not args.cells:
-        ap.error("--per-cell and --min-cells need --cells")
+    if (args.per_cell or args.min_per_cell or args.min_cells) and not args.cells:
+        ap.error("--per-cell, --min-per-cell and --min-cells need --cells")
     cells_re = re.compile(args.cells) if args.cells else None
 
     def parse(specs):
@@ -127,6 +134,7 @@ def main():
 
     limits = parse(args.max)
     cell_limits = parse(args.per_cell)
+    cell_floors = parse(args.min_per_cell)
 
     checked, most_cells, errors = 0, 0, []
     for name, body in functions(text, func_re):
@@ -137,7 +145,7 @@ def main():
             checked += 1
             where = "%s loop at %x (%d insns)" % (short, start, len(loop))
             counts = {p: sum(1 for i in loop if r.search(i))
-                      for p, r, _ in limits + cell_limits}
+                      for p, r, _ in limits + cell_limits + cell_floors}
             cells = sum(1 for i in loop if cells_re.search(i)) if cells_re else 0
             most_cells = max(most_cells, cells)
             print("%s: zmm=%d%s %s" % (where, sum("%zmm" in i for i in loop),
@@ -153,11 +161,15 @@ def main():
                 if counts[pattern] > n:
                     errors.append("%s: %d instructions match %s (max %d)"
                                   % (where, counts[pattern], pattern, n))
-            if cell_limits and cells == 0:
+            if (cell_limits or cell_floors) and cells == 0:
                 errors.append("%s: no instruction matches --cells %s" % (where, args.cells))
             for pattern, _, n in cell_limits:
                 if counts[pattern] > n * cells:
                     errors.append("%s: %d instructions match %s in %d cells (max %d per cell)"
+                                  % (where, counts[pattern], pattern, cells, n))
+            for pattern, _, n in cell_floors:
+                if counts[pattern] < n * cells:
+                    errors.append("%s: %d instructions match %s in %d cells (min %d per cell)"
                                   % (where, counts[pattern], pattern, cells, n))
     if checked == 0:
         errors.append("no innermost loop of a function matching %r selected" % args.func)
