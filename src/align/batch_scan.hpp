@@ -83,8 +83,8 @@ void realign_winners(const seq::SequenceDatabase& db,
 /// measurable.
 inline constexpr size_t kChunksPerWorker = 16;
 
-/// One query of a scan: its residues and, when the caller has one, its
-/// prepared feed (core::score_batch's `prep`).
+/// One query of a scan: its residues and the request's prepared feed
+/// (core::score_batch's `prep`; null when the query is empty).
 struct ScanQuery {
   seq::SeqView seq;
   const core::PreparedQuery* prep = nullptr;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "align/batch_scan.hpp"
-#include "align/query_cache.hpp"
 #include "align/sharded_search.hpp"
 #include "parallel/partition.hpp"
 #include "perf/metrics.hpp"
@@ -51,8 +50,8 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
   out.db_residues = db.total_residues();
   if (db.empty() || query.empty()) return out;
 
-  std::shared_ptr<const core::PreparedQuery> prep;
-  if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
+  // The request's query feed, shared read-only by every part.
+  const core::PreparedQuery prep(query);
 
   const unsigned parts = ctx.pool ? ctx.pool->size() : 1u;
   auto ranges = parallel::partition_by_residues(db, parts);
@@ -74,7 +73,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
         span.set_trunc(trunc_cause(ctx));
         break;
       }
-      core::Alignment a = core::pair_align(query, db[s], cfg, ws, prep.get());
+      core::Alignment a = core::pair_align(query, db[s], cfg, ws, &prep);
       span.set_isa(a.isa_used);
       span.set_width_bits(width_bits(a.width_used));
       stats += a.stats;

@@ -105,7 +105,8 @@ enum class SearchMode {
 namespace engine {
 
 /// Stateless scenario-1 engine, diagonal-kernel path. `cfg` must already be
-/// validated with traceback off. Deterministic for any pool size; honors
+/// validated with traceback off. Builds the query's feed once per call and
+/// hands it to every pair_align. Deterministic for any pool size; honors
 /// ctx cancellation/deadline at per-sequence granularity.
 SearchResult search_diagonal(const seq::SequenceDatabase& db,
                              const core::AlignConfig& cfg, seq::SeqView query,

@@ -3,6 +3,9 @@
 // The engines (engine::search_diagonal and ShardedSearch's scan and
 // search) take everything a request needs — the thread pool to fan out
 // over, a cooperative cancellation flag, a deadline — in an ExecContext.
+// The engines keep no query state across requests: each builds its query
+// feed (core::PreparedQuery) once per request and takes scratch memory
+// from the running thread's core::thread_workspace().
 // Cancellation/deadline is checked at sequence-chunk granularity: an engine
 // polls should_stop() between sequences (diagonal path) or between batches
 // (batch path) and returns early with the result marked truncated.
@@ -16,20 +19,12 @@
 
 namespace swve::align {
 
-class QueryStateCache;
-
 struct ExecContext {
   using Clock = std::chrono::steady_clock;
 
   /// Pool for intra-request parallelism; null runs single-threaded.
   /// (Two or more ShardedSearch shards use their own pools instead.)
   parallel::ThreadPool* pool = nullptr;
-
-  /// Optional query-state cache: supplies prepared() query feeds (see
-  /// align::QueryStateCache). Null means build the feeds per request —
-  /// bit-identical results, just more per-request setup. Scratch memory
-  /// always comes from the running thread's core::thread_workspace().
-  QueryStateCache* query_cache = nullptr;
 
   /// Optional external cancellation: when *cancel becomes true the engine
   /// stops at the next chunk boundary.

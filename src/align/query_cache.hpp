@@ -1,13 +1,13 @@
-// Per-service cache of per-query state: built core::PreparedQuery feed
-// arrays behind an LRU.
+// An LRU of built core::PreparedQuery feed arrays, keyed by query, scoring
+// config and ISA.
 //
-// Why: the engines are stateless — each request builds its query feeds. A
-// service that sees the same query on back-to-back requests (the ROADMAP's
-// "heavy repeated traffic") repays that setup on every request. The cache
-// sits in ExecContext as an optional pointer: engines that find one share
-// prepared queries; engines that don't build their own. Results are
-// bit-identical either way. (Scratch memory is not cached here: every
-// engine takes its thread's core::thread_workspace().)
+// No library path uses it: every engine builds one PreparedQuery per query
+// per request and hands it to every kernel call of that request, so the
+// search stack keeps no query state across requests. The class stays for
+// one caller, the benchmark's `align.prepare_us` probe
+// (perfbench/src/search.cpp), which times prepared() on a cold cache; it
+// and its QueryStateCache tests go when that probe times the feed build
+// directly. Do not attach it to an engine or a service.
 //
 // Keying: PreparedQuery contents depend only on the query bytes, but the
 // LRU key also folds in the scoring config (matrix identity, scheme,

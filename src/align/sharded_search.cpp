@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "align/batch_scan.hpp"
-#include "align/query_cache.hpp"
 #include "core/mapped_db.hpp"
 #include "obs/pmu.hpp"
 #include "perf/metrics.hpp"
@@ -152,13 +151,12 @@ ShardStats ShardedSearch::shard_stats(size_t s) const noexcept {
 
 namespace {
 
-/// The query's shared prepared feed from ctx.query_cache; null without a
-/// cache, or when the scan has nothing to score.
-std::shared_ptr<const core::PreparedQuery> prepare(
-    const seq::SequenceDatabase& db, const core::AlignConfig& cfg,
-    seq::SeqView query, const ExecContext& ctx) {
-  if (ctx.query_cache == nullptr || db.empty() || query.empty()) return {};
-  return ctx.query_cache->prepared(query, cfg);
+/// The request's feed for `query`, shared read-only by every rescore and
+/// re-alignment of the request; null when the scan has nothing to score.
+std::unique_ptr<const core::PreparedQuery> prepare(
+    const seq::SequenceDatabase& db, seq::SeqView query) {
+  if (db.empty() || query.empty()) return {};
+  return std::make_unique<const core::PreparedQuery>(query);
 }
 
 }  // namespace
@@ -166,12 +164,12 @@ std::shared_ptr<const core::PreparedQuery> prepare(
 std::vector<SearchResult> ShardedSearch::scan(
     const core::AlignConfig& cfg, std::span<const seq::SeqView> queries,
     size_t top_k, const ExecContext& ctx) const {
-  std::vector<std::shared_ptr<const core::PreparedQuery>> preps;
+  std::vector<std::unique_ptr<const core::PreparedQuery>> preps;
   std::vector<detail::ScanQuery> scan_queries;
   preps.reserve(queries.size());
   scan_queries.reserve(queries.size());
   for (const seq::SeqView q : queries) {
-    preps.push_back(prepare(*db_, cfg, q, ctx));
+    preps.push_back(prepare(*db_, q));
     scan_queries.push_back({q, preps.back().get()});
   }
   return scan_prepared(cfg, scan_queries, top_k, ctx);
@@ -181,7 +179,7 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
                                    seq::SeqView query, size_t top_k,
                                    const ExecContext& ctx) const {
   perf::Stopwatch sw;
-  const auto prep = prepare(*db_, cfg, query, ctx);
+  const auto prep = prepare(*db_, query);
   const detail::ScanQuery scan_query{query, prep.get()};
   SearchResult out =
       std::move(scan_prepared(cfg, {&scan_query, 1}, top_k, ctx).front());

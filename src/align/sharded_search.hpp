@@ -102,8 +102,9 @@ class ShardedSearch {
   /// two or more ignore ctx.pool and use their own pools. ctx
   /// cancel/deadline is honored at batch granularity inside every shard; a
   /// stop marks every result truncated and withholds its hits.
-  /// ctx.query_cache supplies the shared prepared queries, and
-  /// ctx.trace.pmu the shard counters (wall time only when null).
+  /// Each non-empty query's feed (core::PreparedQuery) is built once for
+  /// the call and shared by every shard's rescores. ctx.trace.pmu supplies
+  /// the shard counters (wall time only when null).
   /// Identical hits for every shard count and pool size.
   /// Throws std::invalid_argument, before any scan starts, when cfg.isa
   /// cannot drive the packed lanes (core::batch_lanes_fit). Thread-safe.

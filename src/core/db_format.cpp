@@ -163,7 +163,8 @@ ErrorOr<SwdbBuildStats> write_swdb(const seq::SequenceDatabase& db,
     const auto cols = bdb.column_bytes();
     put(cols.data(), cols.size_bytes());
   });
-  // Pad the tail so file_bytes is aligned too (tidy for shm copies).
+  // Pad the tail so file_bytes is a multiple of kSwdbAlign too. Every v1
+  // artifact ends this way; dropping the pad would change its size.
   w.pad_to(kSwdbAlign);
 
   SwdbHeader h;

@@ -4,15 +4,16 @@
 // the DP sweep: the gather-index feed qmul32 (32 * q[i], Fig 4) and the
 // width-widened encoded query qenc (compare feed for Fixed scoring, lookup
 // indices for Shuffle delivery). A database search streams thousands of
-// targets against ONE query, and a service sees the same query on
-// back-to-back requests — so this state can be built once and shared
-// read-only across threads. A kernel handed a PreparedQuery skips the
-// rebuild; results are bit-identical either way (the arrays hold exactly
-// the bytes the in-workspace build would produce, padding included).
+// targets against ONE query (the paper's scenario 1), so each search
+// request builds this state once and shares it read-only across its
+// threads: every rescore and re-alignment of the request reads the same
+// feed, and the feed dies with the request. A kernel handed a
+// PreparedQuery skips the rebuild; results are bit-identical either way
+// (the arrays hold exactly the bytes the in-workspace build would produce,
+// padding included).
 //
 // The arrays depend only on the query residues — not on the matrix, gap
-// model, or ISA — so one PreparedQuery serves every config. (Cache layers
-// above may still key more conservatively; see align::QueryStateCache.)
+// model, or ISA — so one PreparedQuery serves every config.
 #pragma once
 
 #include <algorithm>

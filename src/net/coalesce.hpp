@@ -10,8 +10,8 @@
 // cached result or coalesced onto their execution).
 //
 // The classes are event-loop-local by design (the epoll server is single
-// threaded), so neither locks. ResultCache mirrors the mutex-free core of
-// align::QueryStateCache's LRU (std::list + unordered_map of iterators).
+// threaded), so neither locks. ResultCache is a plain LRU: a std::list in
+// recency order plus an unordered_map of its iterators.
 #pragma once
 
 #include <cstdint>

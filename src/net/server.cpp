@@ -917,10 +917,7 @@ std::string Server::render_statusz() const {
                   {"telemetry_cadence_s", opts_.telemetry_cadence_s},
                   {"telemetry_retention_s", opts_.telemetry_retention_s}}},
       {"queue", JsonObject{{"executors", static_cast<uint64_t>(sopt.queue.executors)},
-                           {"capacity", static_cast<uint64_t>(sopt.queue.capacity)}}},
-      {"cache",
-       JsonObject{{"query_cache_capacity",
-                   static_cast<uint64_t>(sopt.cache.query_cache_capacity)}}}};
+                           {"capacity", static_cast<uint64_t>(sopt.queue.capacity)}}}};
   out["cache"] =
       JsonObject{{"capacity", static_cast<uint64_t>(cache_.capacity())}};
   out["coalesce"] = JsonObject{

@@ -207,18 +207,6 @@ constexpr Family kFamilies[] = {
      [](const Source& s, Samples& o) {
        o.add(g6(s.m.batch_packing_efficiency()));
      }},
-    {"swve_query_cache_lookups_total",
-     "Prepared-query cache lookups, by result", Type::Counter,
-     [](const Source& s, Samples& o) {
-       o.add(n(s.m.query_cache_hits), {{"result", "hit"}});
-       o.add(n(s.m.query_cache_misses), {{"result", "miss"}});
-     }},
-    {"swve_query_cache_evictions_total",
-     "Prepared-query LRU entries displaced at capacity", Type::Counter,
-     [](const Source& s, Samples& o) { o.add(n(s.m.query_cache_evictions)); }},
-    {"swve_query_cache_entries",
-     "Prepared-query LRU entries currently cached", Type::Gauge,
-     [](const Source& s, Samples& o) { o.add(n(s.m.query_cache_entries)); }},
     {"swve_pool_threads", "Worker threads in the owned pool", Type::Gauge,
      [](const Source& s, Samples& o) { o.add(n(s.m.pool_threads)); }},
     {"swve_pool_jobs_total", "Jobs executed by the pool", Type::Counter,

@@ -237,13 +237,6 @@ struct MetricsSnapshot {
   uint64_t batch_cells8 = 0;
   uint64_t batch_useful_cells8 = 0;
 
-  // Query-state cache (filled by the owner from align::QueryStateCache;
-  // zero when no cache is attached).
-  uint64_t query_cache_hits = 0;
-  uint64_t query_cache_misses = 0;
-  uint64_t query_cache_evictions = 0;
-  uint64_t query_cache_entries = 0;
-
   // Database provenance (filled by the owner — service::AlignService; all
   // zero for a database-less or legacy in-process-packed service).
   uint64_t db_source = 0;          ///< core::DbSource: 0 built, 1 mmap
@@ -252,8 +245,8 @@ struct MetricsSnapshot {
   double db_load_seconds = 0;      ///< startup: map/pack -> search-ready
 
   // Serving front door (filled by net::Server; zero without one). The
-  // result cache sits above the query-state cache and holds serialized
-  // responses keyed by (scenario, request bytes, config, db epoch).
+  // result cache holds serialized responses keyed by (scenario, request
+  // bytes, config, db epoch).
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;
   uint64_t result_cache_evictions = 0;

@@ -73,9 +73,6 @@ AlignService::AlignService(InitTag, ServiceOptions options)
   if (opt_.queue.capacity == 0) opt_.queue.capacity = 1;
   if (auto st = opt_.try_validate(); !st)
     throw std::invalid_argument(st.error().message);
-  if (opt_.cache.query_cache_capacity > 0)
-    query_cache_ = std::make_unique<align::QueryStateCache>(
-        opt_.cache.query_cache_capacity);
   inflight_ = std::make_unique<obs::InFlightTable>(
       opt_.queue.executors + std::max(1u, std::thread::hardware_concurrency()));
   {
@@ -201,13 +198,6 @@ perf::MetricsSnapshot AlignService::metrics() const {
   s.pool_threads = ps.threads;
   s.pool_jobs = ps.jobs;
   s.pool_busy_seconds = ps.busy_seconds;
-  if (query_cache_) {
-    const align::QueryCacheStats qs = query_cache_->stats();
-    s.query_cache_hits = qs.hits;
-    s.query_cache_misses = qs.misses;
-    s.query_cache_evictions = qs.evictions;
-    s.query_cache_entries = qs.entries;
-  }
   if (sharded_) {
     const size_t n = std::min<size_t>(sharded_->shard_count(),
                                       perf::MetricsSnapshot::kMaxShards);
@@ -564,10 +554,8 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   try {
     td = maybe_topdown(
         [&] {
-          // The executor's or inline caller's own workspace. The kernel
-          // builds its query feed here: a pair is too small for the
-          // query-state cache's lookup to pay (results are bit-identical
-          // either way).
+          // The executor's or inline caller's own workspace; the kernel
+          // builds the pair's query feed there.
           obs::Span chunk(tctx, "chunk.pairwise");
           a = core::pair_align(rq.query, rq.reference, cfg,
                                core::thread_workspace());
@@ -644,7 +632,6 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
   const obs::TraceContext tctx = trace_context(st.trace_id);
   align::ExecContext ctx;
   ctx.pool = &pool_;
-  ctx.query_cache = query_cache_.get();
   ctx.deadline = steady_time_point(st.deadline_ns);
   ctx.trace = tctx;
   obs::Span dispatch(tctx, batch ? "dispatch.batch" : "dispatch.search",

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "align/db_search.hpp"
-#include "align/query_cache.hpp"
 #include "align/sharded_search.hpp"
 #include "core/batch32.hpp"
 #include "core/mapped_db.hpp"
@@ -82,17 +81,6 @@ struct QueueOptions {
   /// Start with executors paused (tests use this to fill the queue
   /// deterministically); call resume() to begin draining.
   bool start_paused = false;
-};
-
-/// Caching layers under the service (query-state LRU).
-struct CacheOptions {
-  /// Distinct (query, config, ISA) entries the query-state cache holds;
-  /// back-to-back search or batch requests for a cached query skip
-  /// rebuilding its kernel feed arrays. Pairwise requests do not use the
-  /// cache. Capacity 0 disables the cache (every request builds its own
-  /// feeds). Scratch memory is per thread either way
-  /// (core::thread_workspace()).
-  size_t query_cache_capacity = 32;
 };
 
 /// Scenario-1 batch execution (align::ShardedSearch): how the packed
@@ -199,7 +187,6 @@ struct ServiceOptions {
   size_t default_top_k = 10;
 
   QueueOptions queue;
-  CacheOptions cache;
   SearchOptions search;
   ObsOptions obs;
   ServeOptions serve;
@@ -386,10 +373,6 @@ class AlignService {
   }
   /// The backing artifact, when started from one.
   const core::MappedDb* mapped_db() const noexcept { return mapped_; }
-  /// The query-state cache (null when query_cache_capacity == 0).
-  const align::QueryStateCache* query_cache() const noexcept {
-    return query_cache_.get();
-  }
   /// The batch search engine, or null without a database. Per-shard stats
   /// for /statusz and the exporters come from here.
   const align::ShardedSearch* sharded() const noexcept {
@@ -546,7 +529,6 @@ class AlignService {
   core::DbSource db_source_ = core::DbSource::Built;
   uint64_t db_epoch_ = 0;
   double db_load_seconds_ = 0;
-  std::unique_ptr<align::QueryStateCache> query_cache_;
   std::unique_ptr<align::ShardedSearch> sharded_;  // with a database
 
   parallel::ThreadPool pool_;

@@ -12,6 +12,7 @@
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
+#include "service/align_service.hpp"
 
 namespace swve::align {
 namespace {
@@ -95,29 +96,72 @@ TEST(ScanPlanner, CutsAreContiguousAndBalanced) {
   EXPECT_TRUE(detail::plan_by_cells(packed, 0, n, 0).empty());
 }
 
-TEST(DatabaseSearch, TopKMatchesBruteForce) {
-  auto db = make_db(60'000);
-  AlignConfig cfg;
-  DatabaseSearch search(db, cfg);
-  auto q = seq::generate_sequence(90, 120);
-  SearchResult res = search.search(q, 10);
-  ASSERT_LE(res.hits.size(), 10u);
-
-  // Brute force with the golden model.
-  std::vector<Hit> all;
-  for (size_t s = 0; s < db.size(); ++s) {
-    core::Alignment a = core::ref_align(q, db[s], cfg);
-    if (a.score > 0)
-      all.push_back(Hit{static_cast<uint32_t>(s), a.score, a.end_query, a.end_ref});
+void expect_same_hits(const SearchResult& got, const std::vector<Hit>& want,
+                      const char* what) {
+  ASSERT_EQ(got.hits.size(), want.size()) << what;
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got.hits[k].seq_index, want[k].seq_index) << what << " " << k;
+    EXPECT_EQ(got.hits[k].score, want[k].score) << what << " " << k;
+    EXPECT_EQ(got.hits[k].end_query, want[k].end_query) << what << " " << k;
+    EXPECT_EQ(got.hits[k].end_ref, want[k].end_ref) << what << " " << k;
   }
-  std::sort(all.begin(), all.end());
-  all.resize(std::min<size_t>(all.size(), 10));
-  ASSERT_EQ(res.hits.size(), all.size());
-  for (size_t k = 0; k < all.size(); ++k) {
-    EXPECT_EQ(res.hits[k].seq_index, all[k].seq_index) << k;
-    EXPECT_EQ(res.hits[k].score, all[k].score) << k;
-    EXPECT_EQ(res.hits[k].end_query, all[k].end_query) << k;
-    EXPECT_EQ(res.hits[k].end_ref, all[k].end_ref) << k;
+}
+
+TEST(DatabaseSearch, TopKMatchesBruteForce) {
+  AlignConfig cfg;
+  // A short query over a random database, and a query past the column
+  // sweep's limit (core::kColumnSweepMaxQuery) over one with three planted
+  // near-copies of it. The copies saturate their 8-bit lanes, so the
+  // rescore ladder and the phase-2 re-alignment both run the diagonal
+  // kernel on the request's query feed.
+  const seq::Sequence long_q =
+      seq::generate_sequence(91, core::kColumnSweepMaxQuery + 144);
+  seq::SyntheticConfig sc;
+  sc.seed = 17;
+  sc.target_residues = 30'000;
+  sc.min_length = 20;
+  sc.max_length = 400;
+  std::vector<seq::Sequence> seqs = seq::generate_database(sc);
+  for (size_t i = 0; i < 3; ++i)
+    seqs.insert(seqs.begin() + static_cast<std::ptrdiff_t>(seqs.size() * (i + 1) / 4),
+                seq::mutate(long_q, 92 + i, 0.05 * static_cast<double>(i + 1)));
+  struct Input {
+    seq::SequenceDatabase db;
+    seq::Sequence q;
+    uint64_t planted;  // near-copies whose 8-bit lanes saturate
+  };
+  const Input inputs[] = {{make_db(60'000), seq::generate_sequence(90, 120), 0},
+                          {seq::SequenceDatabase(std::move(seqs)), long_q, 3}};
+
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(::testing::Message() << "query of " << in.q.length() << " aa");
+    // Brute force with the golden model.
+    std::vector<Hit> all;
+    for (size_t s = 0; s < in.db.size(); ++s) {
+      core::Alignment a = core::ref_align(in.q, in.db[s], cfg);
+      if (a.score > 0)
+        all.push_back(Hit{static_cast<uint32_t>(s), a.score, a.end_query, a.end_ref});
+    }
+    std::sort(all.begin(), all.end());
+    all.resize(std::min<size_t>(all.size(), 10));
+
+    DatabaseSearch search(in.db, cfg);
+    SearchResult res = search.search(in.q, 10);
+    expect_same_hits(res, all, "DatabaseSearch");
+    EXPECT_GE(res.batch_stats.rescored, in.planted);
+    expect_same_hits(engine::search_diagonal(in.db, cfg, in.q, 10, ExecContext{}),
+                     all, "search_diagonal");
+
+    service::ServiceOptions opt;
+    opt.pool_threads = 2;
+    service::AlignService svc(in.db, opt);
+    service::SearchRequest rq;
+    rq.query = in.q;
+    rq.options.top_k = 10;
+    auto got = service::submit_future(svc, std::move(rq)).get();
+    ASSERT_TRUE(got.ok()) << got.error().message;
+    expect_same_hits(got.value().result, all, "AlignService");
+    EXPECT_GE(got.value().result.batch_stats.rescored, in.planted);
   }
 }
 

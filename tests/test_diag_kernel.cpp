@@ -7,6 +7,8 @@
 #include <set>
 #include <tuple>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
@@ -172,18 +174,46 @@ TEST_P(DiagKernelTest, TracebackReplaysToReportedScore) {
 
 TEST_P(DiagKernelTest, AllScoreDeliveriesAgree) {
   std::mt19937_64 rng(107);
+  std::vector<std::pair<seq::Sequence, seq::Sequence>> pairs;
   for (int it = 0; it < 12; ++it) {
     auto q = seq::generate_sequence(rng(), 1 + rng() % 200);
     auto r = seq::generate_sequence(rng(), 1 + rng() % 200);
+    pairs.emplace_back(std::move(q), std::move(r));
+  }
+  // Around the column sweep's limit (kColumnSweepMaxQuery) and well past
+  // it, against near-copies, so the narrow rungs saturate.
+  for (size_t m : {255u, 256u, 257u, 700u}) {
+    auto q = seq::generate_sequence(rng(), m);
+    auto r = seq::mutate(q, rng(), 0.1);
+    pairs.emplace_back(std::move(q), std::move(r));
+  }
+  for (size_t it = 0; it < pairs.size(); ++it) {
+    const auto& [q, r] = pairs[it];
     AlignConfig cfg = base_config();
     cfg.traceback = (it & 1) != 0;
     Alignment ref = ref_align(q, r, cfg);
+    // The query feed a search request builds once and hands to every call.
+    const PreparedQuery prep(q);
     for (ScoreDelivery d : {ScoreDelivery::Gather, ScoreDelivery::Fill,
                             ScoreDelivery::Shuffle, ScoreDelivery::Auto}) {
       cfg.delivery = d;
+      SCOPED_TRACE(::testing::Message() << "pair " << it << " (m "
+                                        << q.length() << "), delivery "
+                                        << static_cast<int>(d));
       Alignment got = diag_align(q, r, cfg, ws_);
-      if (got.saturated) continue;
-      EXPECT_EQ(got.score, ref.score) << "delivery " << static_cast<int>(d);
+      Alignment fed = diag_align(q, r, cfg, ws_, &prep);
+      EXPECT_EQ(fed.score, got.score);
+      EXPECT_EQ(fed.end_query, got.end_query);
+      EXPECT_EQ(fed.end_ref, got.end_ref);
+      EXPECT_EQ(fed.begin_query, got.begin_query);
+      EXPECT_EQ(fed.begin_ref, got.begin_ref);
+      EXPECT_EQ(fed.cigar, got.cigar);
+      EXPECT_EQ(fed.width_used, got.width_used);
+      EXPECT_EQ(fed.saturated_8, got.saturated_8);
+      EXPECT_EQ(fed.saturated_16, got.saturated_16);
+      EXPECT_EQ(fed.saturated, got.saturated);
+      if (got.saturated) continue;  // a lower bound, not the exact score
+      EXPECT_EQ(got.score, ref.score);
       EXPECT_EQ(got.end_query, ref.end_query);
       EXPECT_EQ(got.end_ref, ref.end_ref);
       if (cfg.traceback && got.score > 0) {

@@ -459,10 +459,6 @@ perf::MetricsSnapshot populated_snapshot() {
   s.target_cells[avx512][1] = 100'000'000'000;
   s.batch_cells8 = 9'000'000'000;
   s.batch_useful_cells8 = 7'654'321'000;
-  s.query_cache_hits = 300;
-  s.query_cache_misses = 100;
-  s.query_cache_evictions = 9;
-  s.query_cache_entries = 55;
   s.db_source = 1;
   s.db_map_bytes = 98'765'432;
   s.db_resident_bytes = 87'654'321;

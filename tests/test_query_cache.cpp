@@ -3,7 +3,6 @@
 #include <thread>
 #include <vector>
 
-#include "align/db_search.hpp"
 #include "align/query_cache.hpp"
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
@@ -11,15 +10,6 @@
 
 namespace swve::align {
 namespace {
-
-seq::SequenceDatabase make_db(uint64_t residues, uint64_t seed = 33) {
-  seq::SyntheticConfig cfg;
-  cfg.seed = seed;
-  cfg.target_residues = residues;
-  cfg.min_length = 20;
-  cfg.max_length = 300;
-  return seq::SequenceDatabase::synthetic(cfg);
-}
 
 TEST(PreparedQuery, FeedsMatchWorkspaceBuiltState) {
   auto q = seq::generate_sequence(600, 150);
@@ -142,38 +132,6 @@ TEST(QueryStateCache, ClearDropsEntriesButKeepsCounters) {
   QueryCacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.misses, 1u);
-}
-
-TEST(QueryStateCache, SearchResultsBitIdenticalWithAndWithoutCache) {
-  auto db = make_db(50'000);
-  core::AlignConfig cfg;
-  auto q = seq::generate_sequence(650, 140);
-  QueryStateCache cache(8);
-  const DatabaseSearch batch(db, cfg);
-  // Both engines: the diagonal one and the facade's batch scan.
-  for (bool diagonal : {true, false}) {
-    auto search = [&](const ExecContext& ctx) {
-      return diagonal ? engine::search_diagonal(db, cfg, q, 12, ctx)
-                      : batch.search(q, 12, ctx);
-    };
-    ExecContext plain;
-    ExecContext cached;
-    cached.query_cache = &cache;
-    SearchResult a = search(plain);
-    // Twice through the cache: the second run hits the LRU.
-    SearchResult b = search(cached);
-    SearchResult c = search(cached);
-    ASSERT_EQ(a.hits.size(), b.hits.size());
-    for (size_t k = 0; k < a.hits.size(); ++k) {
-      EXPECT_EQ(a.hits[k].seq_index, b.hits[k].seq_index) << k;
-      EXPECT_EQ(a.hits[k].score, b.hits[k].score) << k;
-      EXPECT_EQ(a.hits[k].end_query, b.hits[k].end_query) << k;
-      EXPECT_EQ(b.hits[k].seq_index, c.hits[k].seq_index) << k;
-      EXPECT_EQ(b.hits[k].score, c.hits[k].score) << k;
-    }
-  }
-  QueryCacheStats s = cache.stats();
-  EXPECT_GT(s.hits, 0u);
 }
 
 TEST(QueryStateCache, ConcurrentLookupsAreSafeAndConverge) {
