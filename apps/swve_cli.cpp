@@ -30,8 +30,6 @@
 //   --sample-period-ms N tick the telemetry history every N ms and dump it
 //                        (frequency probe, QPS, GCUPS, ...) to stderr on exit
 //                        as one JSON line prefixed "telemetry: "
-//   --topdown-every N    attach a top-down pipeline analysis to 1-in-N
-//                        requests and report it on stderr
 //   --flight-out FILE    install the flight recorder: on SIGSEGV/SIGABRT or
 //                        SIGTERM/SIGINT, dump trace ring + metrics snapshot +
 //                        in-flight request table to FILE (also flushes
@@ -40,6 +38,9 @@
 //                        slow-request record for any request executing
 //                        longer than N ms
 //   --no-pmu             disable span-scoped hardware-counter attribution
+//                        (the swve_pmu_* cells of --metrics: cycles,
+//                        instructions, stalls and misses per ISA x kernel
+//                        x width)
 //   --dna                parse sequences with the DNA alphabet
 #include <chrono>
 #include <cstdio>
@@ -64,7 +65,6 @@ struct CliOptions {
   obs::MetricsFormat metrics_format = obs::MetricsFormat::Text;
   std::string trace_out;
   int sample_period_ms = 0;  // 0 = service default cadence, no dump
-  uint32_t topdown_every = 0;  // 0 = no top-down sampling
   int deadline_ms = 0;  // 0 = none
   std::string flight_out;    // flight-recorder dump path ("" = not installed)
   int slo_ms = 0;            // 0 = watchdog off
@@ -84,8 +84,8 @@ struct CliOptions {
       "         --linear N | --band N | --isa NAME | --width 8|16|32|auto\n"
       "         --top K | --threads N | --deadline-ms N | --metrics | --dna\n"
       "         --metrics-format=text|prom|json | --trace-out FILE\n"
-      "         --sample-period-ms N | --topdown-every N\n"
-      "         --flight-out FILE | --slo-ms N | --no-pmu\n",
+      "         --sample-period-ms N | --flight-out FILE | --slo-ms N\n"
+      "         --no-pmu\n",
       stderr);
   std::exit(2);
 }
@@ -131,8 +131,6 @@ CliOptions parse(int argc, char** argv) {
     else if (s == "--slo-ms") o.slo_ms = std::atoi(next());
     else if (s == "--no-pmu") o.no_pmu = true;
     else if (s == "--sample-period-ms") o.sample_period_ms = std::atoi(next());
-    else if (s == "--topdown-every")
-      o.topdown_every = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
     else if (s == "--dna") o.dna = true;
     else if (s == "--help") usage();
     else if (s.rfind("--", 0) == 0) usage(("unknown option " + s).c_str());
@@ -163,7 +161,6 @@ service::ServiceOptions service_options(const CliOptions& o,
   so.obs.trace_sink = sink;
   if (o.sample_period_ms > 0)
     so.serve.telemetry_cadence_s = o.sample_period_ms * 1e-3;
-  so.obs.topdown_every_n = o.topdown_every;
   so.obs.pmu_attribution = !o.no_pmu;
   so.obs.slow_request_slo_s = o.slo_ms > 0 ? o.slo_ms * 1e-3 : 0;
   return so;
@@ -205,18 +202,6 @@ void install_recorder(obs::FlightRecorder& rec, const CliOptions& o,
 void apply_deadline(service::RequestOptions& ro, const CliOptions& o) {
   if (o.deadline_ms > 0)
     ro.deadline = std::chrono::milliseconds(o.deadline_ms);
-}
-
-void report_topdown(const service::RequestTrace& tr) {
-  if (!tr.topdown) return;
-  const perf::TopDownResult& td = *tr.topdown;
-  std::fprintf(stderr,
-               "topdown (%s): retiring %.1f%%, frontend %.1f%%, "
-               "bad-spec %.1f%%, backend %.1f%% (memory %.1f%%, core %.1f%%), "
-               "ipc %.2f\n",
-               td.source.c_str(), 100 * td.retiring, 100 * td.frontend_bound,
-               100 * td.bad_speculation, 100 * td.backend_bound,
-               100 * td.memory_bound, 100 * td.core_bound, td.ipc);
 }
 
 /// End-of-command observability dump: metrics in the chosen format, the
@@ -293,7 +278,6 @@ int cmd_align(const CliOptions& o) {
               : a.width_used == core::Width::W16 ? 16 : 32,
               a.saturated_8 ? ", 8-bit saturated" : "");
   std::fputs(align::format_alignment(qs[0], ts[0], a).c_str(), stdout);
-  report_topdown(resp.trace);
   dump_observability(o, svc, sink.get());
   return 0;
 }
@@ -324,7 +308,6 @@ int cmd_search(const CliOptions& o) {
   for (const auto& h : res.hits)
     std::printf("%s\t%s\t%d\t%d\t%d\n", qs[0].id().c_str(),
                 db[h.seq_index].id().c_str(), h.score, h.end_query, h.end_ref);
-  report_topdown(resp.trace);
   dump_observability(o, svc, sink.get());
   return 0;
 }
@@ -358,7 +341,6 @@ int cmd_batch(const CliOptions& o) {
     for (const auto& h : resp.results[qi].hits)
       std::printf("%s\t%s\t%d\n", qs[qi].id().c_str(), db[h.seq_index].id().c_str(),
                   h.score);
-  report_topdown(resp.trace);
   dump_observability(o, svc, sink.get());
   return 0;
 }

@@ -5,8 +5,9 @@
 //   (b) pipeline-slot efficiency vs thread count for a large query;
 //   (c) per-query slot efficiency.
 //
-// When perf_event counters are blocked (typical in containers), the model
-// derives the same categories from measurable quantities:
+// perf::topdown_analyze reads the measured thread's obs::PmuSession counter
+// group. When perf_event counters are blocked (typical in containers), the
+// model derives the same categories from measurable quantities:
 //   * retiring  = estimated retired instructions / (4 * cycles), with
 //     cycles from wall clock x the frequency measured at the SAME
 //     concurrency level (the paper's own recalibration point);
@@ -23,6 +24,7 @@
 
 #include "bench_common.hpp"
 #include "core/workspace.hpp"
+#include "obs/pmu.hpp"
 #include "perf/freq_monitor.hpp"
 #include "perf/topdown.hpp"
 
@@ -122,10 +124,13 @@ int main(int argc, char** argv) {
   args.db_residues /= 2;  // topdown runs several slices
   Workload w = Workload::make(args);
   bench::print_environment();
-  std::cout << "counter source: "
-            << (perf::perf_counters_available() ? "perf_event (hardware)"
-                                                : "analytical model (documented)")
-            << "\n";
+  obs::PmuSession& pmu = obs::PmuSession::instance();
+  std::cout << "counter source: ";
+  if (pmu.available())
+    std::cout << "perf_event (hardware)\n";
+  else
+    std::cout << "analytical model (documented; perf_event "
+              << pmu.unavailable_reason() << ")\n";
 
   const unsigned hw = simd::cpu_features().hardware_threads;
   perf::FreqScalingReport freq = perf::frequency_scaling(

@@ -3,11 +3,11 @@
 // The paper's analysis (top-down pipeline slots, §IV; effective-frequency
 // recalibration, §IV-E) needs per-kernel hardware evidence: which
 // ISA×kernel×width combination is stalling, missing cache, or running at a
-// throttled clock. perf::topdown_analyze wraps one whole workload in
-// one-shot counters; this module makes the same counters *span-scoped* so
-// every chunk.* trace span carries cycle/instruction/stall/miss deltas and
-// a derived effective-frequency estimate (the AVX-512 license-throttling
-// signal) at negligible cost.
+// throttled clock. This module is swve's one perf_event path: every
+// chunk.* trace span carries cycle/instruction/stall/miss deltas and a
+// derived effective-frequency estimate (the AVX-512 license-throttling
+// signal) at negligible cost, and perf::topdown_analyze reads the same
+// counter group around one whole workload.
 //
 // Design:
 //   * One perf_event counter *group* per recording thread (leader: cycles;

@@ -1,157 +1,58 @@
 #include "perf/topdown.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
-#if defined(__linux__)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
+#include "obs/pmu.hpp"
 #include "perf/freq_monitor.hpp"
 #include "perf/timer.hpp"
 
 namespace swve::perf {
 
-#if defined(__linux__)
-
 namespace {
 
-struct Counter {
-  int fd = -1;
-  explicit Counter(uint32_t type, uint64_t config) {
-    perf_event_attr attr{};
-    attr.size = sizeof(attr);
-    attr.type = type;
-    attr.config = config;
-    attr.disabled = 1;
-    attr.exclude_kernel = 1;
-    attr.exclude_hv = 1;
-    fd = static_cast<int>(syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
-  }
-  ~Counter() {
-    if (fd >= 0) close(fd);
-  }
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-  bool ok() const { return fd >= 0; }
-  void start() const {
-    if (fd >= 0) {
-      ioctl(fd, PERF_EVENT_IOC_RESET, 0);
-      ioctl(fd, PERF_EVENT_IOC_ENABLE, 0);
-    }
-  }
-  uint64_t stop() const {
-    if (fd < 0) return 0;
-    ioctl(fd, PERF_EVENT_IOC_DISABLE, 0);
-    uint64_t v = 0;
-    if (read(fd, &v, sizeof(v)) != sizeof(v)) v = 0;
-    return v;
-  }
-};
+constexpr double kIssueWidth = 4.0;  // slots per cycle, Intel big cores
 
-}  // namespace
-
-bool perf_counters_available() {
-  Counter c(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
-  if (!c.ok()) return false;
-  c.start();
-  volatile uint64_t x = 0;
-  for (int i = 0; i < 10000; ++i) x = x + 1;
-  return c.stop() > 0;
-}
-
-static bool topdown_hw(const std::function<void()>& workload, TopDownResult& out) {
-  Counter cycles(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
-  Counter instrs(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS);
-  Counter stall_be(PERF_TYPE_HARDWARE, PERF_COUNT_HW_STALLED_CYCLES_BACKEND);
-  Counter stall_fe(PERF_TYPE_HARDWARE, PERF_COUNT_HW_STALLED_CYCLES_FRONTEND);
-  Counter cache_miss(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES);
-  Counter branch_miss(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES);
-  if (!cycles.ok() || !instrs.ok()) return false;
-
-  cycles.start();
-  instrs.start();
-  stall_be.start();
-  stall_fe.start();
-  cache_miss.start();
-  branch_miss.start();
-  workload();
-  const uint64_t bm = branch_miss.stop();
-  const uint64_t cm = cache_miss.stop();
-  const uint64_t sf = stall_fe.stop();
-  const uint64_t sb = stall_be.stop();
-  const uint64_t in = instrs.stop();
-  const uint64_t cy = cycles.stop();
-  if (cy == 0 || in == 0) return false;
-
-  constexpr double kIssueWidth = 4.0;  // slots per cycle, Intel big cores
-  const double slots = kIssueWidth * static_cast<double>(cy);
-  out.cycles = cy;
-  out.instructions = in;
-  out.ipc = static_cast<double>(in) / static_cast<double>(cy);
-  out.retiring = std::min(1.0, static_cast<double>(in) / slots);
-  out.frontend_bound = sf ? std::min(1.0 - out.retiring,
-                                     kIssueWidth * static_cast<double>(sf) / slots)
-                          : 0.0;
+/// Slot breakdown from the calling thread's counter-group delta over the
+/// workload (obs::PmuSession; multiplex-scaled).
+void topdown_hw(const obs::PmuDelta& d, TopDownResult& out) {
+  const double cy = static_cast<double>(d.cycles);
+  const double slots = kIssueWidth * cy;
+  out.cycles = d.cycles;
+  out.instructions = d.instructions;
+  out.ipc = d.ipc();
+  out.retiring = std::min(1.0, static_cast<double>(d.instructions) / slots);
+  out.frontend_bound =
+      d.stall_frontend
+          ? std::min(1.0 - out.retiring,
+                     kIssueWidth * static_cast<double>(d.stall_frontend) / slots)
+          : 0.0;
   // ~20 wasted slots per mispredicted branch (flush depth), capped.
   out.bad_speculation =
-      std::min(0.3, 20.0 * static_cast<double>(bm) / slots);
+      std::min(0.3, 20.0 * static_cast<double>(d.branch_misses) / slots);
   out.backend_bound = std::max(
       0.0, 1.0 - out.retiring - out.frontend_bound - out.bad_speculation);
   // Memory share of backend: ~50 cycles per LLC miss as stall proxy.
-  double mem_cycles = 50.0 * static_cast<double>(cm);
-  double backend_cycles =
-      sb ? static_cast<double>(sb) : out.backend_bound * static_cast<double>(cy);
-  double mem_frac =
+  const double mem_cycles = 50.0 * static_cast<double>(d.llc_misses);
+  const double backend_cycles = d.stall_backend
+                                    ? static_cast<double>(d.stall_backend)
+                                    : out.backend_bound * cy;
+  const double mem_frac =
       backend_cycles > 0 ? std::min(1.0, mem_cycles / backend_cycles) : 0.0;
   out.memory_bound = out.backend_bound * mem_frac;
   out.core_bound = out.backend_bound - out.memory_bound;
   out.hardware_counters = true;
   out.source = "perf_event";
-  return true;
-}
-
-#else
-bool perf_counters_available() { return false; }
-static bool topdown_hw(const std::function<void()>&, TopDownResult&) { return false; }
-#endif
-
-double streaming_bandwidth_gbps() {
-  static const double bw = [] {
-    constexpr size_t kBytes = size_t{64} << 20;
-    std::vector<uint64_t> buf(kBytes / 8, 1);
-    // Warm touch, then time a read-accumulate sweep.
-    uint64_t acc = 0;
-    for (uint64_t v : buf) acc += v;
-    Stopwatch sw;
-    constexpr int kReps = 4;
-    for (int r = 0; r < kReps; ++r)
-      for (uint64_t v : buf) acc += v;
-    double secs = sw.seconds();
-    // Keep `acc` alive.
-    if (acc == 0xdeadbeef) secs += 1e-12;
-    return static_cast<double>(kBytes) * kReps / secs / 1e9;
-  }();
-  return bw;
 }
 
 // Analytical fallback (DESIGN.md §4, substitution 3): the caller supplies
 // the workload's retired-instruction and memory-traffic estimates; cycles
-// come from the frequency monitor and wall clock; memory-bound slots are
-// the fraction of time the traffic would take at measured streaming
+// come from the frequency and the workload's wall time; memory-bound slots
+// are the fraction of time the traffic would take at measured streaming
 // bandwidth; the remaining non-retiring slots are core bound. Front-end
 // and bad-speculation are ~0 for these branch-free kernels.
-static void topdown_model(const std::function<void()>& workload,
-                          const ModelInputs& model, TopDownResult& out) {
-  const double ghz = model.ghz > 0 ? model.ghz : measure_frequency(30).ghz;
-  Stopwatch sw;
-  workload();
-  const double secs = sw.seconds();
-  constexpr double kIssueWidth = 4.0;
+void topdown_model(double secs, double ghz, const ModelInputs& model,
+                   TopDownResult& out) {
   const double cycles = std::max(1.0, ghz * 1e9 * secs);
   const double slots = kIssueWidth * cycles;
   out.cycles = static_cast<uint64_t>(cycles);
@@ -176,15 +77,48 @@ static void topdown_model(const std::function<void()>& workload,
   out.source = "model";
 }
 
+}  // namespace
+
+double streaming_bandwidth_gbps() {
+  static const double bw = [] {
+    constexpr size_t kBytes = size_t{64} << 20;
+    std::vector<uint64_t> buf(kBytes / 8, 1);
+    // Warm touch, then time a read-accumulate sweep.
+    uint64_t acc = 0;
+    for (uint64_t v : buf) acc += v;
+    Stopwatch sw;
+    constexpr int kReps = 4;
+    for (int r = 0; r < kReps; ++r)
+      for (uint64_t v : buf) acc += v;
+    double secs = sw.seconds();
+    // Keep `acc` alive.
+    if (acc == 0xdeadbeef) secs += 1e-12;
+    return static_cast<double>(kBytes) * kReps / secs / 1e9;
+  }();
+  return bw;
+}
+
 TopDownResult topdown_analyze(const std::function<void()>& workload) {
   return topdown_analyze(workload, ModelInputs{});
 }
 
 TopDownResult topdown_analyze(const std::function<void()>& workload,
                               const ModelInputs& model) {
+  obs::PmuSession& pmu = obs::PmuSession::instance();
+  // The model measures the frequency on the idle machine, before the
+  // workload; with counters open it needs it only if they read zero.
+  double ghz = model.ghz;
+  if (ghz <= 0 && !pmu.available()) ghz = measure_frequency(30).ghz;
+  const obs::PmuReading begin = pmu.read();
+  workload();
+  const obs::PmuDelta d = obs::PmuSession::delta(begin, pmu.read());
   TopDownResult out;
-  if (topdown_hw(workload, out)) return out;
-  topdown_model(workload, model, out);
+  if (d.hw && d.cycles > 0 && d.instructions > 0) {
+    topdown_hw(d, out);
+    return out;
+  }
+  if (ghz <= 0) ghz = measure_frequency(30).ghz;
+  topdown_model(static_cast<double>(d.wall_ns) / 1e9, ghz, model, out);
   return out;
 }
 

@@ -3,12 +3,17 @@
 // The paper uses Intel VTune to classify pipeline slots into retiring /
 // front-end bound / bad speculation / back-end bound, and splits back-end
 // into memory-bound vs core-bound. This module reproduces that breakdown:
-//   * when the kernel permits, hardware counters are read through
-//     perf_event_open (cycles, instructions, backend/frontend stall cycles,
-//     cache misses);
-//   * otherwise (common in containers) an analytical model derives the
-//     same categories from measured IPC against the machine's issue width
-//     and a cache-miss proxy measured by timing a strided-load probe.
+//   * when hardware counters work, it reads the calling thread's
+//     obs::PmuSession counter group (cycles, instructions, frontend/backend
+//     stall cycles, LLC and branch misses) before and after the workload —
+//     the same group, multiplex scaling and forced test state the kernel
+//     spans' swve_pmu_* attribution uses; swve opens perf_event nowhere
+//     else;
+//   * otherwise (common in VMs and containers) an analytical model derives
+//     the same categories from caller-supplied instruction and traffic
+//     estimates, the workload's wall time from the same reading, the core
+//     frequency, and the measured streaming bandwidth.
+// Either way the workload runs exactly once.
 // DESIGN.md §4 (substitution 3) documents why the *relative* claims of
 // Fig 12 — submatrix => core bound; 8-18% memory bound; hyperthreading
 // raises slot efficiency — survive this substitution.
@@ -37,7 +42,8 @@ struct TopDownResult {
   std::string source;              ///< "perf_event" or "model"
 };
 
-/// Run `workload` once and produce the slot breakdown.
+/// Run `workload` once and produce the slot breakdown (counters only
+/// count the calling thread).
 TopDownResult topdown_analyze(const std::function<void()>& workload);
 
 /// Caller-supplied estimates for the analytical model (used when hardware
@@ -65,8 +71,5 @@ TopDownResult topdown_analyze(const std::function<void()>& workload,
 /// Measured streaming bandwidth of this machine (GB/s), cached after the
 /// first call; the model's memory-bound denominator.
 double streaming_bandwidth_gbps();
-
-/// True if perf_event counters are usable in this environment.
-bool perf_counters_available();
 
 }  // namespace swve::perf

@@ -5,7 +5,6 @@
 
 #include "core/dispatch.hpp"
 #include "obs/log.hpp"
-#include "perf/freq_monitor.hpp"
 #include "perf/timer.hpp"
 
 namespace swve::service {
@@ -235,35 +234,6 @@ perf::MetricsSnapshot AlignService::metrics() const {
 
 std::string AlignService::dump_metrics(obs::MetricsFormat format) const {
   return obs::render_metrics(metrics(), format);
-}
-
-double AlignService::model_ghz() {
-  double g = model_ghz_.load(std::memory_order_relaxed);
-  if (g == 0) {
-    g = perf::measure_frequency(10.0).ghz;
-    model_ghz_.store(g, std::memory_order_relaxed);
-  }
-  return g;
-}
-
-template <typename Work>
-std::optional<perf::TopDownResult> AlignService::maybe_topdown(
-    Work&& work, uint64_t est_cells) {
-  if (opt_.obs.topdown_every_n == 0 ||
-      topdown_seq_.fetch_add(1, std::memory_order_relaxed) %
-              opt_.obs.topdown_every_n !=
-          0) {
-    work();
-    return std::nullopt;
-  }
-  perf::ModelInputs model;
-  // ~1 retired instruction per DP cell and one byte of DP state touched per
-  // 8 cells — order-of-magnitude estimates for the analytical fallback; the
-  // hardware-counter path ignores them.
-  model.instructions = est_cells > 0 ? est_cells : 1;
-  model.mem_bytes = est_cells / 8 + 1;
-  model.ghz = model_ghz();
-  return perf::topdown_analyze(std::function<void()>(work), model);
 }
 
 size_t AlignService::queued_locked() const {
@@ -550,23 +520,18 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   obs::Span dispatch(tctx, "dispatch.pairwise", t_exec);
   core::Alignment a;
   uint64_t t_end = 0;
-  std::optional<perf::TopDownResult> td;
   try {
-    td = maybe_topdown(
-        [&] {
-          // The executor's or inline caller's own workspace; the kernel
-          // builds the pair's query feed there.
-          obs::Span chunk(tctx, "chunk.pairwise");
-          a = core::pair_align(rq.query, rq.reference, cfg,
-                               core::thread_workspace());
-          t_end = obs::steady_now_ns();
-          chunk.set_kernel(align::kernel_variant(a.sweep));
-          chunk.set_isa(a.isa_used);
-          chunk.set_width_bits(dp_width_bits(a.width_used));
-          chunk.add_cells(a.stats.cells);
-          chunk.end(t_end);
-        },
-        static_cast<uint64_t>(rq.query.length()) * rq.reference.length());
+    // The executor's or inline caller's own workspace; the kernel builds
+    // the pair's query feed there.
+    obs::Span chunk(tctx, "chunk.pairwise");
+    a = core::pair_align(rq.query, rq.reference, cfg,
+                         core::thread_workspace());
+    t_end = obs::steady_now_ns();
+    chunk.set_kernel(align::kernel_variant(a.sweep));
+    chunk.set_isa(a.isa_used);
+    chunk.set_width_bits(dp_width_bits(a.width_used));
+    chunk.add_cells(a.stats.cells);
+    chunk.end(t_end);
   } catch (const std::exception& e) {
     metrics_.on_invalid_request();
     done(core::ConfigError{Code::Internal, e.what()});
@@ -582,7 +547,6 @@ void AlignService::run_pairwise(const AlignRequest& rq,
       exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
   tr.width_used = a.width_used;
   tr.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
-  tr.topdown = std::move(td);
   metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
                         a.stats.cells, t_end);
   metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
@@ -636,25 +600,16 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
   ctx.trace = tctx;
   obs::Span dispatch(tctx, batch ? "dispatch.batch" : "dispatch.search",
                      t_exec);
-  uint64_t est_cells = 0;
-  for (const seq::Sequence& q : queries)
-    est_cells += static_cast<uint64_t>(q.length()) * db_->total_residues();
   DbRun run;
-  std::optional<perf::TopDownResult> td;
   {
     std::lock_guard<std::mutex> pool_lk(pool_mu_);
-    td = maybe_topdown(
-        [&] {
-          if (batch) {
-            const std::vector<seq::SeqView> views(queries.begin(),
-                                                  queries.end());
-            run.results = sharded_->scan(cfg, views, top_k, ctx);
-          } else {
-            run.results.push_back(align::search_database(
-                *db_, sharded_.get(), cfg, queries.front(), top_k, ctx));
-          }
-        },
-        est_cells);
+    if (batch) {
+      const std::vector<seq::SeqView> views(queries.begin(), queries.end());
+      run.results = sharded_->scan(cfg, views, top_k, ctx);
+    } else {
+      run.results.push_back(align::search_database(
+          *db_, sharded_.get(), cfg, queries.front(), top_k, ctx));
+    }
   }
   double kernel_s = 0;
   uint64_t cells = 0;
@@ -680,7 +635,6 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
   run.trace.exec_sequence =
       exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
   run.trace.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
-  run.trace.topdown = std::move(td);
   const auto metrics_scenario = batch ? perf::MetricsRegistry::Scenario::Batch
                                       : perf::MetricsRegistry::Scenario::Search;
   metrics_.on_completed(metrics_scenario, kernel_s, cells);

@@ -103,16 +103,13 @@ struct SearchOptions {
   parallel::NumaPolicy numa = parallel::NumaPolicy::Off;
 };
 
-/// Observability attachments (tracing, PMU, watchdog, top-down, SLO).
+/// Observability attachments (tracing, PMU, watchdog, SLO).
 struct ObsOptions {
   /// Optional trace sink: when set, every request records queue-wait,
   /// dispatch, and kernel-chunk spans into it (Chrome trace JSON via
   /// obs::TraceSink::chrome_trace_json). Not owned; must outlive the
   /// service. Null = tracing compiled down to null checks.
   obs::TraceSink* trace_sink = nullptr;
-  /// Attach a perf::topdown_analyze breakdown to one in N completed
-  /// requests (RequestTrace::topdown); 0 disables sampling.
-  uint32_t topdown_every_n = 0;
   /// Span-scoped hardware-counter attribution: kernel-chunk spans carry
   /// perf_event deltas (cycles/IPC/stalls/misses, effective GHz) and
   /// aggregate per ISA×kernel×width into the metrics. Degrades to a
@@ -509,17 +506,6 @@ class AlignService {
                           double queue_wait_s, double kernel_s,
                           uint64_t cells, uint64_t retries) const;
 
-  /// Run `work`, wrapping it in perf::topdown_analyze for one in
-  /// topdown_every_n calls (est_cells feeds the analytical-model fallback).
-  /// The work runs exactly once either way.
-  template <typename Work>
-  std::optional<perf::TopDownResult> maybe_topdown(Work&& work,
-                                                   uint64_t est_cells);
-
-  /// Effective frequency for the top-down analytical model, measured once
-  /// (~10 ms) on first use and cached.
-  double model_ghz();
-
   ServiceOptions opt_;
   const seq::SequenceDatabase* db_ = nullptr;
   int db_alphabet_codes_ = 0;  // largest alphabet among db_'s sequences
@@ -561,8 +547,6 @@ class AlignService {
   std::unique_ptr<obs::TimeSeriesStore> timeseries_;
   std::unique_ptr<obs::SloEngine> slo_;
   std::unique_ptr<obs::Sampler> sampler_;  ///< history tick (optional)
-  std::atomic<uint64_t> topdown_seq_{0};   ///< one-in-N request sampling
-  std::atomic<double> model_ghz_{0};       ///< cached frequency estimate
 
   std::unique_ptr<obs::InFlightTable> inflight_;  ///< slot per runner
   std::unique_ptr<obs::Watchdog> watchdog_;       ///< SLO scanner (optional)

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "core/error.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
-#include "perf/topdown.hpp"
 #include "seq/sequence.hpp"
 #include "service/status.hpp"
 
@@ -122,9 +122,6 @@ struct RequestTrace {
   /// Id keying this request's spans in the exported Chrome trace (0 when
   /// the service has no TraceSink installed).
   uint64_t trace_id = 0;
-  /// Top-down pipeline-slot breakdown; filled for one-in-N sampled requests
-  /// when ServiceOptions::obs.topdown_every_n is enabled.
-  std::optional<perf::TopDownResult> topdown;
 
   double gcups() const noexcept {
     return kernel_s > 0 ? static_cast<double>(cells) / kernel_s / 1e9 : 0.0;

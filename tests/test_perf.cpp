@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/pmu.hpp"
 #include "obs/trace.hpp"
 #include "perf/freq_monitor.hpp"
 #include "perf/gcups.hpp"
@@ -12,6 +13,7 @@
 #include "perf/table.hpp"
 #include "perf/timer.hpp"
 #include "perf/topdown.hpp"
+#include "pmu_lane.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -140,6 +142,50 @@ TEST(TopDown, FractionsAreSane) {
   EXPECT_NEAR(r.memory_bound + r.core_bound, r.backend_bound, 1e-9);
   EXPECT_FALSE(r.source.empty());
   EXPECT_GT(r.cycles, 0u);
+}
+
+// topdown_analyze reads obs::PmuSession, so it honours a forced state: the
+// model answers under "off" and "eperm", the counters when they work, and
+// the workload runs once on every path.
+TEST(TopDown, FollowsPmuSessionState) {
+  obs::PmuSession& pmu = obs::PmuSession::instance();
+  struct RestoreLane {
+    ~RestoreLane() {
+      obs::PmuSession::instance().simulate_for_test(test::lane_pmu_mode());
+    }
+  } restore;
+  ModelInputs model;
+  model.instructions = 1'000'000;
+  model.ghz = 2.0;               // no frequency probe
+  model.memory_fraction = 0.1;   // no bandwidth sweep
+  int runs = 0;
+  const auto workload = [&runs] {
+    ++runs;
+    volatile uint64_t x = 0;
+    for (int i = 0; i < 1'000'000; ++i) x = x + 1;
+  };
+
+  for (const char* mode : {"off", "eperm"}) {
+    pmu.simulate_for_test(mode);
+    runs = 0;
+    const TopDownResult r = topdown_analyze(workload, model);
+    EXPECT_EQ(r.source, "model") << mode;
+    EXPECT_FALSE(r.hardware_counters) << mode;
+    EXPECT_GT(r.cycles, 0u) << mode;
+    EXPECT_EQ(runs, 1) << mode;
+  }
+
+  pmu.simulate_for_test(nullptr);  // probe the real hardware
+  runs = 0;
+  const TopDownResult r = topdown_analyze(workload, model);
+  EXPECT_EQ(runs, 1);
+  if (pmu.available()) {
+    EXPECT_EQ(r.source, "perf_event");
+    EXPECT_TRUE(r.hardware_counters);
+    EXPECT_GT(r.cycles, 0u);
+  } else {
+    EXPECT_EQ(r.source, "model") << pmu.unavailable_reason();
+  }
 }
 
 TEST(TopDown, StreamingBandwidthPositive) {

@@ -802,26 +802,6 @@ TEST(AlignService, SamplerCollectsTimeSeries) {
   EXPECT_NE(json.find("\"probe_ghz\""), std::string::npos) << json;
 }
 
-TEST(AlignService, TopdownSamplingAttachesBreakdown) {
-  ServiceOptions opt;
-  opt.obs.topdown_every_n = 1;  // every request
-  AlignService svc(opt);
-  AlignResponse resp =
-      get_ok(submit_future(svc, pairwise_request(330, 200, 300)));
-  ASSERT_TRUE(resp.trace.topdown.has_value());
-  const perf::TopDownResult& td = *resp.trace.topdown;
-  EXPECT_FALSE(td.source.empty());
-  EXPECT_GE(td.retiring, 0.0);
-  EXPECT_LE(td.retiring + td.frontend_bound + td.bad_speculation +
-                td.backend_bound,
-            1.0 + 1e-6);
-
-  // Disabled sampling attaches nothing.
-  AlignService plain;
-  EXPECT_FALSE(get_ok(submit_future(plain, pairwise_request(331)))
-                   .trace.topdown.has_value());
-}
-
 TEST(AlignService, BlockingOverflowEventuallyAccepts) {
   ServiceOptions opt;
   opt.queue.capacity = 1;
