@@ -209,11 +209,11 @@ void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                  simd::Isa isa, Workspace& ws, const PreparedQuery* prep,
                  int* scores, BatchSearchStats& stats);
 
-/// One batch engine's saturating subtract and max, each in its plain form
-/// and its `_alt` form (the same value through other execution ports),
-/// applied lane by lane to two byte vectors.
+/// One batch engine's signed byte primitives (saturating add and subtract,
+/// max, and max_alt: the max through other execution ports), applied lane
+/// by lane to two byte vectors read as int8.
 struct BatchEngineOps {
-  uint8_t subs[64], subs_alt[64], max[64], max_alt[64];
+  uint8_t adds[64], subs[64], max[64], max_alt[64];
 };
 
 // Per-ISA kernel entry points (internal; exposed for tests/benches). The

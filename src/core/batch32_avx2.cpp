@@ -12,7 +12,6 @@ struct BatchAvx2 {
   using vec = __m256i;
   static constexpr int lanes = 32;
 
-  static vec zero() { return _mm256_setzero_si256(); }
   static vec set1(int x) { return _mm256_set1_epi8(static_cast<char>(x)); }
   static vec load(const uint8_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -20,11 +19,10 @@ struct BatchAvx2 {
   static void store(uint8_t* p, vec a) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
   }
-  static vec add(vec a, vec b) { return _mm256_add_epi8(a, b); }
-  static vec subs(vec a, vec b) { return _mm256_subs_epu8(a, b); }
-  static vec max(vec a, vec b) { return _mm256_max_epu8(a, b); }
+  static vec adds(vec a, vec b) { return _mm256_adds_epi8(a, b); }
+  static vec subs(vec a, vec b) { return _mm256_subs_epi8(a, b); }
+  static vec max(vec a, vec b) { return _mm256_max_epi8(a, b); }
   static vec max_alt(vec a, vec b) { return max(a, b); }
-  static vec subs_alt(vec a, vec b) { return subs(a, b); }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm256_blendv_epi8(f, t, _mm256_cmpeq_epi8(a, b));
   }

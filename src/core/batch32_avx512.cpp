@@ -2,11 +2,12 @@
 // vpermb (compiled with -mavx512bw -mavx512vbmi). Caller guarantees the CPU
 // has VBMI (see batch32_align_u8).
 //
-// Port map of the zmm byte ops (measured): vpmaxub, vpsubusb and vpaddusb
-// share one port; vpermb and vpcmpub->k run on the other; vpaddb and
-// vpblendmb run on either. The row loop is bound by the shared port, so
-// `add` wraps (vpaddb), max_alt is a compare + blend, and subs_alt is a
-// compare + zero-masked vpsubb.
+// Port map of the zmm byte ops (measured): vpmaxsb, vpaddsb and vpsubsb
+// share one port with vpmaxub and vpsubusb; vpermb, merge-masked or not,
+// and vpcmpb->k run on the other; vpaddb, vpsubb and vpblendmb run on
+// either. max_alt is therefore a compare to mask plus an identity vpermb
+// merge-masked into its first operand: both halves on the second port, so
+// the row loop splits its max ops between the two (batch32_kernel.hpp).
 #include <immintrin.h>
 
 #include "core/batch32_kernel.hpp"
@@ -19,18 +20,22 @@ struct BatchAvx512 {
   using vec = __m512i;
   static constexpr int lanes = 64;
 
-  static vec zero() { return _mm512_setzero_si512(); }
   static vec set1(int x) { return _mm512_set1_epi8(static_cast<char>(x)); }
   static vec load(const uint8_t* p) { return _mm512_loadu_si512(p); }
   static void store(uint8_t* p, vec a) { _mm512_storeu_si512(p, a); }
-  static vec add(vec a, vec b) { return _mm512_add_epi8(a, b); }
-  static vec subs(vec a, vec b) { return _mm512_subs_epu8(a, b); }
-  static vec max(vec a, vec b) { return _mm512_max_epu8(a, b); }
+  static vec adds(vec a, vec b) { return _mm512_adds_epi8(a, b); }
+  static vec subs(vec a, vec b) { return _mm512_subs_epi8(a, b); }
+  static vec max(vec a, vec b) { return _mm512_max_epi8(a, b); }
+  // Lanes where b > a take b through an identity vpermb; the rest keep a,
+  // the merge target, whose register the result takes over.
   static vec max_alt(vec a, vec b) {
-    return _mm512_mask_blend_epi8(_mm512_cmpgt_epu8_mask(a, b), b, a);
+    return _mm512_mask_permutexvar_epi8(a, _mm512_cmpgt_epi8_mask(b, a), identity(), b);
   }
-  static vec subs_alt(vec a, vec b) {
-    return _mm512_maskz_sub_epi8(_mm512_cmpgt_epu8_mask(a, b), a, b);
+  static vec identity() {
+    return _mm512_set_epi8(63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48,
+                           47, 46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32,
+                           31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16,
+                           15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
   }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     return _mm512_mask_blend_epi8(_mm512_cmpeq_epu8_mask(a, b), f, t);

@@ -14,10 +14,18 @@
 // computing a block the kernel prefetches the columns kBatchPrefetchCols
 // ahead, i.e. the next block.
 //
+// Signed domain: a cell holds H - 128 as an int8, so H = 0, the local
+// alignment floor, is -128, and the H and F columns start filled with 0x80.
+// The diagonal term is one saturating add of the raw score, hs =
+// adds(hdiag, s), whose floor at -128 is the max(0, .) of Fig 5; E and F
+// decay through a saturating subtract. The running maximum leaves the kernel
+// through one xor 0x80, back to the unsigned H the caller expects.
+//
 // Score profile (SWAPHI): before a pass the kernel extracts one score
 // vector per query letter and block column, prof[c][k] = score(c, column
-// j0+k) + bias, with the engine's lookup32 (select_eq for the fixed
-// scheme). A row reads its K score vectors from one contiguous run.
+// j0+k) as an int8, with the engine's lookup32 of the matrix's int8 row
+// (select_eq for the fixed scheme). A row reads its K score vectors from
+// one contiguous run.
 //
 // Affine gaps carry F forward: cell (i, j) yields F(i, j+1) = max(H(i,j) -
 // open, F(i,j) - ext), reusing the H - open that E needs anyway. Linear gaps
@@ -25,33 +33,48 @@
 // but the block's first is the left cell's E): running them as affine with
 // open = ext would be bit-identical but measurably slower.
 //
+// Port map (AVX-512; batch32_avx512.cpp): vpaddsb, vpsubsb and vpmaxsb share
+// one port, and max_alt, a compare to mask plus a merge-masked identity
+// vpermb, runs on the other. The affine cell runs its saturating add, three
+// subtracts and two maxes on the first port, and three max_alts, 6 uops, on
+// the second: the hs/E join, E's update and the running maximum. That is 24
+// uops per 4 cells on each port. The linear cell has no F decay; it takes
+// the running maximum and the hs/E join of 3 of its 4 columns through
+// max_alt, 14 uops per 4 cells on each port. The running maximum alternates
+// between two accumulators (columns 0/2 and 1/3), so each carries two
+// max_alts, not four, per row step. A merge-masked op overwrites its merge
+// target, so every max_alt merges into a value that dies there: hs, the
+// decayed E or the accumulator.
+//
 // Row step latency: F threads the block's K columns, so its link from one
 // column to the next is the row step's longest chain. The cell therefore
-// takes F last, H = max(max_alt(hs, E), F), and decays it through
-// subs_alt: F' = max(H - open, subs_alt(F, ext)). On AVX-512 the link is
-// vpmaxub -> vpsubusb -> vpmaxub (~3 cycles), with F's compare-to-mask and
-// zero-masked vpsubb (~4) beside the first two: ~5 cycles per column. The
-// order max(max_alt(hs, F), E), F' = max_alt(H - open, F - ext) put two
-// compare + blend pairs on the link, ~10 cycles per column and ~40 per
-// 4-column row step against the 27 busy-port cycles the row needs. Both
-// orders run 7 busy-port ops per cell (27 per 4 cells, as the last
-// column's running maximum goes through max_alt) and give every cell the
-// same value.
+// takes F last, H = max(max_alt(hs, E), F), and F' = max(H - open, F -
+// ext) keeps F's link at max -> subs -> max on the first port, with F's own
+// decay beside it.
 //
-// Headroom rule: `hdiag + s` uses a wrapping add. It can only wrap when
-// hdiag > 255 - s >= sat_limit, and hdiag is an H that already went into
-// vmax (in the row step that computed it), so that lane is flagged saturated
-// (and rescored exactly by the caller) before the wrap. Unflagged lanes get
-// the saturating result. Every cell gets the same value as in a
-// one-column-per-pass loop, so results do not depend on K.
+// Saturating headroom rule: H is exact while it stays below sat_limit = 255
+// - bias - max_subst_score. A saturating add cannot wrap, so the first cell
+// whose exact H reaches sat_limit reads at least sat_limit, goes into the
+// lane's running maximum, and flags the lane (rescored exactly by the
+// caller); unflagged lanes hold exact values. Two clamps keep every operand
+// in an int8:
+//   * Substitution scores are clamped to int8 when the profile is built. A
+//     score outside int8 already puts sat_limit below 128 (a score above
+//     127, or a bias above 128), and a clamped score changes only cells
+//     that read at least sat_limit either way.
+//   * A gap penalty above 127 does not fit one subs: it runs as 127, and
+//     sat_limit drops to at most 128. An unflagged lane then holds H <= 127
+//     in every cell, where H - 127 and H - p both floor at 0.
+// Every cell gets the same value as in a one-column-per-pass loop, so
+// results do not depend on K.
 //
-// Batch engine concept:
+// Batch engine concept (byte vectors, signed int8 lanes):
 //   vec, lanes
-//   zero/set1/load/store        — byte vectors
-//   add                         — wrapping byte add
-//   subs, subs_alt              — unsigned saturating subtract (epu8)
-//   max, max_alt                — unsigned max; the _alt forms return the
-//                                 same value through other execution ports
+//   set1/load/store
+//   adds, subs                  — saturating add and subtract (epi8)
+//   max, max_alt                — signed max; max_alt returns the same value
+//                                 through other execution ports, merging into
+//                                 its first operand
 //   select_eq(a, b, t, f)       — per lane: a == b ? t : f
 //   lookup32(row32, idx)        — per lane: row32[idx], idx in [0, 32)
 //   prefetch(p)                 — hint a future column block into cache
@@ -80,11 +103,11 @@ namespace batch_detail {
 
 template <class BE>
 struct Consts {
-  typename BE::vec bias, open, ext, match, mis;
-  const uint8_t* rows;  // biased matrix rows; nullptr for the fixed scheme
+  typename BE::vec open, ext, match, mis;
+  const uint8_t* rows;  // int8 matrix rows; nullptr for the fixed scheme
 };
 
-// prof[a][k] = score(a, column k of `cols`) + bias, for letters a in
+// prof[a][k] = score(a, column k of `cols`) as an int8, for letters a in
 // [0, letters).
 template <class BE, int K>
 void build_profile(const uint8_t* cols, int letters, const Consts<BE>& c,
@@ -103,15 +126,16 @@ void build_profile(const uint8_t* cols, int letters, const Consts<BE>& c,
 // One pass over the m query rows computing K consecutive columns. hcol holds
 // H of the column left of the block on entry and H of its last column on
 // exit; fcol (affine) holds F of the block's first column on entry and F of
-// the column after it on exit.
+// the column after it on exit. Column k's running maximum goes to
+// vmax[k % 2].
 template <class BE, int K, bool Affine>
 void row_pass(seq::SeqView q, const uint8_t* prof, uint8_t* hcol, uint8_t* fcol,
-              const Consts<BE>& c, typename BE::vec& vmax) {
+              const Consts<BE>& c, typename BE::vec (&vmax)[2]) {
   using vec = typename BE::vec;
   constexpr int B = BE::lanes;
   vec e[K];      // E(i, j0+k), vertical gaps, carried down each column
   vec hdiag[K];  // H(i-1, j0+k-1)
-  for (int k = 0; k < K; ++k) e[k] = hdiag[k] = BE::zero();
+  for (int k = 0; k < K; ++k) e[k] = hdiag[k] = BE::set1(-128);
   for (size_t i = 0; i < q.length; ++i) {
     const uint8_t* s = prof + static_cast<size_t>(q[i]) * K * B;
     uint8_t* hrow = hcol + i * B;
@@ -121,21 +145,24 @@ void row_pass(seq::SeqView q, const uint8_t* prof, uint8_t* hcol, uint8_t* fcol,
     // this row's H of its left column.
     vec hs[K];
     for (int k = 0; k < K; ++k)
-      hs[k] = BE::subs(BE::add(hdiag[k], BE::load(s + static_cast<size_t>(k) * B)), c.bias);
+      hs[k] = BE::adds(hdiag[k], BE::load(s + static_cast<size_t>(k) * B));
     for (int k = 0; k < K; ++k) {
       // F joins last: the F chain through the block is max -> subs -> max.
-      const vec h = BE::max(BE::max_alt(hs[k], e[k]), f);
+      // The linear body keeps its last column's hs/E join on the first
+      // port, which balances it at 14 uops per 4 cells on each port.
+      const vec hse =
+          Affine || k < K - 1 ? BE::max_alt(hs[k], e[k]) : BE::max(hs[k], e[k]);
+      const vec h = BE::max(hse, f);
       if constexpr (Affine) {
         const vec hopen = BE::subs(h, c.open);
-        e[k] = BE::max(hopen, BE::subs(e[k], c.ext));
-        f = BE::max(hopen, BE::subs_alt(f, c.ext));
+        e[k] = BE::max_alt(BE::subs(e[k], c.ext), hopen);
+        f = BE::max(hopen, BE::subs(f, c.ext));
       } else {
         e[k] = f = BE::subs(h, c.ext);
       }
       hdiag[k] = hl;
       hl = h;
-      // The last column's maximum goes through the other ports.
-      vmax = k == K - 1 ? BE::max_alt(vmax, h) : BE::max(vmax, h);
+      vmax[k % 2] = BE::max_alt(vmax[k % 2], h);
     }
     BE::store(hrow, hl);
     if constexpr (Affine) BE::store(fcol + i * B, f);
@@ -146,7 +173,7 @@ void row_pass(seq::SeqView q, const uint8_t* prof, uint8_t* hcol, uint8_t* fcol,
 template <class BE, int K>
 void column_block(seq::SeqView q, const uint8_t* columns, uint32_t j0, uint32_t ncols,
                   int letters, bool affine, const Consts<BE>& c, uint8_t* prof,
-                  uint8_t* hcol, uint8_t* fcol, typename BE::vec& vmax) {
+                  uint8_t* hcol, uint8_t* fcol, typename BE::vec (&vmax)[2]) {
   constexpr int B = BE::lanes;
   for (uint32_t j = j0 + kBatchPrefetchCols; j < j0 + kBatchPrefetchCols + K && j < ncols; ++j)
     BE::prefetch(columns + static_cast<size_t>(j) * B);
@@ -173,31 +200,35 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
   if (m == 0 || ncols == 0) return out;
 
   const bool affine = cfg.gap_model == GapModel::Affine;
-  const int bias = cfg.bias();
-  const int sat_limit = 255 - bias - cfg.max_subst_score();
-  auto clamp_u8 = [](int v) { return v < 0 ? 0 : (v > 255 ? 255 : v); };
+  int sat_limit = 255 - cfg.bias() - cfg.max_subst_score();
+  // Gap penalties above 127 run as 127 (headroom rule above).
+  const int widest_gap = affine ? std::max(cfg.gap_open, cfg.gap_extend) : cfg.gap_extend;
+  if (widest_gap > 127) sat_limit = std::min(sat_limit, 128);
+  auto clamp_i8 = [](int v) { return std::clamp(v, -128, 127); };
   const batch_detail::Consts<BE> c{
-      BE::set1(bias),
-      BE::set1(clamp_u8(cfg.gap_open)),
-      BE::set1(clamp_u8(cfg.gap_extend)),
-      BE::set1(clamp_u8(cfg.match + bias)),
-      BE::set1(clamp_u8(cfg.mismatch + bias)),
-      cfg.scheme == ScoreScheme::Matrix ? cfg.matrix->rows_biased_u8() : nullptr};
+      BE::set1(clamp_i8(cfg.gap_open)),
+      BE::set1(clamp_i8(cfg.gap_extend)),
+      BE::set1(clamp_i8(cfg.match)),
+      BE::set1(clamp_i8(cfg.mismatch)),
+      cfg.scheme == ScoreScheme::Matrix
+          ? reinterpret_cast<const uint8_t*>(cfg.matrix->rows_i8())
+          : nullptr};
 
   // The profile holds rows for letters [0, letters): every code in q.
   int letters = 0;
   for (int i = 0; i < m; ++i)
     letters = std::max(letters, q[static_cast<size_t>(i)] + 1);
 
-  auto* hcol = static_cast<uint8_t*>(
-      ws.batch_h.ensure_zeroed(static_cast<size_t>(m) * B));
-  auto* fcol = affine ? static_cast<uint8_t*>(ws.batch_f.ensure_zeroed(
-                            static_cast<size_t>(m) * B))
-                      : nullptr;
+  // H = 0 and F = 0 are 0x80 in the signed domain.
+  const size_t col_bytes = static_cast<size_t>(m) * B;
+  auto* hcol = static_cast<uint8_t*>(ws.batch_h.ensure(col_bytes));
+  std::memset(hcol, 0x80, col_bytes);
+  auto* fcol = affine ? static_cast<uint8_t*>(ws.batch_f.ensure(col_bytes)) : nullptr;
+  if (fcol) std::memset(fcol, 0x80, col_bytes);
   auto* prof = static_cast<uint8_t*>(
       ws.batch_prof.ensure(static_cast<size_t>(seq::kMatrixStride) * K * B));
 
-  vec vmax = BE::zero();
+  vec vmax[2] = {BE::set1(-128), BE::set1(-128)};
   uint32_t j = 0;
   for (; j + K <= ncols; j += K)
     batch_detail::column_block<BE, K>(q, columns, j, ncols, letters, affine, c, prof,
@@ -206,10 +237,12 @@ Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t nco
     batch_detail::column_block<BE, 1>(q, columns, j, ncols, letters, affine, c, prof,
                                       hcol, fcol, vmax);
 
-  // Per-lane saturation check against the unbiased 8-bit headroom bound.
-  BE::store(out.max_score, vmax);
-  for (int k = 0; k < B; ++k)
+  // Back to unsigned H, then the per-lane saturation check.
+  BE::store(out.max_score, BE::max(vmax[0], vmax[1]));
+  for (int k = 0; k < B; ++k) {
+    out.max_score[k] ^= 0x80;
     if (out.max_score[k] >= sat_limit) out.saturated_mask |= uint64_t{1} << k;
+  }
   return out;
 }
 
@@ -217,8 +250,8 @@ template <class BE>
 BatchEngineOps batch32_engine_ops(const uint8_t* a, const uint8_t* b) {
   const auto va = BE::load(a), vb = BE::load(b);
   BatchEngineOps r{};
+  BE::store(r.adds, BE::adds(va, vb));
   BE::store(r.subs, BE::subs(va, vb));
-  BE::store(r.subs_alt, BE::subs_alt(va, vb));
   BE::store(r.max, BE::max(va, vb));
   BE::store(r.max_alt, BE::max_alt(va, vb));
   return r;
@@ -228,17 +261,12 @@ BatchEngineOps batch32_engine_ops(const uint8_t* a, const uint8_t* b) {
 template <int B>
 struct EmuBatchEngine {
   struct vec {
-    std::array<uint8_t, B> v;
+    std::array<int8_t, B> v;
   };
   static constexpr int lanes = B;
-  static vec zero() {
-    vec r;
-    r.v.fill(0);
-    return r;
-  }
   static vec set1(int x) {
     vec r;
-    r.v.fill(static_cast<uint8_t>(x));
+    r.v.fill(static_cast<int8_t>(x));
     return r;
   }
   static vec load(const uint8_t* p) {
@@ -247,26 +275,23 @@ struct EmuBatchEngine {
     return r;
   }
   static void store(uint8_t* p, vec a) { std::memcpy(p, a.v.data(), B); }
-  static vec add(vec a, vec b) {
+  template <class Op>
+  static vec lanewise(vec a, vec b, Op op) {
     vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = static_cast<uint8_t>(a.v[k] + b.v[k]);
+    for (int k = 0; k < B; ++k)
+      r.v[k] = static_cast<int8_t>(op(int{a.v[k]}, int{b.v[k]}));
     return r;
+  }
+  static vec adds(vec a, vec b) {
+    return lanewise(a, b, [](int x, int y) { return std::clamp(x + y, -128, 127); });
   }
   static vec subs(vec a, vec b) {
-    vec r;
-    for (int k = 0; k < B; ++k) {
-      int t = a.v[k] - b.v[k];
-      r.v[k] = static_cast<uint8_t>(t < 0 ? 0 : t);
-    }
-    return r;
+    return lanewise(a, b, [](int x, int y) { return std::clamp(x - y, -128, 127); });
   }
   static vec max(vec a, vec b) {
-    vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return r;
+    return lanewise(a, b, [](int x, int y) { return std::max(x, y); });
   }
   static vec max_alt(vec a, vec b) { return max(a, b); }
-  static vec subs_alt(vec a, vec b) { return subs(a, b); }
   static vec select_eq(vec a, vec b, vec t, vec f) {
     vec r;
     for (int k = 0; k < B; ++k) r.v[k] = a.v[k] == b.v[k] ? t.v[k] : f.v[k];
@@ -274,7 +299,7 @@ struct EmuBatchEngine {
   }
   static vec lookup32(const uint8_t* row32, vec idx) {
     vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = row32[idx.v[k] & 31];
+    for (int k = 0; k < B; ++k) r.v[k] = static_cast<int8_t>(row32[idx.v[k] & 31]);
     return r;
   }
   static void prefetch(const void* p) {

@@ -33,10 +33,12 @@ ScoreMatrix::ScoreMatrix(std::string name, const seq::Alphabet& alphabet,
                  static_cast<size_t>(b)];
 
   rows_u8_.assign(data32_.size(), 0);
+  rows_i8_.assign(data32_.size(), 0);
   const int bias_v = bias();
   for (size_t i = 0; i < data32_.size(); ++i) {
     int v = data32_[i] + bias_v;
     rows_u8_[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
+    rows_i8_[i] = static_cast<int8_t>(data32_[i]);
   }
   cols_u8_.resize(rows_u8_.size());
   for (int a = 0; a < kMatrixStride; ++a)

@@ -2,8 +2,8 @@
 //
 // Each row holds 32 int32 entries (24 real letters + padding), so:
 //   * `32*q + r` indexes the flat array — one shift+add feeding vpgatherdd;
-//   * one row is 32 bytes in the biased-byte copy — exactly one 256-bit
-//     load, which is what the batch32 kernel's in-register shuffle LUT eats.
+//   * one row is 32 bytes in the byte copies — exactly one 256-bit load,
+//     which is what the kernels' in-register shuffle LUTs eat.
 // Padding codes score the matrix minimum so they can never win an alignment.
 #pragma once
 
@@ -64,8 +64,11 @@ class ScoreMatrix {
   int bias() const noexcept { return min_ < 0 ? -min_ : 0; }
 
   /// 32x32 biased uint8 copy: entry = score + bias(). Row q is one 256-bit
-  /// load; used by the batch32 shuffle LUT.
+  /// load; used by the diagonal kernel's shuffle LUT.
   const uint8_t* rows_biased_u8() const noexcept { return rows_u8_.data(); }
+  /// The same rows as raw int8 scores; used by the batch32 kernel's
+  /// signed score profile.
+  const int8_t* rows_i8() const noexcept { return rows_i8_.data(); }
   /// The same biased bytes column-major: entry r*32 + q = score(q, r) +
   /// bias(). Column r is one 256-bit load; the column sweep's query profile
   /// looks a whole query up in it with one vpermb.
@@ -78,6 +81,7 @@ class ScoreMatrix {
   int min_ = 0, max_ = 0;
   std::vector<int32_t> data32_;  // 32*32
   std::vector<uint8_t> rows_u8_;  // 32*32
+  std::vector<int8_t> rows_i8_;   // 32*32
   std::vector<uint8_t> cols_u8_;  // 32*32, transposed
 };
 

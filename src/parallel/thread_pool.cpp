@@ -10,6 +10,12 @@
 
 namespace swve::parallel {
 
+namespace {
+// Unpinned workers started in this process: a second pool continues the
+// placement where the first one stopped.
+std::atomic<unsigned> g_unpinned_workers{0};
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) : ThreadPool(threads, {}) {}
 
 ThreadPool::ThreadPool(unsigned threads, std::vector<int> affinity_cpus)
@@ -18,7 +24,14 @@ ThreadPool::ThreadPool(unsigned threads, std::vector<int> affinity_cpus)
   workers_.reserve(threads);
   for (unsigned w = 0; w < threads; ++w)
     workers_.emplace_back([this, w] {
-      if (!affinity_cpus_.empty()) pin_current_thread(affinity_cpus_);
+      // An unpinned worker starts on its own CPU: left alone, a fresh
+      // pool's workers can all start on one CPU and stay there until the
+      // load balancer moves them.
+      if (affinity_cpus_.empty())
+        place_current_thread(
+            g_unpinned_workers.fetch_add(1, std::memory_order_relaxed));
+      else
+        pin_current_thread(affinity_cpus_);
       worker_loop();
     });
 }

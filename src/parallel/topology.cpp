@@ -123,6 +123,27 @@ bool pin_current_thread(const std::vector<int>& cpus) noexcept {
 #endif
 }
 
+void place_current_thread(unsigned k) noexcept {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n <= 1) return;
+  int skip = static_cast<int>(k % static_cast<unsigned>(n));
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(c, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0)
+      sched_setaffinity(0, sizeof(allowed), &allowed);
+    return;
+  }
+#else
+  (void)k;
+#endif
+}
+
 namespace {
 
 #if defined(__linux__) && defined(SYS_mbind)

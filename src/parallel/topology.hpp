@@ -61,6 +61,12 @@ std::vector<int> parse_cpulist(const std::string& list);
 /// unpinned.
 bool pin_current_thread(const std::vector<int>& cpus) noexcept;
 
+/// Move the calling thread onto the (k mod n)-th of the n CPUs in its
+/// sched_getaffinity mask, then restore that mask at once: a one-time
+/// placement, not pinning, so the thread starts where it was put and the
+/// scheduler may still move it later. No-op off Linux or on a one-CPU mask.
+void place_current_thread(unsigned k) noexcept;
+
 /// mbind [addr, addr+len) (rounded inward to whole pages) to one node
 /// (MPOL_BIND) — the "shard owns its columns" placement. Best-effort.
 bool bind_memory_to_node(const void* addr, size_t len, int node) noexcept;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "core/batch32.hpp"
 #include "core/batch32_kernel.hpp"
@@ -316,9 +317,9 @@ TEST(BatchKernel, GroupCallMatchesPerBatchCalls) {
   }
 }
 
-// Every engine's port-balancing primitives return the value of their plain
-// forms, which are the saturating subtract and the max, for all 256 x 256
-// byte pairs: the kernel's cell order may pick either form freely.
+// Every engine's signed byte primitives match int8 arithmetic on all 256 x
+// 256 byte pairs, and max_alt, the port-balancing form, returns the plain
+// max: the kernel's cell order may pick either form freely.
 TEST(BatchKernel, EngineAltPrimitivesMatchPlainOnEveryBytePair) {
   struct Engine {
     const char* name;
@@ -340,6 +341,7 @@ TEST(BatchKernel, EngineAltPrimitivesMatchPlainOnEveryBytePair) {
   if (batch_lanes_for(simd::Isa::Avx512) == 64)
     engines.push_back({"avx512", 64, &batch32_ops_avx512});
 #endif
+  auto i8 = [](uint8_t v) { return int{static_cast<int8_t>(v)}; };
   for (const Engine& e : engines) {
     uint8_t a[64], b[64];
     for (int x = 0; x < 256; ++x) {
@@ -348,11 +350,13 @@ TEST(BatchKernel, EngineAltPrimitivesMatchPlainOnEveryBytePair) {
         for (int k = 0; k < e.lanes; ++k) b[k] = static_cast<uint8_t>(y0 + k);
         const BatchEngineOps r = e.ops(a, b);
         for (int k = 0; k < e.lanes; ++k) {
-          const int y = y0 + k;
-          ASSERT_EQ(r.subs[k], std::max(x - y, 0)) << e.name << " " << x << " " << y;
-          ASSERT_EQ(r.subs_alt[k], r.subs[k]) << e.name << " " << x << " " << y;
-          ASSERT_EQ(r.max[k], std::max(x, y)) << e.name << " " << x << " " << y;
-          ASSERT_EQ(r.max_alt[k], r.max[k]) << e.name << " " << x << " " << y;
+          const int sx = static_cast<int8_t>(x), sy = static_cast<int8_t>(y0 + k);
+          ASSERT_EQ(i8(r.adds[k]), std::clamp(sx + sy, -128, 127))
+              << e.name << " " << sx << " " << sy;
+          ASSERT_EQ(i8(r.subs[k]), std::clamp(sx - sy, -128, 127))
+              << e.name << " " << sx << " " << sy;
+          ASSERT_EQ(i8(r.max[k]), std::max(sx, sy)) << e.name << " " << sx << " " << sy;
+          ASSERT_EQ(r.max_alt[k], r.max[k]) << e.name << " " << sx << " " << sy;
         }
       }
     }
@@ -523,6 +527,124 @@ TEST(BatchKernel, MatchesIndependentSaturatingModelOnEveryEngine) {
       // Every case covers both outcomes: saturated and exact lanes.
       EXPECT_GT(flagged, 0) << c.name << " lanes " << lanes;
       EXPECT_GT(exact, 0) << c.name << " lanes " << lanes;
+    }
+  }
+}
+
+// The signed kernel's clamps (batch32_kernel.hpp, headroom rule): gap
+// penalties above 127 run as 127 under sat_limit <= 128, and scores outside
+// int8 are clamped in the profile. Unflagged lanes must still be exact, the
+// rescored search must match the golden model, and with every penalty
+// within int8 the flags must be the model's too.
+TEST(BatchKernel, SignedClampsAreExact) {
+  struct ClampCase {
+    const char* name;
+    AlignConfig cfg;
+  };
+  std::vector<ClampCase> cases;
+  for (auto [open, ext] : {std::pair{127, 1}, {128, 1}, {200, 1}, {255, 130}}) {
+    AlignConfig cfg;  // BLOSUM62
+    cfg.gap_open = open;
+    cfg.gap_extend = ext;
+    cases.push_back({"blosum62-affine", cfg});
+  }
+  {
+    AlignConfig cfg;
+    cfg.gap_model = GapModel::Linear;
+    cfg.gap_extend = 150;
+    cases.push_back({"blosum62-linear150", cfg});
+  }
+  for (auto [match, mismatch] : {std::pair{100, -150}, {127, -128}}) {
+    AlignConfig cfg;
+    cfg.scheme = ScoreScheme::Fixed;
+    cfg.match = match;
+    cfg.mismatch = mismatch;
+    cases.push_back({"fixed", cfg});
+  }
+  {
+    AlignConfig cfg;
+    cfg.matrix = &matrix::ScoreMatrix::dna_iupac();
+    cases.push_back({"dna-iupac", cfg});
+  }
+  Workspace ws;
+  const auto q = seq::generate_sequence(4400, 90);
+  const auto dna_q = seq::generate_sequence(4401, 90, seq::AlphabetKind::Dna);
+  const seq::SequenceDatabase dna_db =
+      near_copies_db(dna_q, 4420, seq::AlphabetKind::Dna);
+  // Besides near-copies, copies of q[0, 60) split by a 1- or 2-residue
+  // insertion: two segments that score about 150 each, joined only through
+  // a gap. A gap penalty run as 127 without the sat_limit rule would join
+  // them below the old sat_limit and leave a wrong lane unflagged.
+  std::vector<seq::Sequence> protein_seqs;
+  {
+    const seq::SequenceDatabase near =
+        near_copies_db(q, 4410, seq::AlphabetKind::Protein);
+    for (size_t i = 0; i < near.size(); ++i) protein_seqs.push_back(near[i]);
+    const auto codes = q.codes();
+    for (int insert : {1, 2}) {
+      std::vector<uint8_t> split(codes.begin(), codes.begin() + 30);
+      for (int r = 0; r < insert; ++r) split.push_back(static_cast<uint8_t>(r + 7));
+      split.insert(split.end(), codes.begin() + 30, codes.begin() + 60);
+      protein_seqs.emplace_back("split", std::move(split), seq::Alphabet::protein());
+    }
+  }
+  const seq::SequenceDatabase protein_db(std::move(protein_seqs));
+  for (const ClampCase& c : cases) {
+    const bool dna = c.cfg.matrix == &matrix::ScoreMatrix::dna_iupac();
+    const seq::Sequence& query = dna ? dna_q : q;
+    const seq::SequenceDatabase& db = dna ? dna_db : protein_db;
+    const bool narrow_gaps = std::max(c.cfg.gap_open, c.cfg.gap_extend) <= 127;
+    const int sat_limit = 255 - c.cfg.bias() - c.cfg.max_subst_score();
+    const std::string where = std::string(c.name) + " " + std::to_string(c.cfg.gap_open) +
+                              "/" + std::to_string(c.cfg.gap_extend) + " " +
+                              std::to_string(c.cfg.match) + "/" +
+                              std::to_string(c.cfg.mismatch);
+    for (int lanes : {32, 64}) {
+      std::vector<simd::Isa> engines = {simd::Isa::Scalar};
+      if (lanes == 32 && simd::isa_available(simd::Isa::Avx2))
+        engines.push_back(simd::Isa::Avx2);
+      if (lanes == 64 && batch_lanes_for(simd::Isa::Avx512) == 64)
+        engines.push_back(simd::Isa::Avx512);
+      Batch32Db bdb(db, lanes);
+      size_t unflagged = 0;
+      for (size_t b = 0; b < bdb.batch_count(); ++b) {
+        const auto batch = bdb.batch(b);
+        const std::vector<int> want =
+            model_lane_max(query, batch.columns, batch.max_len, lanes, c.cfg);
+        for (simd::Isa isa : engines) {
+          const Batch8Result got = batch32_align_u8(query, batch, lanes, c.cfg, ws, isa);
+          for (uint32_t k = 0; k < batch.count; ++k)
+            unflagged += !((got.saturated_mask >> k) & 1);
+          for (int k = 0; k < lanes; ++k) {
+            const bool got_sat = (got.saturated_mask >> k) & 1;
+            const bool want_sat = want[static_cast<size_t>(k)] >= sat_limit;
+            if (narrow_gaps) {
+              ASSERT_EQ(got_sat, want_sat) << where << " " << simd::isa_name(isa)
+                                           << " lanes " << lanes << " lane " << k;
+            }
+            if (!got_sat) {
+              ASSERT_EQ(got.max_score[k], want[static_cast<size_t>(k)])
+                  << where << " " << simd::isa_name(isa) << " lanes " << lanes
+                  << " lane " << k;
+            }
+          }
+        }
+      }
+      // Where one match stays below sat_limit, some real lane stays exact
+      // in 8 bits: the clamps must not flag every lane.
+      if (sat_limit > c.cfg.max_subst_score()) {
+        EXPECT_GT(unflagged, 0u) << where << " lanes " << lanes;
+      }
+      for (simd::Isa isa : engines) {
+        if (!batch_lanes_fit(lanes, isa)) continue;
+        AlignConfig cfg = c.cfg;
+        cfg.isa = isa;
+        const std::vector<int> scores = batch_scores(query, bdb, db, cfg, ws);
+        for (size_t s = 0; s < db.size(); ++s)
+          ASSERT_EQ(scores[s], ref_align(query, db[s], c.cfg).score)
+              << where << " " << simd::isa_name(isa) << " lanes " << lanes
+              << " seq " << s;
+      }
     }
   }
 }

@@ -46,11 +46,13 @@ TEST_P(BuiltinMatrixTest, BiasedByteRowsConsistent) {
   const ScoreMatrix* m = ScoreMatrix::find(GetParam());
   ASSERT_NE(m, nullptr);
   const uint8_t* rows = m->rows_biased_u8();
+  const int8_t* raw = m->rows_i8();
   for (int a = 0; a < kMatrixStride; ++a)
-    for (int b = 0; b < kMatrixStride; ++b)
-      EXPECT_EQ(rows[a * kMatrixStride + b],
-                m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(b)) +
-                    m->bias());
+    for (int b = 0; b < kMatrixStride; ++b) {
+      const int score = m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(b));
+      EXPECT_EQ(rows[a * kMatrixStride + b], score + m->bias());
+      EXPECT_EQ(raw[a * kMatrixStride + b], score);
+    }
 }
 
 TEST_P(BuiltinMatrixTest, MinMaxConsistent) {

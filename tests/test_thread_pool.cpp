@@ -10,6 +10,10 @@
 
 #include "parallel/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace swve::parallel {
 namespace {
 
@@ -139,6 +143,39 @@ TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnBlocks) {
   EXPECT_TRUE(in_time)
       << "parallel_for waited on another caller's parked block";
   EXPECT_EQ(visited.load(), 2u);
+}
+
+// An unpinned worker places itself on one CPU when it starts and restores
+// its mask at once: every block of a fresh unpinned pool runs under the
+// constructing thread's full mask, and a pinned pool keeps its pinned set.
+TEST(ThreadPool, StartPlacementKeepsEachPoolsAffinityMask) {
+#if defined(__linux__)
+  cpu_set_t full;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &full)) ++first_cpu;
+  cpu_set_t pinned_set;
+  CPU_ZERO(&pinned_set);
+  CPU_SET(first_cpu, &pinned_set);
+
+  auto masks_seen = [](ThreadPool& pool) {
+    std::vector<cpu_set_t> seen(pool.size());
+    pool.parallel_for(pool.size(), [&](size_t, size_t, unsigned block) {
+      sched_getaffinity(0, sizeof(cpu_set_t), &seen[block]);
+    });
+    return seen;
+  };
+  for (int round = 0; round < 3; ++round) {
+    ThreadPool unpinned(4);
+    for (const cpu_set_t& m : masks_seen(unpinned))
+      EXPECT_TRUE(CPU_EQUAL(&m, &full)) << "round " << round;
+    ThreadPool pinned(2, {first_cpu});
+    for (const cpu_set_t& m : masks_seen(pinned))
+      EXPECT_TRUE(CPU_EQUAL(&m, &pinned_set)) << "round " << round;
+  }
+#else
+  GTEST_SKIP() << "thread placement is Linux-only";
+#endif
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 A loop is the range from a backward branch's target to the branch itself;
 it is innermost when no other such range lies inside it. Only the innermost
 loops of the functions matching --func that contain an instruction matching
---select are checked (by default the saturating byte DP ops, which leaves
-out set-up loops such as the batch kernel's score-profile build). The check
-fails when no loop is selected, or when a selected loop
+--select are checked (by default the saturating and max/min byte DP ops,
+signed or unsigned, which leaves out set-up loops such as the batch kernel's
+score-profile build), and with --select-per-cell PATTERN=N only those with
+at least N instructions matching PATTERN per DP cell. The check fails when
+no loop is selected, or when a selected loop
 
   * has no %zmm operand (--zmm),
   * contains an instruction matching a --forbid pattern,
@@ -19,16 +21,16 @@ fails when no loop is selected, or when a selected loop
 With --min-cells N it also fails unless some selected loop computes at
 least N cells per iteration.
 
-Example (the batch32 AVX-512 affine row loops, selected by their F decay,
-a zero-masked vpsubb: one such vpsubb and at most 7 busy-port byte ops per
-cell, one wrapping vpaddb per cell, a 4-column block whose loop stores only
-H and F):
+Example (the batch32 AVX-512 affine row loops, selected by their three
+saturating subtracts per cell: one saturating vpaddsb per cell, at most 6
+busy-port byte ops and at least 3 merge-masked vpermb per cell, no unmasked
+vpermb, and a 4-column block whose loop stores only H and F):
 
   tools/check_inner_loops.py build/src/CMakeFiles/swve.dir/core/batch32_avx512.cpp.o \\
       --func 'batch32_u8_avx512\\(|batch32_kernel<.*BatchAvx512' --zmm \\
-      --select '^vpsubb .*\\{z\\}' --forbid '^vpermb' --cells '^vpaddb' \\
-      --per-cell 'vp(maxub|minub|addusb|subusb)=7' \\
-      --min-per-cell 'vpsubb .*\\{z=1' --min-cells 4 \\
+      --cells '^vpaddsb' --select-per-cell 'vpsubsb=3' --forbid '^vpermb [^{]*$' \\
+      --per-cell 'vp(max|min)[su]b|vp(add|sub)u?sb=6' \\
+      --min-per-cell 'vpermb .*\\{%k[1-7]=3' --min-cells 4 \\
       --max 'vmov\\S* %zmm[0-9]+,[^%]*\\(%r[a-z0-9]+=2'
 """
 import argparse
@@ -97,8 +99,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("obj", help="object file to disassemble")
     ap.add_argument("--func", required=True, help="regex over demangled function names")
-    ap.add_argument("--select", default=r"^vp(maxub|minub|addusb|subusb)\b",
+    ap.add_argument("--select", default=r"^vp((max|min)[su]b|(add|sub)u?sb)\b",
                     help="regex: check only loops containing a matching instruction")
+    ap.add_argument("--select-per-cell", action="append", default=[], metavar="PATTERN=N",
+                    help="check only loops with at least N instructions matching PATTERN "
+                         "per cell (needs --cells)")
     ap.add_argument("--zmm", action="store_true", help="require %%zmm in every loop")
     ap.add_argument("--forbid", action="append", default=[],
                     help="regex of an instruction no loop may contain")
@@ -121,8 +126,9 @@ def main():
     func_re = re.compile(args.func)
     select = re.compile(args.select)
     forbid = [re.compile(p) for p in args.forbid]
-    if (args.per_cell or args.min_per_cell or args.min_cells) and not args.cells:
-        ap.error("--per-cell, --min-per-cell and --min-cells need --cells")
+    if (args.per_cell or args.min_per_cell or args.select_per_cell or args.min_cells) \
+            and not args.cells:
+        ap.error("--per-cell, --min-per-cell, --select-per-cell and --min-cells need --cells")
     cells_re = re.compile(args.cells) if args.cells else None
 
     def parse(specs):
@@ -135,6 +141,7 @@ def main():
     limits = parse(args.max)
     cell_limits = parse(args.per_cell)
     cell_floors = parse(args.min_per_cell)
+    select_floors = parse(args.select_per_cell)
 
     checked, most_cells, errors = 0, 0, []
     for name, body in functions(text, func_re):
@@ -142,11 +149,13 @@ def main():
         for start, loop in innermost_loops(body):
             if not any(select.search(i) for i in loop):
                 continue
+            counts = {p: sum(1 for i in loop if r.search(i))
+                      for p, r, _ in limits + cell_limits + cell_floors + select_floors}
+            cells = sum(1 for i in loop if cells_re.search(i)) if cells_re else 0
+            if any(cells == 0 or counts[p] < n * cells for p, _, n in select_floors):
+                continue
             checked += 1
             where = "%s loop at %x (%d insns)" % (short, start, len(loop))
-            counts = {p: sum(1 for i in loop if r.search(i))
-                      for p, r, _ in limits + cell_limits + cell_floors}
-            cells = sum(1 for i in loop if cells_re.search(i)) if cells_re else 0
             most_cells = max(most_cells, cells)
             print("%s: zmm=%d%s %s" % (where, sum("%zmm" in i for i in loop),
                                         " cells=%d" % cells if cells_re else "",
