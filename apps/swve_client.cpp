@@ -263,62 +263,51 @@ uint64_t family_sum(const net::Json& family, const char* label = nullptr,
   return static_cast<uint64_t>(sum);
 }
 
-/// metrics --watch S: poll the server's JSON metrics at a fixed cadence
-/// and print per-interval rates computed with the same counter-delta
-/// helpers the server-side time-series store uses (perf::delta_rate /
-/// delta_ratio), so a watch line and a /varz point agree.
-int run_metrics_watch(net::Client& client, double interval_s) {
-  if (interval_s <= 0) interval_s = 1.0;
-  uint64_t prev_completed = 0, prev_hits = 0, prev_misses = 0, prev_cells = 0;
-  double prev_kernel_s = 0;
-  bool have_prev = false;
-  auto prev_t = std::chrono::steady_clock::now();
-  std::printf("%10s %10s %12s %10s %10s\n", "dt_s", "qps", "completed",
-              "cache_hit", "gcups");
+/// metrics --watch S: every S seconds, fetch the server's telemetry history
+/// (GET /varz on the same port, only the families printed) and print one
+/// line per window point not printed yet, so a watch line is a /varz point.
+int run_metrics_watch(const Options& o) {
+  const double interval_s = o.watch_s;
+  const std::string path =
+      "/varz?series=requests_completed_total,result_cache_lookups_total,"
+      "gcups_aggregate&window=" +
+      std::to_string(static_cast<int>(interval_s) + 1);
+  double printed_t = -1;  // newest point printed; -1 before the header
   for (;;) {
-    const auto r = client.metrics(/*json=*/true);
-    if (!r.ok()) {
-      std::fprintf(stderr, "swve_client: %s\n", r.error.c_str());
+    const auto body = net::http_get(o.host, o.port, path, o.timeout_s);
+    if (!body) {
+      std::fprintf(stderr, "swve_client: %s\n", body.error().message.c_str());
       return 1;
     }
-    const auto now_t = std::chrono::steady_clock::now();
-    const auto doc = net::Json::parse(*r.response);
+    const auto doc = net::Json::parse(*body);
     if (!doc) {
-      std::fprintf(stderr, "swve_client: unparseable metrics JSON\n");
+      // A 503 body ("telemetry history disabled ...") is not JSON; show it.
+      std::fprintf(stderr, "swve_client: %s", body->c_str());
       return 1;
     }
-    const uint64_t completed = family_sum((*doc)["requests_completed_total"]);
-    const net::Json& lookups = (*doc)["result_cache_lookups_total"];
-    const uint64_t hits = family_sum(lookups, "result", "hit");
-    const uint64_t misses = family_sum(lookups, "result", "miss");
-    const uint64_t cells =
-        static_cast<uint64_t>((*doc)["kernel_cells_total"].as_number());
-    const double kernel_s = (*doc)["kernel_seconds_total"].as_number();
-    if (have_prev) {
-      const double dt =
-          std::chrono::duration<double>(now_t - prev_t).count();
-      const double qps = perf::delta_rate(completed, prev_completed, dt);
-      const double hit_rate = perf::delta_ratio(
-          hits, prev_hits, hits + misses, prev_hits + prev_misses);
-      const double ks_d = std::max(0.0, kernel_s - prev_kernel_s);
-      const double gcups =
-          ks_d > 0 ? static_cast<double>(
-                         perf::counter_delta(cells, prev_cells)) /
-                         ks_d / 1e9
-                   : 0.0;
-      std::printf("%10.1f %10.1f %+12lld %9.1f%% %10.2f\n", dt, qps,
-                  static_cast<long long>(
-                      perf::counter_delta(completed, prev_completed)),
-                  hit_rate * 100.0, gcups);
-      std::fflush(stdout);
+    if (printed_t < 0) {  // points start after t_s = 0, the first tick
+      std::printf("%10s %10s %12s %10s %10s\n", "dt_s", "qps", "completed",
+                  "cache_hit", "gcups");
+      printed_t = 0;
     }
-    prev_completed = completed;
-    prev_hits = hits;
-    prev_misses = misses;
-    prev_cells = cells;
-    prev_kernel_s = kernel_s;
-    prev_t = now_t;
-    have_prev = true;
+    for (const net::Json& p : (*doc)["points"].as_array()) {
+      const double t = p["t_s"].as_number();
+      if (t <= printed_t) continue;
+      printed_t = t;
+      const double dt = p["dt_s"].as_number();
+      const uint64_t completed = family_sum(p["requests_completed_total"]);
+      const net::Json& lookups = p["result_cache_lookups_total"];
+      const uint64_t lookups_n = family_sum(lookups);
+      const uint64_t hits = family_sum(lookups, "result", "hit");
+      std::printf("%10.1f %10.1f %+12lld %9.1f%% %10.2f\n", dt,
+                  dt > 0 ? static_cast<double>(completed) / dt : 0.0,
+                  static_cast<long long>(completed),
+                  lookups_n > 0 ? 100.0 * static_cast<double>(hits) /
+                                      static_cast<double>(lookups_n)
+                                : 0.0,
+                  p["gcups_aggregate"].as_number());
+    }
+    std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
   }
 }
@@ -329,6 +318,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
   const Options o = parse(argc, argv);
+  if (cmd == "metrics" && o.watch_s > 0) return run_metrics_watch(o);
   const seq::Alphabet& alphabet =
       o.dna ? seq::Alphabet::dna() : seq::Alphabet::protein();
 
@@ -349,7 +339,6 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "metrics") {
-    if (o.watch_s > 0) return run_metrics_watch(client, o.watch_s);
     const auto r = client.metrics(o.json);
     if (!r.ok()) {
       std::fprintf(stderr, "swve_client: %s\n", r.error.c_str());

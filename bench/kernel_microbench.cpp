@@ -255,7 +255,7 @@ void BM_ServiceBookkeeping(benchmark::State& state) {
     chunk.add_cells(kCells);
     chunk.end(t_end);
     const double kernel_s = static_cast<double>(t_end - t_exec) * 1e-9;
-    registry.on_completed(Scenario::Pairwise, kernel_s, kCells, t_end);
+    registry.on_completed(Scenario::Pairwise, kernel_s, kCells);
     registry.on_tier_completed(1, Scenario::Pairwise, qwait + kernel_s);
     registry.on_kernel_completed(simd::Isa::Avx512, perf::KernelVariant::Column,
                                  kCells);

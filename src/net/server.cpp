@@ -133,16 +133,6 @@ const char* sniff_http_method(std::string_view in) {
 core::ErrorOr<std::unique_ptr<Server>> Server::start(
     service::AlignService& service) {
   if (auto st = service.options().try_validate(); !st) return st.error();
-  // The event loop is the submitter: with Overflow::Block a full queue
-  // would park the loop thread on the queue's condition variable, stalling
-  // every connection, /healthz, and the SIGTERM drain path. Serving
-  // requires Reject semantics (clients see QueueFull and retry).
-  if (service.options().queue.overflow ==
-      service::QueueOptions::Overflow::Block)
-    return core::ConfigError{
-        Code::Unsupported,
-        "net: serving requires queue.overflow = Reject; Overflow::Block "
-        "would stall the event loop when the submission queue fills"};
   const service::ServeOptions& opts = service.options().serve;
 
   // Prefer the epoch the service already knows (an artifact stores its
@@ -236,13 +226,7 @@ void Server::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-perf::MetricsSnapshot Server::metrics() const {
-  perf::MetricsSnapshot snap = service_.metrics();
-  snap.server_active_connections =
-      active_connections_.load(std::memory_order_relaxed);
-  snap.result_cache_entries = cache_entries_.load(std::memory_order_relaxed);
-  return snap;
-}
+perf::MetricsSnapshot Server::metrics() const { return service_.metrics(); }
 
 // ------------------------------------------------------------------ the loop
 
@@ -313,7 +297,7 @@ void Server::loop() {
   // whatever is left.
   for (auto& [id, c] : conns_) close_fd(c.fd);
   conns_.clear();
-  active_connections_.store(0, std::memory_order_relaxed);
+  service_.registry()->set_active_connections(0);
   loop_done_.store(true, std::memory_order_release);
 }
 
@@ -347,7 +331,7 @@ void Server::accept_connections() {
     c.opened_s = steady_s();
     obs::log_info("server.accept", {{"conn", id}, {"peer", c.peer}});
     conns_.emplace(id, std::move(c));
-    active_connections_.store(conns_.size(), std::memory_order_relaxed);
+    service_.registry()->set_active_connections(conns_.size());
     service_.registry()->on_connection_accepted();
   }
 }
@@ -753,17 +737,15 @@ void Server::publish(uint64_t key, const Completion& done) {
   const size_t evicted = cache_.put(key, done.identity, done.response);
   for (size_t i = 0; i < evicted; ++i)
     service_.registry()->on_result_cache_eviction();
-  cache_entries_.store(cache_.entries(), std::memory_order_relaxed);
+  service_.registry()->set_result_cache_entries(cache_.entries());
 }
 
 // --------------------------------------------------------------------- HTTP
 
-/// /varz?series=qps,cache&window=60 — pulls the two recognized parameters
-/// out of the query string and validates every comma-separated series
-/// token. Returns false (with the offending token in `bad`) on an unknown
-/// name, so the caller can answer 400 instead of silently serving nothing.
-static bool parse_varz_query(std::string_view query, std::string* series,
-                             double* window_s, std::string* bad) {
+/// /varz?series=requests_completed_total,queue_depth&window=60 — pulls the
+/// two recognized parameters out of the query string.
+static void parse_varz_query(std::string_view query, std::string_view* series,
+                             double* window_s) {
   size_t pos = 0;
   while (pos < query.size()) {
     size_t amp = query.find('&', pos);
@@ -775,28 +757,13 @@ static bool parse_varz_query(std::string_view query, std::string* series,
     const std::string_view val =
         eq == std::string_view::npos ? std::string_view{} : kv.substr(eq + 1);
     if (key == "series") {
-      *series = std::string(val);
+      *series = val;
     } else if (key == "window") {
       *window_s = std::strtod(std::string(val).c_str(), nullptr);
       if (*window_s < 0) *window_s = 0;
     }
     pos = amp + 1;
   }
-  const std::string_view s = *series;
-  size_t p = 0;
-  while (p < s.size()) {
-    size_t comma = s.find(',', p);
-    if (comma == std::string_view::npos) comma = s.size();
-    std::string_view tok = s.substr(p, comma - p);
-    while (!tok.empty() && tok.front() == ' ') tok.remove_prefix(1);
-    while (!tok.empty() && tok.back() == ' ') tok.remove_suffix(1);
-    if (!tok.empty() && !obs::TimeSeriesStore::is_series_name(tok)) {
-      *bad = std::string(tok);
-      return false;
-    }
-    p = comma + 1;
-  }
-  return true;
 }
 
 void Server::process_http(Connection& c) {
@@ -850,11 +817,13 @@ void Server::process_http(Connection& c) {
     reply = http_response(200, "OK", "application/json", render_statusz());
   } else if (path == "/varz" && opts_.http_metrics) {
     if (const obs::TimeSeriesStore* ts = service_.timeseries()) {
-      std::string series, bad;
+      std::string_view series;
+      std::string bad;
       double window_s = 0;
-      if (parse_varz_query(query, &series, &window_s, &bad)) {
+      parse_varz_query(query, &series, &window_s);
+      if (const auto families = obs::parse_family_keys(series, &bad)) {
         reply = http_response(200, "OK", "application/json",
-                              ts->json(series, window_s));
+                              ts->json(*families, window_s));
       } else {
         reply = http_response(400, "Bad Request", "text/plain",
                               "unknown series: " + bad + "\n");
@@ -1073,7 +1042,7 @@ void Server::close_connection(uint64_t conn_id) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
   close_fd(it->second.fd);
   conns_.erase(it);
-  active_connections_.store(conns_.size(), std::memory_order_relaxed);
+  service_.registry()->set_active_connections(conns_.size());
 }
 
 Server::Connection* Server::find_connection(uint64_t conn_id) {

@@ -81,8 +81,9 @@ class Server {
   /// exit_on_term = false there) so SIGTERM drains instead of _exit()ing.
   int term_fd() const noexcept { return term_fd_; }
 
-  /// Service metrics with the server-side gauges (active connections,
-  /// result-cache entries) filled in — what /metrics serves.
+  /// The service's metrics — what /metrics serves. The server's own gauges
+  /// (active connections, result-cache entries) live in the service's
+  /// registry, so the telemetry sampler's snapshots carry them too.
   perf::MetricsSnapshot metrics() const;
 
  private:
@@ -230,11 +231,6 @@ class Server {
 
   bool draining_ = false;
   double drain_deadline_s_ = 0;  ///< steady-clock seconds; 0 = unset
-
-  // Gauges mirrored out of loop-thread state so metrics() is callable from
-  // any thread.
-  std::atomic<size_t> active_connections_{0};
-  std::atomic<size_t> cache_entries_{0};
 
   std::thread thread_;
   std::atomic<bool> loop_done_{false};

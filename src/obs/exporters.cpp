@@ -1,13 +1,17 @@
 #include "obs/exporters.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/mapped_db.hpp"
 #include "net/json.hpp"
+#include "obs/slo.hpp"
 
 namespace swve::obs {
 
@@ -20,12 +24,15 @@ using perf::PmuSample;
 
 // ------------------------------------------------------------------ samples
 
-enum class Type { Counter, Gauge, Histogram };
+/// How a family's series turn into a window (see WindowTable). A Ratio is a
+/// gauge everywhere else: its lifetime value, numerator over denominator.
+enum class Type { Counter, Gauge, Histogram, Ratio };
 
 const char* type_name(Type t) {
   switch (t) {
     case Type::Counter: return "counter";
-    case Type::Gauge: return "gauge";
+    case Type::Gauge:
+    case Type::Ratio: return "gauge";
     case Type::Histogram: return "histogram";
   }
   return "untyped";
@@ -49,6 +56,7 @@ struct Series {
   Labels labels;
   Value value;
   const LatencyHistogram::Snapshot* hist = nullptr;
+  double num = 0, den = 0;  ///< a ratio's operands (its value is num / den)
 };
 
 /// What a family's emit function reads.
@@ -66,6 +74,11 @@ struct Samples {
   }
   void add(const LatencyHistogram::Snapshot& h, Labels l = {}) {
     series.push_back({std::move(l), {}, &h});
+  }
+  /// A Ratio family's series: num / den, 0 while den is 0.
+  void ratio(double num, double den, Labels l = {}) {
+    series.push_back(
+        {std::move(l), g6(den > 0 ? num / den : 0.0), nullptr, num, den});
   }
 };
 
@@ -99,10 +112,12 @@ void pmu_counter(const Source& s, Samples& o, uint64_t PmuSample::*field) {
             [&](const PmuSample& c, Labels l) { o.add(n(c.*field), std::move(l)); });
 }
 
-void pmu_ratio(const Source& s, Samples& o,
-               double (PmuSample::*fn)() const noexcept) {
-  pmu_cells(s.m, true,
-            [&](const PmuSample& c, Labels l) { o.add(g6((c.*fn)()), std::move(l)); });
+void pmu_ratio(const Source& s, Samples& o, uint64_t PmuSample::*num,
+               uint64_t PmuSample::*den) {
+  pmu_cells(s.m, true, [&](const PmuSample& c, Labels l) {
+    o.ratio(static_cast<double>(c.*num), static_cast<double>(c.*den),
+            std::move(l));
+  });
 }
 
 /// Completions or cells by [ISA][kernel], nonzero targets only.
@@ -130,7 +145,8 @@ void shards(const Source& s, Samples& o, F&& value) {
 // ------------------------------------------------------------ the families
 //
 // Every exported metric, in exposition order. Each surface (Prometheus,
-// text, JSON, and /statusz through JSON) is a walk over this table.
+// text, JSON, /statusz through JSON, and /varz through WindowTable) is a
+// walk over this table.
 
 constexpr Family kFamilies[] = {
     {"swve_build_info", "Build identity; value is always 1, facts are labels",
@@ -164,30 +180,17 @@ constexpr Family kFamilies[] = {
        o.add(n(s.m.invalid_request), {{"reason", "invalid"}});
        o.add(n(s.m.aborted), {{"reason", "aborted"}});
      }},
+    {"swve_queue_depth", "Requests waiting in the submission queue",
+     Type::Gauge, [](const Source& s, Samples& o) { o.add(n(s.m.queue_depth)); }},
     {"swve_kernel_cells_total", "DP cells computed across completed requests",
      Type::Counter, [](const Source& s, Samples& o) { o.add(n(s.m.cells)); }},
     {"swve_kernel_seconds_total", "Summed kernel execution time",
      Type::Counter,
      [](const Source& s, Samples& o) { o.add(g9(s.m.kernel_seconds)); }},
     {"swve_gcups_aggregate",
-     "Lifetime throughput in giga cell updates per second", Type::Gauge,
-     [](const Source& s, Samples& o) { o.add(g6(s.m.aggregate_gcups())); }},
-    {"swve_gcups_window", "Throughput over the trailing window", Type::Gauge,
+     "Lifetime throughput in giga cell updates per second", Type::Ratio,
      [](const Source& s, Samples& o) {
-       o.add(g6(s.m.window_gcups()),
-             {{"window_s", std::to_string(MetricsSnapshot::kWindowSeconds)}});
-     }},
-    {"swve_window_cells", "DP cells completed in the trailing window",
-     Type::Gauge,
-     [](const Source& s, Samples& o) {
-       o.add(n(s.m.window_cells),
-             {{"window_s", std::to_string(MetricsSnapshot::kWindowSeconds)}});
-     }},
-    {"swve_window_kernel_seconds",
-     "Kernel execution time completed in the trailing window", Type::Gauge,
-     [](const Source& s, Samples& o) {
-       o.add(g9(s.m.window_kernel_seconds),
-             {{"window_s", std::to_string(MetricsSnapshot::kWindowSeconds)}});
+       o.ratio(static_cast<double>(s.m.cells), s.m.kernel_seconds * 1e9);
      }},
     {"swve_kernel_target_requests_total",
      "Completed requests by dispatch target", Type::Counter,
@@ -203,9 +206,10 @@ constexpr Family kFamilies[] = {
      [](const Source& s, Samples& o) { o.add(n(s.m.batch_useful_cells8)); }},
     {"swve_batch_packing_efficiency",
      "Useful fraction of batch-kernel work (useful/padded cells)",
-     Type::Gauge,
+     Type::Ratio,
      [](const Source& s, Samples& o) {
-       o.add(g6(s.m.batch_packing_efficiency()));
+       o.ratio(static_cast<double>(s.m.batch_useful_cells8),
+               static_cast<double>(s.m.batch_cells8));
      }},
     {"swve_pool_threads", "Worker threads in the owned pool", Type::Gauge,
      [](const Source& s, Samples& o) { o.add(n(s.m.pool_threads)); }},
@@ -215,8 +219,11 @@ constexpr Family kFamilies[] = {
      Type::Counter,
      [](const Source& s, Samples& o) { o.add(g9(s.m.pool_busy_seconds)); }},
     {"swve_pool_utilization",
-     "Busy fraction of the pool over the service lifetime", Type::Gauge,
-     [](const Source& s, Samples& o) { o.add(g6(s.m.pool_utilization())); }},
+     "Busy fraction of the pool over the service lifetime", Type::Ratio,
+     [](const Source& s, Samples& o) {
+       o.ratio(s.m.pool_busy_seconds,
+               static_cast<double>(s.m.pool_threads) * s.m.uptime_seconds);
+     }},
     {"swve_trace_events_total", "Trace events recorded into the sink rings",
      Type::Counter,
      [](const Source& s, Samples& o) { o.add(n(s.m.trace_recorded)); }},
@@ -232,7 +239,8 @@ constexpr Family kFamilies[] = {
      Type::Gauge,
      [](const Source& s, Samples& o) { o.add(n(s.m.pmu_unavailable)); }},
     // PMU cells: one family per counter, ISA x kernel x width in labels;
-    // derived ratios are gauges so dashboards need no PromQL arithmetic.
+    // derived ratios print as gauges so dashboards need no PromQL
+    // arithmetic.
     {"swve_pmu_spans_total", "Kernel spans aggregated per cell", Type::Counter,
      [](const Source& s, Samples& o) {
        pmu_counter(s, o, &PmuSample::samples);
@@ -271,24 +279,26 @@ constexpr Family kFamilies[] = {
          o.add(n(c.stall_backend), std::move(backend));
        });
      }},
-    {"swve_pmu_ipc", "Instructions per cycle", Type::Gauge,
-     [](const Source& s, Samples& o) { pmu_ratio(s, o, &PmuSample::ipc); }},
-    {"swve_pmu_backend_stall_fraction", "Backend-stalled fraction of cycles",
-     Type::Gauge,
+    {"swve_pmu_ipc", "Instructions per cycle", Type::Ratio,
      [](const Source& s, Samples& o) {
-       pmu_ratio(s, o, &PmuSample::backend_stall_fraction);
+       pmu_ratio(s, o, &PmuSample::instructions, &PmuSample::cycles);
+     }},
+    {"swve_pmu_backend_stall_fraction", "Backend-stalled fraction of cycles",
+     Type::Ratio,
+     [](const Source& s, Samples& o) {
+       pmu_ratio(s, o, &PmuSample::stall_backend, &PmuSample::cycles);
      }},
     {"swve_pmu_frontend_stall_fraction", "Frontend-stalled fraction of cycles",
-     Type::Gauge,
+     Type::Ratio,
      [](const Source& s, Samples& o) {
-       pmu_ratio(s, o, &PmuSample::frontend_stall_fraction);
+       pmu_ratio(s, o, &PmuSample::stall_frontend, &PmuSample::cycles);
      }},
     {"swve_pmu_effective_ghz",
      "Cycles per wall nanosecond; a depressed AVX-512 value flags license "
      "throttling",
-     Type::Gauge,
+     Type::Ratio,
      [](const Source& s, Samples& o) {
-       pmu_ratio(s, o, &PmuSample::effective_ghz);
+       pmu_ratio(s, o, &PmuSample::cycles, &PmuSample::wall_ns);
      }},
     {"swve_pmu_avx512_frequency_ratio",
      "AVX-512 effective GHz over the fastest non-AVX-512 cell; < 1 suggests "
@@ -296,6 +306,20 @@ constexpr Family kFamilies[] = {
      Type::Gauge,
      [](const Source& s, Samples& o) {
        if (const double r = s.m.avx512_frequency_ratio(); r > 0) o.add(g6(r));
+     }},
+    {"swve_sampler_probe_ghz",
+     "Effective clock of the telemetry sampler's spin-kernel probe (sampler "
+     "ticks only)",
+     Type::Gauge,
+     [](const Source& s, Samples& o) {
+       if (s.m.sampler_probe_ghz > 0) o.add(g6(s.m.sampler_probe_ghz));
+     }},
+    {"swve_cpufreq_ghz",
+     "Mean kernel-reported CPU clock at the telemetry sampler's tick (sampler "
+     "ticks with cpufreq only)",
+     Type::Gauge,
+     [](const Source& s, Samples& o) {
+       if (s.m.cpufreq_ghz > 0) o.add(g6(s.m.cpufreq_ghz));
      }},
     {"swve_slow_requests_total",
      "Requests the watchdog caught running past the latency SLO",
@@ -367,9 +391,12 @@ constexpr Family kFamilies[] = {
     {"swve_shard_gcups",
      "Per-shard throughput over its own busy time — unequal values are the "
      "live shard-imbalance signal",
-     Type::Gauge,
+     Type::Ratio,
      [](const Source& s, Samples& o) {
-       shards(s, o, [](const Shard& sh) { return g6(sh.gcups()); });
+       for (uint32_t i = 0; i < s.m.shard_count; ++i)
+         o.ratio(static_cast<double>(s.m.shards[i].cells),
+                 s.m.shards[i].busy_seconds * 1e9,
+                 {{"shard", std::to_string(i)}});
      }},
     {"swve_shard_queue_depth", "Jobs outstanding on each shard's pinned pool",
      Type::Gauge,
@@ -413,8 +440,12 @@ constexpr Family kFamilies[] = {
     {"swve_dedup_ratio",
      "Fraction of served requests answered without a fresh execution (cache "
      "hit or coalesced)",
-     Type::Gauge,
-     [](const Source& s, Samples& o) { o.add(g6(s.m.dedup_ratio())); }},
+     Type::Ratio,
+     [](const Source& s, Samples& o) {
+       const uint64_t saved = s.m.result_cache_hits + s.m.coalesced;
+       o.ratio(static_cast<double>(saved),
+               static_cast<double>(saved + s.m.result_cache_misses));
+     }},
     {"swve_server_connections_total",
      "TCP connections accepted by the serving front door", Type::Counter,
      [](const Source& s, Samples& o) { o.add(n(s.m.server_connections)); }},
@@ -696,7 +727,254 @@ void write_json(std::string& out, const Family& f,
   out += ']';
 }
 
+// ----------------------------------------------------------------- windows
+
+static_assert(std::size(kFamilies) <= FamilySet{}.size());
+
+/// Position of a family in the table (a compile error for a name it lacks).
+constexpr uint16_t family_index(std::string_view name) {
+  for (size_t i = 0; i < std::size(kFamilies); ++i)
+    if (kFamilies[i].name == name) return static_cast<uint16_t>(i);
+  throw "no such family";
+}
+
+/// Parts of a histogram series in a window: bucket i is part i, then the
+/// sample sum and max. Any other series has the one part 0.
+constexpr uint8_t kSumPart = LatencyHistogram::kBuckets;
+constexpr uint8_t kMaxPart = kSumPart + 1;
+
+bool same_labels(const Labels& a, const Labels& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return std::string_view(x.first) == y.first &&
+                             x.second == y.second;
+                    });
+}
+
+/// The series of `in` labeled `l`: usually the one at the same position.
+const Series* find_series(const std::vector<Series>& in, const Labels& l,
+                          size_t hint) {
+  if (hint < in.size() && same_labels(in[hint].labels, l)) return &in[hint];
+  for (const Series& s : in)
+    if (same_labels(s.labels, l)) return &s;
+  return nullptr;
+}
+
+double number(const Value& v) {
+  return v.digits == 0 ? static_cast<double>(v.count) : v.real;
+}
+
 }  // namespace
+
+struct WindowTable::Impl {
+  struct Key {
+    uint16_t family;
+    uint8_t part;
+    uint8_t digits;  ///< how the value prints (Value::digits); 0 = integer
+    Labels labels;
+  };
+  /// One decoded value of a window.
+  struct Sample {
+    const Key* key;
+    double value;
+  };
+  std::vector<Key> keys;
+  std::unordered_map<std::string, uint32_t> ids;  ///< encoded Key -> index
+  std::string scratch;
+
+  static void put_varint(std::vector<uint8_t>& out, uint64_t v) {
+    for (; v >= 0x80; v >>= 7) out.push_back(static_cast<uint8_t>(v | 0x80));
+    out.push_back(static_cast<uint8_t>(v));
+  }
+
+  /// Encode one value of the series `labels` of `family` (part `part`).
+  void add(std::vector<uint8_t>& out, uint16_t family, uint8_t part,
+           uint8_t digits, const Labels& labels, double value) {
+    scratch.assign({static_cast<char>(family & 0xff),
+                    static_cast<char>(family >> 8), static_cast<char>(part)});
+    for (const auto& [k, v] : labels) {
+      scratch += k;
+      scratch += '\0';
+      scratch += v;
+      scratch += '\0';
+    }
+    const auto [it, fresh] =
+        ids.try_emplace(scratch, static_cast<uint32_t>(keys.size()));
+    if (fresh) keys.push_back({family, part, digits, labels});
+    put_varint(out, it->second);
+    if (digits == 0) {
+      put_varint(out, static_cast<uint64_t>(value));
+    } else {
+      uint8_t bytes[sizeof value];
+      std::memcpy(bytes, &value, sizeof value);
+      out.insert(out.end(), bytes, bytes + sizeof value);
+    }
+  }
+
+  std::vector<Sample> decode(std::span<const uint8_t> in) const {
+    std::vector<Sample> out;
+    size_t pos = 0;
+    const auto varint = [&] {
+      uint64_t v = 0;
+      for (int shift = 0; pos < in.size(); shift += 7) {
+        const uint8_t b = in[pos++];
+        v |= static_cast<uint64_t>(b & 0x7f) << shift;
+        if (b < 0x80) break;
+      }
+      return v;
+    };
+    while (pos < in.size()) {
+      const Key& k = keys[varint()];
+      double v = 0;
+      if (k.digits == 0) {
+        v = static_cast<double>(varint());
+      } else {
+        std::memcpy(&v, in.data() + pos, sizeof v);
+        pos += sizeof v;
+      }
+      out.push_back({&k, v});
+    }
+    return out;
+  }
+};
+
+WindowTable::WindowTable() : impl_(std::make_unique<Impl>()) {}
+WindowTable::~WindowTable() = default;
+
+void WindowTable::window(const MetricsSnapshot& prev,
+                         const MetricsSnapshot& now,
+                         std::vector<uint8_t>& out) {
+  const BuildInfo build = build_info();
+  const Source was{prev, nullptr, build}, is{now, nullptr, build};
+  for (uint16_t f = 0; f < std::size(kFamilies); ++f) {
+    const Family& fam = kFamilies[f];
+    Samples cur, old;
+    fam.emit(is, cur);
+    if (cur.series.empty()) continue;
+    if (fam.type != Type::Gauge) fam.emit(was, old);
+    for (size_t i = 0; i < cur.series.size(); ++i) {
+      const Series& s = cur.series[i];
+      const Series* p = find_series(old.series, s.labels, i);
+      const Series zero{{}, {0, 0, s.value.digits}};
+      const Series& o = p != nullptr ? *p : zero;
+      switch (fam.type) {
+        case Type::Gauge:
+          impl_->add(out, f, 0, s.value.digits, s.labels, number(s.value));
+          break;
+        case Type::Counter:
+          impl_->add(out, f, 0, s.value.digits, s.labels,
+                     s.value.digits == 0
+                         ? static_cast<double>(
+                               perf::counter_delta(s.value.count, o.value.count))
+                         : std::max(0.0, s.value.real - o.value.real));
+          break;
+        case Type::Ratio: {
+          const double den = s.den - o.den;
+          impl_->add(out, f, 0, s.value.digits, s.labels,
+                     den > 0 ? std::max(0.0, s.num - o.num) / den : 0.0);
+          break;
+        }
+        case Type::Histogram: {
+          const LatencyHistogram::Snapshot d = LatencyHistogram::Snapshot::subtract(
+              *s.hist, o.hist != nullptr ? *o.hist : LatencyHistogram::Snapshot{});
+          impl_->add(out, f, kSumPart, 9, s.labels,
+                     d.mean_s * static_cast<double>(d.count));
+          impl_->add(out, f, kMaxPart, 9, s.labels, d.max_s);
+          for (uint8_t b = 0; b < LatencyHistogram::kBuckets; ++b)
+            if (d.buckets[b] != 0)
+              impl_->add(out, f, b, 0, s.labels,
+                         static_cast<double>(d.buckets[b]));
+          break;
+        }
+      }
+    }
+  }
+}
+
+void WindowTable::append_json(std::string& out, std::span<const uint8_t> window,
+                              const FamilySet& families) const {
+  const std::vector<Impl::Sample> samples = impl_->decode(window);
+  for (size_t i = 0, end = 0; i < samples.size(); i = end) {
+    const uint16_t f = samples[i].key->family;
+    for (end = i; end < samples.size() && samples[end].key->family == f;) ++end;
+    if (!families.test(f)) continue;
+    std::vector<Series> series;
+    std::vector<LatencyHistogram::Snapshot> hists;
+    hists.reserve(end - i);  // Series::hist points into it
+    for (size_t j = i; j < end; ++j) {
+      const Impl::Key& k = *samples[j].key;
+      if (kFamilies[f].type != Type::Histogram) {
+        const double v = samples[j].value;
+        series.push_back({k.labels, k.digits == 0
+                                        ? n(static_cast<uint64_t>(v))
+                                        : Value{0, v, k.digits}});
+        continue;
+      }
+      // A histogram series: its sum, its max, then its nonempty buckets.
+      const double sum = samples[j].value;
+      const double max = samples[++j].value;
+      std::array<uint64_t, LatencyHistogram::kBuckets> buckets{};
+      for (; j + 1 < end && samples[j + 1].key->part < kSumPart; ++j)
+        buckets[samples[j + 1].key->part] =
+            static_cast<uint64_t>(samples[j + 1].value);
+      hists.push_back(LatencyHistogram::Snapshot::of_buckets(buckets, sum, max));
+      series.push_back({k.labels, {}, &hists.back()});
+    }
+    write_json(out, kFamilies[f], series);
+  }
+}
+
+SloWindow WindowTable::slo_window(std::span<const uint8_t> window) const {
+  static constexpr uint16_t kLatency = family_index("swve_tier_latency_seconds");
+  static constexpr uint16_t kFailed = family_index("swve_requests_failed_total");
+  static constexpr uint16_t kCompleted =
+      family_index("swve_requests_completed_total");
+  std::array<uint64_t, LatencyHistogram::kBuckets> buckets{};
+  double sum = 0, max = 0;
+  SloWindow w;
+  for (const Impl::Sample& s : impl_->decode(window)) {
+    const auto count = static_cast<uint64_t>(s.value);
+    if (s.key->family == kFailed) {
+      w.failed += count;
+    } else if (s.key->family == kCompleted) {
+      w.completed += count;
+    } else if (s.key->family == kLatency) {
+      if (s.key->part == kSumPart)
+        sum += s.value;
+      else if (s.key->part == kMaxPart)
+        max = std::max(max, s.value);
+      else
+        buckets[s.key->part] += count;
+    }
+  }
+  w.latency = LatencyHistogram::Snapshot::of_buckets(buckets, sum, max);
+  return w;
+}
+
+std::optional<FamilySet> parse_family_keys(std::string_view list,
+                                           std::string* bad) {
+  FamilySet set;
+  for (size_t pos = 0; pos <= list.size();) {
+    size_t comma = list.find(',', pos);
+    if (comma == std::string_view::npos) comma = list.size();
+    std::string_view key = list.substr(pos, comma - pos);
+    pos = comma + 1;
+    while (!key.empty() && key.front() == ' ') key.remove_prefix(1);
+    while (!key.empty() && key.back() == ' ') key.remove_suffix(1);
+    if (key.empty()) continue;
+    const auto* f = std::find_if(
+        std::begin(kFamilies), std::end(kFamilies), [&](const Family& fam) {
+          return std::string_view(fam.name).substr(5) == key;  // drop "swve_"
+        });
+    if (f == std::end(kFamilies)) {
+      if (bad != nullptr) *bad = std::string(key);
+      return std::nullopt;
+    }
+    set.set(static_cast<size_t>(f - std::begin(kFamilies)));
+  }
+  if (set.none()) set.set();
+  return set;
+}
 
 std::string prom_escape_label(std::string_view value) {
   std::string out;

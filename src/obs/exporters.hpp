@@ -1,22 +1,30 @@
 // Machine-readable renderings of perf::MetricsSnapshot.
 //
 // Every metric family is defined once, in a table in exporters.cpp (name,
-// help, type, and one function that emits its samples). Three writers walk
+// help, type, and one function that emits its samples). Four writers walk
 // that table: Prometheus text exposition 0.0.4 (`name{labels} value` lines
 // with HELP/TYPE headers, cumulative `le` histogram buckets), plain text
-// (the same sample lines without the headers) and JSON (one key per family,
-// derived by rule). A family with no samples renders nothing in any format.
-// The metric schema is documented in docs/observability.md.
+// (the same sample lines without the headers), JSON (one key per family,
+// derived by rule), and the telemetry history's window points (WindowTable,
+// served by /varz in the JSON shapes). A family with no samples renders
+// nothing in any format. The metric schema is documented in
+// docs/observability.md.
 #pragma once
 
+#include <bitset>
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "obs/slo.hpp"
 #include "perf/metrics.hpp"
 
 namespace swve::obs {
+
+struct SloStatus;
 
 enum class MetricsFormat { Text, Prometheus, Json };
 
@@ -51,5 +59,63 @@ std::string render_metrics(const perf::MetricsSnapshot& snapshot,
                            MetricsFormat format,
                            const SloStatus* slo = nullptr,
                            const BuildInfo& build = build_info());
+
+/// A set of metric families, by position in the family table.
+using FamilySet = std::bitset<128>;
+
+/// Parse a comma-separated list of family keys (JSON keys: the family name
+/// without `swve_`, e.g. "requests_completed_total,tier_latency_seconds");
+/// blanks around a key are ignored and an empty list selects every family.
+/// An unknown key returns nullopt and is stored in `*bad`.
+std::optional<FamilySet> parse_family_keys(std::string_view list,
+                                           std::string* bad);
+
+/// What the SLO engine reads of one window: the end-to-end latency of every
+/// tier (tier_latency_seconds merged), and the requests that failed
+/// (requests_failed_total) and completed (requests_completed_total).
+struct SloWindow {
+  double t_s = 0;  ///< the window's end, on the history's clock
+  perf::LatencyHistogram::Snapshot latency;
+  uint64_t failed = 0;
+  uint64_t completed = 0;
+};
+
+/// The window between two snapshots of one registry, under one rule per
+/// family type:
+///   counter   — the delta, clamped at 0 (integer or double counters);
+///   gauge     — the value in the newer snapshot;
+///   histogram — LatencyHistogram::Snapshot::subtract;
+///   ratio     — delta numerator over delta denominator, 0 when the
+///               denominator did not grow (every other format prints the
+///               lifetime ratio, as a gauge).
+/// The table interns each series it sees once (for a histogram, each part:
+/// its sum, its max and every nonempty bucket), so a window is encoded as
+/// bytes: per value its key as a varint, then the value, as a varint for an
+/// integer and as 8 bytes for a double. Not thread-safe: its owner
+/// (obs::TimeSeriesStore) serializes every call.
+class WindowTable {
+ public:
+  WindowTable();
+  ~WindowTable();
+  WindowTable(const WindowTable&) = delete;
+  WindowTable& operator=(const WindowTable&) = delete;
+
+  /// Append the encoded window from `prev` to `now` to `out`, in
+  /// family-table order. A series missing from `prev` counts from zero.
+  void window(const perf::MetricsSnapshot& prev,
+              const perf::MetricsSnapshot& now, std::vector<uint8_t>& out);
+
+  /// Append `,"<key>":<value>` for each family of the encoded `window` in
+  /// `families`, in the shapes of render_metrics(Json).
+  void append_json(std::string& out, std::span<const uint8_t> window,
+                   const FamilySet& families) const;
+
+  /// The SLO's view of the encoded `window` (t_s left 0).
+  SloWindow slo_window(std::span<const uint8_t> window) const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace swve::obs

@@ -44,7 +44,9 @@ void Sampler::tick() {
   const perf::CpufreqSummary cf = perf::cpufreq_summary(
       static_cast<int>(std::thread::hardware_concurrency()));
   t.cpufreq_ghz = cf.mean_khz * 1e-6;
-  const perf::MetricsSnapshot m = source_();
+  perf::MetricsSnapshot m = source_();
+  m.sampler_probe_ghz = t.probe_ghz;
+  m.cpufreq_ghz = t.cpufreq_ghz;
   if (opt_.on_sample) opt_.on_sample(t, m);
 }
 

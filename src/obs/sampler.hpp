@@ -36,7 +36,8 @@ struct SamplerOptions {
   double freq_probe_ms = 5.0; ///< spin-kernel duration per frequency probe
 
   /// Called from the sampler thread once per tick with the tick's probe
-  /// and the fresh MetricsSnapshot. Must stay valid until
+  /// and the fresh MetricsSnapshot, whose sampler_probe_ghz and
+  /// cpufreq_ghz carry that probe. Must stay valid until
   /// stop()/destruction; exceptions must not escape.
   std::function<void(const SamplerTick&, const perf::MetricsSnapshot&)>
       on_sample;

@@ -25,20 +25,19 @@ SloEngine::SloEngine(SloOptions options, const TimeSeriesStore* store)
   if (opt_.exit_evals < 1) opt_.exit_evals = 1;
 }
 
-SloEngine::Burn SloEngine::window_burn(
-    const std::vector<TimeSeriesPoint>& pts, double now_s,
-    double window_s) const {
+SloEngine::Burn SloEngine::window_burn(const std::vector<SloWindow>& pts,
+                                       double now_s, double window_s) const {
   Burn burn;
   uint64_t lat_bad = 0, lat_total = 0, av_bad = 0, av_total = 0;
   const double cutoff = now_s - window_s;
-  for (const TimeSeriesPoint& p : pts) {
+  for (const SloWindow& p : pts) {
     if (p.t_s < cutoff) continue;
     if (opt_.latency_target_s > 0) {
       lat_bad += p.latency.count_over(opt_.latency_target_s);
       lat_total += p.latency.count;
     }
-    av_bad += p.error_delta;
-    av_total += p.completed_delta + p.error_delta;
+    av_bad += p.failed;
+    av_total += p.completed + p.failed;
   }
   if (opt_.latency_target_s > 0 && lat_total > 0) {
     const double budget = 1.0 - opt_.latency_objective;
@@ -58,9 +57,9 @@ SloEngine::Burn SloEngine::window_burn(
 }
 
 SloStatus SloEngine::evaluate(double t_s) {
-  const std::vector<TimeSeriesPoint> pts =
-      store_ ? store_->points(opt_.slow_window_s)
-             : std::vector<TimeSeriesPoint>{};
+  const std::vector<SloWindow> pts =
+      store_ ? store_->slo_windows(opt_.slow_window_s)
+             : std::vector<SloWindow>{};
   const Burn fast = window_burn(pts, t_s, opt_.fast_window_s);
   const Burn slow = window_burn(pts, t_s, opt_.slow_window_s);
 

@@ -12,7 +12,7 @@
 //
 // The engine owns no thread and takes no locks on the request path: it is
 // evaluated from the sampler tick, right after the TimeSeriesStore push,
-// reading only the store's delta points. State transitions emit
+// reading only the store's window points (TimeSeriesStore::slo_windows). State transitions emit
 // structured "slo.state_change" log events; the current status surfaces
 // in /statusz and every metrics format.
 #pragma once
@@ -37,8 +37,8 @@ struct SloOptions {
   double latency_objective = 0.99;
 
   /// Availability objective: at least this fraction of requests succeed
-  /// (errors = rejected + deadline-expired + invalid + aborted). 0
-  /// disables the availability SLO.
+  /// (errors = requests_failed_total: rejected + deadline-expired + invalid
+  /// + aborted). 0 disables the availability SLO.
   double availability_objective = 0.999;
 
   // Burn-rate windows and thresholds (SRE-workbook defaults: a page at
@@ -93,7 +93,7 @@ class SloEngine {
     double latency = 0;
     double availability = 0;
   };
-  Burn window_burn(const std::vector<TimeSeriesPoint>& pts, double now_s,
+  Burn window_burn(const std::vector<SloWindow>& pts, double now_s,
                    double window_s) const;
 
   SloOptions opt_;

@@ -24,8 +24,7 @@ int bucket_of(uint64_t us) noexcept {
 // in, then interpolate log-linearly inside it (bucket 0, [0, 1us),
 // interpolates linearly). The raw upper bound could overstate by up to 2x;
 // the interpolated value is clamped to `max_s` so a lone sample never
-// reports above it. Shared by live snapshots and by the recomputation in
-// Snapshot::subtract / Snapshot::merge.
+// reports above it. Shared by live snapshots and by Snapshot::of_buckets.
 double bucket_percentile(
     const std::array<uint64_t, LatencyHistogram::kBuckets>& buckets,
     uint64_t count, double max_s, double q) noexcept {
@@ -105,40 +104,41 @@ uint64_t LatencyHistogram::Snapshot::count_over(double seconds) const noexcept {
   return over;
 }
 
+LatencyHistogram::Snapshot LatencyHistogram::Snapshot::of_buckets(
+    const std::array<uint64_t, kBuckets>& buckets, double sum_s,
+    double max_s) noexcept {
+  Snapshot s;
+  s.buckets = buckets;
+  for (const uint64_t n : buckets) s.count += n;
+  if (s.count == 0) return Snapshot{};  // empty: all stats stay zero
+  s.mean_s = sum_s / static_cast<double>(s.count);
+  s.max_s = max_s;
+  recompute_percentiles(s);
+  return s;
+}
+
 LatencyHistogram::Snapshot LatencyHistogram::Snapshot::subtract(
     const Snapshot& now, const Snapshot& prev) noexcept {
-  Snapshot d;
-  for (int i = 0; i < kBuckets; ++i) {
-    d.buckets[i] =
-        now.buckets[i] >= prev.buckets[i] ? now.buckets[i] - prev.buckets[i]
-                                          : 0;
-    d.count += d.buckets[i];
-  }
-  if (d.count == 0) return d;  // empty window: all stats stay zero
+  std::array<uint64_t, kBuckets> d{};
+  for (int i = 0; i < kBuckets; ++i)
+    d[i] = now.buckets[i] >= prev.buckets[i] ? now.buckets[i] - prev.buckets[i]
+                                             : 0;
   // Recover the interval's sample sum from the two means; clamp at zero so
-  // a count reset cannot manufacture a negative mean.
+  // a count reset cannot manufacture a negative mean. The lifetime max is
+  // an upper bound for the window.
   const double sum_now = now.mean_s * static_cast<double>(now.count);
   const double sum_prev = prev.mean_s * static_cast<double>(prev.count);
-  d.mean_s = std::max(0.0, sum_now - sum_prev) / static_cast<double>(d.count);
-  d.max_s = now.max_s;  // lifetime max: an upper bound for the window
-  recompute_percentiles(d);
-  return d;
+  return of_buckets(d, std::max(0.0, sum_now - sum_prev), now.max_s);
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::Snapshot::merge(
     const Snapshot& a, const Snapshot& b) noexcept {
-  Snapshot m;
-  for (int i = 0; i < kBuckets; ++i) {
-    m.buckets[i] = a.buckets[i] + b.buckets[i];
-    m.count += m.buckets[i];
-  }
-  if (m.count == 0) return m;
-  m.mean_s = (a.mean_s * static_cast<double>(a.count) +
-              b.mean_s * static_cast<double>(b.count)) /
-             static_cast<double>(m.count);
-  m.max_s = std::max(a.max_s, b.max_s);
-  recompute_percentiles(m);
-  return m;
+  std::array<uint64_t, kBuckets> m{};
+  for (int i = 0; i < kBuckets; ++i) m[i] = a.buckets[i] + b.buckets[i];
+  return of_buckets(m,
+                    a.mean_s * static_cast<double>(a.count) +
+                        b.mean_s * static_cast<double>(b.count),
+                    std::max(a.max_s, b.max_s));
 }
 
 namespace detail {
@@ -295,22 +295,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const noexcept {
   s.kernel_time = family(
       [](const Shard& sh) -> const LatencyHistogram& { return sh.kernel_time; });
 
-  const uint64_t now_ns = steady_ns(Clock::now());
-  const uint64_t now_s = elapsed_s(now_ns);
-  uint64_t wcells = 0, wns = 0;
-  for (const Shard* sh : shards) {
-    for (const WindowBucket& b : sh->window) {
-      const uint64_t e = b.epoch_s.load(kRelaxed);
-      if (e != kNoEpoch && e <= now_s &&
-          now_s - e < static_cast<uint64_t>(MetricsSnapshot::kWindowSeconds)) {
-        wcells += b.cells.load(kRelaxed);
-        wns += b.kernel_ns.load(kRelaxed);
-      }
-    }
-  }
-  s.window_cells = wcells;
-  s.window_kernel_seconds = static_cast<double>(wns) * 1e-9;
-  s.uptime_seconds = static_cast<double>(now_ns - start_ns_) * 1e-9;
+  s.server_active_connections = active_connections_.load(kRelaxed);
+  s.result_cache_entries = result_cache_entries_.load(kRelaxed);
+  s.uptime_seconds =
+      static_cast<double>(steady_ns(Clock::now()) - start_ns_) * 1e-9;
   return s;
 }
 

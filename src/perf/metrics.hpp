@@ -2,8 +2,7 @@
 //
 // A MetricsRegistry is owned by service::AlignService and updated from its
 // executor threads and from the submitting threads of inline runs. Every
-// counter, histogram, window bucket and PMU cell lives in a
-// cache-line-aligned shard that one thread at a time writes, so recording a
+// counter, histogram and PMU cell lives in a cache-line-aligned shard that one thread at a time writes, so recording a
 // sample is a handful of relaxed loads and stores with no locked
 // instruction, cheap enough to sit on the per-request path. snapshot() sums
 // the shards into a point-in-time copy for dashboards/CLI dumps: totals are
@@ -74,6 +73,12 @@ class LatencyHistogram {
     /// buckets and counts add, mean is count-weighted, max is the larger,
     /// percentiles are recomputed from the merged buckets.
     static Snapshot merge(const Snapshot& a, const Snapshot& b) noexcept;
+
+    /// The snapshot of samples falling into `buckets`, summing to `sum_s`
+    /// and peaking at `max_s`: count, mean and percentiles derived the way
+    /// every snapshot derives them (all zero when the buckets are empty).
+    static Snapshot of_buckets(const std::array<uint64_t, kBuckets>& buckets,
+                               double sum_s, double max_s) noexcept;
   };
   Snapshot snapshot() const noexcept;
   /// Snapshot of the samples of all `parts` together: the raw buckets,
@@ -88,30 +93,11 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_us_{0};
 };
 
-// Shared delta math for everything that turns two counter snapshots into a
-// window statistic (obs::TimeSeriesStore, `swve_client metrics --watch`).
-// Monotone counters can still appear to step backwards across a process
-// restart; both helpers clamp to zero instead of producing a negative rate.
-
-/// Counter delta `now - prev`, clamped at zero.
+/// Counter delta `now - prev`, clamped at zero: a monotone counter can
+/// still appear to step backwards across a process restart, and a window
+/// must not report a negative count.
 constexpr uint64_t counter_delta(uint64_t now, uint64_t prev) noexcept {
   return now >= prev ? now - prev : 0;
-}
-
-/// Per-second rate of a counter over a window of `dt_s` seconds.
-constexpr double delta_rate(uint64_t now, uint64_t prev, double dt_s) noexcept {
-  return dt_s > 0 ? static_cast<double>(counter_delta(now, prev)) / dt_s : 0.0;
-}
-
-/// Ratio of two counter deltas (e.g. window cache-hit rate =
-/// delta(hits) / (delta(hits) + delta(misses))); 0 when the denominator
-/// delta is empty.
-constexpr double delta_ratio(uint64_t num_now, uint64_t num_prev,
-                             uint64_t den_now, uint64_t den_prev) noexcept {
-  const uint64_t den = counter_delta(den_now, den_prev);
-  return den > 0 ? static_cast<double>(counter_delta(num_now, num_prev)) /
-                       static_cast<double>(den)
-                 : 0.0;
 }
 
 /// Kernel family that actually served a request (the dispatch target,
@@ -139,11 +125,6 @@ struct PmuSample {
 
   double ipc() const noexcept {
     return cycles > 0 ? static_cast<double>(instructions) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-  }
-  double frontend_stall_fraction() const noexcept {
-    return cycles > 0 ? static_cast<double>(stall_frontend) /
                             static_cast<double>(cycles)
                       : 0.0;
   }
@@ -176,7 +157,6 @@ struct MetricsSnapshot {
   static constexpr int kIsas = 5;            ///< simd::Isa enum size
   static constexpr int kKernelVariants = 3;  ///< KernelVariant enum size
   static constexpr int kWidths = 4;          ///< DP width: unknown/8/16/32
-  static constexpr int kWindowSeconds = 60;  ///< sliding-window span
 
   /// Index of a DP width in the pmu attribution array.
   static int width_index(uint16_t bits) noexcept {
@@ -280,9 +260,16 @@ struct MetricsSnapshot {
   uint64_t log_dropped_threads = 0;   ///< producing threads beyond capacity
   uint64_t log_suppressed = 0;        ///< per-site rate limit
 
-  // Sliding window: kernel work recorded in the last kWindowSeconds.
-  uint64_t window_cells = 0;
-  double window_kernel_seconds = 0;
+  /// Requests waiting in the submission queue (gauge, filled by the owner
+  /// of the queue — service::AlignService).
+  uint64_t queue_depth = 0;
+
+  // The telemetry sampler's frequency probe (filled by obs::Sampler into the
+  // snapshot of its tick; zero in any other snapshot): the spin kernel's
+  // effective GHz on the sampler core, and the mean kernel-reported clock
+  // across CPUs (0 where cpufreq sysfs is absent).
+  double sampler_probe_ghz = 0;
+  double cpufreq_ghz = 0;
 
   // Thread-pool utilization (filled by the owner of the pool; zero when no
   // pool is attached).
@@ -320,12 +307,6 @@ struct MetricsSnapshot {
     int32_t node = -1;          ///< pinned NUMA node; -1 unpinned
     uint32_t threads = 0;
     uint8_t bound = 0;          ///< mbind of the shard's columns succeeded
-
-    double gcups() const noexcept {
-      return busy_seconds > 0
-                 ? static_cast<double>(cells) / busy_seconds / 1e9
-                 : 0.0;
-    }
   };
   uint32_t shard_count = 0;  ///< live shards, clamped to kMaxShards
   std::array<ShardSample, kMaxShards> shards{};
@@ -351,23 +332,6 @@ struct MetricsSnapshot {
                : 0.0;
   }
 
-  /// Throughput over kernel work completed in the last kWindowSeconds —
-  /// the live-dashboard gauge next to the lifetime aggregate.
-  double window_gcups() const noexcept {
-    return window_kernel_seconds > 0
-               ? static_cast<double>(window_cells) / window_kernel_seconds / 1e9
-               : 0.0;
-  }
-
-  /// Useful fraction of the batch kernel's DP work, in (0, 1]; 0 before the
-  /// first batch-path request. 1 - this is the padding overhead the packing
-  /// policy left on the table.
-  double batch_packing_efficiency() const noexcept {
-    return batch_cells8 > 0 ? static_cast<double>(batch_useful_cells8) /
-                                  static_cast<double>(batch_cells8)
-                            : 0.0;
-  }
-
   /// Serialized-response LRU hit rate, in [0, 1]; 0 before the first lookup.
   double result_cache_hit_rate() const noexcept {
     const uint64_t total = result_cache_hits + result_cache_misses;
@@ -383,14 +347,6 @@ struct MetricsSnapshot {
     const uint64_t total = saved + result_cache_misses;
     return total > 0
                ? static_cast<double>(saved) / static_cast<double>(total)
-               : 0.0;
-  }
-
-  /// Busy fraction of the pool over the registry's lifetime [0, 1].
-  double pool_utilization() const noexcept {
-    return pool_threads > 0 && uptime_seconds > 0
-               ? pool_busy_seconds /
-                     (static_cast<double>(pool_threads) * uptime_seconds)
                : 0.0;
   }
 
@@ -510,11 +466,9 @@ class MetricsRegistry {
     shard()->queue_wait.record(seconds);
   }
 
-  /// One completed request. `now_ns` is the completion instant on the
-  /// steady_clock nanosecond scale (obs::steady_now_ns()); it places the
-  /// kernel work in the sliding window.
-  void on_completed(Scenario s, double kernel_seconds, uint64_t cells,
-                    uint64_t now_ns) noexcept {
+  /// One completed request.
+  void on_completed(Scenario s, double kernel_seconds,
+                    uint64_t cells) noexcept {
     const Writer w = shard();
     // The release store pairs with snapshot()'s acquire loads, which read a
     // shard's scenario counters before its completed count, so a snapshot
@@ -523,15 +477,8 @@ class MetricsRegistry {
     std::atomic<uint64_t>& by = w->by_scenario[static_cast<int>(s)];
     by.store(by.load(kRelaxed) + 1, std::memory_order_release);
     add(w->cells, cells);
-    const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
-    add(w->kernel_ns, ns);
+    add(w->kernel_ns, static_cast<uint64_t>(kernel_seconds * 1e9));
     w->kernel_time.record(kernel_seconds);
-    window_record(*w, cells, ns, now_ns);
-  }
-  /// on_completed at the current instant.
-  void on_completed(Scenario s, double kernel_seconds,
-                    uint64_t cells) noexcept {
-    on_completed(s, kernel_seconds, cells, steady_ns(Clock::now()));
   }
 
   /// Record the batch kernel's padded vs useful 8-bit cell counts for one
@@ -588,6 +535,13 @@ class MetricsRegistry {
   }
   void on_protocol_error() noexcept { add(shard()->server_protocol_errors); }
   void on_http_scrape() noexcept { add(shard()->server_http_scrapes); }
+  // Front-door gauges, set by net::Server's loop thread.
+  void set_active_connections(uint64_t n) noexcept {
+    active_connections_.store(n, kRelaxed);
+  }
+  void set_result_cache_entries(uint64_t n) noexcept {
+    result_cache_entries_.store(n, kRelaxed);
+  }
 
   /// One completed request attributed to its QoS tier: scenario count plus
   /// end-to-end (queue wait + execution) latency. Out-of-range indices are
@@ -631,17 +585,6 @@ class MetricsRegistry {
   static void add(std::atomic<uint64_t>& c, uint64_t v = 1) noexcept {
     detail::owned_add(c, v);
   }
-  // One-second buckets; > kWindowSeconds of them so an expired bucket is
-  // reused before it could be confused with a live one.
-  static constexpr int kWindowBuckets = 64;
-  static constexpr uint64_t kNoEpoch = ~uint64_t{0};
-
-  struct WindowBucket {
-    std::atomic<uint64_t> epoch_s{kNoEpoch};  ///< second the bucket covers
-    std::atomic<uint64_t> cells{0};
-    std::atomic<uint64_t> kernel_ns{0};
-  };
-
   struct PmuCell {
     std::atomic<uint64_t> samples{0};
     std::atomic<uint64_t> wall_ns{0};
@@ -698,7 +641,6 @@ class MetricsRegistry {
     std::array<std::atomic<uint64_t>, MetricsSnapshot::kLengthBins>
         query_length_bins{};
     std::array<LatencyHistogram, MetricsSnapshot::kQosTiers> tier_latency;
-    std::array<WindowBucket, kWindowBuckets> window{};
     LatencyHistogram queue_wait;
     LatencyHistogram kernel_time;
   };
@@ -735,30 +677,11 @@ class MetricsRegistry {
             t.time_since_epoch())
             .count());
   }
-  /// Whole seconds from the registry's start to `now_ns` (0 before it).
-  uint64_t elapsed_s(uint64_t now_ns) const noexcept {
-    return now_ns > start_ns_ ? (now_ns - start_ns_) / 1'000'000'000 : 0;
-  }
-
-  void window_record(Shard& sh, uint64_t cells, uint64_t ns,
-                     uint64_t now_ns) noexcept {
-    const uint64_t now_s = elapsed_s(now_ns);
-    WindowBucket& b = sh.window[now_s % kWindowBuckets];
-    if (b.epoch_s.load(kRelaxed) != now_s) {
-      // First sample of this second in the shard: roll the bucket over.
-      // Only this writer updates the shard, so no sample can land between
-      // the reset and the store of the new epoch.
-      b.cells.store(0, kRelaxed);
-      b.kernel_ns.store(0, kRelaxed);
-      b.epoch_s.store(now_s, kRelaxed);
-    }
-    add(b.cells, cells);
-    add(b.kernel_ns, ns);
-  }
-
   /// Owned shards [0, kThreadShards), then the overflow shard.
   std::array<std::atomic<Shard*>, kThreadShards + 1> shards_{};
   std::mutex overflow_mu_;  ///< serializes writers of the overflow shard
+  std::atomic<uint64_t> active_connections_{0};
+  std::atomic<uint64_t> result_cache_entries_{0};
   uint64_t start_ns_;       ///< construction instant, steady_ns() scale
 };
 

@@ -108,8 +108,7 @@ void AlignService::start_telemetry() {
   so.period_s = cadence;
   so.on_sample = [this](const obs::SamplerTick& tick,
                         const perf::MetricsSnapshot& snap) {
-    timeseries_->push(snap, tick.t_s, queue_depth(), tick.probe_ghz,
-                      tick.cpufreq_ghz);
+    timeseries_->push(snap, tick.t_s);
     if (slo_) slo_->evaluate(tick.t_s);
   };
   sampler_ = std::make_unique<obs::Sampler>(so, [this] { return metrics(); });
@@ -171,7 +170,6 @@ AlignService::~AlignService() {
     publish_admission_locked();
   }
   work_cv_.notify_all();
-  space_cv_.notify_all();
   for (auto& t : executors_) t.join();
   for (auto& tier : leftover)
     for (auto& t : tier) t.run(/*aborted=*/true);
@@ -197,6 +195,7 @@ perf::MetricsSnapshot AlignService::metrics() const {
   s.pool_threads = ps.threads;
   s.pool_jobs = ps.jobs;
   s.pool_busy_seconds = ps.busy_seconds;
+  s.queue_depth = queue_depth();
   if (sharded_) {
     const size_t n = std::min<size_t>(sharded_->shard_count(),
                                       perf::MetricsSnapshot::kMaxShards);
@@ -292,7 +291,6 @@ void AlignService::executor_loop(unsigned index) {
       ++busy_;
       publish_admission_locked();
       lk.unlock();
-      space_cv_.notify_one();
       // Occupy this executor's in-flight slot for the run: the watchdog's
       // and flight recorder's view of "what is executing right now".
       obs::InFlightTable::Guard slot(*inflight_, index, t.id, t.scenario,
@@ -326,11 +324,6 @@ uint64_t AlignService::next_request_id() noexcept {
 bool AlignService::enqueue(
     Task task, const std::function<void(core::ConfigError)>& reject) {
   std::unique_lock<std::mutex> lk(mu_);
-  if (opt_.queue.overflow == QueueOptions::Overflow::Block) {
-    space_cv_.wait(lk, [&] {
-      return stop_ || queued_locked() < opt_.queue.capacity;
-    });
-  }
   if (stop_) {
     lk.unlock();
     metrics_.on_aborted();
@@ -548,7 +541,7 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   tr.width_used = a.width_used;
   tr.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
   metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
-                        a.stats.cells, t_end);
+                        a.stats.cells);
   metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
                              perf::MetricsRegistry::Scenario::Pairwise,
                              *qwait + kernel_s);

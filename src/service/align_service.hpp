@@ -70,14 +70,9 @@ struct QueueOptions {
   /// run on their submitting threads, so they overlap at any value.
   unsigned executors = 1;
   /// Bounded submission queue capacity (pending, not yet executing),
-  /// summed across QoS tiers.
+  /// summed across QoS tiers. A submission that finds the queue full fails
+  /// at once with QueueFull.
   size_t capacity = 256;
-  /// What submit_async does when the queue is full.
-  enum class Overflow {
-    Reject,  ///< fail the request immediately with QueueFull
-    Block,   ///< block the submitter until space frees (backpressure)
-  };
-  Overflow overflow = Overflow::Reject;
   /// Start with executors paused (tests use this to fill the queue
   /// deterministically); call resume() to begin draining.
   bool start_paused = false;
@@ -160,13 +155,13 @@ struct ServeOptions {
   /// get this long to finish and flush before connections are dropped.
   double drain_timeout_s = 10.0;
   /// Telemetry history cadence: every this many seconds the sampler tick
-  /// probes the core frequency and folds a MetricsSnapshot diff into the
-  /// obs::TimeSeriesStore (the /varz feed), then re-evaluates the SLO
-  /// engine. 0 disables the sampler thread, history, /varz, and SLO
+  /// probes the core frequency and folds the window since the previous
+  /// MetricsSnapshot into the obs::TimeSeriesStore (the /varz feed), then
+  /// re-evaluates the SLO engine. 0 disables the sampler thread, history, /varz, and SLO
   /// alerting.
   double telemetry_cadence_s = 1.0;
   /// Seconds of history retained; the ring holds retention / cadence
-  /// points (~1 KiB each).
+  /// points (under 2 KiB each; docs/observability.md).
   double telemetry_retention_s = 600.0;
   /// Sampled traced requests retained for /tracez.
   size_t tracez_capacity = 32;
@@ -292,7 +287,7 @@ class AlignService {
 
   // Non-throwing submission: exactly one `done` invocation per call, with
   // the response or a core::ConfigError (map to the wire with to_status()).
-  // Immediate rejections (queue full under Overflow::Reject, shutdown, and
+  // Immediate rejections (queue full, shutdown, and
   // Code::Unsupported for a batch request whose ISA cannot drive the
   // packed lanes — core::batch_lanes_fit) run `done`
   // inline on the submitting thread. Small pairwise requests may run `done`
@@ -324,7 +319,7 @@ class AlignService {
   /// Prometheus 0.0.4, or JSON).
   std::string dump_metrics(obs::MetricsFormat format) const;
 
-  /// Delta-encoded telemetry history (the /varz feed, including the
+  /// Telemetry history of window points (the /varz feed, including the
   /// sampler's frequency probe), or null when serve.telemetry_cadence_s == 0.
   const obs::TimeSeriesStore* timeseries() const noexcept {
     return timeseries_.get();
@@ -527,7 +522,6 @@ class AlignService {
 
   alignas(64) mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< executors: queue non-empty/stop
-  std::condition_variable space_cv_;  ///< blocking submitters: space freed
   std::array<std::deque<Task>, kQosTiers> queues_;  ///< one FIFO per tier
   bool stop_ = false;
   bool paused_ = false;

@@ -148,7 +148,7 @@ struct BatchResponse {
 /// Completion callbacks of the submit_async() API: exactly one
 /// invocation per submission, with either the response or a ConfigError
 /// (convert with to_status() for the wire). Immediate rejections — queue
-/// full under Overflow::Reject, shutdown — run the callback inline on the
+/// full, shutdown — run the callback inline on the
 /// submitting thread, and so may small pairwise requests, which can run
 /// `done` on the submitting thread before submit_async returns (see
 /// AlignService::submit_async); everything else runs it on an executor

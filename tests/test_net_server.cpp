@@ -16,6 +16,7 @@
 #include "net/json.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
@@ -504,20 +505,6 @@ TEST(NetServer, GracefulDrainFinishesInflightWork) {
   EXPECT_FALSE(Client::connect("127.0.0.1", lb.server->port(), 2.0).ok());
 }
 
-TEST(NetServer, ServingRejectsBlockingOverflow) {
-  // Overflow::Block would park the event-loop thread on the queue's
-  // condition variable when the queue fills, stalling every connection and
-  // the drain path — the server must refuse to start with it.
-  auto db = make_db(20'000);
-  service::ServiceOptions opt;
-  opt.queue.overflow = service::QueueOptions::Overflow::Block;
-  service::AlignService svc(db, opt);
-  const auto started = Server::start(svc);
-  ASSERT_FALSE(started.ok());
-  EXPECT_NE(started.error().message.find("overflow"), std::string::npos)
-      << started.error().message;
-}
-
 TEST(NetServer, LateCompletionAfterServerDestructionIsDropped) {
   // Regression: a request still executing (here: still queued, executors
   // paused) when the drain deadline passes used to leave a completion
@@ -879,11 +866,21 @@ TEST(NetServer, VarzServesTelemetryHistory) {
   opt.serve.telemetry_cadence_s = 0.05;  // fast ticks so the test is quick
   opt.serve.telemetry_retention_s = 10.0;
   Loopback lb(opt);
-  ASSERT_TRUE(lb.client()->search(search_request()).ok());
-  // Wait for at least two sampler ticks past the baseline seed.
-  for (int i = 0; i < 100 && lb.svc->timeseries()->size() < 2; ++i)
-    std::this_thread::sleep_for(milliseconds(20));
-  ASSERT_GE(lb.svc->timeseries()->size(), 2u);
+  // Ticks until the history holds `n` points.
+  const auto wait_for_points = [&](size_t n) {
+    for (int i = 0; i < 200 && lb.svc->timeseries()->size() < n; ++i)
+      std::this_thread::sleep_for(milliseconds(20));
+    return lb.svc->timeseries()->size() >= n;
+  };
+  // The first tick only seeds the baseline; search after it, so a point
+  // holds the completion. The client stays connected, so the ticks after
+  // its search see it.
+  ASSERT_TRUE(wait_for_points(1));
+  const auto client = lb.client();
+  ASSERT_TRUE(client->search(search_request()).ok());
+  // Two more: a tick that read its snapshot before the search completed
+  // may land after it.
+  ASSERT_TRUE(wait_for_points(lb.svc->timeseries()->size() + 2));
 
   const auto body = http_get("127.0.0.1", lb.server->port(), "/varz");
   ASSERT_TRUE(body.ok()) << body.error().message;
@@ -897,21 +894,38 @@ TEST(NetServer, VarzServesTelemetryHistory) {
   const Json& p = doc["points"].as_array().back();
   EXPECT_TRUE(p["t_s"].is_number());
   EXPECT_GT(p["dt_s"].as_number(), 0.0);
-  EXPECT_TRUE(p["qps"].is_number());
-  EXPECT_TRUE(p["tiers"].is_array());
-  EXPECT_TRUE(p["length_bins"].is_array());
+  EXPECT_TRUE(p["requests_completed_total"].is_array());
+  EXPECT_TRUE(p["tier_latency_seconds"].is_array());
+  EXPECT_TRUE(p["query_length_requests_total"].is_array());
+  EXPECT_TRUE(p["queue_depth"].is_number());
+  // The server's own gauges reach the sampler's snapshot too.
+  EXPECT_GE(p["server_active_connections"].as_number(), 1.0) << p.dump();
+  // Some point saw the search complete.
+  double completed = 0;
+  for (const Json& q : doc["points"].as_array())
+    for (const Json& s : q["requests_completed_total"].as_array())
+      completed += s["value"].as_number();
+  EXPECT_EQ(completed, 1.0);
 
-  // series= narrows the payload; window= bounds it; both validated.
-  const auto narrow = http_get("127.0.0.1", lb.server->port(),
-                               "/varz?series=qps,cache&window=60");
+  // Under search traffic a stored point stays small: an encoded window, no
+  // strings and no snapshot copy.
+  for (const obs::TimeSeriesPoint& stored : lb.svc->timeseries()->points())
+    EXPECT_LE(sizeof stored + stored.window.capacity(), 2048u);
+
+  // series= narrows the payload to the named families; window= bounds it;
+  // both validated.
+  const auto narrow = http_get(
+      "127.0.0.1", lb.server->port(),
+      "/varz?series=requests_completed_total,result_cache_lookups_total&"
+      "window=60");
   ASSERT_TRUE(narrow.ok());
   const auto ndoc = Json::parse(narrow.value());
   ASSERT_TRUE(ndoc.has_value()) << narrow.value();
   const Json& np = (*ndoc)["points"].as_array().back();
-  EXPECT_TRUE(np["qps"].is_number());
-  EXPECT_TRUE(np["cache_hit_rate"].is_number());
-  EXPECT_TRUE(np["pmu"].is_null());
-  EXPECT_TRUE(np["length_bins"].is_null());
+  EXPECT_TRUE(np["requests_completed_total"].is_array());
+  EXPECT_TRUE(np["result_cache_lookups_total"].is_array());
+  EXPECT_TRUE(np["pmu_ipc"].is_null());
+  EXPECT_TRUE(np["query_length_requests_total"].is_null());
 
   std::string head;
   const auto bad = http_get("127.0.0.1", lb.server->port(),

@@ -1,6 +1,6 @@
 // Observability subsystem (ISSUE 2 tentpole): lock-free TraceSink,
-// Chrome-trace export, metric exporters (Prometheus/JSON), sliding-window
-// GCUPS, per-target counters, and the sampler tick.
+// Chrome-trace export, metric exporters (Prometheus/JSON), per-target
+// counters, and the sampler tick.
 //
 // The concurrency tests here are the ThreadSanitizer targets of the tsan CI
 // job: writers record into per-thread rings while a reader exports.
@@ -29,6 +29,7 @@
 
 #include "net/json.hpp"
 #include "obs/exporters.hpp"
+#include "obs/slo.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "perf/metrics.hpp"
@@ -423,10 +424,11 @@ std::string family_of(const std::string& line) {
 #include "recorded_exposition.inc"
 
 // Families added since the recorded exposition: values that only JSON or
-// /statusz carried before, now rendered in every format, and the process
-// memory gauges.
+// /statusz carried before, now rendered in every format, the process
+// memory gauges, and the gauges only /varz carried before.
 const std::set<std::string> kAddedFamilies = {
-    "swve_window_cells",          "swve_window_kernel_seconds",
+    "swve_queue_depth",           "swve_sampler_probe_ghz",
+    "swve_cpufreq_ghz",
     "swve_shard_sequences",       "swve_shard_batches_total",
     "swve_shard_useful_cells_total", "swve_shard_cycles_total",
     "swve_slo_instant_state",     "swve_slo_evaluations_total",
@@ -497,8 +499,6 @@ perf::MetricsSnapshot populated_snapshot() {
   s.log_dropped_overflow = 3;
   s.log_dropped_threads = 2;
   s.log_suppressed = 9;
-  s.window_cells = 5'000'000'000;
-  s.window_kernel_seconds = 2.5;
   s.pool_threads = 4;
   s.pool_jobs = 8800;
   s.pool_busy_seconds = 123.456789012;
@@ -791,7 +791,8 @@ TEST(Exporters, PrometheusCarriesCountersAndWindowGauge) {
   EXPECT_NE(prom.find("swve_kernel_target_cells_total{isa=\"avx2\","
                       "kernel=\"batch32\"} 2000000000"),
             std::string::npos);
-  EXPECT_NE(prom.find("swve_gcups_window{window_s=\"60\"}"), std::string::npos);
+  // A ratio family prints its lifetime value as a gauge.
+  EXPECT_NE(prom.find("# TYPE swve_gcups_aggregate gauge"), std::string::npos);
   EXPECT_NE(prom.find("swve_queue_wait_seconds_count 2"), std::string::npos);
   EXPECT_NE(prom.find("swve_kernel_time_seconds_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
@@ -1055,16 +1056,6 @@ TEST(Exporters, FormatSelection) {
 
 // ------------------------------------------------------------------ metrics
 
-TEST(MetricsWindow, RecentWorkCountsTowardWindowGcups) {
-  perf::MetricsRegistry reg;
-  reg.on_completed(perf::MetricsRegistry::Scenario::Search, 0.5, 1'000'000'000);
-  perf::MetricsSnapshot s = reg.snapshot();
-  EXPECT_EQ(s.window_cells, 1'000'000'000u);
-  EXPECT_NEAR(s.window_kernel_seconds, 0.5, 1e-6);
-  EXPECT_NEAR(s.window_gcups(), 2.0, 0.01);
-  EXPECT_NEAR(s.window_gcups(), s.aggregate_gcups(), 0.01);  // all recent
-}
-
 TEST(MetricsTargets, OutOfRangeTargetIsIgnored) {
   perf::MetricsRegistry reg;
   reg.on_kernel_completed(static_cast<simd::Isa>(99),
@@ -1078,7 +1069,7 @@ TEST(MetricsTargets, OutOfRangeTargetIsIgnored) {
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingIsRaceFree) {
-  // TSan target: counters, window buckets, and histograms hammered from
+  // TSan target: counters and histograms hammered from
   // several threads while another snapshots.
   perf::MetricsRegistry reg;
   std::atomic<bool> stop{false};
@@ -1211,67 +1202,6 @@ TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
   EXPECT_EQ(c.llc_misses, kTotal * 5);
   EXPECT_EQ(c.branch_misses, kTotal);
   EXPECT_EQ(s.pmu_total().samples, kTotal);
-
-  // The sliding window can lose a sample when threads sharing a shard race
-  // a once-per-second rollover; it never gains one.
-  EXPECT_GT(s.window_cells, 0u);
-  EXPECT_LE(s.window_cells, s.cells);
-}
-
-TEST(MetricsRegistry, WindowKeepsEverySampleAcrossRollover) {
-  // Holders take all but a few owned shard indices and keep them while
-  // writers record until the registry's clock has crossed a whole second,
-  // so owned shards and the locked overflow shard both roll a window bucket
-  // over while other threads record. The window spans 60 s, so it must hold
-  // every recorded cell.
-  using Scenario = perf::MetricsRegistry::Scenario;
-  constexpr unsigned kFree = 4;
-  constexpr unsigned kHolders = perf::MetricsRegistry::kThreadShards - kFree;
-  constexpr unsigned kWriters = 2 * kFree;
-  constexpr uint64_t kCells = 3;
-  perf::MetricsRegistry reg;
-  std::latch held(kHolders), release(1);
-  std::vector<std::thread> holders;
-  for (unsigned h = 0; h < kHolders; ++h) {
-    holders.emplace_back([&] {
-      reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
-      held.count_down();
-      release.wait();
-    });
-  }
-  held.wait();
-
-  const auto stop_at =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1200);
-  std::atomic<uint64_t> recorded{kHolders};
-  std::atomic<unsigned> overflowed{0};
-  std::vector<std::thread> writers;
-  for (unsigned w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&] {
-      reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
-      // Read before any writer exits and hands its index on.
-      if (perf::detail::t_metrics_shard >= perf::MetricsRegistry::kThreadShards)
-        ++overflowed;
-      uint64_t n = 1;
-      while (std::chrono::steady_clock::now() < stop_at) {
-        reg.on_completed(Scenario::Pairwise, 0x1p-20, kCells);
-        ++n;
-      }
-      recorded.fetch_add(n);
-    });
-  }
-  for (auto& t : writers) t.join();
-  release.count_down();
-  for (auto& t : holders) t.join();
-
-  // At most kFree indices were free, so the other writers shared the
-  // overflow shard.
-  EXPECT_GE(overflowed.load(), kWriters - kFree);
-  const perf::MetricsSnapshot s = reg.snapshot();
-  ASSERT_GE(s.uptime_seconds, 1.0);
-  EXPECT_EQ(s.completed, recorded.load());
-  EXPECT_EQ(s.cells, recorded.load() * kCells);
-  EXPECT_EQ(s.window_cells, s.cells);
 }
 
 TEST(MetricsRegistry, RecordsWhileEveryShardIndexIsHeld) {
@@ -1306,7 +1236,6 @@ TEST(MetricsRegistry, RecordsWhileEveryShardIndexIsHeld) {
   EXPECT_EQ(s.submitted, kShards + 1);
   EXPECT_EQ(s.completed, 1u);
   EXPECT_EQ(s.search, 1u);
-  EXPECT_EQ(s.window_cells, 7u);
 
   release.count_down();
   for (auto& t : holders) t.join();
@@ -1379,7 +1308,6 @@ TEST(MetricsRegistry, ExitedThreadsHandTheirShardOn) {
   EXPECT_EQ(s.completed, total);
   EXPECT_EQ(s.pairwise + s.search + s.batch, total);
   EXPECT_EQ(s.cells, total * 100);
-  EXPECT_EQ(s.window_cells, total * 100);
   EXPECT_EQ(s.queue_wait.count, total);
   EXPECT_EQ(s.kernel_time.count, total);
   EXPECT_EQ(s.target_requests[static_cast<int>(simd::Isa::Avx2)][0], total);

@@ -321,10 +321,6 @@ TEST(LatencyHistogram, CountOverIsExactAtBucketBoundaries) {
 TEST(MetricsDelta, CounterHelpersShareOneDefinition) {
   EXPECT_EQ(counter_delta(10, 4), 6u);
   EXPECT_EQ(counter_delta(4, 10), 0u);  // reset clamps, never wraps
-  EXPECT_DOUBLE_EQ(delta_rate(100, 40, 2.0), 30.0);
-  EXPECT_DOUBLE_EQ(delta_rate(100, 40, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(delta_ratio(8, 4, 10, 5), 0.8);
-  EXPECT_DOUBLE_EQ(delta_ratio(8, 4, 5, 5), 0.0);  // empty denominator
 }
 
 TEST(MetricsDelta, QueryLengthBinsMatchPackingRegimes) {

@@ -23,6 +23,7 @@
 #include "align/db_search.hpp"
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
+#include "net/json.hpp"
 #include "seq/synthetic.hpp"
 #include "service/align_service.hpp"
 
@@ -747,7 +748,6 @@ TEST(AlignService, DumpMetricsFormats) {
 
   std::string text = svc.dump_metrics(obs::MetricsFormat::Text);
   EXPECT_NE(text.find("swve_requests_submitted_total "), std::string::npos);
-  EXPECT_NE(text.find("swve_gcups_window{window_s=\"60\"}"), std::string::npos);
   EXPECT_NE(text.find("swve_pool_threads 2\n"), std::string::npos);
   EXPECT_NE(text.find("swve_kernel_target_requests_total{"), std::string::npos);
   EXPECT_EQ(text.find("# "), std::string::npos);
@@ -756,7 +756,6 @@ TEST(AlignService, DumpMetricsFormats) {
   EXPECT_NE(prom.find("swve_requests_completed_total{scenario=\"pairwise\"} 1"),
             std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("swve_gcups_window{window_s=\"60\"}"), std::string::npos);
   EXPECT_NE(prom.find("swve_kernel_target_requests_total{isa="),
             std::string::npos);
   EXPECT_NE(prom.find("swve_queue_wait_seconds_bucket{le=\"+Inf\"} 2"),
@@ -764,15 +763,12 @@ TEST(AlignService, DumpMetricsFormats) {
 
   std::string json = svc.dump_metrics(obs::MetricsFormat::Json);
   EXPECT_NE(json.find("\"requests_submitted_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"gcups_window\""), std::string::npos);
   EXPECT_NE(json.find("\"kernel_target_requests_total\""), std::string::npos);
 
   // Pool utilization accounting: the search fanned out over the pool.
   perf::MetricsSnapshot m = svc.metrics();
   EXPECT_EQ(m.pool_threads, 2u);
   EXPECT_GT(m.pool_jobs, 0u);
-  EXPECT_GT(m.window_cells, 0u);
-  EXPECT_GT(m.window_gcups(), 0.0);
   for (int i = 0; i < perf::MetricsSnapshot::kIsas; ++i) {
     // The pairwise and search requests were attributed to exactly one
     // diagonal-target ISA each (they resolve to the same ISA here).
@@ -784,7 +780,7 @@ TEST(AlignService, DumpMetricsFormats) {
 
 TEST(AlignService, SamplerCollectsTimeSeries) {
   // The sampler tick carries its frequency probe into the one telemetry
-  // history, under the "freq" series.
+  // history, as the sampler_probe_ghz family.
   ServiceOptions opt;
   opt.serve.telemetry_cadence_s = 0.02;
   AlignService svc(opt);
@@ -792,30 +788,17 @@ TEST(AlignService, SamplerCollectsTimeSeries) {
   std::this_thread::sleep_for(milliseconds(120));
 
   ASSERT_NE(svc.timeseries(), nullptr);
-  const std::vector<obs::TimeSeriesPoint> points = svc.timeseries()->points();
-  ASSERT_GE(points.size(), 1u);
+  ASSERT_GE(svc.timeseries()->points().size(), 1u);
+  std::string bad;
+  const auto probe = obs::parse_family_keys("sampler_probe_ghz", &bad);
+  ASSERT_TRUE(probe.has_value()) << bad;
+  const std::string json = svc.timeseries()->json(*probe);
+  const auto doc = net::Json::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
   bool probed = false;
-  for (const obs::TimeSeriesPoint& p : points)
-    probed = probed || p.probe_ghz > 0.1;
-  EXPECT_TRUE(probed);
-  const std::string json = svc.timeseries()->json("freq");
-  EXPECT_NE(json.find("\"probe_ghz\""), std::string::npos) << json;
-}
-
-TEST(AlignService, BlockingOverflowEventuallyAccepts) {
-  ServiceOptions opt;
-  opt.queue.capacity = 1;
-  opt.queue.overflow = QueueOptions::Overflow::Block;
-  AlignService svc(opt);
-
-  // With Block, every submit succeeds (the submitter stalls instead of
-  // being rejected); all futures must complete.
-  std::vector<std::future<core::ErrorOr<AlignResponse>>> futs;
-  for (int i = 0; i < 6; ++i)
-    futs.push_back(submit_future(svc, pairwise_request(i)));
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(svc.metrics().rejected_queue_full, 0u);
-  EXPECT_EQ(svc.metrics().completed, 6u);
+  for (const net::Json& p : (*doc)["points"].as_array())
+    probed = probed || p["sampler_probe_ghz"].as_number() > 0.1;
+  EXPECT_TRUE(probed) << json;
 }
 
 
@@ -964,7 +947,7 @@ TEST(AlignService, ConcurrentSmallPairsBesideBatchSearches) {
   ServiceOptions opt;
   opt.pool_threads = 2;
   opt.queue.executors = 2;
-  opt.queue.overflow = QueueOptions::Overflow::Block;  // queued, never rejected
+  opt.queue.capacity = kPairs + 1;  // every pair and one search queued at once
   AlignService svc(db, opt);
 
   std::vector<std::atomic<int>> fired(kPairs);
@@ -1126,7 +1109,7 @@ TEST(AlignService, SmallPairQueuesBehindAnExecutorHoldingABatchSearch) {
 TEST(AlignService, PauseFromAnotherThreadGatesInlineRuns) {
   ServiceOptions opt;
   opt.queue.executors = 1;
-  opt.queue.overflow = QueueOptions::Overflow::Block;  // queued, never rejected
+  opt.queue.capacity = 401;  // the first pair and the 400 below all fit
   AlignService svc(opt);
   const std::thread::id caller = std::this_thread::get_id();
 

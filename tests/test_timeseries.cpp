@@ -1,18 +1,29 @@
 // Telemetry history store + burn-rate SLO engine.
 //
-// The store is fed hand-built MetricsSnapshots so every delta in a point
-// can be checked against arithmetic done here; the SLO tests drive the
-// engine through the store exactly as the sampler hook does in
-// production (push, then evaluate at the same timestamp).
+// The store is fed hand-built MetricsSnapshots so every window value in a
+// point (read back from its /varz JSON) can be checked against arithmetic
+// done here; the SLO tests drive the engine through the store exactly as
+// the sampler hook does in production (push, then evaluate at the same
+// timestamp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "net/json.hpp"
+#include "obs/exporters.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "perf/metrics.hpp"
+#include "seq/database.hpp"
+#include "seq/synthetic.hpp"
+#include "service/align_service.hpp"
 
 namespace swve::obs {
 namespace {
@@ -26,6 +37,7 @@ MetricsSnapshot scaled_snapshot(uint64_t scale) {
   MetricsSnapshot s;
   s.submitted = 110 * scale;
   s.completed = 100 * scale;
+  s.pairwise = 100 * scale;
   s.rejected_queue_full = 4 * scale;
   s.deadline_expired = 3 * scale;
   s.invalid_request = 2 * scale;
@@ -49,56 +61,108 @@ MetricsSnapshot scaled_snapshot(uint64_t scale) {
   return s;
 }
 
+/// The store's /varz document, parsed.
+net::Json varz(const TimeSeriesStore& store,
+               std::string_view series = {}) {
+  std::string bad;
+  const auto families = parse_family_keys(series, &bad);
+  EXPECT_TRUE(families.has_value()) << bad;
+  const std::string text = store.json(families.value_or(FamilySet{}));
+  auto doc = net::Json::parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return doc ? *doc : net::Json();
+}
+
+/// The newest point of the store's /varz document (null when empty).
+net::Json newest(const TimeSeriesStore& store, std::string_view series = {}) {
+  const net::Json doc = varz(store, series);
+  const net::JsonArray& pts = doc["points"].as_array();
+  return pts.empty() ? net::Json() : pts.back();
+}
+
+/// The series of a labeled family whose `label` is `value` (null if none).
+const net::Json& labeled(const net::Json& family, const std::string& label,
+                         const std::string& value) {
+  static const net::Json kNone;
+  for (const net::Json& s : family.as_array())
+    if (s[label].as_string() == value) return s;
+  return kNone;
+}
+
+/// Sum of a labeled family's values.
+double sum_of(const net::Json& family) {
+  double sum = 0;
+  for (const net::Json& s : family.as_array()) sum += s["value"].as_number();
+  return sum;
+}
+
 TEST(TimeSeries, FirstPushOnlySeedsTheBaseline) {
   TimeSeriesStore store({1.0, 16});
   store.push(scaled_snapshot(1), 10.0);
   EXPECT_EQ(store.size(), 0u);
-  TimeSeriesPoint p;
-  EXPECT_FALSE(store.latest(&p));
+  EXPECT_TRUE(store.points().empty());
   store.push(scaled_snapshot(2), 12.0);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.latest(&p));
-  EXPECT_DOUBLE_EQ(p.t_s, 12.0);
-  EXPECT_DOUBLE_EQ(p.dt_s, 2.0);
+  const std::vector<TimeSeriesPoint> pts = store.points();
+  ASSERT_EQ(pts.size(), 1u);
+  EXPECT_DOUBLE_EQ(pts[0].t_s, 12.0);
+  EXPECT_DOUBLE_EQ(pts[0].dt_s, 2.0);
 }
 
 TEST(TimeSeries, DeltasMatchHandComputedSnapshots) {
   TimeSeriesStore store({1.0, 16});
   store.push(scaled_snapshot(1), 0.0);
-  store.push(scaled_snapshot(3), 2.0, /*queue_depth=*/7);
+  MetricsSnapshot now = scaled_snapshot(3);
+  now.queue_depth = 7;
+  store.push(now, 2.0);
 
-  TimeSeriesPoint p;
-  ASSERT_TRUE(store.latest(&p));
-  // scale 1 -> 3 over dt = 2 s: completed 100 -> 300 is 100/s.
-  EXPECT_EQ(p.completed_delta, 200u);
-  EXPECT_EQ(p.submitted_delta, 220u);
-  EXPECT_DOUBLE_EQ(p.qps, 100.0);
-  // errors = rejected + deadline + invalid + aborted = 10 per scale.
-  EXPECT_EQ(p.error_delta, 20u);
-  EXPECT_DOUBLE_EQ(p.error_qps, 10.0);
-  // cache: hits 30 -> 90 (+60), total 40 -> 120 (+80).
-  EXPECT_DOUBLE_EQ(p.cache_hit_rate, 0.75);
-  // gcups: +4e9 cells over +2 kernel-seconds.
-  EXPECT_DOUBLE_EQ(p.gcups, 2.0);
-  EXPECT_EQ(p.queue_depth, 7u);
-  EXPECT_EQ(p.log_drops, 10u);
+  const net::Json p = newest(store);
+  ASSERT_TRUE(p.is_object());
+  const double dt = p["dt_s"].as_number();
+  EXPECT_DOUBLE_EQ(dt, 2.0);
+  // scale 1 -> 3 over dt = 2 s: completions 100 -> 300 is 100/s.
+  const double completed = sum_of(p["requests_completed_total"]);
+  EXPECT_EQ(completed, 200);
+  EXPECT_EQ(p["requests_submitted_total"].as_number(), 220);
+  EXPECT_DOUBLE_EQ(completed / dt, 100.0);
+  // failures = queue_full + deadline + invalid + aborted = 10 per scale.
+  EXPECT_EQ(sum_of(p["requests_failed_total"]), 20);
+  EXPECT_DOUBLE_EQ(sum_of(p["requests_failed_total"]) / dt, 10.0);
+  // cache: hits 30 -> 90 (+60) of lookups 40 -> 120 (+80).
+  const net::Json& lookups = p["result_cache_lookups_total"];
+  EXPECT_EQ(labeled(lookups, "result", "hit")["value"].as_number(), 60);
+  EXPECT_EQ(sum_of(lookups), 80);
+  // gcups: +4e9 cells over +2 kernel-seconds, a window Ratio.
+  EXPECT_DOUBLE_EQ(p["gcups_aggregate"].as_number(), 2.0);
+  EXPECT_EQ(p["queue_depth"].as_number(), 7);
+  EXPECT_EQ(sum_of(p["log_dropped_total"]), 10);
   // tier 1 (standard): 200 more requests over 2 s; its 100us window
-  // latency survives into the merged histogram.
-  EXPECT_DOUBLE_EQ(p.tier_qps[1], 100.0);
-  EXPECT_EQ(p.latency.count, 200u);
-  EXPECT_GT(p.tier_p99_s[1], 64e-6);
-  EXPECT_LE(p.tier_p99_s[1], 128e-6);
-  // query lengths: bin 8 gained 180, bin 5 gained 20 -> bin 8 dominates.
-  EXPECT_EQ(p.length_bins[8], 180u);
-  EXPECT_EQ(p.length_bins[5], 20u);
-  EXPECT_EQ(p.dominant_length_bin, 8);
-  // PMU cell delta: +4M instructions over +2M cycles -> IPC 2.
-  ASSERT_EQ(p.pmu.size(), 1u);
-  EXPECT_EQ(p.pmu[0].isa, 1u);
-  EXPECT_EQ(p.pmu[0].spans, 20u);
-  EXPECT_DOUBLE_EQ(p.pmu[0].ipc, 2.0);
-  EXPECT_DOUBLE_EQ(p.pmu[0].backend_stall_fraction, 0.1);
-  EXPECT_DOUBLE_EQ(p.pmu[0].effective_ghz, 3.0);
+  // latency is what the tier's subtracted histogram reports.
+  EXPECT_DOUBLE_EQ(
+      labeled(p["tier_requests_total"], "tier", "standard")["value"].as_number() /
+          dt,
+      100.0);
+  const net::Json& standard =
+      labeled(p["tier_latency_seconds"], "tier", "standard");
+  EXPECT_EQ(standard["count"].as_number(), 200);
+  EXPECT_GT(standard["p99_s"].as_number(), 64e-6);
+  EXPECT_LE(standard["p99_s"].as_number(), 128e-6);
+  // query lengths: bin [256, 512) gained 180, bin [32, 64) gained 20.
+  const net::Json& lengths = p["query_length_requests_total"];
+  EXPECT_EQ(labeled(lengths, "min_residues", "256")["value"].as_number(), 180);
+  EXPECT_EQ(labeled(lengths, "min_residues", "32")["value"].as_number(), 20);
+  // PMU cell delta: +4M instructions over +2M cycles -> IPC 2; each a
+  // window Ratio of the cell's counter deltas.
+  const std::string isa = simd::isa_name(static_cast<simd::Isa>(1));
+  ASSERT_EQ(p["pmu_ipc"].as_array().size(), 1u);
+  EXPECT_EQ(p["pmu_ipc"].as_array()[0]["isa"].as_string(), isa);
+  EXPECT_EQ(labeled(p["pmu_spans_total"], "isa", isa)["value"].as_number(), 20);
+  EXPECT_DOUBLE_EQ(labeled(p["pmu_ipc"], "isa", isa)["value"].as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(
+      labeled(p["pmu_backend_stall_fraction"], "isa", isa)["value"].as_number(),
+      0.1);
+  EXPECT_DOUBLE_EQ(
+      labeled(p["pmu_effective_ghz"], "isa", isa)["value"].as_number(), 3.0);
 }
 
 TEST(TimeSeries, RingEvictsOldestAtCapacity) {
@@ -128,48 +192,50 @@ TEST(TimeSeries, NonAdvancingClockReseedsInsteadOfDividingByZero) {
   store.push(scaled_snapshot(2), 5.0);  // same timestamp: reseed only
   EXPECT_EQ(store.size(), 0u);
   store.push(scaled_snapshot(3), 6.0);
-  TimeSeriesPoint p;
-  ASSERT_TRUE(store.latest(&p));
   // The baseline is the scale-2 snapshot, not scale-1.
-  EXPECT_EQ(p.completed_delta, 100u);
+  EXPECT_EQ(sum_of(newest(store)["requests_completed_total"]), 100);
 }
 
 TEST(TimeSeries, CounterResetClampsToZero) {
   TimeSeriesStore store({1.0, 16});
   store.push(scaled_snapshot(5), 0.0);
   store.push(scaled_snapshot(1), 1.0);  // counters went backwards
-  TimeSeriesPoint p;
-  ASSERT_TRUE(store.latest(&p));
-  EXPECT_EQ(p.completed_delta, 0u);
-  EXPECT_DOUBLE_EQ(p.qps, 0.0);
-  EXPECT_DOUBLE_EQ(p.gcups, 0.0);
+  const net::Json p = newest(store);
+  EXPECT_EQ(sum_of(p["requests_completed_total"]), 0);
+  EXPECT_EQ(p["kernel_cells_total"].as_number(), 0);
+  EXPECT_DOUBLE_EQ(p["gcups_aggregate"].as_number(), 0.0);
 }
 
 TEST(TimeSeries, SeriesNamesValidateAndSelect) {
-  EXPECT_TRUE(TimeSeriesStore::is_series_name("qps"));
-  EXPECT_TRUE(TimeSeriesStore::is_series_name("pmu"));
-  EXPECT_TRUE(TimeSeriesStore::is_series_name("lengths"));
-  EXPECT_FALSE(TimeSeriesStore::is_series_name("bogus"));
-  EXPECT_FALSE(TimeSeriesStore::is_series_name(""));
+  std::string bad;
+  EXPECT_TRUE(parse_family_keys("requests_completed_total", &bad));
+  EXPECT_TRUE(parse_family_keys("pmu_ipc", &bad));
+  EXPECT_TRUE(parse_family_keys("query_length_requests_total", &bad));
+  EXPECT_FALSE(parse_family_keys("qps,bogus", &bad));
+  EXPECT_EQ(bad, "qps");  // the first unknown key
+  EXPECT_FALSE(parse_family_keys("swve_queue_depth", &bad));  // keys, not names
+  EXPECT_TRUE(parse_family_keys("", &bad)->all());
 
   TimeSeriesStore store({1.0, 16});
   store.push(scaled_snapshot(1), 0.0);
   store.push(scaled_snapshot(2), 1.0);
-  const std::string all = store.json();
-  EXPECT_NE(all.find("\"qps\""), std::string::npos);
-  EXPECT_NE(all.find("\"pmu\""), std::string::npos);
-  EXPECT_NE(all.find("\"length_bins\""), std::string::npos);
-  const std::string only_qps = store.json("qps");
-  EXPECT_NE(only_qps.find("\"qps\""), std::string::npos);
-  EXPECT_EQ(only_qps.find("\"pmu\""), std::string::npos);
-  EXPECT_EQ(only_qps.find("\"cache_hit_rate\""), std::string::npos);
-  const std::string two = store.json("qps, cache");
-  EXPECT_NE(two.find("\"qps\""), std::string::npos);
-  EXPECT_NE(two.find("\"cache_hit_rate\""), std::string::npos);
+  const net::Json all = newest(store);
+  EXPECT_TRUE(all["requests_completed_total"].is_array());
+  EXPECT_TRUE(all["pmu_ipc"].is_array());
+  EXPECT_TRUE(all["query_length_requests_total"].is_array());
+  const net::Json only = newest(store, "requests_completed_total");
+  EXPECT_TRUE(only["requests_completed_total"].is_array());
+  EXPECT_TRUE(only["pmu_ipc"].is_null());
+  EXPECT_TRUE(only["result_cache_lookups_total"].is_null());
+  EXPECT_EQ(only.as_object().size(), 3u);  // t_s, dt_s and the family
+  const net::Json two =
+      newest(store, "requests_completed_total, result_cache_lookups_total");
+  EXPECT_TRUE(two["requests_completed_total"].is_array());
+  EXPECT_TRUE(two["result_cache_lookups_total"].is_array());
 }
 
 // TSan target: one pusher (the sampler role) racing readers (/varz
-// scrapes and the SLO engine's points()); the store's mutex must make
+// scrapes and the SLO engine's slo_windows()); the store's mutex must make
 // this clean.
 TEST(TimeSeries, ConcurrentPushAndReadIsClean) {
   TimeSeriesStore store({1.0, 32});
@@ -179,15 +245,145 @@ TEST(TimeSeries, ConcurrentPushAndReadIsClean) {
       store.push(scaled_snapshot(i), static_cast<double>(i));
     stop.store(true, std::memory_order_release);
   });
+  std::string bad;
+  const FamilySet completions =
+      *parse_family_keys("requests_completed_total", &bad);
   uint64_t reads = 0;
   while (!stop.load(std::memory_order_acquire)) {
-    TimeSeriesPoint p;
-    store.latest(&p);
+    reads += store.slo_windows(8.0).size();
     reads += store.points(8.0).size();
-    if ((reads & 63) == 0) (void)store.json("qps", 4.0);
+    if ((reads & 63) == 0) (void)store.json(completions, 4.0);
+    // Readers come and go (a scrape, a tick's evaluation); a reader that
+    // never lets go of the lock would only starve the pusher.
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
   pusher.join();
   EXPECT_EQ(store.size(), 32u);
+}
+
+// ---------------------------------------------------------------------------
+// /varz points against the family table
+
+/// Label members of a JSON series (its string-valued fields).
+std::map<std::string, std::string> labels_of(const net::Json& series) {
+  std::map<std::string, std::string> out;
+  if (series.is_object())
+    for (const auto& [k, v] : series.as_object())
+      if (v.is_string()) out[k] = v.as_string();
+  return out;
+}
+
+/// The series of `family` labeled exactly like `like` (null if none; an
+/// unlabeled family is its own series).
+const net::Json* same_series(const net::Json& family, const net::Json& like) {
+  if (!family.is_array()) return family.is_null() ? nullptr : &family;
+  for (const net::Json& s : family.as_array())
+    if (labels_of(s) == labels_of(like)) return &s;
+  return nullptr;
+}
+
+/// A series' value: the number of an unlabeled family, or `value`.
+double value_of(const net::Json& series) {
+  return series.is_number() ? series.as_number() : series["value"].as_number();
+}
+
+TEST(Varz, PointIsTheFamilyTableWindow) {
+  // Two snapshots of a live service (pairwise and searches between them),
+  // pushed as two sampler ticks: the point between them must be each
+  // family's window under its type's rule, against the JSON renderings of
+  // the two snapshots.
+  seq::SyntheticConfig cfg;
+  cfg.seed = 7;
+  cfg.target_residues = 30'000;
+  cfg.max_length = 400;
+  const seq::SequenceDatabase db = seq::SequenceDatabase::synthetic(cfg);
+  service::ServiceOptions opt;
+  opt.pool_threads = 2;
+  opt.serve.telemetry_cadence_s = 0;  // this test is the sampler
+  service::AlignService svc(db, opt);
+  const auto run = [&](uint64_t seed) {
+    service::SearchRequest rq;
+    rq.query = seq::generate_sequence(seed, 120);
+    ASSERT_TRUE(service::submit_future(svc, std::move(rq)).get().ok());
+    service::AlignRequest pair;
+    pair.query = seq::generate_sequence(seed + 1, 90);
+    pair.reference = seq::generate_sequence(seed + 2, 110);
+    ASSERT_TRUE(service::submit_future(svc, std::move(pair)).get().ok());
+  };
+  run(1);
+  const MetricsSnapshot was = svc.metrics();
+  for (uint64_t seed = 10; seed < 16; seed += 3) run(seed);
+  const MetricsSnapshot now = svc.metrics();
+
+  TimeSeriesStore store({1.0, 4});
+  store.push(was, 1.0);
+  store.push(now, 2.0);
+  const net::Json point = newest(store);
+  ASSERT_TRUE(point.is_object());
+  const auto parse = [](const MetricsSnapshot& s) {
+    return *net::Json::parse(render_metrics(s, MetricsFormat::Json));
+  };
+  const net::Json old_doc = parse(was), new_doc = parse(now);
+  std::map<std::string, std::string> types;  // key -> Prometheus TYPE
+  std::istringstream prom(render_metrics(now, MetricsFormat::Prometheus));
+  for (std::string line; std::getline(prom, line);)
+    if (line.rfind("# TYPE swve_", 0) == 0) {
+      const size_t sp = line.find(' ', 12);
+      types[line.substr(12, sp - 12)] = line.substr(sp + 1);
+    }
+  // Gauges whose window is a ratio of deltas, not the newer value.
+  const std::set<std::string> ratios = {
+      "gcups_aggregate",      "batch_packing_efficiency",
+      "pool_utilization",     "pmu_ipc",
+      "pmu_backend_stall_fraction", "pmu_frontend_stall_fraction",
+      "pmu_effective_ghz",    "shard_gcups",
+      "dedup_ratio"};
+
+  size_t counters = 0, gauges = 0, histograms = 0;
+  for (const auto& [key, family] : point.as_object()) {
+    if (key == "t_s" || key == "dt_s") continue;
+    ASSERT_FALSE(new_doc[key].is_null()) << key << " is not a family key";
+    const std::vector<net::Json> series =
+        family.is_array() ? family.as_array() : std::vector<net::Json>{family};
+    for (const net::Json& s : series) {
+      const net::Json* is = same_series(new_doc[key], s);
+      ASSERT_NE(is, nullptr) << key << " " << s.dump();
+      const net::Json* was_s = same_series(old_doc[key], s);
+      const std::string& type = types[key];
+      if (type == "histogram") {
+        ++histograms;
+        const double old_count = was_s ? (*was_s)["count"].as_number() : 0;
+        EXPECT_EQ(s["count"].as_number(), (*is)["count"].as_number() - old_count)
+            << key;
+        const net::JsonArray& b = s["buckets"].as_array();
+        for (size_t i = 0; i < b.size(); ++i)
+          EXPECT_EQ(b[i].as_number(),
+                    (*is)["buckets"].as_array()[i].as_number() -
+                        (was_s ? (*was_s)["buckets"].as_array()[i].as_number() : 0))
+              << key << " bucket " << i;
+      } else if (type == "counter") {
+        ++counters;
+        // Exact for integers; a double counter prints at 6 or 9 significant
+        // digits, so the difference of two renderings is that close.
+        const double want = value_of(*is) - (was_s ? value_of(*was_s) : 0);
+        EXPECT_NEAR(value_of(s), want, 1e-5 * value_of(*is))
+            << key << " " << s.dump();
+      } else if (ratios.count(key) == 0) {
+        ++gauges;
+        EXPECT_EQ(value_of(s), value_of(*is)) << key << " " << s.dump();
+      }
+    }
+  }
+  EXPECT_GT(counters, 20u);
+  EXPECT_GT(gauges, 5u);
+  EXPECT_GE(histograms, 3u);
+  // A ratio is its counters' window ratio: GCUPS over the window's cells
+  // and kernel seconds.
+  const double cells = point["kernel_cells_total"].as_number();
+  const double kernel_s = point["kernel_seconds_total"].as_number();
+  ASSERT_GT(kernel_s, 0);
+  EXPECT_NEAR(point["gcups_aggregate"].as_number(), cells / kernel_s / 1e9,
+              1e-5 * point["gcups_aggregate"].as_number());
 }
 
 // ---------------------------------------------------------------------------
@@ -199,6 +395,7 @@ void feed(TimeSeriesStore& store, MetricsSnapshot& cum, double& t,
           uint64_t good, uint64_t bad, double lat_s = 100e-6,
           uint64_t lat_count = 0) {
   cum.completed += good;
+  cum.pairwise += good;
   cum.aborted += bad;
   LatencyHistogram h;
   // Rebuild the cumulative tier histogram: carry the old buckets and add

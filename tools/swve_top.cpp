@@ -2,11 +2,13 @@
 //
 //   swve_top [--host ADDR] [--port N] [--interval S] [--window S] [--once]
 //
-// Polls the server's /varz telemetry history and /statusz and redraws a
-// single ANSI frame per interval: Unicode sparklines for QPS, per-tier
-// p99, result-cache hit rate, and GCUPS; the latest PMU readings (IPC,
-// backend-stall fraction, effective GHz) per ISA x kernel x width cell;
-// and the burn-rate alert state. Plain escape codes only — no curses, so
+// Polls the server's /varz telemetry history (only the families it draws)
+// and /statusz and redraws a single ANSI frame per interval: Unicode
+// sparklines for QPS, per-tier p99, result-cache hit rate, GCUPS and queue
+// depth; the latest PMU readings (IPC, backend-stall fraction, effective
+// GHz) per ISA x kernel x width cell; per-shard GCUPS and queue depth; and
+// the burn-rate alert state. Every number is a /varz window value or a sum
+// of them. Plain escape codes only — no curses, so
 // it works over any ssh session and inside CI logs (--once prints one
 // frame and exits without touching the cursor).
 #include <algorithm>
@@ -54,25 +56,54 @@ std::string sparkline(const std::vector<double>& v, size_t width) {
   return out;
 }
 
-/// Pull one numeric field out of every /varz point, oldest first.
-std::vector<double> series_of(const Json& points, const char* key) {
+/// The families drawn below: all /varz is asked for.
+constexpr const char* kSeries =
+    "requests_completed_total,tier_latency_seconds,result_cache_lookups_total,"
+    "gcups_aggregate,queue_depth,pmu_ipc,pmu_backend_stall_fraction,"
+    "pmu_effective_ghz,pmu_avx512_frequency_ratio,shard_info,shard_gcups,"
+    "shard_queue_depth";
+
+/// The series of a labeled family whose `label` is `value` (null if none).
+const Json* labeled(const Json& family, const char* label,
+                    const std::string& value) {
+  if (family.is_array())
+    for (const Json& s : family.as_array())
+      if (s[label].as_string() == value) return &s;
+  return nullptr;
+}
+
+/// A family's value: the number of an unlabeled family, or the sum of a
+/// labeled one's series (only those whose `label` is `value`, if given).
+double family_sum(const Json& family, const char* label = nullptr,
+                  const char* value = nullptr) {
+  if (family.is_number()) return family.as_number();
+  double sum = 0;
+  if (family.is_array())
+    for (const Json& s : family.as_array())
+      if (label == nullptr || s[label].as_string() == value)
+        sum += s["value"].as_number();
+  return sum;
+}
+
+/// One number per /varz point, oldest first.
+template <class F>
+std::vector<double> per_point(const Json& points, F&& f) {
   std::vector<double> out;
-  if (!points.is_array()) return out;
-  for (const Json& p : points.as_array()) out.push_back(p[key].as_number());
+  if (points.is_array())
+    for (const Json& p : points.as_array()) out.push_back(f(p));
   return out;
 }
 
-/// Per-tier p99 series: points[i].tiers[t].p99_ms.
-std::vector<double> tier_p99_series(const Json& points, size_t tier) {
-  std::vector<double> out;
-  if (!points.is_array()) return out;
-  for (const Json& p : points.as_array()) {
-    const Json& tiers = p["tiers"];
-    out.push_back(tiers.is_array() && tier < tiers.as_array().size()
-                      ? tiers.as_array()[tier]["p99_ms"].as_number()
-                      : 0.0);
-  }
-  return out;
+/// The value of the series of `key` in `p` whose labels match `c`'s.
+double same_cell(const Json& p, const char* key, const Json& c) {
+  const Json& family = p[key];
+  if (family.is_array())
+    for (const Json& s : family.as_array())
+      if (s["isa"].as_string() == c["isa"].as_string() &&
+          s["kernel"].as_string() == c["kernel"].as_string() &&
+          s["width"].as_string() == c["width"].as_string())
+        return s["value"].as_number();
+  return 0.0;
 }
 
 const char* state_color(const std::string& state) {
@@ -111,8 +142,9 @@ int main(int argc, char** argv) {
   if (interval_s <= 0) interval_s = 1.0;
   if (window_s <= 0) window_s = 120.0;
 
-  const std::string varz_path =
-      "/varz?window=" + std::to_string(static_cast<int>(window_s));
+  const std::string varz_path = "/varz?window=" +
+                                std::to_string(static_cast<int>(window_s)) +
+                                "&series=" + kSeries;
   constexpr size_t kSparkWidth = 60;
 
   for (;;) {
@@ -162,10 +194,20 @@ int main(int argc, char** argv) {
       }
     }
 
-    const std::vector<double> qps = series_of(points, "qps");
-    const std::vector<double> cache = series_of(points, "cache_hit_rate");
-    const std::vector<double> gcups = series_of(points, "gcups");
-    const std::vector<double> queue = series_of(points, "queue_depth");
+    const std::vector<double> qps = per_point(points, [](const Json& p) {
+      const double dt = p["dt_s"].as_number();
+      return dt > 0 ? family_sum(p["requests_completed_total"]) / dt : 0.0;
+    });
+    const std::vector<double> cache = per_point(points, [](const Json& p) {
+      const Json& lookups = p["result_cache_lookups_total"];
+      const double hits = family_sum(lookups, "result", "hit");
+      const double all = family_sum(lookups);
+      return all > 0 ? hits / all : 0.0;
+    });
+    const std::vector<double> gcups = per_point(
+        points, [](const Json& p) { return p["gcups_aggregate"].as_number(); });
+    const std::vector<double> queue = per_point(
+        points, [](const Json& p) { return p["queue_depth"].as_number(); });
 
     std::string frame;
     if (!once) frame += "\x1b[H\x1b[J";  // home + clear
@@ -189,7 +231,10 @@ int main(int argc, char** argv) {
     frame += line;
     static const char* kTierNames[] = {"interactive", "standard", "bulk"};
     for (size_t t = 0; t < 3; ++t) {
-      const std::vector<double> p99 = tier_p99_series(points, t);
+      const std::vector<double> p99 = per_point(points, [&](const Json& p) {
+        const Json* h = labeled(p["tier_latency_seconds"], "tier", kTierNames[t]);
+        return h != nullptr ? (*h)["p99_s"].as_number() * 1e3 : 0.0;
+      });
       std::snprintf(line, sizeof line, "  p99 %-12s %6.2fms %s\n",
                     kTierNames[t], last_of(p99),
                     sparkline(p99, kSparkWidth).c_str());
@@ -206,27 +251,26 @@ int main(int argc, char** argv) {
                   last_of(queue), sparkline(queue, kSparkWidth).c_str());
     frame += line;
 
-    // Latest PMU cells: one row per ISA x kernel x width that retired
-    // instructions in the last interval.
+    // Latest PMU cells: one row per ISA x kernel x width with counters, its
+    // ratios over the last interval.
     if (npoints > 0) {
-      const Json& pmu = points.as_array().back()["pmu"];
+      const Json& last = points.as_array().back();
+      const Json& pmu = last["pmu_ipc"];
       if (pmu.is_array() && !pmu.as_array().empty()) {
         frame += "\n  kernel cells (last interval):\n";
         std::snprintf(line, sizeof line, "  %-8s %-10s %5s %6s %7s %6s\n",
                       "isa", "kernel", "width", "ipc", "stall", "ghz");
         frame += line;
         for (const Json& c : pmu.as_array()) {
-          std::snprintf(line, sizeof line,
-                        "  %-8s %-10s %5.0f %6.2f %6.1f%% %6.2f\n",
-                        c["isa"].as_string().c_str(),
-                        c["kernel"].as_string().c_str(),
-                        c["width"].as_number(), c["ipc"].as_number(),
-                        c["stall_be"].as_number() * 100.0,
-                        c["ghz"].as_number());
+          std::snprintf(
+              line, sizeof line, "  %-8s %-10s %5s %6.2f %6.1f%% %6.2f\n",
+              c["isa"].as_string().c_str(), c["kernel"].as_string().c_str(),
+              c["width"].as_string().c_str(), c["value"].as_number(),
+              same_cell(last, "pmu_backend_stall_fraction", c) * 100.0,
+              same_cell(last, "pmu_effective_ghz", c));
           frame += line;
         }
-        const double freq =
-            points.as_array().back()["avx512_freq_ratio"].as_number();
+        const double freq = last["pmu_avx512_frequency_ratio"].as_number();
         if (freq > 0) {
           std::snprintf(line, sizeof line,
                         "  avx512 frequency ratio %.2f%s\n", freq,
@@ -238,28 +282,25 @@ int main(int argc, char** argv) {
       // Per-shard throughput: one sparkline row per database shard, so
       // NUMA imbalance (one shard's GCUPS or queue diverging from its
       // peers') is visible at a glance.
-      const Json& shards = points.as_array().back()["shards"];
+      const Json& shards = last["shard_gcups"];
       if (shards.is_array() && !shards.as_array().empty()) {
         frame += "\n  shards (gcups | queue):\n";
-        const size_t nshards = shards.as_array().size();
-        for (size_t sh = 0; sh < nshards; ++sh) {
-          std::vector<double> sh_gcups, sh_queue;
-          for (const Json& p : points.as_array()) {
-            const Json& arr = p["shards"];
-            const bool have =
-                arr.is_array() && sh < arr.as_array().size();
-            sh_gcups.push_back(
-                have ? arr.as_array()[sh]["gcups"].as_number() : 0.0);
-            sh_queue.push_back(
-                have ? arr.as_array()[sh]["queue_depth"].as_number() : 0.0);
-          }
-          const Json& last = shards.as_array()[sh];
-          const double node = last["node"].as_number();
+        for (const Json& shard : shards.as_array()) {
+          const std::string id = shard["shard"].as_string();
+          const std::vector<double> sh_gcups = per_point(points, [&](const Json& p) {
+            return family_sum(p["shard_gcups"], "shard", id.c_str());
+          });
+          const std::vector<double> sh_queue = per_point(points, [&](const Json& p) {
+            return family_sum(p["shard_queue_depth"], "shard", id.c_str());
+          });
+          const Json* info = labeled(last["shard_info"], "shard", id);
+          const std::string node =
+              info != nullptr ? (*info)["node"].as_string() : "-1";
           char tag[24];
-          if (node >= 0)
-            std::snprintf(tag, sizeof tag, "s%zu/n%.0f", sh, node);
+          if (node != "-1")
+            std::snprintf(tag, sizeof tag, "s%s/n%s", id.c_str(), node.c_str());
           else
-            std::snprintf(tag, sizeof tag, "s%zu", sh);
+            std::snprintf(tag, sizeof tag, "s%s", id.c_str());
           std::snprintf(line, sizeof line,
                         "  %-9s %8.2f  %s  q%3.0f %s\n", tag,
                         last_of(sh_gcups),
