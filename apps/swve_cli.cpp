@@ -17,7 +17,7 @@
 //   --open N --extend N  affine gap penalties (default 11/1)
 //   --linear N           linear gap penalty N
 //   --band N             banded alignment |i-j| <= N
-//   --isa NAME           scalar/sse41/avx2/avx512/auto
+//   --isa NAME           scalar/avx2/avx512/auto
 //   --width 8|16|32|auto DP integer width
 //   --top K              hits per query (search/batch; default 10)
 //   --threads N          worker threads (default: hardware)

@@ -1,7 +1,7 @@
 // Ablation study of the paper's design choices (DESIGN.md calls these out):
 //   * score delivery: gather (Fig 4) vs scalar fill vs VBMI shuffle;
 //   * integer width: 8 vs 16 vs 32 bit, and the adaptive ladder;
-//   * ISA width: SSE4.1 vs AVX2 vs AVX-512 vs portable scalar;
+//   * ISA width: AVX2 vs AVX-512 vs portable scalar;
 //   * the classic wavefront (diag_basic: scalar score staging + per-diagonal
 //     reductions + no adaptive width) as the fully-ablated endpoint;
 //   * banding as a cell-count reduction.
@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   perf::print_banner(std::cout, "Ablation 3: ISA (adaptive width)");
   {
     perf::Table t({"isa", "GCUPS"});
-    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse41, simd::Isa::Avx2,
-                          simd::Isa::Avx512}) {
+    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
       if (!simd::isa_available(isa)) continue;
       core::AlignConfig cfg;
       cfg.isa = isa;

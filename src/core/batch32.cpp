@@ -146,12 +146,12 @@ Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int
                               [[maybe_unused]] simd::Isa isa) {
   cfg.validate();
 #if defined(SWVE_HAVE_AVX512_BUILD)
-  if (lanes == 64 && isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi)
+  if (lanes == 64 && batch_lanes_for(isa) == 64)
     return batch32_u8_avx512(q, batch.columns, batch.max_len, cfg, ws);
 #endif
 #if defined(SWVE_HAVE_AVX2_BUILD)
   if (lanes == 32 && (isa == simd::Isa::Avx2 || isa == simd::Isa::Avx512) &&
-      simd::cpu_features().avx2)
+      simd::isa_available(simd::Isa::Avx2))
     return batch32_u8_avx2(q, batch.columns, batch.max_len, cfg, ws);
 #endif
   return batch32_u8_scalar(q, batch.columns, batch.max_len, lanes, cfg, ws);
@@ -168,16 +168,18 @@ void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
   }
 }
 
-int batch_lanes_for(simd::Isa isa) noexcept {
+int batch_lanes_for(simd::Isa isa,
+                    [[maybe_unused]] const simd::CpuFeatures& f) noexcept {
 #if defined(SWVE_HAVE_AVX512_BUILD)
-  if (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) return 64;
+  if (isa == simd::Isa::Avx512 && f.avx512vbmi) return 64;
 #endif
   (void)isa;
   return 32;
 }
 
-bool batch_lanes_fit(int lanes, simd::Isa isa) noexcept {
-  return lanes == 32 || lanes == batch_lanes_for(isa);
+bool batch_lanes_fit(int lanes, simd::Isa isa,
+                     const simd::CpuFeatures& f) noexcept {
+  return lanes == 32 || lanes == batch_lanes_for(isa, f);
 }
 
 void score_batch(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,

@@ -149,22 +149,26 @@ struct Batch8Result {
 };
 
 /// Run the 8-bit batch kernel for one query against one batch.
-/// `isa` must be resolved; falls back internally if the ISA lacks the
-/// required byte-shuffle support. Affine/Linear and Matrix/Fixed honored;
-/// traceback is not supported (by design, see header comment).
+/// `isa` must be resolved. The 64-lane AVX-512 kernel runs where
+/// batch_lanes_for gives 64, the 32-lane AVX2 kernel at 32 lanes under AVX2
+/// or AVX-512, the emulated engine otherwise. Affine/Linear and
+/// Matrix/Fixed honored; traceback is not supported (by design, see header
+/// comment).
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                               const AlignConfig& cfg, Workspace& ws, simd::Isa isa);
 
-/// Lanes per batch the kernel drives natively at a resolved `isa`: 64 under
-/// AVX-512 VBMI, else 32.
-int batch_lanes_for(simd::Isa isa) noexcept;
+/// Lanes per batch the kernel drives natively at a resolved `isa` on a host
+/// with features `f`: 64 under AVX-512 with VBMI, else 32.
+int batch_lanes_for(simd::Isa isa,
+                    const simd::CpuFeatures& f = simd::cpu_features()) noexcept;
 
 /// True when a database packed `lanes` wide can be scanned at resolved
-/// `isa`: the lanes are 32 or batch_lanes_for(isa). Every batch search entry
-/// point rejects other pairings (64 lanes on a non-VBMI ISA), which would
-/// run the emulated 64-lane kernel. 32 lanes always fit; below AVX2 they
-/// run on the emulated engine.
-bool batch_lanes_fit(int lanes, simd::Isa isa) noexcept;
+/// `isa`: the lanes are 32 or batch_lanes_for(isa, f). Every batch search
+/// entry point rejects other pairings (64 lanes on a non-VBMI ISA), which
+/// would run the emulated 64-lane kernel. 32 lanes always fit; below AVX2
+/// they run on the emulated engine.
+bool batch_lanes_fit(int lanes, simd::Isa isa,
+                     const simd::CpuFeatures& f = simd::cpu_features()) noexcept;
 
 /// Score one query against the whole packed database: runs the 8-bit batch
 /// kernel and transparently re-scores saturated lanes with score_batch's

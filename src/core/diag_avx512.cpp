@@ -1,5 +1,7 @@
-// AVX-512 instantiations of the diagonal kernel
-// (compiled with -mavx512f -mavx512bw -mavx512vl).
+// AVX-512 instantiations of the diagonal kernel's Gather, Fill and Fixed
+// paths (compiled with -mavx512f -mavx512bw -mavx512vl -mavx512dq, without
+// VBMI: they run on every AVX-512 BW/VL host). The Shuffle path lives in
+// diag_avx512_vbmi.cpp.
 #include "core/diag_kernel.hpp"
 #include "core/dispatch.hpp"
 #include "simd/engines_avx512.hpp"

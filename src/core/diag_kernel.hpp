@@ -95,8 +95,12 @@ struct DiagOutput {
 /// Compile-time score mode of one kernel instantiation.
 enum class KMode : uint8_t { Gather, Fill, Shuffle, Fixed };
 
+// Every ISA translation unit compiles this header with its own -m flags, so
+// nothing here may be a symbol the linker could merge across them: the
+// helpers that do not depend on the engine have internal linkage (static),
+// and everything else is instantiated per engine.
 namespace detail {
-inline int64_t clamp0_i64(int64_t x) { return x < 0 ? 0 : x; }
+static inline int64_t clamp0_i64(int64_t x) { return x < 0 ? 0 : x; }
 /// Diagonals at most this long run fully scalar (Fig 3's "for small
 /// segments we revert to standard CPU instructions").
 inline constexpr int kScalarDiagonal = 4;
@@ -106,7 +110,7 @@ inline constexpr int kScalarDiagonal = 4;
 struct DiagRange {
   int lo, hi;
 };
-inline DiagRange diag_range(int d, int m, int n, int band) {
+static inline DiagRange diag_range(int d, int m, int n, int band) {
   int lo = d - n + 1 < 0 ? 0 : d - n + 1;
   int hi = d < m - 1 ? d : m - 1;
   if (band >= 0) {
@@ -122,7 +126,7 @@ inline DiagRange diag_range(int d, int m, int n, int band) {
 /// runs back to front: wide element k covers only bytes that narrow
 /// elements k and above held, and those have been read by then.
 template <class From, class To>
-void widen_in_place(void* buf, size_t count) {
+static void widen_in_place(void* buf, size_t count) {
   static_assert(sizeof(To) > sizeof(From));
   auto* b = static_cast<unsigned char*>(buf);
   constexpr size_t kBlock = 32;
@@ -159,7 +163,7 @@ struct DiagState {
 /// and zeroes what the first diagonals read; a continuation widens the
 /// hand-off's state in place (its buffers were sized for this width).
 template <class elem, GapModel GM>
-DiagState<elem> diag_state(const DiagRequest& rq, size_t state_bytes) {
+static DiagState<elem> diag_state(const DiagRequest& rq, size_t state_bytes) {
   const int m = rq.m;
   Workspace& ws = *rq.ws;
   const size_t slots = static_cast<size_t>(m) + 2 * kPad;
@@ -616,54 +620,49 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   return out;
 }
 
-/// Runtime (gap model, score mode, traceback) -> template instantiation
-/// switch; used by each ISA translation unit. cfg.delivery must be the path
-/// core::delivery_for resolved for this ISA (never Auto, and Shuffle only
+/// The compile-time score mode cfg selects. A Matrix cfg's delivery must
+/// be the path core::delivery_for resolved (never Auto, and Shuffle only
 /// where it runs; see core::diag_align).
+static inline KMode kernel_mode(const AlignConfig& c) {
+  if (c.scheme == ScoreScheme::Fixed) return KMode::Fixed;
+  switch (c.delivery) {
+    case ScoreDelivery::Fill:
+      return KMode::Fill;
+    case ScoreDelivery::Shuffle:
+      return KMode::Shuffle;
+    default:
+      return KMode::Gather;
+  }
+}
+
+/// Runtime (gap model, traceback) -> template instantiation switch for one
+/// score mode.
+template <class E, KMode SM>
+DiagOutput diag_run_mode(const DiagRequest& rq) {
+  const bool tb = rq.cfg->traceback;
+  if (rq.cfg->gap_model == GapModel::Affine)
+    return tb ? diag_align_impl<E, GapModel::Affine, SM, true>(rq)
+              : diag_align_impl<E, GapModel::Affine, SM, false>(rq);
+  return tb ? diag_align_impl<E, GapModel::Linear, SM, true>(rq)
+            : diag_align_impl<E, GapModel::Linear, SM, false>(rq);
+}
+
+/// The Gather, Fill and Fixed kernels of one engine; used by each ISA
+/// translation unit. The Shuffle kernels are instantiated apart
+/// (diag_run_mode<E, KMode::Shuffle>), in the one unit built with VBMI.
 template <class E>
 DiagOutput diag_run(const DiagRequest& rq) {
-  const AlignConfig& c = *rq.cfg;
-  KMode mode;
-  if (c.scheme == ScoreScheme::Fixed) {
-    mode = KMode::Fixed;
-  } else {
-    switch (c.delivery) {
-      case ScoreDelivery::Fill:
-        mode = KMode::Fill;
-        break;
-      case ScoreDelivery::Shuffle:
-        mode = KMode::Shuffle;
-        break;
-      default:
-        mode = KMode::Gather;
-        break;
-    }
+  switch (kernel_mode(*rq.cfg)) {
+    case KMode::Gather:
+      return diag_run_mode<E, KMode::Gather>(rq);
+    case KMode::Fill:
+      return diag_run_mode<E, KMode::Fill>(rq);
+    case KMode::Fixed:
+      return diag_run_mode<E, KMode::Fixed>(rq);
+    default:
+      throw std::invalid_argument(
+          "diag_run: Shuffle delivery on an engine without it");
   }
-  const bool tb = c.traceback;
-  auto with_mode = [&](auto gm_tag) -> DiagOutput {
-    constexpr GapModel GMv = decltype(gm_tag)::value;
-    switch (mode) {
-      case KMode::Gather:
-        return tb ? diag_align_impl<E, GMv, KMode::Gather, true>(rq)
-                  : diag_align_impl<E, GMv, KMode::Gather, false>(rq);
-      case KMode::Fill:
-        return tb ? diag_align_impl<E, GMv, KMode::Fill, true>(rq)
-                  : diag_align_impl<E, GMv, KMode::Fill, false>(rq);
-      case KMode::Shuffle:
-        if constexpr (E::has_shuffle_scores)
-          return tb ? diag_align_impl<E, GMv, KMode::Shuffle, true>(rq)
-                    : diag_align_impl<E, GMv, KMode::Shuffle, false>(rq);
-        else
-          throw std::invalid_argument(
-              "diag_run: Shuffle delivery on an engine without it");
-      default:
-        return tb ? diag_align_impl<E, GMv, KMode::Fixed, true>(rq)
-                  : diag_align_impl<E, GMv, KMode::Fixed, false>(rq);
-    }
-  };
-  if (c.gap_model == GapModel::Affine)
-    return with_mode(std::integral_constant<GapModel, GapModel::Affine>{});
-  return with_mode(std::integral_constant<GapModel, GapModel::Linear>{});
 }
 
 }  // namespace swve::core

@@ -10,23 +10,21 @@ namespace {
 
 // Shuffle needs the 8/16-bit AVX-512 VBMI kernels and a matrix whose codes
 // all fit the in-register table.
-bool shuffle_runs(const AlignConfig& cfg, simd::Isa isa, Width width) {
-  return isa == simd::Isa::Avx512 && width != Width::W32 &&
-         simd::cpu_features().avx512vbmi &&
+bool shuffle_runs(const AlignConfig& cfg, simd::Isa isa, Width width,
+                  const simd::CpuFeatures& f) {
+  return isa == simd::Isa::Avx512 && width != Width::W32 && f.avx512vbmi &&
          cfg.matrix->dim() <= seq::kShuffleCodes;
 }
 
 // What Auto means: Shuffle wherever it runs. Otherwise Gather, except on
-// SSE4.1, which has no gather instruction, and on hosts whose gathers the
-// Downfall mitigation slows about tenfold (simd::CpuFeatures::slow_gathers):
-// those stage scores (Fill). The measurements behind it are in
-// EXPERIMENTS.md ("Short-pair diagonal kernel and score delivery by rule").
+// hosts whose gathers the Downfall mitigation slows about tenfold
+// (simd::CpuFeatures::slow_gathers): those stage scores (Fill). The
+// measurements behind it are in EXPERIMENTS.md ("Short-pair diagonal kernel
+// and score delivery by rule").
 ScoreDelivery delivery_rule(const AlignConfig& cfg, simd::Isa isa,
-                            Width width) {
-  if (shuffle_runs(cfg, isa, width)) return ScoreDelivery::Shuffle;
-  return isa == simd::Isa::Sse41 || simd::cpu_features().slow_gathers
-             ? ScoreDelivery::Fill
-             : ScoreDelivery::Gather;
+                            Width width, const simd::CpuFeatures& f) {
+  if (shuffle_runs(cfg, isa, width, f)) return ScoreDelivery::Shuffle;
+  return f.slow_gathers ? ScoreDelivery::Fill : ScoreDelivery::Gather;
 }
 
 uint8_t max_code(seq::SeqView s) {
@@ -49,13 +47,13 @@ void check_codes(int q_max, int q_limit, uint8_t r_max) {
 }  // namespace
 
 ScoreDelivery delivery_for(const AlignConfig& cfg, simd::Isa isa,
-                           Width width) {
+                           Width width, const simd::CpuFeatures& f) {
   if (cfg.scheme != ScoreScheme::Matrix) return cfg.delivery;
   if (width == Width::Adaptive) width = Width::W8;
   const ScoreDelivery d = cfg.delivery;
   if (d == ScoreDelivery::Auto ||
-      (d == ScoreDelivery::Shuffle && !shuffle_runs(cfg, isa, width)))
-    return delivery_rule(cfg, isa, width);
+      (d == ScoreDelivery::Shuffle && !shuffle_runs(cfg, isa, width, f)))
+    return delivery_rule(cfg, isa, width, f);
   return d;
 }
 
@@ -63,16 +61,16 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {
   if (width == Width::Adaptive)
     throw std::invalid_argument("run_diag_kernel: width must be concrete");
   switch (isa) {
-#if defined(SWVE_HAVE_SSE41_BUILD)
-    case simd::Isa::Sse41:
-      return diag_sse41(rq, width);
-#endif
 #if defined(SWVE_HAVE_AVX2_BUILD)
     case simd::Isa::Avx2:
       return diag_avx2(rq, width);
 #endif
 #if defined(SWVE_HAVE_AVX512_BUILD)
     case simd::Isa::Avx512:
+      // Only the Shuffle kernels are built with VBMI, and delivery_for
+      // picks Shuffle only where VBMI runs.
+      if (kernel_mode(*rq.cfg) == KMode::Shuffle)
+        return diag_avx512_shuffle(rq, width);
       return diag_avx512(rq, width);
 #endif
     case simd::Isa::Scalar:
@@ -155,10 +153,11 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
 }
 
 bool column_sweep_runs(const AlignConfig& cfg, simd::Isa isa, size_t m,
-                       uint8_t q_max_code) {
+                       uint8_t q_max_code,
+                       [[maybe_unused]] const simd::CpuFeatures& f) {
 #if defined(SWVE_HAVE_AVX512_BUILD)
   const int64_t limit16 = 65535 - cfg.bias() - cfg.max_subst_score();
-  return isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi &&
+  return isa == simd::Isa::Avx512 && f.avx512vbmi &&
          m >= 1 && m <= kColumnSweepMaxQuery && cfg.band < 0 && cfg.width != Width::W32 &&
          (cfg.scheme == ScoreScheme::Fixed || q_max_code < seq::kShuffleCodes) &&
          static_cast<int64_t>(m) * cfg.max_subst_score() < limit16;

@@ -34,9 +34,9 @@ enum class ScoreScheme : uint8_t { Matrix, Fixed };
 ///            (8/16-bit AVX-512-VBMI kernels, matrices of at most 24 codes;
 ///            the Fig 4/5 "extract scores with shuffling" path). Where it
 ///            cannot run it degrades to Auto's choice.
-///   Auto   — a fixed per-ISA rule, no timing (core::delivery_for):
-///            Shuffle wherever it runs; Fill on SSE4.1 and where the OS
-///            reports Downfall-mitigated gathers; Gather elsewhere.
+///   Auto   — a fixed rule of the ISA and the host's features, no timing
+///            (core::delivery_for): Shuffle wherever it runs; Fill where
+///            the OS reports Downfall-mitigated gathers; Gather elsewhere.
 enum class ScoreDelivery : uint8_t { Auto, Gather, Fill, Shuffle };
 
 struct AlignConfig {

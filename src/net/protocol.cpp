@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/db_format.hpp"
 #include "net/json.hpp"
@@ -121,6 +122,10 @@ void encode_config(std::string& out, const std::optional<core::AlignConfig>& c) 
   put_bytes(out, name.data(), name.size() < 255 ? name.size() : 255);
 }
 
+// Protocol v1's ISA bytes: 0 auto, 1 scalar, 3 avx2, 4 avx512. Byte 2 named
+// a retired 128-bit tier and is rejected like any out-of-range byte.
+bool isa_byte_ok(uint8_t isa) { return isa <= 4 && isa != 2; }
+
 bool decode_config(Reader& r, std::optional<core::AlignConfig>& out) {
   uint8_t has = 0;
   if (!r.u8(has)) return false;
@@ -134,7 +139,8 @@ bool decode_config(Reader& r, std::optional<core::AlignConfig>& out) {
   if (!r.u8(scheme) || !r.u8(delivery) || !r.u8(gap_model) || !r.u8(width) ||
       !r.u8(isa) || !r.u8(traceback))
     return false;
-  if (scheme > 1 || delivery > 3 || gap_model > 1 || width > 3 || isa > 4)
+  if (scheme > 1 || delivery > 3 || gap_model > 1 || width > 3 ||
+      !isa_byte_ok(isa))
     return false;
   c.scheme = static_cast<core::ScoreScheme>(scheme);
   c.delivery = static_cast<core::ScoreDelivery>(delivery);
@@ -240,7 +246,7 @@ bool decode_trace(Reader& r, RequestTrace& t) {
   t.scenario = static_cast<service::Scenario>(scenario);
   if (!r.f64(t.queue_wait_s) || !r.f64(t.kernel_s) || !r.u64(t.cells))
     return false;
-  if (!r.u8(isa) || isa > 4 || !r.u8(delivery) || delivery > 3 ||
+  if (!r.u8(isa) || !isa_byte_ok(isa) || !r.u8(delivery) || delivery > 3 ||
       !r.u8(width) || width > 3)
     return false;
   t.isa = static_cast<simd::Isa>(isa);
@@ -276,7 +282,8 @@ bool decode_alignment(Reader& r, core::Alignment& a) {
   if (!r.i32(a.score) || !r.i32(a.end_query) || !r.i32(a.end_ref) ||
       !r.i32(a.begin_query) || !r.i32(a.begin_ref))
     return false;
-  if (!r.u8(width) || width > 3 || !r.u8(isa) || isa > 4 || !r.u8(sat))
+  if (!r.u8(width) || width > 3 || !r.u8(isa) || !isa_byte_ok(isa) ||
+      !r.u8(sat))
     return false;
   a.width_used = static_cast<core::Width>(width);
   a.isa_used = static_cast<simd::Isa>(isa);
@@ -371,8 +378,13 @@ std::optional<core::AlignConfig> config_from_json(const Json& j) {
               : w == "32" ? core::Width::W32
                           : core::Width::Adaptive;
   }
-  if (const Json& v = j["isa"]; v.is_string())
-    c.isa = simd::isa_from_string(v.as_string());
+  if (const Json& v = j["isa"]; v.is_string()) {
+    try {
+      c.isa = simd::isa_from_string(v.as_string());
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;  // an unknown name: the request is undecodable
+    }
+  }
   if (const Json& v = j["delivery"]; v.is_string()) {
     const std::string& d = v.as_string();
     c.delivery = d == "gather"    ? core::ScoreDelivery::Gather
@@ -390,17 +402,19 @@ const seq::Alphabet& alphabet_from_json(const Json& j) {
                                             : seq::Alphabet::protein();
 }
 
-RequestOptions options_from_json(const Json& j) {
-  RequestOptions o;
+// False when the document's config is undecodable.
+bool options_from_json(const Json& j, RequestOptions& o) {
   if (const Json& v = j["top_k"]; v.is_number())
     o.top_k = static_cast<size_t>(v.as_number());
   if (const Json& v = j["traceback"]; v.is_bool()) o.traceback = v.as_bool();
   if (const Json& v = j["deadline_ms"]; v.is_number())
     o.deadline = std::chrono::milliseconds(
         static_cast<int64_t>(v.as_number()));
-  if (const Json& v = j["config"]; v.is_object())
+  if (const Json& v = j["config"]; v.is_object()) {
     o.config = config_from_json(v);
-  return o;
+    if (!o.config) return false;
+  }
+  return true;
 }
 
 void trace_to_json(JsonObject& o, const RequestTrace& t) {
@@ -578,7 +592,7 @@ std::optional<AlignRequest> decode_align_request_json(std::string_view payload) 
   AlignRequest rq;
   rq.query = seq::Sequence("query", query.as_string(), alphabet);
   rq.reference = seq::Sequence("ref", ref.as_string(), alphabet);
-  rq.options = options_from_json(j);
+  if (!options_from_json(j, rq.options)) return std::nullopt;
   return rq;
 }
 
@@ -593,7 +607,7 @@ std::optional<SearchRequest> decode_search_request_json(
   rq.query = seq::Sequence("query", query.as_string(), alphabet_from_json(j));
   rq.mode = j["mode"].as_string() == "batch" ? align::SearchMode::Batch
                                              : align::SearchMode::Diagonal;
-  rq.options = options_from_json(j);
+  if (!options_from_json(j, rq.options)) return std::nullopt;
   return rq;
 }
 
@@ -614,7 +628,7 @@ std::optional<BatchRequest> decode_batch_request_json(
     id += std::to_string(i++);
     rq.queries.emplace_back(std::move(id), q.as_string(), alphabet);
   }
-  rq.options = options_from_json(j);
+  if (!options_from_json(j, rq.options)) return std::nullopt;
   return rq;
 }
 

@@ -151,7 +151,8 @@ std::optional<service::BatchRequest> decode_batch_request(
 
 /// JSON debug-mode request parsing (one document per frame; see
 /// docs/serving.md for the schema). The MsgType comes from the frame
-/// header, same as binary mode.
+/// header, same as binary mode. nullopt on a malformed document or a config
+/// naming an unknown ISA — the server answers BadFrame.
 std::optional<service::AlignRequest> decode_align_request_json(
     std::string_view payload);
 std::optional<service::SearchRequest> decode_search_request_json(

@@ -1004,9 +1004,6 @@ BuildInfo build_info() noexcept {
 #endif
   b.isas =
       "scalar"
-#ifdef SWVE_HAVE_SSE41_BUILD
-      "+sse41"
-#endif
 #ifdef SWVE_HAVE_AVX2_BUILD
       "+avx2"
 #endif

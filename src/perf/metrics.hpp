@@ -154,7 +154,7 @@ constexpr const char* qos_tier_label(int tier) noexcept {
 
 /// Point-in-time copy of a MetricsRegistry.
 struct MetricsSnapshot {
-  static constexpr int kIsas = 5;            ///< simd::Isa enum size
+  static constexpr int kIsas = 5;            ///< simd::Isa values 0..4
   static constexpr int kKernelVariants = 3;  ///< KernelVariant enum size
   static constexpr int kWidths = 4;          ///< DP width: unknown/8/16/32
 

@@ -42,17 +42,10 @@ const CpuFeatures& cpu_features() noexcept {
   return f;
 }
 
-bool isa_available(Isa isa) noexcept {
-  [[maybe_unused]] const CpuFeatures& f = cpu_features();
+bool isa_available(Isa isa, [[maybe_unused]] const CpuFeatures& f) noexcept {
   switch (isa) {
     case Isa::Scalar:
       return true;
-    case Isa::Sse41:
-#if defined(SWVE_HAVE_SSE41_BUILD)
-      return f.sse41;
-#else
-      return false;
-#endif
     case Isa::Avx2:
 #if defined(SWVE_HAVE_AVX2_BUILD)
       return f.avx2;
@@ -71,21 +64,19 @@ bool isa_available(Isa isa) noexcept {
   return false;
 }
 
-Isa resolve_isa(Isa requested) noexcept {
+Isa resolve_isa(Isa requested, const CpuFeatures& f) noexcept {
   if (requested == Isa::Auto) {
-    if (isa_available(Isa::Avx512)) return Isa::Avx512;
-    if (isa_available(Isa::Avx2)) return Isa::Avx2;
-    if (isa_available(Isa::Sse41)) return Isa::Sse41;
+    if (isa_available(Isa::Avx512, f)) return Isa::Avx512;
+    if (isa_available(Isa::Avx2, f)) return Isa::Avx2;
     return Isa::Scalar;
   }
-  return isa_available(requested) ? requested : Isa::Scalar;
+  return isa_available(requested, f) ? requested : Isa::Scalar;
 }
 
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::Auto: return "auto";
     case Isa::Scalar: return "scalar";
-    case Isa::Sse41: return "sse41";
     case Isa::Avx2: return "avx2";
     case Isa::Avx512: return "avx512";
   }
@@ -98,7 +89,6 @@ Isa isa_from_string(const std::string& s) {
   for (char c : s) t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   if (t == "auto") return Isa::Auto;
   if (t == "scalar") return Isa::Scalar;
-  if (t == "sse41" || t == "sse4.1" || t == "sse") return Isa::Sse41;
   if (t == "avx2") return Isa::Avx2;
   if (t == "avx512") return Isa::Avx512;
   throw std::invalid_argument("unknown ISA name: " + s);

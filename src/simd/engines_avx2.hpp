@@ -35,7 +35,6 @@ struct Avx2U8 {
   static constexpr int lanes = 32;
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 255;
-  static constexpr bool has_shuffle_scores = false;
 
   static vec zero() { return _mm256_setzero_si256(); }
   static vec set1(int64_t x) { return _mm256_set1_epi8(static_cast<char>(x)); }
@@ -104,7 +103,6 @@ struct Avx2U16 {
   static constexpr int lanes = 16;
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 65535;
-  static constexpr bool has_shuffle_scores = false;
 
   static vec zero() { return _mm256_setzero_si256(); }
   static vec set1(int64_t x) { return _mm256_set1_epi16(static_cast<short>(x)); }
@@ -172,7 +170,6 @@ struct Avx2I32 {
   static constexpr int lanes = 8;
   static constexpr bool is_signed = true;
   static constexpr int64_t cap = INT32_MAX;
-  static constexpr bool has_shuffle_scores = false;
 
   static vec zero() { return _mm256_setzero_si256(); }
   static vec set1(int64_t x) { return _mm256_set1_epi32(static_cast<int>(x)); }

@@ -1,5 +1,7 @@
 // AVX-512 engines (512-bit). Include only from translation units compiled
-// with -mavx512f -mavx512bw -mavx512vl (-mavx512vbmi for batch32). Same
+// with -mavx512f -mavx512bw -mavx512vl -mavx512dq. The Shuffle lookups and
+// the 8-bit lane shifts need -mavx512vbmi too: only the units built with it
+// (the diagonal kernel's Shuffle path, the column sweep) may call them. Same
 // engine concept as engines_emu.hpp; comparisons produce hardware mask
 // registers that blends and masked ops consume directly, and narrowing uses
 // vpmovus* so no pack-order fixups are needed.
@@ -33,8 +35,8 @@ inline ShuffleTable load_shuffle_table(const uint8_t* mat8) {
 /// Per byte lane: mat8[q*32 + r], q in [0, seq::kShuffleCodes) and r in
 /// [0, 32); larger alphabets take another delivery path (core::delivery_for).
 /// Six vpermi2b lookups (one per 4-row segment) merged by a 3-level select
-/// on bits 2, 3 and 4 of q. Requires AVX-512-VBMI (this TU is compiled with
-/// it; runtime gating is the dispatcher's responsibility).
+/// on bits 2, 3 and 4 of q. Requires AVX-512-VBMI (the calling unit is
+/// compiled with it; runtime gating is the dispatcher's responsibility).
 inline __m512i lookup_q_r(const ShuffleTable& t, __m512i vq, __m512i vr) {
   // idx7 = (q & 3) << 5 | r. Since q & 3 <= 3, the epi16 shift cannot
   // bleed across byte lanes.
@@ -62,7 +64,6 @@ struct Avx512U8 {
   static constexpr int lanes = 64;
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 255;
-  static constexpr bool has_shuffle_scores = true;
   using shuffle_tab = detail_avx512::ShuffleTable;
   static shuffle_tab load_shuffle_table(const uint8_t* mat8) {
     return detail_avx512::load_shuffle_table(mat8);
@@ -151,7 +152,6 @@ struct Avx512U16 {
   static constexpr int lanes = 32;
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 65535;
-  static constexpr bool has_shuffle_scores = true;
   using shuffle_tab = detail_avx512::ShuffleTable;
   static shuffle_tab load_shuffle_table(const uint8_t* mat8) {
     return detail_avx512::load_shuffle_table(mat8);
@@ -233,7 +233,6 @@ struct Avx512I32 {
   static constexpr int lanes = 16;
   static constexpr bool is_signed = true;
   static constexpr int64_t cap = INT32_MAX;
-  static constexpr bool has_shuffle_scores = false;
 
   static vec zero() { return _mm512_setzero_si512(); }
   static vec set1(int64_t x) { return _mm512_set1_epi32(static_cast<int>(x)); }

@@ -39,7 +39,6 @@ struct EmuEngine {
   static constexpr int lanes = N;
   static constexpr bool is_signed = std::numeric_limits<T>::is_signed;
   static constexpr int64_t cap = std::numeric_limits<T>::max();
-  static constexpr bool has_shuffle_scores = false;
 
   static vec zero() {
     vec r;

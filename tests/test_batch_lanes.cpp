@@ -21,6 +21,7 @@
 #include "core/batch32.hpp"
 #include "core/db_format.hpp"
 #include "core/mapped_db.hpp"
+#include "host_classes.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "seq/synthetic.hpp"
@@ -93,12 +94,15 @@ service::SearchRequest search_request(align::SearchMode mode) {
 }
 
 TEST(BatchLanes, FitRuleAcceptsNarrowOrNativeLanesOnly) {
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse41, simd::Isa::Avx2,
-                        simd::Isa::Avx512}) {
-    EXPECT_TRUE(core::batch_lanes_fit(32, isa)) << simd::isa_name(isa);
-    EXPECT_EQ(core::batch_lanes_fit(64, isa), core::batch_lanes_for(isa) == 64)
-        << simd::isa_name(isa);
-  }
+  for (const simd::CpuFeatures& f :
+       {host_classes::vbmi, host_classes::avx512, host_classes::avx2,
+        host_classes::scalar, simd::cpu_features()})
+    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+      EXPECT_TRUE(core::batch_lanes_fit(32, isa, f)) << simd::isa_name(isa);
+      EXPECT_EQ(core::batch_lanes_fit(64, isa, f),
+                core::batch_lanes_for(isa, f) == 64)
+          << simd::isa_name(isa);
+    }
   EXPECT_EQ(core::batch_lanes_for(simd::Isa::Scalar), 32);
   EXPECT_EQ(core::batch_lanes_for(simd::Isa::Avx2), 32);
   EXPECT_FALSE(core::batch_lanes_fit(64, simd::resolve_isa(simd::Isa::Avx2)));

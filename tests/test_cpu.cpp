@@ -36,25 +36,17 @@ TEST(Cpu, ResolveAutoPicksWidestAvailable) {
   EXPECT_TRUE(isa_available(resolved));
   if (isa_available(Isa::Avx512)) EXPECT_EQ(resolved, Isa::Avx512);
   else if (isa_available(Isa::Avx2)) EXPECT_EQ(resolved, Isa::Avx2);
-  else if (isa_available(Isa::Sse41)) EXPECT_EQ(resolved, Isa::Sse41);
   else EXPECT_EQ(resolved, Isa::Scalar);
 }
 
 TEST(Cpu, ResolveConcreteIsIdentityWhenAvailable) {
-  for (Isa isa : {Isa::Scalar, Isa::Sse41, Isa::Avx2, Isa::Avx512})
+  for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512})
     if (isa_available(isa)) {
       EXPECT_EQ(resolve_isa(isa), isa);
     }
 }
 
-TEST(Cpu, AvxImpliesSse41) {
-  if (isa_available(Isa::Avx2)) {
-    EXPECT_TRUE(isa_available(Isa::Sse41));
-  }
-}
-
 TEST(Cpu, Names) {
-  EXPECT_STREQ(isa_name(Isa::Sse41), "sse41");
   EXPECT_STREQ(isa_name(Isa::Scalar), "scalar");
   EXPECT_STREQ(isa_name(Isa::Avx2), "avx2");
   EXPECT_STREQ(isa_name(Isa::Avx512), "avx512");
@@ -63,11 +55,13 @@ TEST(Cpu, Names) {
 
 TEST(Cpu, ParseNames) {
   EXPECT_EQ(isa_from_string("avx2"), Isa::Avx2);
-  EXPECT_EQ(isa_from_string("SSE4.1"), Isa::Sse41);
   EXPECT_EQ(isa_from_string("AVX512"), Isa::Avx512);
   EXPECT_EQ(isa_from_string("Scalar"), Isa::Scalar);
   EXPECT_EQ(isa_from_string("auto"), Isa::Auto);
   EXPECT_THROW(isa_from_string("sse9"), std::invalid_argument);
+  // The 128-bit tier is gone: its names are unknown like any other.
+  for (const char* gone : {"sse41", "sse4.1", "sse", "SSE4.1"})
+    EXPECT_THROW(isa_from_string(gone), std::invalid_argument) << gone;
 }
 
 }  // namespace

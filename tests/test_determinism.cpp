@@ -20,7 +20,6 @@ using core::Workspace;
 
 TEST(Determinism, AllIsasAgreeCellForCell) {
   std::vector<simd::Isa> isas = {simd::Isa::Scalar};
-  if (simd::isa_available(simd::Isa::Sse41)) isas.push_back(simd::Isa::Sse41);
   if (simd::isa_available(simd::Isa::Avx2)) isas.push_back(simd::Isa::Avx2);
   if (simd::isa_available(simd::Isa::Avx512)) isas.push_back(simd::Isa::Avx512);
   if (isas.size() < 2) GTEST_SKIP() << "single-ISA machine";

@@ -13,6 +13,7 @@
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "core/traceback.hpp"
+#include "host_classes.hpp"
 #include "seq/synthetic.hpp"
 #include "simd/cpu.hpp"
 
@@ -42,7 +43,7 @@ static_assert(std::has_unique_object_representations_v<Param>);
 
 std::vector<simd::Isa> available_isas() {
   std::vector<simd::Isa> isas = {simd::Isa::Scalar};
-  for (simd::Isa isa : {simd::Isa::Sse41, simd::Isa::Avx2, simd::Isa::Avx512})
+  for (simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512})
     if (simd::isa_available(isa)) isas.push_back(isa);
   return isas;
 }
@@ -319,22 +320,18 @@ TEST(DiagDispatch, AutoIsaResolvesAndRuns) {
 
 // ---- score delivery -----------------------------------------------------
 
+// The rule's value per host class is pinned by KernelRules.EveryHostClass;
+// on this host it is a function of the detected features, the default.
 TEST(DiagDispatch, AutoDeliveryIsAFixedRule) {
   const AlignConfig cfg;
   for (simd::Isa isa : available_isas()) {
     const ScoreDelivery first = delivery_for(cfg, isa, Width::Adaptive);
     for (int k = 0; k < 100; ++k)
       ASSERT_EQ(delivery_for(cfg, isa, Width::Adaptive), first);
-    for (Width w : {Width::W8, Width::W16, Width::W32}) {
-      ScoreDelivery want = ScoreDelivery::Gather;
-      if (isa == simd::Isa::Sse41 || simd::cpu_features().slow_gathers)
-        want = ScoreDelivery::Fill;
-      if (isa == simd::Isa::Avx512 && w != Width::W32 &&
-          simd::cpu_features().avx512vbmi)
-        want = ScoreDelivery::Shuffle;
-      EXPECT_EQ(delivery_for(cfg, isa, w), want)
+    for (Width w : {Width::W8, Width::W16, Width::W32})
+      EXPECT_EQ(delivery_for(cfg, isa, w),
+                delivery_for(cfg, isa, w, simd::cpu_features()))
           << simd::isa_name(isa) << " width " << static_cast<int>(w);
-    }
     EXPECT_EQ(delivery_for(cfg, isa, Width::Adaptive),
               delivery_for(cfg, isa, Width::W8));
   }
@@ -343,18 +340,26 @@ TEST(DiagDispatch, AutoDeliveryIsAFixedRule) {
 TEST(DiagDispatch, ShuffleDegradesToTheRuleWhereItCannotRun) {
   AlignConfig cfg;
   cfg.delivery = ScoreDelivery::Shuffle;
-  const ScoreDelivery gather = simd::cpu_features().slow_gathers
-                                   ? ScoreDelivery::Fill
-                                   : ScoreDelivery::Gather;
-  EXPECT_EQ(delivery_for(cfg, simd::Isa::Sse41, Width::W8), ScoreDelivery::Fill);
-  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx2, Width::W8), gather);
-  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W32), gather);
-  // A matrix with more codes than the in-register table holds.
+  const simd::CpuFeatures& vbmi = host_classes::vbmi;
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W8, vbmi),
+            ScoreDelivery::Shuffle);
+  // Not at 32 bits, not below AVX-512, not without VBMI.
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W32, vbmi),
+            ScoreDelivery::Gather);
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx2, Width::W8, vbmi),
+            ScoreDelivery::Gather);
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W8, host_classes::avx512),
+            ScoreDelivery::Gather);
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx2, Width::W8,
+                         host_classes::avx2_slow_gathers),
+            ScoreDelivery::Fill);
+  // Not with a matrix of more codes than the in-register table holds.
   std::vector<int8_t> square(30 * 30, -1);
   for (int a = 0; a < 30; ++a) square[static_cast<size_t>(a) * 30 + a] = 4;
   const matrix::ScoreMatrix wide("wide", seq::Alphabet::protein(), square, 30);
   cfg.matrix = &wide;
-  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W8), gather);
+  EXPECT_EQ(delivery_for(cfg, simd::Isa::Avx512, Width::W8, vbmi),
+            ScoreDelivery::Gather);
 }
 
 TEST(DiagDispatch, RejectsResidueCodesTheKernelCannotIndex) {
@@ -525,7 +530,7 @@ int lanes8(simd::Isa isa) {
     case simd::Isa::Avx2:
       return 32;
     default:
-      return 16;  // SSE4.1 and the portable engine
+      return 16;  // the portable engine
   }
 }
 

@@ -121,7 +121,6 @@ seq::Sequence with_indel(const seq::Sequence& q, std::mt19937_64& rng) {
 TEST(Fuzz, DiagKernelsAllAxes) {
   std::mt19937_64 rng(777);
   std::vector<simd::Isa> isas = {simd::Isa::Scalar};
-  if (simd::isa_available(simd::Isa::Sse41)) isas.push_back(simd::Isa::Sse41);
   if (simd::isa_available(simd::Isa::Avx2)) isas.push_back(simd::Isa::Avx2);
   if (simd::isa_available(simd::Isa::Avx512)) isas.push_back(simd::Isa::Avx512);
   Workspace ws;

@@ -351,6 +351,58 @@ TEST(NetJson, AlignRequestFromJson) {
   EXPECT_FALSE(decode_align_request_json("not json"));
 }
 
+// An unknown ISA name makes the whole document undecodable (the server's
+// BadFrame path), in every request type; the retired "sse41" is one.
+TEST(NetJson, UnknownIsaNameIsUndecodable) {
+  for (const char* isa : {"sse41", "sse9"}) {
+    const std::string config = std::string(R"("config":{"isa":")") + isa + "\"}";
+    EXPECT_FALSE(decode_align_request_json(
+        R"({"query":"MKVLA","ref":"MKVLAW",)" + config + "}"))
+        << isa;
+    EXPECT_FALSE(decode_search_request_json(R"({"query":"MKVLA",)" + config + "}"))
+        << isa;
+    EXPECT_FALSE(decode_batch_request_json(R"({"queries":["MKVLA"],)" + config + "}"))
+        << isa;
+  }
+  const auto known = decode_align_request_json(
+      R"({"query":"MKVLA","ref":"MKVLAW","config":{"isa":"AVX2"}})");
+  ASSERT_TRUE(known.has_value());
+  ASSERT_TRUE(known->options.config.has_value());
+  EXPECT_EQ(known->options.config->isa, simd::Isa::Avx2);
+}
+
+// The binary ISA byte keeps protocol v1's values: 3 and 4 decode as AVX2
+// and AVX-512, and 2 (a retired tier) is rejected like 5, in the request
+// config, the alignment and the trace alike.
+TEST(NetProtocol, IsaBytesKeepTheirV1Values) {
+  for (uint8_t byte : {0, 1, 2, 3, 4, 5}) {
+    const auto isa = static_cast<simd::Isa>(byte);
+    const bool valid = byte != 2 && byte != 5;
+    AlignRequest rq = make_align_request();
+    rq.options.config->isa = isa;
+    std::string request;
+    encode_align_request(request, rq);
+    const auto back = decode_align_request(request);
+    EXPECT_EQ(back.has_value(), valid) << int{byte};
+    if (back) {
+      EXPECT_EQ(back->options.config->isa, isa);
+    }
+
+    service::AlignResponse response;
+    response.alignment.isa_used = isa;
+    std::string payload;
+    encode_align_response(payload, response);
+    EXPECT_EQ(decode_align_response(payload).has_value(), valid) << int{byte};
+    response.alignment.isa_used = simd::Isa::Avx2;
+    response.trace.isa = isa;
+    payload.clear();
+    encode_align_response(payload, response);
+    EXPECT_EQ(decode_align_response(payload).has_value(), valid) << int{byte};
+  }
+  EXPECT_EQ(static_cast<int>(simd::Isa::Avx2), 3);
+  EXPECT_EQ(static_cast<int>(simd::Isa::Avx512), 4);
+}
+
 TEST(NetProtocol, ErrorPayloadFormats) {
   const std::string bin =
       error_payload(service::ServiceStatus::QueueFull, "try later", false);

@@ -419,6 +419,37 @@ TEST(NetServer, JsonDebugMode) {
   EXPECT_GT((*doc)["score"].as_number(), 0.0);
 }
 
+// A JSON config naming an unknown ISA (the retired "sse41" is one) is an
+// undecodable payload: a typed BadFrame, and the connection keeps serving.
+TEST(NetServer, UnknownIsaNameIsABadFrame) {
+  Loopback lb;
+  auto c = lb.client();
+  FrameHeader h;
+  h.type = MsgType::AlignRequest;
+  h.flags = kFlagJson;
+  h.request_id = 4;
+  const auto bad = c->roundtrip_raw(encode_frame(
+      h, R"({"query":"MKVLAEEQW","ref":"MKVLAEEQW","config":{"isa":"sse41"}})"));
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(bad->first.type, MsgType::ErrorResponse);
+  EXPECT_EQ(service::status_from_wire(bad->first.status),
+            ServiceStatus::BadFrame);
+  EXPECT_EQ(bad->first.request_id, 4u);
+  const auto doc = Json::parse(bad->second);
+  ASSERT_TRUE(doc.has_value()) << bad->second;
+  EXPECT_EQ((*doc)["message"].as_string(), "undecodable request payload");
+
+  h.request_id = 5;
+  const auto good = c->roundtrip_raw(encode_frame(
+      h, R"({"query":"MKVLAEEQW","ref":"MKVLAEEQW","config":{"isa":"auto"}})"));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->first.type, MsgType::AlignResponse);
+  EXPECT_EQ(good->first.request_id, 5u);
+  const auto aligned = Json::parse(good->second);
+  ASSERT_TRUE(aligned.has_value()) << good->second;
+  EXPECT_GT((*aligned)["score"].as_number(), 0.0);
+}
+
 TEST(NetServer, DeadlineExpiresInQueue) {
   service::ServiceOptions opt;
   opt.queue.start_paused = true;

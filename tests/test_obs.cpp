@@ -1060,7 +1060,7 @@ TEST(MetricsTargets, OutOfRangeTargetIsIgnored) {
   perf::MetricsRegistry reg;
   reg.on_kernel_completed(static_cast<simd::Isa>(99),
                           perf::KernelVariant::Diagonal, 10);
-  reg.on_kernel_completed(simd::Isa::Sse41, static_cast<perf::KernelVariant>(7),
+  reg.on_kernel_completed(simd::Isa::Avx2, static_cast<perf::KernelVariant>(7),
                           10);
   perf::MetricsSnapshot s = reg.snapshot();
   for (int i = 0; i < perf::MetricsSnapshot::kIsas; ++i)

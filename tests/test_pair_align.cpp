@@ -391,7 +391,7 @@ TEST(PairAlign, OtherShapesTakeTheDiagonalKernel) {
   cfg.width = Width::W32;
   check_pair(q, r, cfg, "w32");
   cfg.width = Width::Adaptive;
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse41, simd::Isa::Avx2}) {
+  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2}) {
     if (!simd::isa_available(isa)) continue;
     cfg.isa = isa;
     check_pair(q, r, cfg, simd::isa_name(isa));

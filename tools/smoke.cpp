@@ -89,7 +89,6 @@ int main() {
   int checked = 0;
 
   std::vector<simd::Isa> isas = {simd::Isa::Scalar};
-  if (simd::isa_available(simd::Isa::Sse41)) isas.push_back(simd::Isa::Sse41);
   if (simd::isa_available(simd::Isa::Avx2)) isas.push_back(simd::Isa::Avx2);
   if (simd::isa_available(simd::Isa::Avx512)) isas.push_back(simd::Isa::Avx512);
 
