@@ -105,9 +105,9 @@ inline double geomean(const std::vector<double>& xs) {
 }
 
 /// Machine-readable results for --json: a flat name -> value map written as
-/// one JSON object. Keys are stable identifiers (e.g. "scenario2/batch32_gcups")
-/// that bench/check_regression.py compares against bench/baseline.json, so
-/// renaming one is a baseline-refresh event, not a cosmetic change.
+/// one JSON object. Keys are stable identifiers (e.g.
+/// "scenario2/batch32_gcups"), so reports from different commits compare
+/// key by key.
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name) : bench_(std::move(bench_name)) {}

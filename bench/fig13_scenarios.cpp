@@ -24,7 +24,9 @@
 // separately from request latency everywhere — serve/db_load_ms is the
 // one-time cost the serving percentiles deliberately exclude.
 //
-// --json PATH writes the headline numbers for bench/check_regression.py.
+// --json PATH writes the headline numbers (CI uploads them as an
+// artifact). Each */topk_identical sentinel that reads 0 makes the run
+// exit 1.
 #include <unistd.h>
 
 #include <atomic>

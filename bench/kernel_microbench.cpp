@@ -225,7 +225,6 @@ void BM_ServiceShortPairs(benchmark::State& state) {
 // minus pair/short_pairs/adaptive/tb. Threads share the sink and the
 // registry, as submitters share the service's.
 void BM_ServiceBookkeeping(benchmark::State& state) {
-  using Scenario = perf::MetricsRegistry::Scenario;
   static obs::TraceSink sink(8192);
   static perf::MetricsRegistry registry;
   constexpr uint64_t kCells = 80 * 80;
@@ -255,8 +254,8 @@ void BM_ServiceBookkeeping(benchmark::State& state) {
     chunk.add_cells(kCells);
     chunk.end(t_end);
     const double kernel_s = static_cast<double>(t_end - t_exec) * 1e-9;
-    registry.on_completed(Scenario::Pairwise, kernel_s, kCells);
-    registry.on_tier_completed(1, Scenario::Pairwise, qwait + kernel_s);
+    registry.on_completed(perf::Scenario::Pairwise, kernel_s, kCells);
+    registry.on_tier_completed(1, perf::Scenario::Pairwise, qwait + kernel_s);
     registry.on_kernel_completed(simd::Isa::Avx512, perf::KernelVariant::Column,
                                  kCells);
     dispatch.end(t_end);

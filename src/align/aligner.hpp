@@ -24,10 +24,6 @@ class Aligner {
   explicit Aligner(AlignConfig cfg = {}) : cfg_(cfg) { cfg_.validate(); }
 
   const AlignConfig& config() const noexcept { return cfg_; }
-  void set_config(const AlignConfig& cfg) {
-    cfg.validate();
-    cfg_ = cfg;
-  }
 
   /// Align query against reference with the kernel that suits the pair
   /// (core::pair_align: the column sweep for queries of up to 256 residues

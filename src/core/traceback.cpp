@@ -7,6 +7,9 @@
 
 namespace swve::core {
 
+template TracebackResult walk_traceback<const ColumnTracebackView&>(
+    const ColumnTracebackView&, int, int);
+
 int replay_score(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                  const Alignment& aln) {
   if (aln.cigar.empty()) return 0;

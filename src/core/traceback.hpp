@@ -149,4 +149,9 @@ class ColumnTracebackView {
   Layout narrow_, wide_;
 };
 
+/// Compiled once, in traceback.cpp without ISA flags, so no kernel unit
+/// keeps a copy the linker could pick for every caller.
+extern template TracebackResult walk_traceback<const ColumnTracebackView&>(
+    const ColumnTracebackView&, int, int);
+
 }  // namespace swve::core

@@ -243,7 +243,7 @@ void encode_trace(std::string& out, const RequestTrace& t) {
 bool decode_trace(Reader& r, RequestTrace& t) {
   uint8_t scenario, isa, delivery, width;
   if (!r.u8(scenario) || scenario > 2) return false;
-  t.scenario = static_cast<service::Scenario>(scenario);
+  t.scenario = static_cast<perf::Scenario>(scenario);
   if (!r.f64(t.queue_wait_s) || !r.f64(t.kernel_s) || !r.u64(t.cells))
     return false;
   if (!r.u8(isa) || !isa_byte_ok(isa) || !r.u8(delivery) || delivery > 3 ||
@@ -419,9 +419,7 @@ bool options_from_json(const Json& j, RequestOptions& o) {
 
 void trace_to_json(JsonObject& o, const RequestTrace& t) {
   JsonObject tr;
-  tr["scenario"] = t.scenario == service::Scenario::Pairwise ? "pairwise"
-                   : t.scenario == service::Scenario::Search ? "search"
-                                                             : "batch";
+  tr["scenario"] = perf::scenario_label(static_cast<int>(t.scenario));
   tr["queue_wait_s"] = t.queue_wait_s;
   tr["kernel_s"] = t.kernel_s;
   tr["cells"] = static_cast<double>(t.cells);

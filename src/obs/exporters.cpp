@@ -479,14 +479,12 @@ constexpr Family kFamilies[] = {
     {"swve_tier_requests_total", "Completed requests by QoS tier and scenario",
      Type::Counter,
      [](const Source& s, Samples& o) {
-       static constexpr const char* kScenarios[] = {"pairwise", "search",
-                                                     "batch"};
        for (int t = 0; t < MetricsSnapshot::kQosTiers; ++t)
          for (int sc = 0; sc < MetricsSnapshot::kScenarios; ++sc)
            if (s.m.tier_requests[t][sc] != 0)
              o.add(n(s.m.tier_requests[t][sc]),
                    {{"tier", perf::qos_tier_label(t)},
-                    {"scenario", kScenarios[sc]}});
+                    {"scenario", perf::scenario_label(sc)}});
      }},
     {"swve_tier_latency_seconds",
      "End-to-end request latency (queue wait + execution) by QoS tier",

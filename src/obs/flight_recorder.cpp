@@ -130,7 +130,7 @@ bool write_dump(const char* reason, int sig) noexcept {
       emitf(fd,
             "%s{\"slot\":%u,\"id\":%" PRIu64
             ",\"scenario\":\"%s\",\"running_s\":%.3f,\"past_deadline\":%s}",
-            i > 0 ? "," : "", e.slot, e.id, scenario_label(e.scenario),
+            i > 0 ? "," : "", e.slot, e.id, perf::scenario_label(e.scenario),
             static_cast<double>(run) * 1e-9,
             (e.deadline_ns != 0 && now > e.deadline_ns) ? "true" : "false");
     }

@@ -27,20 +27,9 @@
 #include <utility>
 
 #include "obs/pmu.hpp"
+#include "perf/metrics.hpp"
 
 namespace swve::obs {
-
-/// Request scenario codes for the table (keep in sync with the service's
-/// submit paths).
-enum class Scenario : uint32_t { Pairwise = 0, Search = 1, Batch = 2 };
-inline const char* scenario_label(uint32_t s) noexcept {
-  switch (static_cast<Scenario>(s)) {
-    case Scenario::Pairwise: return "pairwise";
-    case Scenario::Search: return "search";
-    case Scenario::Batch: return "batch";
-  }
-  return "?";
-}
 
 class InFlightTable {
  public:
@@ -48,7 +37,7 @@ class InFlightTable {
   struct Entry {
     uint32_t slot = 0;         ///< table index (executors' fixed slots first)
     uint64_t id = 0;           ///< request trace id
-    uint32_t scenario = 0;     ///< Scenario code
+    uint32_t scenario = 0;     ///< perf::Scenario code
     uint64_t start_ns = 0;     ///< steady_now_ns() at execution start
     uint64_t deadline_ns = 0;  ///< absolute deadline on the same clock, 0=none
   };
@@ -67,7 +56,7 @@ class InFlightTable {
     Guard() = default;
     /// Occupy fixed slot `slot` (< slots()), which the caller owns
     /// exclusively: an executor's own slot, never one claim() can hand out.
-    Guard(InFlightTable& table, unsigned slot, uint64_t id, Scenario scenario,
+    Guard(InFlightTable& table, unsigned slot, uint64_t id, perf::Scenario scenario,
           uint64_t deadline_ns) noexcept
         : table_(&table), slot_(slot) {
       table_->begin(slot_, id, scenario, deadline_ns, steady_now_ns());
@@ -93,7 +82,7 @@ class InFlightTable {
   /// scanning from the slot the calling thread last claimed so concurrent
   /// claimers do not all CAS the same slot. Returns an empty Guard when
   /// every one is occupied.
-  Guard claim(unsigned first, uint64_t id, Scenario scenario,
+  Guard claim(unsigned first, uint64_t id, perf::Scenario scenario,
               uint64_t deadline_ns,
               uint64_t start_ns = steady_now_ns()) noexcept {
     if (first >= slots_) return {};
@@ -157,7 +146,7 @@ class InFlightTable {
     std::atomic<uint64_t> deadline_ns{0};
   };
 
-  void begin(unsigned slot, uint64_t id, Scenario scenario,
+  void begin(unsigned slot, uint64_t id, perf::Scenario scenario,
              uint64_t deadline_ns, uint64_t start_ns) noexcept {
     Slot& s = table_[slot];
     s.scenario.store(static_cast<uint32_t>(scenario),

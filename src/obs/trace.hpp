@@ -160,7 +160,6 @@ class TraceSink {
   /// Returns false if a write failed.
   bool write_chrome_trace(int fd) const noexcept;
 
-  size_t capacity_per_thread() const noexcept { return capacity_; }
   unsigned max_threads() const noexcept { return max_threads_; }
 
  private:

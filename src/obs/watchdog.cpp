@@ -53,7 +53,7 @@ std::string SlowRequestRecord::to_json() const {
                 ",\"scenario\":\"%s\",\"slot\":%u,\"running_s\":%.3f,"
                 "\"slo_s\":%.3f,\"past_deadline\":%s,\"queue_depth\":%zu,"
                 "\"spans\":",
-                trace_id, scenario_label(scenario), slot, running_s, slo_s,
+                trace_id, perf::scenario_label(scenario), slot, running_s, slo_s,
                 past_deadline ? "true" : "false", queue_depth);
   std::string out = buf;
   out += spans_json.empty() ? "[]" : spans_json;

@@ -32,7 +32,7 @@ namespace swve::obs {
 /// One detected SLO breach.
 struct SlowRequestRecord {
   uint64_t trace_id = 0;
-  uint32_t scenario = 0;       ///< Scenario code (scenario_label())
+  uint32_t scenario = 0;       ///< perf::Scenario code
   uint32_t slot = 0;           ///< in-flight table slot of the request
   double running_s = 0;        ///< execution time at detection
   double slo_s = 0;            ///< the breached threshold

@@ -152,6 +152,13 @@ constexpr const char* qos_tier_label(int tier) noexcept {
                      : "unknown";
 }
 
+/// A request's serving scenario (the paper's scenarios 3, 1 and 2): these
+/// counters, the in-flight table, request traces and the wire all use it.
+enum class Scenario : uint8_t { Pairwise = 0, Search = 1, Batch = 2 };
+constexpr const char* scenario_label(int s) noexcept {
+  return s == 0 ? "pairwise" : s == 1 ? "search" : s == 2 ? "batch" : "?";
+}
+
 /// Point-in-time copy of a MetricsRegistry.
 struct MetricsSnapshot {
   static constexpr int kIsas = 5;            ///< simd::Isa values 0..4
@@ -442,8 +449,6 @@ inline void owned_add(std::atomic<uint64_t>& c, uint64_t v = 1) noexcept {
 /// from construction.
 class MetricsRegistry {
  public:
-  enum class Scenario : int { Pairwise = 0, Search = 1, Batch = 2 };
-
   /// Owned shards per registry: at most this many live threads record
   /// without a lock; the rest share the overflow shard.
   static constexpr unsigned kThreadShards = detail::kMetricsShards;

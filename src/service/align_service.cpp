@@ -368,7 +368,7 @@ core::ErrorOr<core::AlignConfig> AlignService::effective_config(
   return cfg;
 }
 
-RequestTrace AlignService::make_trace(Scenario scenario,
+RequestTrace AlignService::make_trace(perf::Scenario scenario,
                                       const core::AlignConfig& cfg,
                                       simd::Isa isa, core::Width width,
                                       double queue_wait_s, double kernel_s,
@@ -457,7 +457,7 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
     // in-flight entry starts at the submit instant.
     obs::InFlightTable::Guard slot =
         inflight_->claim(opt_.queue.executors, st.trace_id,
-                         obs::Scenario::Pairwise, st.deadline_ns, st.submit_ns);
+                         perf::Scenario::Pairwise, st.deadline_ns, st.submit_ns);
     if (slot) {
       metrics_.on_submitted();
       metrics_.on_inline_run();
@@ -477,7 +477,7 @@ void AlignService::submit_async(AlignRequest request, AlignCompletion done) {
     run_pairwise(*rq, *cb, st);
   };
   task.id = st.trace_id;
-  task.scenario = obs::Scenario::Pairwise;
+  task.scenario = perf::Scenario::Pairwise;
   task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
@@ -533,18 +533,16 @@ void AlignService::run_pairwise(const AlignRequest& rq,
   const double kernel_s = seconds_between(t_exec, t_end);
   const uint64_t retries = static_cast<uint64_t>(a.saturated_8) +
                            static_cast<uint64_t>(a.saturated_16);
-  RequestTrace tr = make_trace(Scenario::Pairwise, cfg, a.isa_used,
+  RequestTrace tr = make_trace(perf::Scenario::Pairwise, cfg, a.isa_used,
                                a.width_used, *qwait, kernel_s, a.stats.cells,
                                retries);
   tr.exec_sequence =
       exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
   tr.width_used = a.width_used;
   tr.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
-  metrics_.on_completed(perf::MetricsRegistry::Scenario::Pairwise, kernel_s,
-                        a.stats.cells);
+  metrics_.on_completed(perf::Scenario::Pairwise, kernel_s, a.stats.cells);
   metrics_.on_tier_completed(static_cast<unsigned>(rq.options.tier),
-                             perf::MetricsRegistry::Scenario::Pairwise,
-                             *qwait + kernel_s);
+                             perf::Scenario::Pairwise, *qwait + kernel_s);
   metrics_.on_kernel_completed(a.isa_used, align::kernel_variant(a.sweep),
                                a.stats.cells);
   dispatch.end(t_end);
@@ -552,9 +550,9 @@ void AlignService::run_pairwise(const AlignRequest& rq,
 }
 
 core::ErrorOr<AlignService::DbRun> AlignService::run_database(
-    Scenario scenario, std::span<const seq::Sequence> queries,
+    perf::Scenario scenario, std::span<const seq::Sequence> queries,
     const RequestOptions& options, const Stamp& st) {
-  const bool batch = scenario == Scenario::Batch;
+  const bool batch = scenario == perf::Scenario::Batch;
   const uint64_t t_exec = obs::steady_now_ns();
   const core::ErrorOr<double> qwait = begin_run(st, t_exec);
   if (!qwait) return qwait.error();
@@ -628,11 +626,9 @@ core::ErrorOr<AlignService::DbRun> AlignService::run_database(
   run.trace.exec_sequence =
       exec_sequence_.value.fetch_add(1, std::memory_order_relaxed);
   run.trace.trace_id = opt_.obs.trace_sink != nullptr ? st.trace_id : 0;
-  const auto metrics_scenario = batch ? perf::MetricsRegistry::Scenario::Batch
-                                      : perf::MetricsRegistry::Scenario::Search;
-  metrics_.on_completed(metrics_scenario, kernel_s, cells);
-  metrics_.on_tier_completed(static_cast<unsigned>(options.tier),
-                             metrics_scenario, *qwait + kernel_s);
+  metrics_.on_completed(scenario, kernel_s, cells);
+  metrics_.on_tier_completed(static_cast<unsigned>(options.tier), scenario,
+                             *qwait + kernel_s);
   if (scanned.cells8 > 0)
     metrics_.on_batch_packing(scanned.cells8, scanned.useful_cells8);
   // A search whose scan counted 8-bit batch cells took the batch scan.
@@ -668,7 +664,7 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
       return;
     }
     auto run =
-        run_database(Scenario::Search, {&rq->query, 1}, rq->options, st);
+        run_database(perf::Scenario::Search, {&rq->query, 1}, rq->options, st);
     if (!run) {
       (*cb)(run.error());
       return;
@@ -677,7 +673,7 @@ void AlignService::submit_async(SearchRequest request, SearchCompletion done) {
                          std::move(run->trace)});
   };
   task.id = st.trace_id;
-  task.scenario = obs::Scenario::Search;
+  task.scenario = perf::Scenario::Search;
   task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });
@@ -708,7 +704,7 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
       (*cb)(shut_down_before_run());
       return;
     }
-    auto run = run_database(Scenario::Batch, rq->queries, rq->options, st);
+    auto run = run_database(perf::Scenario::Batch, rq->queries, rq->options, st);
     if (!run) {
       (*cb)(run.error());
       return;
@@ -716,7 +712,7 @@ void AlignService::submit_async(BatchRequest request, BatchCompletion done) {
     (*cb)(BatchResponse{std::move(run->results), std::move(run->trace)});
   };
   task.id = st.trace_id;
-  task.scenario = obs::Scenario::Batch;
+  task.scenario = perf::Scenario::Batch;
   task.deadline_ns = st.deadline_ns;
   task.tier = rq->options.tier;
   enqueue(std::move(task), [&cb](core::ConfigError e) { (*cb)(std::move(e)); });

@@ -342,7 +342,6 @@ class AlignService {
 
   unsigned pool_threads() const noexcept { return pool_.size(); }
   const ServiceOptions& options() const noexcept { return opt_; }
-  bool has_database() const noexcept { return db_ != nullptr; }
   /// The shared database (null for a pairwise-only service); the network
   /// layer fingerprints it into cache keys (net::database_epoch).
   const seq::SequenceDatabase* database() const noexcept { return db_; }
@@ -404,7 +403,7 @@ class AlignService {
     /// Runs the request (aborted=true: fail the completion without running).
     std::function<void(bool aborted)> run;
     uint64_t id = 0;                               ///< request trace id
-    obs::Scenario scenario = obs::Scenario::Pairwise;
+    perf::Scenario scenario = perf::Scenario::Pairwise;
     uint64_t deadline_ns = 0;  ///< absolute, steady_now_ns() scale; 0=none
     QosTier tier = QosTier::Standard;
   };
@@ -480,10 +479,9 @@ class AlignService {
   /// ShardedSearch::scan; a search runs align::search_database, which picks
   /// its engine from the config and the packed lanes. Returns the results
   /// and the trace, or the error to fail the request with.
-  core::ErrorOr<DbRun> run_database(Scenario scenario,
+  core::ErrorOr<DbRun> run_database(perf::Scenario scenario,
                                     std::span<const seq::Sequence> queries,
-                                    const RequestOptions& options,
-                                    const Stamp& st);
+                                    const RequestOptions& options, const Stamp& st);
 
   /// The TraceContext requests thread through the engines: sink + trace id,
   /// plus the PMU session and registry when attribution is on.
@@ -496,7 +494,7 @@ class AlignService {
 
   /// Fill the common trace fields once execution finished; `isa` and
   /// `width` are what ran (the delivery follows from them).
-  RequestTrace make_trace(Scenario scenario, const core::AlignConfig& cfg,
+  RequestTrace make_trace(perf::Scenario scenario, const core::AlignConfig& cfg,
                           simd::Isa isa, core::Width width,
                           double queue_wait_s, double kernel_s,
                           uint64_t cells, uint64_t retries) const;

@@ -20,6 +20,7 @@
 #include "core/error.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
+#include "perf/metrics.hpp"
 #include "seq/sequence.hpp"
 #include "service/status.hpp"
 
@@ -36,15 +37,6 @@ enum class QosTier : uint8_t {
   Bulk = 2,         ///< offline / best-effort (batch reprocessing)
 };
 inline constexpr int kQosTiers = 3;
-
-constexpr const char* qos_tier_name(QosTier t) noexcept {
-  switch (t) {
-    case QosTier::Interactive: return "interactive";
-    case QosTier::Standard: return "standard";
-    case QosTier::Bulk: return "bulk";
-  }
-  return "unknown";
-}
 
 /// Clamp a wire tier byte to a valid QosTier (unknown tiers serve as Bulk
 /// rather than being rejected — forward compatibility for new tiers).
@@ -98,11 +90,9 @@ struct BatchRequest {
   RequestOptions options;
 };
 
-enum class Scenario : uint8_t { Pairwise = 0, Search = 1, Batch = 2 };
-
 /// Per-request observability record attached to every response.
 struct RequestTrace {
-  Scenario scenario = Scenario::Pairwise;
+  perf::Scenario scenario = perf::Scenario::Pairwise;
   /// Monotone per-service sequence number stamped when execution starts
   /// (exposes completion order for tests and tracing).
   uint64_t exec_sequence = 0;

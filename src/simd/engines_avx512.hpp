@@ -1,10 +1,10 @@
 // AVX-512 engines (512-bit). Include only from translation units compiled
-// with -mavx512f -mavx512bw -mavx512vl -mavx512dq. The Shuffle lookups and
-// the 8-bit lane shifts need -mavx512vbmi too: only the units built with it
-// (the diagonal kernel's Shuffle path, the column sweep) may call them. Same
-// engine concept as engines_emu.hpp; comparisons produce hardware mask
-// registers that blends and masked ops consume directly, and narrowing uses
-// vpmovus* so no pack-order fixups are needed.
+// with -mavx512f -mavx512bw -mavx512vl -mavx512dq. The Shuffle lookups, the
+// 8-bit lane shifts and the byte table lookups need -mavx512vbmi too: only
+// the units built with it (the diagonal kernel's Shuffle path, the column
+// sweep) may call them. Same engine concept as engines_emu.hpp; comparisons
+// produce hardware mask registers that blends and masked ops consume
+// directly, and narrowing uses vpmovus* so no pack-order fixups are needed.
 #pragma once
 
 #include <immintrin.h>
@@ -53,6 +53,24 @@ inline __m512i lookup_q_r(const ShuffleTable& t, __m512i vq, __m512i vr) {
       _mm512_mask_mov_epi8(c[2], b2, c[3]));               // segments 0-3
   const __m512i hi = _mm512_mask_mov_epi8(c[4], b2, c[5]);  // segments 4-5
   return _mm512_mask_mov_epi8(lo, b4, hi);
+}
+
+/// best[i] = base + off[i] for i in [from, to) where off[i] is not the
+/// element's maximum, 16 per masked store (the column sweep's flush).
+template <class T>
+inline void store_best_cols(int32_t* best, const T* off, int from, int to, int base) {
+  const __m512i vbase = _mm512_set1_epi32(base);
+  const __m512i vnone = _mm512_set1_epi32(static_cast<T>(~0u));
+  for (int i = from; i < to; i += 16) {
+    const void* p = off + i;
+    const __m512i o =
+        sizeof(T) == 1
+            ? _mm512_maskz_cvtepu8_epi32(0xFFFF, _mm_load_si128(static_cast<const __m128i*>(p)))
+            : _mm512_maskz_cvtepu16_epi32(0xFFFF,
+                                          _mm256_load_si256(static_cast<const __m256i*>(p)));
+    _mm512_mask_storeu_epi32(best + i, _mm512_cmpneq_epi32_mask(o, vnone),
+                             _mm512_add_epi32(o, vbase));
+  }
 }
 
 }  // namespace detail_avx512
@@ -137,6 +155,22 @@ struct Avx512U8 {
     return _mm512_permutex2var_epi8(below, idx, v);
   }
 
+  // The column sweep's other ops (contracts in engines_emu.hpp): the
+  // deferred maximum's flush, 16 slots per masked store; a 256-byte table
+  // lookup (two vpermi2b); the profile's per-code lookup (one vpermb).
+  static void store_best_cols(int32_t* best, const elem* off, int from, int to, int base) {
+    detail_avx512::store_best_cols(best, off, from, to, base);
+  }
+  static vec lookup256(const uint8_t* t, vec idx) {
+    const vec lo = _mm512_permutex2var_epi8(loadu(t), idx, loadu(t + 64));
+    const vec hi = _mm512_permutex2var_epi8(loadu(t + 128), idx, loadu(t + 192));
+    return _mm512_mask_blend_epi8(_mm512_movepi8_mask(idx), lo, hi);
+  }
+  static vec load_table32(const uint8_t* p) {
+    return _mm512_zextsi256_si512(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  static vec lookup32(mask m, vec t, vec idx) { return _mm512_maskz_permutexvar_epi8(m, idx, t); }
+
   static void store_bestd(int32_t* bd, mask m, int d) {
     const __m512i vd = _mm512_set1_epi32(d);
     for (int g = 0; g < 4; ++g)
@@ -218,6 +252,20 @@ struct Avx512U16 {
   static vec shift_up(vec below, vec v, vec idx) {
     return _mm512_permutex2var_epi16(below, idx, v);
   }
+
+  /// The column sweep's other ops (see Avx512U8): the table lookup runs on
+  /// the indices' low bytes; the profile's lookup is one vpermw.
+  static void store_best_cols(int32_t* best, const elem* off, int from, int to, int base) {
+    detail_avx512::store_best_cols(best, off, from, to, base);
+  }
+  static vec lookup256(const uint8_t* t, vec idx) {
+    const __m512i b = _mm512_zextsi256_si512(_mm512_cvtepi16_epi8(idx));
+    return _mm512_cvtepu8_epi16(_mm512_castsi512_si256(Avx512U8::lookup256(t, b)));
+  }
+  static vec load_table32(const uint8_t* p) {
+    return _mm512_cvtepu8_epi16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  static vec lookup32(mask m, vec t, vec idx) { return _mm512_maskz_permutexvar_epi16(m, idx, t); }
 
   static void store_bestd(int32_t* bd, mask m, int d) {
     const __m512i vd = _mm512_set1_epi32(d);

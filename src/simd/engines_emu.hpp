@@ -19,6 +19,10 @@
 //   any                  true if any mask lane is set
 //   gather_scores        substitution-matrix lookup, biased into elem domain
 //   store_dir_u8         truncating per-lane byte store (traceback flags)
+// and, for the column sweep (core/column_kernel.hpp) at 8 and 16 bits:
+//   store_dir_u8_masked, store_best_cols (the deferred maximum's flush)
+//   shift_index/shift_up lanes moved up, the bottom ones filled from below
+//   lookup256 (t[idx], t 256 bytes), load_table32/lookup32 (32 bytes)
 #pragma once
 
 #include <array>
@@ -136,6 +140,47 @@ struct EmuEngine {
   static void store_bestd(int32_t* bd, mask m, int d) {
     for (int k = 0; k < N; ++k)
       if ((m >> k) & 1) bd[k] = d;
+  }
+
+  /// best[k] = base + off[k] for k in [from, to) where off[k] != cap; from
+  /// is a multiple of 16, and an ISA may store up to the next one after to.
+  static void store_best_cols(int32_t* best, const elem* off, int from, int to, int base) {
+    for (int k = from; k < to; ++k)
+      if (off[k] != cap) best[k] = base + off[k];
+  }
+  static void store_dir_u8_masked(uint8_t* p, mask m, vec a) {
+    for (int k = 0; k < N; ++k)
+      if ((m >> k) & 1) p[k] = static_cast<uint8_t>(a.v[k]);
+  }
+  /// A two-table permute of (below, v): shift_index(s) holds k + N - s, so
+  /// the lanes of v move s places up, the bottom s from the top of below.
+  static vec shift_index(int s) {
+    vec r;
+    for (int k = 0; k < N; ++k) r.v[k] = static_cast<T>(k + N - s);
+    return r;
+  }
+  static vec shift_up(vec below, vec v, vec idx) {
+    vec r;
+    for (int k = 0, j; k < N; ++k)
+      r.v[k] = (j = idx.v[k] % (2 * N)) < N ? below.v[j] : v.v[j - N];
+    return r;
+  }
+  static vec lookup256(const uint8_t* t, vec idx) {
+    vec r;
+    for (int k = 0; k < N; ++k) r.v[k] = t[static_cast<uint8_t>(idx.v[k])];
+    return r;
+  }
+  /// The 32 bytes at p in lanes 0-31, 0 above; lookup32 reads lane idx mod
+  /// N of it, 0 where the mask is clear.
+  static vec load_table32(const uint8_t* p) {
+    vec r = zero();
+    for (int k = 0; k < 32 && k < N; ++k) r.v[k] = p[k];
+    return r;
+  }
+  static vec lookup32(mask m, vec t, vec idx) {
+    vec r;
+    for (int k = 0; k < N; ++k) r.v[k] = (m >> k) & 1 ? t.v[idx.v[k] % N] : T{0};
+    return r;
   }
 };
 

@@ -18,9 +18,9 @@
 #include "align/exec_context.hpp"
 #include "align/sharded_search.hpp"
 #include "core/batch32.hpp"
+#include "parallel/topology.hpp"
 #include "perf/timer.hpp"
 #include "seq/synthetic.hpp"
-#include "simd/cpu.hpp"
 
 namespace swve::tune {
 
@@ -145,14 +145,18 @@ extern "C" int swve_tuned_kernel(const uint8_t* q, int m, const uint8_t* r,
 using KernelFn = int (*)(const uint8_t*, int, const uint8_t*, int, const int32_t*,
                          int, int);
 
-/// GCUPS of one in-process batch-kernel pass at `shards` (an individual's
-/// runtime_shard_count) — the term of the fitness the runtime
-/// hyperparameter moves. Fixed synthetic workload.
+/// GCUPS of one in-process batch search of a fixed synthetic workload at
+/// `shards` (an individual's runtime_shard_count, clamped to the batches; 0
+/// is auto), the fitness term the runtime hyperparameter moves. Every count
+/// runs through ShardedSearch (numa off: the term is the shard/merge shape)
+/// on Topology::total_cpus() threads in all: one shard on one pool of that
+/// size, S shards on S pools splitting it. Instances are cached per count.
 double time_batch_pass(int shards) {
   struct Fixture {
     seq::SequenceDatabase db;
     core::Batch32Db bdb;
     seq::Sequence q;
+    parallel::ThreadPool pool;
     Fixture()
         : db([] {
             seq::SyntheticConfig cfg;
@@ -163,61 +167,38 @@ double time_batch_pass(int shards) {
             return seq::SequenceDatabase::synthetic(cfg);
           }()),
           bdb(db, 32),
-          q(seq::generate_sequence(34, 128)) {}
+          q(seq::generate_sequence(34, 128)),
+          pool(std::max(1u, parallel::Topology::detect().total_cpus())) {}
   };
   static Fixture fx;
-  core::Workspace& ws = core::thread_workspace();
-  core::AlignConfig cfg;
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
   const uint64_t cells = fx.bdb.padded_residues() * fx.q.length();
-
-  // A "shards=N" genome routes the pass through ShardedSearch (numa off —
-  // the term being tuned is the shard/merge shape, not placement), so the
-  // GA feels the shard count the same way the serving path would. N is
-  // clamped to the fixture's batches, as auto would be. Instances are cached
-  // per shard count: pool spin-up is construction cost, not per-individual
-  // cost.
   const size_t count = align::clamp_shard_count(static_cast<size_t>(shards),
                                                 fx.bdb.batch_count());
-  if (count > 1) {
-    static std::mutex mu;
-    static std::map<size_t, std::unique_ptr<align::ShardedSearch>> cache;
-    align::ShardedSearch* sharded = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      auto it = cache.find(count);
-      if (it == cache.end()) {
-        align::ShardOptions sopt;
-        sopt.shards = static_cast<int>(count);
-        auto made = align::ShardedSearch::create(fx.db, fx.bdb, sopt);
-        it = cache.emplace(count, made ? std::move(*made) : nullptr).first;
-      }
-      sharded = it->second.get();
+  static std::mutex mu;
+  static std::map<size_t, std::unique_ptr<align::ShardedSearch>> cache;
+  align::ShardedSearch* sharded = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    std::unique_ptr<align::ShardedSearch>& slot = cache[count];
+    if (slot == nullptr) {
+      align::ShardOptions sopt;
+      sopt.shards = static_cast<int>(count);
+      sopt.total_threads = fx.pool.size();
+      auto made = align::ShardedSearch::create(fx.db, fx.bdb, sopt);
+      if (made) slot = std::move(*made);
     }
-    if (sharded != nullptr) {
-      const seq::SeqView qv{fx.q.data(), fx.q.length()};
-      align::ExecContext ctx;
-      sharded->search(cfg, qv, 8, ctx);  // warm-up
-      double best = 0;
-      for (int rep = 0; rep < 2; ++rep) {
-        perf::Stopwatch sw;
-        sharded->search(cfg, qv, 8, ctx);
-        best = std::max(best,
-                        static_cast<double>(cells) / sw.seconds() / 1e9);
-      }
-      return best;
-    }
+    sharded = slot.get();
   }
-
-  auto pass = [&] {
-    for (size_t b = 0; b < fx.bdb.batch_count(); ++b)
-      core::batch32_align_u8(fx.q, fx.bdb.batch(b), 32, cfg, ws, isa);
-  };
-  pass();  // warm-up
+  if (sharded == nullptr) return 0;
+  const core::AlignConfig cfg;
+  const seq::SeqView qv{fx.q.data(), fx.q.length()};
+  align::ExecContext ctx;
+  ctx.pool = &fx.pool;
+  sharded->search(cfg, qv, 8, ctx);  // warm-up
   double best = 0;
   for (int rep = 0; rep < 2; ++rep) {
     perf::Stopwatch sw;
-    pass();
+    sharded->search(cfg, qv, 8, ctx);
     best = std::max(best, static_cast<double>(cells) / sw.seconds() / 1e9);
   }
   return best;

@@ -159,7 +159,7 @@ service::BatchResponse make_batch_response() {
   b.stats.vector_cells = 4096000;
   b.batch_stats = {4096000, 4000000, 0, 0};
   b.hits = {{9, 45, -1, -1}};
-  r.trace.scenario = service::Scenario::Batch;
+  r.trace.scenario = perf::Scenario::Batch;
   r.trace.queue_wait_s = 0.0005;
   r.trace.kernel_s = 0.125;
   r.trace.cells = 10096123;

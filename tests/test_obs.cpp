@@ -315,8 +315,8 @@ perf::MetricsSnapshot sample_snapshot() {
   reg.on_rejected_queue_full();
   reg.on_queue_wait(50e-6);
   reg.on_queue_wait(120e-6);
-  reg.on_completed(perf::MetricsRegistry::Scenario::Pairwise, 0.25, 1'000'000);
-  reg.on_completed(perf::MetricsRegistry::Scenario::Search, 0.5, 2'000'000'000);
+  reg.on_completed(perf::Scenario::Pairwise, 0.25, 1'000'000);
+  reg.on_completed(perf::Scenario::Search, 0.5, 2'000'000'000);
   reg.on_kernel_completed(simd::Isa::Avx2, perf::KernelVariant::Diagonal,
                           1'000'000);
   reg.on_kernel_completed(simd::Isa::Avx2, perf::KernelVariant::Batch32,
@@ -1085,7 +1085,7 @@ TEST(MetricsRegistry, ConcurrentRecordingIsRaceFree) {
       for (int i = 0; i < 5000; ++i) {
         reg.on_submitted();
         reg.on_queue_wait(5e-6);
-        reg.on_completed(perf::MetricsRegistry::Scenario::Pairwise, 1e-5, 100);
+        reg.on_completed(perf::Scenario::Pairwise, 1e-5, 100);
         reg.on_kernel_completed(simd::Isa::Avx2,
                                 perf::KernelVariant::Diagonal, 100);
       }
@@ -1106,7 +1106,7 @@ TEST(MetricsRegistry, ShardedTotalsAreExactUnderConcurrency) {
   // the last 4) record into the locked overflow shard. Every family the
   // service records is hammered while a reader snapshots; the summed totals
   // must come out exact.
-  using Scenario = perf::MetricsRegistry::Scenario;
+  using Scenario = perf::Scenario;
   constexpr unsigned kWriters = perf::MetricsRegistry::kThreadShards + 4;
   constexpr uint64_t kIters = 2000, kTotal = kWriters * kIters;
   constexpr double kQueueS = 0x1p-17, kKernelS = 0x1p-15, kTierS = 0x1p-14;
@@ -1226,7 +1226,7 @@ TEST(MetricsRegistry, RecordsWhileEveryShardIndexIsHeld) {
     unsigned index = 0;
     std::thread([&] {
       reg.on_submitted();
-      reg.on_completed(perf::MetricsRegistry::Scenario::Search, 0x1p-15, 7);
+      reg.on_completed(perf::Scenario::Search, 0x1p-15, 7);
       index = perf::detail::t_metrics_shard;
     }).join();
     return index;
@@ -1256,7 +1256,7 @@ TEST(MetricsRegistry, ExitedThreadsHandTheirShardOn) {
   // wave half that wide owns a shard (this process's other threads hold
   // fewer than half the indices). Totals stay exact, and a concurrent
   // reader never sees more scenario completions than completions.
-  using Scenario = perf::MetricsRegistry::Scenario;
+  using Scenario = perf::Scenario;
   constexpr unsigned kShards = perf::MetricsRegistry::kThreadShards;
   constexpr unsigned kWaves[] = {kShards / 2, kShards + 5, kShards / 2,
                                  kShards + 9, kShards / 2};

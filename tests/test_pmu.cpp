@@ -251,13 +251,13 @@ TEST(InFlightTable, GuardOccupiesAndReleasesSlot) {
   InFlightTable table(2);
   EXPECT_EQ(table.active(), 0u);
   {
-    InFlightTable::Guard g(table, 1, 42, Scenario::Search, 777);
+    InFlightTable::Guard g(table, 1, 42, perf::Scenario::Search, 777);
     EXPECT_EQ(table.active(), 1u);
     InFlightTable::Entry rows[4];
     ASSERT_EQ(table.snapshot(rows, 4), 1u);
     EXPECT_EQ(rows[0].slot, 1u);
     EXPECT_EQ(rows[0].id, 42u);
-    EXPECT_EQ(rows[0].scenario, static_cast<uint32_t>(Scenario::Search));
+    EXPECT_EQ(rows[0].scenario, static_cast<uint32_t>(perf::Scenario::Search));
     EXPECT_EQ(rows[0].deadline_ns, 777u);
     EXPECT_GT(rows[0].start_ns, 0u);
   }
@@ -266,7 +266,7 @@ TEST(InFlightTable, GuardOccupiesAndReleasesSlot) {
 
 TEST(InFlightTable, ZeroIdStillReadsAsOccupied) {
   InFlightTable table(1);
-  InFlightTable::Guard g(table, 0, 0, Scenario::Pairwise, 0);
+  InFlightTable::Guard g(table, 0, 0, perf::Scenario::Pairwise, 0);
   InFlightTable::Entry row;
   ASSERT_EQ(table.snapshot(&row, 1), 1u);
   EXPECT_EQ(row.id, 1u);  // id 0 means "free"; the table remaps it
@@ -291,7 +291,7 @@ TEST(InFlightTable, ConcurrentGuardsAndSnapshotsAreRaceFree) {
   for (unsigned w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
       for (uint64_t i = 1; i <= 20'000; ++i)
-        InFlightTable::Guard g(table, w, i, Scenario::Batch, 0);
+        InFlightTable::Guard g(table, w, i, perf::Scenario::Batch, 0);
     });
   }
   for (auto& t : workers) t.join();
@@ -303,21 +303,21 @@ TEST(InFlightTable, ConcurrentGuardsAndSnapshotsAreRaceFree) {
 TEST(InFlightTable, ClaimFailsWhenTableIsFull) {
   InFlightTable table(3);
   // Slot 0 is an executor's fixed slot: claims start past it.
-  InFlightTable::Guard fixed(table, 0, 5, Scenario::Search, 0);
-  InFlightTable::Guard a = table.claim(1, 6, Scenario::Pairwise, 0);
-  InFlightTable::Guard b = table.claim(1, 7, Scenario::Pairwise, 0);
+  InFlightTable::Guard fixed(table, 0, 5, perf::Scenario::Search, 0);
+  InFlightTable::Guard a = table.claim(1, 6, perf::Scenario::Pairwise, 0);
+  InFlightTable::Guard b = table.claim(1, 7, perf::Scenario::Pairwise, 0);
   ASSERT_TRUE(a);
   ASSERT_TRUE(b);
   EXPECT_NE(a.slot(), b.slot());
   EXPECT_GE(std::min(a.slot(), b.slot()), 1u);
-  EXPECT_FALSE(table.claim(1, 8, Scenario::Pairwise, 0));
+  EXPECT_FALSE(table.claim(1, 8, perf::Scenario::Pairwise, 0));
   EXPECT_EQ(table.active(), 3u);
   {
     InFlightTable::Guard moved(std::move(a));  // ownership moves, no release
     EXPECT_EQ(table.active(), 3u);
   }
   EXPECT_EQ(table.active(), 2u);
-  InFlightTable::Guard c = table.claim(1, 9, Scenario::Pairwise, 0);
+  InFlightTable::Guard c = table.claim(1, 9, perf::Scenario::Pairwise, 0);
   ASSERT_TRUE(c);
   InFlightTable::Entry rows[3];
   ASSERT_EQ(table.snapshot(rows, 3), 3u);
@@ -336,7 +336,7 @@ TEST(InFlightTable, ConcurrentClaimsNeverShareASlot) {
   for (unsigned t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
       for (uint64_t i = 1; i <= 20'000; ++i) {
-        InFlightTable::Guard g = table.claim(0, i, Scenario::Pairwise, 0);
+        InFlightTable::Guard g = table.claim(0, i, perf::Scenario::Pairwise, 0);
         if (!g) continue;
         claimed.fetch_add(1);
         if (owner[g.slot()].exchange(static_cast<int>(t)) != -1)
@@ -362,14 +362,14 @@ TEST(Watchdog, DetectsSlowOccupancyOnceAndRedetectsNewRequest) {
   Watchdog dog(table, wo, nullptr, nullptr, [] { return size_t{3}; });
 
   {
-    InFlightTable::Guard g(table, 0, 11, Scenario::Search, 0);
+    InFlightTable::Guard g(table, 0, 11, perf::Scenario::Search, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     dog.scan_once();
     dog.scan_once();  // same occupancy: deduplicated
     EXPECT_EQ(dog.detected(), 1u);
   }
   {
-    InFlightTable::Guard g(table, 0, 12, Scenario::Batch, 0);
+    InFlightTable::Guard g(table, 0, 12, perf::Scenario::Batch, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     dog.scan_once();  // same slot, new request id: a new record
   }
@@ -378,7 +378,7 @@ TEST(Watchdog, DetectsSlowOccupancyOnceAndRedetectsNewRequest) {
   std::vector<SlowRequestRecord> records = dog.records();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].trace_id, 11u);
-  EXPECT_EQ(records[0].scenario, static_cast<uint32_t>(Scenario::Search));
+  EXPECT_EQ(records[0].scenario, static_cast<uint32_t>(perf::Scenario::Search));
   EXPECT_EQ(records[0].queue_depth, 3u);
   EXPECT_GT(records[0].running_s, 0.0);
   EXPECT_EQ(records[1].trace_id, 12u);
@@ -412,7 +412,7 @@ TEST(Watchdog, ServiceDetectsStalledEngine) {
   EXPECT_EQ(svc.metrics().slow_requests, 1u);
   std::vector<SlowRequestRecord> records = svc.watchdog()->records();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].scenario, static_cast<uint32_t>(Scenario::Pairwise));
+  EXPECT_EQ(records[0].scenario, static_cast<uint32_t>(perf::Scenario::Pairwise));
   EXPECT_DOUBLE_EQ(records[0].slo_s, 0.01);
   EXPECT_GE(records[0].running_s, 0.01);
   EXPECT_NE(records[0].to_json().find("\"trace_id\""), std::string::npos);
@@ -433,9 +433,9 @@ TEST(FlightRecorder, DumpNowRoundTripsThroughJson) {
   }
   perf::MetricsRegistry reg;
   reg.on_submitted();
-  reg.on_completed(perf::MetricsRegistry::Scenario::Search, 0.1, 1000);
+  reg.on_completed(perf::Scenario::Search, 0.1, 1000);
   InFlightTable table(1);
-  InFlightTable::Guard guard(table, 0, 42, Scenario::Search, 0);
+  InFlightTable::Guard guard(table, 0, 42, perf::Scenario::Search, 0);
 
   FlightRecorder rec;
   FlightRecorderOptions fo;
@@ -483,7 +483,7 @@ TEST(FlightRecorder, DumpNowRoundTripsThroughJson) {
     span.add_cells(7);
   }
   InFlightTable table(1);
-  InFlightTable::Guard guard(table, 0, 77, Scenario::Batch, 0);
+  InFlightTable::Guard guard(table, 0, 77, perf::Scenario::Batch, 0);
   FlightRecorder rec;
   FlightRecorderOptions fo;
   fo.path = path;

@@ -83,7 +83,7 @@ TEST(AlignService, PairwiseMatchesAligner) {
   EXPECT_EQ(resp.alignment.end_query, want.end_query);
   EXPECT_EQ(resp.alignment.end_ref, want.end_ref);
   EXPECT_EQ(resp.alignment.cigar, want.cigar);
-  EXPECT_EQ(resp.trace.scenario, Scenario::Pairwise);
+  EXPECT_EQ(resp.trace.scenario, perf::Scenario::Pairwise);
   EXPECT_GT(resp.trace.cells, 0u);
   EXPECT_GE(resp.trace.queue_wait_s, 0.0);
 }
@@ -207,7 +207,7 @@ TEST(AlignService, SearchMatchesDatabaseSearchForEveryThreadCount) {
         EXPECT_EQ(got.result.hits[k].end_ref, want.hits[k].end_ref) << k;
       }
       EXPECT_FALSE(got.result.truncated);
-      EXPECT_EQ(got.trace.scenario, Scenario::Search);
+      EXPECT_EQ(got.trace.scenario, perf::Scenario::Search);
     }
   }
 }
@@ -230,7 +230,7 @@ TEST(AlignService, BatchMatchesPerQuerySearchForEveryThreadCount) {
       rq.queries = queries;
       rq.options.top_k = 5;
       BatchResponse got = get_ok(submit_future(svc, std::move(rq)));
-      EXPECT_EQ(got.trace.scenario, Scenario::Batch);
+      EXPECT_EQ(got.trace.scenario, perf::Scenario::Batch);
       ASSERT_EQ(got.results.size(), queries.size());
 
       for (size_t qi = 0; qi < queries.size(); ++qi) {

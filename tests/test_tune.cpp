@@ -182,8 +182,9 @@ TEST(GccEvaluator, ProbeAndEvaluateIfAvailable) {
 }
 
 TEST(GccEvaluator, RuntimeShardCountIsTimedThroughShardedSearch) {
-  // The runtime flag's "shards=2" choice times the batch pass on a
-  // two-shard search, next to the plain pass of the baseline individual.
+  // The runtime flag's "shards=2" choice times the batch search on two
+  // shards, and the baseline individual's auto choice on one; both run
+  // through ShardedSearch::search on one total thread count.
   FlagSpace space = FlagSpace::gcc_with_runtime();
   GccEvaluator::Options opt;
   opt.work_dir = "/tmp/swve_tune_test_runtime";
